@@ -58,7 +58,6 @@ from .optimal import (
     IndexedWalk,
     InfeasibleFace,
     OptimalResult,
-    cut_structure,
     dp_2ec,
     dp_2vc,
     feasibility,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import convex_hull, orient_xy, walk_length
+from .geom import collinear_pair, convex_hull, orient_xy, walk_length
 from .pslg import (
     LemmaViolation,
     Pslg,
@@ -153,27 +153,12 @@ def _make_box(pts):
     ]
     out_dir = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
     placed = list(pts)
-    corners = []
     for (bx, by), (dx, dy) in zip(base, out_dir):
         k = 0
-        while True:
-            cand = (bx + k * dx, by + 2 * k * dy)
-            ok = True
-            for i in range(len(placed)):
-                xi, yi = placed[i]
-                for j in range(i + 1, len(placed)):
-                    xj, yj = placed[j]
-                    if orient_xy(cand[0], cand[1], xi, yi, xj, yj) == 0:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                break
+        while collinear_pair((bx + k * dx, by + 2 * k * dy), placed) is not None:
             k += 1
-        corners.append(cand)
-        placed.append(cand)
-    return corners
+        placed.append((bx + k * dx, by + 2 * k * dy))
+    return placed[len(pts) :]
 
 
 def face_env(g: Pslg) -> _FaceEnv:

@@ -9,6 +9,7 @@ distances.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -80,6 +81,50 @@ def orient_xy(ax, ay, bx, by, cx, cy) -> int:
     if v < 0:
         return -1
     return 0
+
+
+def collinear_pair(c, pts):
+    """Indices (i, j), i < j, of two points of ``pts`` collinear with the
+    point ``c``, or None; (i, i) when c coincides with pts[i].
+
+    Integer coordinates only.  O(len(pts)): the direction from c to each
+    point is reduced by its gcd and sign to a canonical form, and two
+    points collinear with c share that form.
+    """
+    cx, cy = c
+    seen = {}
+    for j, (x, y) in enumerate(pts):
+        dx, dy = x - cx, y - cy
+        if dx == 0 and dy == 0:
+            return (j, j)
+        k = math.gcd(dx, dy)
+        if dx < 0 or (dx == 0 and dy < 0):
+            k = -k
+        i = seen.setdefault((dx // k, dy // k), j)
+        if i != j:
+            return (i, j)
+    return None
+
+
+def polar_sort(center_xy, items, key_xy):
+    """Sort items by CCW polar angle of key_xy(item) around center, starting
+    from the +x axis.  Exact; assumes no two directions coincide."""
+    cx, cy = center_xy
+
+    def half(dx, dy):
+        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
+
+    def cmp(i1, i2):
+        x1, y1 = key_xy(i1)
+        x2, y2 = key_xy(i2)
+        d1x, d1y, d2x, d2y = x1 - cx, y1 - cy, x2 - cx, y2 - cy
+        h1, h2 = half(d1x, d1y), half(d2x, d2y)
+        if h1 != h2:
+            return -1 if h1 < h2 else 1
+        cr = d1x * d2y - d1y * d2x
+        return -1 if cr > 0 else (1 if cr < 0 else 0)
+
+    return sorted(items, key=functools.cmp_to_key(cmp))
 
 
 def _between_1d(a, b, c) -> bool:
@@ -196,6 +241,21 @@ def ekey(u: int, v: int) -> tuple:
     return (u, v) if u < v else (v, u)
 
 
+def incircle_xy(ax, ay, bx, by, cx, cy, dx, dy) -> int:
+    """In-circle kernel on raw exact coordinates: +1 iff d lies strictly
+    inside the circumcircle of the CCW triangle (a, b, c), -1 strictly
+    outside, 0 cocircular."""
+    adx, ady = ax - dx, ay - dy
+    bdx, bdy = bx - dx, by - dy
+    cdx, cdy = cx - dx, cy - dy
+    det = (
+        (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
+        - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
+        + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
+    )
+    return 1 if det > 0 else (-1 if det < 0 else 0)
+
+
 def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
     """Exact in-circle test: +1 iff d lies strictly inside the circumcircle
     of triangle (a, b, c), -1 strictly outside, 0 cocircular.
@@ -205,23 +265,7 @@ def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
     s = orient(a, b, c)
     if s == 0:
         raise DegenerateInput("incircle of collinear triple")
-    adx, ady = a.x - d.x, a.y - d.y
-    bdx, bdy = b.x - d.x, b.y - d.y
-    cdx, cdy = c.x - d.x, c.y - d.y
-    alift = adx * adx + ady * ady
-    blift = bdx * bdx + bdy * bdy
-    clift = cdx * cdx + cdy * cdy
-    det = (
-        alift * (bdx * cdy - cdx * bdy)
-        - blift * (adx * cdy - cdx * ady)
-        + clift * (adx * bdy - bdx * ady)
-    )
-    det *= s
-    if det > 0:
-        return 1
-    if det < 0:
-        return -1
-    return 0
+    return s * incircle_xy(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
 
 
 def in_ccw_sector(ux, uy, vx, vy, dx, dy) -> bool:

@@ -12,8 +12,8 @@ import os
 import random
 from fractions import Fraction
 
-from .geom import orient_xy
-from .pslg import InvalidInstance, Pslg, build
+from .geom import collinear_pair
+from .pslg import InvalidInstance, Pslg, build, kruskal
 from .triangulate import lawson_flips, triangulate_points
 
 FORMAT_VERSION = 1
@@ -92,17 +92,6 @@ def default_seed() -> int:
 GRID = 1_000_000
 
 
-def _collinear_with_any_pair(coords, c) -> bool:
-    n = len(coords)
-    for i in range(n):
-        xi, yi = coords[i]
-        for j in range(i + 1, n):
-            xj, yj = coords[j]
-            if orient_xy(xi, yi, xj, yj, c[0], c[1]) == 0:
-                return True
-    return False
-
-
 def generate(n: int, seed: int, density: float) -> Pslg:
     """Seeded random connected PSLG: n grid points in general position,
     edges a random subgraph of their Delaunay triangulation repaired to
@@ -111,13 +100,10 @@ def generate(n: int, seed: int, density: float) -> Pslg:
         raise InvalidInstance("need n >= 3")
     rng = random.Random(seed)
     coords = []
-    used = set()
     while len(coords) < n:
         c = (rng.randrange(GRID), rng.randrange(GRID))
-        if c in used or _collinear_with_any_pair(coords, c):
-            continue
-        coords.append(c)
-        used.add(c)
+        if collinear_pair(c, coords) is None:
+            coords.append(c)
 
     T = triangulate_points(coords)
     lawson_flips(T, protect_constrained=False)
@@ -130,21 +116,7 @@ def generate(n: int, seed: int, density: float) -> Pslg:
     keep = [e for e in dt_edges if rng.random() < density]
 
     # Kruskal over DT edges gives the repair spanning tree
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in keep:
-        parent[find(e[0])] = find(e[1])
-    for e in sorted(dt_edges, key=lambda e: (d2(e), e)):
-        ra, rb = find(e[0]), find(e[1])
-        if ra != rb:
-            parent[ra] = rb
-            keep.append(e)
+    keep += kruskal(dt_edges, d2, joined=keep)
 
     pts = [(i, coords[i][0], coords[i][1]) for i in range(n)]
     return build(pts, sorted(set(keep)))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geom import dist, ekey
+from .geom import dist, ekey, in_ccw_sector, segments_properly_cross
 from .pslg import (
     LemmaViolation,
     Pslg,
@@ -162,18 +162,8 @@ def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
         )
 
     def in_sector(i, tx, ty):
-        vx, vy, ux, uy, wx_, wy_ = sectors[i]
-        dx, dy = tx - vx, ty - vy
-        cuv = ux * wy_ - uy * wx_
-        cud = ux * dy - uy * dx
-        cdv = dx * wy_ - dy * wx_
-        if cuv == 0:
-            return not (cud == 0 and ux * dx + uy * dy > 0)
-        if cuv > 0:
-            return cud > 0 and cdv > 0
-        return not (-cdv >= 0 and -cud >= 0)
-
-    from .geom import segments_properly_cross
+        vx, vy, ux, uy, wx, wy = sectors[i]
+        return in_ccw_sector(ux, uy, wx, wy, tx - vx, ty - vy)
 
     for i in range(1, n + 1):
         u = w.seq[i]
@@ -204,31 +194,6 @@ def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
                 continue
             F[i, j] = F[j, i] = dist(g.by_id[u], g.by_id[v])
     return F
-
-
-def cut_structure(w: IndexedWalk, s: int, t: int):
-    """Cut vertices relative to (p_s, ..., p_t) with their descendant
-    position groups and non-descendant positions."""
-    count = {}
-    for q in range(s, t + 1):
-        count[int(w.vert[q])] = count.get(int(w.vert[q]), 0) + 1
-    cuts = {}
-    for v, c in count.items():
-        if c < 2:
-            continue
-        positions = [q for q in range(s, t + 1) if w.vert[q] == v]
-        groups = []
-        for a, b in zip(positions, positions[1:]):
-            groups.append(list(range(a + 1, b)))
-        desc = sorted({q for grp in groups for q in grp})
-        desc_verts = {int(w.vert[q]) for q in desc}
-        nondesc = [
-            q
-            for q in range(s, t + 1)
-            if int(w.vert[q]) != v and int(w.vert[q]) not in desc_verts
-        ]
-        cuts[v] = {"occurrences": positions, "groups": groups, "non_descendants": nondesc}
-    return cuts
 
 
 def _prefix_tables(w: IndexedWalk):

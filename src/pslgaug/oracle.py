@@ -31,23 +31,21 @@ def candidate_set(g: Pslg, weight="length") -> CandidateSet:
     """Non-edges that can be inserted alone: no proper crossing with E.
     (General position rules out passing through a vertex.)"""
     ids = sorted(p.id for p in g.points)
+    ipt = g.ipt
     cands = []
     for i, u in enumerate(ids):
-        pu = g.by_id[u]
+        ux, uy = ipt(u)
         for v in ids[i + 1 :]:
             if ekey(u, v) in g.edges:
                 continue
-            pv = g.by_id[v]
+            vx, vy = ipt(v)
             ok = True
             for (a, b) in g.edges:
-                pa, pb = g.by_id[a], g.by_id[b]
-                if segments_properly_cross(
-                    pu.x, pu.y, pv.x, pv.y, pa.x, pa.y, pb.x, pb.y
-                ):
+                if segments_properly_cross(ux, uy, vx, vy, *ipt(a), *ipt(b)):
                     ok = False
                     break
             if ok:
-                w = 1.0 if weight == "unit" else dist(pu, pv)
+                w = 1.0 if weight == "unit" else dist(g.by_id[u], g.by_id[v])
                 cands.append((w, (u, v)))
     cands.sort()
     edges = [e for _, e in cands]
@@ -55,11 +53,9 @@ def candidate_set(g: Pslg, weight="length") -> CandidateSet:
     crossing = {i: set() for i in range(len(edges))}
     for i in range(len(edges)):
         a, b = edges[i]
-        pa, pb = g.by_id[a], g.by_id[b]
         for j in range(i + 1, len(edges)):
             c, d = edges[j]
-            pc, pd = g.by_id[c], g.by_id[d]
-            if segments_properly_cross(pa.x, pa.y, pb.x, pb.y, pc.x, pc.y, pd.x, pd.y):
+            if segments_properly_cross(*ipt(a), *ipt(b), *ipt(c), *ipt(d)):
                 crossing[i].add(j)
                 crossing[j].add(i)
     return CandidateSet(edges=edges, weights=weights, crossing=crossing)

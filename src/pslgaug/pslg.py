@@ -18,11 +18,11 @@ from fractions import Fraction
 from math import lcm
 
 from .geom import (
-    CONVEX,
     Point,
+    collinear_pair,
     ekey,
-    in_ccw_sector,
     orient_xy,
+    polar_sort,
     segments_properly_cross,
     to_rational,
 )
@@ -161,35 +161,6 @@ class Pslg:
         return rot[(i + 1) % len(rot)]
 
 
-def _polar_sort(center_xy, items, key_xy):
-    """Sort items by CCW polar angle of key_xy(item) around center, starting
-    from the +x axis.  Exact; assumes no two directions coincide."""
-    cx, cy = center_xy
-
-    def half(dxy):
-        dx, dy = dxy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    import functools
-
-    def cmp(i1, i2):
-        x1, y1 = key_xy(i1)
-        x2, y2 = key_xy(i2)
-        d1 = (x1 - cx, y1 - cy)
-        d2 = (x2 - cx, y2 - cy)
-        h1, h2 = half(d1), half(d2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cr = d1[0] * d2[1] - d1[1] * d2[0]
-        if cr > 0:
-            return -1
-        if cr < 0:
-            return 1
-        return 0
-
-    return sorted(items, key=functools.cmp_to_key(cmp))
-
-
 def build(points, edge_pairs) -> Pslg:
     """Validate and build a PSLG.
 
@@ -250,18 +221,16 @@ def build(points, edge_pairs) -> Pslg:
             ):
                 raise EdgeThroughVertex(f"edge ({u},{v}) passes through point {p.id}")
 
-    # general position: no three collinear
+    # general position: no three collinear, each point checked against the
+    # points before it
     order = sorted(ids)
-    for i in range(len(order)):
-        a = order[i]
-        ax, ay = ix[a], iy[a]
-        for j in range(i + 1, len(order)):
-            b = order[j]
-            bx, by = ix[b], iy[b]
-            for k in range(j + 1, len(order)):
-                c = order[k]
-                if orient_xy(ax, ay, bx, by, ix[c], iy[c]) == 0:
-                    raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
+    placed = []
+    for c in order:
+        pair = collinear_pair((ix[c], iy[c]), placed)
+        if pair is not None:
+            a, b = order[pair[0]], order[pair[1]]
+            raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
+        placed.append((ix[c], iy[c]))
 
     # no two edges properly cross
     elist = sorted(edges)
@@ -280,7 +249,7 @@ def build(points, edge_pairs) -> Pslg:
         adj[u].append(v)
         adj[v].append(u)
     for p in pts:
-        nbrs = _polar_sort((ix[p.id], iy[p.id]), adj[p.id], lambda w: (ix[w], iy[w]))
+        nbrs = polar_sort((ix[p.id], iy[p.id]), adj[p.id], lambda w: (ix[w], iy[w]))
         rotation[p.id] = tuple(nbrs)
 
     return Pslg(pts, frozenset(edges), rotation, ix, iy, scale)
@@ -356,6 +325,71 @@ def walk_of_directed_edge(g: Pslg):
         for i in range(len(w.seq) - 1):
             index[(w.seq[i], w.seq[i + 1])] = (w.face_id, i)
     return index
+
+
+# -- graph search --------------------------------------------------------
+
+
+def adjacency(edges):
+    """Vertex -> list of neighbours over an iterable of vertex pairs."""
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    return adj
+
+
+def reach(adj, root, goal=None):
+    """Depth-first search from root over ``adj`` (vertex -> neighbours):
+    maps every vertex reached to its predecessor (root to None).  Stops
+    once goal is reached."""
+    prev = {root: None}
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x == goal:
+            break
+        for y in adj.get(x, ()):
+            if y not in prev:
+                prev[y] = x
+                stack.append(y)
+    return prev
+
+
+def forest_path(edges, u, v):
+    """Vertex path from u to v in the forest ``edges``, or None when v is
+    not reachable from u."""
+    prev = reach(adjacency(edges), u, v)
+    if v not in prev:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path[::-1]
+
+
+def kruskal(edges, weight, joined=()):
+    """Kruskal's algorithm: the edges, taken by increasing (weight(e), e),
+    that join two components of the forest grown so far, which starts from
+    the edges in ``joined``."""
+    parent = {}
+
+    def find(a):
+        parent.setdefault(a, a)
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for u, v in joined:
+        parent[find(u)] = find(v)
+    out = []
+    for e in sorted(edges, key=lambda e: (weight(e), e)):
+        ra, rb = find(e[0]), find(e[1])
+        if ra != rb:
+            parent[ra] = rb
+            out.append(e)
+    return out
 
 
 # -- connectivity ------------------------------------------------------
@@ -470,16 +504,6 @@ def _corner_convex(g: Pslg, prev, apex, nxt) -> bool:
     return (px - ax) * (ny - ay) - (py - ay) * (nx - ax) > 0
 
 
-def corner_sector_contains(g: Pslg, prev, apex, nxt, target) -> bool:
-    """Exact test: does the ray apex->target lie strictly inside the facial
-    sector at corner (prev, apex, nxt)?"""
-    ax, ay = g.ipt(apex)
-    px, py = g.ipt(prev)
-    nx, ny = g.ipt(nxt)
-    tx, ty = g.ipt(target)
-    return in_ccw_sector(px - ax, py - ay, nx - ax, ny - ay, tx - ax, ty - ay)
-
-
 def convex_walk_decomposition(g: Pslg) -> ConvexWalkSet:
     """Split every facial walk at its reflex corners into maximal convex
     walks: P0 single edges, P1 closed walks, P2 open walks of >= 2 edges."""
@@ -537,15 +561,6 @@ def dual_graph(c: ConvexWalkSet) -> DualGraph:
             for j in ns:
                 if i != j:
                     adjacency[i].add(j)
-    if nodes:
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            i = frontier.pop()
-            for j in adjacency[i]:
-                if j not in seen:
-                    seen.add(j)
-                    frontier.append(j)
-        if len(seen) != len(nodes):
-            raise LemmaViolation("dual graph of convex chains is disconnected")
+    if nodes and len(reach(adjacency, 0)) != len(nodes):
+        raise LemmaViolation("dual graph of convex chains is disconnected")
     return DualGraph(nodes=nodes, adjacency=adjacency)

@@ -18,14 +18,24 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .geom import angle_less, convex_hull, dist, ekey, segments_properly_cross
+from .geom import (
+    angle_less,
+    convex_hull,
+    dist,
+    ekey,
+    polar_sort,
+    segments_properly_cross,
+)
 from .geodesic import geodesic
 from .pslg import (
-    InvalidInstance,
     LemmaViolation,
     Pslg,
     PslgError,
+    adjacency,
     build,
+    forest_path,
+    kruskal,
+    reach,
     require_augmentable,
 )
 from .triangulate import insert_constraint, is_delaunay, lawson_flips, triangulate_points
@@ -105,13 +115,9 @@ class WeaklySimplePolygon:
         sup = sorted(ems)
         for i in range(len(sup)):
             a, b = sup[i]
-            pa, pb = g.by_id[a], g.by_id[b]
             for j in range(i + 1, len(sup)):
                 c, d = sup[j]
-                pc, pd = g.by_id[c], g.by_id[d]
-                if segments_properly_cross(
-                    pa.x, pa.y, pb.x, pb.y, pc.x, pc.y, pd.x, pd.y
-                ):
+                if segments_properly_cross(*g.ipt(a), *g.ipt(b), *g.ipt(c), *g.ipt(d)):
                     raise LemmaViolation(f"polygon edges {sup[i]} {sup[j]} cross")
         self._check_rotations(g)
 
@@ -127,31 +133,7 @@ class WeaklySimplePolygon:
         for v, occs in at.items():
             if len(occs) < 2:
                 continue
-            vx, vy = g.ipt(v)
-
-            def angle_key(w):
-                wx, wy = g.ipt(w)
-                dx, dy = wx - vx, wy - vy
-                half = 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-                return (half, dx, dy)
-
-            rays = sorted({w for occ in occs for w in occ}, key=angle_key)
-
-            def circ_cmp(a, b):
-                ax, ay = g.ipt(a)
-                bx, by = g.ipt(b)
-                da = (ax - vx, ay - vy)
-                db = (bx - vx, by - vy)
-                ha = 0 if (da[1] > 0 or (da[1] == 0 and da[0] > 0)) else 1
-                hb = 0 if (db[1] > 0 or (db[1] == 0 and db[0] > 0)) else 1
-                if ha != hb:
-                    return -1 if ha < hb else 1
-                cr = da[0] * db[1] - da[1] * db[0]
-                return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-            import functools
-
-            order = sorted({w for occ in occs for w in occ}, key=functools.cmp_to_key(circ_cmp))
+            order = polar_sort(g.ipt(v), {w for occ in occs for w in occ}, g.ipt)
             pos = {w: i for i, w in enumerate(order)}
             for a in range(len(occs)):
                 for b in range(a + 1, len(occs)):
@@ -166,21 +148,77 @@ class WeaklySimplePolygon:
                         )
 
 
-class _Editor:
-    """Mutable edge set over fixed points, recording certified operations."""
+class _CertifiedEdges:
+    """Edge set over the fixed points of g, changed only by certified single
+    edge edits: the graph stays a connected PSLG whose length is at most
+    ``ceiling`` (tolerance included).  transform and replay both edit
+    through it, so every op log transform writes replays.
+    """
 
     def __init__(self, g: Pslg, ceiling: float):
         self.g = g
         self.edges = set(g.edges)
         self.length = g.total_length()
         self.ceiling = ceiling
+        self.connected = False  # known to be connected; checked after the next edit
+
+    def _spans(self):
+        ids = [p.id for p in self.g.points]
+        return len(reach(adjacency(self.edges), ids[0])) == len(ids)
+
+    def edit(self, op, u, v):
+        """Insert or delete edge (u, v).  Returns None when the edit keeps
+        every invariant, else the violated invariant's name and a message;
+        the edge set is then no longer certified."""
+        g = self.g
+        e = ekey(u, v)
+        if u not in g.by_id or v not in g.by_id:
+            return "vertices", f"unknown endpoint in {e}"
+        if op == "insert":
+            if e in self.edges:
+                return "planarity", f"edge {e} already present"
+            ux, uy = g.ipt(u)
+            vx, vy = g.ipt(v)
+            for (a, b) in self.edges:
+                if segments_properly_cross(ux, uy, vx, vy, *g.ipt(a), *g.ipt(b)):
+                    return "planarity", f"{e} crosses {ekey(a, b)}"
+            self.edges.add(e)
+            self.length += dist(g.by_id[u], g.by_id[v])
+        elif op == "delete":
+            if e not in self.edges:
+                return "planarity", f"edge {e} not present"
+            self.edges.remove(e)
+            self.length -= dist(g.by_id[u], g.by_id[v])
+            self.connected = False
+        else:
+            return "op", op
+        # an insert cannot disconnect, so the search runs only after a
+        # delete or while the graph is not yet known to be connected
+        if not self.connected:
+            self.connected = self._spans()
+            if not self.connected:
+                return "connectivity", ""
+        if self.length > self.ceiling:
+            return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
+        return None
+
+
+class _Editor(_CertifiedEdges):
+    """Certified edge set that records every edit in an OpLog."""
+
+    def __init__(self, g: Pslg, ceiling: float):
+        super().__init__(g, ceiling + LENGTH_TOL)
         self.log = OpLog()
 
-    def _assert_ceiling(self, phase, weighted=None):
-        if self.length > self.ceiling + LENGTH_TOL:
+    def _record(self, op, u, v, phase, weighted):
+        bad = self.edit(op, u, v)
+        e = ekey(u, v)
+        if bad is not None:
+            invariant, message = bad
             raise LemmaViolation(
-                f"length {self.length:.9g} exceeds ceiling {self.ceiling:.9g}"
+                f"{op} {e}: {invariant} violated{': ' + message if message else ''}"
             )
+        self.log.steps.append(OpStep(op, e[0], e[1], phase))
         self.log.snapshots.append(
             Snapshot(
                 len_graph=self.length,
@@ -190,47 +228,10 @@ class _Editor:
         )
 
     def insert(self, u, v, phase, weighted=None):
-        e = ekey(u, v)
-        if e in self.edges:
-            raise LemmaViolation(f"insert of existing edge {e}")
-        pu, pv = self.g.by_id[u], self.g.by_id[v]
-        for (a, b) in self.edges:
-            pa, pb = self.g.by_id[a], self.g.by_id[b]
-            if segments_properly_cross(
-                pu.x, pu.y, pv.x, pv.y, pa.x, pa.y, pb.x, pb.y
-            ):
-                raise LemmaViolation(f"insert {e} crosses {ekey(a, b)}")
-        self.edges.add(e)
-        self.length += dist(pu, pv)
-        self.log.steps.append(OpStep("insert", e[0], e[1], phase))
-        self._assert_ceiling(phase, weighted)
+        self._record("insert", u, v, phase, weighted)
 
     def delete(self, u, v, phase, weighted=None):
-        e = ekey(u, v)
-        if e not in self.edges:
-            raise LemmaViolation(f"delete of missing edge {e}")
-        self.edges.remove(e)
-        if not self._connected():
-            raise LemmaViolation(f"delete {e} disconnects the graph")
-        self.length -= dist(self.g.by_id[u], self.g.by_id[v])
-        self.log.steps.append(OpStep("delete", e[0], e[1], phase))
-        self._assert_ceiling(phase, weighted)
-
-    def _connected(self):
-        ids = [p.id for p in self.g.points]
-        adj = {i: [] for i in ids}
-        for u, v in self.edges:
-            adj[u].append(v)
-            adj[v].append(u)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(ids)
+        self._record("delete", u, v, phase, weighted)
 
     def snapshot_graph(self) -> Pslg:
         return build(self.g.points, sorted(self.edges))
@@ -242,31 +243,11 @@ def _sq(g, u, v):
     return (ux - vx) ** 2 + (uy - vy) ** 2
 
 
-def _kruskal(g, edge_pool):
-    """Minimum spanning forest of the pool, exact lengths, ties by key."""
-    ids = [p.id for p in g.points]
-    parent = {i: i for i in ids}
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    out = set()
-    for e in sorted(edge_pool, key=lambda e: (_sq(g, *e), e)):
-        ra, rb = find(e[0]), find(e[1])
-        if ra != rb:
-            parent[ra] = rb
-            out.add(e)
-    return out
-
-
 def euclidean_mst(g: Pslg):
     """Canonical Euclidean MST over all point pairs (exact comparisons)."""
     ids = sorted(p.id for p in g.points)
     pool = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-    return _kruskal(g, pool)
+    return set(kruskal(pool, lambda e: _sq(g, *e)))
 
 
 def mst_length(g: Pslg):
@@ -278,7 +259,7 @@ def mst_length(g: Pslg):
 
 def phase1_spanning_tree(ed: _Editor):
     """Strip to the minimum spanning subtree of the existing edges."""
-    tree = _kruskal(ed.g, ed.edges)
+    tree = set(kruskal(ed.edges, lambda e: _sq(ed.g, *e)))
     for e in sorted(ed.edges - tree):
         ed.delete(e[0], e[1], PHASE_TREE)
     return tree
@@ -312,7 +293,7 @@ def phase2_to_delaunay_tree(ed: _Editor, tree):
             apex = d
         else:
             raise LemmaViolation("no obtuse apex on an illegal edge")
-        comp_a = _tree_component(tree - {e}, a)
+        comp_a = reach(adjacency(tree - {e}), a)
         other = b if apex in comp_a else a
         new = ekey(apex, other)
         if _sq(g, *new) >= _sq(g, a, b):
@@ -340,22 +321,6 @@ def _dot_at(g, apex, a, b):
     return (ax - cx) * (bx - cx) + (ay - cy) * (by - cy)
 
 
-def _tree_component(edges, root):
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    seen = {root}
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        for y in adj.get(x, ()):
-            if y not in seen:
-                seen.add(y)
-                stack.append(y)
-    return seen
-
-
 def phase3_to_mst(ed: _Editor, tree):
     """Exchange tree edges for the canonical Euclidean MST: insert a missing
     MST edge, delete a longest edge of the unique created cycle."""
@@ -365,7 +330,10 @@ def phase3_to_mst(ed: _Editor, tree):
     for e in sorted(target - tree):
         ed.insert(e[0], e[1], PHASE_MST)
         tree.add(e)
-        cyc = _tree_cycle(tree, e)
+        path = forest_path(tree - {e}, *e)
+        if path is None:
+            raise LemmaViolation("cycle edge endpoints not connected in tree")
+        cyc = [e] + [ekey(a, b) for a, b in zip(path, path[1:])]
         mx = max(_sq(g, *f) for f in cyc)
         cand = [f for f in cyc if _sq(g, *f) == mx]
         outside = [f for f in cand if f not in target]
@@ -379,59 +347,33 @@ def phase3_to_mst(ed: _Editor, tree):
     return tree
 
 
-def _tree_cycle(edges, e):
-    """The unique cycle of tree+e, as a list of edge keys (e included)."""
-    u0, v0 = e
-    adj = {}
-    for a, b in edges:
-        if (a, b) == e:
-            continue
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    # path from u0 to v0 in tree - e
-    prev = {u0: None}
-    stack = [u0]
-    while stack:
-        x = stack.pop()
-        if x == v0:
-            break
-        for y in adj.get(x, ()):
-            if y not in prev:
-                prev[y] = x
-                stack.append(y)
-    if v0 not in prev:
-        raise LemmaViolation("cycle edge endpoints not connected in tree")
-    path = [v0]
-    while path[-1] != u0:
-        path.append(prev[path[-1]])
-    return [e] + [ekey(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
-def _tree_path(edges, u0, v0):
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    prev = {u0: None}
-    stack = [u0]
-    while stack:
-        x = stack.pop()
-        if x == v0:
-            break
-        for y in adj.get(x, ()):
-            if y not in prev:
-                prev[y] = x
-                stack.append(y)
-    path = [v0]
-    while path[-1] != u0:
-        path.append(prev[path[-1]])
-    return path[::-1]
-
-
 def _weighted_length(g, poly: WeaklySimplePolygon, edges):
     sup = set(poly.edge_multiset())
     extra = sum(dist(g.by_id[u], g.by_id[v]) for u, v in edges if (u, v) not in sup)
     return poly.length(g) + extra
+
+
+def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
+    """Edit the graph onto the polygon: delete the edges of ``gone`` that
+    left it, insert the missing edges of the vertex path ``path``, then
+    delete every other edge between polygon vertices that is off the
+    polygon.  Each step's snapshot carries the polygon plus leftover edges
+    length.  Returns the validated polygon."""
+    g = ed.g
+    support = set(poly.edge_multiset())
+    vc = poly.vertices()
+    for e in gone:
+        if e not in support:
+            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.edges - {e}))
+    for a, b in zip(path, path[1:]):
+        e = ekey(a, b)
+        if e not in ed.edges:
+            ed.insert(*e, phase, weighted=_weighted_length(g, poly, ed.edges | {e}))
+    for e in sorted(ed.edges):
+        if e[0] in vc and e[1] in vc and e not in support:
+            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.edges - {e}))
+    poly.validate(g)
+    return poly
 
 
 def phase4_grow_cycle(ed: _Editor, mst, mst_len):
@@ -448,7 +390,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
     uv = max(absent, key=lambda e: (_sq(g, *e), [-c for c in e]))
     u, v = uv
 
-    path = _tree_path(mst, u, v)
+    path = forest_path(mst, u, v)
     ed.insert(u, v, PHASE_GROW)
     poly = WeaklySimplePolygon(seq=list(path))
     bound = 2 * mst_len + LENGTH_TOL
@@ -511,23 +453,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
-        new_support = set(new_poly.edge_multiset())
-        vc_new = new_poly.vertices()
-        e0 = ekey(xq, y)
-        if e0 not in new_support:
-            wl = _weighted_length(g, new_poly, ed.edges - {e0})
-            ed.delete(e0[0], e0[1], PHASE_GROW, weighted=wl)
-        for e in zip(gids, gids[1:]):
-            e = ekey(*e)
-            if e not in ed.edges:
-                wl = _weighted_length(g, new_poly, ed.edges | {e})
-                ed.insert(e[0], e[1], PHASE_GROW, weighted=wl)
-        for e in sorted(ed.edges):
-            if e[0] in vc_new and e[1] in vc_new and e not in new_support:
-                wl = _weighted_length(g, new_poly, ed.edges - {e})
-                ed.delete(e[0], e[1], PHASE_GROW, weighted=wl)
-        poly = new_poly
-        poly.validate(g)
+        poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW)
         wl = _weighted_length(g, poly, ed.edges)
         if wl > bound:
             raise LemmaViolation(
@@ -587,22 +513,8 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
 
         # corner edges that vanish go first (the repeated vertex stays on
         # the polygon elsewhere), keeping the intermediate length monotone
-        new_support = set(new_poly.edge_multiset())
-        for e in sorted({ekey(prev, vtx), ekey(vtx, nxt)}):
-            if e in ed.edges and e not in new_support:
-                wl = _weighted_length(g, new_poly, ed.edges - {e})
-                ed.delete(e[0], e[1], PHASE_SIMPLIFY, weighted=wl)
-        for e in zip(gids, gids[1:]):
-            e = ekey(*e)
-            if e not in ed.edges:
-                wl = _weighted_length(g, new_poly, ed.edges | {e})
-                ed.insert(e[0], e[1], PHASE_SIMPLIFY, weighted=wl)
-        for e in sorted(ed.edges):
-            if e not in new_support:
-                wl = _weighted_length(g, new_poly, ed.edges - {e})
-                ed.delete(e[0], e[1], PHASE_SIMPLIFY, weighted=wl)
-        poly = new_poly
-        poly.validate(g)
+        corner = sorted({ekey(prev, vtx), ekey(vtx, nxt)})
+        poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY)
         if _weighted_length(g, poly, ed.edges) > bound:
             raise LemmaViolation("phase 5 exceeded 2*MST")
     return poly
@@ -639,62 +551,18 @@ def transform(g: Pslg):
 def replay(g: Pslg, steps):
     """Re-execute an OpLog on a fresh copy of g, asserting planarity,
     connectivity and the length ceiling after every step."""
-    ceiling = g.total_length() + mst_length(g) + LENGTH_TOL
-    edges = set(g.edges)
-    length = g.total_length()
-    ids = [p.id for p in g.points]
-    max_len = length
-
-    def connected():
-        adj = {i: [] for i in ids}
-        for a, b in edges:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-        return len(seen) == len(ids)
-
+    cert = _CertifiedEdges(g, g.total_length() + mst_length(g) + LENGTH_TOL)
+    max_len = cert.length
     for k, st in enumerate(steps):
-        e = ekey(st.u, st.v)
-        if st.u not in g.by_id or st.v not in g.by_id:
-            raise ReplayViolation(k, "vertices", f"unknown endpoint in {e}")
-        if st.op == "insert":
-            if e in edges:
-                raise ReplayViolation(k, "planarity", f"edge {e} already present")
-            pu, pv = g.by_id[st.u], g.by_id[st.v]
-            for (a, b) in edges:
-                pa, pb = g.by_id[a], g.by_id[b]
-                if segments_properly_cross(
-                    pu.x, pu.y, pv.x, pv.y, pa.x, pa.y, pb.x, pb.y
-                ):
-                    raise ReplayViolation(k, "planarity", f"{e} crosses {ekey(a,b)}")
-            edges.add(e)
-            length += dist(pu, pv)
-        elif st.op == "delete":
-            if e not in edges:
-                raise ReplayViolation(k, "planarity", f"edge {e} not present")
-            edges.remove(e)
-            length -= dist(g.by_id[st.u], g.by_id[st.v])
-        else:
-            raise ReplayViolation(k, "op", st.op)
-        if not connected():
-            raise ReplayViolation(k, "connectivity")
-        if length > ceiling:
-            raise ReplayViolation(
-                k, "length", f"{length:.9g} > ceiling {ceiling:.9g}"
-            )
-        max_len = max(max_len, length)
+        bad = cert.edit(st.op, st.u, st.v)
+        if bad is not None:
+            raise ReplayViolation(k, *bad)
+        max_len = max(max_len, cert.length)
 
     return {
         "ok": True,
         "steps": len(steps),
         "max_intermediate_length": max_len,
-        "final_length": length,
-        "final_edges": sorted(edges),
+        "final_length": cert.length,
+        "final_edges": sorted(cert.edges),
     }

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .geom import DegenerateInput, in_ccw_sector, orient_xy, segments_properly_cross
+from .geom import DegenerateInput, in_ccw_sector, incircle_xy, orient_xy
 from .pslg import LemmaViolation
 
 
@@ -39,21 +39,7 @@ class Triangulation:
 
     def in_circle(self, a, b, c, d):
         """+1 iff d strictly inside the circumcircle of CCW triangle abc."""
-        (ax, ay), (bx, by), (cx, cy), (dx, dy) = (
-            self.pts[a],
-            self.pts[b],
-            self.pts[c],
-            self.pts[d],
-        )
-        adx, ady = ax - dx, ay - dy
-        bdx, bdy = bx - dx, by - dy
-        cdx, cdy = cx - dx, cy - dy
-        det = (
-            (adx * adx + ady * ady) * (bdx * cdy - cdx * bdy)
-            - (bdx * bdx + bdy * bdy) * (adx * cdy - cdx * ady)
-            + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
-        )
-        return 1 if det > 0 else (-1 if det < 0 else 0)
+        return incircle_xy(*self.pts[a], *self.pts[b], *self.pts[c], *self.pts[d])
 
     # -- structure edits ------------------------------------------------
 
@@ -174,14 +160,6 @@ def triangulate_points(pts) -> Triangulation:
             i = (i + 1) % h
         hull = newhull
     return T
-
-
-def _seg_hits_edge(T, u, w, i, j):
-    pu, pw = T.pts[u], T.pts[w]
-    pi, pj = T.pts[i], T.pts[j]
-    return segments_properly_cross(
-        pu[0], pu[1], pw[0], pw[1], pi[0], pi[1], pj[0], pj[1]
-    )
 
 
 def insert_constraint(T: Triangulation, u, w):

@@ -1,21 +1,14 @@
 import pytest
 
 from pslgaug import build
-
-
-def fig3_points(eps="0.1"):
-    return [(1, "0", "0"), (2, "0", eps), (3, "1", "0"), (4, "1", eps)]
+from tests_support import make_fig3
 
 
 @pytest.fixture
 def fig3():
     """Four near-collinear points joined into a path: the tight lower-bound
     family at eps = 1/10."""
-    return build(fig3_points(), [(1, 2), (2, 3), (3, 4)])
-
-
-def make_fig3(eps):
-    return build(fig3_points(eps), [(1, 2), (2, 3), (3, 4)])
+    return make_fig3("0.1")
 
 
 @pytest.fixture

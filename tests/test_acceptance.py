@@ -14,14 +14,14 @@ from pslgaug.pslg import facial_walks
 from pslgaug.transform import replay, transform
 from pslgaug.triangulate import is_delaunay
 
-from tests_support import make_fig3_eps
+from tests_support import make_fig3
 
 TOL = 1e-9
 
 
 def test_criterion_1_fig3_exactness():
     t0 = time.perf_counter()
-    g = make_fig3_eps("0.1")
+    g = make_fig3("0.1")
     base = g.total_length()
     assert base == pytest.approx(math.sqrt(1.01) + 0.2, abs=TOL)
     for mode in ("2ec", "2vc"):
@@ -42,7 +42,7 @@ def test_criterion_1_fig3_exactness():
 
 def test_criterion_2_tight_ratio_family():
     t0 = time.perf_counter()
-    g = make_fig3_eps("0.001")
+    g = make_fig3("0.001")
     base = g.total_length()
     ratios = []
     for mode in ("2ec", "2vc"):
@@ -124,7 +124,7 @@ def test_criterion_5_transform_suite():
         assert poly.is_simple() and len(poly.seq) == n, seed
         assert all(final.degree(p.id) == 2 for p in final.points), seed
 
-    g = make_fig3_eps("0.1")
+    g = make_fig3("0.1")
     final, poly, log = transform(g)
     assert log.stats["final_length"] <= 2.4 + TOL
     assert log.stats["final_length"] == pytest.approx(2.2, abs=TOL)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -237,11 +238,14 @@ def test_record_deterministic_modulo_walltime(fig3_file, capsys):
 
 
 def test_console_entry_point(fig3_file):
+    # the child finds the package under src/ whether or not it is installed
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "pslgaug.cli", "validate", fig3_file],
         capture_output=True,
         text=True,
         cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "4 points" in proc.stdout

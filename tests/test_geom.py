@@ -20,7 +20,7 @@ from pslgaug import (
     orient,
     properly_cross,
 )
-from pslgaug.geom import angle_less, dist2, in_ccw_sector
+from pslgaug.geom import angle_less, collinear_pair, dist2, in_ccw_sector, orient_xy
 
 P = Point.make
 
@@ -231,3 +231,37 @@ def test_angle_less():
 def test_dist2_exact():
     assert dist2(P(0, 0, 0), P(1, 3, 4)) == 25
     assert dist2(P(0, Fraction(1, 3), 0), P(1, 0, 0)) == Fraction(1, 9)
+
+
+def collinear_by_triple_scan(c, pts):
+    return any(
+        orient_xy(*pts[i], *pts[j], *c) == 0
+        for i in range(len(pts))
+        for j in range(i + 1, len(pts))
+    ) or c in pts
+
+
+@pytest.mark.parametrize(
+    "offset, scale",
+    [(0, 1), (10**15, 1), (-(10**15), 7), (10**15 - 3, 10**15 // 9)],
+)
+def test_collinear_pair_matches_triple_scan(offset, scale):
+    # a 5x5 grid is dense in collinear triples
+    rng = random.Random(offset % 1000 + scale % 1000)
+    grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+    hits = 0
+    for _ in range(400):
+        pts = [(offset + scale * x, offset + scale * y)
+               for x, y in rng.sample(grid, rng.randrange(0, 8))]
+        x, y = rng.choice(grid)
+        c = (offset + scale * x, offset + scale * y)
+        pair = collinear_pair(c, pts)
+        assert (pair is not None) == collinear_by_triple_scan(c, pts), (c, pts)
+        if pair is not None:
+            i, j = pair
+            hits += 1
+            if i == j:
+                assert pts[i] == c
+            else:
+                assert i < j and orient_xy(*pts[i], *pts[j], *c) == 0
+    assert 50 < hits < 350

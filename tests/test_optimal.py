@@ -9,7 +9,7 @@ from pslgaug.instances import generate
 from pslgaug.optimal import (
     IndexedWalk,
     InfeasibleFace,
-    cut_structure,
+    _prefix_tables,
     dp_2ec,
     dp_2vc,
     feasibility,
@@ -85,6 +85,51 @@ def test_feasibility_matches_brute_force():
                         expect = False
                         break
             assert np.isfinite(F[i, j]) == expect, (i, j)
+
+
+def cut_structure(w: IndexedWalk, s: int, t: int):
+    """Reference: cut vertices relative to (p_s, ..., p_t) with their
+    descendant position groups and non-descendant positions."""
+    count = {}
+    for q in range(s, t + 1):
+        count[int(w.vert[q])] = count.get(int(w.vert[q]), 0) + 1
+    cuts = {}
+    for v, c in count.items():
+        if c < 2:
+            continue
+        positions = [q for q in range(s, t + 1) if w.vert[q] == v]
+        groups = []
+        for a, b in zip(positions, positions[1:]):
+            groups.append(list(range(a + 1, b)))
+        desc = sorted({q for grp in groups for q in grp})
+        desc_verts = {int(w.vert[q]) for q in desc}
+        nondesc = [
+            q
+            for q in range(s, t + 1)
+            if int(w.vert[q]) != v and int(w.vert[q]) not in desc_verts
+        ]
+        cuts[v] = {"occurrences": positions, "groups": groups, "non_descendants": nondesc}
+    return cuts
+
+
+def test_prefix_tables_match_cut_structure(
+    fig3, triangle, path3, star3, two_triangles, square_diag, pendant_in_polygon,
+    double_pendant,
+):
+    graphs = [fig3, triangle, path3, star3, two_triangles, square_diag,
+              pendant_in_polygon, double_pendant]
+    graphs += [generate(n, seed, d) for n, seed, d in ((9, 1, 0.0), (14, 2, 0.3), (20, 3, 0.6))]
+    checked = 0
+    for g in graphs:
+        for walk in facial_walks(g):
+            for extend in (False, True):
+                w = IndexedWalk.from_walk(walk, extend=extend)
+                has_rep = _prefix_tables(w)[1]
+                for s in range(1, w.n + 1):
+                    for t in range(s + 1, w.n + 1):
+                        assert has_rep[s, t] == bool(cut_structure(w, s, t)), (s, t)
+                        checked += 1
+    assert checked > 1000
 
 
 def test_cut_structure_fig3(fig3):

@@ -12,7 +12,7 @@ from pslgaug.oracle import (
     exhaustive_optimal,
     verify,
 )
-from tests_support import make_fig3_eps
+from tests_support import make_fig3
 
 
 def test_bb_fig3(fig3):
@@ -68,7 +68,7 @@ def test_verify_ratio_tends_to_two():
     # the lower-bound family: added/existing length tends to 2 from below
     ratios = []
     for eps in ("0.1", "0.01", "0.001"):
-        g = make_fig3_eps(eps)
+        g = make_fig3(eps)
         res = optimal_augment(g, "2ec")
         rep = verify(g, res.added, "2ec")
         assert rep["ok"]

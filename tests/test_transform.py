@@ -232,24 +232,41 @@ def test_transform_and_replay_random():
         assert rep2.is_2_connected
 
 
-def test_replay_rejects_disconnecting_delete(fig3):
+# each case follows a valid first step, so the violation is at step 1
+REJECTED = {
+    "disconnecting_delete": (OpStep("delete", 3, 4, 1), "connectivity"),
+    "crossing_insert": (OpStep("insert", 1, 4, 1), "planarity"),
+    "overlong": (OpStep("insert", 2, 4, 1), "length"),  # past ||E|| + ||MST||
+    "unknown_endpoint": (OpStep("insert", 1, 99, 1), "vertices"),
+    "unknown_op": (OpStep("flip", 1, 4, 1), "op"),
+    "insert_present": (OpStep("insert", 3, 1, 1), "planarity"),
+    "delete_absent": (OpStep("delete", 1, 4, 1), "planarity"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTED))
+def test_replay_rejects(fig3, case):
+    bad, invariant = REJECTED[case]
     with pytest.raises(ReplayViolation) as e:
-        replay(fig3, [OpStep("delete", 2, 3, 1)])
-    assert e.value.invariant == "connectivity"
+        replay(fig3, [OpStep("insert", 1, 3, 1), bad])
+    assert (e.value.step, e.value.invariant) == (1, invariant)
 
 
-def test_replay_rejects_crossing_insert(fig3):
+def test_replay_rejects_disconnected_start():
+    g = build([(1, "0", "0"), (2, "0", "0.1"), (3, "1", "0"), (4, "1", "0.1")], [(1, 2)])
     with pytest.raises(ReplayViolation) as e:
-        replay(fig3, [OpStep("insert", 1, 4, 1)])
-    assert e.value.invariant == "planarity"
+        replay(g, [OpStep("insert", 3, 4, 1)])
+    assert (e.value.step, e.value.invariant) == (0, "connectivity")
 
 
-def test_replay_rejects_overlong(fig3):
-    # inserting both long chords pushes past ||E|| + ||MST||
-    steps = [OpStep("insert", 1, 3, 1), OpStep("insert", 2, 4, 1)]
-    with pytest.raises(ReplayViolation) as e:
-        replay(fig3, steps)
-    assert e.value.invariant == "length"
+@pytest.mark.parametrize("case", ["crossing_insert", "disconnecting_delete"])
+def test_editor_rejects(fig3, case):
+    ed = make_editor(fig3)
+    ed.insert(1, 3, 1)
+    bad, invariant = REJECTED[case]
+    with pytest.raises(LemmaViolation, match=invariant):
+        (ed.insert if bad.op == "insert" else ed.delete)(bad.u, bad.v, bad.phase)
+    assert len(ed.log.steps) == 1
 
 
 def test_weakly_simple_validation(fig3):

@@ -3,7 +3,7 @@
 from pslgaug import build
 
 
-def make_fig3_eps(eps):
+def make_fig3(eps):
     """The four-vertex lower-bound family at a given epsilon (decimal str)."""
     pts = [(1, "0", "0"), (2, "0", eps), (3, "1", "0"), (4, "1", eps)]
     return build(pts, [(1, 2), (2, 3), (3, 4)])
