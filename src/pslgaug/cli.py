@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import instances
+from .geom import LENGTH_TOL
 from .heuristic import augment_2ec, augment_2vc
 from .optimal import InfeasibleFace, optimal_augment
 from .oracle import Exhausted, brute_force_optimal, verify
@@ -105,7 +106,7 @@ def cmd_transform(args):
         with open(args.oplog, "w", encoding="utf-8") as f:
             f.write(
                 instances.oplog_to_jsonl(
-                    log.steps, assert_len_le=f"{ceiling + 1e-9:.12g}"
+                    log.steps, assert_len_le=f"{ceiling + LENGTH_TOL:.12g}"
                 )
             )
     record = instances.run_record(

@@ -223,6 +223,10 @@ def dist2(a: Point, b: Point):
     return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
 
 
+# absolute tolerance when a float length is checked against a proven bound
+LENGTH_TOL = 1e-9
+
+
 def dist(a: Point, b: Point) -> float:
     return math.hypot(float(a.x - b.x), float(a.y - b.y))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .geom import convex_hull, dist, ekey
+from .geom import LENGTH_TOL, convex_hull, dist, ekey
 from .geodesic import geodesic
 from .pslg import (
     ConvexWalkSet,
@@ -33,8 +33,6 @@ from .pslg import (
 
 EDGE_2EC = "EDGE_2EC"
 VERTEX_2VC = "VERTEX_2VC"
-
-LENGTH_TOL = 1e-9
 
 
 @dataclass

@@ -10,10 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import dist, ekey, segments_properly_cross
+from .geom import LENGTH_TOL, dist, ekey, segments_properly_cross
 from .pslg import Pslg, PslgError, build, connectivity
-
-LENGTH_TOL = 1e-9
 
 
 class Exhausted(PslgError):
@@ -334,7 +332,7 @@ def verify(g: Pslg, added, mode: str) -> dict:
     augmentation; returns a report dict."""
     report = {"mode": mode, "n_added": len(added)}
     try:
-        g2 = build(g.points, sorted(set(g.edges) | {ekey(*e) for e in added}))
+        g2 = build(g.points, sorted(g.edges) + [ekey(*e) for e in added])
         report["planar"] = True
     except PslgError as e:
         report["planar"] = False

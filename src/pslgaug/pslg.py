@@ -14,12 +14,12 @@ is decided by ccw_angle_class on the corner triple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import lcm
+from math import fsum, lcm
 
 from .geom import (
     Point,
     collinear_pair,
+    dist,
     ekey,
     orient_xy,
     polar_sort,
@@ -118,17 +118,17 @@ class ConnectivityReport:
 class Pslg:
     """Immutable planar straight-line graph in general position.
 
-    Construct through :func:`build`; all derived queries are cached.
+    Construct through :func:`build` and edit through :meth:`with_edges`;
+    all derived queries are cached.
     """
 
-    def __init__(self, points, edges, rotation, ix, iy, scale):
+    def __init__(self, points, by_id, edges, rotation, ix, iy):
         self.points = points  # list[Point], input order
+        self.by_id = by_id
         self.edges = edges  # frozenset of (u, v), u < v
         self.rotation = rotation  # id -> tuple of neighbor ids, CCW
-        self.by_id = {p.id: p for p in points}
         self._ix = ix  # id -> scaled int x
         self._iy = iy
-        self._scale = scale
         self._walks = None
         self._conn = None
         self._face_env = None
@@ -139,26 +139,52 @@ class Pslg:
     def n(self):
         return len(self.points)
 
-    def neighbors(self, v):
-        return self.rotation[v]
-
     def degree(self, v):
         return len(self.rotation[v])
 
     def total_length(self):
-        from .geom import dist
-
-        return sum(dist(self.by_id[u], self.by_id[v]) for u, v in self.edges)
+        return fsum(dist(self.by_id[u], self.by_id[v]) for u, v in self.edges)
 
     def ipt(self, v):
         """Scaled integer coordinates (exact, for hot-path predicates)."""
         return (self._ix[v], self._iy[v])
 
-    def rotation_successor(self, v, u):
-        """Neighbor following u in the CCW rotation at v."""
-        rot = self.rotation[v]
-        i = rot.index(u)
-        return rot[(i + 1) % len(rot)]
+    def with_edges(self, edge_pairs) -> Pslg:
+        """The PSLG on the same, already validated points with the edge set
+        ``edge_pairs``.  Their general position rules out an edge through a
+        vertex, so only crossings are tested, and only for pairs that include
+        an edge not in ``self.edges``; rotations are re-sorted only at
+        endpoints of added or removed edges.  Raises InvalidInstance or
+        CrossingEdges with the offending ids."""
+        edges = set()
+        for u, v in edge_pairs:
+            if u not in self.by_id or v not in self.by_id:
+                raise InvalidInstance(f"edge ({u},{v}) references unknown point id")
+            if u == v:
+                raise InvalidInstance(f"self-loop at point {u}")
+            k = ekey(u, v)
+            if k in edges:
+                raise InvalidInstance(f"duplicate edge {k}")
+            edges.add(k)
+
+        # no new edge properly crosses a kept edge or a later new one; when
+        # every edge is new, that is every pair in sorted order
+        ix, iy = self._ix, self._iy
+        added = sorted(edges - self.edges)
+        kept = sorted(edges & self.edges)
+        for i, (u1, v1) in enumerate(added):
+            for u2, v2 in kept + added[i + 1 :]:
+                if segments_properly_cross(
+                    ix[u1], iy[u1], ix[v1], iy[v1], ix[u2], iy[u2], ix[v2], iy[v2]
+                ):
+                    (a, b), (c, d) = sorted([(u1, v1), (u2, v2)])
+                    raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
+
+        rotation = dict(self.rotation)
+        adj = adjacency(edges)
+        for v in {v for e in edges ^ self.edges for v in e}:
+            rotation[v] = tuple(polar_sort(self.ipt(v), adj.get(v, ()), self.ipt))
+        return Pslg(self.points, self.by_id, frozenset(edges), rotation, ix, iy)
 
 
 def build(points, edge_pairs) -> Pslg:
@@ -193,24 +219,13 @@ def build(points, edge_pairs) -> Pslg:
     denom = 1
     for p in pts:
         denom = lcm(denom, to_rational(p.x).denominator, to_rational(p.y).denominator)
-    scale = Fraction(denom)
     ix = {p.id: int(p.x * denom) for p in pts}
     iy = {p.id: int(p.y * denom) for p in pts}
 
-    by_id = {p.id: p for p in pts}
-    edges = set()
-    for u, v in edge_pairs:
-        if u not in by_id or v not in by_id:
-            raise InvalidInstance(f"edge ({u},{v}) references unknown point id")
-        if u == v:
-            raise InvalidInstance(f"self-loop at point {u}")
-        k = ekey(u, v)
-        if k in edges:
-            raise InvalidInstance(f"duplicate edge {k}")
-        edges.add(k)
-
-    # edge through a third vertex (reported before the generic collinear scan)
-    for (u, v) in sorted(edges):
+    # edge through a third vertex (reported before the generic collinear
+    # scan); with_edges below rejects unknown ids, self-loops and duplicates
+    edge_pairs = list(edge_pairs)
+    for (u, v) in sorted({ekey(u, v) for u, v in edge_pairs if u in ix and v in ix}):
         ax, ay, bx, by = ix[u], iy[u], ix[v], iy[v]
         for p in pts:
             if p.id in (u, v):
@@ -232,27 +247,8 @@ def build(points, edge_pairs) -> Pslg:
             raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
         placed.append((ix[c], iy[c]))
 
-    # no two edges properly cross
-    elist = sorted(edges)
-    for i in range(len(elist)):
-        u1, v1 = elist[i]
-        for j in range(i + 1, len(elist)):
-            u2, v2 = elist[j]
-            if segments_properly_cross(
-                ix[u1], iy[u1], ix[v1], iy[v1], ix[u2], iy[u2], ix[v2], iy[v2]
-            ):
-                raise CrossingEdges(f"edges ({u1},{v1}) and ({u2},{v2}) cross")
-
-    rotation = {}
-    adj = {p.id: [] for p in pts}
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for p in pts:
-        nbrs = polar_sort((ix[p.id], iy[p.id]), adj[p.id], lambda w: (ix[w], iy[w]))
-        rotation[p.id] = tuple(nbrs)
-
-    return Pslg(pts, frozenset(edges), rotation, ix, iy, scale)
+    empty = Pslg(pts, {p.id: p for p in pts}, frozenset(), {i: () for i in ids}, ix, iy)
+    return empty.with_edges(edge_pairs)
 
 
 # -- facial walks ------------------------------------------------------

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from math import fsum
 
 from .geom import (
+    LENGTH_TOL,
     angle_less,
     convex_hull,
     dist,
@@ -28,19 +30,18 @@ from .geom import (
 )
 from .geodesic import geodesic
 from .pslg import (
+    CrossingEdges,
+    InvalidInstance,
     LemmaViolation,
     Pslg,
     PslgError,
     adjacency,
-    build,
     forest_path,
     kruskal,
     reach,
     require_augmentable,
 )
 from .triangulate import insert_constraint, is_delaunay, lawson_flips, triangulate_points
-
-LENGTH_TOL = 1e-9
 
 PHASE_TREE = 1
 PHASE_DELAUNAY = 2
@@ -96,7 +97,7 @@ class WeaklySimplePolygon:
 
     def length(self, g):
         m = len(self.seq)
-        return sum(
+        return fsum(
             dist(g.by_id[self.seq[i]], g.by_id[self.seq[(i + 1) % m]])
             for i in range(m)
         )
@@ -149,53 +150,50 @@ class WeaklySimplePolygon:
 
 
 class _CertifiedEdges:
-    """Edge set over the fixed points of g, changed only by certified single
-    edge edits: the graph stays a connected PSLG whose length is at most
+    """The current graph ``graph``, a PSLG on the fixed points of the start
+    graph, changed only by certified single edge edits through
+    ``Pslg.with_edges``: it stays a connected PSLG whose length is at most
     ``ceiling`` (tolerance included).  transform and replay both edit
     through it, so every op log transform writes replays.
     """
 
     def __init__(self, g: Pslg, ceiling: float):
-        self.g = g
-        self.edges = set(g.edges)
+        self.graph = g
         self.length = g.total_length()
         self.ceiling = ceiling
         self.connected = False  # known to be connected; checked after the next edit
 
-    def _spans(self):
-        ids = [p.id for p in self.g.points]
-        return len(reach(adjacency(self.edges), ids[0])) == len(ids)
-
     def edit(self, op, u, v):
         """Insert or delete edge (u, v).  Returns None when the edit keeps
         every invariant, else the violated invariant's name and a message;
-        the edge set is then no longer certified."""
-        g = self.g
+        the graph is then no longer certified."""
+        g = self.graph
         e = ekey(u, v)
         if u not in g.by_id or v not in g.by_id:
             return "vertices", f"unknown endpoint in {e}"
         if op == "insert":
-            if e in self.edges:
+            if e in g.edges:
                 return "planarity", f"edge {e} already present"
-            ux, uy = g.ipt(u)
-            vx, vy = g.ipt(v)
-            for (a, b) in self.edges:
-                if segments_properly_cross(ux, uy, vx, vy, *g.ipt(a), *g.ipt(b)):
-                    return "planarity", f"{e} crosses {ekey(a, b)}"
-            self.edges.add(e)
-            self.length += dist(g.by_id[u], g.by_id[v])
+            edges = g.edges | {e}
         elif op == "delete":
-            if e not in self.edges:
+            if e not in g.edges:
                 return "planarity", f"edge {e} not present"
-            self.edges.remove(e)
-            self.length -= dist(g.by_id[u], g.by_id[v])
+            edges = g.edges - {e}
             self.connected = False
         else:
             return "op", op
+        try:
+            self.graph = g.with_edges(edges)
+        except InvalidInstance as exc:  # a self-loop
+            return "vertices", str(exc)
+        except CrossingEdges as exc:
+            return "planarity", str(exc)
+        d = dist(g.by_id[u], g.by_id[v])
+        self.length += d if op == "insert" else -d
         # an insert cannot disconnect, so the search runs only after a
         # delete or while the graph is not yet known to be connected
         if not self.connected:
-            self.connected = self._spans()
+            self.connected = len(reach(self.graph.rotation, u)) == self.graph.n
             if not self.connected:
                 return "connectivity", ""
         if self.length > self.ceiling:
@@ -233,9 +231,6 @@ class _Editor(_CertifiedEdges):
     def delete(self, u, v, phase, weighted=None):
         self._record("delete", u, v, phase, weighted)
 
-    def snapshot_graph(self) -> Pslg:
-        return build(self.g.points, sorted(self.edges))
-
 
 def _sq(g, u, v):
     ux, uy = g.ipt(u)
@@ -251,7 +246,7 @@ def euclidean_mst(g: Pslg):
 
 
 def mst_length(g: Pslg):
-    return sum(dist(g.by_id[u], g.by_id[v]) for u, v in euclidean_mst(g))
+    return fsum(dist(g.by_id[u], g.by_id[v]) for u, v in euclidean_mst(g))
 
 
 # -- phases -------------------------------------------------------------
@@ -259,8 +254,8 @@ def mst_length(g: Pslg):
 
 def phase1_spanning_tree(ed: _Editor):
     """Strip to the minimum spanning subtree of the existing edges."""
-    tree = set(kruskal(ed.edges, lambda e: _sq(ed.g, *e)))
-    for e in sorted(ed.edges - tree):
+    tree = set(kruskal(ed.graph.edges, lambda e: _sq(ed.graph, *e)))
+    for e in sorted(ed.graph.edges - tree):
         ed.delete(e[0], e[1], PHASE_TREE)
     return tree
 
@@ -268,7 +263,7 @@ def phase1_spanning_tree(ed: _Editor):
 def phase2_to_delaunay_tree(ed: _Editor, tree):
     """Flip to the Delaunay triangulation, swapping flipped tree edges for
     strictly shorter quad sides; the intermediate graph stays connected."""
-    g = ed.g
+    g = ed.graph
     ids = sorted(p.id for p in g.points)
     lid = {v: i for i, v in enumerate(ids)}
     pts = [g.ipt(v) for v in ids]
@@ -324,7 +319,7 @@ def _dot_at(g, apex, a, b):
 def phase3_to_mst(ed: _Editor, tree):
     """Exchange tree edges for the canonical Euclidean MST: insert a missing
     MST edge, delete a longest edge of the unique created cycle."""
-    g = ed.g
+    g = ed.graph
     target = euclidean_mst(g)
     tree = set(tree)
     for e in sorted(target - tree):
@@ -349,7 +344,7 @@ def phase3_to_mst(ed: _Editor, tree):
 
 def _weighted_length(g, poly: WeaklySimplePolygon, edges):
     sup = set(poly.edge_multiset())
-    extra = sum(dist(g.by_id[u], g.by_id[v]) for u, v in edges if (u, v) not in sup)
+    extra = fsum(dist(g.by_id[u], g.by_id[v]) for u, v in edges if (u, v) not in sup)
     return poly.length(g) + extra
 
 
@@ -359,19 +354,19 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     delete every other edge between polygon vertices that is off the
     polygon.  Each step's snapshot carries the polygon plus leftover edges
     length.  Returns the validated polygon."""
-    g = ed.g
+    g = ed.graph
     support = set(poly.edge_multiset())
     vc = poly.vertices()
     for e in gone:
         if e not in support:
-            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.edges - {e}))
+            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.graph.edges - {e}))
     for a, b in zip(path, path[1:]):
         e = ekey(a, b)
-        if e not in ed.edges:
-            ed.insert(*e, phase, weighted=_weighted_length(g, poly, ed.edges | {e}))
-    for e in sorted(ed.edges):
+        if e not in ed.graph.edges:
+            ed.insert(*e, phase, weighted=_weighted_length(g, poly, ed.graph.edges | {e}))
+    for e in sorted(ed.graph.edges):
         if e[0] in vc and e[1] in vc and e not in support:
-            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.edges - {e}))
+            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.graph.edges - {e}))
     poly.validate(g)
     return poly
 
@@ -379,7 +374,7 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
 def phase4_grow_cycle(ed: _Editor, mst, mst_len):
     """Grow a weakly simple polygon from a hull edge over the whole vertex
     set; the polygon plus leftover edges never exceed twice the MST."""
-    g = ed.g
+    g = ed.graph
     hull = convex_hull(list(g.points))
     hull_edges = [
         ekey(hull[i].id, hull[(i + 1) % len(hull)].id) for i in range(len(hull))
@@ -400,7 +395,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         rounds += 1
         if rounds > g.n:
             raise LemmaViolation("phase 4 exceeded its round budget")
-        g_cur = ed.snapshot_graph()
+        g_cur = ed.graph
         vc = poly.vertices()
         found = None
         for y in sorted(vc):
@@ -454,7 +449,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
         poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW)
-        wl = _weighted_length(g, poly, ed.edges)
+        wl = _weighted_length(g, poly, ed.graph.edges)
         if wl > bound:
             raise LemmaViolation(
                 f"phase 4 weighted length {wl:.9g} exceeds 2*MST {bound:.9g}"
@@ -467,14 +462,14 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
 def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
     """Shortcut the sharpest corner of a repeated vertex until the polygon
     is simple; the total length strictly decreases each step."""
-    g = ed.g
+    g = ed.graph
     bound = 2 * mst_len + LENGTH_TOL
     guard = 0
     while not poly.is_simple():
         guard += 1
         if guard > 4 * g.n * g.n + 16:
             raise LemmaViolation("phase 5 exceeded its step budget")
-        g_cur = ed.snapshot_graph()
+        g_cur = ed.graph
         mult = poly.multiplicity()
         m = len(poly.seq)
         best = None
@@ -515,7 +510,7 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         # the polygon elsewhere), keeping the intermediate length monotone
         corner = sorted({ekey(prev, vtx), ekey(vtx, nxt)})
         poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY)
-        if _weighted_length(g, poly, ed.edges) > bound:
+        if _weighted_length(g, poly, ed.graph.edges) > bound:
             raise LemmaViolation("phase 5 exceeded 2*MST")
     return poly
 
@@ -535,7 +530,7 @@ def transform(g: Pslg):
     poly = phase4_grow_cycle(ed, tree, mst_len)
     poly = phase5_simplify(ed, poly, mst_len)
 
-    final = ed.snapshot_graph()
+    final = ed.graph
     n = g.n
     if len(final.edges) != n or any(final.degree(p.id) != 2 for p in final.points):
         raise LemmaViolation("final graph is not a Hamiltonian cycle")
@@ -564,5 +559,5 @@ def replay(g: Pslg, steps):
         "steps": len(steps),
         "max_intermediate_length": max_len,
         "final_length": cert.length,
-        "final_edges": sorted(cert.edges),
+        "final_edges": sorted(cert.graph.edges),
     }

@@ -112,6 +112,16 @@ def test_transform_replay_roundtrip(tmp_path, capsys):
     assert rep["steps"] == doc["steps"]
 
 
+def test_replay_rejects_self_loop(fig3_file, tmp_path, capsys):
+    from pslgaug.transform import OpStep
+
+    oplog = tmp_path / "loop.jsonl"
+    oplog.write_text(oplog_to_jsonl([OpStep("insert", 2, 2, 1)]))
+    code, _, err = run_cli(["replay", fig3_file, str(oplog)], capsys)
+    assert code == 1
+    assert "replay violation" in err and "Traceback" not in err
+
+
 def test_oracle_cli(fig3_file, capsys):
     code, out, _ = run_cli(["oracle", fig3_file, "--mode", "2ec", "--json"], capsys)
     assert code == 0

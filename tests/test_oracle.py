@@ -64,6 +64,13 @@ def test_verify_heuristic_fig3(fig3):
     assert rep["ratio"] <= 2 + 1e-9
 
 
+def test_verify_rejects_present_or_repeated_edges(fig3):
+    added = augment_2ec(fig3).added
+    for bad in (added + [(1, 2)], added + added):
+        rep = verify(fig3, bad, "2ec")
+        assert not rep["ok"] and "duplicate edge" in rep["error"]
+
+
 def test_verify_ratio_tends_to_two():
     # the lower-bound family: added/existing length tends to 2 from below
     ratios = []

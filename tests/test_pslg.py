@@ -50,6 +50,42 @@ def test_build_bad_edges():
         build(pts, [(0, 1), (1, 0)])
 
 
+FIG3_PATH = [(1, 2), (2, 3), (3, 4)]
+
+
+@pytest.mark.parametrize(
+    "base, extra, error",
+    [(FIG3_PATH, (1, 4), CrossingEdges),
+     ([(1, 2), (1, 4), (3, 4)], (2, 3), CrossingEdges),  # crosses an earlier edge
+     (FIG3_PATH, (1, 99), InvalidInstance), (FIG3_PATH, (2, 2), InvalidInstance),
+     (FIG3_PATH, (2, 1), InvalidInstance)],
+    ids=["crossing", "crossing_earlier", "unknown_endpoint", "self_loop", "duplicate"],
+)
+def test_with_edges_rejects_like_build(fig3, base, extra, error):
+    g = build(fig3.points, base)
+    with pytest.raises(error) as built:
+        build(fig3.points, base + [extra])
+    with pytest.raises(error) as edited:
+        g.with_edges(base + [extra])
+    assert str(edited.value) == str(built.value)
+
+
+def test_lengths_independent_of_edge_order():
+    import random
+
+    from pslgaug.instances import generate
+    from pslgaug.transform import WeaklySimplePolygon
+
+    for seed in range(12):
+        g = generate(40, seed, 0.5)
+        edges = sorted(g.edges)
+        random.Random(seed).shuffle(edges)
+        assert build(g.points, edges).total_length() == g.total_length()
+        seq = [p.id for p in g.points]
+        lengths = {WeaklySimplePolygon(seq[k:] + seq[:k]).length(g) for k in range(len(seq))}
+        assert len(lengths) == 1
+
+
 def test_facial_walks_triangle(triangle):
     walks = facial_walks(triangle)
     assert len(walks) == 2

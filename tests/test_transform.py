@@ -5,11 +5,12 @@ import pytest
 from pslgaug import build
 from pslgaug.geom import dist, ekey
 from pslgaug.instances import generate
-from pslgaug.pslg import LemmaViolation, connectivity
+from pslgaug.pslg import LemmaViolation, connectivity, facial_walks
 from pslgaug.transform import (
     OpStep,
     ReplayViolation,
     WeaklySimplePolygon,
+    _CertifiedEdges,
     _Editor,
     euclidean_mst,
     mst_length,
@@ -241,6 +242,7 @@ REJECTED = {
     "unknown_op": (OpStep("flip", 1, 4, 1), "op"),
     "insert_present": (OpStep("insert", 3, 1, 1), "planarity"),
     "delete_absent": (OpStep("delete", 1, 4, 1), "planarity"),
+    "self_loop": (OpStep("insert", 2, 2, 1), "vertices"),
 }
 
 
@@ -267,6 +269,23 @@ def test_editor_rejects(fig3, case):
     with pytest.raises(LemmaViolation, match=invariant):
         (ed.insert if bad.op == "insert" else ed.delete)(bad.u, bad.v, bad.phase)
     assert len(ed.log.steps) == 1
+
+
+def test_edited_graph_matches_build():
+    # every graph the certified edit passes through equals a fresh build
+    for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
+                             (28, 5, 0.6), (40, 6, 0.3)):
+        g = generate(n, seed + 9500, density)
+        _, _, log = transform(g)
+        cert = _CertifiedEdges(g, float("inf"))
+        for st in log.steps:
+            assert cert.edit(st.op, st.u, st.v) is None
+            h = cert.graph
+            ref = build(g.points, h.edges)
+            assert h.edges == ref.edges and h.rotation == ref.rotation
+            assert facial_walks(h) == facial_walks(ref)
+            assert connectivity(h) == connectivity(ref)
+            assert h.total_length() == ref.total_length()
 
 
 def test_weakly_simple_validation(fig3):
