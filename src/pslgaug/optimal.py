@@ -12,9 +12,15 @@ are scored by the feasibility matrix: a chord between two walk positions is
 usable iff its segment avoids every face edge and leaves both endpoints
 strictly inside the angular sector of the face at those occurrences.
 
-Cells are filled by increasing interval length; inner minimizations are
-numpy-vectorized (the table has O(n^2) cells and each cell scans up to
-O(n^2) chord pairs, the O(n^4) total the approach is good for).
+The table is filled one diagonal t - s = L at a time, each cell reading
+only shorter intervals.  Per diagonal, the trivial (ZERO) and, for 2vc,
+p_s = p_t (INF) cells are set by masks, and the chord-at-p_s split of every
+remaining cell is one gather of C[s, k] + C[k, t] + W[s, k] with a row-wise
+first-minimum.  Only cells whose head p_s is a cut (PAIR) loop in Python:
+their O(n^2) chord-pair scan reads a block cached per head s and its anchor
+(the descendant and non-descendant positions, W on their product, and the
+already-final C[s, D] + C[D, N] columns), so the O(n^4) total stays numpy
+arithmetic.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from .pslg import (
 
 MODE_2VC = "2vc"
 MODE_2EC = "2ec"
+WEIGHTS = ("length", "unit")
 
 _CASE_ZERO = 0
 _CASE_INF = 1
@@ -115,17 +122,14 @@ class OptimalResult:
     faces: list
 
 
-def _winding_ok(g, w: IndexedWalk, is_outer, mx2, my2):
-    """Exact point-in-face test at the (doubled) midpoint coordinates: the
-    walk winds -1 around points of a bounded face, 0 in the outer face."""
+def _winding_ok(segs, is_outer, mx2, my2):
+    """Exact point-in-face test at the (doubled) midpoint coordinates over
+    the walk's doubled segments: the walk winds -1 around points of a
+    bounded face, 0 in the outer face."""
     wind = 0
-    seq = w.seq
-    for i in range(w.closed_m):
-        ax, ay = g.ipt(seq[i])
-        bx, by = g.ipt(seq[i + 1])
-        ay2, by2 = 2 * ay, 2 * by
+    for ax2, ay2, bx2, by2 in segs:
         if (ay2 > my2) != (by2 > my2):
-            side = (2 * bx - 2 * ax) * (my2 - ay2) - (by2 - ay2) * (mx2 - 2 * ax)
+            side = (bx2 - ax2) * (my2 - ay2) - (by2 - ay2) * (mx2 - ax2)
             if ay2 <= my2 < by2:
                 if side > 0:
                     wind += 1
@@ -148,6 +152,11 @@ def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
     for (a, b) in sorted(face_edges):
         ax, ay, bx, by = ix[a], iy[a], ix[b], iy[b]
         elist.append((a, b, ax, ay, bx, by, min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
+
+    segs = [
+        (2 * ix[a], 2 * iy[a], 2 * ix[b], 2 * iy[b])
+        for a, b in zip(w.seq[: w.closed_m], w.seq[1 : w.closed_m + 1])
+    ]
 
     sectors = []
     for i in range(n + 1):
@@ -190,7 +199,7 @@ def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
                     break
             if blocked:
                 continue
-            if not _winding_ok(g, w, is_outer, uxi + vxj, uyi + vyj):
+            if not _winding_ok(segs, is_outer, uxi + vxj, uyi + vyj):
                 continue
             F[i, j] = F[j, i] = dist(g.by_id[u], g.by_id[v])
     return F
@@ -231,108 +240,140 @@ def _prefix_tables(w: IndexedWalk):
     return prv, has_rep, mate, has_br
 
 
-def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
+def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
+    """The DP tables C, case, k1, k2 over the cells 1 <= s <= t <= n, filled
+    one diagonal t - s = L at a time; every cell reads only shorter ones."""
     n = w.n
     vert = w.vert
-    prv, has_rep, mate, has_br = _prefix_tables(w)
-    W = F if weight == "length" else np.where(np.isfinite(F), 1.0, np.inf)
+    _, has_rep, mate, has_br = _prefix_tables(w)
+    trivial = ~(has_rep if mode == MODE_2VC else has_br)
+    # the head p_s of (s, t) is a cut iff t >= cut_from[s]: p_s occurs again
+    # in (s, t] (2vc), or the edge of slot s has its mate slot in (s, t) (2ec)
+    cut_from = np.full(n + 1, n + 1, dtype=np.int64)
+    if mode == MODE_2VC:
+        for ps in w.occ.values():
+            cut_from[ps[:-1]] = ps[1:]
+    else:
+        cut_from[mate > 0] = mate[mate > 0] + 1
 
     C = np.full((n + 2, n + 2), np.inf)
     case = np.zeros((n + 2, n + 2), dtype=np.uint8)
     k1 = np.zeros((n + 2, n + 2), dtype=np.int64)
     k2 = np.zeros((n + 2, n + 2), dtype=np.int64)
+    # per head s, the PAIR block of its current anchor
+    blocks = {}
 
-    occ_arr = {v: np.array(ps) for v, ps in w.occ.items()}
+    for L in range(n):
+        S = np.arange(1, n + 1 - L)
+        T = S + L
+        zero = trivial[S, T]
+        C[S[zero], T[zero]] = 0.0
+        live = ~zero
+        if mode == MODE_2VC:
+            inf = live & (vert[S] == vert[T])
+            case[S[inf], T[inf]] = _CASE_INF
+            live &= ~inf
+        S, T = S[live], T[live]
+        if not S.size:
+            continue
+        cut = T >= cut_from[S]
+        best = np.where(cut, np.inf, C[S + 1, T])
+        bcase = np.where(cut, _CASE_INF, _CASE_SKIP).astype(np.uint8)
+        b1 = np.zeros(S.size, dtype=np.int64)
+        b2 = np.zeros(S.size, dtype=np.int64)
+        anchors = np.zeros(S.size, dtype=np.int64)
 
-    for L in range(0, n):
-        for s in range(1, n + 1 - L):
-            t = s + L
-            if mode == MODE_2VC:
-                trivial = not has_rep[s, t]
-            else:
-                trivial = not has_br[s, t]
-            if trivial:
-                C[s, t] = 0.0
-                case[s, t] = _CASE_ZERO
-                continue
-            if mode == MODE_2VC and vert[s] == vert[t] and s != t:
-                C[s, t] = np.inf
-                case[s, t] = _CASE_INF
-                continue
-
+        for r in np.flatnonzero(cut).tolist():
+            s, t = int(S[r]), int(T[r])
             if mode == MODE_2VC:
                 ps = w.occ[int(vert[s])]
-                idx = bisect_right(ps, t) - 1
-                head_is_cut = ps[idx] > s  # another occurrence of p_s in (s, t]
-                pair_anchor = ps[idx] if head_is_cut else 0
+                anchor = anchors[r] = ps[bisect_right(ps, t) - 1]
             else:
-                c2 = int(mate[s]) if s < n else 0
-                head_is_cut = bool(c2) and s < c2 <= t - 1
-                pair_anchor = c2
+                anchor = int(mate[s])
+            blk = blocks.get(s)
+            if blk is None or blk.anchor != anchor:
+                blk = blocks[s] = _PairBlock(w, C, W, mode, s, anchor)
+            found = blk.solve(C, t)
+            if found is not None:
+                best[r], b1[r], b2[r] = found
+                bcase[r] = _CASE_PAIR
 
-            if not head_is_cut:
-                best = C[s + 1, t]
-                bcase, bk1, bk2 = _CASE_SKIP, 0, 0
-                if t - 1 >= s + 2:
-                    ks = np.arange(s + 2, t)
-                    vals = C[s, ks] + C[ks, t] + W[s, ks]
-                    m = int(np.argmin(vals))
-                    if vals[m] < best:
-                        best = vals[m]
-                        bcase, bk1, bk2 = _CASE_SPLIT, int(ks[m]), 0
-                C[s, t] = best
-                case[s, t] = bcase
-                k1[s, t] = bk1
-                continue
-
+        # SPLIT: a chord from p_s to p_k, k in s+2 .. t-1.  At a cut p_s the
+        # optimum may use such a chord, which the PAIR decomposition cannot
+        # express.  Splitting there is sound for bridges at any k (the
+        # chord's cycle contains the bridge edge); for cut vertices only
+        # beyond the anchor, where the chord's cycle covers all of p_s's
+        # groups and ends at a non-descendant (anchors is 0 off the cuts).
+        if L >= 3:
+            K = S[:, None] + np.arange(2, L)
+            vals = C[S[:, None], K] + C[K, T[:, None]] + W[S[:, None], K]
             if mode == MODE_2VC:
-                k = pair_anchor
-                D = np.arange(s + 1, k)
-                D = D[vert[D] != vert[s]]
-                desc_verts = np.unique(vert[D]) if D.size else np.array([], dtype=np.int64)
-                N = np.arange(k + 1, t + 1)
-                if N.size and desc_verts.size:
-                    N = N[~np.isin(vert[N], desc_verts)]
-            else:
-                c2 = pair_anchor
-                D = np.arange(s + 1, c2 + 1)
-                desc_verts = np.unique(vert[D])
-                N = np.arange(c2 + 1, t + 1)
-                if N.size:
-                    N = N[~np.isin(vert[N], desc_verts)]
+                vals[K <= anchors[:, None]] = np.inf
+            m = np.argmin(vals, axis=1)
+            vmin = vals[np.arange(S.size), m]
+            split = vmin < best
+            best[split] = vmin[split]
+            bcase[split] = _CASE_SPLIT
+            b1[split] = S[split] + 2 + m[split]
+            b2[split] = 0
+        C[S, T] = best
+        case[S, T] = bcase
+        k1[S, T] = b1
+        k2[S, T] = b2
+    return C, case, k1, k2
 
-            best = np.inf
-            bcase, bk1, bk2 = _CASE_INF, 0, 0
-            if D.size and N.size:
-                M = (
-                    C[s, D][:, None]
-                    + C[np.ix_(D, N)]
-                    + C[N, t][None, :]
-                    + W[np.ix_(D, N)]
-                )
-                flat = int(np.argmin(M))
-                bi, bj = divmod(flat, M.shape[1])
-                if M[bi, bj] < best:
-                    best = M[bi, bj]
-                    bcase, bk1, bk2 = _CASE_PAIR, int(D[bi]), int(N[bj])
-            # the optimum may also use a chord at p_s itself, which the X
-            # decomposition cannot express.  Splitting there is sound for
-            # bridges at any k (the chord's cycle contains the bridge edge);
-            # for cut vertices only beyond the last occurrence of p_s, where
-            # the chord's cycle covers all of p_s's groups and ends at a
-            # non-descendant.
-            lo = s + 2 if mode == MODE_2EC else max(s + 2, pair_anchor + 1)
-            if t - 1 >= lo:
-                ks = np.arange(lo, t)
-                vals = C[s, ks] + C[ks, t] + W[s, ks]
-                m2 = int(np.argmin(vals))
-                if vals[m2] < best:
-                    best = vals[m2]
-                    bcase, bk1, bk2 = _CASE_SPLIT, int(ks[m2]), 0
-            C[s, t] = best if np.isfinite(best) else np.inf
-            case[s, t] = bcase if np.isfinite(best) else _CASE_INF
-            k1[s, t] = bk1
-            k2[s, t] = bk2
+
+class _PairBlock:
+    """PAIR data of a head s with its anchor: the descendants D of p_s
+    (positions in (s, anchor), except p_s, for 2vc; (s, anchor] for 2ec),
+    the later positions N_full whose vertex is no descendant, W[D, N_full],
+    and A = C[s, D] + C[D, N_full], filled column by column as the cells
+    it reads become final (C[d, q] for d < q <= t, once (s, t) is reached)."""
+
+    def __init__(self, w: IndexedWalk, C, W, mode, s, anchor):
+        vert = w.vert
+        if mode == MODE_2VC:
+            D = np.arange(s + 1, anchor)
+            D = D[vert[D] != vert[s]]
+        else:
+            D = np.arange(s + 1, anchor + 1)
+        desc = set(vert[D].tolist())
+        self.anchor = anchor
+        self.D = D
+        self.N_list = [q for q in range(anchor + 1, w.n + 1) if int(vert[q]) not in desc]
+        self.N_full = np.array(self.N_list, dtype=np.int64)
+        self.W_DN = W[D[:, None], self.N_full]
+        self.C_sD = C[s, D][:, None]  # final: every d <= anchor < t
+        self.A = np.empty((D.size, self.N_full.size))
+        self.filled = 0
+
+    def solve(self, C, t):
+        """(value, i, j) of the first minimum of
+        ((C[s, i] + C[i, j]) + C[j, t]) + W[i, j] over i in D and
+        non-descendant j <= t, or None when no such sum is finite."""
+        cnt = bisect_right(self.N_list, t)
+        if not (self.D.size and cnt):
+            return None
+        if cnt > self.filled:
+            cols = self.N_full[self.filled : cnt]
+            self.A[:, self.filled : cnt] = self.C_sD + C[self.D[:, None], cols]
+            self.filled = cnt
+        N = self.N_full[:cnt]
+        M = self.A[:, :cnt] + C[N, t]
+        M += self.W_DN[:, :cnt]
+        flat = int(M.argmin())
+        value = M.flat[flat]
+        if value == np.inf:
+            return None
+        bi, bj = divmod(flat, cnt)
+        return value, int(self.D[bi]), int(N[bj])
+
+
+def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
+    vert = w.vert
+    n = w.n
+    W = F if weight == "length" else np.where(np.isfinite(F), 1.0, np.inf)
+    C, case, k1, k2 = _fill(w, W, mode)
 
     # reconstruction
     pairs = []
@@ -373,8 +414,14 @@ def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
     return cost, edges, pairs
 
 
+def _check_weight(weight):
+    if weight not in WEIGHTS:
+        raise ValueError(f"weight must be {WEIGHTS[0]!r} or {WEIGHTS[1]!r}")
+
+
 def dp_2vc(g: Pslg, walk, weight="length"):
     """(cost, chord edges) making the face 2-connected, by algorithm A."""
+    _check_weight(weight)
     w = IndexedWalk.from_walk(walk)
     F = feasibility(g, w, walk.is_outer)
     return _dp(g, w, F, MODE_2VC, weight)[:2]
@@ -382,6 +429,7 @@ def dp_2vc(g: Pslg, walk, weight="length"):
 
 def dp_2ec(g: Pslg, walk, weight="length"):
     """(cost, chord edges) making the face 2-edge-connected, algorithm B."""
+    _check_weight(weight)
     w = IndexedWalk.from_walk(walk, extend=True)
     F = feasibility(g, w, walk.is_outer)
     return _dp(g, w, F, MODE_2EC, weight)[:2]
@@ -392,6 +440,7 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
     and their union is the global optimum."""
     if mode not in (MODE_2VC, MODE_2EC):
         raise ValueError(f"mode must be {MODE_2VC!r} or {MODE_2EC!r}")
+    _check_weight(weight)
     require_augmentable(g)
     faces = []
     added = {}

@@ -28,6 +28,8 @@ class CandidateSet:
 def candidate_set(g: Pslg, weight="length") -> CandidateSet:
     """Non-edges that can be inserted alone: no proper crossing with E.
     (General position rules out passing through a vertex.)"""
+    if weight not in ("length", "unit"):
+        raise ValueError("weight must be 'length' or 'unit'")
     ids = sorted(p.id for p in g.points)
     ipt = g.ipt
     cands = []

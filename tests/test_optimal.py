@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -9,13 +10,20 @@ from pslgaug.instances import generate
 from pslgaug.optimal import (
     IndexedWalk,
     InfeasibleFace,
+    _CASE_INF,
+    _CASE_PAIR,
+    _CASE_SKIP,
+    _CASE_SPLIT,
+    _CASE_ZERO,
+    _dp,
+    _fill,
     _prefix_tables,
     dp_2ec,
     dp_2vc,
     feasibility,
     optimal_augment,
 )
-from pslgaug.oracle import Exhausted, brute_force_optimal
+from pslgaug.oracle import Exhausted, brute_force_optimal, candidate_set
 from pslgaug.pslg import connectivity, facial_walks
 from pslgaug.heuristic import augment_2ec, augment_2vc
 
@@ -132,6 +140,145 @@ def test_prefix_tables_match_cut_structure(
     assert checked > 1000
 
 
+def reference_fill(w: IndexedWalk, W, mode):
+    """Reference: the DP tables filled one cell at a time, by increasing
+    interval length, each inner minimization over its own index arrays."""
+    n = w.n
+    vert = w.vert
+    _, has_rep, mate, has_br = _prefix_tables(w)
+
+    C = np.full((n + 2, n + 2), np.inf)
+    case = np.zeros((n + 2, n + 2), dtype=np.uint8)
+    k1 = np.zeros((n + 2, n + 2), dtype=np.int64)
+    k2 = np.zeros((n + 2, n + 2), dtype=np.int64)
+
+    for L in range(0, n):
+        for s in range(1, n + 1 - L):
+            t = s + L
+            trivial = not (has_rep[s, t] if mode == "2vc" else has_br[s, t])
+            if trivial:
+                C[s, t] = 0.0
+                case[s, t] = _CASE_ZERO
+                continue
+            if mode == "2vc" and vert[s] == vert[t] and s != t:
+                C[s, t] = np.inf
+                case[s, t] = _CASE_INF
+                continue
+
+            if mode == "2vc":
+                ps = w.occ[int(vert[s])]
+                idx = bisect_right(ps, t) - 1
+                head_is_cut = ps[idx] > s
+                pair_anchor = ps[idx] if head_is_cut else 0
+            else:
+                c2 = int(mate[s]) if s < n else 0
+                head_is_cut = bool(c2) and s < c2 <= t - 1
+                pair_anchor = c2
+
+            if not head_is_cut:
+                best = C[s + 1, t]
+                bcase, bk1 = _CASE_SKIP, 0
+                if t - 1 >= s + 2:
+                    ks = np.arange(s + 2, t)
+                    vals = C[s, ks] + C[ks, t] + W[s, ks]
+                    m = int(np.argmin(vals))
+                    if vals[m] < best:
+                        best = vals[m]
+                        bcase, bk1 = _CASE_SPLIT, int(ks[m])
+                C[s, t] = best
+                case[s, t] = bcase
+                k1[s, t] = bk1
+                continue
+
+            if mode == "2vc":
+                k = pair_anchor
+                D = np.arange(s + 1, k)
+                D = D[vert[D] != vert[s]]
+                desc_verts = np.unique(vert[D]) if D.size else np.array([], dtype=np.int64)
+                N = np.arange(k + 1, t + 1)
+                if N.size and desc_verts.size:
+                    N = N[~np.isin(vert[N], desc_verts)]
+            else:
+                D = np.arange(s + 1, pair_anchor + 1)
+                desc_verts = np.unique(vert[D])
+                N = np.arange(pair_anchor + 1, t + 1)
+                if N.size:
+                    N = N[~np.isin(vert[N], desc_verts)]
+
+            best = np.inf
+            bcase, bk1, bk2 = _CASE_INF, 0, 0
+            if D.size and N.size:
+                M = (
+                    C[s, D][:, None]
+                    + C[np.ix_(D, N)]
+                    + C[N, t][None, :]
+                    + W[np.ix_(D, N)]
+                )
+                flat = int(np.argmin(M))
+                bi, bj = divmod(flat, M.shape[1])
+                if M[bi, bj] < best:
+                    best = M[bi, bj]
+                    bcase, bk1, bk2 = _CASE_PAIR, int(D[bi]), int(N[bj])
+            lo = s + 2 if mode == "2ec" else max(s + 2, pair_anchor + 1)
+            if t - 1 >= lo:
+                ks = np.arange(lo, t)
+                vals = C[s, ks] + C[ks, t] + W[s, ks]
+                m2 = int(np.argmin(vals))
+                if vals[m2] < best:
+                    best = vals[m2]
+                    bcase, bk1, bk2 = _CASE_SPLIT, int(ks[m2]), 0
+            C[s, t] = best if np.isfinite(best) else np.inf
+            case[s, t] = bcase if np.isfinite(best) else _CASE_INF
+            k1[s, t] = bk1
+            k2[s, t] = bk2
+    return C, case, k1, k2
+
+
+def _convex_position_path(n):
+    return build([(i, i, i * i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+
+
+def assert_tables_match(g, walk, extend):
+    """The diagonal fill equals the per-cell reference, bit for bit, on
+    every cell 1 <= s <= t <= n, for both modes and both weights."""
+    w = IndexedWalk.from_walk(walk, extend=extend)
+    F = feasibility(g, w, walk.is_outer)
+    upper = np.triu(np.ones((w.n + 2, w.n + 2), dtype=bool))
+    upper[0, :] = upper[:, 0] = upper[-1, :] = upper[:, -1] = False
+    for W in (F, np.where(np.isfinite(F), 1.0, np.inf)):
+        for mode in ("2vc", "2ec"):
+            got, want = _fill(w, W, mode), reference_fill(w, W, mode)
+            for name, a, b in zip(("C", "case", "k1", "k2"), got, want):
+                assert np.array_equal(a[upper], b[upper]), (walk.face_id, extend, mode, name)
+
+
+def test_fill_matches_reference_fixtures(
+    fig3, triangle, path3, star3, two_triangles, square_diag, square,
+    pendant_in_polygon, double_pendant,
+):
+    for g in (fig3, triangle, path3, star3, two_triangles, square_diag, square,
+              pendant_in_polygon, double_pendant):
+        for walk in facial_walks(g):
+            for extend in (False, True):
+                assert_tables_match(g, walk, extend)
+
+
+def test_fill_matches_reference_generated():
+    rng = random.Random(4242)
+    for i in range(44):
+        g = generate(rng.randrange(4, 30), 80000 + i, rng.choice([0.0, 0.2, 0.4, 0.7]))
+        for walk in facial_walks(g):
+            for extend in (False, True):
+                assert_tables_match(g, walk, extend)
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_fill_matches_reference_convex_path(n):
+    g = _convex_position_path(n)
+    for extend in (False, True):
+        assert_tables_match(g, facial_walks(g)[0], extend)
+
+
 def test_cut_structure_fig3(fig3):
     walk = facial_walks(fig3)[0]
     w = IndexedWalk.from_walk(walk)
@@ -246,8 +393,31 @@ def test_dp_at_most_heuristic():
             assert rep.is_2_connected if mode == "2vc" else rep.is_2_edge_connected
 
 
-def test_infeasible_face_error():
-    # a subwalk interval with an unsatisfiable relative cut vertex reports
-    # infinity internally; full instances in general position always succeed,
-    # so exercise the error through the exception type only
-    assert issubclass(InfeasibleFace, Exception)
+def test_infeasible_face_error(star3):
+    # with no usable chord, the star's repeated center (2vc) and its bridges
+    # (2ec) leave the top-level interval at infinity
+    walk = facial_walks(star3)[0]
+    for mode, extend in (("2vc", False), ("2ec", True)):
+        w = IndexedWalk.from_walk(walk, extend=extend)
+        F = np.full((w.n + 1, w.n + 1), np.inf)
+        for weight in ("length", "unit"):
+            with pytest.raises(InfeasibleFace, match=f"face {walk.face_id}:"):
+                _dp(star3, w, F, mode, weight)
+
+
+@pytest.mark.parametrize("weight", ["lenght", "count", "Length", None])
+def test_unknown_weight_rejected(weight):
+    # a misspelt weight once fell back to unit (optimal) or length (oracle)
+    g = generate(7, 40003, 0.3)
+    walk = facial_walks(g)[0]
+    calls = [
+        lambda: optimal_augment(g, "2vc", weight=weight),
+        lambda: optimal_augment(g, "2ec", weight=weight),
+        lambda: dp_2vc(g, walk, weight),
+        lambda: dp_2ec(g, walk, weight),
+        lambda: candidate_set(g, weight=weight),
+        lambda: brute_force_optimal(g, "2vc", weight=weight),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="weight must be 'length' or 'unit'"):
+            call()
