@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Subcommands: validate, augment, transform, oracle, replay, gen, render,
-bench.  Machine-readable JSON goes to stdout with --json.  Exit codes:
+Subcommands: validate, augment, transform, oracle, replay, gen, render.
+Machine-readable JSON goes to stdout with --json.  Exit codes:
 0 success, 1 validation failure, 2 infeasible or oracle exhausted,
 3 internal invariant (lemma) violation.
 """
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -203,52 +202,6 @@ def cmd_render(args):
     return EXIT_OK
 
 
-def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
-    jobs = [(n, seed) for n in sizes for seed in seeds]
-
-    rows = []
-    if args.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_bench_one, jobs))
-    else:
-        rows = [_bench_one(job) for job in jobs]
-
-    sys.stdout.write(
-        "n\tseed\tbase_len\theur2ec\topt2ec\theur2vc\topt2vc\ttransform_len\tms\n"
-    )
-    for row in rows:
-        sys.stdout.write("\t".join(str(x) for x in row) + "\n")
-    return EXIT_OK
-
-
-def _bench_one(job):
-    n, seed = job
-    g = instances.generate(n, seed, 0.4)
-    t0 = time.perf_counter()
-    h_ec = augment_2ec(g).total_added_length
-    o_ec = optimal_augment(g, "2ec").total_added_length
-    h_vc = augment_2vc(g).total_added_length
-    o_vc = optimal_augment(g, "2vc").total_added_length
-    _, _, log = transform(g)
-    ms = (time.perf_counter() - t0) * 1000
-    base = g.total_length()
-    return (
-        n,
-        seed,
-        f"{base:.6g}",
-        f"{h_ec:.6g}",
-        f"{o_ec:.6g}",
-        f"{h_vc:.6g}",
-        f"{o_vc:.6g}",
-        f"{log.stats['final_length']:.6g}",
-        f"{ms:.1f}",
-    )
-
-
 def make_parser():
     p = argparse.ArgumentParser(
         prog="pslgaug",
@@ -298,12 +251,6 @@ def make_parser():
     sp.add_argument("--overlay", help="augmentation JSON or op log JSONL")
     sp.add_argument("-o", "--output", required=True)
     sp.set_defaults(fn=cmd_render)
-
-    sp = sub.add_parser("bench", help="ratio/runtime table over sizes x seeds")
-    sp.add_argument("--sizes", required=True, help="comma-separated sizes")
-    sp.add_argument("--seeds", required=True, help="comma-separated seeds")
-    sp.add_argument("--workers", type=int, default=min(4, os.cpu_count() or 1))
-    sp.set_defaults(fn=cmd_bench)
 
     return p
 

@@ -299,17 +299,10 @@ def _is_reflex_vertex(g: Pslg, v) -> bool:
     """A vertex is reflex iff some angle between CCW-consecutive incident
     edges is >= pi (degree-1 vertices count as reflex)."""
     rot = g.rotation[v]
-    if len(rot) == 1:
-        return True
-    ax, ay = g.ipt(v)
-    for i, u in enumerate(rot):
-        w = rot[(i + 1) % len(rot)]
-        ux, uy = g.ipt(u)
-        wx, wy = g.ipt(w)
-        cr = (ux - ax) * (wy - ay) - (uy - ay) * (wx - ax)
-        if cr <= 0:  # sector from u to w is >= pi
-            return True
-    return False
+    return any(
+        not _pslg._corner_convex(g, u, v, rot[(i + 1) % len(rot)])
+        for i, u in enumerate(rot)
+    )
 
 
 def walk_is_convex(g: Pslg, walk_ids, closed=False) -> bool:

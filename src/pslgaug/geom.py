@@ -65,12 +65,7 @@ class Segment:
 
 def orient(a: Point, b: Point, c: Point) -> int:
     """Sign of the cross product (b-a) x (c-a): CCW, CW or COLLINEAR."""
-    v = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    if v > 0:
-        return CCW
-    if v < 0:
-        return CW
-    return COLLINEAR
+    return orient_xy(a.x, a.y, b.x, b.y, c.x, c.y)
 
 
 def orient_xy(ax, ay, bx, by, cx, cy) -> int:
@@ -183,10 +178,10 @@ def ccw_angle_class(a: Point, b: Point, c: Point) -> str:
     CONVEX iff the angle is strictly in (0, pi), which holds iff
     (a-b) x (c-b) > 0.  Collinear triples are rejected.
     """
-    v = (a.x - b.x) * (c.y - b.y) - (a.y - b.y) * (c.x - b.x)
-    if v == 0:
+    v = orient(b, a, c)
+    if v == COLLINEAR:
         raise DegenerateInput(f"collinear or coincident triple ({a.id},{b.id},{c.id})")
-    return CONVEX if v > 0 else REFLEX
+    return CONVEX if v == CCW else REFLEX
 
 
 def convex_hull(pts) -> list:

@@ -12,7 +12,7 @@ import os
 import random
 from fractions import Fraction
 
-from .geom import collinear_pair
+from .geom import Point, collinear_pair
 from .pslg import InvalidInstance, Pslg, build, kruskal
 from .triangulate import lawson_flips, triangulate_points
 
@@ -66,11 +66,32 @@ def parse(text: str) -> Pslg:
     if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
         raise InvalidInstance("missing or unsupported format_version")
     try:
-        pts = [(p["id"], p["x"], p["y"]) for p in doc["points"]]
+        entries = [(p["id"], p["x"], p["y"]) for p in doc["points"]]
         edges = [tuple(e) for e in doc["edges"]]
     except (KeyError, TypeError) as e:
         raise InvalidInstance(f"malformed instance document: {e}") from None
+    pts = [_point(i, *entry) for i, entry in enumerate(entries)]
+    for i, e in enumerate(edges):
+        if len(e) != 2 or not all(map(_is_int, e)):
+            raise InvalidInstance(f"edge entry {i} {list(e)!r} is not a pair of point ids")
     return build(pts, edges)
+
+
+def _is_int(x):
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _point(i, pid, x, y):
+    """Point entry i: an integer id, coordinates decimal strings or integers."""
+    if _is_int(pid) and all(_is_int(c) or isinstance(c, str) for c in (x, y)):
+        try:
+            return Point.make(pid, x, y)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise InvalidInstance(
+        f"point entry {i} (id {pid!r}, x {x!r}, y {y!r}) needs an integer id and "
+        "coordinates that are decimal strings or integers"
+    )
 
 
 def load(path) -> Pslg:
@@ -163,9 +184,10 @@ def oplog_from_jsonl(text: str):
             doc = json.loads(line)
             op = doc["op"]
             u, v = int(doc["u"]), int(doc["v"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+            phase = int(doc.get("phase", 0))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise InvalidInstance(f"bad oplog line {ln}") from None
         if op not in ("insert", "delete"):
             raise InvalidInstance(f"bad op {op!r} on oplog line {ln}")
-        steps.append(OpStep(op=op, u=u, v=v, phase=int(doc.get("phase", 0))))
+        steps.append(OpStep(op=op, u=u, v=v, phase=phase))
     return steps

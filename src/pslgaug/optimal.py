@@ -206,7 +206,7 @@ def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
 
 
 def _prefix_tables(w: IndexedWalk):
-    """has_repeat[s][t] and, for 2ec, has_bridge[s][t], plus helpers."""
+    """has_repeat[s][t], each slot's later mate slot (or 0), has_bridge[s][t]."""
     n = w.n
     vert = w.vert
     prv = np.zeros(n + 1, dtype=np.int64)
@@ -220,13 +220,11 @@ def _prefix_tables(w: IndexedWalk):
             run = np.maximum.accumulate(prv[s + 1 : n + 1])
             has_rep[s, s + 1 : n + 1] = run >= s
 
-    slot_edge = {}
     mate = np.zeros(n + 1, dtype=np.int64)  # partner slot (later one) or 0
     mate_prev = np.zeros(n + 1, dtype=np.int64)
     seen = {}
     for c in range(1, n):  # slots 1..n-1: edge between positions c, c+1
-        e = ekey(int(vert[c]), int(vert[c + 1])) if c + 1 <= n else None
-        slot_edge[c] = e
+        e = ekey(int(vert[c]), int(vert[c + 1]))
         if e in seen:
             mate[seen[e]] = c
             mate_prev[c] = seen[e]
@@ -237,7 +235,7 @@ def _prefix_tables(w: IndexedWalk):
         run = np.maximum.accumulate(mate_prev[s : n])
         # has_bridge(s, t) when some slot c <= t-1 has its mate in [s, c)
         has_br[s, s + 1 : n + 1] = run >= s
-    return prv, has_rep, mate, has_br
+    return has_rep, mate, has_br
 
 
 def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
@@ -245,7 +243,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     one diagonal t - s = L at a time; every cell reads only shorter ones."""
     n = w.n
     vert = w.vert
-    _, has_rep, mate, has_br = _prefix_tables(w)
+    has_rep, mate, has_br = _prefix_tables(w)
     trivial = ~(has_rep if mode == MODE_2VC else has_br)
     # the head p_s of (s, t) is a cut iff t >= cut_from[s]: p_s occurs again
     # in (s, t] (2vc), or the edge of slot s has its mate slot in (s, t) (2ec)

@@ -9,7 +9,7 @@ is byte-stable for fixed input.
 from __future__ import annotations
 
 from .geom import ekey
-from .pslg import Pslg
+from .pslg import InvalidInstance, Pslg
 
 _STYLE = (
     "  <style>\n"
@@ -47,6 +47,13 @@ class _View:
         )
 
 
+def _overlay_edge(g, e):
+    """The overlay edge e, checked to join two point ids of g."""
+    if len(e) != 2 or not all(isinstance(x, int) and x in g.by_id for x in e):
+        raise InvalidInstance(f"overlay edge {list(e)!r} does not join two point ids")
+    return e
+
+
 def _line(view, g, u, v, cls):
     x1, y1 = view.pt(g.by_id[u])
     x2, y2 = view.pt(g.by_id[v])
@@ -74,7 +81,7 @@ def render_svg(g: Pslg, aug_edges=None, oplog_steps=None, labels=True) -> str:
 
     if aug_edges:
         out.append('  <g id="augmentation">\n')
-        for u, v in sorted(ekey(*e) for e in aug_edges):
+        for u, v in sorted(ekey(*_overlay_edge(g, e)) for e in aug_edges):
             out.append("  " + _line(view, g, u, v, "aug"))
         out.append("  </g>\n")
 
@@ -86,7 +93,7 @@ def render_svg(g: Pslg, aug_edges=None, oplog_steps=None, labels=True) -> str:
             out.append(f'  <g id="phase-{phase}">\n')
             for st in by_phase[phase]:
                 cls = "ins" if st.op == "insert" else "del"
-                out.append("  " + _line(view, g, st.u, st.v, cls))
+                out.append("  " + _line(view, g, *_overlay_edge(g, (st.u, st.v)), cls))
             out.append("  </g>\n")
 
     out.append('  <g id="points">\n')

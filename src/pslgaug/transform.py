@@ -25,8 +25,6 @@ from .geom import (
     convex_hull,
     dist,
     ekey,
-    polar_sort,
-    segments_properly_cross,
 )
 from .geodesic import geodesic
 from .pslg import (
@@ -35,6 +33,7 @@ from .pslg import (
     LemmaViolation,
     Pslg,
     PslgError,
+    _corner_convex,
     adjacency,
     forest_path,
     kruskal,
@@ -106,25 +105,25 @@ class WeaklySimplePolygon:
         return max(self.multiplicity().values()) == 1
 
     def validate(self, g):
+        """Check that the polygon is a weakly simple closed walk in the
+        certified PSLG ``g``: at least three corners, every edge a graph edge
+        used at most twice, and no self-crossing at a repeated vertex.  The
+        graph's edges are already pairwise non-crossing."""
         m = len(self.seq)
         if m < 3:
             raise LemmaViolation("polygon too short")
         ems = self.edge_multiset()
         if max(ems.values()) > 2:
             raise LemmaViolation("polygon edge multiplicity exceeds 2")
-        # support edges must be pairwise non-crossing
-        sup = sorted(ems)
-        for i in range(len(sup)):
-            a, b = sup[i]
-            for j in range(i + 1, len(sup)):
-                c, d = sup[j]
-                if segments_properly_cross(*g.ipt(a), *g.ipt(b), *g.ipt(c), *g.ipt(d)):
-                    raise LemmaViolation(f"polygon edges {sup[i]} {sup[j]} cross")
+        for e in ems:
+            if e not in g.edges:
+                raise LemmaViolation(f"polygon edge {e} is not a graph edge")
         self._check_rotations(g)
 
     def _check_rotations(self, g):
         """Occurrence ray pairs at a repeated vertex must not strictly
-        interleave in the circular order (the curve would cross itself)."""
+        interleave in the circular order (the curve would cross itself).
+        Every ray is a graph edge, so the order is the rotation at v."""
         m = len(self.seq)
         at = {}
         for j, v in enumerate(self.seq):
@@ -134,8 +133,7 @@ class WeaklySimplePolygon:
         for v, occs in at.items():
             if len(occs) < 2:
                 continue
-            order = polar_sort(g.ipt(v), {w for occ in occs for w in occ}, g.ipt)
-            pos = {w: i for i, w in enumerate(order)}
+            pos = {w: i for i, w in enumerate(g.rotation[v])}
             for a in range(len(occs)):
                 for b in range(a + 1, len(occs)):
                     quad = {*occs[a], *occs[b]}
@@ -367,7 +365,7 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     for e in sorted(ed.graph.edges):
         if e[0] in vc and e[1] in vc and e not in support:
             ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.graph.edges - {e}))
-    poly.validate(g)
+    poly.validate(ed.graph)
     return poly
 
 
@@ -401,7 +399,6 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         for y in sorted(vc):
             rot = g_cur.rotation[y]
             k = len(rot)
-            yx, yy = g_cur.ipt(y)
             # a CCW-consecutive mixed pair with a convex corner always
             # exists at some boundary vertex (at most one reflex sector per
             # vertex); the in-polygon endpoint may come first or second
@@ -409,9 +406,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
                 a, b = rot[i], rot[(i + 1) % k]
                 if (a in vc) == (b in vc):
                     continue
-                ax, ay = g_cur.ipt(a)
-                bx, by = g_cur.ipt(b)
-                if (ax - yx) * (by - yy) - (ay - yy) * (bx - yx) > 0:
+                if _corner_convex(g_cur, a, y, b):
                     found = (a, y, b)
                     break
             if found:
@@ -442,8 +437,6 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
             ins = [zq] + gids[1:-1][::-1]
         new_seq = poly.seq[: at + 1] + ins + poly.seq[at + 1 :]
         new_poly = WeaklySimplePolygon(seq=new_seq)
-        if max(new_poly.edge_multiset().values()) > 2:
-            raise LemmaViolation("polygon edge multiplicity exceeded 2 in phase 4")
 
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
@@ -500,8 +493,6 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         if j == 0:
             new_seq = poly.seq[1:] + gids[1:-1]
         new_poly = WeaklySimplePolygon(seq=new_seq)
-        if max(new_poly.edge_multiset().values()) > 2:
-            raise LemmaViolation("polygon edge multiplicity exceeded 2 in phase 5")
         new_len = new_poly.length(g)
         if not new_len < old_len + 1e-12:
             raise LemmaViolation("phase 5 step did not shorten the polygon")

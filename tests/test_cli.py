@@ -73,6 +73,72 @@ def test_validate_collinear(tmp_path, capsys):
     assert "collinear" in err
 
 
+def _fig3_with(point=None, edge=None):
+    doc = json.loads(json.dumps(FIG3))
+    if point is not None:
+        doc["points"][1].update(point)
+    if edge is not None:
+        doc["edges"][1] = edge
+    return doc
+
+
+MALFORMED = {
+    "float_coordinate": (_fig3_with(point={"x": 0.5}), "point entry 1"),
+    "list_id": (_fig3_with(point={"id": [2]}), "point entry 1"),
+    "bool_id": (_fig3_with(point={"id": True}), "point entry 1"),
+    "zero_denominator": (_fig3_with(point={"y": "1/0"}), "point entry 1"),
+    "edge_triple": (_fig3_with(edge=[2, 3, 4]), "edge entry 1"),
+    "edge_of_lists": (_fig3_with(edge=[[2], [3]]), "edge entry 1"),
+    "edge_of_strings": (_fig3_with(edge=["2", "3"]), "edge entry 1"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_validate_malformed_entry(tmp_path, capsys, case):
+    doc, named = MALFORMED[case]
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli(["validate", str(p)], capsys)
+    assert code == 1
+    assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+def test_integer_coordinates_accepted(tmp_path, capsys):
+    p = tmp_path / "ints.json"
+    p.write_text(json.dumps(_fig3_with(point={"x": 0, "y": 1})))
+    code, out, _ = run_cli(["validate", str(p)], capsys)
+    assert code == 0
+    assert "4 points" in out
+
+
+@pytest.mark.parametrize(
+    "overlay",
+    [
+        json.dumps({"edges": [[1, 99]]}),
+        json.dumps({"edges": [[1, 2, 3]]}),
+        json.dumps({"op": "insert", "u": 1, "v": 99, "phase": 4}) + "\n",
+    ],
+)
+def test_render_rejects_unknown_overlay_endpoint(fig3_file, tmp_path, capsys, overlay):
+    ov = tmp_path / "overlay.json"
+    ov.write_text(overlay)
+    out_svg = tmp_path / "out.svg"
+    code, _, err = run_cli(["render", fig3_file, "--overlay", str(ov), "-o", str(out_svg)], capsys)
+    assert code == 1
+    assert err.startswith("error: overlay edge [1, ")
+    assert "Traceback" not in err
+    assert not out_svg.exists()
+
+
+def test_oplog_bad_phase(fig3_file, tmp_path, capsys):
+    oplog = tmp_path / "run.jsonl"
+    oplog.write_text(json.dumps({"op": "insert", "u": 1, "v": 3, "phase": "x"}) + "\n")
+    code, _, err = run_cli(["replay", fig3_file, str(oplog)], capsys)
+    assert code == 1
+    assert err == "error: bad oplog line 1\n"
+
+
 def test_augment_json(fig3_file, capsys):
     code, out, _ = run_cli(["augment", fig3_file, "--mode", "opt2ec", "--json"], capsys)
     assert code == 0
@@ -198,14 +264,6 @@ def test_render_deterministic(fig3_file, tmp_path, capsys):
     run_cli(["render", fig3_file, "-o", str(a)], capsys)
     run_cli(["render", fig3_file, "-o", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
-
-
-def test_bench(tmp_path, capsys):
-    code, out, _ = run_cli(["bench", "--sizes", "5,7", "--seeds", "1,2"], capsys)
-    assert code == 0
-    lines = out.strip().splitlines()
-    assert len(lines) == 5  # header + 4 rows
-    assert lines[0].startswith("n\tseed")
 
 
 def test_roundtrip_exact():

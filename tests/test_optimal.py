@@ -132,7 +132,7 @@ def test_prefix_tables_match_cut_structure(
         for walk in facial_walks(g):
             for extend in (False, True):
                 w = IndexedWalk.from_walk(walk, extend=extend)
-                has_rep = _prefix_tables(w)[1]
+                has_rep = _prefix_tables(w)[0]
                 for s in range(1, w.n + 1):
                     for t in range(s + 1, w.n + 1):
                         assert has_rep[s, t] == bool(cut_structure(w, s, t)), (s, t)
@@ -145,7 +145,7 @@ def reference_fill(w: IndexedWalk, W, mode):
     interval length, each inner minimization over its own index arrays."""
     n = w.n
     vert = w.vert
-    _, has_rep, mate, has_br = _prefix_tables(w)
+    has_rep, mate, has_br = _prefix_tables(w)
 
     C = np.full((n + 2, n + 2), np.inf)
     case = np.zeros((n + 2, n + 2), dtype=np.uint8)

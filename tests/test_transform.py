@@ -3,9 +3,9 @@ import random
 import pytest
 
 from pslgaug import build
-from pslgaug.geom import dist, ekey
+from pslgaug.geom import dist, ekey, polar_sort
 from pslgaug.instances import generate
-from pslgaug.pslg import LemmaViolation, connectivity, facial_walks
+from pslgaug.pslg import CrossingEdges, LemmaViolation, connectivity, facial_walks
 from pslgaug.transform import (
     OpStep,
     ReplayViolation,
@@ -289,9 +289,108 @@ def test_edited_graph_matches_build():
 
 
 def test_weakly_simple_validation(fig3):
+    # validate checks a closed walk in the certified graph it is given
     poly = WeaklySimplePolygon(seq=[1, 2, 4, 3])
-    poly.validate(fig3)
-    with pytest.raises(LemmaViolation):
-        WeaklySimplePolygon(seq=[1, 2, 3, 4]).validate(fig3)  # diagonals cross
-    with pytest.raises(LemmaViolation):
+    poly.validate(fig3.with_edges(poly.edge_multiset()))
+    with pytest.raises(LemmaViolation, match=r"polygon edge \(2, 4\) is not a graph edge"):
+        poly.validate(fig3)
+    crossing = WeaklySimplePolygon(seq=[1, 2, 3, 4])  # (2, 3) and (1, 4) cross
+    with pytest.raises(LemmaViolation, match=r"\(1, 4\) is not a graph edge"):
+        crossing.validate(fig3)
+    with pytest.raises(CrossingEdges):
+        fig3.with_edges(crossing.edge_multiset())
+    with pytest.raises(LemmaViolation, match="multiplicity"):
         WeaklySimplePolygon(seq=[1, 2, 1, 2]).validate(fig3)  # multiplicity 4
+
+
+def reference_check_rotations(poly, g):
+    """Reference: the interleave test with each repeated vertex's polygon
+    neighbours polar-sorted afresh instead of read from the rotation."""
+    m = len(poly.seq)
+    at = {}
+    for j, v in enumerate(poly.seq):
+        at.setdefault(v, []).append((poly.seq[j - 1], poly.seq[(j + 1) % m]))
+    for v, occs in at.items():
+        if len(occs) < 2:
+            continue
+        order = polar_sort(g.ipt(v), {w for occ in occs for w in occ}, g.ipt)
+        pos = {w: i for i, w in enumerate(order)}
+        for a in range(len(occs)):
+            for b in range(a + 1, len(occs)):
+                if len({*occs[a], *occs[b]}) < 4:
+                    continue
+                a1, a2 = sorted((pos[occs[a][0]], pos[occs[a][1]]))
+                b1, b2 = sorted((pos[occs[b][0]], pos[occs[b][1]]))
+                if (a1 < b1 < a2 < b2) or (b1 < a1 < b2 < a2):
+                    raise LemmaViolation(f"polygon occurrences interleave at vertex {v}")
+
+
+def _copies(g, rng):
+    """g, a relabelled copy and a relabelled copy reflected in the y axis."""
+    ids = sorted(p.id for p in g.points)
+    new = dict(zip(ids, rng.sample(range(3 * len(ids)), len(ids))))
+    edges = [(new[u], new[v]) for u, v in g.edges]
+    return [
+        g,
+        build([(new[p.id], p.x, p.y) for p in g.points], edges),
+        build([(new[p.id], -p.x, p.y) for p in g.points], edges),
+    ]
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except LemmaViolation as exc:
+        return str(exc)
+    return None
+
+
+def test_check_rotations_matches_polar_sort_reference(monkeypatch):
+    checked = []
+    new_check = WeaklySimplePolygon._check_rotations
+
+    def both(poly, g):
+        got = _outcome(new_check, poly, g)
+        assert got == _outcome(reference_check_rotations, poly, g), poly.seq
+        checked.append((len(poly.seq) > len(poly.vertices()), got))
+        if got:
+            raise LemmaViolation(got)
+
+    monkeypatch.setattr(WeaklySimplePolygon, "_check_rotations", both)
+    rng = random.Random(6)
+    graphs = [generate(21, 904, 0.3)]  # phase 4 makes an interleaving polygon
+    graphs += [generate(rng.randint(6, 26), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
+               for _ in range(40)]
+    for g in graphs:
+        for h in _copies(g, rng):
+            try:
+                transform(h)
+            except LemmaViolation as exc:
+                assert "interleave" in str(exc)
+    assert len(checked) > 1000
+    repeated = [got for rep, got in checked if rep]
+    assert len(repeated) >= 20
+    assert "polygon occurrences interleave at vertex 7" in repeated
+
+
+def test_check_rotations_matches_polar_sort_reference_on_closed_walks():
+    # facial walks never interleave; random closed walks often do
+    rng = random.Random(7)
+    outcomes = []
+    for _ in range(20):
+        g = generate(rng.randint(6, 30), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
+        for h in _copies(g, rng):
+            walks = [list(w.seq[:-1]) for w in facial_walks(h) if len(w) >= 3]
+            for _ in range(50):
+                walk = [rng.choice(sorted(h.rotation))]
+                while len(walk) < 60 and (len(walk) < 3 or walk[-1] != walk[0]):
+                    walk.append(rng.choice(h.rotation[walk[-1]]))
+                if walk[-1] == walk[0] and len(walk) > 3:
+                    walks.append(walk[:-1])
+            for seq in walks:
+                poly = WeaklySimplePolygon(seq=seq)
+                got = _outcome(poly._check_rotations, h)
+                assert got == _outcome(reference_check_rotations, poly, h), seq
+                outcomes.append(got)
+    assert outcomes.count(None) > 300
+    assert len(outcomes) - outcomes.count(None) > 100
