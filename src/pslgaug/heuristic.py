@@ -17,6 +17,7 @@ total edge length; the bound is asserted, as is the resulting connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import fsum
 
 from .geom import LENGTH_TOL, convex_hull, dist, ekey
 from .geodesic import geodesic
@@ -58,7 +59,7 @@ class AugmentationResult:
     def produced_length(self):
         """Multiset length of all produced geodesics (>= total_added_length);
         this is the quantity the 2||E|| bound is proved for."""
-        return sum(c.geodesic_length for c in self.certificates)
+        return fsum(c.geodesic_length for c in self.certificates)
 
 
 def split_into_short_walks(c: ConvexWalkSet):
@@ -109,9 +110,9 @@ def _insert_geodesic_edges(g, walk, added, certs):
 
 
 def _finish(g, added, certs, mode):
-    total = sum(added.values())
+    total = fsum(added.values())
     bound = 2 * g.total_length()
-    produced = sum(c.geodesic_length for c in certs)
+    produced = fsum(c.geodesic_length for c in certs)
     if produced > bound + LENGTH_TOL or total > bound + LENGTH_TOL:
         raise LemmaViolation(
             f"augmentation length {total:.12g} (produced {produced:.12g}) "

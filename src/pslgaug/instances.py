@@ -182,9 +182,10 @@ def oplog_from_jsonl(text: str):
             continue
         try:
             doc = json.loads(line)
-            op = doc["op"]
-            u, v = int(doc["u"]), int(doc["v"])
+            op, u, v = doc["op"], doc["u"], doc["v"]
             phase = int(doc.get("phase", 0))
+            if not (_is_int(u) and _is_int(v)):
+                raise TypeError("point ids must be integers")
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
             raise InvalidInstance(f"bad oplog line {ln}") from None
         if op not in ("insert", "delete"):

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from math import fsum
 
 import numpy as np
 
@@ -450,7 +451,7 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
                 raise LemmaViolation(f"chord {e} chosen in two faces")
             added[e] = dist(g.by_id[e[0]], g.by_id[e[1]])
 
-    total = sum(f.cost for f in faces) if weight != "length" else sum(added.values())
+    total = sum(f.cost for f in faces) if weight != "length" else fsum(added.values())
     g2 = build(g.points, sorted(set(g.edges) | set(added)))
     rep = connectivity(g2)
     if mode == MODE_2VC and not rep.is_2_connected:

@@ -9,6 +9,7 @@ are capped by candidate count, not vertex count.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum
 
 from .geom import LENGTH_TOL, dist, ekey, segments_properly_cross
 from .pslg import Pslg, PslgError, build, connectivity
@@ -346,7 +347,7 @@ def verify(g: Pslg, added, mode: str) -> dict:
         rep.is_2_connected if mode == "2vc" else rep.is_2_edge_connected
     )
     base = g.total_length()
-    add_len = sum(dist(g.by_id[u], g.by_id[v]) for u, v in added)
+    add_len = fsum(dist(g.by_id[u], g.by_id[v]) for u, v in added)
     report["base_length"] = base
     report["added_length"] = add_len
     report["ratio"] = add_len / base if base else float("inf")

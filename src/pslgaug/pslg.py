@@ -14,6 +14,7 @@ is decided by ccw_angle_class on the corner triple.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import fsum, lcm
 
 from .geom import (
@@ -153,9 +154,10 @@ class Pslg:
         """The PSLG on the same, already validated points with the edge set
         ``edge_pairs``.  Their general position rules out an edge through a
         vertex, so only crossings are tested, and only for pairs that include
-        an edge not in ``self.edges``; rotations are re-sorted only at
-        endpoints of added or removed edges.  Raises InvalidInstance or
-        CrossingEdges with the offending ids."""
+        an edge not in ``self.edges`` and whose bounding boxes meet (see
+        _raise_first_crossing); rotations are re-sorted only at endpoints of
+        added or removed edges.  Raises InvalidInstance or CrossingEdges with
+        the offending ids."""
         edges = set()
         for u, v in edge_pairs:
             if u not in self.by_id or v not in self.by_id:
@@ -167,18 +169,10 @@ class Pslg:
                 raise InvalidInstance(f"duplicate edge {k}")
             edges.add(k)
 
-        # no new edge properly crosses a kept edge or a later new one; when
-        # every edge is new, that is every pair in sorted order
         ix, iy = self._ix, self._iy
-        added = sorted(edges - self.edges)
-        kept = sorted(edges & self.edges)
-        for i, (u1, v1) in enumerate(added):
-            for u2, v2 in kept + added[i + 1 :]:
-                if segments_properly_cross(
-                    ix[u1], iy[u1], ix[v1], iy[v1], ix[u2], iy[u2], ix[v2], iy[v2]
-                ):
-                    (a, b), (c, d) = sorted([(u1, v1), (u2, v2)])
-                    raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
+        added = edges - self.edges
+        if added:
+            _raise_first_crossing(edges, added, ix, iy)
 
         rotation = dict(self.rotation)
         adj = adjacency(edges)
@@ -222,9 +216,79 @@ def build(points, edge_pairs) -> Pslg:
     ix = {p.id: int(p.x * denom) for p in pts}
     iy = {p.id: int(p.y * denom) for p in pts}
 
-    # edge through a third vertex (reported before the generic collinear
-    # scan); with_edges below rejects unknown ids, self-loops and duplicates
-    edge_pairs = list(edge_pairs)
+    # general position: no three collinear, each point checked against the
+    # points before it.  An edge through a third vertex makes a collinear
+    # triple, so it is looked for only then; it is the reported fault when
+    # there is one.  with_edges below rejects unknown ids, self-loops,
+    # duplicates and crossings.
+    order = sorted(ids)
+    placed = []
+    for c in order:
+        pair = collinear_pair((ix[c], iy[c]), placed)
+        if pair is not None:
+            _raise_edge_through_vertex(pts, edge_pairs, ix, iy)
+            a, b = order[pair[0]], order[pair[1]]
+            raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
+        placed.append((ix[c], iy[c]))
+
+    empty = Pslg(pts, {p.id: p for p in pts}, frozenset(), {i: () for i in ids}, ix, iy)
+    return empty.with_edges(edge_pairs)
+
+
+def _raise_first_crossing(edges, added, ix, iy):
+    """Raise CrossingEdges for the first pair of properly crossing edges,
+    one of them in ``added``, in the order of the all-pairs loop over each
+    added[i] against sorted(edges - added) + added[i+1:] (``added``
+    sorted), if there is one.
+
+    Broad phase by sort and sweep: bounding boxes sorted by xmin, each
+    compared with the later boxes that start at or before its xmax, and a
+    kept edge's box only with the later boxes of added edges.  Only pairs
+    whose y-ranges overlap and that share no endpoint reach the exact
+    test: the points are in general position, so edges with a common
+    endpoint cannot cross.
+    """
+    boxes = []
+    for u, v in edges:
+        x0, x1, y0, y1 = ix[u], ix[v], iy[u], iy[v]
+        if x0 > x1:
+            x0, x1 = x1, x0
+        if y0 > y1:
+            y0, y1 = y1, y0
+        boxes.append((x0, x1, y0, y1, u, v, (u, v) in added))
+    boxes.sort()
+    new_boxes = [box for box in boxes if box[6]]
+    first = None
+    q = 0  # new_boxes[q:] are the boxes of added edges after the current one
+    for i, (_, xmax, ymin, ymax, u, v, new) in enumerate(boxes):
+        if new:
+            q += 1
+        later = islice(boxes, i + 1, None) if new else islice(new_boxes, q, None)
+        for xmin2, _, ymin2, ymax2, s, t, new2 in later:
+            if xmin2 > xmax:
+                break
+            if (
+                ymin2 <= ymax and ymin <= ymax2
+                and u != s and u != t and v != s and v != t
+                and segments_properly_cross(
+                    ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
+                )
+            ):
+                # position in the loop: the added edge a (the smaller one
+                # if both are added), kept partners before added ones, then
+                # the partner b
+                a, b = ((u, v), (s, t)) if new else ((s, t), (u, v))
+                key = (min(a, b), 1, max(a, b)) if new and new2 else (a, 0, b)
+                if first is None or key < first:
+                    first = key
+    if first is not None:
+        (a, b), (c, d) = sorted((first[0], first[2]))
+        raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
+
+
+def _raise_edge_through_vertex(pts, edge_pairs, ix, iy):
+    """Raise EdgeThroughVertex for the first edge, in sorted order, that
+    passes through a third point, if any."""
     for (u, v) in sorted({ekey(u, v) for u, v in edge_pairs if u in ix and v in ix}):
         ax, ay, bx, by = ix[u], iy[u], ix[v], iy[v]
         for p in pts:
@@ -235,20 +299,6 @@ def build(points, edge_pairs) -> Pslg:
                 min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
             ):
                 raise EdgeThroughVertex(f"edge ({u},{v}) passes through point {p.id}")
-
-    # general position: no three collinear, each point checked against the
-    # points before it
-    order = sorted(ids)
-    placed = []
-    for c in order:
-        pair = collinear_pair((ix[c], iy[c]), placed)
-        if pair is not None:
-            a, b = order[pair[0]], order[pair[1]]
-            raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
-        placed.append((ix[c], iy[c]))
-
-    empty = Pslg(pts, {p.id: p for p in pts}, frozenset(), {i: () for i in ids}, ix, iy)
-    return empty.with_edges(edge_pairs)
 
 
 # -- facial walks ------------------------------------------------------

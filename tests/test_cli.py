@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from pslgaug import build
+from pslgaug import InvalidInstance, build
 from pslgaug.cli import main
 from pslgaug.instances import (
     fraction_to_decimal,
@@ -134,6 +134,27 @@ def test_render_rejects_unknown_overlay_endpoint(fig3_file, tmp_path, capsys, ov
 def test_oplog_bad_phase(fig3_file, tmp_path, capsys):
     oplog = tmp_path / "run.jsonl"
     oplog.write_text(json.dumps({"op": "insert", "u": 1, "v": 3, "phase": "x"}) + "\n")
+    code, _, err = run_cli(["replay", fig3_file, str(oplog)], capsys)
+    assert code == 1
+    assert err == "error: bad oplog line 1\n"
+
+
+NON_INTEGER_IDS = [{"u": 1.9, "v": 3}, {"u": 1, "v": 3.0}, {"u": "1", "v": 3},
+                   {"u": True, "v": 3}, {"u": 1, "v": False}]
+
+
+@pytest.mark.parametrize("ids", NON_INTEGER_IDS)
+def test_oplog_rejects_non_integer_ids(ids):
+    good = json.dumps({"op": "insert", "u": 1, "v": 3, "phase": 4})
+    bad = json.dumps({"op": "insert", "phase": 4, **ids})
+    with pytest.raises(InvalidInstance, match=r"^bad oplog line 2$"):
+        oplog_from_jsonl(good + "\n" + bad + "\n")
+
+
+@pytest.mark.parametrize("ids", NON_INTEGER_IDS)
+def test_replay_rejects_non_integer_ids(fig3_file, tmp_path, capsys, ids):
+    oplog = tmp_path / "run.jsonl"
+    oplog.write_text(json.dumps({"op": "insert", "phase": 4, **ids}) + "\n")
     code, _, err = run_cli(["replay", fig3_file, str(oplog)], capsys)
     assert code == 1
     assert err == "error: bad oplog line 1\n"

@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from math import lcm
 
 import pytest
 
@@ -6,14 +8,26 @@ from pslgaug import (
     CollinearTriple,
     CrossingEdges,
     DuplicatePoint,
+    EdgeThroughVertex,
     InvalidInstance,
+    Pslg,
+    PslgError,
     build,
     connectivity,
     convex_walk_decomposition,
     dual_graph,
     facial_walks,
 )
-from pslgaug.geom import ekey
+from pslgaug.geom import (
+    Point,
+    collinear_pair,
+    ekey,
+    orient_xy,
+    polar_sort,
+    segments_properly_cross,
+)
+from pslgaug.instances import generate
+from pslgaug.pslg import adjacency
 
 
 def test_build_fig3(fig3):
@@ -70,10 +84,160 @@ def test_with_edges_rejects_like_build(fig3, base, extra, error):
     assert str(edited.value) == str(built.value)
 
 
-def test_lengths_independent_of_edge_order():
-    import random
+# -- differential test of the validation against the all-pairs scans --------
 
-    from pslgaug.instances import generate
+
+def reference_build(points, edge_pairs):
+    """``build`` with the unconditional O(n*m) edge-through-vertex scan
+    ahead of the collinear scan, and the all-pairs crossing loop of
+    ``reference_with_edges``."""
+    pts = [p if isinstance(p, Point) else Point.make(*p) for p in points]
+    ids = [p.id for p in pts]
+    if len(set(ids)) != len(ids):
+        dup = sorted({i for i in ids if ids.count(i) > 1})
+        raise DuplicatePoint(f"duplicate point ids: {dup}")
+    coord_seen = {}
+    for p in pts:
+        other = coord_seen.get(p.coords())
+        if other is not None:
+            raise DuplicatePoint(f"points {other} and {p.id} coincide")
+        coord_seen[p.coords()] = p.id
+    denom = 1
+    for p in pts:
+        denom = lcm(denom, p.x.denominator, p.y.denominator)
+    ix = {p.id: int(p.x * denom) for p in pts}
+    iy = {p.id: int(p.y * denom) for p in pts}
+
+    edge_pairs = list(edge_pairs)
+    for (u, v) in sorted({ekey(u, v) for u, v in edge_pairs if u in ix and v in ix}):
+        ax, ay, bx, by = ix[u], iy[u], ix[v], iy[v]
+        for p in pts:
+            if p.id in (u, v):
+                continue
+            px, py = ix[p.id], iy[p.id]
+            if orient_xy(ax, ay, bx, by, px, py) == 0 and (
+                min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+            ):
+                raise EdgeThroughVertex(f"edge ({u},{v}) passes through point {p.id}")
+
+    order = sorted(ids)
+    placed = []
+    for c in order:
+        pair = collinear_pair((ix[c], iy[c]), placed)
+        if pair is not None:
+            a, b = order[pair[0]], order[pair[1]]
+            raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
+        placed.append((ix[c], iy[c]))
+
+    empty = Pslg(pts, {p.id: p for p in pts}, frozenset(), {i: () for i in ids}, ix, iy)
+    return reference_with_edges(empty, edge_pairs)
+
+
+def reference_with_edges(g, edge_pairs):
+    """``g.with_edges`` with every added edge tested against every kept
+    edge and every later added one, in sorted order."""
+    edges = set()
+    for u, v in edge_pairs:
+        if u not in g.by_id or v not in g.by_id:
+            raise InvalidInstance(f"edge ({u},{v}) references unknown point id")
+        if u == v:
+            raise InvalidInstance(f"self-loop at point {u}")
+        k = ekey(u, v)
+        if k in edges:
+            raise InvalidInstance(f"duplicate edge {k}")
+        edges.add(k)
+    ix, iy = g._ix, g._iy
+    added = sorted(edges - g.edges)
+    kept = sorted(edges & g.edges)
+    for i, (u1, v1) in enumerate(added):
+        for u2, v2 in kept + added[i + 1 :]:
+            if segments_properly_cross(
+                ix[u1], iy[u1], ix[v1], iy[v1], ix[u2], iy[u2], ix[v2], iy[v2]
+            ):
+                (a, b), (c, d) = sorted([(u1, v1), (u2, v2)])
+                raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
+    rotation = dict(g.rotation)
+    adj = adjacency(edges)
+    for v in {v for e in edges ^ g.edges for v in e}:
+        rotation[v] = tuple(polar_sort(g.ipt(v), adj.get(v, ()), g.ipt))
+    return Pslg(g.points, g.by_id, frozenset(edges), rotation, ix, iy)
+
+
+def outcome(fn, *args):
+    """The exception class and message, or the edges and rotation."""
+    try:
+        g = fn(*args)
+    except PslgError as e:
+        return type(e).__name__, str(e)
+    return g.edges, g.rotation
+
+
+def _random_edges(rng, ids, count, faults):
+    edges = [tuple(rng.sample(ids, 2)) for _ in range(count)]
+    edges = list(dict.fromkeys(ekey(u, v) for u, v in edges))
+    edges = [(v, u) if rng.random() < 0.3 else (u, v) for u, v in edges]
+    if faults and rng.random() < 0.15:
+        u = rng.choice(ids)
+        edges.insert(rng.randrange(len(edges) + 1), rng.choice(
+            [(u, max(ids) + 1), (u, u), edges[0][::-1] if edges else (u, u)]
+        ))
+    return edges
+
+
+def _general_position_points(rng, n, span):
+    coords = []
+    while len(coords) < n:
+        c = (rng.randrange(-span, span), rng.randrange(-span, span))
+        if collinear_pair(c, coords) is None:
+            coords.append(c)
+    ids = rng.sample(range(3 * n), n)
+    # a third of the sets carry two decimal places, so build rescales them
+    if rng.random() < 0.3:
+        return [(i, f"{x / 100:.2f}", str(y)) for i, (x, y) in zip(ids, coords)]
+    return [(i, str(x), str(y)) for i, (x, y) in zip(ids, coords)]
+
+
+def test_build_matches_reference_on_random_inputs():
+    rng = random.Random(2024)
+    kinds = Counter()
+    for trial in range(3000):
+        n = rng.randrange(3, 16)
+        if trial % 2:
+            # general position, 1e6 range: valid graphs and several crossings
+            pts = _general_position_points(rng, n, 10**6)
+        else:
+            # an 8 x 8 grid: collinear triples, edges through vertices and
+            # crossings, often several at once, now and then coincident points
+            cells = rng.sample(range(64), n)
+            if rng.random() < 0.1:
+                cells[0] = cells[-1]
+            ids = rng.sample(range(3 * n), n)
+            pts = [(i, str(c % 8), str(c // 8)) for i, c in zip(ids, cells)]
+        ids = [p[0] for p in pts]
+        edges = _random_edges(rng, ids, rng.randrange(0, 2 * n + 1), faults=True)
+        want = outcome(reference_build, pts, edges)
+        assert outcome(build, pts, edges) == want, (pts, edges)
+        kinds[want[0] if isinstance(want[0], str) else "valid"] += 1
+    assert min(kinds.values()) >= 40 and len(kinds) == 6, kinds
+
+
+def test_with_edges_matches_reference_on_batches():
+    rng = random.Random(7)
+    kinds = Counter()
+    for seed in range(12):
+        g = generate(rng.randrange(8, 40), 300 + seed, rng.choice([0.2, 0.5, 0.8]))
+        ids = [p.id for p in g.points]
+        for _ in range(60):
+            kept = [e for e in sorted(g.edges) if rng.random() < 0.8]
+            batch = kept + _random_edges(rng, ids, rng.randrange(1, 8), faults=True)
+            rng.shuffle(batch)
+            want = outcome(reference_with_edges, g, batch)
+            assert outcome(g.with_edges, batch) == want, (seed, batch)
+            kinds[want[0] if isinstance(want[0], str) else "valid"] += 1
+    assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
+
+
+def test_lengths_independent_of_edge_order():
     from pslgaug.transform import WeaklySimplePolygon
 
     for seed in range(12):
@@ -231,10 +395,6 @@ def test_random_instance_properties():
     # characterization over 100 seeded instances (the characterization and
     # dual assertions live inside connectivity/dual_graph and raise on
     # failure)
-    import random
-
-    from pslgaug.instances import generate
-
     rng = random.Random(2)
     for seed in range(100):
         n = rng.randrange(3, 13)
@@ -268,8 +428,6 @@ def test_isolated_vertices_in_data_model():
 
 
 def test_generate_smallest():
-    from pslgaug.instances import generate
-
     for seed in range(5):
         for density in (0.0, 0.5, 1.0):
             g = generate(3, seed, density)
