@@ -1,11 +1,19 @@
 """Shortest homotopic paths (geodesics) for subwalks of facial walks.
 
-The whole plane is triangulated once per graph: all vertices plus four
-far-away box corners, with every graph edge as a constraint.  Each triangle
-is assigned to the face it lies in.  A query walk is pushed slightly into
-its face; the portals it crosses are exactly the triangle fans around its
-interior corners, and pulling the string taut through those portals (funnel
-algorithm) yields the geodesic.
+The plane is triangulated over all vertices plus four far-away box corners,
+with every graph edge as a constraint.  Each triangle is assigned to the
+face it lies in.  A query walk is pushed slightly into its face; the portals
+it crosses are exactly the triangle fans around its interior corners, and
+pulling the string taut through those portals (funnel algorithm) yields the
+geodesic.  Which triangulation it is does not matter: the reduced portal
+sequence of a homotopy class, and so the geodesic, is the same in any.
+
+A graph queried on its own gets a triangulation built for it.  The cycle
+morph instead keeps one triangulation alive across its certified edits: an
+inserted edge is forced in as a constraint, a deleted edge only loses its
+constraint mark (the triangulation stays valid).  Everything that depends on
+the graph (facial walks, the triangle right of each directed edge and the
+face of every triangle) is still derived for each queried graph, and checked.
 
 The clip box turns the unbounded face into a bounded region; geodesics never
 bend at box corners (they are convex corners of the region), which is
@@ -22,6 +30,7 @@ from .pslg import (
     Pslg,
     PslgError,
     facial_walks,
+    require_augmentable,
     walk_of_directed_edge,
 )
 from . import pslg as _pslg
@@ -54,24 +63,39 @@ class GeodesicPath:
 
 
 class _FaceEnv:
-    """Per-graph triangulated environment shared by all geodesic queries."""
+    """The geodesic environment of one graph: a triangulation of its
+    vertices and the clip-box corners with exactly the graph's edges
+    constrained, and the faces of the graph read from it.
 
-    def __init__(self, g: Pslg):
-        from .pslg import require_augmentable
+    Without ``live`` the triangulation is built for ``g``.  With ``live``,
+    the environment of an earlier graph on the same points, ``g`` takes over
+    its triangulation, which the caller has since edited to constrain
+    exactly the edges of ``g``; ``live`` is then stale.  Either way the
+    facial walks, ``right_tri`` and the face of every triangle are derived
+    for ``g``, and the constraint set, ``T.validate()`` and the face flood
+    fill check the triangulation against ``g``.
+    """
 
+    def __init__(self, g: Pslg, live: _FaceEnv | None = None):
         require_augmentable(g)
         self.g = g
-        ids = sorted(p.id for p in g.points)
-        self.lid = {v: i for i, v in enumerate(ids)}
-        self.gid = ids
-        pts = [g.ipt(v) for v in ids]
-        self.n_graph = len(pts)
-        self.box = _make_box(pts)
-        self.pts = pts + list(self.box)
-
-        self.T = triangulate_points(self.pts)
-        for (u, v) in sorted(g.edges):
-            insert_constraint(self.T, self.lid[u], self.lid[v])
+        if live is None:
+            ids = sorted(p.id for p in g.points)
+            self.lid = {v: i for i, v in enumerate(ids)}
+            self.gid = ids
+            pts = [g.ipt(v) for v in ids]
+            self.n_graph = len(pts)
+            self.box = _make_box(pts)
+            self.pts = pts + list(self.box)
+            self.T = triangulate_points(self.pts)
+            for (u, v) in sorted(g.edges):
+                insert_constraint(self.T, self.lid[u], self.lid[v])
+        else:
+            self.lid, self.gid, self.n_graph = live.lid, live.gid, live.n_graph
+            self.box, self.pts, self.T = live.box, live.pts, live.T
+            # local ids follow vertex ids, so (u, v) with u < v maps to i < j
+            if self.T.constrained != {(self.lid[u], self.lid[v]) for u, v in g.edges}:
+                raise LemmaViolation("live triangulation constrains other edges than the graph")
         self.T.validate()
 
         self.dedge_pos = walk_of_directed_edge(g)
@@ -162,6 +186,10 @@ def _make_box(pts):
 
 
 def face_env(g: Pslg) -> _FaceEnv:
+    """The environment cached on ``g``, built on first use.  The morph's
+    editor caches on the graph it queries an environment read from its live
+    triangulation, and clears that cache at its next edit, so a graph is
+    never served a triangulation that has moved on from it."""
     if g._face_env is None:
         g._face_env = _FaceEnv(g)
     return g._face_env

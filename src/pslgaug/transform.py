@@ -26,7 +26,7 @@ from .geom import (
     dist,
     ekey,
 )
-from .geodesic import geodesic
+from .geodesic import _FaceEnv, geodesic
 from .pslg import (
     CrossingEdges,
     InvalidInstance,
@@ -200,11 +200,43 @@ class _CertifiedEdges:
 
 
 class _Editor(_CertifiedEdges):
-    """Certified edge set that records every edit in an OpLog."""
+    """Certified edge set that records every edit in an OpLog.
+
+    From its first geodesic query on, it also keeps the triangulation of the
+    geodesic environment in step with the graph: ``env`` is the environment
+    of the last graph queried, and each edit after that query constrains an
+    inserted edge in ``env.T`` or drops a deleted edge's constraint mark.
+    """
 
     def __init__(self, g: Pslg, ceiling: float):
         super().__init__(g, ceiling + LENGTH_TOL)
         self.log = OpLog()
+        self.env = None
+        self._lengths = {}
+
+    def edge_length(self, e):
+        """``dist`` between the endpoints of edge key ``e``, computed once."""
+        d = self._lengths.get(e)
+        if d is None:
+            d = self._lengths[e] = dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
+        return d
+
+    def geodesic(self, walk):
+        """``geodesic(self.graph, walk)``, read from the live triangulation."""
+        g = self.graph
+        if self.env is None or self.env.g is not g:
+            self.env = g._face_env = _FaceEnv(g, self.env)
+        return geodesic(g, walk)
+
+    def _follow(self, op, u, v):
+        env = self.env
+        if env.g._face_env is env:
+            env.g._face_env = None  # its triangulation moves on from env.g
+        i, j = env.lid[u], env.lid[v]
+        if op == "insert":
+            insert_constraint(env.T, i, j)
+        else:
+            env.T.constrained.discard(ekey(i, j))
 
     def _record(self, op, u, v, phase, weighted):
         bad = self.edit(op, u, v)
@@ -214,6 +246,8 @@ class _Editor(_CertifiedEdges):
             raise LemmaViolation(
                 f"{op} {e}: {invariant} violated{': ' + message if message else ''}"
             )
+        if self.env is not None:
+            self._follow(op, u, v)
         self.log.steps.append(OpStep(op, e[0], e[1], phase))
         self.log.snapshots.append(
             Snapshot(
@@ -244,7 +278,11 @@ def euclidean_mst(g: Pslg):
 
 
 def mst_length(g: Pslg):
-    return fsum(dist(g.by_id[u], g.by_id[v]) for u, v in euclidean_mst(g))
+    return _length(g, euclidean_mst(g))
+
+
+def _length(g: Pslg, edges):
+    return fsum(dist(g.by_id[u], g.by_id[v]) for u, v in edges)
 
 
 # -- phases -------------------------------------------------------------
@@ -314,11 +352,10 @@ def _dot_at(g, apex, a, b):
     return (ax - cx) * (bx - cx) + (ay - cy) * (by - cy)
 
 
-def phase3_to_mst(ed: _Editor, tree):
-    """Exchange tree edges for the canonical Euclidean MST: insert a missing
-    MST edge, delete a longest edge of the unique created cycle."""
+def phase3_to_mst(ed: _Editor, tree, target):
+    """Exchange tree edges for the canonical Euclidean MST ``target``: insert
+    a missing MST edge, delete a longest edge of the unique created cycle."""
     g = ed.graph
-    target = euclidean_mst(g)
     tree = set(tree)
     for e in sorted(target - tree):
         ed.insert(e[0], e[1], PHASE_MST)
@@ -340,10 +377,13 @@ def phase3_to_mst(ed: _Editor, tree):
     return tree
 
 
-def _weighted_length(g, poly: WeaklySimplePolygon, edges):
+def _weighted_length(ed: _Editor, poly: WeaklySimplePolygon, edges):
+    """``poly.length(g)`` plus the length of ``edges`` off the polygon, from
+    the editor's memo of edge lengths."""
+    seq, m = poly.seq, len(poly.seq)
     sup = set(poly.edge_multiset())
-    extra = fsum(dist(g.by_id[u], g.by_id[v]) for u, v in edges if (u, v) not in sup)
-    return poly.length(g) + extra
+    around = fsum(ed.edge_length(ekey(seq[i], seq[(i + 1) % m])) for i in range(m))
+    return around + fsum(ed.edge_length(e) for e in edges if e not in sup)
 
 
 def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
@@ -352,19 +392,18 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     delete every other edge between polygon vertices that is off the
     polygon.  Each step's snapshot carries the polygon plus leftover edges
     length.  Returns the validated polygon."""
-    g = ed.graph
     support = set(poly.edge_multiset())
     vc = poly.vertices()
     for e in gone:
         if e not in support:
-            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.graph.edges - {e}))
+            ed.delete(*e, phase, weighted=_weighted_length(ed, poly, ed.graph.edges - {e}))
     for a, b in zip(path, path[1:]):
         e = ekey(a, b)
         if e not in ed.graph.edges:
-            ed.insert(*e, phase, weighted=_weighted_length(g, poly, ed.graph.edges | {e}))
+            ed.insert(*e, phase, weighted=_weighted_length(ed, poly, ed.graph.edges | {e}))
     for e in sorted(ed.graph.edges):
         if e[0] in vc and e[1] in vc and e not in support:
-            ed.delete(*e, phase, weighted=_weighted_length(g, poly, ed.graph.edges - {e}))
+            ed.delete(*e, phase, weighted=_weighted_length(ed, poly, ed.graph.edges - {e}))
     poly.validate(ed.graph)
     return poly
 
@@ -419,7 +458,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         if ems.get(ekey(xq, y), 0) == 0:
             raise LemmaViolation("selected pair edge is not on the polygon")
 
-        geo = geodesic(g_cur, [a_end, y, b_end])
+        geo = ed.geodesic([a_end, y, b_end])
         gids = geo.ids() if a_end == xq else geo.ids()[::-1]  # from xq to zq
 
         # splice: replace one copy of edge (xq, y) by xq .. geodesic .. zq, y
@@ -442,7 +481,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
         poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW)
-        wl = _weighted_length(g, poly, ed.graph.edges)
+        wl = _weighted_length(ed, poly, ed.graph.edges)
         if wl > bound:
             raise LemmaViolation(
                 f"phase 4 weighted length {wl:.9g} exceeds 2*MST {bound:.9g}"
@@ -462,7 +501,6 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         guard += 1
         if guard > 4 * g.n * g.n + 16:
             raise LemmaViolation("phase 5 exceeded its step budget")
-        g_cur = ed.graph
         mult = poly.multiplicity()
         m = len(poly.seq)
         best = None
@@ -485,7 +523,7 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         if cr == 0:
             raise LemmaViolation("degenerate corner in phase 5")
         walk = [prev, vtx, nxt] if cr > 0 else [nxt, vtx, prev]
-        geo = geodesic(g_cur, walk)
+        geo = ed.geodesic(walk)
         gids = geo.ids() if cr > 0 else geo.ids()[::-1]
         # replace (prev, vtx, nxt) at position j by the geodesic
         old_len = poly.length(g)
@@ -501,7 +539,7 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         # the polygon elsewhere), keeping the intermediate length monotone
         corner = sorted({ekey(prev, vtx), ekey(vtx, nxt)})
         poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY)
-        if _weighted_length(g, poly, ed.graph.edges) > bound:
+        if _weighted_length(ed, poly, ed.graph.edges) > bound:
             raise LemmaViolation("phase 5 exceeded 2*MST")
     return poly
 
@@ -510,14 +548,15 @@ def transform(g: Pslg):
     """Run phases 1-5; returns (final cycle graph, polygon, OpLog)."""
     require_augmentable(g)
     base_len = g.total_length()
-    mst_len = mst_length(g)
+    mst = euclidean_mst(g)
+    mst_len = _length(g, mst)
     ed = _Editor(g, ceiling=base_len + mst_len)
     ed.log.stats["base_length"] = base_len
     ed.log.stats["mst_length"] = mst_len
 
     tree = phase1_spanning_tree(ed)
     tree, _ = phase2_to_delaunay_tree(ed, tree)
-    tree = phase3_to_mst(ed, tree)
+    tree = phase3_to_mst(ed, tree, mst)
     poly = phase4_grow_cycle(ed, tree, mst_len)
     poly = phase5_simplify(ed, poly, mst_len)
 

@@ -2,8 +2,9 @@
 
 Works on exact integer (or rational) coordinates with local point indices.
 The same machinery backs the geodesic face environment (constrained, no
-Delaunay requirement) and the dynamic-transform phase 2 (unconstrained
-Lawson flips to the Delaunay triangulation).
+Delaunay requirement; the cycle morph keeps one alive and edits it) and the
+dynamic-transform phase 2 (unconstrained Lawson flips to the Delaunay
+triangulation).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ def _ek(i, j):
 
 
 class Triangulation:
-    """Triangle soup over indexed points with edge adjacency.
+    """Triangle soup over indexed points with edge and vertex adjacency.
 
     Triangles are stored as CCW tuples canonically rotated to start at the
     smallest index.
@@ -29,6 +30,7 @@ class Triangulation:
         self.pts = list(pts)  # local index -> (x, y) exact
         self.tris = set()
         self.edge_tris = {}  # (i, j) i<j -> set of triangles
+        self.vertex_tris = {}  # i -> list of triangles with corner i
         self.constrained = set()
 
     # -- predicates on local indices -----------------------------------
@@ -60,6 +62,8 @@ class Triangulation:
         self.tris.add(t)
         for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
             self.edge_tris.setdefault(_ek(*e), set()).add(t)
+        for v in t:
+            self.vertex_tris.setdefault(v, []).append(t)
         return t
 
     def remove_tri(self, t):
@@ -69,6 +73,11 @@ class Triangulation:
             self.edge_tris[k].discard(t)
             if not self.edge_tris[k]:
                 del self.edge_tris[k]
+        for v in t:
+            ts = self.vertex_tris[v]
+            ts.remove(t)
+            if not ts:
+                del self.vertex_tris[v]
 
     def edges(self):
         return set(self.edge_tris)
@@ -176,7 +185,7 @@ def insert_constraint(T: Triangulation, u, w):
     ux, uy = T.pts[u]
     wx, wy = T.pts[w]
     start = None
-    for t in sorted({t for ts in T.edge_tris.values() for t in ts if u in t}):
+    for t in sorted(T.vertex_tris.get(u, ())):
         a, b, c = t
         # order so the triangle reads (u, p, q) CCW: wedge from ray u->p to u->q
         if a == u:
