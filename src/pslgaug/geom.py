@@ -1,10 +1,10 @@
 """Exact geometric predicates and metric helpers.
 
 All combinatorial decisions (orientation, crossing, convexity, in-circle)
-are made in exact rational arithmetic: coordinates are ints or
-fractions.Fraction, never floats.  Euclidean lengths are reported as
-double-precision floats; exact comparisons of lengths go through squared
-distances.
+are made in exact rational arithmetic: a coordinate is an int when it is
+integral and a fractions.Fraction otherwise, never a float.  Euclidean
+lengths are reported as double-precision floats; exact comparisons of
+lengths go through squared distances.
 """
 
 from __future__ import annotations
@@ -27,23 +27,28 @@ class DegenerateInput(ValueError):
 
 
 def to_rational(value):
-    """Convert a decimal string, int or Fraction to an exact rational.
+    """Convert a decimal string, int or Fraction to an exact rational: an
+    int when the value is integral ("12", "1e3", "4.0", Fraction(8, 2)),
+    else a Fraction.  Int arithmetic is many times faster than Fraction
+    arithmetic in every predicate and length.
 
-    Floats are rejected: binary floats do not round-trip through the
-    exact predicates.
+    Floats and bools are rejected: binary floats do not round-trip through
+    the exact predicates, and a bool is no coordinate.
     """
-    if isinstance(value, (int, Fraction)):
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
-        return Fraction(value)
-    raise TypeError(f"expected int, Fraction or decimal string, got {type(value).__name__}")
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"expected int, Fraction or decimal string, got {type(value).__name__}")
+    return value.numerator if value.denominator == 1 else value
 
 
 @dataclass(frozen=True)
 class Point:
     id: int
-    x: Fraction
-    y: Fraction
+    x: int | Fraction  # int when integral; see to_rational
+    y: int | Fraction
 
     @staticmethod
     def make(pid, x, y) -> "Point":

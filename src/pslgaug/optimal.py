@@ -29,8 +29,6 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import fsum
 
-import numpy as np
-
 from .geom import dist, ekey, in_ccw_sector, segments_properly_cross
 from .pslg import (
     LemmaViolation,
@@ -41,6 +39,22 @@ from .pslg import (
     facial_walks,
     require_augmentable,
 )
+
+
+class _LazyNumpy:
+    """Stands in for numpy until a DP first reads it, so that importing
+    pslgaug and every command without a DP stay free of numpy's import
+    time.  The first attribute read imports numpy and rebinds the module
+    global ``np`` to it; later reads cost nothing extra."""
+
+    def __getattr__(self, name):
+        global np
+        import numpy as np
+
+        return getattr(np, name)
+
+
+np = _LazyNumpy()
 
 MODE_2VC = "2vc"
 MODE_2EC = "2ec"

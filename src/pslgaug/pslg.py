@@ -155,9 +155,10 @@ class Pslg:
         ``edge_pairs``.  Their general position rules out an edge through a
         vertex, so only crossings are tested, and only for pairs that include
         an edge not in ``self.edges`` and whose bounding boxes meet (see
-        _raise_first_crossing); rotations are re-sorted only at endpoints of
-        added or removed edges.  Raises InvalidInstance or CrossingEdges with
-        the offending ids."""
+        _raise_first_crossing).  Only endpoints of added or removed edges get
+        a new rotation, sorted from their old rotation plus or minus the
+        changed edges, so an edit does not rebuild the whole adjacency.
+        Raises InvalidInstance or CrossingEdges with the offending ids."""
         edges = set()
         for u, v in edge_pairs:
             if u not in self.by_id or v not in self.by_id:
@@ -174,10 +175,17 @@ class Pslg:
         if added:
             _raise_first_crossing(edges, added, ix, iy)
 
+        removed = self.edges - edges
+        nbrs = {v: set(self.rotation[v]) for e in removed | added for v in e}
+        for u, v in removed:
+            nbrs[u].remove(v)
+            nbrs[v].remove(u)
+        for u, v in added:
+            nbrs[u].add(v)
+            nbrs[v].add(u)
         rotation = dict(self.rotation)
-        adj = adjacency(edges)
-        for v in {v for e in edges ^ self.edges for v in e}:
-            rotation[v] = tuple(polar_sort(self.ipt(v), adj.get(v, ()), self.ipt))
+        for v, ns in nbrs.items():
+            rotation[v] = tuple(polar_sort(self.ipt(v), ns, self.ipt))
         return Pslg(self.points, self.by_id, frozenset(edges), rotation, ix, iy)
 
 
@@ -531,8 +539,9 @@ def connectivity(g: Pslg) -> ConnectivityReport:
 
 
 def require_augmentable(g: Pslg):
-    rep = connectivity(g)
-    if not rep.connected:
+    """Raise InvalidInstance unless g is connected (an empty graph is not)
+    and has at least 3 vertices."""
+    if not g.points or len(reach(g.rotation, g.points[0].id)) != g.n:
         raise InvalidInstance("graph is not connected")
     if g.n < 3:
         raise InvalidInstance("need at least 3 vertices")

@@ -338,3 +338,51 @@ def test_console_entry_point(fig3_file):
     )
     assert proc.returncode == 0
     assert "4 points" in proc.stdout
+
+
+def _child_stdout(code, *args):
+    """Standard output of a fresh interpreter running ``code`` on the
+    package under src/."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        cwd=str(ROOT),
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    ).stdout
+
+
+@pytest.mark.parametrize("module", ["pslgaug", "pslgaug.cli"])
+def test_import_does_not_load_numpy(module):
+    assert _child_stdout(f"import sys, {module}; print('numpy' in sys.modules)") == "False\n"
+
+
+def test_numpy_loads_at_the_first_dp(tmp_path):
+    inst, oplog = str(tmp_path / "inst.json"), str(tmp_path / "run.jsonl")
+    commands = [
+        ["gen", "--n", "12", "--seed", "7", "--density", "0.4", "-o", inst],
+        ["validate", inst],
+        ["transform", inst, "--oplog", oplog],
+        ["replay", inst, oplog],
+        ["augment", inst, "--mode", "heur2vc"],
+        ["augment", inst, "--mode", "opt2vc"],
+    ]
+    out = _child_stdout(
+        "import contextlib, io, json, sys\n"
+        "from pslgaug.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        code = main(argv)\n"
+        "    print(argv[0], code, 'numpy' in sys.modules)\n",
+        json.dumps(commands),
+    )
+    assert out.splitlines() == [
+        "gen 0 False",
+        "validate 0 False",
+        "transform 0 False",
+        "replay 0 False",
+        "augment 0 False",
+        "augment 0 True",
+    ]

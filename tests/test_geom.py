@@ -13,6 +13,7 @@ from pslgaug import (
     DegenerateInput,
     Point,
     Segment,
+    build,
     ccw_angle_class,
     convex_hull,
     incircle,
@@ -20,9 +21,37 @@ from pslgaug import (
     orient,
     properly_cross,
 )
-from pslgaug.geom import angle_less, collinear_pair, dist2, in_ccw_sector, orient_xy
+from pslgaug.geom import angle_less, collinear_pair, dist2, in_ccw_sector, orient_xy, to_rational
 
 P = Point.make
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [("12", 12), ("-3", -3), ("1e3", 1000), ("4.0", 4), ("-0", 0), (7, 7), (Fraction(8, 2), 4)],
+)
+def test_to_rational_gives_int_for_integral_values(value, expected):
+    got = to_rational(value)
+    assert type(got) is int and got == expected
+
+
+def test_to_rational_keeps_fraction_for_non_integral_values():
+    for value, expected in (("0.5", Fraction(1, 2)), ("-1.25", Fraction(-5, 4)),
+                            (Fraction(7, 3), Fraction(7, 3))):
+        got = to_rational(value)
+        assert type(got) is Fraction and got == expected
+
+
+@pytest.mark.parametrize("value", [0.5, 2.0, True, False, None])
+def test_to_rational_rejects_floats_and_bools(value):
+    with pytest.raises(TypeError, match=f"got {type(value).__name__}$"):
+        to_rational(value)
+
+
+@pytest.mark.parametrize("coord", [True, 1.0])
+def test_build_rejects_bool_like_float(coord):
+    with pytest.raises(TypeError, match="expected int, Fraction or decimal string"):
+        build([(0, coord, 0), (1, 5, 1), (2, 3, 7)], [(0, 1), (1, 2)])
 
 
 def test_orient_examples():

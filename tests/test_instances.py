@@ -1,9 +1,27 @@
+import json
 from fractions import Fraction
 
 import pytest
 
-from pslgaug import augment_2vc, build, optimal_augment, transform
-from pslgaug.instances import generate, instance_hash
+from pslgaug import (
+    Point,
+    PslgError,
+    augment_2ec,
+    augment_2vc,
+    build,
+    optimal_augment,
+    replay,
+    transform,
+    verify,
+)
+from pslgaug.instances import (
+    generate,
+    instance_hash,
+    oplog_from_jsonl,
+    oplog_to_jsonl,
+    parse,
+    serialize,
+)
 
 # The benchmark's frozen instance pool (perfbench/reference.json) relies on
 # generate staying byte-identical.
@@ -20,6 +38,71 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_generate_golden_hash(case):
     assert instance_hash(generate(*case)) == GOLDEN[case]
+
+
+def test_parse_gives_ints_for_integral_coordinates():
+    doc = {
+        "format_version": 1,
+        "points": [
+            {"id": 0, "x": "12", "y": "-3"},
+            {"id": 1, "x": "1e3", "y": "4.0"},
+            {"id": 2, "x": "0.5", "y": "7"},
+        ],
+        "edges": [[0, 1], [1, 2]],
+    }
+    g = parse(json.dumps(doc))
+    assert [(p.x, p.y) for p in g.points] == [(12, -3), (1000, 4), (Fraction(1, 2), 7)]
+    assert [(type(p.x), type(p.y)) for p in g.points] == [(int, int), (int, int), (Fraction, int)]
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_serialize_parse_round_trip_is_byte_identical(case):
+    g = generate(*case)
+    shifted = build([(p.id, Fraction(p.x, 2), p.y - Fraction(1, 8)) for p in g.points], g.edges)
+    for h in (g, shifted):
+        text = serialize(h)
+        assert serialize(parse(text)) == text
+    assert instance_hash(parse(serialize(g))) == GOLDEN[case]
+
+
+def _all_outputs(g):
+    """The morph's op log, polygon, final edges, stats and replay report, and
+    the added edges, total and verify report of each augmentation; an
+    exception's class and message in place of an output."""
+    out = {}
+
+    def record(key, fn):
+        try:
+            out[key] = fn()
+        except PslgError as exc:
+            out[key] = (type(exc).__name__, str(exc))
+
+    def morph():
+        final, poly, log = transform(g)
+        jsonl = oplog_to_jsonl(log.steps)
+        return jsonl, poly.seq, sorted(final.edges), log.stats, replay(g, oplog_from_jsonl(jsonl))
+
+    def augment(fn, mode):
+        res = fn(g)
+        return res.added, res.total_added_length, verify(g, res.added, mode)
+
+    record("transform", morph)
+    record("heur2ec", lambda: augment(augment_2ec, "2ec"))
+    record("heur2vc", lambda: augment(augment_2vc, "2vc"))
+    record("opt2ec", lambda: augment(lambda h: optimal_augment(h, "2ec"), "2ec"))
+    record("opt2vc", lambda: augment(lambda h: optimal_augment(h, "2vc"), "2vc"))
+    return out
+
+
+def test_int_and_fraction_coordinates_give_identical_outputs():
+    # parse and generate give int coordinates; a Point may still carry an
+    # integral Fraction, and every output must be the same on it
+    for i in range(40):
+        g = generate(6 + i % 17, 100 + i, (0.2, 0.4, 0.6, 0.3)[i % 4])
+        h = build([Point(p.id, Fraction(p.x), Fraction(p.y)) for p in g.points], g.edges)
+        assert all(type(p.x) is int and type(p.y) is int for p in g.points)
+        assert all(type(p.x) is Fraction and type(p.y) is Fraction for p in h.points)
+        assert _all_outputs(h) == _all_outputs(g), i
 
 
 def similar(g, scale, offset):

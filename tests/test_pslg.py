@@ -27,7 +27,7 @@ from pslgaug.geom import (
     segments_properly_cross,
 )
 from pslgaug.instances import generate
-from pslgaug.pslg import adjacency
+from pslgaug.pslg import adjacency, require_augmentable
 
 
 def test_build_fig3(fig3):
@@ -321,6 +321,45 @@ def test_connectivity_disconnected():
     rep = connectivity(g)
     assert len(rep.components) == 2
     assert not rep.connected
+
+
+def reference_require_augmentable(g):
+    """require_augmentable on the full connectivity report (cut vertices and
+    bridges too), as it was before it tested connectedness by one search."""
+    rep = connectivity(g)
+    if not rep.connected:
+        raise InvalidInstance("graph is not connected")
+    if g.n < 3:
+        raise InvalidInstance("need at least 3 vertices")
+
+
+def _raised(fn, g):
+    try:
+        fn(g)
+    except PslgError as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+def test_require_augmentable_matches_reference():
+    rng = random.Random(31)
+    graphs = [
+        build([], []),
+        build([(5, "1", "2")], []),
+        build([(0, "0", "0"), (1, "1", "0")], []),
+        build([(0, "0", "0"), (1, "1", "0")], [(0, 1)]),
+    ]
+    for seed in range(40):
+        g = generate(rng.randrange(3, 30), 500 + seed, rng.choice([0.0, 0.4, 0.8]))
+        graphs.append(g)
+        graphs.append(g.with_edges([e for e in sorted(g.edges) if rng.random() < 0.7]))
+    kinds = Counter()
+    for g in graphs:
+        got = _raised(require_augmentable, g)
+        assert got == _raised(reference_require_augmentable, g), (g.n, sorted(g.edges))
+        kinds[got] += 1
+    assert kinds[None] >= 40 and len(kinds) == 3, kinds
+    assert kinds[("InvalidInstance", "need at least 3 vertices")] == 2
 
 
 def test_decomposition_triangle(triangle):
