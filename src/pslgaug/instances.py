@@ -63,7 +63,8 @@ def parse(text: str) -> Pslg:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise InvalidInstance(f"not valid JSON: {e}") from None
-    if not isinstance(doc, dict) or doc.get("format_version") != FORMAT_VERSION:
+    version = doc.get("format_version") if isinstance(doc, dict) else None
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise InvalidInstance("missing or unsupported format_version")
     try:
         entries = [(p["id"], p["x"], p["y"]) for p in doc["points"]]

@@ -12,20 +12,27 @@ are scored by the feasibility matrix: a chord between two walk positions is
 usable iff its segment avoids every face edge and leaves both endpoints
 strictly inside the angular sector of the face at those occurrences.
 
-The table is filled one diagonal t - s = L at a time, each cell reading
-only shorter intervals.  Per diagonal, the trivial (ZERO) and, for 2vc,
-p_s = p_t (INF) cells are set by masks, and the chord-at-p_s split of every
-remaining cell is one gather of C[s, k] + C[k, t] + W[s, k] with a row-wise
-first-minimum.  Only cells whose head p_s is a cut (PAIR) loop in Python:
-their O(n^2) chord-pair scan reads a block cached per head s and its anchor
-(the descendant and non-descendant positions, W on their product, and the
-already-final C[s, D] + C[D, N] columns), so the O(n^4) total stays numpy
-arithmetic.
+Feasibility runs its sector, crossing and winding tests on the scaled
+integer coordinates: as int64 numpy batches over all position pairs when
+the face has at least _BATCH_MIN_SLOTS positions and its coordinates fit
+_INT64_COORD_MAX, and one pair at a time on Python ints otherwise.
+
+The DP reads only feasible chords.  Let f be their number, about 6% of the
+position pairs on large random faces.  A cell (s, t) whose head p_s is not
+a cut takes SKIP, C[s + 1, t], or SPLIT at a feasible chord (s, k); a cut
+head takes the best PAIR of chords (i, j), i a descendant of p_s and j a
+later non-descendant, or SPLIT beyond the anchor.  Everything that does not
+depend on C (cell classes, anchors, every cell's SPLIT range) is set up once
+per face, and the PAIR candidates of a (head, anchor) block at its first
+cell; each diagonal t - s = L then gathers, for all its cells at once, the
+C values of their candidates and takes each cell's first minimum.  SPLIT
+costs O(f) per cell; PAIR costs the block's feasible (i, j) with j <= t and
+C[s, i] finite, O(f) per cell as well, so a face costs O(n^2 f) instead of
+the dense O(n^4).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import fsum
 
@@ -154,11 +161,55 @@ def _winding_ok(segs, is_outer, mx2, my2):
     return wind == (0 if is_outer else -1)
 
 
+# Largest |scaled coordinate| at which the int64 feasibility kernel is exact.
+# With |x|, |y| <= B on the face, a coordinate difference is at most 2B and
+# the widest factor, the winding test's my2 - 2 ay = (uy - ay) + (vy - ay),
+# at most 4B, so no product exceeds 8 B^2 in absolute value.  Each sum of two
+# products is a dot product (at most |p| |q| <= 8 B^2), twice the area of a
+# triangle in the 2B-square (at most 4 B^2) or the winding's sum of two such
+# areas (at most 8 B^2).  8 B^2 < 2^63 for B = 2^30 - 1, while at B = 2^30
+# the product (bx - ax) (my2 - 2 ay) can reach 2^31 * 2^32 = 2^63.
+_INT64_COORD_MAX = 2**30 - 1
+
+# Faces with fewer walk positions take the Python loop: below this the
+# numpy set-up of the batch kernel costs more than it saves (measured).
+_BATCH_MIN_SLOTS = 16
+
+# Elements per temporary array of a batch, so that a large face never holds
+# a whole chord-by-edge matrix.
+_CHUNK = 8192
+
+
 def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
     """Chord weight matrix over walk positions: F[i, j] is the segment
-    length when the chord is usable, +inf otherwise."""
+    length when the chord is usable, +inf otherwise.
+
+    A face of at least _BATCH_MIN_SLOTS positions whose scaled coordinates
+    all lie within _INT64_COORD_MAX runs the int64 batch kernel; any other
+    face the Python loop on exact ints.  Both give the same F."""
     n = w.n
     F = np.full((n + 1, n + 1), np.inf)
+    if n >= _BATCH_MIN_SLOTS and _fits_int64(g, w):
+        pairs = _feasible_pairs_int64(g, w, is_outer)
+    else:
+        pairs = _feasible_pairs_exact(g, w, is_outer)
+    by_id, seq = g.by_id, w.seq
+    for i, j in pairs:
+        F[i, j] = F[j, i] = dist(by_id[seq[i]], by_id[seq[j]])
+    return F
+
+
+def _fits_int64(g: Pslg, w: IndexedWalk) -> bool:
+    ix, iy = g._ix, g._iy
+    return all(
+        abs(ix[v]) <= _INT64_COORD_MAX and abs(iy[v]) <= _INT64_COORD_MAX
+        for v in set(w.seq)
+    )
+
+
+def _feasible_pairs_exact(g: Pslg, w: IndexedWalk, is_outer: bool):
+    """The usable chords (i, j), i < j, one pair of positions at a time."""
+    n = w.n
     ix, iy = g._ix, g._iy
     face_edges = set()
     for i in range(1, n + 1):
@@ -216,170 +267,376 @@ def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
                 continue
             if not _winding_ok(segs, is_outer, uxi + vxj, uyi + vyj):
                 continue
-            F[i, j] = F[j, i] = dist(g.by_id[u], g.by_id[v])
-    return F
+            yield i, j
+
+
+def _chunks(size, width):
+    """Slices of range(size) of about _CHUNK // width items each."""
+    step = max(1, _CHUNK // max(width, 1))
+    for lo in range(0, size, step):
+        yield slice(lo, lo + step)
+
+
+def _in_sector_batch(cuv, ux, uy, wx, wy, dx, dy):
+    """in_ccw_sector over arrays.  The points are in general position, so a
+    sector with cuv == 0 is a leaf corner (rays u and w the same)."""
+    cud = ux * dy - uy * dx
+    cdv = dx * wy - dy * wx
+    leaf = ~((cud == 0) & (ux * dx + uy * dy > 0))
+    return np.where(
+        cuv > 0, (cud > 0) & (cdv > 0), np.where(cuv < 0, (cud > 0) | (cdv > 0), leaf)
+    )
+
+
+def _feasible_pairs_int64(g: Pslg, w: IndexedWalk, is_outer: bool):
+    """The usable chords (i, j), i < j, by the tests of
+    _feasible_pairs_exact run as int64 batches over position pairs.
+
+    The points are in general position (``build`` rejects collinear
+    triples), so the orientation of three distinct points is never zero and
+    a chord properly crosses a face edge with no shared endpoint iff each
+    segment's endpoints lie strictly on opposite sides of the other's line.
+    With a shared endpoint an orientation is zero, which puts that endpoint
+    on neither side and leaves the pair uncounted, as the loop skips it."""
+    n, seq = w.n, w.seq
+    verts = sorted(set(seq))
+    local = {v: k for k, v in enumerate(verts)}
+    VX = np.array([g._ix[v] for v in verts], dtype=np.int64)
+    VY = np.array([g._iy[v] for v in verts], dtype=np.int64)
+
+    # per position 1..n (array index 0..n-1): vertex, and its corner's rays
+    lv = np.array([local[v] for v in seq[1 : n + 1]], dtype=np.int64)
+    corners = [w.neighbors(i) for i in range(1, n + 1)]
+    lp = np.array([local[p] for p, _ in corners], dtype=np.int64)
+    ln = np.array([local[q] for _, q in corners], dtype=np.int64)
+    X, Y = VX[lv], VY[lv]
+    UX, UY, WX, WY = VX[lp] - X, VY[lp] - Y, VX[ln] - X, VY[ln] - Y
+    CUV = UX * WY - UY * WX
+
+    # both sector tests, a block of rows at a time.  A face corner at u lies
+    # between two edges that are consecutive around u, so no edge of g at u
+    # points strictly into it: the sector test also rules out every chord
+    # that is an edge, and only a repeated vertex needs its own test.
+    I, J = [], []
+    pos = np.arange(n)
+    for rows in _chunks(n, n):
+        r = pos[rows][:, None]
+        c = pos[r[0, 0] + 1 :]
+        DX, DY = X[c] - X[r], Y[c] - Y[r]
+        ok = (c > r) & (lv[r] != lv[c])
+        ok &= _in_sector_batch(CUV[r], UX[r], UY[r], WX[r], WY[r], DX, DY)
+        ok &= _in_sector_batch(CUV[c], UX[c], UY[c], WX[c], WY[c], -DX, -DY)
+        ri, ci = np.nonzero(ok)
+        I.append(r[ri, 0])
+        J.append(c[ci])
+    I, J = np.concatenate(I), np.concatenate(J)
+
+    # the walk's segments SA[k] -> SB[k], and its edges EA[e] - EB[e]
+    SA = np.array([local[a] for a in seq[: w.closed_m]], dtype=np.int64)
+    SB = np.array([local[b] for b in seq[1 : w.closed_m + 1]], dtype=np.int64)
+    EA, EB = np.array(sorted({ekey(a, b) for a, b in zip(SA.tolist(), SB.tolist())})).T
+
+    # crossings with the face's edges: vertex k lies strictly left of edge
+    # e's line iff left[e, k], strictly right iff right[e, k]
+    ex, ey = (VX[EB] - VX[EA])[:, None], (VY[EB] - VY[EA])[:, None]
+    side = ex * (VY - VY[EA][:, None]) - ey * (VX - VX[EA][:, None])
+    left, right = side > 0, side < 0
+    keep = np.ones(I.size, dtype=bool)
+    for b in _chunks(I.size, max(len(verts), len(EA))):
+        u, v = lv[I[b]], lv[J[b]]
+        ux, uy = VX[u][:, None], VY[u][:, None]
+        chord = (VX[v][:, None] - ux) * (VY - uy) - (VY[v][:, None] - uy) * (VX - ux)
+        cl, cr = chord > 0, chord < 0
+        hit = (cl[:, EA] & cr[:, EB]) | (cr[:, EA] & cl[:, EB])
+        hit &= ((left[:, u] & right[:, v]) | (right[:, u] & left[:, v])).T
+        keep[b] = ~hit.any(axis=1)
+    I, J = I[keep], J[keep]
+
+    # winding number of the walk around each chord's (doubled) midpoint; sd
+    # is half the determinant _winding_ok computes on doubled coordinates
+    AX2, AY2, BY2 = 2 * VX[SA], 2 * VY[SA], 2 * VY[SB]
+    SDX, SDY = VX[SB] - VX[SA], VY[SB] - VY[SA]
+    target = 0 if is_outer else -1
+    keep = np.ones(I.size, dtype=bool)
+    for b in _chunks(I.size, SA.size):
+        mx, my = (X[I[b]] + X[J[b]])[:, None], (Y[I[b]] + Y[J[b]])[:, None]
+        sd = SDX * (my - AY2) - SDY * (mx - AX2)
+        up = (AY2 <= my) & (my < BY2) & (sd > 0)
+        down = (BY2 <= my) & (my < AY2) & (sd < 0)
+        keep[b] = up.sum(axis=1) - down.sum(axis=1) == target
+    return zip((I[keep] + 1).tolist(), (J[keep] + 1).tolist())
 
 
 def _prefix_tables(w: IndexedWalk):
     """has_repeat[s][t], each slot's later mate slot (or 0), has_bridge[s][t]."""
-    n = w.n
-    vert = w.vert
-    prv = np.zeros(n + 1, dtype=np.int64)
+    n, seq = w.n, w.seq
+    prv = np.zeros(n + 2, dtype=np.int64)  # previous occurrence of p_i, or 0
     last = {}
     for i in range(1, n + 1):
-        prv[i] = last.get(int(vert[i]), 0)
-        last[int(vert[i])] = i
-    has_rep = np.zeros((n + 2, n + 2), dtype=bool)
-    for s in range(1, n + 1):
-        if s + 1 <= n:
-            run = np.maximum.accumulate(prv[s + 1 : n + 1])
-            has_rep[s, s + 1 : n + 1] = run >= s
+        prv[i] = last.get(seq[i], 0)
+        last[seq[i]] = i
 
     mate = np.zeros(n + 1, dtype=np.int64)  # partner slot (later one) or 0
-    mate_prev = np.zeros(n + 1, dtype=np.int64)
+    mate_before = np.zeros(n + 2, dtype=np.int64)  # [t]: slot t-1's earlier mate
     seen = {}
     for c in range(1, n):  # slots 1..n-1: edge between positions c, c+1
-        e = ekey(int(vert[c]), int(vert[c + 1]))
+        e = ekey(seq[c], seq[c + 1])
         if e in seen:
             mate[seen[e]] = c
-            mate_prev[c] = seen[e]
+            mate_before[c + 1] = seen[e]
         else:
             seen[e] = c
-    has_br = np.zeros((n + 2, n + 2), dtype=bool)
-    for s in range(1, n):
-        run = np.maximum.accumulate(mate_prev[s : n])
-        # has_bridge(s, t) when some slot c <= t-1 has its mate in [s, c)
-        has_br[s, s + 1 : n + 1] = run >= s
-    return has_rep, mate, has_br
+
+    rows = np.arange(n + 2)[:, None]
+    cols = np.arange(n + 2)
+    inside = (cols > rows) & (cols <= n) & (rows >= 1)
+
+    def reaches_back(back):
+        """[s, t]: some back[q], s < q <= t, is at least s."""
+        run = np.maximum.accumulate(np.where(cols > rows, back, 0), axis=1)
+        return inside & (run >= rows)
+
+    # has_repeat(s, t) when some p_q, s < q <= t, occurred before in [s, q);
+    # has_bridge(s, t) when some slot c <= t-1 has its mate in [s, c)
+    return reaches_back(prv), mate, reaches_back(mate_before)
 
 
 def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     """The DP tables C, case, k1, k2 over the cells 1 <= s <= t <= n, filled
-    one diagonal t - s = L at a time; every cell reads only shorter ones."""
-    n = w.n
-    vert = w.vert
+    one diagonal t - s = L at a time; every cell reads only shorter ones.
+
+    Everything that does not depend on C is set up once for the face: the
+    ZERO and INF cells, and for the other (live) cells, in diagonal order,
+    their cut status, anchor and SPLIT range.  A diagonal then only gathers
+    the C values its candidates read and takes first minima."""
+    n, n2, vert = w.n, w.n + 2, w.vert
     has_rep, mate, has_br = _prefix_tables(w)
-    trivial = ~(has_rep if mode == MODE_2VC else has_br)
-    # the head p_s of (s, t) is a cut iff t >= cut_from[s]: p_s occurs again
-    # in (s, t] (2vc), or the edge of slot s has its mate slot in (s, t) (2ec)
-    cut_from = np.full(n + 1, n + 1, dtype=np.int64)
+    C = np.full((n2, n2), np.inf)
+    Cf = C.reshape(-1)
+    case = np.zeros((n2, n2), dtype=np.uint8)
+    k1 = np.zeros((n2, n2), dtype=np.int64)
+    k2 = np.zeros((n2, n2), dtype=np.int64)
+
+    # every cell, by diagonal and then s
+    per_diag = np.arange(n, 0, -1)
+    start = per_diag.cumsum() - per_diag
+    S = np.arange(1, n * (n + 1) // 2 + 1) - start.repeat(per_diag)
+    T = S + np.arange(n).repeat(per_diag)
+    zero = ~(has_rep if mode == MODE_2VC else has_br)[S, T]
+    C[S[zero], T[zero]] = 0.0
+    live = ~zero
     if mode == MODE_2VC:
-        for ps in w.occ.values():
+        inf = live & (vert[S] == vert[T])
+        case[S[inf], T[inf]] = _CASE_INF
+        live &= ~inf
+    S, T = S[live], T[live]
+    if not S.size:
+        return C, case, k1, k2
+    diag = np.searchsorted(T - S, np.arange(n + 1)).tolist()
+
+    # The head p_s of (s, t) is a cut iff t >= cut_from[s]: p_s occurs again
+    # in (s, t] (2vc), or the edge of slot s has its mate slot in (s, t)
+    # (2ec).  The anchor is the last occurrence of p_s in [s, t] (2vc), or
+    # that mate slot (2ec).  first[q], the first position of p_q, numbers
+    # the face's vertices.
+    cut_from = np.full(n + 1, n + 1, dtype=np.int64)
+    first = np.zeros(n + 1, dtype=np.int64)
+    for ps in w.occ.values():
+        first[ps] = ps[0]
+        if mode == MODE_2VC:
             cut_from[ps[:-1]] = ps[1:]
+    if mode == MODE_2VC:
+        occ = np.array([ps[0] * n2 + p for ps in sorted(w.occ.values()) for p in ps])
+        anchor = occ[np.searchsorted(occ, first[S] * n2 + T, side="right") - 1] % n2
     else:
         cut_from[mate > 0] = mate[mate > 0] + 1
+        anchor = mate[S]
+    cut = T >= cut_from[S]
 
-    C = np.full((n + 2, n + 2), np.inf)
-    case = np.zeros((n + 2, n + 2), dtype=np.uint8)
-    k1 = np.zeros((n + 2, n + 2), dtype=np.int64)
-    k2 = np.zeros((n + 2, n + 2), dtype=np.int64)
-    # per head s, the PAIR block of its current anchor
-    blocks = {}
+    # result of every live cell, by its index in S; C[0, 0] is +inf, so a
+    # cut reads +inf where the others read their SKIP value C[s + 1, t]
+    skip = np.where(cut, 0, (S + 1) * n2 + T)
+    rcase = np.where(cut, _CASE_INF, _CASE_SKIP).astype(np.uint8)
+    r1 = np.zeros(S.size, dtype=np.int64)
+    r2 = np.zeros(S.size, dtype=np.int64)
+
+    P = np.flatnonzero(cut)
+    pool = _PairPool(w, W, mode, first, S[P], T[P], anchor[P])
+    pdiag = np.searchsorted(T[P] - S[P], np.arange(n + 1)).tolist()
+
+    # SPLIT candidates: feasible chords (s, k), k >= s + 2, ordered by s and
+    # then k, as flat indices of C[s, k] and of C[k, s] (C[k, s + L] is
+    # C.flat[ks + L]).  A cell (s, t) reads those with lo <= k < t.
+    fs, fk = np.nonzero(np.isfinite(W))
+    keep = fk >= fs + 2
+    fs, fk = fs[keep], fk[keep]
+    sk, ks, w_sk = fs * n2 + fk, fk * n2 + fs, W[fs, fk]
+    lo = S + 2
+    if mode == MODE_2VC:
+        np.maximum(lo, anchor + 1, out=lo)
+    sst = np.searchsorted(sk, S * n2 + lo)
+    sen = np.searchsorted(sk, S * n2 + T)
+    Q = np.flatnonzero(sen > sst)
+    qdiag = np.searchsorted(T[Q] - S[Q], np.arange(n + 1)).tolist()
 
     for L in range(n):
-        S = np.arange(1, n + 1 - L)
-        T = S + L
-        zero = trivial[S, T]
-        C[S[zero], T[zero]] = 0.0
-        live = ~zero
-        if mode == MODE_2VC:
-            inf = live & (vert[S] == vert[T])
-            case[S[inf], T[inf]] = _CASE_INF
-            live &= ~inf
-        S, T = S[live], T[live]
-        if not S.size:
+        a, b = diag[L], diag[L + 1]
+        if a == b:
             continue
-        cut = T >= cut_from[S]
-        best = np.where(cut, np.inf, C[S + 1, T])
-        bcase = np.where(cut, _CASE_INF, _CASE_SKIP).astype(np.uint8)
-        b1 = np.zeros(S.size, dtype=np.int64)
-        b2 = np.zeros(S.size, dtype=np.int64)
-        anchors = np.zeros(S.size, dtype=np.int64)
+        best = Cf[skip[a:b]]
 
-        for r in np.flatnonzero(cut).tolist():
-            s, t = int(S[r]), int(T[r])
-            if mode == MODE_2VC:
-                ps = w.occ[int(vert[s])]
-                anchor = anchors[r] = ps[bisect_right(ps, t) - 1]
-            else:
-                anchor = int(mate[s])
-            blk = blocks.get(s)
-            if blk is None or blk.anchor != anchor:
-                blk = blocks[s] = _PairBlock(w, C, W, mode, s, anchor)
-            found = blk.solve(C, t)
-            if found is not None:
-                best[r], b1[r], b2[r] = found
-                bcase[r] = _CASE_PAIR
+        # PAIR, over the cut cells of the diagonal
+        pa, pb = pdiag[L], pdiag[L + 1]
+        if pb > pa:
+            found, value, i, j = pool.score(Cf, pa, pb, L)
+            R = P[pa:pb][found]
+            best[R - a] = value
+            rcase[R], r1[R], r2[R] = _CASE_PAIR, i, j
 
-        # SPLIT: a chord from p_s to p_k, k in s+2 .. t-1.  At a cut p_s the
+        # SPLIT: a chord from p_s to p_k, k in lo .. t-1.  At a cut p_s the
         # optimum may use such a chord, which the PAIR decomposition cannot
-        # express.  Splitting there is sound for bridges at any k (the
-        # chord's cycle contains the bridge edge); for cut vertices only
-        # beyond the anchor, where the chord's cycle covers all of p_s's
-        # groups and ends at a non-descendant (anchors is 0 off the cuts).
-        if L >= 3:
-            K = S[:, None] + np.arange(2, L)
-            vals = C[S[:, None], K] + C[K, T[:, None]] + W[S[:, None], K]
-            if mode == MODE_2VC:
-                vals[K <= anchors[:, None]] = np.inf
-            m = np.argmin(vals, axis=1)
-            vmin = vals[np.arange(S.size), m]
-            split = vmin < best
-            best[split] = vmin[split]
-            bcase[split] = _CASE_SPLIT
-            b1[split] = S[split] + 2 + m[split]
-            b2[split] = 0
-        C[S, T] = best
-        case[S, T] = bcase
-        k1[S, T] = b1
-        k2[S, T] = b2
+        # express.  Splitting there is sound for bridges at any k >= s + 2
+        # (the chord's cycle contains the bridge edge); for cut vertices
+        # only beyond the anchor, where the chord's cycle covers all of
+        # p_s's groups and ends at a non-descendant.
+        qa, qb = qdiag[L], qdiag[L + 1]
+        if qb > qa:
+            R = Q[qa:qb]
+            idx, offs, cnt = _ranges(sst[R], sen[R])
+            vals = Cf.take(sk.take(idx)) + Cf[L:].take(ks.take(idx))
+            vals += w_sk.take(idx)
+            vmin, k = _first_min(vals, fk, idx, offs, cnt)
+            split = vmin < best[R - a]
+            R = R[split]
+            best[R - a] = vmin[split]
+            rcase[R], r1[R], r2[R] = _CASE_SPLIT, k[split], 0
+        Cf[S[a:b] * n2 + T[a:b]] = best
+    case[S, T], k1[S, T], k2[S, T] = rcase, r1, r2
     return C, case, k1, k2
 
 
-class _PairBlock:
-    """PAIR data of a head s with its anchor: the descendants D of p_s
-    (positions in (s, anchor), except p_s, for 2vc; (s, anchor] for 2ec),
-    the later positions N_full whose vertex is no descendant, W[D, N_full],
-    and A = C[s, D] + C[D, N_full], filled column by column as the cells
-    it reads become final (C[d, q] for d < q <= t, once (s, t) is reached)."""
+def _ranges(st, en):
+    """The concatenated index ranges [st[r], en[r]), none of them empty, and
+    the offset and length of each range in the result."""
+    cnt = en - st
+    offs = cnt.cumsum()
+    idx = np.arange(offs[-1])
+    offs -= cnt
+    idx += (st - offs).repeat(cnt)
+    return idx, offs, cnt
 
-    def __init__(self, w: IndexedWalk, C, W, mode, s, anchor):
-        vert = w.vert
-        if mode == MODE_2VC:
-            D = np.arange(s + 1, anchor)
-            D = D[vert[D] != vert[s]]
-        else:
-            D = np.arange(s + 1, anchor + 1)
-        desc = set(vert[D].tolist())
-        self.anchor = anchor
-        self.D = D
-        self.N_list = [q for q in range(anchor + 1, w.n + 1) if int(vert[q]) not in desc]
-        self.N_full = np.array(self.N_list, dtype=np.int64)
-        self.W_DN = W[D[:, None], self.N_full]
-        self.C_sD = C[s, D][:, None]  # final: every d <= anchor < t
-        self.A = np.empty((D.size, self.N_full.size))
-        self.filled = 0
 
-    def solve(self, C, t):
-        """(value, i, j) of the first minimum of
-        ((C[s, i] + C[i, j]) + C[j, t]) + W[i, j] over i in D and
-        non-descendant j <= t, or None when no such sum is finite."""
-        cnt = bisect_right(self.N_list, t)
-        if not (self.D.size and cnt):
-            return None
-        if cnt > self.filled:
-            cols = self.N_full[self.filled : cnt]
-            self.A[:, self.filled : cnt] = self.C_sD + C[self.D[:, None], cols]
-            self.filled = cnt
-        N = self.N_full[:cnt]
-        M = self.A[:, :cnt] + C[N, t]
-        M += self.W_DN[:, :cnt]
-        flat = int(M.argmin())
-        value = M.flat[flat]
-        if value == np.inf:
-            return None
-        bi, bj = divmod(flat, cnt)
-        return value, int(self.D[bi]), int(N[bj])
+def _first_min(vals, keys, idx, offs, cnt):
+    """Per segment of ``vals`` given by ``offs`` and ``cnt`` (none empty):
+    the minimum and the least keys[idx] among the entries equal to it.  The
+    entries are sums of lengths and +inf, never NaN, so every segment has
+    one."""
+    vmin = np.minimum.reduceat(vals, offs)
+    at = (vals == vmin.repeat(cnt)).nonzero()[0]
+    return vmin, np.minimum.reduceat(keys.take(idx.take(at)), at.searchsorted(offs))
+
+
+class _PairPool:
+    """The PAIR candidates of the cut cells (s, t) of a face, with anchors.
+    A block is one (s, anchor): the chords (i, j) with W[i, j] finite from a
+    descendant i of p_s (positions in (s, anchor), except p_s, for 2vc;
+    (s, anchor] for 2ec) to a later position j whose vertex is no
+    descendant.  A cell scores ((C[s, i] + C[i, j]) + C[j, t]) + W[i, j]
+    over the candidates j <= t of its block, added in that order, so every
+    score is the float a dense scan of the block would compute.
+
+    A block's cells lie on consecutive diagonals.  It joins the pool at its
+    first cell, where every C[s, i] is final, and leaves out each i with
+    C[s, i] = +inf, whose sums are +inf at every cell.  Its candidates are
+    one run of the pool, ordered by j and then i, so a cell (s, t) scores a
+    prefix of the run.  The first cell to reach a candidate caches
+    A = C[s, i] + C[i, j], final by then (i > s, j <= t)."""
+
+    def __init__(self, w: IndexedWalk, W, mode, first, S, T, anchor):
+        self.w, self.W, self.mode, self.first, self.T = w, W, mode, first, T
+        self.n2 = n2 = w.n + 2
+        # blocks numbered by (s, anchor); bid[c] is cut cell c's block
+        key = S * n2 + anchor
+        used = np.zeros(n2 * n2, dtype=bool)
+        used[key] = True
+        self.bid = (used.cumsum() - 1)[key]
+        self.head, self.anchor = np.divmod(used.nonzero()[0], n2)
+        # room for a block: the finite W in rows (s, anchor] and the columns
+        # after the anchor (fin holds prefix counts); only the used part of
+        # the arrays is ever written
+        fin = np.zeros((n2, n2), dtype=np.int64)
+        fin[1:, 1:] = np.isfinite(W).cumsum(axis=0).cumsum(axis=1)
+        lo, a = self.head + 1, self.anchor + 1
+        room = int((fin[a, -1] - fin[lo, -1] - fin[a, a] + fin[lo, a]).sum())
+        self.key = np.empty(room, dtype=np.int64)  # block rank * n2 + j
+        self.rm = np.empty(room, dtype=np.int64)  # i * n2 + j
+        self.js = np.empty(room, dtype=np.int64)  # j * n2 + s
+        self.wv = np.empty(room)  # W[i, j]
+        self.A = np.empty(room)
+        self.top = 0
+        # per block: its rank in the pool, or -1 before its first cell, its
+        # start, and the end of the candidates its cells have reached
+        self.rank = np.full(self.head.size, -1)
+        self.start = np.zeros(self.head.size, dtype=np.int64)
+        self.reached = np.zeros(self.head.size, dtype=np.int64)
+        self.opened = 0
+        self.desc = np.zeros(n2 - 1, dtype=bool)
+
+    def _open(self, Cf, blocks):
+        """Append the candidates of each block in ``blocks``."""
+        n2, vert, first, desc, W = self.n2, self.w.vert, self.first, self.desc, self.W
+        for b in blocks:
+            s, a = self.head[b], self.anchor[b]
+            if self.mode == MODE_2VC:
+                D = np.arange(s + 1, a)
+                D = D[vert[D] != vert[s]]
+            else:
+                D = np.arange(s + 1, a + 1)
+            desc[first[D]] = True
+            N = np.arange(a + 1, n2 - 1)
+            N = N[~desc[first[N]]]
+            desc[first[D]] = False
+            D = D[Cf[s * n2 + D] < np.inf]
+            nj, di = np.nonzero(np.isfinite(W[D[:, None], N]).T)
+            i, j = D[di], N[nj]
+            lo = self.top
+            self.top = hi = lo + i.size
+            self.key[lo:hi] = self.opened * n2 + j
+            self.rm[lo:hi], self.js[lo:hi], self.wv[lo:hi] = i * n2 + j, j * n2 + s, W[i, j]
+            self.rank[b], self.start[b], self.reached[b] = self.opened, lo, lo
+            self.opened += 1
+
+    def score(self, Cf, ca, cb, L):
+        """For the cut cells ca .. cb-1, of diagonal L: a mask of those with a
+        finite score and, for them, the first minimum (value, i, j) in
+        row-major (i, j) order."""
+        n2 = self.n2
+        b = self.bid[ca:cb]
+        new = self.rank[b] < 0
+        if new.any():
+            self._open(Cf, b[new].tolist())
+        st = self.start[b]
+        en = np.searchsorted(self.key[: self.top], self.rank[b] * n2 + self.T[ca:cb], side="right")
+        f0 = self.reached[b]
+        G = (en > f0).nonzero()[0]
+        if G.size:
+            q = _ranges(f0[G], en[G])[0]
+            rm = self.rm.take(q)
+            self.A[q] = Cf.take(self.js.take(q) % n2 * n2 + rm // n2) + Cf.take(rm)
+            self.reached[b[G]] = en[G]
+
+        found = en > st
+        R = found.nonzero()[0]
+        if not R.size:
+            return found, (), (), ()
+        idx, offs, cnt = _ranges(st[R], en[R])
+        vals = self.A.take(idx) + Cf[L:].take(self.js.take(idx))
+        vals += self.wv.take(idx)
+        vmin, key = _first_min(vals, self.rm, idx, offs, cnt)
+        fin = vmin < np.inf
+        found[R[~fin]] = False
+        key = key[fin]
+        return found, vmin[fin], key // n2, key % n2
 
 
 def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):

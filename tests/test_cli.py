@@ -90,6 +90,9 @@ MALFORMED = {
     "edge_triple": (_fig3_with(edge=[2, 3, 4]), "edge entry 1"),
     "edge_of_lists": (_fig3_with(edge=[[2], [3]]), "edge entry 1"),
     "edge_of_strings": (_fig3_with(edge=["2", "3"]), "edge entry 1"),
+    # True == 1 and 1.0 == 1, but neither is the integer version
+    "bool_version": ({**FIG3, "format_version": True}, "missing or unsupported format_version"),
+    "float_version": ({**FIG3, "format_version": 1.0}, "missing or unsupported format_version"),
 }
 
 

@@ -1,10 +1,15 @@
+import hashlib
+import json
 import random
+import re
 from bisect import bisect_right
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pslgaug import build
+from pslgaug import build, optimal
+from pslgaug.cli import main
 from pslgaug.geom import ekey
 from pslgaug.instances import generate
 from pslgaug.optimal import (
@@ -26,6 +31,10 @@ from pslgaug.optimal import (
 from pslgaug.oracle import Exhausted, brute_force_optimal, candidate_set
 from pslgaug.pslg import connectivity, facial_walks
 from pslgaug.heuristic import augment_2ec, augment_2vc
+
+from test_adversarial import FAMILIES, LARGE, _general_position
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 
 def occurrences(w, vid):
@@ -93,6 +102,120 @@ def test_feasibility_matches_brute_force():
                         expect = False
                         break
             assert np.isfinite(F[i, j]) == expect, (i, j)
+
+
+def pool_instance(key):
+    """The benchmark's pool instance gen-n{n}-d{d}: generate(n, seed, d),
+    seeded by the first four bytes of the key's SHA-256, as perfbench
+    derives it."""
+    n, d = re.fullmatch(r"gen-n(\d+)-d([\d.]+)", key).groups()
+    seed = int.from_bytes(hashlib.sha256(key.encode()).digest()[:4], "big")
+    return generate(int(n), seed, float(d))
+
+
+def pool_instances():
+    """Every instance of the frozen pool in perfbench/reference.json."""
+    return [pool_instance(key) for key in sorted(json.loads(REFERENCE.read_text())["instances"])]
+
+
+def spy_paths(m, ran):
+    """Append to ran the name of each feasibility path as it runs."""
+    for name in ("_feasible_pairs_int64", "_feasible_pairs_exact"):
+        fn = getattr(optimal, name)
+        m.setattr(optimal, name, lambda *a, fn=fn, name=name: ran.append(name) or fn(*a))
+
+
+def feasibility_paths(g, walk, extend, monkeypatch):
+    """F of each feasibility path, the int64 batch with the size threshold
+    lowered to 0 and the Python loop with it raised past the face, and the
+    paths that ran."""
+    w = IndexedWalk.from_walk(walk, extend=extend)
+    ran = []
+    with monkeypatch.context() as m:
+        spy_paths(m, ran)
+        out = {}
+        for path, threshold in (("int64", 0), ("exact", w.n + 1)):
+            m.setattr(optimal, "_BATCH_MIN_SLOTS", threshold)
+            out[path] = feasibility(g, w, walk.is_outer)
+    return out, ran
+
+
+def assert_paths_agree(g, monkeypatch):
+    """Both paths give the same F on every face of g, in both walk forms,
+    and the int64 path runs whenever it is asked to."""
+    for walk in facial_walks(g):
+        for extend in (False, True):
+            F, ran = feasibility_paths(g, walk, extend, monkeypatch)
+            assert ran == ["_feasible_pairs_int64", "_feasible_pairs_exact"]
+            assert np.array_equal(F["int64"], F["exact"]), (walk.face_id, extend)
+
+
+def test_feasibility_paths_agree_on_pool_and_random_instances(monkeypatch):
+    graphs = pool_instances()
+    assert len(graphs) == 49
+    rng = random.Random(4242)  # the 44 instances of test_fill_matches_reference_generated
+    for i in range(44):
+        graphs.append(generate(rng.randrange(4, 30), 80000 + i, rng.choice([0.0, 0.2, 0.4, 0.7])))
+    for g in graphs:
+        assert_paths_agree(g, monkeypatch)
+
+
+@pytest.mark.parametrize("n", [20, 40, 80])
+def test_feasibility_paths_agree_on_convex_path(n, monkeypatch):
+    assert_paths_agree(_convex_position_path(n), monkeypatch)
+
+
+def test_feasibility_paths_agree_on_adversarial_families(monkeypatch):
+    for name, make, seed in FAMILIES + LARGE:
+        assert_paths_agree(_general_position(make, random.Random(seed)), monkeypatch)
+
+
+def _spread_to_width(g, width):
+    """g scaled by an integer and translated so that it spans about
+    [-width, width] on both axes, its largest x is width and its smallest y
+    is -width, so the kernel's products come near their bound."""
+    xs, ys = [p.x for p in g.points], [p.y for p in g.points]
+    k = 2 * width // max(max(xs) - min(xs), max(ys) - min(ys))
+    dx, dy = width - k * max(xs), -width - k * min(ys)
+    return build([(p.id, k * p.x + dx, k * p.y + dy) for p in g.points], g.edges)
+
+
+@pytest.mark.parametrize(
+    "extra, path",
+    [(0, "_feasible_pairs_int64"), (1, "_feasible_pairs_exact")],
+)
+def test_feasibility_path_at_the_int64_bound(extra, path, monkeypatch):
+    width = optimal._INT64_COORD_MAX + extra
+    h = _spread_to_width(generate(40, 4, 0.2), width)
+    assert max(max(abs(x), abs(y)) for x, y in map(h.ipt, h.by_id)) == width
+    for walk in facial_walks(h):
+        for extend in (False, True):
+            w = IndexedWalk.from_walk(walk, extend=extend)
+            ran = []
+            with monkeypatch.context() as m:
+                spy_paths(m, ran)
+                m.setattr(optimal, "_BATCH_MIN_SLOTS", 0)
+                F = feasibility(h, w, walk.is_outer)
+            assert ran == [path]
+            with monkeypatch.context() as m:
+                m.setattr(optimal, "_BATCH_MIN_SLOTS", w.n + 1)
+                assert np.array_equal(F, feasibility(h, w, walk.is_outer))
+
+
+def test_feasibility_of_huge_and_tiny_coordinates_stays_exact(tmp_path, capsys, monkeypatch):
+    # scaled by 10^300 with one point moved by 10^-300: the scaled integer
+    # coordinates have 600 digits, far past int64, so even this 22-slot
+    # face takes the Python loop
+    points = [{"id": i, "x": f"{i}e300", "y": f"{i * i}e300"} for i in range(12)]
+    points[0]["x"] = "1e-300"
+    doc = {"format_version": 1, "points": points, "edges": [[i, i + 1] for i in range(11)]}
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    ran = []
+    spy_paths(monkeypatch, ran)
+    assert main(["augment", str(path), "--mode", "opt2vc"]) == 0
+    capsys.readouterr()
+    assert ran == ["_feasible_pairs_exact"]
 
 
 def cut_structure(w: IndexedWalk, s: int, t: int):
@@ -270,9 +393,17 @@ def test_fill_matches_reference_generated():
         for walk in facial_walks(g):
             for extend in (False, True):
                 assert_tables_match(g, walk, extend)
+    # the outer faces of four pool instances of augment-mixed: 122, 126 and
+    # 104 walk slots with 5-6% of the chord pairs feasible, and 28 slots at
+    # density 0.6
+    for key in ("gen-n62-d0.26", "gen-n66-d0.37", "gen-n69-d0.43", "gen-n76-d0.6"):
+        g = pool_instance(key)
+        walk = next(wk for wk in facial_walks(g) if wk.is_outer)
+        for extend in (False, True):
+            assert_tables_match(g, walk, extend)
 
 
-@pytest.mark.parametrize("n", [20, 40])
+@pytest.mark.parametrize("n", [20, 40, 80])
 def test_fill_matches_reference_convex_path(n):
     g = _convex_position_path(n)
     for extend in (False, True):
