@@ -1,28 +1,12 @@
 """Length-bounded connectivity augmentation and cycle morphing for planar
 straight-line graphs."""
 
-from .geom import (
-    CCW,
-    COLLINEAR,
-    CONVEX,
-    CW,
-    REFLEX,
-    DegenerateInput,
-    Point,
-    Segment,
-    ccw_angle_class,
-    convex_hull,
-    incircle,
-    length,
-    orient,
-    properly_cross,
-)
+from .geom import DegenerateInput, Point, convex_hull
 from .pslg import (
     CollinearTriple,
     ConnectivityReport,
     ConvexWalkSet,
     CrossingEdges,
-    DualGraph,
     DuplicatePoint,
     EdgeThroughVertex,
     FacialWalk,
@@ -34,16 +18,11 @@ from .pslg import (
     build,
     connectivity,
     convex_walk_decomposition,
-    dual_graph,
     facial_walks,
 )
 from .geodesic import (
-    FaceRegion,
     GeodesicPath,
-    NotSafeWalk,
     WalkNotInFace,
-    check_lemma1,
-    face_region,
     geodesic,
 )
 from .heuristic import (

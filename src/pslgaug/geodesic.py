@@ -24,33 +24,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import collinear_pair, convex_hull, orient_xy, walk_length
+from .geom import collinear_pair, walk_length
 from .pslg import (
     LemmaViolation,
     Pslg,
     PslgError,
+    _corner_convex,
     facial_walks,
     require_augmentable,
     walk_of_directed_edge,
 )
-from . import pslg as _pslg
 from .triangulate import insert_constraint, triangulate_points
 
 
 class WalkNotInFace(PslgError):
     pass
-
-
-class NotSafeWalk(PslgError):
-    pass
-
-
-@dataclass(frozen=True)
-class FaceRegion:
-    face_id: int
-    boundary: tuple  # the facial walk vertex sequence
-    is_outer: bool
-    clip_box: tuple | None  # ((xmin, ymin), (xmax, ymax)) ints, outer face only
 
 
 @dataclass
@@ -86,13 +74,12 @@ class _FaceEnv:
             pts = [g.ipt(v) for v in ids]
             self.n_graph = len(pts)
             self.box = _make_box(pts)
-            self.pts = pts + list(self.box)
-            self.T = triangulate_points(self.pts)
+            self.T = triangulate_points(pts + self.box)
             for (u, v) in sorted(g.edges):
                 insert_constraint(self.T, self.lid[u], self.lid[v])
         else:
             self.lid, self.gid, self.n_graph = live.lid, live.gid, live.n_graph
-            self.box, self.pts, self.T = live.box, live.pts, live.T
+            self.box, self.T = live.box, live.T
             # local ids follow vertex ids, so (u, v) with u < v maps to i < j
             if self.T.constrained != {(self.lid[u], self.lid[v]) for u, v in g.edges}:
                 raise LemmaViolation("live triangulation constrains other edges than the graph")
@@ -195,16 +182,6 @@ def face_env(g: Pslg) -> _FaceEnv:
     return g._face_env
 
 
-def face_region(g: Pslg, face_id: int) -> FaceRegion:
-    env = face_env(g)
-    w = env.walks[face_id]
-    box = None
-    if w.is_outer:
-        b = env.box
-        box = ((b[0][0], b[0][1]), (b[2][0], b[2][1]))
-    return FaceRegion(face_id=face_id, boundary=w.seq, is_outer=w.is_outer, clip_box=box)
-
-
 def locate_subwalk(g: Pslg, walk_ids):
     """(face_id, start_position) of the unique occurrence of the directed
     subwalk, or raise WalkNotInFace."""
@@ -225,14 +202,10 @@ def locate_subwalk(g: Pslg, walk_ids):
     return face, pos
 
 
-def _funnel(pts, portals, s, t):
+def _funnel(T, portals, s, t):
     """Pull the string taut through a portal sequence: exact arithmetic,
-    restart variant.  Points are local indices into pts."""
-
-    def o(a, b, c):
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        return orient_xy(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1])
-
+    restart variant.  Points are local indices into the triangulation T."""
+    o = T.orient
     path = [s]
     apex, ai = s, -1
     left, li = s, -1
@@ -310,7 +283,7 @@ def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
                 portals.append(p)
     s = env.lid[walk_ids[0]]
     t = env.lid[walk_ids[-1]]
-    path = _funnel(env.pts, portals, s, t)
+    path = _funnel(env.T, portals, s, t)
     for v in path:
         if v >= env.n_graph:
             raise LemmaViolation("geodesic bent at a clip-box corner")
@@ -328,43 +301,6 @@ def _is_reflex_vertex(g: Pslg, v) -> bool:
     edges is >= pi (degree-1 vertices count as reflex)."""
     rot = g.rotation[v]
     return any(
-        not _pslg._corner_convex(g, u, v, rot[(i + 1) % len(rot)])
+        not _corner_convex(g, u, v, rot[(i + 1) % len(rot)])
         for i, u in enumerate(rot)
     )
-
-
-def walk_is_convex(g: Pslg, walk_ids, closed=False) -> bool:
-    """Convexity of a (located) facial subwalk under the corner-angle
-    convention (every interior corner strictly convex)."""
-    ids = list(walk_ids)
-    rng = range(1, len(ids) - 1)
-    for i in rng:
-        if not _pslg._corner_convex(g, ids[i - 1], ids[i], ids[i + 1]):
-            return False
-    if closed and ids[0] == ids[-1]:
-        if not _pslg._corner_convex(g, ids[-2], ids[0], ids[1]):
-            return False
-    return True
-
-
-def check_lemma1(g: Pslg, walk_ids) -> bool:
-    """Oracle for the safe-convex-walk lemma: the geodesic of a safe convex
-    walk is a simple path avoiding the walk's interior vertices."""
-    ids = list(walk_ids)
-    if len(ids) < 3:
-        raise NotSafeWalk("walk needs at least 2 edges")
-    locate_subwalk(g, ids)
-    if not walk_is_convex(g, ids):
-        raise NotSafeWalk("walk is not convex")
-    pts = [g.by_id[v] for v in ids]
-    hull = convex_hull(pts)
-    hull_coords = {p.coords() for p in hull}
-    for p in pts[1:-1]:
-        if p.coords() not in hull_coords:
-            raise NotSafeWalk(f"interior vertex {p.id} not on the hull boundary")
-    geo = geodesic(g, ids)
-    gids = geo.ids()
-    if len(set(gids)) != len(gids):
-        return False
-    interior = set(gids[1:-1])
-    return not (interior & set(ids))

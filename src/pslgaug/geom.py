@@ -1,10 +1,11 @@
 """Exact geometric predicates and metric helpers.
 
 All combinatorial decisions (orientation, crossing, convexity, in-circle)
-are made in exact rational arithmetic: a coordinate is an int when it is
-integral and a fractions.Fraction otherwise, never a float.  Euclidean
-lengths are reported as double-precision floats; exact comparisons of
-lengths go through squared distances.
+are made in exact arithmetic by one kernel each, on raw (x, y) coordinates:
+in practice a graph's scaled integer coordinates (``Pslg.ipt``).  A parsed
+coordinate is an int when it is integral and a fractions.Fraction otherwise,
+never a float.  Euclidean lengths are reported as double-precision floats;
+exact comparisons of lengths go through squared distances.
 """
 
 from __future__ import annotations
@@ -13,13 +14,6 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-CCW = 1
-CW = -1
-COLLINEAR = 0
-
-CONVEX = "convex"
-REFLEX = "reflex"
 
 
 class DegenerateInput(ValueError):
@@ -58,23 +52,9 @@ class Point:
         return (self.x, self.y)
 
 
-@dataclass(frozen=True)
-class Segment:
-    a: Point
-    b: Point
-
-    def __post_init__(self):
-        if self.a.coords() == self.b.coords():
-            raise DegenerateInput(f"zero-length segment at point {self.a.id}")
-
-
-def orient(a: Point, b: Point, c: Point) -> int:
-    """Sign of the cross product (b-a) x (c-a): CCW, CW or COLLINEAR."""
-    return orient_xy(a.x, a.y, b.x, b.y, c.x, c.y)
-
-
 def orient_xy(ax, ay, bx, by, cx, cy) -> int:
-    """orient() on raw exact coordinates (hot-path variant)."""
+    """Sign of the cross product (b-a) x (c-a): +1 if a, b, c turn
+    counterclockwise, -1 if clockwise, 0 if collinear."""
     v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
     if v > 0:
         return 1
@@ -171,41 +151,20 @@ def _on_open_segment(ax, ay, bx, by, px, py) -> bool:
     return _between_1d(ay, by, py)
 
 
-def properly_cross(s: Segment, t: Segment) -> bool:
-    return segments_properly_cross(
-        s.a.x, s.a.y, s.b.x, s.b.y, t.a.x, t.a.y, t.b.x, t.b.y
-    )
-
-
-def ccw_angle_class(a: Point, b: Point, c: Point) -> str:
-    """Classify the counterclockwise angle at b from ray b->a to ray b->c.
-
-    CONVEX iff the angle is strictly in (0, pi), which holds iff
-    (a-b) x (c-b) > 0.  Collinear triples are rejected.
-    """
-    v = orient(b, a, c)
-    if v == COLLINEAR:
-        raise DegenerateInput(f"collinear or coincident triple ({a.id},{b.id},{c.id})")
-    return CONVEX if v == CCW else REFLEX
-
-
 def convex_hull(pts) -> list:
-    """Convex hull of points in CCW order (monotone chain, exact).
+    """Convex hull of exact (x, y) pairs in CCW order (monotone chain).
 
     Output starts at the lexicographically smallest point and contains no
-    collinear triples.  Duplicated coordinates are collapsed first.
+    collinear triples.  Duplicated points are collapsed first.
     """
-    seen = {}
-    for p in pts:
-        seen.setdefault(p.coords(), p)
-    uniq = sorted(seen.values(), key=lambda p: p.coords())
+    uniq = sorted(set(pts))
     if len(uniq) < 3:
         raise DegenerateInput("hull needs at least 3 distinct points")
 
     def half(points):
         chain = []
         for p in points:
-            while len(chain) >= 2 and orient(chain[-2], chain[-1], p) != CCW:
+            while len(chain) >= 2 and orient_xy(*chain[-2], *chain[-1], *p) <= 0:
                 chain.pop()
             chain.append(p)
         return chain
@@ -218,22 +177,12 @@ def convex_hull(pts) -> list:
     return hull
 
 
-def dist2(a: Point, b: Point):
-    """Exact squared Euclidean distance."""
-    return (a.x - b.x) ** 2 + (a.y - b.y) ** 2
-
-
 # absolute tolerance when a float length is checked against a proven bound
 LENGTH_TOL = 1e-9
 
 
 def dist(a: Point, b: Point) -> float:
     return math.hypot(float(a.x - b.x), float(a.y - b.y))
-
-
-def length(s: Segment) -> float:
-    """Euclidean length as a double-precision float."""
-    return dist(s.a, s.b)
 
 
 def walk_length(points) -> float:
@@ -258,18 +207,6 @@ def incircle_xy(ax, ay, bx, by, cx, cy, dx, dy) -> int:
         + (cdx * cdx + cdy * cdy) * (adx * bdy - bdx * ady)
     )
     return 1 if det > 0 else (-1 if det < 0 else 0)
-
-
-def incircle(a: Point, b: Point, c: Point, d: Point) -> int:
-    """Exact in-circle test: +1 iff d lies strictly inside the circumcircle
-    of triangle (a, b, c), -1 strictly outside, 0 cocircular.
-
-    The triangle may have either orientation (the sign is normalized).
-    """
-    s = orient(a, b, c)
-    if s == 0:
-        raise DegenerateInput("incircle of collinear triple")
-    return s * incircle_xy(a.x, a.y, b.x, b.y, c.x, c.y, d.x, d.y)
 
 
 def in_ccw_sector(ux, uy, vx, vy, dx, dy) -> bool:

@@ -173,9 +173,9 @@ def _case2_decompose(g, walk: Walk, added, certs):
         _insert_geodesic_edges(g, Walk(walk.face_id, tuple(seq)), added, certs)
         return
 
-    pts = [g.by_id[v] for v in seq]
-    hull_coords = {p.coords() for p in convex_hull(pts)}
-    on_hull = [p.coords() in hull_coords for p in pts]
+    pts = [g.ipt(v) for v in seq]
+    hull = set(convex_hull(pts))
+    on_hull = [p in hull for p in pts]
     # the hull vertices of a convex walk form one contiguous block
     blocks = []
     k = 0

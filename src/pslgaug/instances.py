@@ -120,6 +120,8 @@ def generate(n: int, seed: int, density: float) -> Pslg:
     connectivity with minimum-spanning-tree edges."""
     if n < 3:
         raise InvalidInstance("need n >= 3")
+    if not 0 <= density <= 1:
+        raise InvalidInstance(f"density {density!r} is not in [0, 1]")
     rng = random.Random(seed)
     coords = []
     while len(coords) < n:
@@ -183,11 +185,10 @@ def oplog_from_jsonl(text: str):
             continue
         try:
             doc = json.loads(line)
-            op, u, v = doc["op"], doc["u"], doc["v"]
-            phase = int(doc.get("phase", 0))
-            if not (_is_int(u) and _is_int(v)):
-                raise TypeError("point ids must be integers")
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError):
+            op, u, v, phase = doc["op"], doc["u"], doc["v"], doc.get("phase", 0)
+            if not (_is_int(u) and _is_int(v) and _is_int(phase)):
+                raise TypeError("point ids and the phase must be integers")
+        except (KeyError, TypeError, ValueError):  # ValueError: bad JSON, or too many digits
             raise InvalidInstance(f"bad oplog line {ln}") from None
         if op not in ("insert", "delete"):
             raise InvalidInstance(f"bad op {op!r} on oplog line {ln}")

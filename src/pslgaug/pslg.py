@@ -1,5 +1,5 @@
 """PSLG data model: rotation systems, facial walks, connectivity queries and
-the maximal-convex-walk decomposition with its dual graph.
+the maximal-convex-walk decomposition.
 
 Facial-walk convention: arriving at v via edge (u, v), the walk departs via
 the CCW-successor of (v, u) in the rotation at v.  Each face then lies to the
@@ -7,13 +7,13 @@ right of its directed boundary edges, bounded faces are traversed clockwise
 (negative shoelace area) and the outer walk is the unique one with
 non-negative area.  Under this convention the corner of a walk (prev, apex,
 next) spans exactly the angular sector of its face at that corner, measured
-counterclockwise from ray(apex->prev) to ray(apex->next), so walk convexity
-is decided by ccw_angle_class on the corner triple.
+counterclockwise from ray(apex->prev) to ray(apex->next), so a corner is
+convex iff (prev - apex) x (next - apex) > 0 (``_corner_convex``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from math import fsum, lcm
 
@@ -94,13 +94,6 @@ class ConvexWalkSet:
     p0: list  # single-edge maximal walks
     p1: list  # closed convex walks
     p2: list  # open convex walks of >= 2 edges
-    graph: "Pslg" = field(repr=False, default=None)
-
-
-@dataclass
-class DualGraph:
-    nodes: list  # walks of P1 + P2
-    adjacency: dict  # node index -> set of node indices
 
 
 @dataclass
@@ -592,30 +585,4 @@ def convex_walk_decomposition(g: Pslg) -> ConvexWalkSet:
                 p1.append(Walk(w.face_id, piece))
             else:
                 p2.append(Walk(w.face_id, piece))
-    return ConvexWalkSet(p0=p0, p1=p1, p2=p2, graph=g)
-
-
-def dual_graph(c: ConvexWalkSet) -> DualGraph:
-    """Dual graph on P1 + P2 walks, adjacent iff they share a graph edge.
-
-    Asserts the two structural facts the bounds rest on: every edge of E is
-    covered by some P1/P2 walk, and the dual graph is connected.
-    """
-    g = c.graph
-    nodes = list(c.p1) + list(c.p2)
-    edge_to_nodes = {}
-    for i, wk in enumerate(nodes):
-        for e in wk.edges():
-            edge_to_nodes.setdefault(e, set()).add(i)
-    uncovered = set(g.edges) - set(edge_to_nodes)
-    if uncovered:
-        raise LemmaViolation(f"edges not covered by any convex chain: {sorted(uncovered)}")
-    adjacency = {i: set() for i in range(len(nodes))}
-    for e, ns in edge_to_nodes.items():
-        for i in ns:
-            for j in ns:
-                if i != j:
-                    adjacency[i].add(j)
-    if nodes and len(reach(adjacency, 0)) != len(nodes):
-        raise LemmaViolation("dual graph of convex chains is disconnected")
-    return DualGraph(nodes=nodes, adjacency=adjacency)
+    return ConvexWalkSet(p0=p0, p1=p1, p2=p2)

@@ -9,6 +9,7 @@ is byte-stable for fixed input.
 from __future__ import annotations
 
 from .geom import ekey
+from .instances import _is_int
 from .pslg import InvalidInstance, Pslg
 
 _STYLE = (
@@ -48,8 +49,8 @@ class _View:
 
 
 def _overlay_edge(g, e):
-    """The overlay edge e, checked to join two point ids of g."""
-    if len(e) != 2 or not all(isinstance(x, int) and x in g.by_id for x in e):
+    """The overlay edge e, checked to join two distinct point ids of g."""
+    if len(e) != 2 or e[0] == e[1] or not all(_is_int(x) and x in g.by_id for x in e):
         raise InvalidInstance(f"overlay edge {list(e)!r} does not join two point ids")
     return e
 

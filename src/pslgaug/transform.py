@@ -412,10 +412,9 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
     """Grow a weakly simple polygon from a hull edge over the whole vertex
     set; the polygon plus leftover edges never exceed twice the MST."""
     g = ed.graph
-    hull = convex_hull(list(g.points))
-    hull_edges = [
-        ekey(hull[i].id, hull[(i + 1) % len(hull)].id) for i in range(len(hull))
-    ]
+    id_at = {g.ipt(p.id): p.id for p in g.points}
+    hull = [id_at[xy] for xy in convex_hull(list(id_at))]
+    hull_edges = [ekey(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
     absent = [e for e in hull_edges if e not in mst]
     if not absent:
         raise LemmaViolation("spanning tree contains the whole hull cycle")

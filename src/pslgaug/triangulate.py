@@ -245,24 +245,21 @@ def insert_constraint(T: Triangulation, u, w):
     for t in channel:
         T.remove_tri(t)
     # left polygon: u -> left chain -> w, closed by segment w->u
-    for tri in ear_clip([u] + left_chain + [w], T.pts):
+    for tri in ear_clip(T, [u] + left_chain + [w]):
         T.add_tri(*tri)
-    for tri in ear_clip([u] + right_chain + [w], T.pts):
+    for tri in ear_clip(T, [u] + right_chain + [w]):
         T.add_tri(*tri)
     T.constrained.add(k)
 
 
-def ear_clip(poly, pts):
-    """Triangulate a simple polygon (list of local indices) by ear clipping.
+def ear_clip(T: Triangulation, poly):
+    """Triangulate a simple polygon (list of local indices into T's points)
+    by ear clipping.
 
     Exact; assumes distinct vertices and no three collinear.  Returns CCW
     triangles.
     """
-
-    def o(a, b, c):
-        pa, pb, pc = pts[a], pts[b], pts[c]
-        return orient_xy(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1])
-
+    o, pts = T.orient, T.pts
     idx = list(poly)
     if len(idx) < 3:
         raise DegenerateInput("polygon with fewer than 3 vertices")

@@ -1,7 +1,15 @@
 import pytest
+from hypothesis import settings
 
 from pslgaug import build
 from tests_support import make_fig3
+
+# Property tests draw the same examples on every run and write no example
+# database, so a failure reproduces and the suite leaves nothing behind.  No
+# per-example deadline: a loaded machine slows an example without changing
+# its outcome.
+settings.register_profile("pslgaug", derandomize=True, database=None, deadline=None)
+settings.load_profile("pslgaug")
 
 
 @pytest.fixture

@@ -142,6 +142,15 @@ def test_oplog_bad_phase(fig3_file, tmp_path, capsys):
     assert err == "error: bad oplog line 1\n"
 
 
+@pytest.mark.parametrize("phase", [2.9, True, "3"])
+def test_oplog_rejects_non_integer_phase(fig3_file, tmp_path, capsys, phase):
+    oplog = tmp_path / "run.jsonl"
+    oplog.write_text(json.dumps({"op": "insert", "u": 1, "v": 3, "phase": phase}) + "\n")
+    code, _, err = run_cli(["replay", fig3_file, str(oplog)], capsys)
+    assert code == 1
+    assert err == "error: bad oplog line 1\n"
+
+
 NON_INTEGER_IDS = [{"u": 1.9, "v": 3}, {"u": 1, "v": 3.0}, {"u": "1", "v": 3},
                    {"u": True, "v": 3}, {"u": 1, "v": False}]
 
@@ -239,11 +248,31 @@ def test_gen_deterministic(tmp_path, capsys):
     assert g.n == 9
 
 
+@pytest.mark.parametrize("density", ["2", "-1", "nan"])
+def test_gen_rejects_density_outside_unit_interval(tmp_path, capsys, density):
+    out = tmp_path / "g.json"
+    code, _, err = run_cli(["gen", "--n", "9", "--density", density, "-o", str(out)], capsys)
+    assert code == 1
+    assert err == f"error: density {float(density)!r} is not in [0, 1]\n"
+    assert not out.exists()
+
+
 def test_gen_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PSLG_SEED", "123")
     code, out1, _ = run_cli(["gen", "--n", "5"], capsys)
     code, out2, _ = run_cli(["gen", "--n", "5", "--seed", "123"], capsys)
     assert out1 == out2
+
+
+@pytest.mark.parametrize("edges", [[[True, 1]], [[1, 1]]])
+def test_render_rejects_bool_id_and_self_loop_overlay(fig3_file, tmp_path, capsys, edges):
+    ov = tmp_path / "overlay.json"
+    ov.write_text(json.dumps({"edges": edges}))
+    out_svg = tmp_path / "out.svg"
+    code, _, err = run_cli(["render", fig3_file, "--overlay", str(ov), "-o", str(out_svg)], capsys)
+    assert code == 1
+    assert err == f"error: overlay edge {edges[0]!r} does not join two point ids\n"
+    assert not out_svg.exists()
 
 
 def test_render_base_and_overlay(fig3_file, tmp_path, capsys):

@@ -3,21 +3,34 @@ import random
 import pytest
 
 from pslgaug import build
-from pslgaug.geom import dist, ekey
-from pslgaug.geodesic import (
-    NotSafeWalk,
-    WalkNotInFace,
-    check_lemma1,
-    face_region,
-    geodesic,
-    locate_subwalk,
-    walk_is_convex,
-)
+from pslgaug.geom import convex_hull, dist, ekey, segments_properly_cross
+from pslgaug.geodesic import WalkNotInFace, face_env, geodesic, locate_subwalk
 from pslgaug.instances import generate
-from pslgaug.pslg import convex_walk_decomposition, facial_walks
-from pslgaug.geom import segments_properly_cross
+from pslgaug.pslg import _corner_convex, convex_walk_decomposition, facial_walks
 
 from geodesic_oracle import oracle_geodesic
+
+
+def _is_convex(g, walk):
+    """Every interior corner of the facial subwalk is strictly convex."""
+    return all(_corner_convex(g, *walk[i - 1 : i + 2]) for i in range(1, len(walk) - 1))
+
+
+def _is_safe(g, walk):
+    """The walk's vertices are distinct and its interior vertices lie on the
+    boundary of its convex hull."""
+    pts = [g.ipt(v) for v in walk]
+    if len(set(pts)) != len(pts):
+        return False
+    hull = set(convex_hull(pts))
+    return all(p in hull for p in pts[1:-1])
+
+
+def _lemma1_holds(g, walk):
+    """Lemma 1's conclusion: the geodesic of the walk is a simple path that
+    avoids the walk's interior vertices."""
+    gids = geodesic(g, walk).ids()
+    return len(set(gids)) == len(gids) and not set(gids[1:-1]) & set(walk)
 
 
 def test_path3(path3):
@@ -43,7 +56,7 @@ def test_geodesic_bends_around_first_edge():
         [(0, 1), (1, 2), (2, 3), (3, 4)],
     )
     walk = [0, 1, 2, 3, 4]
-    assert walk_is_convex(g, walk)
+    assert _is_convex(g, walk)
     geo = geodesic(g, walk)
     assert geo.ids() == [0, 1, 4]
     length, oids = oracle_geodesic(g, walk)
@@ -61,11 +74,11 @@ def test_walk_not_in_face(path3):
 
 
 def test_face_region(fig3, triangle):
-    reg = face_region(fig3, 0)
-    assert reg.is_outer and reg.clip_box is not None
-    (xmin, ymin), (xmax, ymax) = reg.clip_box
-    # clip box strictly contains all (scaled) vertices with margin at least
-    # the point-set diameter
+    env = face_env(fig3)
+    assert env.walks == facial_walks(fig3) and env.walks[0].is_outer
+    # the clip box strictly contains all (scaled) vertices with margin at
+    # least the point-set diameter
+    (xmin, ymin), (xmax, ymax) = env.box[0], env.box[2]
     xs = [fig3.ipt(p.id)[0] for p in fig3.points]
     ys = [fig3.ipt(p.id)[1] for p in fig3.points]
     diam2 = max(
@@ -75,10 +88,9 @@ def test_face_region(fig3, triangle):
     )
     margin = min(min(xs) - xmin, min(ys) - ymin, xmax - max(xs), ymax - max(ys))
     assert margin > 0 and margin * margin >= diam2
-    walks = facial_walks(triangle)
-    inner = [w for w in walks if not w.is_outer][0]
-    reg = face_region(triangle, inner.face_id)
-    assert not reg.is_outer and reg.clip_box is None
+    env = face_env(triangle)
+    assert env.walks == facial_walks(triangle)
+    assert sorted(w.is_outer for w in env.walks) == [False, True]
 
 
 def test_check_lemma1_convex_position():
@@ -88,9 +100,10 @@ def test_check_lemma1_convex_position():
         [(0, 1), (1, 2), (2, 3)],
     )
     walk = [0, 1, 2, 3]
-    if not walk_is_convex(g, walk):
+    if not _is_convex(g, walk):
         walk = [3, 2, 1, 0]
-    assert check_lemma1(g, walk) is True
+    assert _is_convex(g, walk) and _is_safe(g, walk)
+    assert _lemma1_holds(g, walk)
 
 
 def test_check_lemma1_endpoint_inside():
@@ -100,19 +113,22 @@ def test_check_lemma1_endpoint_inside():
         [(0, 1), (1, 2), (2, 3)],
     )
     walk = [0, 1, 2, 3]
-    if not walk_is_convex(g, walk):
+    if not _is_convex(g, walk):
         walk = [3, 2, 1, 0]
-    assert check_lemma1(g, walk) is True
+    assert _is_convex(g, walk) and _is_safe(g, walk)
+    assert _lemma1_holds(g, walk)
 
 
 def test_check_lemma1_not_safe():
-    # interior vertex strictly inside the hull: not safe
+    # interior vertex strictly inside the hull: not safe, and the geodesic
+    # does pass through an interior vertex of the walk
     g = build(
         [(0, "4", "8"), (1, "2", "4"), (2, "2", "9"), (3, "9", "6"), (4, "0", "2")],
         [(0, 1), (1, 2), (2, 3), (3, 4)],
     )
-    with pytest.raises(NotSafeWalk):
-        check_lemma1(g, [0, 1, 2, 3, 4])
+    walk = [0, 1, 2, 3, 4]
+    assert _is_convex(g, walk) and not _is_safe(g, walk)
+    assert not _lemma1_holds(g, walk)
 
 
 def _subwalks(seq, lo=3, hi=8):
@@ -210,16 +226,6 @@ def test_geodesic_idempotent():
     assert located >= 10
 
 
-def _is_safe(g, sub):
-    from pslgaug.geom import convex_hull
-
-    pts = [g.by_id[v] for v in sub]
-    if len({p.coords() for p in pts}) != len(pts):
-        return False
-    hull_coords = {p.coords() for p in convex_hull(pts)}
-    return all(p.coords() in hull_coords for p in pts[1:-1])
-
-
 def test_lemma1_property_500_walks():
     rng = random.Random(42)
     checked = 0
@@ -232,11 +238,9 @@ def test_lemma1_property_500_walks():
             for sub in _subwalks(w.seq):
                 if len(set(sub)) != len(sub):
                     continue
-                if not walk_is_convex(g, list(sub)):
+                if not _is_convex(g, sub) or not _is_safe(g, sub):
                     continue
-                if not _is_safe(g, sub):
-                    continue
-                assert check_lemma1(g, list(sub)) is True, (seed, sub)
+                assert _lemma1_holds(g, list(sub)), (seed, sub)
                 checked += 1
                 if checked >= 500:
                     return

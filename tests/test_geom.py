@@ -1,31 +1,25 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from pslgaug import (
-    CCW,
-    COLLINEAR,
-    CONVEX,
-    CW,
-    REFLEX,
-    DegenerateInput,
-    Point,
-    Segment,
-    build,
-    ccw_angle_class,
-    convex_hull,
-    incircle,
-    length,
-    orient,
-    properly_cross,
+from pslgaug import DegenerateInput, Point, build, convex_hull
+from pslgaug.geom import (
+    angle_less,
+    collinear_pair,
+    dist,
+    in_ccw_sector,
+    incircle_xy,
+    orient_xy,
+    segments_properly_cross,
+    to_rational,
 )
-from pslgaug.geom import angle_less, collinear_pair, dist2, in_ccw_sector, orient_xy, to_rational
+from pslgaug.pslg import _corner_convex
 
 P = Point.make
-
-
 @pytest.mark.parametrize(
     "value, expected",
     [("12", 12), ("-3", -3), ("1e3", 1000), ("4.0", 4), ("-0", 0), (7, 7), (Fraction(8, 2), 4)],
@@ -54,182 +48,167 @@ def test_build_rejects_bool_like_float(coord):
         build([(0, coord, 0), (1, 5, 1), (2, 3, 7)], [(0, 1), (1, 2)])
 
 
+def xy(lo=-(10**15), hi=10**15):
+    return st.tuples(st.integers(lo, hi), st.integers(lo, hi))
+
+
+def orient(a, b, c):
+    return orient_xy(*a, *b, *c)
+
+
 def test_orient_examples():
-    assert orient(P(0, 0, 0), P(1, 1, 0), P(2, 0, 1)) == CCW
-    assert orient(P(0, 0, 0), P(1, 1, 1), P(2, 2, 2)) == COLLINEAR
-    assert orient(P(0, 0, 0), P(1, 0, 1), P(2, 1, 0)) == CW
+    assert orient((0, 0), (1, 0), (0, 1)) == 1
+    assert orient((0, 0), (1, 1), (2, 2)) == 0
+    assert orient((0, 0), (0, 1), (1, 0)) == -1
+    # exact on rationals too, where a float cross product rounds to zero
+    e = Fraction(1, 10**20)
+    assert orient((0, 0), (1, 1), (2, 2 + e)) == 1
 
 
-def test_orient_antisymmetric_random():
-    rng = random.Random(7)
-    for _ in range(200):
-        pts = [
-            P(i, Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)),
-              Fraction(rng.randrange(-50, 50), rng.randrange(1, 9)))
-            for i in range(3)
-        ]
-        a, b, c = pts
-        s = orient(a, b, c)
-        assert orient(b, a, c) == -s
-        assert orient(a, c, b) == -s
-        assert orient(c, b, a) == -s
+@given(xy(), xy(), xy())
+def test_orient_antisymmetric_random(a, b, c):
+    s = orient(a, b, c)
+    assert orient(b, c, a) == orient(c, a, b) == s
+    assert orient(b, a, c) == orient(a, c, b) == orient(c, b, a) == -s
 
 
-def seg(ax, ay, bx, by):
-    return Segment(P(0, ax, ay), P(1, bx, by))
+def cross(s, t):
+    return segments_properly_cross(*s[0], *s[1], *t[0], *t[1])
 
 
 def test_properly_cross_examples():
-    assert properly_cross(seg(0, 0, 2, 2), seg(0, 2, 2, 0))
-    assert not properly_cross(seg(0, 0, 1, 0), seg(1, 0, 2, 1))
+    assert cross(((0, 0), (2, 2)), ((0, 2), (2, 0)))
+    assert not cross(((0, 0), (1, 0)), ((1, 0), (2, 1)))
     # endpoint of one in the interior of the other counts
-    assert properly_cross(seg(0, 0, 2, 0), seg(1, 0, 1, 1))
+    assert cross(((0, 0), (2, 0)), ((1, 0), (1, 1)))
 
 
 def test_properly_cross_collinear_overlap():
-    assert properly_cross(seg(0, 0, 2, 0), seg(1, 0, 3, 0))
-    assert properly_cross(seg(0, 0, 3, 0), seg(1, 0, 2, 0))
-    assert properly_cross(seg(0, 0, 1, 0), seg(0, 0, 1, 0))
-    assert not properly_cross(seg(0, 0, 1, 0), seg(1, 0, 2, 0))
+    assert cross(((0, 0), (2, 0)), ((1, 0), (3, 0)))
+    assert cross(((0, 0), (3, 0)), ((1, 0), (2, 0)))
+    assert cross(((0, 0), (1, 0)), ((0, 0), (1, 0)))
+    assert not cross(((0, 0), (1, 0)), ((1, 0), (2, 0)))
     # vertical collinear
-    assert properly_cross(seg(0, 0, 0, 2), seg(0, 1, 0, 3))
+    assert cross(((0, 0), (0, 2)), ((0, 1), (0, 3)))
 
 
-def test_properly_cross_symmetric_random():
-    rng = random.Random(11)
-    for _ in range(300):
-        vals = [rng.randrange(-5, 6) for _ in range(8)]
-        try:
-            s = seg(*vals[:4])
-            t = seg(*vals[4:])
-        except DegenerateInput:
-            continue
-        assert properly_cross(s, t) == properly_cross(t, s)
+# a small grid makes shared endpoints, collinear overlaps and endpoints on
+# the other segment common
+SMALL_SEGMENT = st.tuples(xy(-5, 5), xy(-5, 5)).filter(lambda s: s[0] != s[1])
 
 
-def test_ccw_angle_class_examples():
-    assert ccw_angle_class(P(0, 1, 0), P(1, 0, 0), P(2, 0, 1)) == CONVEX
-    assert ccw_angle_class(P(0, 1, 0), P(1, 0, 0), P(2, 0, -1)) == REFLEX
-    with pytest.raises(DegenerateInput):
-        ccw_angle_class(P(0, 0, 0), P(1, 1, 1), P(2, 2, 2))
+@given(SMALL_SEGMENT, SMALL_SEGMENT)
+def test_properly_cross_symmetric_random(s, t):
+    assert cross(s, t) == cross(t, s) == cross(s[::-1], t) == cross(s, t[::-1])
 
 
-def test_ccw_angle_class_fig3_corner():
+def test_corner_convex_examples():
+    # the corner (prev, apex, next) spans the CCW angle from ray apex->prev
+    # to ray apex->next
+    g = build([(0, 1, 0), (1, 0, 0), (2, 0, 1), (3, -1, -2)], [])
+    assert _corner_convex(g, 0, 1, 2)
+    assert not _corner_convex(g, 0, 1, 3)
+    assert not _corner_convex(g, 2, 1, 0)
+    # a leaf corner is the full angle
+    assert not _corner_convex(g, 0, 1, 0)
+
+
+def test_corner_convex_fig3_corner(fig3):
     # At p3 = (1, 0) the facial walk of the lower-bound path passes
     # (p4, p3, p2); that corner is convex, its reversal reflex.
-    p2 = P(2, 0, Fraction(1, 10))
-    p3 = P(3, 1, 0)
-    p4 = P(4, 1, Fraction(1, 10))
-    assert ccw_angle_class(p4, p3, p2) == CONVEX
-    assert ccw_angle_class(p2, p3, p4) == REFLEX
+    assert _corner_convex(fig3, 4, 3, 2)
+    assert not _corner_convex(fig3, 2, 3, 4)
 
 
 def test_convex_hull_square_and_interior():
-    corners = [P(0, 0, 0), P(1, 1, 0), P(2, 1, 1), P(3, 0, 1)]
-    hull = convex_hull(corners)
-    assert [p.id for p in hull] == [0, 1, 2, 3]
-    withc = corners + [P(4, Fraction(1, 2), Fraction(49, 100))]
-    hull2 = convex_hull(withc)
-    assert [p.id for p in hull2] == [0, 1, 2, 3]
+    corners = [(0, 0), (100, 0), (100, 100), (0, 100)]
+    assert convex_hull(corners) == corners
+    assert convex_hull(corners + [(50, 49), (100, 0)]) == corners
+    assert convex_hull(corners[::-1]) == corners
 
 
 def brute_hull_points(pts):
     """Independent hull oracle: a point is on the hull iff it is not inside
     any triangle of the others (O(n^4), exact)."""
-    out = []
+    out = set()
     for p in pts:
-        others = [q for q in pts if q.id != p.id]
-        inside = False
-        from itertools import combinations
-
-        for a, b, c in combinations(others, 3):
-            if orient(a, b, c) == COLLINEAR:
-                continue
-            s1, s2, s3 = orient(a, b, p), orient(b, c, p), orient(c, a, p)
-            ref = orient(a, b, c)
-            if s1 == s2 == s3 == ref:
-                inside = True
-                break
-        if not inside:
-            out.append(p.id)
-    return set(out)
+        others = [q for q in pts if q != p]
+        if not any(
+            orient(a, b, c) != 0 and orient(a, b, p) == orient(b, c, p) == orient(c, a, p)
+            == orient(a, b, c)
+            for a, b, c in combinations(others, 3)
+        ):
+            out.add(p)
+    return out
 
 
 def test_convex_hull_fig3():
     eps = Fraction(1, 10)
-    pts = [P(1, 0, 0), P(2, 0, eps), P(3, 1, 0), P(4, 1, eps)]
+    pts = [(0, 0), (0, eps), (1, 0), (1, eps)]
+    assert convex_hull(pts) == [(0, 0), (1, 0), (1, eps), (0, eps)]
+    assert brute_hull_points(pts) == set(pts)
+
+
+@given(st.lists(xy(0, 40), min_size=3, max_size=12))
+def test_convex_hull_properties_random(pts):
+    assume(any(orient(pts[0], b, c) for b in pts for c in pts))
     hull = convex_hull(pts)
-    assert [p.id for p in hull] == [1, 3, 4, 2]
-    assert brute_hull_points(pts) == {1, 2, 3, 4}
-
-
-def test_convex_hull_properties_random():
-    rng = random.Random(3)
-    for trial in range(50):
-        pts = []
-        seen = set()
-        while len(pts) < 8:
-            x, y = rng.randrange(0, 40), rng.randrange(0, 40)
-            if (x, y) in seen:
-                continue
-            seen.add((x, y))
-            pts.append(P(len(pts), x, y))
-        try:
-            hull = convex_hull(pts)
-        except DegenerateInput:
-            continue
-        n = len(hull)
-        collinear_present = any(
-            orient(hull[i], hull[(i + 1) % n], hull[(i + 2) % n]) == COLLINEAR
-            for i in range(n)
-        )
-        if collinear_present:
-            continue  # random grids may be degenerate; hull drops those
-        for i in range(n):
-            assert orient(hull[i], hull[(i + 1) % n], hull[(i + 2) % n]) == CCW
-        for p in pts:
-            for i in range(n):
-                assert orient(hull[i], hull[(i + 1) % n], p) in (CCW, COLLINEAR)
+    n = len(hull)
+    assert hull[0] == min(pts)
+    assert set(hull) <= brute_hull_points(list(set(pts)))
+    for i in range(n):
+        assert orient(hull[i - 2], hull[i - 1], hull[i]) == 1
+        assert all(orient(hull[i - 1], hull[i], p) >= 0 for p in pts)
 
 
 def test_convex_hull_collinear_rejected():
-    with pytest.raises(DegenerateInput):
-        convex_hull([P(0, 0, 0), P(1, 1, 1), P(2, 2, 2)])
+    with pytest.raises(DegenerateInput, match="collinear"):
+        convex_hull([(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(DegenerateInput, match="3 distinct"):
+        convex_hull([(0, 0), (1, 1), (0, 0)])
 
 
 def test_length():
-    assert length(Segment(P(0, 0, 0), P(1, 3, 4))) == pytest.approx(5.0, abs=1e-12)
+    assert dist(P(0, 0, 0), P(1, 3, 4)) == pytest.approx(5.0, abs=1e-12)
     eps = Fraction(1, 10)
-    l = length(Segment(P(2, 0, eps), P(3, 1, 0)))
-    assert l == pytest.approx(math.sqrt(1.01), abs=1e-9)
-    with pytest.raises(DegenerateInput):
-        Segment(P(0, 1, 2), P(1, 1, 2))
+    assert dist(P(2, 0, eps), P(3, 1, 0)) == pytest.approx(math.sqrt(1.01), abs=1e-9)
 
 
-def test_scaling_invariance():
-    rng = random.Random(19)
-    for _ in range(100):
-        pts = [P(i, rng.randrange(-20, 20), rng.randrange(-20, 20)) for i in range(4)]
-        lam = Fraction(rng.randrange(1, 30), rng.randrange(1, 30))
-        scaled = [P(p.id, p.x * lam, p.y * lam) for p in pts]
-        a, b, c, d = pts
-        a2, b2, c2, d2 = scaled
-        assert orient(a, b, c) == orient(a2, b2, c2)
-        if len({p.coords() for p in pts}) == 4:
-            assert properly_cross(
-                Segment(a, b), Segment(c, d)
-            ) == properly_cross(Segment(a2, b2), Segment(c2, d2))
-        if orient(a, b, c) != COLLINEAR:
-            assert incircle(a, b, c, d) == incircle(a2, b2, c2, d2)
+@given(st.lists(xy(-20, 20), min_size=4, max_size=4),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1000), xy())
+def test_scaling_invariance(pts, lam, shift):
+    moved = [(x * lam + shift[0], y * lam + shift[1]) for x, y in pts]
+    a, b, c, d = pts
+    a2, b2, c2, d2 = moved
+    assert orient(a, b, c) == orient(a2, b2, c2)
+    if len(set(pts)) == 4:
+        assert cross((a, b), (c, d)) == cross((a2, b2), (c2, d2))
+    assert incircle_xy(*a, *b, *c, *d) == incircle_xy(*a2, *b2, *c2, *d2)
 
 
 def test_incircle():
-    a, b, c = P(0, 0, 0), P(1, 2, 0), P(2, 0, 2)
-    assert incircle(a, b, c, P(3, 1, 1)) == 1  # inside
-    assert incircle(a, b, c, P(3, 5, 5)) == -1  # outside
-    assert incircle(a, b, c, P(3, 2, 2)) == 0  # cocircular
-    # orientation-normalized: swapping two triangle vertices keeps the sign
-    assert incircle(b, a, c, P(3, 1, 1)) == 1
+    a, b, c = (0, 0), (2, 0), (0, 2)  # CCW
+    assert incircle_xy(*a, *b, *c, 1, 1) == 1  # inside
+    assert incircle_xy(*a, *b, *c, 5, 5) == -1  # outside
+    assert incircle_xy(*a, *b, *c, 2, 2) == 0  # cocircular
+    # the sign is for a CCW triangle: a CW one flips it
+    assert incircle_xy(*b, *a, *c, 1, 1) == -1
+
+
+@given(xy(-1000, 1000), xy(-1000, 1000), xy(-1000, 1000), xy(-1000, 1000))
+def test_incircle_sign_matches_circumcircle(a, b, c, d):
+    s = orient(a, b, c)
+    assume(s != 0)
+    # circumcenter by Cramer's rule, in exact rationals
+    (ax, ay), (bx, by), (cx, cy) = a, b, c
+    den = 2 * (ax * (by - cy) + bx * (cy - ay) + cx * (ay - by))
+    sa, sb, sc = ax * ax + ay * ay, bx * bx + by * by, cx * cx + cy * cy
+    ux = Fraction(sa * (by - cy) + sb * (cy - ay) + sc * (ay - by), den)
+    uy = Fraction(sa * (cx - bx) + sb * (ax - cx) + sc * (bx - ax), den)
+    r2 = (ax - ux) ** 2 + (ay - uy) ** 2
+    d2 = (d[0] - ux) ** 2 + (d[1] - uy) ** 2
+    expected = (d2 < r2) - (d2 > r2)
+    assert s * incircle_xy(*a, *b, *c, *d) == expected
 
 
 def test_in_ccw_sector():
@@ -255,11 +234,6 @@ def test_angle_less():
     assert not angle_less((1, 0), (1, 1), (2, 0), (2, 2))
     # obtuse comparison
     assert angle_less((1, 0), (-1, 2), (1, 0), (-2, 1))
-
-
-def test_dist2_exact():
-    assert dist2(P(0, 0, 0), P(1, 3, 4)) == 25
-    assert dist2(P(0, Fraction(1, 3), 0), P(1, 0, 0)) == Fraction(1, 9)
 
 
 def collinear_by_triple_scan(c, pts):

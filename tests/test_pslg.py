@@ -15,7 +15,6 @@ from pslgaug import (
     build,
     connectivity,
     convex_walk_decomposition,
-    dual_graph,
     facial_walks,
 )
 from pslgaug.geom import (
@@ -27,7 +26,7 @@ from pslgaug.geom import (
     segments_properly_cross,
 )
 from pslgaug.instances import generate
-from pslgaug.pslg import adjacency, require_augmentable
+from pslgaug.pslg import adjacency, reach, require_augmentable
 
 
 def test_build_fig3(fig3):
@@ -414,26 +413,43 @@ def test_decomposition_pendant_in_polygon(pendant_in_polygon):
     assert len(w) == 6
 
 
+def dual_graph(g, c):
+    """Dual graph on the P1 + P2 walks of ``c = convex_walk_decomposition(g)``,
+    two walks adjacent iff they share a graph edge, as (nodes, adjacency).
+
+    Asserts the two structural facts the heuristics' bounds rest on: every
+    edge of g lies on some P1/P2 walk, and the dual graph is connected.
+    """
+    nodes = c.p1 + c.p2
+    edge_to_nodes = {}
+    for i, wk in enumerate(nodes):
+        for e in wk.edges():
+            edge_to_nodes.setdefault(e, set()).add(i)
+    assert g.edges <= edge_to_nodes.keys(), "edges not covered by any convex chain"
+    adj = {i: set() for i in range(len(nodes))}
+    for ns in edge_to_nodes.values():
+        for i in ns:
+            adj[i] |= ns - {i}
+    assert not nodes or len(reach(adj, 0)) == len(nodes), "dual graph is disconnected"
+    return nodes, adj
+
+
 def test_dual_graph(triangle, fig3, star3):
-    c = convex_walk_decomposition(triangle)
-    d = dual_graph(c)
-    assert len(d.nodes) == 1
-    c = convex_walk_decomposition(fig3)
-    d = dual_graph(c)
-    assert len(d.nodes) == 2
-    assert d.adjacency[0] == {1}
-    c = convex_walk_decomposition(star3)
-    d = dual_graph(c)
-    assert len(d.nodes) == 3
+    nodes, _ = dual_graph(triangle, convex_walk_decomposition(triangle))
+    assert len(nodes) == 1
+    nodes, adj = dual_graph(fig3, convex_walk_decomposition(fig3))
+    assert len(nodes) == 2
+    assert adj[0] == {1}
+    nodes, adj = dual_graph(star3, convex_walk_decomposition(star3))
+    assert len(nodes) == 3
     # every pair of star walks shares an edge
-    assert all(len(v) == 2 for v in d.adjacency.values())
+    assert all(len(v) == 2 for v in adj.values())
 
 
 def test_random_instance_properties():
     # dual connectivity, cover, Euler and the facial-walk cut/bridge
-    # characterization over 100 seeded instances (the characterization and
-    # dual assertions live inside connectivity/dual_graph and raise on
-    # failure)
+    # characterization over 100 seeded instances (the characterization
+    # assertions live inside connectivity, the dual ones in dual_graph)
     rng = random.Random(2)
     for seed in range(100):
         n = rng.randrange(3, 13)
@@ -443,7 +459,7 @@ def test_random_instance_properties():
         rep = connectivity(g)
         assert rep.connected
         c = convex_walk_decomposition(g)
-        dual_graph(c)  # asserts cover and connectivity internally
+        dual_graph(g, c)  # asserts cover and connectivity
         wanted = Counter()
         for w in walks:
             wanted.update(w.edge_slots())
