@@ -18,7 +18,7 @@ from .geom import LENGTH_TOL
 from .heuristic import augment_2ec, augment_2vc
 from .optimal import InfeasibleFace, optimal_augment
 from .oracle import Exhausted, brute_force_optimal, verify
-from .pslg import LemmaViolation, PslgError, connectivity
+from .pslg import InvalidInstance, LemmaViolation, PslgError, connectivity
 from .render import render_svg
 from .transform import ReplayViolation, replay, transform
 
@@ -105,7 +105,7 @@ def cmd_transform(args):
         with open(args.oplog, "w", encoding="utf-8") as f:
             f.write(
                 instances.oplog_to_jsonl(
-                    log.steps, assert_len_le=f"{ceiling + LENGTH_TOL:.12g}"
+                    log.steps, assert_len_le=repr(ceiling + LENGTH_TOL)
                 )
             )
     record = instances.run_record(
@@ -191,10 +191,14 @@ def cmd_render(args):
     if args.overlay:
         with open(args.overlay, "r", encoding="utf-8") as f:
             text = f.read()
+        doc = None
         try:
             doc = json.loads(text)
             aug = [tuple(e) for e in doc["edges"]]
         except (json.JSONDecodeError, KeyError, TypeError):
+            if isinstance(doc, dict) and "edges" in doc:
+                raise InvalidInstance("malformed augmentation record: edges "
+                                      "must be a list of point id pairs") from None
             steps = instances.oplog_from_jsonl(text)
     svg = render_svg(g, aug_edges=aug, oplog_steps=steps)
     with open(args.output, "w", encoding="utf-8") as f:

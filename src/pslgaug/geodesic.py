@@ -88,39 +88,35 @@ class _FaceEnv:
         self.dedge_pos = walk_of_directed_edge(g)
         self.walks = facial_walks(g)
 
+        # the triangle right of directed graph edge (u, v) is the CCW
+        # triangle on (v, u), the one across side (a, b) of a triangle is on
+        # (b, a), and only clip-box sides have none.  Seed each triangle's
+        # face from the graph edges, then flood across unconstrained sides;
+        # every triangle and every graph edge's side must get a face
         side = self.T.directed_side_tri()
-        # triangle right of directed graph edge (u, v) = CCW triangle on (v, u)
-        self.right_tri = {}
-        for (u, v) in self.dedge_pos:
-            self.right_tri[(u, v)] = side[(self.lid[v], self.lid[u])]
-
-        # face id per triangle: seed from graph edges, flood across
-        # unconstrained edges
-        self.tri_face = {}
-        for (u, v), (face, _) in self.dedge_pos.items():
-            t = self.right_tri[(u, v)]
-            prev = self.tri_face.get(t)
-            if prev is not None and prev != face:
+        lid, constrained = self.lid, self.T.constrained
+        self.right_tri = {(u, v): side.get((lid[v], lid[u])) for u, v in self.dedge_pos}
+        tri_face = self.tri_face = {}
+        for d, (face, _) in self.dedge_pos.items():
+            t = self.right_tri[d]
+            if t is not None and tri_face.setdefault(t, face) != face:
                 raise LemmaViolation("conflicting face assignment for triangle")
-            self.tri_face[t] = face
-        frontier = sorted(self.tri_face)
+        frontier = list(tri_face)
         while frontier:
             t = frontier.pop()
-            f = self.tri_face[t]
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                k = (min(e), max(e))
-                if k in self.T.constrained:
-                    continue
-                for s in self.T.tris_of_edge(*e):
-                    if s == t:
-                        continue
-                    prev = self.tri_face.get(s)
-                    if prev is None:
-                        self.tri_face[s] = f
+            f = tri_face[t]
+            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                s = side.get((b, a))
+                if s is None:
+                    if min(a, b) < self.n_graph:  # a triangle is missing
+                        raise LemmaViolation("face assignment incomplete")
+                elif ((a, b) if a < b else (b, a)) not in constrained:
+                    if s not in tri_face:
+                        tri_face[s] = f
                         frontier.append(s)
-                    elif prev != f:
+                    elif tri_face[s] != f:
                         raise LemmaViolation("face flood fill conflict")
-        if len(self.tri_face) != len(self.T.tris):
+        if len(tri_face) != len(self.T.tris) or None in self.right_tri.values():
             raise LemmaViolation("face assignment incomplete")
 
     def fan_portals(self, prev, apex, nxt):

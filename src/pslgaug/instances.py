@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import random
 from fractions import Fraction
@@ -188,9 +189,15 @@ def oplog_from_jsonl(text: str):
             op, u, v, phase = doc["op"], doc["u"], doc["v"], doc.get("phase", 0)
             if not (_is_int(u) and _is_int(v) and _is_int(phase)):
                 raise TypeError("point ids and the phase must be integers")
-        except (KeyError, TypeError, ValueError):  # ValueError: bad JSON, or too many digits
+            ceil = doc.get("assert_len_le")
+            if ceil is not None:
+                if isinstance(ceil, bool) or not isinstance(ceil, (int, float, str)):
+                    raise TypeError("the length ceiling must be a number")
+                if math.isnan(ceil := float(ceil)):
+                    raise ValueError("the length ceiling is NaN")
+        except (KeyError, TypeError, ValueError, OverflowError):  # ValueError: bad JSON or number
             raise InvalidInstance(f"bad oplog line {ln}") from None
         if op not in ("insert", "delete"):
             raise InvalidInstance(f"bad op {op!r} on oplog line {ln}")
-        steps.append(OpStep(op=op, u=u, v=v, phase=phase))
+        steps.append(OpStep(op=op, u=u, v=v, phase=phase, assert_len_le=ceil))
     return steps

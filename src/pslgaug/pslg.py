@@ -126,6 +126,7 @@ class Pslg:
         self._walks = None
         self._conn = None
         self._face_env = None
+        self._mst = None  # transform.euclidean_mst
 
     # -- basic views ---------------------------------------------------
 
@@ -145,13 +146,9 @@ class Pslg:
 
     def with_edges(self, edge_pairs) -> Pslg:
         """The PSLG on the same, already validated points with the edge set
-        ``edge_pairs``.  Their general position rules out an edge through a
-        vertex, so only crossings are tested, and only for pairs that include
-        an edge not in ``self.edges`` and whose bounding boxes meet (see
-        _raise_first_crossing).  Only endpoints of added or removed edges get
-        a new rotation, sorted from their old rotation plus or minus the
-        changed edges, so an edit does not rebuild the whole adjacency.
-        Raises InvalidInstance or CrossingEdges with the offending ids."""
+        ``edge_pairs``: checks the list for unknown ids, self-loops and
+        duplicates, then makes the edit with :meth:`_edit`.  Raises
+        InvalidInstance or CrossingEdges with the offending ids."""
         edges = set()
         for u, v in edge_pairs:
             if u not in self.by_id or v not in self.by_id:
@@ -162,14 +159,20 @@ class Pslg:
             if k in edges:
                 raise InvalidInstance(f"duplicate edge {k}")
             edges.add(k)
+        return self._edit(edges - self.edges, self.edges - edges)
 
+    def _edit(self, added, removed) -> Pslg:
+        """The PSLG with the sets of edge keys ``added`` (new, no self-loops)
+        and ``removed`` (present) changed.  General position rules out an
+        edge through a vertex, so only crossings with an added edge are
+        tested (_raise_first_crossing).  Only endpoints of changed edges get
+        a new rotation, sorted from the old one.  Raises CrossingEdges."""
         ix, iy = self._ix, self._iy
-        added = edges - self.edges
+        edges = (self.edges - removed) | added
         if added:
             _raise_first_crossing(edges, added, ix, iy)
 
-        removed = self.edges - edges
-        nbrs = {v: set(self.rotation[v]) for e in removed | added for v in e}
+        nbrs = {v: set(self.rotation[v]) for e in (*removed, *added) for v in e}
         for u, v in removed:
             nbrs[u].remove(v)
             nbrs[v].remove(u)
@@ -179,7 +182,7 @@ class Pslg:
         rotation = dict(self.rotation)
         for v, ns in nbrs.items():
             rotation[v] = tuple(polar_sort(self.ipt(v), ns, self.ipt))
-        return Pslg(self.points, self.by_id, frozenset(edges), rotation, ix, iy)
+        return Pslg(self.points, self.by_id, edges, rotation, ix, iy)
 
 
 def build(points, edge_pairs) -> Pslg:

@@ -29,7 +29,6 @@ from .geom import (
 from .geodesic import _FaceEnv, geodesic
 from .pslg import (
     CrossingEdges,
-    InvalidInstance,
     LemmaViolation,
     Pslg,
     PslgError,
@@ -62,6 +61,7 @@ class OpStep:
     u: int
     v: int
     phase: int
+    assert_len_le: float | None = field(default=None, compare=False)  # length ceiling
 
 
 @dataclass
@@ -83,6 +83,8 @@ class WeaklySimplePolygon:
     """Closed vertex sequence with edge multiset of multiplicity at most 2."""
 
     seq: list  # cyclic, no duplicated closing vertex
+    # _weighted_length's memo: (edge support, own length)
+    _own: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self):
         return set(self.seq)
@@ -150,7 +152,7 @@ class WeaklySimplePolygon:
 class _CertifiedEdges:
     """The current graph ``graph``, a PSLG on the fixed points of the start
     graph, changed only by certified single edge edits through
-    ``Pslg.with_edges``: it stays a connected PSLG whose length is at most
+    ``Pslg._edit``: it stays a connected PSLG whose length is at most
     ``ceiling`` (tolerance included).  transform and replay both edit
     through it, so every op log transform writes replays.
     """
@@ -172,18 +174,18 @@ class _CertifiedEdges:
         if op == "insert":
             if e in g.edges:
                 return "planarity", f"edge {e} already present"
-            edges = g.edges | {e}
+            if u == v:
+                return "vertices", f"self-loop at point {u}"
+            added, removed = {e}, set()
         elif op == "delete":
             if e not in g.edges:
                 return "planarity", f"edge {e} not present"
-            edges = g.edges - {e}
+            added, removed = set(), {e}
             self.connected = False
         else:
             return "op", op
         try:
-            self.graph = g.with_edges(edges)
-        except InvalidInstance as exc:  # a self-loop
-            return "vertices", str(exc)
+            self.graph = g._edit(added, removed)
         except CrossingEdges as exc:
             return "planarity", str(exc)
         d = dist(g.by_id[u], g.by_id[v])
@@ -271,10 +273,13 @@ def _sq(g, u, v):
 
 
 def euclidean_mst(g: Pslg):
-    """Canonical Euclidean MST over all point pairs (exact comparisons)."""
-    ids = sorted(p.id for p in g.points)
-    pool = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-    return set(kruskal(pool, lambda e: _sq(g, *e)))
+    """Canonical Euclidean MST over all point pairs (exact comparisons):
+    computed once per graph, and a new set on every call."""
+    if g._mst is None:
+        ids = sorted(p.id for p in g.points)
+        pool = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+        g._mst = frozenset(kruskal(pool, lambda e: _sq(g, *e)))
+    return set(g._mst)
 
 
 def mst_length(g: Pslg):
@@ -379,10 +384,13 @@ def phase3_to_mst(ed: _Editor, tree, target):
 
 def _weighted_length(ed: _Editor, poly: WeaklySimplePolygon, edges):
     """``poly.length(g)`` plus the length of ``edges`` off the polygon, from
-    the editor's memo of edge lengths."""
-    seq, m = poly.seq, len(poly.seq)
-    sup = set(poly.edge_multiset())
-    around = fsum(ed.edge_length(ekey(seq[i], seq[(i + 1) % m])) for i in range(m))
+    the editor's memo of edge lengths.  The polygon's edge support and its
+    own length are computed once per polygon."""
+    if poly._own is None:
+        seq, m = poly.seq, len(poly.seq)
+        around = fsum(ed.edge_length(ekey(seq[i], seq[(i + 1) % m])) for i in range(m))
+        poly._own = (set(poly.edge_multiset()), around)
+    sup, around = poly._own
     return around + fsum(ed.edge_length(e) for e in edges if e not in sup)
 
 
@@ -574,11 +582,14 @@ def transform(g: Pslg):
 
 def replay(g: Pslg, steps):
     """Re-execute an OpLog on a fresh copy of g, asserting planarity,
-    connectivity and the length ceiling after every step."""
+    connectivity, the length ceiling and each step's own ``assert_len_le``
+    after every step."""
     cert = _CertifiedEdges(g, g.total_length() + mst_length(g) + LENGTH_TOL)
     max_len = cert.length
     for k, st in enumerate(steps):
         bad = cert.edit(st.op, st.u, st.v)
+        if bad is None and st.assert_len_le is not None and cert.length > st.assert_len_le:
+            bad = "length", f"{cert.length:.9g} > assert_len_le {st.assert_len_le!r}"
         if bad is not None:
             raise ReplayViolation(k, *bad)
         max_len = max(max_len, cert.length)

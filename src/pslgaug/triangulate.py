@@ -85,12 +85,8 @@ class Triangulation:
     def has_edge(self, i, j):
         return _ek(i, j) in self.edge_tris
 
-    def tris_of_edge(self, i, j):
-        return self.edge_tris.get(_ek(i, j), set())
-
     def other_tri(self, i, j, t):
-        ts = self.tris_of_edge(i, j)
-        for s in ts:
+        for s in self.edge_tris.get(_ek(i, j), ()):
             if s != t:
                 return s
         return None

@@ -211,6 +211,57 @@ def test_transform_replay_roundtrip(tmp_path, capsys):
     assert rep["steps"] == doc["steps"]
 
 
+def test_transform_oplog_states_the_exact_ceiling_and_replay_checks_it(tmp_path, capsys):
+    from pslgaug.geom import LENGTH_TOL
+    from pslgaug.transform import transform
+
+    inst = tmp_path / "inst.json"
+    g = generate(30, 8, 0.5)
+    inst.write_text(serialize(g))
+    oplog = tmp_path / "run.jsonl"
+    code, _, _ = run_cli(["transform", str(inst), "--oplog", str(oplog)], capsys)
+    assert code == 0
+    stats = transform(g)[2].stats
+    ceiling = stats["base_length"] + stats["mst_length"] + LENGTH_TOL
+    lines = oplog.read_text().splitlines()
+    assert {json.loads(line)["assert_len_le"] for line in lines} == {repr(ceiling)}
+    assert [st.assert_len_le for st in oplog_from_jsonl(oplog.read_text())] == [ceiling] * len(lines)
+    code, _, _ = run_cli(["replay", str(inst), str(oplog)], capsys)
+    assert code == 0
+
+    # one line states a ceiling below the graph's length after its step
+    k = len(lines) // 2
+    doc = json.loads(lines[k])
+    doc["assert_len_le"] = "0.001"
+    lines[k] = json.dumps(doc)
+    oplog.write_text("\n".join(lines) + "\n")
+    code, _, err = run_cli(["replay", str(inst), str(oplog)], capsys)
+    assert code == 1
+    assert err.startswith(f"replay violation: step {k}: length violated: ")
+    assert err.endswith(" > assert_len_le 0.001\n")
+
+
+@pytest.mark.parametrize("ceiling", [True, [1], "x", "nan", 10**400])
+def test_oplog_rejects_a_malformed_length_ceiling(ceiling):
+    good = json.dumps({"op": "insert", "u": 1, "v": 3, "phase": 4, "assert_len_le": 2})
+    bad = json.dumps({"op": "insert", "u": 1, "v": 3, "phase": 4, "assert_len_le": ceiling})
+    assert oplog_from_jsonl(good)[0].assert_len_le == 2.0
+    with pytest.raises(InvalidInstance, match=r"^bad oplog line 2$"):
+        oplog_from_jsonl(good + "\n" + bad + "\n")
+
+
+@pytest.mark.parametrize("edges", [[1, 2], 5, [[1, 2], 3]])
+def test_render_rejects_a_malformed_augmentation_record(fig3_file, tmp_path, capsys, edges):
+    ov = tmp_path / "overlay.json"
+    ov.write_text(json.dumps({"edges": edges}))
+    out_svg = tmp_path / "out.svg"
+    code, _, err = run_cli(["render", fig3_file, "--overlay", str(ov), "-o", str(out_svg)], capsys)
+    assert code == 1
+    assert err == ("error: malformed augmentation record: edges must be a list of "
+                   "point id pairs\n")
+    assert not out_svg.exists()
+
+
 def test_replay_rejects_self_loop(fig3_file, tmp_path, capsys):
     from pslgaug.transform import OpStep
 

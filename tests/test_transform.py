@@ -3,12 +3,13 @@ import json
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from pslgaug import build
 from pslgaug.geodesic import face_env, geodesic
-from pslgaug.geom import dist, ekey, polar_sort, segments_properly_cross
+from pslgaug.geom import LENGTH_TOL, dist, ekey, polar_sort, segments_properly_cross
 from pslgaug.instances import generate, oplog_to_jsonl
 from pslgaug.pslg import CrossingEdges, LemmaViolation, connectivity, facial_walks
 from pslgaug.triangulate import insert_constraint, triangulate_points
@@ -241,23 +242,29 @@ def test_transform_and_replay_random():
 
 # each case follows a valid first step, so the violation is at step 1
 REJECTED = {
-    "disconnecting_delete": (OpStep("delete", 3, 4, 1), "connectivity"),
-    "crossing_insert": (OpStep("insert", 1, 4, 1), "planarity"),
-    "overlong": (OpStep("insert", 2, 4, 1), "length"),  # past ||E|| + ||MST||
-    "unknown_endpoint": (OpStep("insert", 1, 99, 1), "vertices"),
-    "unknown_op": (OpStep("flip", 1, 4, 1), "op"),
-    "insert_present": (OpStep("insert", 3, 1, 1), "planarity"),
-    "delete_absent": (OpStep("delete", 1, 4, 1), "planarity"),
-    "self_loop": (OpStep("insert", 2, 2, 1), "vertices"),
+    "disconnecting_delete": (OpStep("delete", 3, 4, 1), "connectivity", ""),
+    "crossing_insert": (OpStep("insert", 1, 4, 1), "planarity", "edges (1,4) and (2,3) cross"),
+    # past ||E|| + ||MST||
+    "overlong": (OpStep("insert", 2, 4, 1), "length", "3.20498756 > ceiling 2.40498756"),
+    "unknown_endpoint": (OpStep("insert", 1, 99, 1), "vertices", "unknown endpoint in (1, 99)"),
+    "unknown_op": (OpStep("flip", 1, 4, 1), "op", "flip"),
+    "insert_present": (OpStep("insert", 3, 1, 1), "planarity", "edge (1, 3) already present"),
+    "delete_absent": (OpStep("delete", 1, 4, 1), "planarity", "edge (1, 4) not present"),
+    "self_loop": (OpStep("insert", 2, 2, 1), "vertices", "self-loop at point 2"),
 }
+
+
+def violation(invariant, message):
+    return f"{invariant} violated{': ' + message if message else ''}"
 
 
 @pytest.mark.parametrize("case", sorted(REJECTED))
 def test_replay_rejects(fig3, case):
-    bad, invariant = REJECTED[case]
+    bad, invariant, message = REJECTED[case]
     with pytest.raises(ReplayViolation) as e:
         replay(fig3, [OpStep("insert", 1, 3, 1), bad])
     assert (e.value.step, e.value.invariant) == (1, invariant)
+    assert str(e.value) == "step 1: " + violation(invariant, message)
 
 
 def test_replay_rejects_disconnected_start():
@@ -271,10 +278,59 @@ def test_replay_rejects_disconnected_start():
 def test_editor_rejects(fig3, case):
     ed = make_editor(fig3)
     ed.insert(1, 3, 1)
-    bad, invariant = REJECTED[case]
-    with pytest.raises(LemmaViolation, match=invariant):
+    bad, invariant, message = REJECTED[case]
+    with pytest.raises(LemmaViolation) as e:
         (ed.insert if bad.op == "insert" else ed.delete)(bad.u, bad.v, bad.phase)
+    assert str(e.value) == f"{bad.op} {ekey(bad.u, bad.v)}: " + violation(invariant, message)
     assert len(ed.log.steps) == 1
+
+
+def test_replay_checks_each_steps_length_ceiling():
+    g = generate(10, 5, 0.5)
+    steps = transform(g)[2].steps
+    ceiling = g.total_length() + mst_length(g) + LENGTH_TOL
+    assert replay(g, [replace(st, assert_len_le=ceiling) for st in steps])["ok"]
+    # the graph after step k is no longer than the ceiling it may state,
+    # and one step with a ceiling below that length fails at that step
+    lengths = [g.total_length()]
+    for st in steps:
+        d = dist(g.by_id[st.u], g.by_id[st.v])
+        lengths.append(lengths[-1] + (d if st.op == "insert" else -d))
+    for k in (0, len(steps) // 2, len(steps) - 1):
+        tight = list(steps)
+        tight[k] = replace(steps[k], assert_len_le=lengths[k + 1])
+        assert replay(g, tight)["ok"]
+        tight[k] = replace(steps[k], assert_len_le=lengths[k + 1] * (1 - 1e-12))
+        with pytest.raises(ReplayViolation) as e:
+            replay(g, tight)
+        assert (e.value.step, e.value.invariant) == (k, "length")
+        assert "> assert_len_le" in str(e.value)
+
+
+def test_certified_insert_reports_the_crossing_with_edges_reports():
+    # a crossing insert through the one-edge edit names the same pair as a
+    # whole-list with_edges of the same graph
+    rng = random.Random(12)
+    crossings = 0
+    for _ in range(30):
+        g = generate(rng.randint(6, 30), rng.randrange(10**6), rng.choice((0.2, 0.5, 0.8)))
+        ids = sorted(g.by_id)
+        for _ in range(20):
+            e = tuple(sorted(rng.sample(ids, 2)))
+            if e in g.edges:
+                continue
+            try:
+                want = g.with_edges(g.edges | {e})
+            except CrossingEdges as exc:
+                want = str(exc)
+            cert = _CertifiedEdges(g, float("inf"))
+            got = cert.edit("insert", *e)
+            if isinstance(want, str):
+                crossings += 1
+                assert got == ("planarity", want)
+            else:
+                assert got is None and cert.graph.rotation == want.rotation
+    assert crossings >= 100
 
 
 def test_edited_graph_matches_build():
@@ -533,3 +589,78 @@ def test_transform_golden_hash(case):
     _, poly, log = transform(generate(*case))
     text = oplog_to_jsonl(log.steps) + json.dumps(poly.seq)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN_MORPHS[case]
+
+
+# -- the live environment's per-query checks ------------------------------
+
+CORRUPTED = (20, 5, 0.5)
+
+
+def _a_walk(g):
+    """Two edges of a facial walk that a geodesic query accepts."""
+    for w in facial_walks(g):
+        if len(w.seq) > 3 and w.seq[0] != w.seq[2]:
+            return w.seq[:3]
+    raise AssertionError("no walk of two edges")
+
+
+def _live_editor():
+    """An editor whose live environment has followed one certified delete
+    since its first query, so its next query derives a new environment."""
+    g = generate(*CORRUPTED)
+    ed = make_editor(g)
+    ed.geodesic(_a_walk(g))
+    ed.delete(*min(g.edges - connectivity(g).bridges), 4)
+    return ed
+
+
+def _query_after(corrupt):
+    ed = _live_editor()
+    corrupt(ed.env.T)
+    return ed.geodesic(_a_walk(ed.graph))
+
+
+def test_query_rejects_a_dropped_constraint_mark():
+    _query_after(lambda T: None)  # the uncorrupted query passes
+    with pytest.raises(LemmaViolation, match="^live triangulation constrains other edges"):
+        _query_after(lambda T: T.constrained.discard(min(T.constrained)))
+
+
+def test_query_rejects_a_flipped_constrained_edge():
+    # the flipped graph edge keeps its mark, so the constraint set still
+    # matches the graph; the faces on its two sides now meet across the new
+    # diagonal, and a bridge (one face on both sides) loses its triangles
+    ed = _live_editor()
+    T, gid = ed.env.T, ed.env.gid
+    bridges = connectivity(ed.graph).bridges
+    side = T.directed_side_tri()
+    seen = Counter()
+    for a, b in sorted(T.constrained):
+        c, d = T.apex(side[a, b], a, b), T.apex(side[b, a], a, b)
+        if T.orient(c, d, a) * T.orient(c, d, b) >= 0:
+            continue  # not a convex quad
+
+        def flip(T, a=a, b=b, c=c, d=d):
+            for t in list(T.edge_tris[a, b]):
+                T.remove_tri(t)
+            T.add_tri(a, c, d)
+            T.add_tri(b, c, d)
+
+        with pytest.raises(LemmaViolation) as e:
+            _query_after(flip)
+        seen[str(e.value)] += 1
+        if (gid[a], gid[b]) in bridges:
+            assert str(e.value) == "face assignment incomplete"
+        else:  # a triangle spanning both faces may already get both seeds
+            assert str(e.value) in ("face flood fill conflict",
+                                    "conflicting face assignment for triangle")
+    assert seen["face flood fill conflict"] >= 5
+    assert seen["face assignment incomplete"] >= 3
+
+
+def test_query_rejects_a_deleted_triangle():
+    tris = sorted(_live_editor().env.T.tris)
+    assert len(tris) > 40
+    for t in tris:
+        with pytest.raises(LemmaViolation, match="^face assignment incomplete$"):
+            _query_after(lambda T, t=t: T.remove_tri(t))
