@@ -74,6 +74,10 @@ def cmd_augment(args):
     res = fn(g)
     wall = (time.perf_counter() - t0) * 1000
     rep = verify(g, res.added, mode)
+    if not rep["ok"]:
+        failed = next(k for k in ("planar", "connectivity_ok", "ratio_le_2") if not rep[k])
+        detail = f" ({rep['error']})" if failed == "planar" else ""
+        raise LemmaViolation(f"verify rejected the {args.mode} result: {failed} failed{detail}")
     record = instances.run_record(
         g,
         args.mode,

@@ -60,8 +60,8 @@ class _FaceEnv:
     its triangulation, which the caller has since edited to constrain
     exactly the edges of ``g``; ``live`` is then stale.  Either way the
     facial walks, ``right_tri`` and the face of every triangle are derived
-    for ``g``, and the constraint set, ``T.validate()`` and the face flood
-    fill check the triangulation against ``g``.
+    for ``g``, and the constraint set, the face flood fill and then
+    ``T.validate()`` check the triangulation against ``g``.
     """
 
     def __init__(self, g: Pslg, live: _FaceEnv | None = None):
@@ -83,7 +83,6 @@ class _FaceEnv:
             # local ids follow vertex ids, so (u, v) with u < v maps to i < j
             if self.T.constrained != {(self.lid[u], self.lid[v]) for u, v in g.edges}:
                 raise LemmaViolation("live triangulation constrains other edges than the graph")
-        self.T.validate()
 
         self.dedge_pos = walk_of_directed_edge(g)
         self.walks = facial_walks(g)
@@ -118,6 +117,7 @@ class _FaceEnv:
                         raise LemmaViolation("face flood fill conflict")
         if len(tri_face) != len(self.T.tris) or None in self.right_tri.values():
             raise LemmaViolation("face assignment incomplete")
+        self.T.validate()
 
     def fan_portals(self, prev, apex, nxt):
         """Portals crossed while swinging around ``apex`` from the triangle

@@ -117,7 +117,7 @@ class Pslg:
     """
 
     def __init__(self, points, by_id, edges, rotation, ix, iy):
-        self.points = points  # list[Point], input order
+        self.points = points  # tuple of Point, input order
         self.by_id = by_id
         self.edges = edges  # frozenset of (u, v), u < v
         self.rotation = rotation  # id -> tuple of neighbor ids, CCW
@@ -185,14 +185,30 @@ class Pslg:
         return Pslg(self.points, self.by_id, edges, rotation, ix, iy)
 
 
+class _ValidatedPoints(tuple):
+    """The points of a built PSLG in input order, as :func:`build` checked
+    them, with the id index ``by_id`` and the scaled integer coordinates
+    ``ix`` and ``iy``.  ``build`` takes such a tuple as already valid."""
+
+
 def build(points, edge_pairs) -> Pslg:
     """Validate and build a PSLG.
 
     ``points`` is an iterable of Point or (id, x, y) with decimal-string
     (or int/Fraction) coordinates; ``edge_pairs`` an iterable of id pairs.
     Raises DuplicatePoint, CollinearTriple, CrossingEdges, EdgeThroughVertex
-    or InvalidInstance with the offending ids.
+    or InvalidInstance with the offending ids.  The points of a built graph
+    (``g.points``) are not checked again; the edges always are.
     """
+    if type(points) is not _ValidatedPoints:
+        points = _validate_points(points, edge_pairs)
+    rotation = {p.id: () for p in points}
+    empty = Pslg(points, points.by_id, frozenset(), rotation, points.ix, points.iy)
+    return empty.with_edges(edge_pairs)
+
+
+def _validate_points(points, edge_pairs) -> _ValidatedPoints:
+    """The point checks and the integer scaling of :func:`build`."""
     pts = []
     for p in points:
         if isinstance(p, Point):
@@ -223,8 +239,8 @@ def build(points, edge_pairs) -> Pslg:
     # general position: no three collinear, each point checked against the
     # points before it.  An edge through a third vertex makes a collinear
     # triple, so it is looked for only then; it is the reported fault when
-    # there is one.  with_edges below rejects unknown ids, self-loops,
-    # duplicates and crossings.
+    # there is one.  build's with_edges then rejects unknown ids,
+    # self-loops, duplicates and crossings.
     order = sorted(ids)
     placed = []
     for c in order:
@@ -235,8 +251,9 @@ def build(points, edge_pairs) -> Pslg:
             raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
         placed.append((ix[c], iy[c]))
 
-    empty = Pslg(pts, {p.id: p for p in pts}, frozenset(), {i: () for i in ids}, ix, iy)
-    return empty.with_edges(edge_pairs)
+    out = _ValidatedPoints(pts)
+    out.by_id, out.ix, out.iy = {p.id: p for p in pts}, ix, iy
+    return out
 
 
 def _raise_first_crossing(edges, added, ix, iy):

@@ -82,16 +82,19 @@ class OpLog:
 class WeaklySimplePolygon:
     """Closed vertex sequence with edge multiset of multiplicity at most 2."""
 
-    seq: list  # cyclic, no duplicated closing vertex
-    # _weighted_length's memo: (edge support, own length)
-    _own: tuple = field(default=None, init=False, repr=False, compare=False)
+    seq: list  # cyclic, no duplicated closing vertex; never edited in place
+    _edges: Counter = field(default=None, init=False, repr=False, compare=False)
+    _length: float = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self):
         return set(self.seq)
 
     def edge_multiset(self):
-        m = len(self.seq)
-        return Counter(ekey(self.seq[i], self.seq[(i + 1) % m]) for i in range(m))
+        """Edge key -> multiplicity, counted once per polygon."""
+        if self._edges is None:
+            m = len(self.seq)
+            self._edges = Counter(ekey(self.seq[i], self.seq[(i + 1) % m]) for i in range(m))
+        return self._edges
 
     def multiplicity(self):
         return Counter(self.seq)
@@ -384,14 +387,13 @@ def phase3_to_mst(ed: _Editor, tree, target):
 
 def _weighted_length(ed: _Editor, poly: WeaklySimplePolygon, edges):
     """``poly.length(g)`` plus the length of ``edges`` off the polygon, from
-    the editor's memo of edge lengths.  The polygon's edge support and its
-    own length are computed once per polygon."""
-    if poly._own is None:
+    the editor's memo of edge lengths.  The polygon's own length is
+    computed once per polygon."""
+    if poly._length is None:
         seq, m = poly.seq, len(poly.seq)
-        around = fsum(ed.edge_length(ekey(seq[i], seq[(i + 1) % m])) for i in range(m))
-        poly._own = (set(poly.edge_multiset()), around)
-    sup, around = poly._own
-    return around + fsum(ed.edge_length(e) for e in edges if e not in sup)
+        poly._length = fsum(ed.edge_length(ekey(seq[i], seq[(i + 1) % m])) for i in range(m))
+    sup = poly.edge_multiset()
+    return poly._length + fsum(ed.edge_length(e) for e in edges if e not in sup)
 
 
 def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
@@ -400,7 +402,7 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     delete every other edge between polygon vertices that is off the
     polygon.  Each step's snapshot carries the polygon plus leftover edges
     length.  Returns the validated polygon."""
-    support = set(poly.edge_multiset())
+    support = poly.edge_multiset()
     vc = poly.vertices()
     for e in gone:
         if e not in support:
@@ -461,8 +463,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
             raise LemmaViolation("no convex boundary pair found in phase 4")
         a_end, y, b_end = found
         xq, zq = (a_end, b_end) if a_end in vc else (b_end, a_end)
-        ems = poly.edge_multiset()
-        if ems.get(ekey(xq, y), 0) == 0:
+        if ekey(xq, y) not in poly.edge_multiset():
             raise LemmaViolation("selected pair edge is not on the polygon")
 
         geo = ed.geodesic([a_end, y, b_end])

@@ -9,7 +9,7 @@ triangulation).
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 
 from .geom import DegenerateInput, in_ccw_sector, incircle_xy, orient_xy
 from .pslg import LemmaViolation
@@ -108,10 +108,19 @@ class Triangulation:
         return m
 
     def validate(self):
-        """Structural sanity: interior edges have 2 triangles, hull edges 1."""
-        for k, ts in self.edge_tris.items():
-            if len(ts) not in (1, 2):
-                raise LemmaViolation(f"edge {k} borders {len(ts)} triangles")
+        """Structural sanity: every edge borders 1 or 2 triangles, and the
+        triangle count is 2V - h - 2 for the V points and the h edges that
+        border one triangle, as in a triangulation of the points' convex
+        hull.  A removed triangle with no hull side breaks the count."""
+        sizes = Counter(map(len, self.edge_tris.values()))
+        if sizes.keys() - {1, 2}:
+            k, ts = next((k, ts) for k, ts in self.edge_tris.items() if len(ts) not in (1, 2))
+            raise LemmaViolation(f"edge {k} borders {len(ts)} triangles")
+        h = sizes[1]
+        if len(self.tris) != 2 * len(self.pts) - h - 2:
+            raise LemmaViolation(
+                f"{len(self.tris)} triangles, not 2V - h - 2 for V={len(self.pts)}, h={h}"
+            )
 
 
 def triangulate_points(pts) -> Triangulation:

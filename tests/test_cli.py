@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from pslgaug import InvalidInstance, build
+from pslgaug import InvalidInstance, build, cli
 from pslgaug.cli import main
 from pslgaug.instances import (
     fraction_to_decimal,
@@ -189,6 +190,24 @@ def test_augment_all_modes(fig3_file, capsys):
         doc = json.loads(out)
         check_schema(doc)
         assert doc["cost"] == pytest.approx(2.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("change, failed", [
+    (lambda added: added[1:], "connectivity_ok failed"),
+    (lambda added: sorted(added + [(1, 4)]), "planar failed (edges (1,4) and (2,3) cross)"),
+], ids=["dropped-edge", "crossing-edge"])
+def test_augment_exits_3_when_verify_rejects_the_result(fig3_file, capsys, monkeypatch,
+                                                        change, failed):
+    mode, augment = cli.AUGMENT_MODES["opt2ec"]
+
+    def tampered(g):
+        res = augment(g)
+        return replace(res, added=change(res.added))
+
+    monkeypatch.setitem(cli.AUGMENT_MODES, "opt2ec", (mode, tampered))
+    code, out, err = run_cli(["augment", fig3_file, "--mode", "opt2ec", "--json"], capsys)
+    assert (code, out) == (3, "")
+    assert err == f"internal invariant violated: verify rejected the opt2ec result: {failed}\n"
 
 
 def test_transform_replay_roundtrip(tmp_path, capsys):

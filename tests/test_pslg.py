@@ -1,5 +1,7 @@
 import random
 from collections import Counter
+from fractions import Fraction
+from itertools import permutations
 from math import lcm
 
 import pytest
@@ -234,6 +236,91 @@ def test_with_edges_matches_reference_on_batches():
             assert outcome(g.with_edges, batch) == want, (seed, batch)
             kinds[want[0] if isinstance(want[0], str) else "valid"] += 1
     assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
+
+
+def _full_build(g, edges):
+    """build on fresh (id, x, y) triples of g's points: every point check."""
+    return build([(p.id, p.x, p.y) for p in g.points], edges)
+
+
+def _augmented_edge_sets(g):
+    from pslgaug.heuristic import augment_2ec, augment_2vc
+    from pslgaug.optimal import optimal_augment
+
+    yield sorted(g.edges)
+    for res in (augment_2ec(g), augment_2vc(g),
+                optimal_augment(g, "2ec"), optimal_augment(g, "2vc")):
+        yield sorted(g.edges | set(res.added))
+
+
+def test_build_from_built_points_matches_a_full_build():
+    from test_optimal import pool_instances
+
+    rng = random.Random(13)
+    graphs = pool_instances() + [
+        generate(rng.randrange(5, 30), rng.randrange(10**6), rng.choice([0.2, 0.4, 0.6]))
+        for _ in range(110)
+    ]
+    for g in graphs:
+        for edges in _augmented_edge_sets(g):
+            fast, full = build(g.points, edges), _full_build(g, edges)
+            assert fast.edges == full.edges and fast.rotation == full.rotation
+            assert (fast._ix, fast._iy) == (full._ix, full._iy)
+            assert facial_walks(fast) == facial_walks(full)
+            assert fast.points is g.points and fast.points == full.points
+
+
+def test_build_from_built_points_rejects_edges_like_a_full_build():
+    rng = random.Random(29)
+    kinds = Counter()
+    for seed in range(10):
+        g = generate(rng.randrange(8, 30), 900 + seed, rng.choice([0.3, 0.6]))
+        u, v = min(g.edges)
+        ids = [p.id for p in g.points]
+        # among five points in general position four are in convex position
+        a, b, c, d = next(q for q in permutations(ids[:5], 4) if segments_properly_cross(
+            *g.ipt(q[0]), *g.ipt(q[1]), *g.ipt(q[2]), *g.ipt(q[3])))
+        batches = [
+            sorted(g.edges) + [(u, v)],  # duplicate
+            sorted(g.edges) + [(u, max(ids) + 1)],  # unknown id
+            sorted(g.edges) + [(u, u)],  # self-loop
+            [(a, b), (c, d)],  # crossing
+        ] + [_random_edges(rng, ids, rng.randrange(1, 20), faults=True) for _ in range(40)]
+        for edges in batches:
+            want = outcome(_full_build, g, edges)
+            assert outcome(build, g.points, edges) == want, (seed, edges)
+            kinds[want[0] if isinstance(want[0], str) else "valid"] += 1
+    assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
+
+
+def test_copied_points_are_checked_again():
+    g = generate(20, 4, 0.5)
+    p, q = g.points[0], g.points[1]
+    mid = Point.make(1000, Fraction(p.x + q.x, 2), Fraction(p.y + q.y, 2))
+    twin = Point(1000, p.x, p.y)
+    for extra, error, match in ((mid, CollinearTriple, "collinear"),
+                                (twin, DuplicatePoint, "coincide"),
+                                (p, DuplicatePoint, "ids")):
+        for pts in (list(g.points) + [extra], g.points[:5] + (extra,), g.points + (extra,)):
+            with pytest.raises(error, match=match):
+                build(pts, [])
+
+
+def test_built_points_are_validated_once_and_immutable(monkeypatch):
+    g = generate(20, 4, 0.5)
+    with pytest.raises(TypeError):
+        g.points[0] = g.points[1]
+    with pytest.raises(AttributeError):
+        g.points.append(g.points[0])
+    assert isinstance(g.points, tuple)
+
+    def unexpected(*args):
+        raise AssertionError("points checked again")
+
+    monkeypatch.setattr("pslgaug.pslg.collinear_pair", unexpected)
+    assert build(g.points, g.edges).rotation == g.rotation
+    with pytest.raises(AssertionError, match="checked again"):
+        build(list(g.points), g.edges)
 
 
 def test_lengths_independent_of_edge_order():

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 import sys
 from collections import Counter
 from dataclasses import replace
@@ -12,7 +13,7 @@ from pslgaug.geodesic import face_env, geodesic
 from pslgaug.geom import LENGTH_TOL, dist, ekey, polar_sort, segments_properly_cross
 from pslgaug.instances import generate, oplog_to_jsonl
 from pslgaug.pslg import CrossingEdges, LemmaViolation, connectivity, facial_walks
-from pslgaug.triangulate import insert_constraint, triangulate_points
+from pslgaug.triangulate import insert_constraint, lawson_flips, triangulate_points
 from pslgaug.transform import (
     OpStep,
     ReplayViolation,
@@ -490,6 +491,26 @@ def test_vertex_index_follows_random_constraint_edits():
             edits += 1
             T.validate()
             assert_vertex_index_current(T)
+
+
+def test_validate_rejects_a_removed_interior_triangle():
+    g = generate(30, 11, 0.0)
+    T = triangulate_points([g.ipt(p.id) for p in g.points])
+    lawson_flips(T)
+    T.validate()
+    interior = [t for t in sorted(T.tris) if all(
+        len(T.edge_tris[ekey(a, b)]) == 2 for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])))]
+    assert len(interior) > 20
+    for t in interior:
+        T.remove_tri(t)
+        with pytest.raises(LemmaViolation, match="triangles, not 2V - h - 2"):
+            T.validate()
+        T.add_tri(*t)
+    T.validate()
+    a, b, c = interior[0]
+    T.add_tri(a, b, next(z for z in range(len(T.pts)) if z not in (a, b, c) and T.orient(a, b, z)))
+    with pytest.raises(LemmaViolation, match=re.escape(f"edge {ekey(a, b)} borders 3 triangles")):
+        T.validate()
 
 
 def fresh_geodesic(g, walk):
