@@ -10,6 +10,7 @@ exact comparisons of lengths go through squared distances.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -86,9 +87,12 @@ def collinear_pair(c, pts):
     return None
 
 
-def polar_sort(center_xy, items, key_xy):
+def polar_sort(center_xy, items, key_xy, into=()):
     """Sort items by CCW polar angle of key_xy(item) around center, starting
-    from the +x axis.  Exact; assumes no two directions coincide."""
+    from the +x axis, merged into ``into``, a sequence already in that
+    order.  Each item finds its place in ``into`` by binary search, so one
+    item costs O(log len(into)) comparisons.  Exact; assumes no two
+    directions coincide."""
     cx, cy = center_xy
 
     def half(dx, dy):
@@ -104,7 +108,18 @@ def polar_sort(center_xy, items, key_xy):
         cr = d1x * d2y - d1y * d2x
         return -1 if cr > 0 else (1 if cr < 0 else 0)
 
-    return sorted(items, key=functools.cmp_to_key(cmp))
+    key = functools.cmp_to_key(cmp)
+    items = sorted(items, key=key)
+    if not into:
+        return items
+    out, lo = [], 0
+    for item in items:
+        hi = bisect.bisect(into, key(item), lo, key=key)
+        out += into[lo:hi]
+        out.append(item)
+        lo = hi
+    out += into[lo:]
+    return out
 
 
 def _between_1d(a, b, c) -> bool:

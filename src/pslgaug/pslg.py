@@ -13,6 +13,7 @@ convex iff (prev - apex) x (next - apex) > 0 (``_corner_convex``).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice
 from math import fsum, lcm
@@ -165,23 +166,30 @@ class Pslg:
         """The PSLG with the sets of edge keys ``added`` (new, no self-loops)
         and ``removed`` (present) changed.  General position rules out an
         edge through a vertex, so only crossings with an added edge are
-        tested (_raise_first_crossing).  Only endpoints of changed edges get
-        a new rotation, sorted from the old one.  Raises CrossingEdges."""
+        tested (_raise_first_crossing).  At each endpoint of a changed edge
+        the old rotation, less the removed neighbours, is merged with the
+        sorted added ones.  Raises CrossingEdges."""
         ix, iy = self._ix, self._iy
-        edges = (self.edges - removed) | added
+        kept = self.edges - removed if removed else self.edges
         if added:
-            _raise_first_crossing(edges, added, ix, iy)
+            _raise_first_crossing(kept, added, ix, iy)
 
-        nbrs = {v: set(self.rotation[v]) for e in (*removed, *added) for v in e}
+        gone, new = {}, {}
         for u, v in removed:
-            nbrs[u].remove(v)
-            nbrs[v].remove(u)
+            gone.setdefault(u, set()).add(v)
+            gone.setdefault(v, set()).add(u)
         for u, v in added:
-            nbrs[u].add(v)
-            nbrs[v].add(u)
+            new.setdefault(u, []).append(v)
+            new.setdefault(v, []).append(u)
         rotation = dict(self.rotation)
-        for v, ns in nbrs.items():
-            rotation[v] = tuple(polar_sort(self.ipt(v), ns, self.ipt))
+        for v in gone.keys() | new.keys():
+            rot = rotation[v]
+            if v in gone:
+                rot = tuple(w for w in rot if w not in gone[v])
+            if v in new:
+                rot = tuple(polar_sort(self.ipt(v), new[v], self.ipt, rot))
+            rotation[v] = rot
+        edges = kept | added if added else kept
         return Pslg(self.points, self.by_id, edges, rotation, ix, iy)
 
 
@@ -256,53 +264,70 @@ def _validate_points(points, edge_pairs) -> _ValidatedPoints:
     return out
 
 
-def _raise_first_crossing(edges, added, ix, iy):
+def _raise_first_crossing(kept, added, ix, iy):
     """Raise CrossingEdges for the first pair of properly crossing edges,
-    one of them in ``added``, in the order of the all-pairs loop over each
-    added[i] against sorted(edges - added) + added[i+1:] (``added``
-    sorted), if there is one.
+    one of them in ``added`` and the other in ``kept`` or ``added``, in the
+    order of the all-pairs loop over each added[i] against sorted(kept) +
+    added[i+1:] (``added`` sorted), if there is one.
 
-    Broad phase by sort and sweep: bounding boxes sorted by xmin, each
-    compared with the later boxes that start at or before its xmax, and a
-    kept edge's box only with the later boxes of added edges.  Only pairs
-    whose y-ranges overlap and that share no endpoint reach the exact
-    test: the points are in general position, so edges with a common
-    endpoint cannot cross.
+    Broad phase on bounding boxes.  The added boxes are sorted by xmin;
+    each is swept against the later ones that start at or before its xmax.
+    Kept edges take one unsorted pass: one outside the box around all added
+    edges is skipped, any other is compared with the added boxes that start
+    at or before its xmax (a binary search).  Only pairs whose boxes
+    overlap and that share no endpoint reach the exact test: the points
+    are in general position, so edges with a common endpoint cannot cross.
     """
     boxes = []
-    for u, v in edges:
+    for u, v in added:
         x0, x1, y0, y1 = ix[u], ix[v], iy[u], iy[v]
         if x0 > x1:
             x0, x1 = x1, x0
         if y0 > y1:
             y0, y1 = y1, y0
-        boxes.append((x0, x1, y0, y1, u, v, (u, v) in added))
+        boxes.append((x0, x1, y0, y1, u, v))
     boxes.sort()
-    new_boxes = [box for box in boxes if box[6]]
-    first = None
-    q = 0  # new_boxes[q:] are the boxes of added edges after the current one
-    for i, (_, xmax, ymin, ymax, u, v, new) in enumerate(boxes):
-        if new:
-            q += 1
-        later = islice(boxes, i + 1, None) if new else islice(new_boxes, q, None)
-        for xmin2, _, ymin2, ymax2, s, t, new2 in later:
-            if xmin2 > xmax:
-                break
+    xmins = [box[0] for box in boxes]
+    # the loop position of each crossing pair: the added edge a (the
+    # smaller one if both are added), kept partners before added ones, then
+    # the partner b
+    found = []
+    if kept:
+        _, xmaxs, ymins, ymaxs, _, _ = zip(*boxes)
+        xlo, xhi, ylo, yhi = xmins[0], max(xmaxs), min(ymins), max(ymaxs)
+    for u, v in kept:
+        x0, x1 = ix[u], ix[v]
+        if (x0 < xlo and x1 < xlo) or (x0 > xhi and x1 > xhi):
+            continue
+        y0, y1 = iy[u], iy[v]
+        if (y0 < ylo and y1 < ylo) or (y0 > yhi and y1 > yhi):
+            continue
+        if x0 > x1:
+            x0, x1 = x1, x0
+        if y0 > y1:
+            y0, y1 = y1, y0
+        for _, xmax2, ymin2, ymax2, s, t in islice(boxes, bisect_right(xmins, x1)):
             if (
-                ymin2 <= ymax and ymin <= ymax2
+                xmax2 >= x0 and ymin2 <= y1 and y0 <= ymax2
                 and u != s and u != t and v != s and v != t
                 and segments_properly_cross(
                     ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
                 )
             ):
-                # position in the loop: the added edge a (the smaller one
-                # if both are added), kept partners before added ones, then
-                # the partner b
-                a, b = ((u, v), (s, t)) if new else ((s, t), (u, v))
-                key = (min(a, b), 1, max(a, b)) if new and new2 else (a, 0, b)
-                if first is None or key < first:
-                    first = key
-    if first is not None:
+                found.append(((s, t), 0, (u, v)))
+    for i, (_, x1, y0, y1, u, v) in enumerate(boxes):
+        for _, _, ymin2, ymax2, s, t in islice(boxes, i + 1, bisect_right(xmins, x1, i + 1)):
+            if (
+                ymin2 <= y1 and y0 <= ymax2
+                and u != s and u != t and v != s and v != t
+                and segments_properly_cross(
+                    ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
+                )
+            ):
+                a, b = sorted(((u, v), (s, t)))
+                found.append((a, 1, b))
+    if found:
+        first = min(found)
         (a, b), (c, d) = sorted((first[0], first[2]))
         raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
 
@@ -325,6 +350,17 @@ def _raise_edge_through_vertex(pts, edge_pairs, ix, iy):
 # -- facial walks ------------------------------------------------------
 
 
+def next_darts(rotation):
+    """Each directed edge (u, v) of the rotation system mapped to the next
+    one on its facial walk: arrived via (u, v), the walk continues to the
+    CCW-successor of u at v."""
+    nxt = {}
+    for v, rot in rotation.items():
+        for i, u in enumerate(rot):
+            nxt[(u, v)] = (v, rot[(i + 1) % len(rot)])
+    return nxt
+
+
 def facial_walks(g: Pslg):
     """All facial walks of g, canonically rotated and ordered.
 
@@ -334,13 +370,7 @@ def facial_walks(g: Pslg):
     if g._walks is not None:
         return g._walks
 
-    nxt = {}
-    for v in g.rotation:
-        rot = g.rotation[v]
-        for i, u in enumerate(rot):
-            # arrived via (u, v): continue to CCW-successor of u at v
-            nxt[(u, v)] = (v, rot[(i + 1) % len(rot)])
-
+    nxt = next_darts(g.rotation)
     seen = set()
     raw = []
     for start in sorted(nxt):

@@ -36,6 +36,7 @@ from .pslg import (
     adjacency,
     forest_path,
     kruskal,
+    next_darts,
     reach,
     require_augmentable,
 )
@@ -84,7 +85,6 @@ class WeaklySimplePolygon:
 
     seq: list  # cyclic, no duplicated closing vertex; never edited in place
     _edges: Counter = field(default=None, init=False, repr=False, compare=False)
-    _length: float = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self):
         return set(self.seq)
@@ -157,14 +157,32 @@ class _CertifiedEdges:
     graph, changed only by certified single edge edits through
     ``Pslg._edit``: it stays a connected PSLG whose length is at most
     ``ceiling`` (tolerance included).  transform and replay both edit
-    through it, so every op log transform writes replays.
+    through it, so every op log transform writes replays.  A start graph
+    that is not connected raises ReplayViolation at step 0.
+
+    Next to the graph it keeps the graph's faces, half-edge style (Guibas &
+    Stolfi 1985, without the dual): ``nxt`` maps each dart (directed edge)
+    to the next dart of its facial walk (``pslg.next_darts``), and ``face``
+    maps it to a label shared by exactly the darts of its walk.  An insert
+    splits a face in two and a delete merges two; both sides are walked in
+    lockstep and the smaller one is relabelled, so an edit costs the size
+    of the smaller face.  In a connected plane graph an edge is a bridge
+    iff the same face lies on both of its sides, so a delete disconnects
+    iff its two darts share a label.
     """
 
     def __init__(self, g: Pslg, ceiling: float):
+        if g.points and len(reach(g.rotation, g.points[0].id)) != g.n:
+            raise ReplayViolation(0, "connectivity", "start graph is not connected")
         self.graph = g
         self.length = g.total_length()
         self.ceiling = ceiling
-        self.connected = False  # known to be connected; checked after the next edit
+        self.nxt = next_darts(g.rotation)
+        self.face = {}
+        self._labels = 0
+        for d in self.nxt:
+            if d not in self.face:
+                self._label(d)
 
     def edit(self, op, u, v):
         """Insert or delete edge (u, v).  Returns None when the edit keeps
@@ -174,34 +192,98 @@ class _CertifiedEdges:
         e = ekey(u, v)
         if u not in g.by_id or v not in g.by_id:
             return "vertices", f"unknown endpoint in {e}"
+        d = dist(g.by_id[u], g.by_id[v])
         if op == "insert":
             if e in g.edges:
                 return "planarity", f"edge {e} already present"
             if u == v:
                 return "vertices", f"self-loop at point {u}"
-            added, removed = {e}, set()
+            try:
+                self.graph = g._edit({e}, set())
+            except CrossingEdges as exc:
+                return "planarity", str(exc)
+            self._split(u, v)
+            self.length += d
         elif op == "delete":
             if e not in g.edges:
                 return "planarity", f"edge {e} not present"
-            added, removed = set(), {e}
-            self.connected = False
+            if self.face[(u, v)] == self.face[(v, u)]:  # a bridge
+                return "connectivity", ""
+            self._merge(u, v)
+            self.graph = g._edit(set(), {e})
+            self.length -= d
         else:
             return "op", op
-        try:
-            self.graph = g._edit(added, removed)
-        except CrossingEdges as exc:
-            return "planarity", str(exc)
-        d = dist(g.by_id[u], g.by_id[v])
-        self.length += d if op == "insert" else -d
-        # an insert cannot disconnect, so the search runs only after a
-        # delete or while the graph is not yet known to be connected
-        if not self.connected:
-            self.connected = len(reach(self.graph.rotation, u)) == self.graph.n
-            if not self.connected:
-                return "connectivity", ""
         if self.length > self.ceiling:
             return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
         return None
+
+    def _smaller(self, a, b):
+        """Whichever of darts ``a`` and ``b`` lies on the shorter facial
+        walk (``a`` on a tie), found by walking both in lockstep."""
+        nxt = self.nxt
+        x, y = nxt[a], nxt[b]
+        while x != a and y != b:
+            x, y = nxt[x], nxt[y]
+        return a if x == a else b
+
+    def _label(self, d, label=None):
+        """Give the darts of the facial walk through dart ``d`` the face
+        label ``label``, or a new one."""
+        if label is None:
+            label = self._labels = self._labels + 1
+        nxt, face = self.nxt, self.face
+        x = d
+        while True:
+            face[x] = label
+            x = nxt[x]
+            if x == d:
+                return
+
+    def _ends(self, u, v):
+        """The CCW-predecessor and -successor of v at u in the current
+        rotation."""
+        rot = self.graph.rotation[u]
+        i = rot.index(v)
+        return rot[i - 1], rot[(i + 1) % len(rot)]
+
+    def _split(self, u, v):
+        """Thread the inserted edge (u, v), already in ``graph``, into the
+        face it splits: the walk that reached u from its CCW-predecessor of
+        v now turns onto (u, v), the one that reached v from its
+        CCW-predecessor of u onto (v, u), and the smaller of the two new
+        walks takes a new label."""
+        nxt = self.nxt
+        p, s = self._ends(u, v)
+        q, t = self._ends(v, u)
+        label = self.face[(p, u)]
+        nxt[(p, u)], nxt[(v, u)] = (u, v), (u, s)
+        nxt[(q, v)], nxt[(u, v)] = (v, u), (v, t)
+        self.face[(u, v)] = self.face[(v, u)] = label
+        self._label(self._smaller((u, v), (v, u)))
+
+    def _merge(self, u, v):
+        """Unthread the edge (u, v), still in ``graph`` and not a bridge:
+        its two faces merge, the smaller taking the other's label."""
+        nxt, face = self.nxt, self.face
+        a, b = self._ends(u, v)
+        c, d = self._ends(v, u)
+        if self._smaller((u, v), (v, u)) == (u, v):
+            self._label((u, v), face[(v, u)])
+        else:
+            self._label((v, u), face[(u, v)])
+        nxt[(a, u)], nxt[(c, v)] = (u, b), (v, d)
+        for x in ((u, v), (v, u)):
+            del nxt[x], face[x]
+
+
+_ULP_SCALE = 1 << 1074  # every finite float is an integer multiple of 2**-1074
+
+
+def _exact(x: float) -> int:
+    """The float ``x`` as an exact integer multiple of 2**-1074."""
+    m, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
+    return m << (1075 - d.bit_length())
 
 
 class _Editor(_CertifiedEdges):
@@ -218,19 +300,42 @@ class _Editor(_CertifiedEdges):
         self.log = OpLog()
         self.env = None
         self._lengths = {}
+        # weighted_length's polygon (at first the empty one) and, as exact
+        # sums, its own length and that of the graph's edges off it
+        self._poly = WeaklySimplePolygon(seq=[])
+        self._own = 0
+        self._off = sum(self._exact_length(e) for e in g.edges)
 
-    def edge_length(self, e):
-        """``dist`` between the endpoints of edge key ``e``, computed once."""
+    def _exact_length(self, e):
+        """``dist`` between the endpoints of edge key ``e``, computed once,
+        as an exact integer multiple of 2**-1074 (every float is one)."""
         d = self._lengths.get(e)
         if d is None:
-            d = self._lengths[e] = dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
+            d = self._lengths[e] = _exact(dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]]))
         return d
 
+    def weighted_length(self, poly: WeaklySimplePolygon):
+        """``poly.length(g)`` plus the length of the graph's edges off the
+        polygon.  Both sums are kept exactly: each edit updates the
+        off-polygon sum, and a new polygon updates both by the edges it
+        gained and lost.  Each is rounded once, so it equals the ``fsum``
+        of its edges' lengths bit for bit."""
+        if poly is not self._poly:
+            old, new = self._poly.edge_multiset(), poly.edge_multiset()
+            x, edges = self._exact_length, self.graph.edges
+            self._own += sum(c * x(e) for e, c in (new - old).items())
+            self._own -= sum(c * x(e) for e, c in (old - new).items())
+            self._off += sum(x(e) for e in old.keys() - new.keys() if e in edges)
+            self._off -= sum(x(e) for e in new.keys() - old.keys() if e in edges)
+            self._poly = poly
+        return self._own / _ULP_SCALE + self._off / _ULP_SCALE
+
     def geodesic(self, walk):
-        """``geodesic(self.graph, walk)``, read from the live triangulation."""
+        """``geodesic(self.graph, walk)``, read from the live triangulation
+        and the editor's face labels."""
         g = self.graph
         if self.env is None or self.env.g is not g:
-            self.env = g._face_env = _FaceEnv(g, self.env)
+            self.env = g._face_env = _FaceEnv(g, self.env, self)
         return geodesic(g, walk)
 
     def _follow(self, op, u, v):
@@ -243,7 +348,7 @@ class _Editor(_CertifiedEdges):
         else:
             env.T.constrained.discard(ekey(i, j))
 
-    def _record(self, op, u, v, phase, weighted):
+    def _record(self, op, u, v, phase, poly):
         bad = self.edit(op, u, v)
         e = ekey(u, v)
         if bad is not None:
@@ -253,20 +358,25 @@ class _Editor(_CertifiedEdges):
             )
         if self.env is not None:
             self._follow(op, u, v)
+        if e not in self._poly.edge_multiset():
+            d = self._exact_length(e)
+            self._off += d if op == "insert" else -d
         self.log.steps.append(OpStep(op, e[0], e[1], phase))
         self.log.snapshots.append(
             Snapshot(
                 len_graph=self.length,
-                len_weighted=self.length if weighted is None else weighted,
+                len_weighted=self.length if poly is None else self.weighted_length(poly),
                 phase=phase,
             )
         )
 
-    def insert(self, u, v, phase, weighted=None):
-        self._record("insert", u, v, phase, weighted)
+    def insert(self, u, v, phase, poly=None):
+        """Insert (u, v); with ``poly``, the snapshot's weighted length is
+        ``weighted_length(poly)`` after the edit."""
+        self._record("insert", u, v, phase, poly)
 
-    def delete(self, u, v, phase, weighted=None):
-        self._record("delete", u, v, phase, weighted)
+    def delete(self, u, v, phase, poly=None):
+        self._record("delete", u, v, phase, poly)
 
 
 def _sq(g, u, v):
@@ -385,17 +495,6 @@ def phase3_to_mst(ed: _Editor, tree, target):
     return tree
 
 
-def _weighted_length(ed: _Editor, poly: WeaklySimplePolygon, edges):
-    """``poly.length(g)`` plus the length of ``edges`` off the polygon, from
-    the editor's memo of edge lengths.  The polygon's own length is
-    computed once per polygon."""
-    if poly._length is None:
-        seq, m = poly.seq, len(poly.seq)
-        poly._length = fsum(ed.edge_length(ekey(seq[i], seq[(i + 1) % m])) for i in range(m))
-    sup = poly.edge_multiset()
-    return poly._length + fsum(ed.edge_length(e) for e in edges if e not in sup)
-
-
 def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     """Edit the graph onto the polygon: delete the edges of ``gone`` that
     left it, insert the missing edges of the vertex path ``path``, then
@@ -406,14 +505,14 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     vc = poly.vertices()
     for e in gone:
         if e not in support:
-            ed.delete(*e, phase, weighted=_weighted_length(ed, poly, ed.graph.edges - {e}))
+            ed.delete(*e, phase, poly)
     for a, b in zip(path, path[1:]):
         e = ekey(a, b)
         if e not in ed.graph.edges:
-            ed.insert(*e, phase, weighted=_weighted_length(ed, poly, ed.graph.edges | {e}))
+            ed.insert(*e, phase, poly)
     for e in sorted(ed.graph.edges):
         if e[0] in vc and e[1] in vc and e not in support:
-            ed.delete(*e, phase, weighted=_weighted_length(ed, poly, ed.graph.edges - {e}))
+            ed.delete(*e, phase, poly)
     poly.validate(ed.graph)
     return poly
 
@@ -489,7 +588,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
         poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW)
-        wl = _weighted_length(ed, poly, ed.graph.edges)
+        wl = ed.weighted_length(poly)
         if wl > bound:
             raise LemmaViolation(
                 f"phase 4 weighted length {wl:.9g} exceeds 2*MST {bound:.9g}"
@@ -547,7 +646,7 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         # the polygon elsewhere), keeping the intermediate length monotone
         corner = sorted({ekey(prev, vtx), ekey(vtx, nxt)})
         poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY)
-        if _weighted_length(ed, poly, ed.graph.edges) > bound:
+        if ed.weighted_length(poly) > bound:
             raise LemmaViolation("phase 5 exceeded 2*MST")
     return poly
 

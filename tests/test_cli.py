@@ -291,6 +291,18 @@ def test_replay_rejects_self_loop(fig3_file, tmp_path, capsys):
     assert "replay violation" in err and "Traceback" not in err
 
 
+def test_replay_rejects_a_disconnected_start_graph_with_an_empty_log(tmp_path, capsys):
+    g = generate(8, 5, 0.5)
+    inst = tmp_path / "one_edge.json"
+    inst.write_text(serialize(build(g.points, [min(g.edges)])))
+    oplog = tmp_path / "empty.jsonl"
+    oplog.write_text("")
+    code, out, err = run_cli(["replay", str(inst), str(oplog)], capsys)
+    assert (code, out) == (1, "")
+    assert err == ("replay violation: step 0: connectivity violated: "
+                   "start graph is not connected\n")
+
+
 def test_oracle_cli(fig3_file, capsys):
     code, out, _ = run_cli(["oracle", fig3_file, "--mode", "2ec", "--json"], capsys)
     assert code == 0

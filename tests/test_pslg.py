@@ -238,6 +238,34 @@ def test_with_edges_matches_reference_on_batches():
     assert min(kinds.values()) >= 20 and len(kinds) == 3, kinds
 
 
+def test_one_edge_edits_match_reference():
+    # random runs of single inserts and deletes through the edit core: the
+    # rotation merge and the crossing pass give the reference's edges and
+    # rotations, or its exception and message for a crossing insert
+    rng = random.Random(8)
+    kinds = Counter()
+    for seed in range(20):
+        g = generate(rng.randrange(6, 40), 500 + seed, rng.choice([0.0, 0.3, 0.6]))
+        ids = sorted(g.by_id)
+        for _ in range(60):
+            e = ekey(*rng.sample(ids, 2))
+            insert = e not in g.edges and (rng.random() < 0.6 or not g.edges)
+            if insert:
+                want = outcome(reference_with_edges, g, g.edges | {e})
+                got = outcome(g._edit, {e}, set())
+            else:
+                e = rng.choice(sorted(g.edges))
+                want = outcome(reference_with_edges, g, g.edges - {e})
+                got = outcome(g._edit, set(), {e})
+            assert got == want, (seed, e, insert)
+            if isinstance(want[0], str):
+                kinds["crossing"] += 1
+            else:
+                kinds["insert" if insert else "delete"] += 1
+                g = g._edit({e}, set()) if insert else g._edit(set(), {e})
+    assert min(kinds.values()) >= 200, kinds
+
+
 def _full_build(g, edges):
     """build on fresh (id, x, y) triples of g's points: every point check."""
     return build([(p.id, p.x, p.y) for p in g.points], edges)

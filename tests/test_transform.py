@@ -5,14 +5,23 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
+from math import fsum
 
 import pytest
 
 from pslgaug import build
-from pslgaug.geodesic import face_env, geodesic
+from pslgaug.geodesic import WalkNotInFace, face_env, geodesic, locate_subwalk
 from pslgaug.geom import LENGTH_TOL, dist, ekey, polar_sort, segments_properly_cross
 from pslgaug.instances import generate, oplog_to_jsonl
-from pslgaug.pslg import CrossingEdges, LemmaViolation, connectivity, facial_walks
+from pslgaug.pslg import (
+    CrossingEdges,
+    LemmaViolation,
+    adjacency,
+    connectivity,
+    facial_walks,
+    next_darts,
+    reach,
+)
 from pslgaug.triangulate import insert_constraint, lawson_flips, triangulate_points
 from pslgaug.transform import (
     OpStep,
@@ -20,6 +29,8 @@ from pslgaug.transform import (
     WeaklySimplePolygon,
     _CertifiedEdges,
     _Editor,
+    _exact,
+    _ULP_SCALE,
     euclidean_mst,
     mst_length,
     phase1_spanning_tree,
@@ -273,6 +284,12 @@ def test_replay_rejects_disconnected_start():
     with pytest.raises(ReplayViolation) as e:
         replay(g, [OpStep("insert", 3, 4, 1)])
     assert (e.value.step, e.value.invariant) == (0, "connectivity")
+    # the start graph is certified once, before any step: an empty log and
+    # a first insert that would connect it fail the same way
+    for steps in ([], [OpStep("insert", 2, 3, 1)]):
+        with pytest.raises(ReplayViolation) as e:
+            replay(g, steps)
+        assert str(e.value) == "step 0: connectivity violated: start graph is not connected"
 
 
 @pytest.mark.parametrize("case", ["crossing_insert", "disconnecting_delete"])
@@ -349,6 +366,150 @@ def test_edited_graph_matches_build():
             assert facial_walks(h) == facial_walks(ref)
             assert connectivity(h) == connectivity(ref)
             assert h.total_length() == ref.total_length()
+
+
+def label_partition(cert):
+    """The editor's darts grouped by face label."""
+    faces = {}
+    for d, label in cert.face.items():
+        faces.setdefault(label, set()).add(d)
+    return sorted(sorted(darts) for darts in faces.values())
+
+
+def walk_partition(g):
+    """The darts of g grouped by facial walk, derived anew."""
+    return sorted(sorted(zip(w.seq, w.seq[1:])) for w in facial_walks(g))
+
+
+def test_face_labels_match_facial_walks():
+    # after every certified step of six recorded morphs, the labels group
+    # the darts as a fresh facial-walk derivation does, and nxt is the walk
+    steps = 0
+    for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
+                             (28, 5, 0.6), (40, 6, 0.3)):
+        g = generate(n, seed + 9500, density)
+        _, _, log = transform(g)
+        cert = _CertifiedEdges(g, float("inf"))
+        assert label_partition(cert) == walk_partition(g)
+        for st in log.steps:
+            assert cert.edit(st.op, st.u, st.v) is None
+            h = build(g.points, cert.graph.edges)
+            assert label_partition(cert) == walk_partition(h)
+            assert cert.nxt == next_darts(h.rotation)
+            steps += 1
+    assert steps >= 200
+
+
+def mid_morph_graphs(count, rng):
+    """(start graph, op log prefix) pairs: random morphs stopped at a random
+    step."""
+    out = []
+    while len(out) < count:
+        g = generate(rng.randint(6, 30), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
+        steps = transform(g)[2].steps
+        out.append((g, steps[: rng.randrange(len(steps) + 1)]))
+    return out
+
+
+def test_label_bridge_test_matches_reach():
+    # on every edge of 40 mid-morph graphs, a delete disconnects the graph
+    # iff both of its darts carry one label, and the certified delete fails
+    # with "connectivity" exactly then
+    rng = random.Random(14)
+    bridges = kept = 0
+    for g, prefix in mid_morph_graphs(40, rng):
+        cert = _CertifiedEdges(g, float("inf"))
+        for st in prefix:
+            assert cert.edit(st.op, st.u, st.v) is None
+        h = cert.graph
+        for u, v in sorted(h.edges):
+            cut = len(reach(adjacency(h.edges - {(u, v)}), u)) != h.n
+            assert (cert.face[u, v] == cert.face[v, u]) == cut
+            other = _CertifiedEdges(h, float("inf"))
+            got = other.edit("delete", *rng.choice(((u, v), (v, u))))
+            if cut:
+                assert got == ("connectivity", "")
+                bridges += 1
+            else:
+                assert got is None
+                assert label_partition(other) == walk_partition(build(g.points, other.graph.edges))
+                kept += 1
+    assert bridges >= 300 and kept >= 200
+
+
+def _located(g, walk):
+    try:
+        return locate_subwalk(g, walk)
+    except WalkNotInFace as exc:
+        return str(exc)
+
+
+def test_live_walk_lookup_matches_a_fresh_one(monkeypatch):
+    # at every live query, walks traced from the editor's labels are
+    # accepted or rejected, with the same message, as by a fresh environment
+    rng = random.Random(15)
+    outcomes = Counter()
+    live_query = _Editor.geodesic
+
+    def checked(ed, walk):
+        geo = live_query(ed, walk)
+        g = ed.graph
+        fresh = g.with_edges(g.edges)
+        for _ in range(6):
+            w = rng.choice(facial_walks(fresh)).seq
+            i = rng.randrange(len(w) - 1)
+            cand = list((w[:-1] * 3)[i : i + rng.randint(2, len(w) + 2)])
+            if rng.random() < 0.3:
+                cand[rng.randrange(1, len(cand))] = rng.choice(sorted(g.by_id))
+            want, got = _located(fresh, cand), _located(g, cand)
+            if isinstance(want, str):
+                assert got == want
+                outcomes[want] += 1
+            else:  # the live lookup names the editor's face label
+                assert got == (ed.face[cand[0], cand[1]], 0)
+                outcomes["located"] += 1
+        return geo
+
+    monkeypatch.setattr(_Editor, "geodesic", checked)
+    for _ in range(12):
+        transform(generate(rng.randint(8, 30), rng.randrange(10**6), rng.choice((0.0, 0.4))))
+    assert outcomes["located"] >= 300
+    assert sum(c for k, c in outcomes.items() if "diverges" in k) >= 100
+    assert sum(c for k, c in outcomes.items() if "not on any facial walk" in k) >= 20
+    assert outcomes["walk longer than its facial walk"] >= 50
+
+
+def test_weighted_length_equals_the_fsum_of_its_edges(monkeypatch):
+    # every weighted snapshot equals the polygon's length plus the fsum of
+    # the graph's off-polygon edges, bit for bit
+    checked = Counter()
+    exact = _Editor.weighted_length
+
+    def reference(ed, poly):
+        reused = poly is ed._poly
+        got = exact(ed, poly)
+        g, seq, m = ed.graph, poly.seq, len(poly.seq)
+        own = fsum(dist(g.by_id[seq[i]], g.by_id[seq[(i + 1) % m]]) for i in range(m))
+        sup = poly.edge_multiset()
+        want = own + fsum(dist(g.by_id[u], g.by_id[v]) for u, v in g.edges if (u, v) not in sup)
+        assert got == want
+        checked[reused] += 1
+        return got
+
+    monkeypatch.setattr(_Editor, "weighted_length", reference)
+    rng = random.Random(16)
+    for _ in range(40):
+        transform(generate(rng.randint(8, 40), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6))))
+    assert checked[True] >= 800 and checked[False] >= 400
+
+
+def test_exact_sum_rounds_like_fsum():
+    rng = random.Random(17)
+    for _ in range(2000):
+        xs = [rng.choice((1, -1)) * rng.uniform(0, 1) * 10.0 ** rng.randint(-320, 300)
+              for _ in range(rng.randint(0, 12))]
+        xs += [5e-324, 2.2250738585072014e-308, 1e308][: rng.randint(0, 3)]
+        assert sum(_exact(x) for x in xs) / _ULP_SCALE == fsum(xs)
 
 
 def test_weakly_simple_validation(fig3):
