@@ -8,13 +8,13 @@ pulling the string taut through those portals (funnel algorithm) yields the
 geodesic.  Which triangulation it is does not matter: the reduced portal
 sequence of a homotopy class, and so the geodesic, is the same in any.
 
-A graph queried on its own gets a triangulation built for it.  The cycle
-morph instead keeps one triangulation alive across its certified edits: an
-inserted edge is forced in as a constraint, a deleted edge only loses its
-constraint mark (the triangulation stays valid).  The faces come from the
-morph's certified editor, which keeps them per edit; the triangle right of
-each directed edge and the face of every triangle are still derived for each
-queried graph, and checked.
+A graph queried on its own gets a triangulation and faces (``pslg.Faces``)
+built for it.  The cycle morph instead keeps one triangulation alive across
+its certified edits: an inserted edge is forced in as a constraint, a
+deleted edge only loses its constraint mark (the triangulation stays valid).
+The faces come from the morph's certified editor, which keeps them per edit;
+the triangle right of each directed edge and the face of every triangle are
+still derived for each queried graph, and checked.
 
 The clip box turns the unbounded face into a bounded region; geodesics never
 bend at box corners (they are convex corners of the region), which is
@@ -27,13 +27,12 @@ from dataclasses import dataclass
 
 from .geom import collinear_pair, walk_length
 from .pslg import (
+    Faces,
     LemmaViolation,
     Pslg,
     PslgError,
     _corner_convex,
-    facial_walks,
     require_augmentable,
-    walk_of_directed_edge,
 )
 from .triangulate import insert_constraint, triangulate_points
 
@@ -61,20 +60,17 @@ class _FaceEnv:
     its triangulation, which the caller has since edited to constrain
     exactly the edges of ``g``; ``live`` is then stale.
 
-    Without ``faces`` the facial walks of ``g`` are derived (``walks``,
-    ``dedge_pos``).  The morph's certified editor passes itself as
-    ``faces``: its ``face`` map labels each directed edge of ``g`` with its
-    face and its ``nxt`` map gives the next directed edge of the walk, so
-    a query traces only the walk it asks about.  The environment reads those
-    maps as they stand, so it goes stale with the editor's next edit, as
-    the live triangulation does.
+    ``faces`` are the faces of ``g`` (a ``pslg.Faces``), by default derived
+    from its rotation system.  The morph's certified editor passes its own,
+    which it keeps per edit; the environment reads them as they stand, so it
+    goes stale with the editor's next edit, as the live triangulation does.
 
     Either way ``right_tri`` and the face of every triangle are derived for
     ``g``, and the constraint set, the face flood fill and then
     ``T.validate()`` check the triangulation against ``g``.
     """
 
-    def __init__(self, g: Pslg, live: _FaceEnv | None = None, faces=None):
+    def __init__(self, g: Pslg, live: _FaceEnv | None = None, faces: Faces | None = None):
         require_augmentable(g)
         self.g = g
         if live is None:
@@ -93,17 +89,8 @@ class _FaceEnv:
             # local ids follow vertex ids, so (u, v) with u < v maps to i < j
             if self.T.constrained != {(self.lid[u], self.lid[v]) for u, v in g.edges}:
                 raise LemmaViolation("live triangulation constrains other edges than the graph")
-
-        if faces is None:
-            self.dedge_pos = walk_of_directed_edge(g)
-            self.walks = facial_walks(g)
-            self.face, self.nxt = None, None
-            darts = self.dedge_pos
-            seeds = ((d, face) for d, (face, _) in darts.items())
-        else:
-            self.face, self.nxt = faces.face, faces.nxt
-            darts = self.face
-            seeds = darts.items()
+        self.faces = faces if faces is not None else Faces(g.rotation)
+        darts = self.faces.face
 
         # the triangle right of directed graph edge (u, v) is the CCW
         # triangle on (v, u), the one across side (a, b) of a triangle is on
@@ -114,7 +101,7 @@ class _FaceEnv:
         lid, constrained = self.lid, self.T.constrained
         self.right_tri = {(u, v): side.get((lid[v], lid[u])) for u, v in darts}
         tri_face = self.tri_face = {}
-        for d, face in seeds:
+        for d, face in darts.items():
             t = self.right_tri[d]
             if t is not None and tri_face.setdefault(t, face) != face:
                 raise LemmaViolation("conflicting face assignment for triangle")
@@ -136,31 +123,6 @@ class _FaceEnv:
         if len(tri_face) != len(self.T.tris) or None in self.right_tri.values():
             raise LemmaViolation("face assignment incomplete")
         self.T.validate()
-
-    def walk_from(self, d, k):
-        """(face, position, vertices) of directed edge ``d``: its face, its
-        position in the face's walk and the walk's vertices from ``d`` on,
-        for k edges or, when the walk is shorter, once around.  None when d
-        is no graph edge.  The face is the walk's index in
-        ``facial_walks(g)`` and the position counts from its start; with
-        the editor's faces, the face is the editor's label, the position is
-        0 and only those vertices are traced."""
-        if self.face is None:
-            if d not in self.dedge_pos:
-                return None
-            face, pos = self.dedge_pos[d]
-            seq = self.walks[face].seq
-            m = len(seq) - 1
-            return face, pos, [seq[(pos + i) % m] for i in range(min(k, m) + 1)]
-        if d not in self.face:
-            return None
-        out, x = [d[0]], d
-        for _ in range(k):
-            x = self.nxt[x]
-            out.append(x[0])
-            if x == d:
-                break
-        return self.face[d], 0, out
 
     def fan_portals(self, prev, apex, nxt):
         """Portals crossed while swinging around ``apex`` from the triangle
@@ -222,21 +184,21 @@ def face_env(g: Pslg) -> _FaceEnv:
 
 
 def locate_subwalk(g: Pslg, walk_ids):
-    """(face, start_position) of the unique occurrence of the directed
-    subwalk, or raise WalkNotInFace (see ``_FaceEnv.walk_from``)."""
+    """The face label (in ``face_env(g).faces``) of the unique occurrence of
+    the directed subwalk, or raise WalkNotInFace."""
     if len(walk_ids) < 2:
         raise WalkNotInFace("walk needs at least one edge")
     key = (walk_ids[0], walk_ids[1])
-    found = face_env(g).walk_from(key, len(walk_ids) - 1)
-    if found is None:
+    faces = face_env(g).faces
+    if key not in faces.face:
         raise WalkNotInFace(f"directed edge {key} not on any facial walk")
-    face, pos, seq = found
+    seq = faces.walk(key, len(walk_ids) - 1)
     if len(seq) < len(walk_ids):
         raise WalkNotInFace("walk longer than its facial walk")
     for k, v in enumerate(walk_ids):
         if seq[k] != v:
             raise WalkNotInFace(f"walk diverges from facial walk at step {k}")
-    return face, pos
+    return faces.face[key]
 
 
 def _funnel(T, portals, s, t):

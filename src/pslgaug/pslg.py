@@ -361,8 +361,101 @@ def next_darts(rotation):
     return nxt
 
 
+class Faces:
+    """The faces of a rotation system, half-edge style (Guibas & Stolfi
+    1985, without the dual): ``nxt`` maps each dart (directed edge) to the
+    next dart of its facial walk (``next_darts``), and ``face`` maps it to a
+    label shared by exactly the darts of its walk.
+
+    ``split`` and ``merge`` keep both in step with a one-edge insert or
+    delete: both sides of the edit are walked in lockstep and the smaller
+    one is relabelled, so an edit costs the size of the smaller face.  In a
+    connected plane graph an edge is a bridge iff the same face lies on both
+    of its sides, and a vertex is a cut vertex iff one face meets it twice.
+    """
+
+    def __init__(self, rotation):
+        self.nxt = next_darts(rotation)
+        self.face = {}
+        self._labels = 0
+        for d in self.nxt:
+            if d not in self.face:
+                self._label(d)
+
+    def walk(self, d, k):
+        """The vertices of the facial walk from dart ``d`` on, for k edges
+        or, when the walk is shorter, once around."""
+        nxt = self.nxt
+        out, x = [d[0]], d
+        for _ in range(k):
+            x = nxt[x]
+            out.append(x[0])
+            if x == d:
+                break
+        return out
+
+    def _smaller(self, a, b):
+        """Whichever of darts ``a`` and ``b`` lies on the shorter facial
+        walk (``a`` on a tie), found by walking both in lockstep."""
+        nxt = self.nxt
+        x, y = nxt[a], nxt[b]
+        while x != a and y != b:
+            x, y = nxt[x], nxt[y]
+        return a if x == a else b
+
+    def _label(self, d, label=None):
+        """Give the darts of the facial walk through dart ``d`` the face
+        label ``label``, or a new one."""
+        if label is None:
+            label = self._labels = self._labels + 1
+        nxt, face = self.nxt, self.face
+        x = d
+        while True:
+            face[x] = label
+            x = nxt[x]
+            if x == d:
+                return
+
+    @staticmethod
+    def _ends(rotation, u, v):
+        """The CCW-predecessor and -successor of v at u in ``rotation``."""
+        rot = rotation[u]
+        i = rot.index(v)
+        return rot[i - 1], rot[(i + 1) % len(rot)]
+
+    def split(self, rotation, u, v):
+        """Thread the inserted edge (u, v), already in ``rotation``, into
+        the face it splits: the walk that reached u from its
+        CCW-predecessor of v now turns onto (u, v), the one that reached v
+        from its CCW-predecessor of u onto (v, u), and the smaller of the
+        two new walks takes a new label."""
+        nxt = self.nxt
+        p, s = self._ends(rotation, u, v)
+        q, t = self._ends(rotation, v, u)
+        label = self.face[(p, u)]
+        nxt[(p, u)], nxt[(v, u)] = (u, v), (u, s)
+        nxt[(q, v)], nxt[(u, v)] = (v, u), (v, t)
+        self.face[(u, v)] = self.face[(v, u)] = label
+        self._label(self._smaller((u, v), (v, u)))
+
+    def merge(self, rotation, u, v):
+        """Unthread the edge (u, v), still in ``rotation`` and not a
+        bridge: its two faces merge, the smaller taking the other's label."""
+        nxt, face = self.nxt, self.face
+        a, b = self._ends(rotation, u, v)
+        c, d = self._ends(rotation, v, u)
+        if self._smaller((u, v), (v, u)) == (u, v):
+            self._label((u, v), face[(v, u)])
+        else:
+            self._label((v, u), face[(u, v)])
+        nxt[(a, u)], nxt[(c, v)] = (u, b), (v, d)
+        for x in ((u, v), (v, u)):
+            del nxt[x], face[x]
+
+
 def facial_walks(g: Pslg):
-    """All facial walks of g, canonically rotated and ordered.
+    """All facial walks of g, one per face label, each starting at its
+    smallest directed edge and ordered by it.
 
     Each directed edge appears in exactly one walk exactly once; the unique
     walk of non-negative shoelace area is flagged as outer.
@@ -370,30 +463,11 @@ def facial_walks(g: Pslg):
     if g._walks is not None:
         return g._walks
 
-    nxt = next_darts(g.rotation)
-    seen = set()
-    raw = []
-    for start in sorted(nxt):
-        if start in seen:
-            continue
-        cyc = []
-        d = start
-        while True:
-            cyc.append(d)
-            seen.add(d)
-            d = nxt[d]
-            if d == start:
-                break
-        raw.append(cyc)
-
-    walks = []
-    for cyc in raw:
-        # canonical rotation: start at the smallest directed edge
-        k = min(range(len(cyc)), key=lambda i: cyc[i])
-        cyc = cyc[k:] + cyc[:k]
-        seq = tuple([d[0] for d in cyc] + [cyc[0][0]])
-        walks.append(seq)
-    walks.sort()
+    faces = Faces(g.rotation)
+    first = {}
+    for d in sorted(faces.face):
+        first.setdefault(faces.face[d], d)
+    walks = [tuple(faces.walk(d, len(faces.nxt))) for d in first.values()]
 
     areas = []
     for seq in walks:
@@ -415,25 +489,7 @@ def facial_walks(g: Pslg):
     return result
 
 
-def walk_of_directed_edge(g: Pslg):
-    """Map each directed edge (u, v) to (face_id, position) in its walk."""
-    index = {}
-    for w in facial_walks(g):
-        for i in range(len(w.seq) - 1):
-            index[(w.seq[i], w.seq[i + 1])] = (w.face_id, i)
-    return index
-
-
 # -- graph search --------------------------------------------------------
-
-
-def adjacency(edges):
-    """Vertex -> list of neighbours over an iterable of vertex pairs."""
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    return adj
 
 
 def reach(adj, root, goal=None):
@@ -453,10 +509,10 @@ def reach(adj, root, goal=None):
     return prev
 
 
-def forest_path(edges, u, v):
-    """Vertex path from u to v in the forest ``edges``, or None when v is
-    not reachable from u."""
-    prev = reach(adjacency(edges), u, v)
+def forest_path(adj, u, v):
+    """Vertex path from u to v in the forest ``adj`` (vertex -> neighbours),
+    or None when v is not reachable from u."""
+    prev = reach(adj, u, v)
     if v not in prev:
         return None
     path = [v]
@@ -547,21 +603,14 @@ def connectivity(g: Pslg) -> ConnectivityReport:
             cut.add(root)
         components.append(sorted(comp))
 
-    # cross-check against the facial-walk characterization
-    fw_cut = set()
-    fw_bridges = set()
-    for w in facial_walks(g):
-        inner = w.seq[:-1]
-        seen_v = set()
-        for v in inner:
-            if v in seen_v:
-                fw_cut.add(v)
-            seen_v.add(v)
-        slot_seen = set()
-        for e in w.edge_slots():
-            if e in slot_seen:
-                fw_bridges.add(e)
-            slot_seen.add(e)
+    # cross-check against the facial-walk characterization: an edge is a
+    # bridge iff its two darts share a face label, a vertex is a cut vertex
+    # iff two of its outgoing darts do
+    face = Faces(g.rotation).face
+    fw_bridges = {(u, v) for (u, v), f in face.items() if u < v and face[(v, u)] == f}
+    fw_cut = {
+        v for v, rot in g.rotation.items() if len({face[(v, w)] for w in rot}) < len(rot)
+    }
     if fw_cut != cut or fw_bridges != bridges:
         raise LemmaViolation(
             f"facial-walk characterization disagrees with DFS: "

@@ -29,14 +29,13 @@ from .geom import (
 from .geodesic import _FaceEnv, geodesic
 from .pslg import (
     CrossingEdges,
+    Faces,
     LemmaViolation,
     Pslg,
     PslgError,
     _corner_convex,
-    adjacency,
     forest_path,
     kruskal,
-    next_darts,
     reach,
     require_augmentable,
 )
@@ -160,15 +159,11 @@ class _CertifiedEdges:
     through it, so every op log transform writes replays.  A start graph
     that is not connected raises ReplayViolation at step 0.
 
-    Next to the graph it keeps the graph's faces, half-edge style (Guibas &
-    Stolfi 1985, without the dual): ``nxt`` maps each dart (directed edge)
-    to the next dart of its facial walk (``pslg.next_darts``), and ``face``
-    maps it to a label shared by exactly the darts of its walk.  An insert
-    splits a face in two and a delete merges two; both sides are walked in
-    lockstep and the smaller one is relabelled, so an edit costs the size
-    of the smaller face.  In a connected plane graph an edge is a bridge
-    iff the same face lies on both of its sides, so a delete disconnects
-    iff its two darts share a label.
+    Next to the graph it keeps the graph's faces, ``faces`` (a
+    ``pslg.Faces``), split by each insert and merged by each delete.  In a
+    connected plane graph an edge is a bridge iff the same face lies on
+    both of its sides, so a delete disconnects iff its two darts share a
+    label.
     """
 
     def __init__(self, g: Pslg, ceiling: float):
@@ -177,12 +172,7 @@ class _CertifiedEdges:
         self.graph = g
         self.length = g.total_length()
         self.ceiling = ceiling
-        self.nxt = next_darts(g.rotation)
-        self.face = {}
-        self._labels = 0
-        for d in self.nxt:
-            if d not in self.face:
-                self._label(d)
+        self.faces = Faces(g.rotation)
 
     def edit(self, op, u, v):
         """Insert or delete edge (u, v).  Returns None when the edit keeps
@@ -202,14 +192,15 @@ class _CertifiedEdges:
                 self.graph = g._edit({e}, set())
             except CrossingEdges as exc:
                 return "planarity", str(exc)
-            self._split(u, v)
+            self.faces.split(self.graph.rotation, u, v)
             self.length += d
         elif op == "delete":
             if e not in g.edges:
                 return "planarity", f"edge {e} not present"
-            if self.face[(u, v)] == self.face[(v, u)]:  # a bridge
+            face = self.faces.face
+            if face[(u, v)] == face[(v, u)]:  # a bridge
                 return "connectivity", ""
-            self._merge(u, v)
+            self.faces.merge(g.rotation, u, v)
             self.graph = g._edit(set(), {e})
             self.length -= d
         else:
@@ -217,64 +208,6 @@ class _CertifiedEdges:
         if self.length > self.ceiling:
             return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
         return None
-
-    def _smaller(self, a, b):
-        """Whichever of darts ``a`` and ``b`` lies on the shorter facial
-        walk (``a`` on a tie), found by walking both in lockstep."""
-        nxt = self.nxt
-        x, y = nxt[a], nxt[b]
-        while x != a and y != b:
-            x, y = nxt[x], nxt[y]
-        return a if x == a else b
-
-    def _label(self, d, label=None):
-        """Give the darts of the facial walk through dart ``d`` the face
-        label ``label``, or a new one."""
-        if label is None:
-            label = self._labels = self._labels + 1
-        nxt, face = self.nxt, self.face
-        x = d
-        while True:
-            face[x] = label
-            x = nxt[x]
-            if x == d:
-                return
-
-    def _ends(self, u, v):
-        """The CCW-predecessor and -successor of v at u in the current
-        rotation."""
-        rot = self.graph.rotation[u]
-        i = rot.index(v)
-        return rot[i - 1], rot[(i + 1) % len(rot)]
-
-    def _split(self, u, v):
-        """Thread the inserted edge (u, v), already in ``graph``, into the
-        face it splits: the walk that reached u from its CCW-predecessor of
-        v now turns onto (u, v), the one that reached v from its
-        CCW-predecessor of u onto (v, u), and the smaller of the two new
-        walks takes a new label."""
-        nxt = self.nxt
-        p, s = self._ends(u, v)
-        q, t = self._ends(v, u)
-        label = self.face[(p, u)]
-        nxt[(p, u)], nxt[(v, u)] = (u, v), (u, s)
-        nxt[(q, v)], nxt[(u, v)] = (v, u), (v, t)
-        self.face[(u, v)] = self.face[(v, u)] = label
-        self._label(self._smaller((u, v), (v, u)))
-
-    def _merge(self, u, v):
-        """Unthread the edge (u, v), still in ``graph`` and not a bridge:
-        its two faces merge, the smaller taking the other's label."""
-        nxt, face = self.nxt, self.face
-        a, b = self._ends(u, v)
-        c, d = self._ends(v, u)
-        if self._smaller((u, v), (v, u)) == (u, v):
-            self._label((u, v), face[(v, u)])
-        else:
-            self._label((v, u), face[(u, v)])
-        nxt[(a, u)], nxt[(c, v)] = (u, b), (v, d)
-        for x in ((u, v), (v, u)):
-            del nxt[x], face[x]
 
 
 _ULP_SCALE = 1 << 1074  # every finite float is an integer multiple of 2**-1074
@@ -335,7 +268,7 @@ class _Editor(_CertifiedEdges):
         and the editor's face labels."""
         g = self.graph
         if self.env is None or self.env.g is not g:
-            self.env = g._face_env = _FaceEnv(g, self.env, self)
+            self.env = g._face_env = _FaceEnv(g, self.env, self.faces)
         return geodesic(g, walk)
 
     def _follow(self, op, u, v):
@@ -442,8 +375,9 @@ def phase2_to_delaunay_tree(ed: _Editor, tree):
             apex = d
         else:
             raise LemmaViolation("no obtuse apex on an illegal edge")
-        comp_a = reach(adjacency(tree - {e}), a)
-        other = b if apex in comp_a else a
+        # the graph is the tree here: apex is on b's side of (a, b) iff
+        # the tree path from a to apex starts along (a, b)
+        other = a if forest_path(ed.graph.rotation, a, apex)[1] == b else b
         new = ekey(apex, other)
         if _sq(g, *new) >= _sq(g, a, b):
             raise LemmaViolation("tree swap did not shorten")
@@ -476,11 +410,12 @@ def phase3_to_mst(ed: _Editor, tree, target):
     g = ed.graph
     tree = set(tree)
     for e in sorted(target - tree):
-        ed.insert(e[0], e[1], PHASE_MST)
-        tree.add(e)
-        path = forest_path(tree - {e}, *e)
+        # the graph is the tree here; e closes the cycle through its path
+        path = forest_path(ed.graph.rotation, *e)
         if path is None:
             raise LemmaViolation("cycle edge endpoints not connected in tree")
+        ed.insert(e[0], e[1], PHASE_MST)
+        tree.add(e)
         cyc = [e] + [ekey(a, b) for a, b in zip(path, path[1:])]
         mx = max(_sq(g, *f) for f in cyc)
         cand = [f for f in cyc if _sq(g, *f) == mx]
@@ -530,7 +465,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
     uv = max(absent, key=lambda e: (_sq(g, *e), [-c for c in e]))
     u, v = uv
 
-    path = forest_path(mst, u, v)
+    path = forest_path(ed.graph.rotation, u, v)  # the graph is the MST here
     ed.insert(u, v, PHASE_GROW)
     poly = WeaklySimplePolygon(seq=list(path))
     bound = 2 * mst_len + LENGTH_TOL

@@ -185,11 +185,23 @@ class FaceModel:
             )
 
 
+def _locate(g, walk_ids):
+    """(face id, position) of the directed subwalk in ``facial_walks(g)``:
+    each directed edge occurs once, so its first edge fixes both."""
+    for w in facial_walks(g):
+        m = len(w)
+        for pos in range(m):
+            if (w.seq[pos], w.seq[pos + 1]) == (walk_ids[0], walk_ids[1]):
+                occurrence = [w.seq[(pos + k) % m] for k in range(len(walk_ids))]
+                if len(walk_ids) > m + 1 or occurrence != list(walk_ids):
+                    raise ValueError(f"{walk_ids} is not a subwalk of face {w.face_id}")
+                return w.face_id, pos
+    raise ValueError(f"directed edge {tuple(walk_ids[:2])} is on no facial walk")
+
+
 def oracle_geodesic(g, walk_ids):
     """Shortest path homotopic to the facial subwalk: (length, id path)."""
-    from pslgaug.geodesic import locate_subwalk
-
-    face, pos = locate_subwalk(g, walk_ids)
+    face, pos = _locate(g, walk_ids)
     model = FaceModel(g, face)
     m = model.m
     t = len(walk_ids) - 1

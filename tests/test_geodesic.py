@@ -9,6 +9,7 @@ from pslgaug.instances import generate
 from pslgaug.pslg import _corner_convex, convex_walk_decomposition, facial_walks
 
 from geodesic_oracle import oracle_geodesic
+from tests_support import label_partition, walk_partition
 
 
 def _is_convex(g, walk):
@@ -74,8 +75,14 @@ def test_walk_not_in_face(path3):
 
 
 def test_face_region(fig3, triangle):
+    # the environment's faces group the darts as the facial walks do
+    graphs = [fig3, triangle] + [
+        generate(5 + 2 * k, 700 + k, (0.0, 0.3, 0.6, 1.0)[k % 4]) for k in range(20)
+    ]
+    for g in graphs:
+        assert label_partition(face_env(g).faces) == walk_partition(g)
+    assert facial_walks(fig3)[0].is_outer
     env = face_env(fig3)
-    assert env.walks == facial_walks(fig3) and env.walks[0].is_outer
     # the clip box strictly contains all (scaled) vertices with margin at
     # least the point-set diameter
     (xmin, ymin), (xmax, ymax) = env.box[0], env.box[2]
@@ -88,9 +95,7 @@ def test_face_region(fig3, triangle):
     )
     margin = min(min(xs) - xmin, min(ys) - ymin, xmax - max(xs), ymax - max(ys))
     assert margin > 0 and margin * margin >= diam2
-    env = face_env(triangle)
-    assert env.walks == facial_walks(triangle)
-    assert sorted(w.is_outer for w in env.walks) == [False, True]
+    assert sorted(w.is_outer for w in facial_walks(triangle)) == [False, True]
 
 
 def test_check_lemma1_convex_position():

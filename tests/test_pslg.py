@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
@@ -28,7 +29,8 @@ from pslgaug.geom import (
     segments_properly_cross,
 )
 from pslgaug.instances import generate
-from pslgaug.pslg import adjacency, reach, require_augmentable
+from pslgaug.pslg import reach, require_augmentable
+from tests_support import adjacency
 
 
 def test_build_fig3(fig3):
@@ -435,6 +437,107 @@ def test_connectivity_disconnected():
     rep = connectivity(g)
     assert len(rep.components) == 2
     assert not rep.connected
+
+
+def _components(vertices, edges):
+    """The connected components of (vertices, edges), each sorted, ordered
+    by their smallest vertex, by a plain graph search."""
+    nbrs = {v: set() for v in vertices}
+    for u, v in edges:
+        nbrs[u].add(v)
+        nbrs[v].add(u)
+    comps, seen = [], set()
+    for root in sorted(vertices):
+        if root in seen:
+            continue
+        comp, queue = [], [root]
+        seen.add(root)
+        while queue:
+            x = queue.pop()
+            comp.append(x)
+            for y in nbrs[x] - seen:
+                seen.add(y)
+                queue.append(y)
+        comps.append(sorted(comp))
+    return comps
+
+
+def brute_force_connectivity(g):
+    """(components, cut vertices, bridges) by deletion: a bridge disconnects
+    its endpoints when deleted, and a cut vertex splits its component."""
+    vertices, edges = set(g.by_id), set(g.edges)
+    comps = _components(vertices, edges)
+    bridges = {e for e in edges if len(_components(vertices, edges - {e})) > len(comps)}
+    cut = set()
+    for v in vertices:
+        # v's component, less v, is at least two components
+        if len(_components(vertices - {v}, {e for e in edges if v not in e})) > len(comps):
+            cut.add(v)
+    return comps, cut, bridges
+
+
+def test_connectivity_matches_brute_force():
+    # the DFS report (and so the face-label cross-check inside connectivity)
+    # against deletion by brute force, on trees, connected graphs with
+    # cycles, disconnected graphs and graphs with isolated points
+    rng = random.Random(47)
+    graphs = [
+        build([], []),
+        build([(3, "1", "2")], []),
+        build([(0, "0", "0"), (1, "2", "1"), (2, "1", "3")], [(0, 1)]),
+    ]
+    for k in range(50):
+        g = generate(rng.randint(3, 24), 900 + k, rng.choice([0.0, 0.0, 0.3, 0.6, 1.0]))
+        graphs.append(g)
+        graphs.append(g.with_edges(e for e in sorted(g.edges) if rng.random() < 0.6))
+        graphs.append(g.with_edges(e for e in sorted(g.edges) if rng.random() < 0.25))
+    kinds = Counter()
+    for g in graphs:
+        rep = connectivity(g)
+        comps, cut, bridges = brute_force_connectivity(g)
+        assert (rep.components, rep.cut_vertices, rep.bridges) == (comps, cut, bridges)
+        connected = len(comps) == 1
+        assert rep.is_2_edge_connected == (connected and not bridges)
+        assert rep.is_2_connected == (connected and g.n >= 3 and not cut)
+        kinds["tree" if connected and len(g.edges) == g.n - 1 else
+              "connected" if connected else "disconnected"] += 1
+        kinds["isolated"] += any(not g.rotation[v] for v in g.by_id)
+        kinds["cut"] += bool(cut)
+    assert len(graphs) >= 150
+    assert min(kinds.values()) >= 20, kinds
+
+
+# sha256 of repr(facial_walks(g)) over _pinned_graphs(), recorded from the
+# walk tracer that face labels replaced: the walks, their order, where each
+# starts and which is outer stay exactly as they were
+PINNED_FACIAL_WALKS = "d563ddca9034d8cde0c6df39b7ae42ce7775152aae10c9624a8f2bced67d6e3c"
+
+
+def _pinned_graphs():
+    """Generated graphs, random edge subsets of them (disconnected, with
+    isolated points) and some of the graphs their morph passes through."""
+    from pslgaug.transform import transform
+
+    rng = random.Random(41)
+    out = []
+    for n, seed, density in ((5, 1, 0.0), (9, 2, 0.5), (14, 3, 1.0), (18, 4, 0.3),
+                             (23, 5, 0.6), (30, 6, 0.2), (37, 7, 0.8)):
+        g = generate(n, seed, density)
+        out.append(g)
+        out.append(g.with_edges(e for e in sorted(g.edges) if rng.random() < 0.5))
+        edges = set(g.edges)
+        for k, st in enumerate(transform(g)[2].steps):
+            (edges.add if st.op == "insert" else edges.discard)((st.u, st.v))
+            if k % 5 == 2:
+                out.append(build(g.points, edges))
+    return out
+
+
+def test_facial_walks_pinned():
+    graphs = _pinned_graphs()
+    assert len(graphs) == 76
+    text = "".join(repr(facial_walks(g)) for g in graphs)
+    assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FACIAL_WALKS
 
 
 def reference_require_augmentable(g):

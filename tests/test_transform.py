@@ -16,7 +16,6 @@ from pslgaug.instances import generate, oplog_to_jsonl
 from pslgaug.pslg import (
     CrossingEdges,
     LemmaViolation,
-    adjacency,
     connectivity,
     facial_walks,
     next_darts,
@@ -41,6 +40,7 @@ from pslgaug.transform import (
     replay,
     transform,
 )
+from tests_support import adjacency, label_partition, walk_partition
 
 
 def make_editor(g):
@@ -368,19 +368,6 @@ def test_edited_graph_matches_build():
             assert h.total_length() == ref.total_length()
 
 
-def label_partition(cert):
-    """The editor's darts grouped by face label."""
-    faces = {}
-    for d, label in cert.face.items():
-        faces.setdefault(label, set()).add(d)
-    return sorted(sorted(darts) for darts in faces.values())
-
-
-def walk_partition(g):
-    """The darts of g grouped by facial walk, derived anew."""
-    return sorted(sorted(zip(w.seq, w.seq[1:])) for w in facial_walks(g))
-
-
 def test_face_labels_match_facial_walks():
     # after every certified step of six recorded morphs, the labels group
     # the darts as a fresh facial-walk derivation does, and nxt is the walk
@@ -390,12 +377,12 @@ def test_face_labels_match_facial_walks():
         g = generate(n, seed + 9500, density)
         _, _, log = transform(g)
         cert = _CertifiedEdges(g, float("inf"))
-        assert label_partition(cert) == walk_partition(g)
+        assert label_partition(cert.faces) == walk_partition(g)
         for st in log.steps:
             assert cert.edit(st.op, st.u, st.v) is None
             h = build(g.points, cert.graph.edges)
-            assert label_partition(cert) == walk_partition(h)
-            assert cert.nxt == next_darts(h.rotation)
+            assert label_partition(cert.faces) == walk_partition(h)
+            assert cert.faces.nxt == next_darts(h.rotation)
             steps += 1
     assert steps >= 200
 
@@ -424,7 +411,7 @@ def test_label_bridge_test_matches_reach():
         h = cert.graph
         for u, v in sorted(h.edges):
             cut = len(reach(adjacency(h.edges - {(u, v)}), u)) != h.n
-            assert (cert.face[u, v] == cert.face[v, u]) == cut
+            assert (cert.faces.face[u, v] == cert.faces.face[v, u]) == cut
             other = _CertifiedEdges(h, float("inf"))
             got = other.edit("delete", *rng.choice(((u, v), (v, u))))
             if cut:
@@ -432,7 +419,8 @@ def test_label_bridge_test_matches_reach():
                 bridges += 1
             else:
                 assert got is None
-                assert label_partition(other) == walk_partition(build(g.points, other.graph.edges))
+                fresh = build(g.points, other.graph.edges)
+                assert label_partition(other.faces) == walk_partition(fresh)
                 kept += 1
     assert bridges >= 300 and kept >= 200
 
@@ -466,7 +454,7 @@ def test_live_walk_lookup_matches_a_fresh_one(monkeypatch):
                 assert got == want
                 outcomes[want] += 1
             else:  # the live lookup names the editor's face label
-                assert got == (ed.face[cand[0], cand[1]], 0)
+                assert got == ed.faces.face[cand[0], cand[1]]
                 outcomes["located"] += 1
         return geo
 
