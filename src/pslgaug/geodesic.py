@@ -12,9 +12,10 @@ A graph queried on its own gets a triangulation and faces (``pslg.Faces``)
 built for it.  The cycle morph instead keeps one triangulation alive across
 its certified edits: an inserted edge is forced in as a constraint, a
 deleted edge only loses its constraint mark (the triangulation stays valid).
-The faces come from the morph's certified editor, which keeps them per edit;
-the triangle right of each directed edge and the face of every triangle are
-still derived for each queried graph, and checked.
+The faces come from the morph's certified editor, which keeps them per edit,
+and the triangulation keeps its directed-side map per triangle edit, so the
+triangle right of each directed edge is a lookup; the face of every triangle
+is still flooded for each queried graph, and checked.
 
 The clip box turns the unbounded face into a bounded region; geodesics never
 bend at box corners (they are convex corners of the region), which is
@@ -65,9 +66,11 @@ class _FaceEnv:
     which it keeps per edit; the environment reads them as they stand, so it
     goes stale with the editor's next edit, as the live triangulation does.
 
-    Either way ``right_tri`` and the face of every triangle are derived for
-    ``g``, and the constraint set, the face flood fill and then
-    ``T.validate()`` check the triangulation against ``g``.
+    Either way the triangle right of dart (u, v) is ``T.side`` at the local
+    side (v, u), read when a query asks for it; the face of every triangle
+    is flooded from those triangles for ``g``, and the constraint set, the
+    flood fill and then ``T.validate()`` check the triangulation against
+    ``g``.
     """
 
     def __init__(self, g: Pslg, live: _FaceEnv | None = None, faces: Faces | None = None):
@@ -90,37 +93,35 @@ class _FaceEnv:
             if self.T.constrained != {(self.lid[u], self.lid[v]) for u, v in g.edges}:
                 raise LemmaViolation("live triangulation constrains other edges than the graph")
         self.faces = faces if faces is not None else Faces(g.rotation)
-        darts = self.faces.face
-
-        # the triangle right of directed graph edge (u, v) is the CCW
-        # triangle on (v, u), the one across side (a, b) of a triangle is on
-        # (b, a), and only clip-box sides have none.  Seed each triangle's
-        # face from the graph edges, then flood across unconstrained sides;
-        # every triangle and every graph edge's side must get a face
-        side = self.T.directed_side_tri()
-        lid, constrained = self.lid, self.T.constrained
-        self.right_tri = {(u, v): side.get((lid[v], lid[u])) for u, v in darts}
-        tri_face = self.tri_face = {}
-        for d, face in darts.items():
-            t = self.right_tri[d]
-            if t is not None and tri_face.setdefault(t, face) != face:
+        # the triangle right of graph dart (u, v) is the CCW triangle on side
+        # (v, u), the one across side (a, b) of a triangle is on (b, a), and
+        # only clip-box sides have none.  Seed each triangle's face from the
+        # darts, then flood across unconstrained sides; every triangle and
+        # every dart's side must get a face
+        side, lid, constrained = self.T.side, self.lid, self.T.constrained
+        face_of, unseeded = {}, False
+        for (u, v), face in self.faces.face.items():
+            t = side.get((lid[v], lid[u]))
+            if t is None:
+                unseeded = True
+            elif face_of.setdefault(t, face) != face:
                 raise LemmaViolation("conflicting face assignment for triangle")
-        frontier = list(tri_face)
+        frontier = list(face_of)
         while frontier:
             t = frontier.pop()
-            f = tri_face[t]
+            f = face_of[t]
             for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
                 s = side.get((b, a))
                 if s is None:
                     if min(a, b) < self.n_graph:  # a triangle is missing
                         raise LemmaViolation("face assignment incomplete")
                 elif ((a, b) if a < b else (b, a)) not in constrained:
-                    if s not in tri_face:
-                        tri_face[s] = f
+                    if s not in face_of:
+                        face_of[s] = f
                         frontier.append(s)
-                    elif tri_face[s] != f:
+                    elif face_of[s] != f:
                         raise LemmaViolation("face flood fill conflict")
-        if len(tri_face) != len(self.T.tris) or None in self.right_tri.values():
+        if len(face_of) != len(self.T.tris) or unseeded:
             raise LemmaViolation("face assignment incomplete")
         self.T.validate()
 
@@ -130,17 +131,15 @@ class _FaceEnv:
 
         Local-index pairs (left, right); left is always the pivot.
         """
-        t_in = self.right_tri[(prev, apex)]
-        t_out = self.right_tri[(apex, nxt)]
-        w = self.lid[apex]
+        lid, side = self.lid, self.T.side
+        w, other = lid[apex], lid[prev]
+        cur, t_out = side[w, other], side[lid[nxt], w]
         portals = []
-        cur = t_in
-        other = self.lid[prev]
         guard = 0
         while cur != t_out:
             z = self.T.apex(cur, w, other)
             portals.append((w, z))
-            cur = self.T.other_tri(w, z, cur)
+            cur = side.get((w, z))
             if cur is None:
                 raise LemmaViolation("fan walked off the triangulation")
             other = z

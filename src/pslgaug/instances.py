@@ -87,7 +87,11 @@ def _point(i, pid, x, y):
     """Point entry i: an integer id, coordinates decimal strings or integers."""
     if _is_int(pid) and all(_is_int(c) or isinstance(c, str) for c in (x, y)):
         try:
-            return Point.make(pid, x, y)
+            p = Point.make(pid, x, y)
+            # a finite decimal's denominator divides 10^k, and k = its bit
+            # length suffices; "1/3" has none
+            if all(10 ** c.denominator.bit_length() % c.denominator == 0 for c in p.coords()):
+                return p
         except (ValueError, ZeroDivisionError):
             pass
     raise InvalidInstance(

@@ -30,8 +30,9 @@ def _fmt(x: float) -> str:
 
 class _View:
     def __init__(self, g: Pslg, size=220.0):
-        xs = [float(p.x) for p in g.points]
-        ys = [float(p.y) for p in g.points]
+        # an instance with no points gets the view of one point at the origin
+        xs = [float(p.x) for p in g.points] or [0.0]
+        ys = [float(p.y) for p in g.points] or [0.0]
         w = max(xs) - min(xs) or 1.0
         h = max(ys) - min(ys) or 1.0
         margin = 0.05 * max(w, h)
@@ -39,6 +40,7 @@ class _View:
         self.y0 = min(ys) - margin
         self.scale = size / max(w + 2 * margin, h + 2 * margin)
         self.height = (h + 2 * margin) * self.scale
+        self.width = (max(xs) - self.x0) * self.scale  # up to the rightmost point
 
     def pt(self, p):
         # flip y so the drawing matches the usual orientation
@@ -68,7 +70,7 @@ def render_svg(g: Pslg, aug_edges=None, oplog_steps=None, labels=True) -> str:
     """SVG document for the instance, optionally overlaying an augmentation
     edge list or an op log (one group per phase)."""
     view = _View(g)
-    w = max(view.pt(p)[0] for p in g.points) + 10
+    w = view.width + 10
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>\n',
         f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="-5 -5 {_fmt(w + 10)} '

@@ -9,7 +9,7 @@ triangulation).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 
 from .geom import DegenerateInput, in_ccw_sector, incircle_xy, orient_xy
 from .pslg import LemmaViolation
@@ -20,16 +20,18 @@ def _ek(i, j):
 
 
 class Triangulation:
-    """Triangle soup over indexed points with edge and vertex adjacency.
+    """Triangle soup over indexed points with side and vertex adjacency.
 
     Triangles are stored as CCW tuples canonically rotated to start at the
-    smallest index.
+    smallest index.  ``side`` maps each directed side (i, j) to the one CCW
+    triangle that has it, so the triangle across side (i, j) is
+    ``side.get((j, i))``, which only sides on the hull lack.
     """
 
     def __init__(self, pts):
         self.pts = list(pts)  # local index -> (x, y) exact
         self.tris = set()
-        self.edge_tris = {}  # (i, j) i<j -> set of triangles
+        self.side = {}  # directed side (i, j) -> CCW triangle with that side
         self.vertex_tris = {}  # i -> list of triangles with corner i
         self.constrained = set()
 
@@ -59,9 +61,13 @@ class Triangulation:
         t = self._canon(a, b, c)
         if self.orient(*t) <= 0:
             raise DegenerateInput(f"degenerate triangle {t}")
+        sides = ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+        for e in sides:
+            if e in self.side:  # another triangle lies on this side of the edge
+                raise LemmaViolation(f"edge {_ek(*e)} borders 3 triangles")
         self.tris.add(t)
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            self.edge_tris.setdefault(_ek(*e), set()).add(t)
+        for e in sides:
+            self.side[e] = t
         for v in t:
             self.vertex_tris.setdefault(v, []).append(t)
         return t
@@ -69,10 +75,7 @@ class Triangulation:
     def remove_tri(self, t):
         self.tris.remove(t)
         for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            k = _ek(*e)
-            self.edge_tris[k].discard(t)
-            if not self.edge_tris[k]:
-                del self.edge_tris[k]
+            del self.side[e]
         for v in t:
             ts = self.vertex_tris[v]
             ts.remove(t)
@@ -80,16 +83,14 @@ class Triangulation:
                 del self.vertex_tris[v]
 
     def edges(self):
-        return set(self.edge_tris)
+        return {_ek(i, j) for i, j in self.side}
 
     def has_edge(self, i, j):
-        return _ek(i, j) in self.edge_tris
+        return (i, j) in self.side or (j, i) in self.side
 
     def other_tri(self, i, j, t):
-        for s in self.edge_tris.get(_ek(i, j), ()):
-            if s != t:
-                return s
-        return None
+        s = self.side.get((i, j))
+        return self.side.get((j, i)) if s == t else s
 
     def apex(self, t, i, j):
         for v in t:
@@ -97,26 +98,13 @@ class Triangulation:
                 return v
         raise KeyError((t, i, j))
 
-    def directed_side_tri(self):
-        """Map each directed side (a, b) to the CCW triangle containing it."""
-        m = {}
-        for t in self.tris:
-            a, b, c = t
-            m[(a, b)] = t
-            m[(b, c)] = t
-            m[(c, a)] = t
-        return m
-
     def validate(self):
-        """Structural sanity: every edge borders 1 or 2 triangles, and the
-        triangle count is 2V - h - 2 for the V points and the h edges that
-        border one triangle, as in a triangulation of the points' convex
-        hull.  A removed triangle with no hull side breaks the count."""
-        sizes = Counter(map(len, self.edge_tris.values()))
-        if sizes.keys() - {1, 2}:
-            k, ts = next((k, ts) for k, ts in self.edge_tris.items() if len(ts) not in (1, 2))
-            raise LemmaViolation(f"edge {k} borders {len(ts)} triangles")
-        h = sizes[1]
+        """Structural sanity (``add_tri`` already refuses a third triangle on
+        an edge): the triangle count is 2V - h - 2 for the V points and the h
+        sides with no triangle across, as in a triangulation of the points'
+        convex hull.  A removed triangle with no hull side breaks the count."""
+        side = self.side
+        h = sum((j, i) not in side for i, j in side)
         if len(self.tris) != 2 * len(self.pts) - h - 2:
             raise LemmaViolation(
                 f"{len(self.tris)} triangles, not 2V - h - 2 for V={len(self.pts)}, h={h}"
@@ -308,7 +296,7 @@ def lawson_flips(T: Triangulation, protect_constrained=True, on_flip=None, flip_
     """
     if flip_cap is None:
         flip_cap = 4 * len(T.pts) * len(T.pts) + 64
-    queue = deque(sorted(T.edge_tris))
+    queue = deque(sorted(T.edges()))
     queued = set(queue)
     count = 0
     while queue:
@@ -316,16 +304,13 @@ def lawson_flips(T: Triangulation, protect_constrained=True, on_flip=None, flip_
         queued.discard(e)
         if protect_constrained and e in T.constrained:
             continue
-        ts = T.edge_tris.get(e)
-        if ts is None or len(ts) != 2:
-            continue
         a, b = e
-        t1, t2 = sorted(ts)
+        t1, t2 = T.side.get((a, b)), T.side.get((b, a))
+        if t1 is None or t2 is None:
+            continue
+        # c is the apex left of a->b, so (a, b, c) is CCW as in_circle wants
         c = T.apex(t1, a, b)
         d = T.apex(t2, a, b)
-        # in_circle wants (a, b, c) CCW: c must be the apex left of a->b
-        if (a, b) in ((t2[0], t2[1]), (t2[1], t2[2]), (t2[2], t2[0])):
-            c, d = d, c
         if T.in_circle(a, b, c, d) <= 0:
             continue
         # quad a-c-b-d must be strictly convex for the flip
@@ -335,8 +320,8 @@ def lawson_flips(T: Triangulation, protect_constrained=True, on_flip=None, flip_
             and T.orient(c, d, b) != 0
         ):
             raise LemmaViolation(f"illegal edge {e} in non-convex quad")
-        for t in list(ts):
-            T.remove_tri(t)
+        T.remove_tri(t1)
+        T.remove_tri(t2)
         T.add_tri(a, c, d)
         T.add_tri(b, c, d)
         count += 1
@@ -344,20 +329,19 @@ def lawson_flips(T: Triangulation, protect_constrained=True, on_flip=None, flip_
             raise LemmaViolation("flip budget exceeded")
         if on_flip is not None:
             on_flip((a, b), _ek(c, d), (c, d))
-        for side in (_ek(a, c), _ek(c, b), _ek(b, d), _ek(d, a), _ek(c, d)):
-            if side not in queued and side in T.edge_tris:
-                queue.append(side)
-                queued.add(side)
+        for k in (_ek(a, c), _ek(c, b), _ek(b, d), _ek(d, a), _ek(c, d)):
+            if k not in queued and T.has_edge(*k):
+                queue.append(k)
+                queued.add(k)
     return count
 
 
 def is_delaunay(T: Triangulation) -> bool:
     """Exact empty-circumcircle check over all adjacent triangle pairs."""
-    for e, ts in T.edge_tris.items():
-        if len(ts) != 2:
+    for (a, b), t1 in T.side.items():
+        t2 = T.side.get((b, a))
+        if t2 is None or a > b:
             continue
-        a, b = e
-        t1, t2 = sorted(ts)
         c = T.apex(t1, a, b)
         d = T.apex(t2, a, b)
         if T.in_circle(*t1, d) > 0 or T.in_circle(*t2, c) > 0:

@@ -88,6 +88,7 @@ MALFORMED = {
     "list_id": (_fig3_with(point={"id": [2]}), "point entry 1"),
     "bool_id": (_fig3_with(point={"id": True}), "point entry 1"),
     "zero_denominator": (_fig3_with(point={"y": "1/0"}), "point entry 1"),
+    "no_decimal_form": (_fig3_with(point={"x": "1/3"}), "point entry 1"),
     "edge_triple": (_fig3_with(edge=[2, 3, 4]), "edge entry 1"),
     "edge_of_lists": (_fig3_with(edge=[[2], [3]]), "edge entry 1"),
     "edge_of_strings": (_fig3_with(edge=["2", "3"]), "edge entry 1"),
@@ -399,6 +400,20 @@ def test_render_deterministic(fig3_file, tmp_path, capsys):
     run_cli(["render", fig3_file, "-o", str(a)], capsys)
     run_cli(["render", fig3_file, "-o", str(b)], capsys)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_render_an_instance_with_no_points(tmp_path, capsys):
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({"format_version": 1, "points": [], "edges": []}))
+    assert run_cli(["validate", str(inst)], capsys)[0] == 0
+    a, b = tmp_path / "a.svg", tmp_path / "b.svg"
+    for out_svg in (a, b):
+        code, _, err = run_cli(["render", str(inst), "-o", str(out_svg)], capsys)
+        assert (code, err) == (0, "")
+    svg = a.read_text()
+    assert a.read_bytes() == b.read_bytes()
+    assert '<g id="base">\n  </g>' in svg and '<g id="points">\n  </g>' in svg
+    assert "<line" not in svg and "<circle" not in svg
 
 
 def test_roundtrip_exact():

@@ -620,6 +620,15 @@ def assert_vertex_index_current(T):
     assert got == {v: sorted(ts) for v, ts in index.items()}
 
 
+def assert_side_map_current(T):
+    side = {}
+    for t in T.tris:
+        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            assert e not in side, e
+            side[e] = t
+    assert T.side == side
+
+
 def test_vertex_index_follows_random_constraint_edits():
     rng = random.Random(8)
     for _ in range(12):
@@ -640,6 +649,7 @@ def test_vertex_index_follows_random_constraint_edits():
             edits += 1
             T.validate()
             assert_vertex_index_current(T)
+            assert_side_map_current(T)
 
 
 def test_validate_rejects_a_removed_interior_triangle():
@@ -648,7 +658,7 @@ def test_validate_rejects_a_removed_interior_triangle():
     lawson_flips(T)
     T.validate()
     interior = [t for t in sorted(T.tris) if all(
-        len(T.edge_tris[ekey(a, b)]) == 2 for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])))]
+        (b, a) in T.side for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])))]
     assert len(interior) > 20
     for t in interior:
         T.remove_tri(t)
@@ -657,9 +667,9 @@ def test_validate_rejects_a_removed_interior_triangle():
         T.add_tri(*t)
     T.validate()
     a, b, c = interior[0]
-    T.add_tri(a, b, next(z for z in range(len(T.pts)) if z not in (a, b, c) and T.orient(a, b, z)))
+    z = next(z for z in range(len(T.pts)) if z not in (a, b, c) and T.orient(a, b, z))
     with pytest.raises(LemmaViolation, match=re.escape(f"edge {ekey(a, b)} borders 3 triangles")):
-        T.validate()
+        T.add_tri(a, b, z)
 
 
 def fresh_geodesic(g, walk):
@@ -691,6 +701,7 @@ def test_live_environment_matches_a_fresh_one(monkeypatch):
         assert env.T.constrained == {(env.lid[u], env.lid[v]) for u, v in g.edges}
         env.T.validate()
         assert_vertex_index_current(env.T)
+        assert_side_map_current(env.T)
         ref = fresh_geodesic(g, walk)
         assert geo.ids() == ref.ids() and geo.length == ref.length
         queries[phase[0], reused] += 1
@@ -803,15 +814,14 @@ def test_query_rejects_a_flipped_constrained_edge():
     ed = _live_editor()
     T, gid = ed.env.T, ed.env.gid
     bridges = connectivity(ed.graph).bridges
-    side = T.directed_side_tri()
     seen = Counter()
     for a, b in sorted(T.constrained):
-        c, d = T.apex(side[a, b], a, b), T.apex(side[b, a], a, b)
+        c, d = T.apex(T.side[a, b], a, b), T.apex(T.side[b, a], a, b)
         if T.orient(c, d, a) * T.orient(c, d, b) >= 0:
             continue  # not a convex quad
 
         def flip(T, a=a, b=b, c=c, d=d):
-            for t in list(T.edge_tris[a, b]):
+            for t in (T.side[a, b], T.side[b, a]):
                 T.remove_tri(t)
             T.add_tri(a, c, d)
             T.add_tri(b, c, d)
