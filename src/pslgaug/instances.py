@@ -11,9 +11,10 @@ import json
 import math
 import os
 import random
+import re
 from fractions import Fraction
 
-from .geom import Point, collinear_pair
+from .geom import Point, collinear_pair, to_rational
 from .pslg import InvalidInstance, Pslg, build, kruskal
 from .triangulate import lawson_flips, triangulate_points
 
@@ -83,17 +84,31 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+# The decimal-string grammar of instance coordinates: an optional sign, ASCII
+# digits, an optional fraction part and an optional exponent.  A literal with
+# neither of the two groups is a plain integer.
+_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
+
+
+def _coordinate(c):
+    """A JSON integer as is, a decimal string as an exact rational (int when
+    integral), anything else None."""
+    if _is_int(c):
+        return c
+    if isinstance(c, str) and (m := _DECIMAL.fullmatch(c)):
+        try:
+            return int(c) if m.lastindex is None else to_rational(c)
+        except ValueError:  # more digits than int() converts
+            pass
+    return None
+
+
 def _point(i, pid, x, y):
     """Point entry i: an integer id, coordinates decimal strings or integers."""
-    if _is_int(pid) and all(_is_int(c) or isinstance(c, str) for c in (x, y)):
-        try:
-            p = Point.make(pid, x, y)
-            # a finite decimal's denominator divides 10^k, and k = its bit
-            # length suffices; "1/3" has none
-            if all(10 ** c.denominator.bit_length() % c.denominator == 0 for c in p.coords()):
-                return p
-        except (ValueError, ZeroDivisionError):
-            pass
+    if _is_int(pid):
+        cx, cy = _coordinate(x), _coordinate(y)
+        if cx is not None and cy is not None:
+            return Point(pid, cx, cy)
     raise InvalidInstance(
         f"point entry {i} (id {pid!r}, x {x!r}, y {y!r}) needs an integer id and "
         "coordinates that are decimal strings or integers"

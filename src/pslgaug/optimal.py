@@ -12,6 +12,10 @@ are scored by the feasibility matrix: a chord between two walk positions is
 usable iff its segment avoids every face edge and leaves both endpoints
 strictly inside the angular sector of the face at those occurrences.
 
+A chordless face, whose closed walk repeats no vertex (2vc) or no edge
+(2ec), is a ZERO cell as a whole: optimal_augment records it with cost 0.0
+and no chord, and builds neither its feasibility matrix nor its DP.
+
 Feasibility runs its sector, crossing and winding tests on the scaled
 integer coordinates: as int64 numpy batches over all position pairs when
 the face has at least _BATCH_MIN_SLOTS positions and its coordinates fit
@@ -705,17 +709,30 @@ def dp_2ec(g: Pslg, walk, weight="length"):
     return _dp(g, w, F, MODE_2EC, weight)[:2]
 
 
+def _chordless(seq, mode) -> bool:
+    """Whether the closed walk seq = (p_0, ..., p_n), p_0 = p_n, is a ZERO
+    cell of its DP as a whole: no vertex twice among p_1, ..., p_n (2vc), or
+    no edge twice among its n traversals (2ec).  Such a face needs no chord,
+    and the DP would return (0.0, [])."""
+    if mode == MODE_2VC:
+        return len(set(seq)) == len(seq) - 1
+    return len({ekey(a, b) for a, b in zip(seq, seq[1:])}) == len(seq) - 1
+
+
 def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
     """Minimum-weight global augmentation: per-face optima are independent
-    and their union is the global optimum."""
+    and their union is the global optimum.  A chordless face (see
+    _chordless) is recorded with cost 0.0 and no chord, without building
+    its feasibility matrix or DP."""
     if mode not in (MODE_2VC, MODE_2EC):
         raise ValueError(f"mode must be {MODE_2VC!r} or {MODE_2EC!r}")
     _check_weight(weight)
     require_augmentable(g)
     faces = []
     added = {}
+    solve = dp_2vc if mode == MODE_2VC else dp_2ec
     for walk in facial_walks(g):
-        cost, edges = (dp_2vc if mode == MODE_2VC else dp_2ec)(g, walk, weight)
+        cost, edges = (0.0, []) if _chordless(walk.seq, mode) else solve(g, walk, weight)
         faces.append(FaceSolution(face_id=walk.face_id, cost=cost, edges=edges))
         for e in edges:
             if e in added:

@@ -89,6 +89,13 @@ MALFORMED = {
     "bool_id": (_fig3_with(point={"id": True}), "point entry 1"),
     "zero_denominator": (_fig3_with(point={"y": "1/0"}), "point entry 1"),
     "no_decimal_form": (_fig3_with(point={"x": "1/3"}), "point entry 1"),
+    # the decimal grammar is the same on every Python: no ratio, no PEP 515
+    # underscore (Fraction reads one from 3.11 on), no non-ASCII digit and
+    # no surrounding space
+    "ratio": (_fig3_with(point={"x": "1/2"}), "point entry 1"),
+    "underscore": (_fig3_with(point={"x": "1_0"}), "point entry 1"),
+    "arabic_indic_digit": (_fig3_with(point={"x": "\u0663"}), "point entry 1"),
+    "leading_space": (_fig3_with(point={"x": " 5"}), "point entry 1"),
     "edge_triple": (_fig3_with(edge=[2, 3, 4]), "edge entry 1"),
     "edge_of_lists": (_fig3_with(edge=[[2], [3]]), "edge entry 1"),
     "edge_of_strings": (_fig3_with(edge=["2", "3"]), "edge entry 1"),

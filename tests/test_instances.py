@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pslgaug import (
     Point,
@@ -15,6 +16,7 @@ from pslgaug import (
     verify,
 )
 from pslgaug.instances import (
+    _coordinate,
     generate,
     instance_hash,
     oplog_from_jsonl,
@@ -53,6 +55,60 @@ def test_parse_gives_ints_for_integral_coordinates():
     g = parse(json.dumps(doc))
     assert [(p.x, p.y) for p in g.points] == [(12, -3), (1000, 4), (Fraction(1, 2), 7)]
     assert [(type(p.x), type(p.y)) for p in g.points] == [(int, int), (int, int), (Fraction, int)]
+
+
+def _as_fraction_read_it(text):
+    """The coordinate ``Fraction`` parsing gives a decimal string: an int
+    when integral."""
+    v = Fraction(text)
+    return v.numerator if v.denominator == 1 else v
+
+
+SIGNS = st.sampled_from(["", "+", "-"])
+DIGITS = st.text("0123456789", min_size=1, max_size=25)
+
+
+@given(SIGNS, st.integers(0, 3), st.integers(0, 10**30))
+def test_integer_literals_parse_to_the_int_fraction_gave(sign, zeros, value):
+    # negative, -0, leading zeros and values beyond int64
+    text = sign + "0" * zeros + str(value)
+    got = _coordinate(text)
+    assert type(got) is int
+    assert got == _as_fraction_read_it(text)
+
+
+EXPONENTS = st.tuples(st.sampled_from("eE"), SIGNS, st.integers(0, 40))
+
+
+@given(SIGNS, DIGITS, st.none() | DIGITS, st.none() | EXPONENTS)
+def test_decimal_literals_parse_to_the_same_value_as_before(sign, whole, frac, exp):
+    text = sign + whole + ("" if frac is None else "." + frac)
+    if exp is not None:
+        text += exp[0] + exp[1] + str(exp[2])
+    got, before = _coordinate(text), _as_fraction_read_it(text)
+    assert type(got) is type(before) and got == before
+
+
+@given(
+    st.integers(3, 24),
+    st.integers(0, 10**6),
+    st.sampled_from([0.0, 0.3, 0.6]),
+    st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    st.tuples(st.integers(-(10**20), 10**20), st.integers(-(10**20), 10**20)),
+)
+def test_parse_of_serialize_gives_back_points_types_and_edges(n, seed, density, digits, offset):
+    # per axis, a decimal scale and an integer offset: an affine map that
+    # keeps general position and planarity, so a graph with int and with
+    # Fraction coordinates, some of them integral
+    g = generate(n, seed, density)
+    (kx, ky), (ox, oy) = digits, offset
+    scaled = [(p.id, Fraction(p.x, 10**kx) + ox, Fraction(p.y, 10**ky) + oy) for p in g.points]
+    h = build(scaled, g.edges)
+    back = parse(serialize(h))
+    assert [(p.id, p.x, p.y, type(p.x), type(p.y)) for p in back.points] == [
+        (p.id, p.x, p.y, type(p.x), type(p.y)) for p in sorted(h.points, key=lambda p: p.id)
+    ]
+    assert back.edges == h.edges
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))

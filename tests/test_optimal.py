@@ -20,6 +20,7 @@ from pslgaug.optimal import (
     _CASE_SKIP,
     _CASE_SPLIT,
     _CASE_ZERO,
+    _chordless,
     _dp,
     _fill,
     _prefix_tables,
@@ -457,6 +458,47 @@ def test_dp_two_triangles(two_triangles):
     assert res_vc.total_added_length > 0
     cost, edges = brute_force_optimal(two_triangles, "2vc")
     assert res_vc.total_added_length == pytest.approx(cost, abs=1e-9)
+
+
+def augment_solving_every_face(g, mode, monkeypatch):
+    """optimal_augment with every face run through its DP, chordless or not."""
+    with monkeypatch.context() as m:
+        m.setattr(optimal, "_chordless", lambda seq, mode: False)
+        return optimal_augment(g, mode)
+
+
+def assert_chordless_shortcut_agrees(g, monkeypatch):
+    """On every face of g and in both modes, the DP gives (0.0, []) exactly
+    where the face is chordless, under unit weights too, and optimal_augment
+    returns what solving every face returns.  Counts the faces that are
+    chordless for 2ec but not for 2vc."""
+    walks = facial_walks(g)
+    for mode, dp in (("2vc", dp_2vc), ("2ec", dp_2ec)):
+        full = augment_solving_every_face(g, mode, monkeypatch)
+        for walk, face in zip(walks, full.faces, strict=True):
+            assert face.face_id == walk.face_id
+            chordless = _chordless(walk.seq, mode)
+            assert ((face.cost, face.edges) == (0.0, [])) == chordless, (walk.face_id, mode)
+            if chordless:
+                assert dp(g, walk, "unit") == (0.0, []), (walk.face_id, mode)
+        assert optimal_augment(g, mode) == full, mode
+    return sum(_chordless(w.seq, "2ec") and not _chordless(w.seq, "2vc") for w in walks)
+
+
+def test_chordless_shortcut_agrees_with_the_dp(two_triangles, monkeypatch):
+    # the two triangles' outer face repeats their shared vertex and no edge:
+    # chordless for 2ec only, and algorithm A needs a chord there
+    outer = [w for w in facial_walks(two_triangles) if w.is_outer]
+    assert [_chordless(w.seq, "2ec") for w in outer] == [True]
+    assert [_chordless(w.seq, "2vc") for w in outer] == [False]
+    assert dp_2vc(two_triangles, outer[0])[0] > 0
+    graphs = [two_triangles] + pool_instances()
+    rng = random.Random(1717)
+    for i in range(300):
+        graphs.append(generate(rng.randint(5, 70), 170000 + i, rng.choice([0.0, 0.2, 0.4, 0.6, 0.8])))
+    cut_vertex_faces = sum(assert_chordless_shortcut_agrees(g, monkeypatch) for g in graphs)
+    # faces a 2ec rule in 2vc would skip, so the check above would catch it
+    assert cut_vertex_faces > 0
 
 
 def test_optimal_fig3(fig3):
