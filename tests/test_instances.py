@@ -57,9 +57,9 @@ def test_parse_gives_ints_for_integral_coordinates():
     assert [(type(p.x), type(p.y)) for p in g.points] == [(int, int), (int, int), (Fraction, int)]
 
 
-def _as_fraction_read_it(text):
-    """The coordinate ``Fraction`` parsing gives a decimal string: an int
-    when integral."""
+def _fraction_reading(text):
+    """The coordinate that parsing by ``Fraction`` made of a decimal string:
+    an int when integral."""
     v = Fraction(text)
     return v.numerator if v.denominator == 1 else v
 
@@ -74,7 +74,7 @@ def test_integer_literals_parse_to_the_int_fraction_gave(sign, zeros, value):
     text = sign + "0" * zeros + str(value)
     got = _coordinate(text)
     assert type(got) is int
-    assert got == _as_fraction_read_it(text)
+    assert got == _fraction_reading(text)
 
 
 EXPONENTS = st.tuples(st.sampled_from("eE"), SIGNS, st.integers(0, 40))
@@ -85,7 +85,7 @@ def test_decimal_literals_parse_to_the_same_value_as_before(sign, whole, frac, e
     text = sign + whole + ("" if frac is None else "." + frac)
     if exp is not None:
         text += exp[0] + exp[1] + str(exp[2])
-    got, before = _coordinate(text), _as_fraction_read_it(text)
+    got, before = _coordinate(text), _fraction_reading(text)
     assert type(got) is type(before) and got == before
 
 
