@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,18 +22,37 @@ class DegenerateInput(ValueError):
     """Raised when a predicate precondition (general position) is violated."""
 
 
+# The decimal-string grammar of coordinates: an optional sign, ASCII digits,
+# an optional fraction part and an optional exponent of at most
+# MAX_EXPONENT in magnitude, the digit limit int() puts on integer literals,
+# so that no literal stands for a number much longer than itself.  A literal
+# with neither optional part is a plain integer.
+_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?(?:[eE]([+-]?0*[0-9]{1,4}))?")
+MAX_EXPONENT = 4300
+
+
 def to_rational(value):
     """Convert a decimal string, int or Fraction to an exact rational: an
     int when the value is integral ("12", "1e3", "4.0", Fraction(8, 2)),
     else a Fraction.  Int arithmetic is many times faster than Fraction
     arithmetic in every predicate and length.
 
-    Floats and bools are rejected: binary floats do not round-trip through
-    the exact predicates, and a bool is no coordinate.
+    A string outside the _DECIMAL grammar raises ValueError, before any
+    value is computed.  Floats and bools raise TypeError: binary floats do
+    not round-trip through the exact predicates, and a bool is no
+    coordinate.
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
+        m = _DECIMAL.fullmatch(value)
+        if m is None or (m.group(2) and abs(int(m.group(2))) > MAX_EXPONENT):
+            raise ValueError(
+                f"{value!r} is no decimal literal (sign, ASCII digits, optional "
+                f"fraction, exponent at most {MAX_EXPONENT} in magnitude)"
+            )
+        if m.lastindex is None:
+            return int(value)
         value = Fraction(value)
     elif not isinstance(value, Fraction):
         raise TypeError(f"expected int, Fraction or decimal string, got {type(value).__name__}")

@@ -11,10 +11,9 @@ import json
 import math
 import os
 import random
-import re
 from fractions import Fraction
 
-from .geom import Point, collinear_pair, to_rational
+from .geom import MAX_EXPONENT, Point, collinear_pair, to_rational
 from .pslg import InvalidInstance, Pslg, build, kruskal
 from .triangulate import lawson_flips, triangulate_points
 
@@ -84,21 +83,15 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-# The decimal-string grammar of instance coordinates: an optional sign, ASCII
-# digits, an optional fraction part and an optional exponent.  A literal with
-# neither of the two groups is a plain integer.
-_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?([eE][+-]?[0-9]+)?")
-
-
 def _coordinate(c):
-    """A JSON integer as is, a decimal string as an exact rational (int when
-    integral), anything else None."""
+    """A JSON integer as is, a decimal string of the geom.to_rational grammar
+    as an exact rational (int when integral), anything else None."""
     if _is_int(c):
         return c
-    if isinstance(c, str) and (m := _DECIMAL.fullmatch(c)):
+    if isinstance(c, str):
         try:
-            return int(c) if m.lastindex is None else to_rational(c)
-        except ValueError:  # more digits than int() converts
+            return to_rational(c)
+        except ValueError:  # off the grammar, or more digits than int() converts
             pass
     return None
 
@@ -111,7 +104,8 @@ def _point(i, pid, x, y):
             return Point(pid, cx, cy)
     raise InvalidInstance(
         f"point entry {i} (id {pid!r}, x {x!r}, y {y!r}) needs an integer id and "
-        "coordinates that are decimal strings or integers"
+        f"coordinates that are integers or decimal strings with an exponent of at "
+        f"most {MAX_EXPONENT} in magnitude"
     )
 
 

@@ -25,14 +25,28 @@ The DP reads only feasible chords.  Let f be their number, about 6% of the
 position pairs on large random faces.  A cell (s, t) whose head p_s is not
 a cut takes SKIP, C[s + 1, t], or SPLIT at a feasible chord (s, k); a cut
 head takes the best PAIR of chords (i, j), i a descendant of p_s and j a
-later non-descendant, or SPLIT beyond the anchor.  Everything that does not
-depend on C (cell classes, anchors, every cell's SPLIT range) is set up once
-per face, and the PAIR candidates of a (head, anchor) block at its first
-cell; each diagonal t - s = L then gathers, for all its cells at once, the
-C values of their candidates and takes each cell's first minimum.  SPLIT
-costs O(f) per cell; PAIR costs the block's feasible (i, j) with j <= t and
-C[s, i] finite, O(f) per cell as well, so a face costs O(n^2 f) instead of
-the dense O(n^4).
+later non-descendant, or SPLIT beyond the anchor.  Each such choice is a
+row of one candidate pool per face, scored (A + C[y, t]) + w: SKIP has
+A = 0, y = s + 1, w = 0; PAIR A = C[s, i] + C[i, j], y = j, w = W[i, j];
+SPLIT A = C[s, k], y = k, w = W[s, k].  The rows of a block (a head s, its
+anchor and its cut status) form one run, sorted by the first t that may
+read them: any t for SKIP, t >= j for PAIR, t >= k + 1 for SPLIT.  A
+block's cells lie on consecutive diagonals, so cell (s, t) reads a prefix
+of its run.  A cut block's run starts with a +inf sentinel in SKIP's
+place, so a cell with no candidate comes out INF.  A row is activated, its
+A computed once and cached, on the diagonal where a cell first reads it,
+when both addends are final.  The runs of the non-cut blocks are laid out
+once per face; a cut block's run joins at its first cell, where every
+C[s, i] is final, without the i with C[s, i] = +inf.
+
+Each diagonal t - s = L then gathers, for all its cells at once, the
+prefixes of their runs and takes each cell's first minimum by tie key:
+SKIP before every PAIR, in (i, j) order, before every SPLIT, in k order.
+So PAIR takes its least (i, j), SPLIT wins only when strictly smaller and
+SKIP is kept on a tie.  Case, k1 and k2 follow from the winning keys once
+per face.  SPLIT costs O(f) per cell; PAIR costs the block's feasible
+(i, j) with j <= t and C[s, i] finite, O(f) per cell as well, so a face
+costs O(n^2 f) instead of the dense O(n^4).
 """
 
 from __future__ import annotations
@@ -182,6 +196,10 @@ _BATCH_MIN_SLOTS = 16
 # Elements per temporary array of a batch, so that a large face never holds
 # a whole chord-by-edge matrix.
 _CHUNK = 8192
+
+# Candidates the DP scores per batch: the batch's temporaries stay in a
+# core's L2 cache (measured: half the time of one batch of 750k candidates).
+_SCORE_CHUNK = 32768
 
 
 def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
@@ -410,10 +428,13 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     one diagonal t - s = L at a time; every cell reads only shorter ones.
 
     Everything that does not depend on C is set up once for the face: the
-    ZERO and INF cells, and for the other (live) cells, in diagonal order,
-    their cut status, anchor and SPLIT range.  A diagonal then only gathers
-    the C values its candidates read and takes first minima."""
+    ZERO and INF cells, the live cells' blocks, the order of the runs and
+    the runs of the non-cut blocks.  A diagonal then lays out the runs of
+    the cut blocks whose first cell it holds, activates the rows its cells
+    reach for the first time, and scores one run prefix per cell, in
+    batches of about _SCORE_CHUNK candidates (see the module docstring)."""
     n, n2, vert = w.n, w.n + 2, w.vert
+    nn = n2 * n2
     has_rep, mate, has_br = _prefix_tables(w)
     C = np.full((n2, n2), np.inf)
     Cf = C.reshape(-1)
@@ -457,75 +478,147 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
         anchor = mate[S]
     cut = T >= cut_from[S]
 
-    # result of every live cell, by its index in S; C[0, 0] is +inf, so a
-    # cut reads +inf where the others read their SKIP value C[s + 1, t]
-    skip = np.where(cut, 0, (S + 1) * n2 + T)
-    rcase = np.where(cut, _CASE_INF, _CASE_SKIP).astype(np.uint8)
-    r1 = np.zeros(S.size, dtype=np.int64)
-    r2 = np.zeros(S.size, dtype=np.int64)
+    # blocks (s, anchor) in that order, a non-cut block as (s, s); bid[c] is
+    # live cell c's block, whose cells (s, t0[b]) .. (s, t1[b]) lie on
+    # consecutive diagonals
+    key = S * n2 + np.where(cut, anchor, S)
+    used = np.zeros(nn, dtype=bool)
+    used[key] = True
+    hk = used.nonzero()[0]
+    bs, ba = np.divmod(hk, n2)
+    bid = hk.searchsorted(key)
+    bcut = ba != bs
+    t0 = np.full(bs.size, n2)
+    t1 = np.zeros(bs.size, dtype=np.int64)
+    np.minimum.at(t0, bid, T)
+    np.maximum.at(t1, bid, T)
 
-    P = np.flatnonzero(cut)
-    pool = _PairPool(w, W, mode, first, S[P], T[P], anchor[P])
-    pdiag = np.searchsorted(T[P] - S[P], np.arange(n + 1)).tolist()
-
-    # SPLIT candidates: feasible chords (s, k), k >= s + 2, ordered by s and
-    # then k, as flat indices of C[s, k] and of C[k, s] (C[k, s + L] is
-    # C.flat[ks + L]).  A cell (s, t) reads those with lo <= k < t.
-    fs, fk = np.nonzero(np.isfinite(W))
-    keep = fk >= fs + 2
-    fs, fk = fs[keep], fk[keep]
-    sk, ks, w_sk = fs * n2 + fk, fk * n2 + fs, W[fs, fk]
-    lo = S + 2
+    # SPLIT rows of a block: the feasible chords (s, k), lo <= k < t1, in
+    # the index range sst .. sen of fs, fk.  At a cut p_s the optimum may
+    # use such a chord, which the PAIR decomposition cannot express.
+    # Splitting there is sound for bridges at any k >= s + 2 (the chord's
+    # cycle contains the bridge edge); for cut vertices only beyond the
+    # anchor, where the chord's cycle covers all of p_s's groups and ends
+    # at a non-descendant.
+    ok = np.isfinite(W)
+    fs, fk = np.nonzero(ok)
+    sk = fs * n2 + fk
+    lo = bs + 2
     if mode == MODE_2VC:
-        np.maximum(lo, anchor + 1, out=lo)
-    sst = np.searchsorted(sk, S * n2 + lo)
-    sen = np.searchsorted(sk, S * n2 + T)
-    Q = np.flatnonzero(sen > sst)
-    qdiag = np.searchsorted(T[Q] - S[Q], np.arange(n + 1)).tolist()
+        np.maximum(lo, ba + 1, out=lo)
+    sst = sk.searchsorted(bs * n2 + lo)
+    sen = sk.searchsorted(bs * n2 + np.maximum(lo, t1))
 
+    # room for the PAIR rows of a cut block: the finite W in rows (s, a]
+    # and columns (a, t1] (fin holds prefix counts)
+    fin = np.zeros((n2, n2), dtype=np.int32)
+    fin[1:, 1:] = ok.cumsum(axis=0, dtype=np.int32).cumsum(axis=1)
+    r0, r1, c1 = bs + 1, ba + 1, t1 + 1
+    pair_room = np.where(bcut, fin[r1, c1] - fin[r0, c1] - fin[r1, r1] + fin[r0, r1], 0)
+
+    # The pool: each block's rows form one run, its SKIP row (a +inf
+    # sentinel for a cut block) first and then sorted by the first t that
+    # may read a row, so pos = base + that t.  A row scores (A + C[y, t]) +
+    # wv, with ys = y * n2 + s; tie % nn is the flat index of A's second
+    # addend, C[i, j] for PAIR and the zero cell C[k, k] for SPLIT, and a
+    # cell takes the least tie among its minima.  The runs of the non-cut
+    # blocks, one per head, come first, then those of the cut blocks in the
+    # order they open, each at its first cell; base = that rank * n2.
+    rank = np.empty_like(bs)
+    rank[np.lexsort((np.where(bcut, t0 - bs, 0), bcut))] = np.arange(bs.size)
+    base = rank * n2
+    room = 1 + sen - sst + pair_room
+    pos = np.empty(room.sum(), dtype=np.int64)
+    tie, ys = np.empty_like(pos), np.empty_like(pos)
+    wv, A = np.empty(pos.size), np.empty(pos.size)
+
+    def put(q, b, t, key, y, w):
+        pos[q], tie[q], ys[q], wv[q] = base[b] + t, key, y * n2 + bs[b], w
+
+    nc = (~bcut).nonzero()[0]
+    run = np.zeros_like(bs)
+    run[nc] = room[nc].cumsum() - room[nc]
+    put(run[nc], nc, 0, -1, bs[nc] + 1, 0.0)
+    A[run[nc]] = 0.0
+    head = np.full(n2, -1)
+    head[bs[nc]] = nc
+    e = np.arange(fs.size)
+    b = head[fs]
+    e = e[(b >= 0) & (sst[b] <= e) & (e < sen[b])]
+    b, k = head[fs[e]], fk[e]
+    put(run[b] + 1 + e - sst[b], b, k + 1, nn + k * (n2 + 1), k, W[fs[e], k])
+    reached, top = run + 1, int(room[nc].sum())
+
+    opening = [[] for _ in range(n)]
+    for b in np.flatnonzero(bcut)[np.argsort(rank[bcut])].tolist():
+        s, an, last = int(bs[b]), int(ba[b]), int(t1[b])
+        opening[t0[b] - s].append((b, s, an, last, fk[sst[b] : sen[b]]))
+    desc = np.zeros(n2 - 1, dtype=bool)
+    cell, find = S * n2 + T, base[bid] + T
+    won = np.zeros(S.size, dtype=np.int64)
     for L in range(n):
         a, b = diag[L], diag[L + 1]
         if a == b:
             continue
-        best = Cf[skip[a:b]]
 
-        # PAIR, over the cut cells of the diagonal
-        pa, pb = pdiag[L], pdiag[L + 1]
-        if pb > pa:
-            found, value, i, j = pool.score(Cf, pa, pb, L)
-            R = P[pa:pb][found]
-            best[R - a] = value
-            rcase[R], r1[R], r2[R] = _CASE_PAIR, i, j
+        # PAIR rows of a cut block (s, anchor): the chords (i, j) from a
+        # descendant i of p_s (positions in (s, anchor), except p_s, for
+        # 2vc; (s, anchor] for 2ec) with C[s, i] finite, final by its first
+        # cell, to a later position j <= t1 whose vertex is no descendant;
+        # merged with the block's SPLIT rows (s, k) by their first t
+        for bk, s, an, last, k in opening[L]:
+            if mode == MODE_2VC:
+                D = np.arange(s + 1, an)
+                D = D[vert[D] != vert[s]]
+            else:
+                D = np.arange(s + 1, an + 1)
+            desc[first[D]] = True
+            N = np.arange(an + 1, last + 1)
+            N = N[~desc[first[N]]]
+            desc[:] = False
+            D = D[Cf[s * n2 + D] < np.inf]
+            nj, di = np.nonzero(ok[D][:, N].T)
+            i, j = D[di], N[nj]
+            t = np.concatenate(([0], k + 1, j))
+            o = t.argsort(kind="stable")
+            r = slice(top, top + o.size)
+            put(r, bk, t[o], np.concatenate(([-1], nn + k * (n2 + 1), i * n2 + j))[o],
+                np.concatenate(([s + 1], k, j))[o], np.concatenate(([0.0], W[s, k], W[i, j]))[o])
+            A[top], run[bk], reached[bk], top = np.inf, top, top + 1, r.stop
 
-        # SPLIT: a chord from p_s to p_k, k in lo .. t-1.  At a cut p_s the
-        # optimum may use such a chord, which the PAIR decomposition cannot
-        # express.  Splitting there is sound for bridges at any k >= s + 2
-        # (the chord's cycle contains the bridge edge); for cut vertices
-        # only beyond the anchor, where the chord's cycle covers all of
-        # p_s's groups and ends at a non-descendant.
-        qa, qb = qdiag[L], qdiag[L + 1]
-        if qb > qa:
-            R = Q[qa:qb]
-            idx, offs, cnt = _ranges(sst[R], sen[R])
-            vals = Cf.take(sk.take(idx)) + Cf[L:].take(ks.take(idx))
-            vals += w_sk.take(idx)
-            vmin, k = _first_min(vals, fk, idx, offs, cnt)
-            split = vmin < best[R - a]
-            R = R[split]
-            best[R - a] = vmin[split]
-            rcase[R], r1[R], r2[R] = _CASE_SPLIT, k[split], 0
-        Cf[S[a:b] * n2 + T[a:b]] = best
-    case[S, T], k1[S, T], k2[S, T] = rcase, r1, r2
+        # activate the rows the cells reach first, then score each prefix
+        bl = bid[a:b]
+        en = pos[:top].searchsorted(find[a:b], side="right")
+        q = _ranges(reached[bl], en)[0]
+        reached[bl] = en
+        r = tie[q] % nn
+        A[q] = Cf.take(ys[q] % n2 * n2 + r // n2) + Cf.take(r)
+        st, cells, wins = run[bl], cell[a:b], won[a:b]
+        reach = (en - st).cumsum()
+        cuts = [0, b - a]
+        if reach[-1] > _SCORE_CHUNK:
+            cuts[1:1] = reach.searchsorted(range(_SCORE_CHUNK, int(reach[-1]), _SCORE_CHUNK))
+        for c0, c1 in zip(cuts, cuts[1:]):
+            if c1 > c0:
+                idx, offs, cnt = _ranges(st[c0:c1], en[c0:c1])
+                vals = A.take(idx) + Cf[L:].take(ys.take(idx))
+                vals += wv.take(idx)
+                Cf[cells[c0:c1]], wins[c0:c1] = _first_min(vals, tie, idx, offs, cnt)
+
+    case[S, T] = np.where(cut, np.uint8(_CASE_INF), np.uint8(_CASE_SKIP))
+    pair, split = (won >= 0) & (won < nn), won >= nn
+    case[S[pair], T[pair]], case[S[split], T[split]] = _CASE_PAIR, _CASE_SPLIT
+    k1[S[pair], T[pair]], k2[S[pair], T[pair]] = np.divmod(won[pair], n2)
+    k1[S[split], T[split]] = (won[split] - nn) // (n2 + 1)
     return C, case, k1, k2
 
 
 def _ranges(st, en):
-    """The concatenated index ranges [st[r], en[r]), none of them empty, and
+    """The concatenated index ranges [st[r], en[r]), some perhaps empty, and
     the offset and length of each range in the result."""
     cnt = en - st
-    offs = cnt.cumsum()
-    idx = np.arange(offs[-1])
-    offs -= cnt
+    offs = cnt.cumsum() - cnt
+    idx = np.arange(offs[-1] + cnt[-1])
     idx += (st - offs).repeat(cnt)
     return idx, offs, cnt
 
@@ -538,109 +631,6 @@ def _first_min(vals, keys, idx, offs, cnt):
     vmin = np.minimum.reduceat(vals, offs)
     at = (vals == vmin.repeat(cnt)).nonzero()[0]
     return vmin, np.minimum.reduceat(keys.take(idx.take(at)), at.searchsorted(offs))
-
-
-class _PairPool:
-    """The PAIR candidates of the cut cells (s, t) of a face, with anchors.
-    A block is one (s, anchor): the chords (i, j) with W[i, j] finite from a
-    descendant i of p_s (positions in (s, anchor), except p_s, for 2vc;
-    (s, anchor] for 2ec) to a later position j whose vertex is no
-    descendant.  A cell scores ((C[s, i] + C[i, j]) + C[j, t]) + W[i, j]
-    over the candidates j <= t of its block, added in that order, so every
-    score is the float a dense scan of the block would compute.
-
-    A block's cells lie on consecutive diagonals.  It joins the pool at its
-    first cell, where every C[s, i] is final, and leaves out each i with
-    C[s, i] = +inf, whose sums are +inf at every cell.  Its candidates are
-    one run of the pool, ordered by j and then i, so a cell (s, t) scores a
-    prefix of the run.  The first cell to reach a candidate caches
-    A = C[s, i] + C[i, j], final by then (i > s, j <= t)."""
-
-    def __init__(self, w: IndexedWalk, W, mode, first, S, T, anchor):
-        self.w, self.W, self.mode, self.first, self.T = w, W, mode, first, T
-        self.n2 = n2 = w.n + 2
-        # blocks numbered by (s, anchor); bid[c] is cut cell c's block
-        key = S * n2 + anchor
-        used = np.zeros(n2 * n2, dtype=bool)
-        used[key] = True
-        self.bid = (used.cumsum() - 1)[key]
-        self.head, self.anchor = np.divmod(used.nonzero()[0], n2)
-        # room for a block: the finite W in rows (s, anchor] and the columns
-        # after the anchor (fin holds prefix counts); only the used part of
-        # the arrays is ever written
-        fin = np.zeros((n2, n2), dtype=np.int64)
-        fin[1:, 1:] = np.isfinite(W).cumsum(axis=0).cumsum(axis=1)
-        lo, a = self.head + 1, self.anchor + 1
-        room = int((fin[a, -1] - fin[lo, -1] - fin[a, a] + fin[lo, a]).sum())
-        self.key = np.empty(room, dtype=np.int64)  # block rank * n2 + j
-        self.rm = np.empty(room, dtype=np.int64)  # i * n2 + j
-        self.js = np.empty(room, dtype=np.int64)  # j * n2 + s
-        self.wv = np.empty(room)  # W[i, j]
-        self.A = np.empty(room)
-        self.top = 0
-        # per block: its rank in the pool, or -1 before its first cell, its
-        # start, and the end of the candidates its cells have reached
-        self.rank = np.full(self.head.size, -1)
-        self.start = np.zeros(self.head.size, dtype=np.int64)
-        self.reached = np.zeros(self.head.size, dtype=np.int64)
-        self.opened = 0
-        self.desc = np.zeros(n2 - 1, dtype=bool)
-
-    def _open(self, Cf, blocks):
-        """Append the candidates of each block in ``blocks``."""
-        n2, vert, first, desc, W = self.n2, self.w.vert, self.first, self.desc, self.W
-        for b in blocks:
-            s, a = self.head[b], self.anchor[b]
-            if self.mode == MODE_2VC:
-                D = np.arange(s + 1, a)
-                D = D[vert[D] != vert[s]]
-            else:
-                D = np.arange(s + 1, a + 1)
-            desc[first[D]] = True
-            N = np.arange(a + 1, n2 - 1)
-            N = N[~desc[first[N]]]
-            desc[first[D]] = False
-            D = D[Cf[s * n2 + D] < np.inf]
-            nj, di = np.nonzero(np.isfinite(W[D[:, None], N]).T)
-            i, j = D[di], N[nj]
-            lo = self.top
-            self.top = hi = lo + i.size
-            self.key[lo:hi] = self.opened * n2 + j
-            self.rm[lo:hi], self.js[lo:hi], self.wv[lo:hi] = i * n2 + j, j * n2 + s, W[i, j]
-            self.rank[b], self.start[b], self.reached[b] = self.opened, lo, lo
-            self.opened += 1
-
-    def score(self, Cf, ca, cb, L):
-        """For the cut cells ca .. cb-1, of diagonal L: a mask of those with a
-        finite score and, for them, the first minimum (value, i, j) in
-        row-major (i, j) order."""
-        n2 = self.n2
-        b = self.bid[ca:cb]
-        new = self.rank[b] < 0
-        if new.any():
-            self._open(Cf, b[new].tolist())
-        st = self.start[b]
-        en = np.searchsorted(self.key[: self.top], self.rank[b] * n2 + self.T[ca:cb], side="right")
-        f0 = self.reached[b]
-        G = (en > f0).nonzero()[0]
-        if G.size:
-            q = _ranges(f0[G], en[G])[0]
-            rm = self.rm.take(q)
-            self.A[q] = Cf.take(self.js.take(q) % n2 * n2 + rm // n2) + Cf.take(rm)
-            self.reached[b[G]] = en[G]
-
-        found = en > st
-        R = found.nonzero()[0]
-        if not R.size:
-            return found, (), (), ()
-        idx, offs, cnt = _ranges(st[R], en[R])
-        vals = self.A.take(idx) + Cf[L:].take(self.js.take(idx))
-        vals += self.wv.take(idx)
-        vmin, key = _first_min(vals, self.rm, idx, offs, cnt)
-        fin = vmin < np.inf
-        found[R[~fin]] = False
-        key = key[fin]
-        return found, vmin[fin], key // n2, key % n2
 
 
 def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):

@@ -223,7 +223,10 @@ def _validate_points(points, edge_pairs) -> _ValidatedPoints:
             pts.append(p)
         else:
             pid, x, y = p
-            pts.append(Point.make(pid, x, y))
+            try:
+                pts.append(Point.make(pid, x, y))
+            except ValueError as e:
+                raise InvalidInstance(f"point {pid!r}: {e}") from None
 
     ids = [p.id for p in pts]
     if len(set(ids)) != len(ids):
@@ -243,6 +246,16 @@ def _validate_points(points, edge_pairs) -> _ValidatedPoints:
         denom = lcm(denom, to_rational(p.x).denominator, to_rational(p.y).denominator)
     ix = {p.id: int(p.x * denom) for p in pts}
     iy = {p.id: int(p.y * denom) for p in pts}
+
+    # 32 n max(|x|, |y|) < 2^1023 keeps every coordinate, length and length
+    # sum the program forms a finite float (README, instance format)
+    far = max(map(abs, (*ix.values(), *iy.values())), default=0)
+    if 32 * len(pts) * far >= 2**1023 * denom:
+        pid = next(p.id for p in pts if far in (abs(ix[p.id]), abs(iy[p.id])))
+        raise InvalidInstance(
+            f"point {pid} lies too far out: 32 * n * max(|x|, |y|) must stay "
+            f"below 2^1023 (n = {len(pts)})"
+        )
 
     # general position: no three collinear, each point checked against the
     # points before it.  An edge through a third vertex makes a collinear

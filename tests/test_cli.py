@@ -96,6 +96,13 @@ MALFORMED = {
     "underscore": (_fig3_with(point={"x": "1_0"}), "point entry 1"),
     "arabic_indic_digit": (_fig3_with(point={"x": "\u0663"}), "point entry 1"),
     "leading_space": (_fig3_with(point={"x": " 5"}), "point entry 1"),
+    # past float range: lengths and their sums would overflow, so build
+    # bounds 32 n max(|x|, |y|) below 2^1023; an exponent beyond 4300 is off
+    # the grammar, before its value is computed
+    "exponent_4000": (_fig3_with(point={"x": "1e4000"}), "point 2 lies too far out"),
+    "integer_400_digits": (_fig3_with(point={"x": "9" * 400}), "point 2 lies too far out"),
+    "float_range_1e308": (_fig3_with(point={"x": "1e308"}), "point 2 lies too far out"),
+    "exponent_minus_5000": (_fig3_with(point={"x": "1e-5000"}), "point entry 1"),
     "edge_triple": (_fig3_with(edge=[2, 3, 4]), "edge entry 1"),
     "edge_of_lists": (_fig3_with(edge=[[2], [3]]), "edge entry 1"),
     "edge_of_strings": (_fig3_with(edge=["2", "3"]), "edge entry 1"),
@@ -113,6 +120,22 @@ def test_validate_malformed_entry(tmp_path, capsys, case):
     code, out, err = run_cli(["validate", str(p)], capsys)
     assert code == 1
     assert err.startswith("error: ") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("x", ["1e4000", "9" * 400, "1e308", "1e-5000"])
+@pytest.mark.parametrize(
+    "argv",
+    [["augment", "--mode", "opt2vc"], ["augment", "--mode", "heur2ec"], ["transform"],
+     ["oracle", "--mode", "2ec"], ["render", "-o", "out.svg"]],
+)
+def test_commands_reject_coordinates_past_float_range(tmp_path, capsys, monkeypatch, argv, x):
+    monkeypatch.chdir(tmp_path)
+    p = tmp_path / "far.json"
+    p.write_text(json.dumps(_fig3_with(point={"x": x})))
+    code, _, err = run_cli([argv[0], str(p), *argv[1:]], capsys)
+    assert code == 1
+    assert "point 2 lies too far out" in err or "point entry 1" in err
     assert "Traceback" not in err
 
 

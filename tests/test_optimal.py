@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 import re
 from bisect import bisect_right
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pslgaug import build, optimal
 from pslgaug.cli import main
@@ -405,10 +407,46 @@ def test_fill_matches_reference_generated():
 
 
 @pytest.mark.parametrize("n", [20, 40, 80])
-def test_fill_matches_reference_convex_path(n):
+def test_fill_matches_reference_convex_path(n, monkeypatch):
     g = _convex_position_path(n)
     for extend in (False, True):
         assert_tables_match(g, facial_walks(g)[0], extend)
+    # five candidates per batch split every diagonal, most cells into
+    # batches of their own
+    monkeypatch.setattr(optimal, "_SCORE_CHUNK", 5)
+    for extend in (False, True):
+        assert_tables_match(g, facial_walks(g)[0], extend)
+
+
+def _lattice_circle():
+    """The 36 lattice points of x^2 + y^2 = 65^2, in angular order.  No
+    three of them are collinear, and many of their chords have exactly equal
+    lengths, so length weights tie as unit weights do."""
+    pts = [(x, y) for x in range(-65, 66) for y in range(-65, 66) if x * x + y * y == 65 * 65]
+    assert len(pts) == 36
+    return sorted(pts, key=lambda p: math.atan2(p[1], p[0]))
+
+
+@pytest.mark.parametrize("shape", ["star", "path"])
+def test_fill_matches_reference_on_tied_chords(shape):
+    pts = _lattice_circle()
+    if shape == "star":
+        edges = [(0, k) for k in range(1, len(pts))]
+    else:
+        edges = [(k, k + 1) for k in range(len(pts) - 1)]
+    g = build([(i, x, y) for i, (x, y) in enumerate(pts)], edges)
+    for walk in facial_walks(g):
+        for extend in (False, True):
+            assert_tables_match(g, walk, extend)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(4, 40), seed=st.integers(0, 2**32 - 1), d=st.floats(0.0, 0.8))
+def test_fill_matches_reference_on_generated_faces(n, seed, d):
+    g = generate(n, seed, d)
+    for walk in facial_walks(g):
+        for extend in (False, True):
+            assert_tables_match(g, walk, extend)
 
 
 def test_cut_structure_fig3(fig3):

@@ -57,6 +57,22 @@ def test_build_duplicate_point():
         build([(0, "0", "0"), (0, "1", "0"), (2, "0", "1")], [])
 
 
+@pytest.mark.parametrize("x", ["1_0", "1/3", " 5", "\u0663", "1e4301"])
+def test_build_reads_the_instance_grammar(x):
+    # the grammar of instances.parse, on every Python: Fraction() alone
+    # reads "1_0" as 10 from 3.11 on, and "1/3" and " 5" everywhere
+    with pytest.raises(InvalidInstance, match="point 0: "):
+        build([(0, x, "0"), (1, "0", "1"), (2, "3", "5")], [])
+
+
+def test_build_bounds_coordinates_to_float_range():
+    # 32 n max(|x|, |y|) < 2^1023, compared exactly, with n = 3
+    edge = Fraction(2**1023, 96)
+    build([(0, edge - Fraction(1, 10**9), "0"), (1, "0", "1"), (2, "3", "5")], [])
+    with pytest.raises(InvalidInstance, match="point 0 lies too far out"):
+        build([(0, edge, "0"), (1, "0", "1"), (2, "3", "5")], [])
+
+
 def test_build_bad_edges():
     pts = [(0, "0", "0"), (1, "1", "0"), (2, "0", "1")]
     with pytest.raises(InvalidInstance):
