@@ -134,6 +134,8 @@ def cmd_transform(args):
 
 
 def cmd_oracle(args):
+    if args.limit < 0:
+        raise ValueError(f"--limit must be at least 0, not {args.limit}")
     g = instances.load(args.file)
     t0 = time.perf_counter()
     cost, edges = brute_force_optimal(g, args.mode, limit=args.limit)

@@ -33,19 +33,41 @@ anchor and its cut status) form one run, sorted by the first t that may
 read them: any t for SKIP, t >= j for PAIR, t >= k + 1 for SPLIT.  A
 block's cells lie on consecutive diagonals, so cell (s, t) reads a prefix
 of its run.  A cut block's run starts with a +inf sentinel in SKIP's
-place, so a cell with no candidate comes out INF.  A row is activated, its
-A computed once and cached, on the diagonal where a cell first reads it,
-when both addends are final.  The runs of the non-cut blocks are laid out
-once per face; a cut block's run joins at its first cell, where every
-C[s, i] is final, without the i with C[s, i] = +inf.
+place, so a cell with no candidate comes out INF.
 
-Each diagonal t - s = L then gathers, for all its cells at once, the
-prefixes of their runs and takes each cell's first minimum by tie key:
-SKIP before every PAIR, in (i, j) order, before every SPLIT, in k order.
-So PAIR takes its least (i, j), SPLIT wins only when strictly smaller and
-SKIP is kept on a tie.  Case, k1 and k2 follow from the winning keys once
-per face.  SPLIT costs O(f) per cell; PAIR costs the block's feasible
-(i, j) with j <= t and C[s, i] finite, O(f) per cell as well, so a face
+Every run is laid out once per face, before any C is known, and so are
+each cell's prefix end and the list of rows each diagonal reads first.  A
+row is activated, its A computed once and cached, on that diagonal, when
+both addends are final.  A descendant's vertex occurs nowhere outside the
+descendant range: in 2vc because the occurrences of two vertices never
+interleave in a facial walk, in 2ec because the walk between a bridge's
+two traversals is the whole walk around the bridge's far side.  So every
+later position up to a block's last cell is a non-descendant.
+
+A PAIR row with C[s, i] = +inf scores +inf.  It never wins: the sentinel's
+key -1 is the least, so a cut cell whose candidates are all +inf still
+comes out INF, and C, case, k1 and k2 are those of a pool without such
+rows.  In 2vc most of them are known before the fill, by the pocket test.
+A pocket is the positions strictly between consecutive occurrences p < q
+of one vertex v; by the non-interleaving above, a vertex at a pocket
+position occurs nowhere else in the walk.  If s <= p < q <= i and no
+feasible chord joins the pocket to a position in [s, p) or (q, i], every
+chord the DP may choose for (s, i), which joins two positions of [s, i],
+leaves the pocket attached to the rest of the subwalk through v alone.  v
+then stays a cut vertex relative to (p_s, ..., p_i), so C[s, i] = +inf,
+and the set-up drops the PAIR rows from that i.  In 2ec every row is kept:
+there only 2-3% of the PAIR rows have C[s, i] = +inf.  A row holds its
+tie key and y as int32, every key being below 2 n2^2 for n2 = n + 2, and
+w and A as float64; the activation list holds the row and the flat
+indices of A's two addends as int32: 36 bytes per row.
+
+Each diagonal t - s = L then activates its rows and gathers, for all its
+cells at once, the prefixes of their runs and takes each cell's first
+minimum by tie key: SKIP before every PAIR, in (i, j) order, before every
+SPLIT, in k order.  So PAIR takes its least (i, j), SPLIT wins only when
+strictly smaller and SKIP is kept on a tie.  Case, k1 and k2 follow from
+the winning keys once per face.  SPLIT costs O(f) per cell; PAIR costs the
+block's feasible (i, j) with j <= t, O(f) per cell as well, so a face
 costs O(n^2 f) instead of the dense O(n^4).
 """
 
@@ -199,6 +221,7 @@ _CHUNK = 8192
 
 # Candidates the DP scores per batch: the batch's temporaries stay in a
 # core's L2 cache (measured: half the time of one batch of 750k candidates).
+# The set-up lays out and lists its rows in batches of about as many.
 _SCORE_CHUNK = 32768
 
 
@@ -389,38 +412,46 @@ def _feasible_pairs_int64(g: Pslg, w: IndexedWalk, is_outer: bool):
     return zip((I[keep] + 1).tolist(), (J[keep] + 1).tolist())
 
 
-def _prefix_tables(w: IndexedWalk):
-    """has_repeat[s][t], each slot's later mate slot (or 0), has_bridge[s][t]."""
-    n, seq = w.n, w.seq
-    prv = np.zeros(n + 2, dtype=np.int64)  # previous occurrence of p_i, or 0
-    last = {}
-    for i in range(1, n + 1):
-        prv[i] = last.get(seq[i], 0)
-        last[seq[i]] = i
+def _pockets(w: IndexedWalk):
+    """Consecutive occurrences p[r] < q[r] of one vertex, over all vertices."""
+    pq = [(a, b) for ps in w.occ.values() for a, b in zip(ps, ps[1:])]
+    return np.array(pq, dtype=np.int64).reshape(-1, 2).T
 
-    mate = np.zeros(n + 1, dtype=np.int64)  # partner slot (later one) or 0
-    mate_before = np.zeros(n + 2, dtype=np.int64)  # [t]: slot t-1's earlier mate
-    seen = {}
+
+def _has_repeat(n, p, q):
+    """[s, t]: some vertex occurs twice among the positions s .. t, from the
+    consecutive occurrences p < q of each vertex (see _pockets)."""
+    back = np.zeros(n + 2, dtype=np.int64)
+    back[q] = p
+    return _reaches_back(n, back)
+
+
+def _bridges(w: IndexedWalk):
+    """Each slot's later mate slot (or 0), and has_bridge[s, t]: some slot
+    c <= t - 1 has its mate in [s, c)."""
+    n, seq = w.n, w.seq
+    seen, pairs = {}, []
     for c in range(1, n):  # slots 1..n-1: edge between positions c, c+1
         e = ekey(seq[c], seq[c + 1])
         if e in seen:
-            mate[seen[e]] = c
-            mate_before[c + 1] = seen[e]
+            pairs.append((seen[e], c))
         else:
             seen[e] = c
+    a, c = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    mate = np.zeros(n + 1, dtype=np.int64)
+    mate[a] = c
+    back = np.zeros(n + 2, dtype=np.int64)  # [t]: slot t-1's earlier mate
+    back[c + 1] = a
+    return mate, _reaches_back(n, back)
 
+
+def _reaches_back(n, back):
+    """[s, t] over 0 <= s, t <= n + 1: 1 <= s < t <= n and some back[q],
+    s < q <= t, is at least s."""
     rows = np.arange(n + 2)[:, None]
     cols = np.arange(n + 2)
-    inside = (cols > rows) & (cols <= n) & (rows >= 1)
-
-    def reaches_back(back):
-        """[s, t]: some back[q], s < q <= t, is at least s."""
-        run = np.maximum.accumulate(np.where(cols > rows, back, 0), axis=1)
-        return inside & (run >= rows)
-
-    # has_repeat(s, t) when some p_q, s < q <= t, occurred before in [s, q);
-    # has_bridge(s, t) when some slot c <= t-1 has its mate in [s, c)
-    return reaches_back(prv), mate, reaches_back(mate_before)
+    run = np.maximum.accumulate(np.where(cols > rows, back, 0), axis=1)
+    return (cols > rows) & (cols <= n) & (rows >= 1) & (run >= rows)
 
 
 def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
@@ -428,14 +459,22 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     one diagonal t - s = L at a time; every cell reads only shorter ones.
 
     Everything that does not depend on C is set up once for the face: the
-    ZERO and INF cells, the live cells' blocks, the order of the runs and
-    the runs of the non-cut blocks.  A diagonal then lays out the runs of
-    the cut blocks whose first cell it holds, activates the rows its cells
-    reach for the first time, and scores one run prefix per cell, in
-    batches of about _SCORE_CHUNK candidates (see the module docstring)."""
+    ZERO and INF cells, the live cells' blocks, every block's run, cut
+    blocks included, each cell's prefix end and the rows each diagonal
+    reads first.  No run waits for C: a cut block's PAIR rows are laid out
+    with every descendant i, less in 2vc the i that _dead_pockets proves to
+    have C[s, i] = +inf, and a kept row with C[s, i] = +inf scores +inf
+    and never wins.  A row costs 36 bytes (int32 tie key, y and activation
+    entries, float64 w and A).  A diagonal then activates its rows and
+    scores one run prefix per cell, in batches of about _SCORE_CHUNK
+    candidates (see the module docstring)."""
     n, n2, vert = w.n, w.n + 2, w.vert
     nn = n2 * n2
-    has_rep, mate, has_br = _prefix_tables(w)
+    if mode == MODE_2VC:
+        p, q = _pockets(w)
+        has = _has_repeat(n, p, q)
+    else:
+        mate, has = _bridges(w)
     C = np.full((n2, n2), np.inf)
     Cf = C.reshape(-1)
     case = np.zeros((n2, n2), dtype=np.uint8)
@@ -447,7 +486,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     start = per_diag.cumsum() - per_diag
     S = np.arange(1, n * (n + 1) // 2 + 1) - start.repeat(per_diag)
     T = S + np.arange(n).repeat(per_diag)
-    zero = ~(has_rep if mode == MODE_2VC else has_br)[S, T]
+    zero = ~has[S, T]
     C[S[zero], T[zero]] = 0.0
     live = ~zero
     if mode == MODE_2VC:
@@ -462,16 +501,13 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     # The head p_s of (s, t) is a cut iff t >= cut_from[s]: p_s occurs again
     # in (s, t] (2vc), or the edge of slot s has its mate slot in (s, t)
     # (2ec).  The anchor is the last occurrence of p_s in [s, t] (2vc), or
-    # that mate slot (2ec).  first[q], the first position of p_q, numbers
-    # the face's vertices.
+    # that mate slot (2ec).
     cut_from = np.full(n + 1, n + 1, dtype=np.int64)
-    first = np.zeros(n + 1, dtype=np.int64)
-    for ps in w.occ.values():
-        first[ps] = ps[0]
-        if mode == MODE_2VC:
-            cut_from[ps[:-1]] = ps[1:]
     if mode == MODE_2VC:
-        occ = np.array([ps[0] * n2 + p for ps in sorted(w.occ.values()) for p in ps])
+        cut_from[p] = q
+        occ = np.array([ps[0] * n2 + x for ps in sorted(w.occ.values()) for x in ps])
+        first = np.zeros(n + 1, dtype=np.int64)
+        first[occ % n2] = occ // n2
         anchor = occ[np.searchsorted(occ, first[S] * n2 + T, side="right") - 1] % n2
     else:
         cut_from[mate > 0] = mate[mate > 0] + 1
@@ -480,7 +516,8 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
 
     # blocks (s, anchor) in that order, a non-cut block as (s, s); bid[c] is
     # live cell c's block, whose cells (s, t0[b]) .. (s, t1[b]) lie on
-    # consecutive diagonals
+    # consecutive diagonals.  by_block lists the cells by s and then t,
+    # which is by block and then t: block b's are cells[b] .. cells[b + 1].
     key = S * n2 + np.where(cut, anchor, S)
     used = np.zeros(nn, dtype=bool)
     used[key] = True
@@ -488,10 +525,12 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     bs, ba = np.divmod(hk, n2)
     bid = hk.searchsorted(key)
     bcut = ba != bs
-    t0 = np.full(bs.size, n2)
-    t1 = np.zeros(bs.size, dtype=np.int64)
-    np.minimum.at(t0, bid, T)
-    np.maximum.at(t1, bid, T)
+    cell = S * n2 + T
+    by_block = cell.argsort()
+    cells = np.concatenate(([0], np.bincount(bid).cumsum()))
+    t0, t1 = T[by_block[cells[:-1]]], T[by_block[cells[1:] - 1]]
+    # arrays the fill no longer reads are freed early, for a lower peak
+    del has, key, anchor, used, hk
 
     # SPLIT rows of a block: the feasible chords (s, k), lo <= k < t1, in
     # the index range sst .. sen of fs, fk.  At a cut p_s the optimum may
@@ -502,6 +541,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     # at a non-descendant.
     ok = np.isfinite(W)
     fs, fk = np.nonzero(ok)
+    fw = W[fs, fk]
     sk = fs * n2 + fk
     lo = bs + 2
     if mode == MODE_2VC:
@@ -509,101 +549,110 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     sst = sk.searchsorted(bs * n2 + lo)
     sen = sk.searchsorted(bs * n2 + np.maximum(lo, t1))
 
-    # room for the PAIR rows of a cut block: the finite W in rows (s, a]
-    # and columns (a, t1] (fin holds prefix counts)
+    # PAIR rows of a cut block (s, anchor): the chords (i, j) from a
+    # descendant i of p_s, in (s, anchor) except p_s's own positions for
+    # 2vc and in (s, anchor] for 2ec, to a later position j <= t1; every
+    # such j is a non-descendant, since no descendant's vertex occurs
+    # outside (s, anchor].  In 2vc, drop[s, i] leaves out the i with
+    # C[s, i] = +inf by the pocket test.  pair_room, the finite W in rows
+    # (s, anchor] and columns (anchor, t1] (fin holds prefix counts),
+    # bounds a block's PAIR rows.
+    dlen = np.where(bcut, ba - bs - (mode == MODE_2VC), 0)
+    below = np.zeros((n2, n2 - 1), dtype=np.int32)  # [r, c]: finite W[x, c], x < r
+    ok.cumsum(axis=0, dtype=np.int32, out=below[1:])
+    drop = None
+    if mode == MODE_2VC:
+        drop = _dead_pockets(n, p, q, below)
+        drop[1 : n + 1, 1 : n + 1] |= vert[1:, None] == vert[None, 1:]
     fin = np.zeros((n2, n2), dtype=np.int32)
-    fin[1:, 1:] = ok.cumsum(axis=0, dtype=np.int32).cumsum(axis=1)
+    below.cumsum(axis=1, out=fin[:, 1:])
     r0, r1, c1 = bs + 1, ba + 1, t1 + 1
     pair_room = np.where(bcut, fin[r1, c1] - fin[r0, c1] - fin[r1, r1] + fin[r0, r1], 0)
+    room = 1 + sen - sst + pair_room
+    size = int(room.sum())
+    if max(size, 2 * nn) > np.iinfo(np.int32).max:
+        raise MemoryError(f"face {w.face_id}: too large for the DP's int32 rows and keys")
 
     # The pool: each block's rows form one run, its SKIP row (a +inf
-    # sentinel for a cut block) first and then sorted by the first t that
-    # may read a row, so pos = base + that t.  A row scores (A + C[y, t]) +
-    # wv, with ys = y * n2 + s; tie % nn is the flat index of A's second
-    # addend, C[i, j] for PAIR and the zero cell C[k, k] for SPLIT, and a
-    # cell takes the least tie among its minima.  The runs of the non-cut
-    # blocks, one per head, come first, then those of the cut blocks in the
-    # order they open, each at its first cell; base = that rank * n2.
-    rank = np.empty_like(bs)
-    rank[np.lexsort((np.where(bcut, t0 - bs, 0), bcut))] = np.arange(bs.size)
-    base = rank * n2
-    room = 1 + sen - sst + pair_room
-    pos = np.empty(room.sum(), dtype=np.int64)
-    tie, ys = np.empty_like(pos), np.empty_like(pos)
-    wv, A = np.empty(pos.size), np.empty(pos.size)
+    # sentinel for a cut block) first and then the others sorted by the
+    # first t that may read them, raised to the block's first cell t0.  A
+    # row scores (A + C[y, t]) + wv, with ys = y * n2 + s; tie % nn is the
+    # flat index of A's second addend, C[i, j] for PAIR and the zero cell
+    # C[k, k] for SPLIT, and a cell takes the least tie among its minima.
+    # The runs are laid out in block order, a chunk of whole blocks at a
+    # time, so that a chunk's (block, i) and (i, j) expansions stay near
+    # _SCORE_CHUNK rows.  st[b] is run b's first row; cell c reads the rows
+    # st[bid[c]] .. en[c] and reads beg[c] .. en[c] for the first time.
+    tie, ys = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
+    wv, A = np.empty(size), np.empty(size)
+    st, en, beg = np.empty_like(bs), np.empty_like(S), np.empty_like(S)
+    top = 0
+    for b0, b1 in _batches(np.concatenate(([0], (room + dlen).cumsum())), 0, bs.size):
+        blk = np.arange(b0, b1)
+        es, _, cnt = _ranges(sst[blk], sen[blk])
+        eb, k = blk.repeat(cnt), fk[es]
+        cb = blk[bcut[blk]]
+        i, _, cnt = _ranges(bs[cb] + 1, bs[cb] + 1 + dlen[cb])
+        ib = cb.repeat(cnt)
+        if drop is not None:
+            keep = ~drop[bs[ib], i]
+            i, ib = i[keep], ib[keep]
+        row = i * n2
+        ep, _, cnt = _ranges(sk.searchsorted(row + ba[ib] + 1), sk.searchsorted(row + t1[ib] + 1))
+        pb, i, j = ib.repeat(cnt), i.repeat(cnt), fk[ep]
+        rb = np.concatenate((blk, eb, pb)) - b0
+        pos = rb * n2 + np.concatenate((t0[blk] - 1, np.maximum(k + 1, t0[eb]), j))
+        o = pos.argsort(kind="stable")
+        r = slice(top, top + o.size)
+        tie[r] = np.concatenate((np.full(blk.size, -1), nn + k * (n2 + 1), i * n2 + j))[o]
+        ys[r] = np.concatenate(((bs[blk] + 1) * n2 + bs[blk], k * n2 + bs[eb], j * n2 + bs[pb]))[o]
+        wv[r] = np.concatenate((np.zeros(blk.size), fw[es], fw[ep]))[o]
+        cnt = np.bincount(rb, minlength=blk.size)
+        st[blk] = top + cnt.cumsum() - cnt
+        A[st[blk]] = np.where(bcut[blk], np.inf, 0.0)
+        c = by_block[cells[b0] : cells[b1]]
+        pos, kc = pos[o], (bid[c] - b0) * n2 + T[c]
+        en[c] = top + pos.searchsorted(kc, "right")
+        beg[c] = top + pos.searchsorted(kc - 1, "right")
+        top = r.stop
 
-    def put(q, b, t, key, y, w):
-        pos[q], tie[q], ys[q], wv[q] = base[b] + t, key, y * n2 + bs[b], w
+    del by_block, drop, below, fin, sk, fs, fk, fw
+    # the rows each diagonal reads first, act, with the flat indices ia and
+    # ib of their A's two addends
+    reads = np.concatenate(([0], (en - beg).cumsum()))
+    act = np.empty(reads[-1], dtype=np.int32)
+    ia, ib = np.empty_like(act), np.empty_like(act)
+    for c0, c1 in _batches(reads, 0, S.size):
+        rows = _ranges(beg[c0:c1], en[c0:c1])[0]
+        r = slice(reads[c0], reads[c1])
+        act[r], ib[r] = rows, tie.take(rows) % nn
+        ia[r] = S[c0:c1].repeat(en[c0:c1] - beg[c0:c1]) * n2 + ib[r] // n2
+    reads = reads[diag].tolist()
+    del beg
 
-    nc = (~bcut).nonzero()[0]
-    run = np.zeros_like(bs)
-    run[nc] = room[nc].cumsum() - room[nc]
-    put(run[nc], nc, 0, -1, bs[nc] + 1, 0.0)
-    A[run[nc]] = 0.0
-    head = np.full(n2, -1)
-    head[bs[nc]] = nc
-    e = np.arange(fs.size)
-    b = head[fs]
-    e = e[(b >= 0) & (sst[b] <= e) & (e < sen[b])]
-    b, k = head[fs[e]], fk[e]
-    put(run[b] + 1 + e - sst[b], b, k + 1, nn + k * (n2 + 1), k, W[fs[e], k])
-    reached, top = run + 1, int(room[nc].sum())
-
-    opening = [[] for _ in range(n)]
-    for b in np.flatnonzero(bcut)[np.argsort(rank[bcut])].tolist():
-        s, an, last = int(bs[b]), int(ba[b]), int(t1[b])
-        opening[t0[b] - s].append((b, s, an, last, fk[sst[b] : sen[b]]))
-    desc = np.zeros(n2 - 1, dtype=bool)
-    cell, find = S * n2 + T, base[bid] + T
+    # activate the rows the cells reach first, then score each prefix:
+    # cell c's candidates are the rows reach[c] + g[c] .. reach[c + 1] + g[c],
+    # at offset rel[c] in its diagonal's candidates
+    g = st[bid]
+    cnt = en - g
+    reach = np.concatenate(([0], cnt.cumsum()))
+    g -= reach[:-1]
+    rel = reach[:-1] - reach[diag[:-1]].repeat(np.diff(diag))
+    scored = np.diff(reach[diag]).tolist()  # candidates per diagonal
     won = np.zeros(S.size, dtype=np.int64)
     for L in range(n):
         a, b = diag[L], diag[L + 1]
         if a == b:
             continue
-
-        # PAIR rows of a cut block (s, anchor): the chords (i, j) from a
-        # descendant i of p_s (positions in (s, anchor), except p_s, for
-        # 2vc; (s, anchor] for 2ec) with C[s, i] finite, final by its first
-        # cell, to a later position j <= t1 whose vertex is no descendant;
-        # merged with the block's SPLIT rows (s, k) by their first t
-        for bk, s, an, last, k in opening[L]:
-            if mode == MODE_2VC:
-                D = np.arange(s + 1, an)
-                D = D[vert[D] != vert[s]]
-            else:
-                D = np.arange(s + 1, an + 1)
-            desc[first[D]] = True
-            N = np.arange(an + 1, last + 1)
-            N = N[~desc[first[N]]]
-            desc[:] = False
-            D = D[Cf[s * n2 + D] < np.inf]
-            nj, di = np.nonzero(ok[D][:, N].T)
-            i, j = D[di], N[nj]
-            t = np.concatenate(([0], k + 1, j))
-            o = t.argsort(kind="stable")
-            r = slice(top, top + o.size)
-            put(r, bk, t[o], np.concatenate(([-1], nn + k * (n2 + 1), i * n2 + j))[o],
-                np.concatenate(([s + 1], k, j))[o], np.concatenate(([0.0], W[s, k], W[i, j]))[o])
-            A[top], run[bk], reached[bk], top = np.inf, top, top + 1, r.stop
-
-        # activate the rows the cells reach first, then score each prefix
-        bl = bid[a:b]
-        en = pos[:top].searchsorted(find[a:b], side="right")
-        q = _ranges(reached[bl], en)[0]
-        reached[bl] = en
-        r = tie[q] % nn
-        A[q] = Cf.take(ys[q] % n2 * n2 + r // n2) + Cf.take(r)
-        st, cells, wins = run[bl], cell[a:b], won[a:b]
-        reach = (en - st).cumsum()
-        cuts = [0, b - a]
-        if reach[-1] > _SCORE_CHUNK:
-            cuts[1:1] = reach.searchsorted(range(_SCORE_CHUNK, int(reach[-1]), _SCORE_CHUNK))
-        for c0, c1 in zip(cuts, cuts[1:]):
-            if c1 > c0:
-                idx, offs, cnt = _ranges(st[c0:c1], en[c0:c1])
-                vals = A.take(idx) + Cf[L:].take(ys.take(idx))
-                vals += wv.take(idx)
-                Cf[cells[c0:c1]], wins[c0:c1] = _first_min(vals, tie, idx, offs, cnt)
+        r = slice(reads[L], reads[L + 1])
+        A.put(act[r], Cf.take(ia[r]) + Cf.take(ib[r]))
+        for c0, c1 in _batches(reach, a, b) if scored[L] > _SCORE_CHUNK else ((a, b),):
+            idx = np.arange(reach[c0], reach[c1])
+            idx += g[c0:c1].repeat(cnt[c0:c1])
+            vals = A.take(idx) + Cf[L:].take(ys.take(idx))
+            vals += wv.take(idx)
+            offs = rel[c0:c1] - rel[c0] if c0 > a else rel[a:c1]
+            Cf[cell[c0:c1]], won[c0:c1] = _first_min(vals, tie, idx, offs, cnt[c0:c1])
 
     case[S, T] = np.where(cut, np.uint8(_CASE_INF), np.uint8(_CASE_SKIP))
     pair, split = (won >= 0) & (won < nn), won >= nn
@@ -613,12 +662,44 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     return C, case, k1, k2
 
 
+def _dead_pockets(n, p, q, below):
+    """dead[s, i]: some pocket of the walk between positions s and i has no
+    feasible chord to the rest of [s, i], so C[s, i] = +inf in 2vc (see the
+    module docstring).
+
+    A pocket (p, q) is the positions strictly between consecutive
+    occurrences p < q of one vertex.  It marks the (s, i) with hi < s <= p
+    and q <= i < lo, where hi is its last chord partner before p (or -1)
+    and lo its first after q (or n + 2)."""
+    n2 = n + 2
+    reach = below[q] != below[p + 1]
+    col = np.arange(n2 - 1, dtype=np.int32)
+    hi = np.where(reach & (col < p[:, None]), col, -1).max(axis=1, initial=-1)
+    lo = np.where(reach & (col > q[:, None]), col, n2).min(axis=1, initial=n2)
+    mark = np.zeros((n2 + 1, n2 + 1), dtype=np.int32)
+    corners = (np.concatenate((hi, hi, p, p)) + 1, np.concatenate((q, lo, q, lo)))
+    np.add.at(mark, corners, np.repeat([1, -1, -1, 1], p.size))
+    mark.cumsum(axis=0, out=mark).cumsum(axis=1, out=mark)
+    return mark[:n2, :n2] > 0
+
+
+def _batches(cum, a, b):
+    """Consecutive ranges [c0, c1) of the items a .. b - 1, item c holding
+    cum[c + 1] - cum[c] elements, in batches of about _SCORE_CHUNK
+    elements; an item larger than that is a batch of its own."""
+    cuts = [a, b]
+    if cum[b] - cum[a] > _SCORE_CHUNK:
+        ends = range(cum[a] + _SCORE_CHUNK, cum[b], _SCORE_CHUNK)
+        cuts[1:1] = (np.searchsorted(cum[a + 1 : b + 1], ends) + a).tolist()
+    return [(c0, c1) for c0, c1 in zip(cuts, cuts[1:]) if c1 > c0]
+
+
 def _ranges(st, en):
     """The concatenated index ranges [st[r], en[r]), some perhaps empty, and
     the offset and length of each range in the result."""
     cnt = en - st
     offs = cnt.cumsum() - cnt
-    idx = np.arange(offs[-1] + cnt[-1])
+    idx = np.arange(cnt.sum())
     idx += (st - offs).repeat(cnt)
     return idx, offs, cnt
 
@@ -630,7 +711,10 @@ def _first_min(vals, keys, idx, offs, cnt):
     one."""
     vmin = np.minimum.reduceat(vals, offs)
     at = (vals == vmin.repeat(cnt)).nonzero()[0]
-    return vmin, np.minimum.reduceat(keys.take(idx.take(at)), at.searchsorted(offs))
+    first = keys.take(idx.take(at))
+    if at.size > offs.size:
+        first = np.minimum.reduceat(first, at.searchsorted(offs))
+    return vmin, first
 
 
 def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):

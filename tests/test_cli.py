@@ -352,6 +352,14 @@ def test_oracle_exhausted(tmp_path, capsys):
     assert "exceed" in err
 
 
+@pytest.mark.parametrize("limit", ["-1", "-5"])
+def test_oracle_rejects_negative_limit(fig3_file, capsys, limit):
+    # a negative limit once ran and ended as exhausted (exit 2)
+    code, out, err = run_cli(["oracle", fig3_file, "--mode", "2vc", "--limit", limit], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: --limit must be at least 0, not {limit}\n"
+
+
 def test_gen_deterministic(tmp_path, capsys):
     code, out1, _ = run_cli(["gen", "--n", "9", "--seed", "42", "--density", "0.5"], capsys)
     assert code == 0

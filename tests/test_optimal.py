@@ -22,10 +22,13 @@ from pslgaug.optimal import (
     _CASE_SKIP,
     _CASE_SPLIT,
     _CASE_ZERO,
+    _bridges,
     _chordless,
+    _dead_pockets,
     _dp,
     _fill,
-    _prefix_tables,
+    _has_repeat,
+    _pockets,
     dp_2ec,
     dp_2vc,
     feasibility,
@@ -258,7 +261,7 @@ def test_prefix_tables_match_cut_structure(
         for walk in facial_walks(g):
             for extend in (False, True):
                 w = IndexedWalk.from_walk(walk, extend=extend)
-                has_rep = _prefix_tables(w)[0]
+                has_rep = _has_repeat(w.n, *_pockets(w))
                 for s in range(1, w.n + 1):
                     for t in range(s + 1, w.n + 1):
                         assert has_rep[s, t] == bool(cut_structure(w, s, t)), (s, t)
@@ -271,7 +274,8 @@ def reference_fill(w: IndexedWalk, W, mode):
     interval length, each inner minimization over its own index arrays."""
     n = w.n
     vert = w.vert
-    has_rep, mate, has_br = _prefix_tables(w)
+    has_rep = _has_repeat(n, *_pockets(w))
+    mate, has_br = _bridges(w)
 
     C = np.full((n + 2, n + 2), np.inf)
     case = np.zeros((n + 2, n + 2), dtype=np.uint8)
@@ -364,18 +368,35 @@ def _convex_position_path(n):
     return build([(i, i, i * i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
 
 
-def assert_tables_match(g, walk, extend):
-    """The diagonal fill equals the per-cell reference, bit for bit, on
-    every cell 1 <= s <= t <= n, for both modes and both weights."""
-    w = IndexedWalk.from_walk(walk, extend=extend)
-    F = feasibility(g, w, walk.is_outer)
+def _upper(w):
+    """The cells 1 <= s <= t <= n of an (n + 2) x (n + 2) table."""
     upper = np.triu(np.ones((w.n + 2, w.n + 2), dtype=bool))
     upper[0, :] = upper[:, 0] = upper[-1, :] = upper[:, -1] = False
+    return upper
+
+
+def dead_pockets(w, W):
+    """The (s, i) the 2vc fill's pocket test drops, from the walk and W."""
+    below = np.zeros((w.n + 2, w.n + 1), dtype=np.int32)
+    below[1:] = np.isfinite(W).cumsum(axis=0)
+    return _dead_pockets(w.n, *_pockets(w), below)
+
+
+def assert_tables_match(g, walk, extend):
+    """The diagonal fill equals the per-cell reference, bit for bit, on
+    every cell 1 <= s <= t <= n, for both modes and both weights, and every
+    (s, i) the pocket test drops has C[s, i] = +inf in 2vc."""
+    w = IndexedWalk.from_walk(walk, extend=extend)
+    F = feasibility(g, w, walk.is_outer)
+    upper = _upper(w)
     for W in (F, np.where(np.isfinite(F), 1.0, np.inf)):
         for mode in ("2vc", "2ec"):
             got, want = _fill(w, W, mode), reference_fill(w, W, mode)
             for name, a, b in zip(("C", "case", "k1", "k2"), got, want):
                 assert np.array_equal(a[upper], b[upper]), (walk.face_id, extend, mode, name)
+            if mode == "2vc":
+                dead = dead_pockets(w, W)
+                assert not (dead & np.isfinite(want[0])).any(), (walk.face_id, extend)
 
 
 def test_fill_matches_reference_fixtures(
@@ -427,17 +448,71 @@ def _lattice_circle():
     return sorted(pts, key=lambda p: math.atan2(p[1], p[0]))
 
 
-@pytest.mark.parametrize("shape", ["star", "path"])
-def test_fill_matches_reference_on_tied_chords(shape):
+def _lattice_graph(shape):
+    """The lattice circle's points joined by a non-crossing star or path."""
     pts = _lattice_circle()
     if shape == "star":
         edges = [(0, k) for k in range(1, len(pts))]
     else:
         edges = [(k, k + 1) for k in range(len(pts) - 1)]
-    g = build([(i, x, y) for i, (x, y) in enumerate(pts)], edges)
+    return build([(i, x, y) for i, (x, y) in enumerate(pts)], edges)
+
+
+@pytest.mark.parametrize("shape", ["star", "path"])
+def test_fill_matches_reference_on_tied_chords(shape):
+    g = _lattice_graph(shape)
     for walk in facial_walks(g):
         for extend in (False, True):
             assert_tables_match(g, walk, extend)
+
+
+def test_fill_matches_reference_on_adversarial_families():
+    # stars, caterpillars, pendant chains and convex combs: the walks that
+    # revisit vertices most, so the most cut blocks
+    for name, make, seed in FAMILIES + LARGE:
+        g = _general_position(make, random.Random(seed))
+        for walk in facial_walks(g):
+            for extend in (False, True):
+                assert_tables_match(g, walk, extend)
+
+
+def _generated_graphs():
+    rng = random.Random(2468)
+    return [generate(rng.randint(5, 70), 240000 + i, rng.choice([0.0, 0.2, 0.4, 0.6, 0.8]))
+            for i in range(300)]
+
+
+POCKET_GRAPHS = {
+    "pool": pool_instances,
+    "generated": _generated_graphs,
+    "convex-path": lambda: [_convex_position_path(n) for n in (8, 20, 40, 80, 160)],
+    "adversarial": lambda: [_general_position(make, random.Random(seed))
+                            for _, make, seed in FAMILIES + LARGE],
+    "lattice": lambda: [_lattice_graph("star"), _lattice_graph("path")],
+}
+
+
+@pytest.mark.parametrize("group", POCKET_GRAPHS)
+def test_pocket_test_is_sound(group):
+    """Every (s, i) the 2vc fill drops by the pocket test has C[s, i] = +inf
+    in the per-cell reference, under length and unit weights, on every face.
+    The dropped cells must also be at least half of the reference's +inf
+    cells between two distinct vertices, so the test cannot pass by
+    dropping nothing."""
+    dropped = infinite = 0
+    for g in POCKET_GRAPHS[group]():
+        for walk in facial_walks(g):
+            w = IndexedWalk.from_walk(walk)
+            F = feasibility(g, w, walk.is_outer)
+            dead = dead_pockets(w, F)
+            distinct = _upper(w)
+            distinct[1:-1, 1:-1] &= w.vert[1:, None] != w.vert[None, 1:]
+            for W in (F, np.where(np.isfinite(F), 1.0, np.inf)):
+                C = reference_fill(w, W, "2vc")[0]
+                assert not (dead & np.isfinite(C)).any(), walk.face_id
+                dropped += int((dead & distinct).sum())
+                infinite += int((distinct & ~np.isfinite(C)).sum())
+    assert infinite > 0 and dropped >= infinite / 2
 
 
 @settings(max_examples=40)
