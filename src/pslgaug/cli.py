@@ -201,7 +201,7 @@ def cmd_render(args):
         try:
             doc = json.loads(text)
             aug = [tuple(e) for e in doc["edges"]]
-        except (json.JSONDecodeError, KeyError, TypeError):
+        except (json.JSONDecodeError, RecursionError, KeyError, TypeError):
             if isinstance(doc, dict) and "edges" in doc:
                 raise InvalidInstance("malformed augmentation record: edges "
                                       "must be a list of point id pairs") from None

@@ -6,16 +6,29 @@ in practice a graph's scaled integer coordinates (``Pslg.ipt``).  A parsed
 coordinate is an int when it is integral and a fractions.Fraction otherwise,
 never a float.  Euclidean lengths are reported as double-precision floats;
 exact comparisons of lengths go through squared distances.
+
+Two whole-graph scans let floats propose an answer that exact arithmetic
+then certifies (the floating-point filter of Fortune & Van Wyk 1996 and
+Shewchuk 1997).  ``collinear_pair`` compares the float slopes dy / dx of
+the directions from one point: Python's int / int true division is
+correctly rounded for ints of any size, so it is a function of the
+rational dy / dx alone, and two directions on one line through the point
+give equal floats.  Distinct floats therefore prove that no two points are
+collinear with it; any tie, a coincident point, or an OverflowError sends
+the question to the exact gcd scan.  ``rotation_system`` sorts every
+vertex's neighbours by float ``atan2`` angle and certifies each adjacent
+pair with the exact ``polar_before``; a vertex with an uncertified pair, or
+a direction past the float range, is sorted again by ``polar_sort``.
 """
 
 from __future__ import annotations
 
-import bisect
-import functools
 import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
+from operator import itemgetter
 
 
 class DegenerateInput(ValueError):
@@ -88,10 +101,28 @@ def collinear_pair(c, pts):
     """Indices (i, j), i < j, of two points of ``pts`` collinear with the
     point ``c``, or None; (i, i) when c coincides with pts[i].
 
-    Integer coordinates only.  O(len(pts)): the direction from c to each
-    point is reduced by its gcd and sign to a canonical form, and two
-    points collinear with c share that form.
+    Integer coordinates only.  O(len(pts)): distinct float slopes from c
+    prove the answer None (module docstring); otherwise
+    ``_collinear_pair_exact`` decides.
     """
+    cx, cy = c
+    try:
+        # a vertical direction has slope inf; None marks a coincident point
+        slopes = {
+            (y - cy) / (x - cx) if x != cx else (math.inf if y != cy else None)
+            for x, y in pts
+        }
+        if len(slopes) == len(pts) and None not in slopes:
+            return None
+    except OverflowError:
+        pass
+    return _collinear_pair_exact(c, pts)
+
+
+def _collinear_pair_exact(c, pts):
+    """``collinear_pair`` in exact arithmetic: the direction from c to each
+    point is reduced by its gcd and sign to a canonical form, and two
+    points collinear with c share that form."""
     cx, cy = c
     seen = {}
     for j, (x, y) in enumerate(pts):
@@ -107,39 +138,70 @@ def collinear_pair(c, pts):
     return None
 
 
+def polar_before(ax, ay, bx, by) -> bool:
+    """True iff the direction (ax, ay) comes strictly before (bx, by) in
+    counterclockwise order from the +x axis: angles in [0, pi) before those
+    in [pi, 2 pi), then by the sign of the cross product.  Exact; the one
+    definition of the angular order of ``polar_sort`` and
+    ``rotation_system``."""
+    lower_a = ay < 0 or (ay == 0 and ax < 0)
+    if lower_a != (by < 0 or (by == 0 and bx < 0)):
+        return not lower_a
+    return ax * by - ay * bx > 0
+
+
 def polar_sort(center_xy, items, key_xy, into=()):
     """Sort items by CCW polar angle of key_xy(item) around center, starting
     from the +x axis, merged into ``into``, a sequence already in that
-    order.  Each item finds its place in ``into`` by binary search, so one
-    item costs O(log len(into)) comparisons.  Exact; assumes no two
-    directions coincide."""
+    order.  Each item finds its place by binary search with
+    ``polar_before``, so one item costs O(log len(into)) comparisons.
+    Exact; assumes no two directions coincide."""
     cx, cy = center_xy
-
-    def half(dx, dy):
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    def cmp(i1, i2):
-        x1, y1 = key_xy(i1)
-        x2, y2 = key_xy(i2)
-        d1x, d1y, d2x, d2y = x1 - cx, y1 - cy, x2 - cx, y2 - cy
-        h1, h2 = half(d1x, d1y), half(d2x, d2y)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cr = d1x * d2y - d1y * d2x
-        return -1 if cr > 0 else (1 if cr < 0 else 0)
-
-    key = functools.cmp_to_key(cmp)
-    items = sorted(items, key=key)
-    if not into:
-        return items
-    out, lo = [], 0
+    out = list(into)
     for item in items:
-        hi = bisect.bisect(into, key(item), lo, key=key)
-        out += into[lo:hi]
-        out.append(item)
-        lo = hi
-    out += into[lo:]
+        x, y = key_xy(item)
+        dx, dy = x - cx, y - cy
+        lo, hi = 0, len(out)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            x, y = key_xy(out[mid])
+            if polar_before(dx, dy, x - cx, y - cy):
+                hi = mid
+            else:
+                lo = mid + 1
+        out.insert(lo, item)
     return out
+
+
+def rotation_system(edges, ix, iy):
+    """The rotation system of the straight-line graph with the edge set
+    ``edges`` on the points (ix[v], iy[v]): each vertex with an edge mapped
+    to the tuple of its neighbours in ``polar_sort``'s order.
+
+    All darts are sorted once by (vertex, float angle in [0, 2 pi)), and
+    each pair of darts adjacent at a vertex in that order is certified by
+    ``polar_before``.  A vertex with an uncertified pair, or with a
+    direction too long for a float, is sorted again by ``polar_sort``.
+    """
+    tau = 2 * math.pi
+    darts, redo = [], set()
+    for u, v in edges:
+        dx, dy = ix[v] - ix[u], iy[v] - iy[u]
+        try:
+            a = math.atan2(dy, dx)
+        except OverflowError:
+            a = 0.0
+            redo.update((u, v))
+        # (vertex, angle, neighbour, direction); a + pi is the reverse angle
+        darts += ((u, a + tau if a < 0 else a, v, dx, dy), (v, a + math.pi, u, -dx, -dy))
+    darts.sort()
+    for d, e in zip(darts, darts[1:]):
+        if d[0] == e[0] and not polar_before(d[3], d[4], e[3], e[4]):
+            redo.add(d[0])
+    rotation = {v: tuple([d[2] for d in fan]) for v, fan in groupby(darts, itemgetter(0))}
+    for v in redo:
+        rotation[v] = tuple(polar_sort((ix[v], iy[v]), rotation[v], lambda w: (ix[w], iy[w])))
+    return rotation
 
 
 def _between_1d(a, b, c) -> bool:

@@ -88,8 +88,9 @@ def split_into_short_walks(c: ConvexWalkSet):
     return pieces
 
 
-def _insert_geodesic_edges(g, walk, added, certs):
-    geo = geodesic(g, walk.seq)
+def _insert_geodesic_edges(g, walk, geo, added, certs):
+    """Record the edges of ``geo``, the geodesic of ``walk`` in g, that are
+    neither in g nor added yet, and certify them."""
     gids = geo.ids()
     new = []
     for a, b in zip(gids, gids[1:]):
@@ -142,7 +143,7 @@ def augment_2ec(g: Pslg) -> AugmentationResult:
     for piece in split_into_short_walks(c):
         if piece.seq[0] == piece.seq[-1]:
             continue  # closed 3-edge piece of a longer walk: already a cycle
-        _insert_geodesic_edges(g, piece, added, certs)
+        _insert_geodesic_edges(g, piece, geodesic(g, piece.seq), added, certs)
     return _finish(g, added, certs, EDGE_2EC)
 
 
@@ -170,7 +171,7 @@ def _case2_decompose(g, walk: Walk, added, certs):
 
     geo = cycle_ok(seq)
     if geo is not None:
-        _insert_geodesic_edges(g, Walk(walk.face_id, tuple(seq)), added, certs)
+        _insert_geodesic_edges(g, Walk(walk.face_id, tuple(seq)), geo, added, certs)
         return
 
     pts = [g.ipt(v) for v in seq]
@@ -201,15 +202,17 @@ def _case2_decompose(g, walk: Walk, added, certs):
         # closed subchain along the hull: it is already a cycle in the graph
         pass
     else:
-        if cycle_ok(seq[i : j + 1]) is None:
+        geo = cycle_ok(seq[i : j + 1])
+        if geo is None:
             raise LemmaViolation("geodesic of a safe hull subchain hits the walk")
         # grow the subchain while the simple-cycle property survives:
-        # first toward the front, then toward the back
-        while i > 0 and cycle_ok(seq[i - 1 : j + 1]) is not None:
-            i -= 1
-        while j < n - 1 and cycle_ok(seq[i : j + 2]) is not None:
-            j += 1
-        _insert_geodesic_edges(g, Walk(walk.face_id, tuple(seq[i : j + 1])), added, certs)
+        # first toward the front, then toward the back; geo stays the
+        # geodesic of seq[i : j + 1]
+        while i > 0 and (grown := cycle_ok(seq[i - 1 : j + 1])) is not None:
+            i, geo = i - 1, grown
+        while j < n - 1 and (grown := cycle_ok(seq[i : j + 2])) is not None:
+            j, geo = j + 1, grown
+        _insert_geodesic_edges(g, Walk(walk.face_id, tuple(seq[i : j + 1])), geo, added, certs)
 
     if i > 0:
         _case2_decompose(g, Walk(walk.face_id, tuple(seq[: i + 1])), added, certs)

@@ -62,7 +62,7 @@ def serialize(g: Pslg) -> str:
 def parse(text: str) -> Pslg:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deeply
         raise InvalidInstance(f"not valid JSON: {e}") from None
     version = doc.get("format_version") if isinstance(doc, dict) else None
     if not _is_int(version) or version != FORMAT_VERSION:
@@ -208,7 +208,8 @@ def oplog_from_jsonl(text: str):
                     raise TypeError("the length ceiling must be a number")
                 if math.isnan(ceil := float(ceil)):
                     raise ValueError("the length ceiling is NaN")
-        except (KeyError, TypeError, ValueError, OverflowError):  # ValueError: bad JSON or number
+        except (KeyError, TypeError, ValueError, OverflowError, RecursionError):
+            # ValueError: bad JSON or number; RecursionError: JSON nested too deeply
             raise InvalidInstance(f"bad oplog line {ln}") from None
         if op not in ("insert", "delete"):
             raise InvalidInstance(f"bad op {op!r} on oplog line {ln}")

@@ -204,6 +204,36 @@ def test_replay_rejects_non_integer_ids(fig3_file, tmp_path, capsys, ids):
     assert err == "error: bad oplog line 1\n"
 
 
+DEEP_JSON = "[" * 200_000  # past the decoder's recursion limit
+
+
+def test_validate_rejects_deeply_nested_json(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text(DEEP_JSON)
+    code, _, err = run_cli(["validate", str(p)], capsys)
+    assert code == 1
+    assert err.startswith("error: not valid JSON: maximum recursion depth exceeded")
+    assert "Traceback" not in err
+
+
+def test_replay_rejects_a_deeply_nested_oplog_line(fig3_file, tmp_path, capsys):
+    oplog = tmp_path / "deep.jsonl"
+    oplog.write_text(json.dumps({"op": "insert", "u": 1, "v": 3, "phase": 4}) + "\n" + DEEP_JSON)
+    code, _, err = run_cli(["replay", fig3_file, str(oplog)], capsys)
+    assert code == 1
+    assert err == "error: bad oplog line 2\n"
+
+
+def test_render_rejects_a_deeply_nested_overlay(fig3_file, tmp_path, capsys):
+    ov = tmp_path / "deep.json"
+    ov.write_text(DEEP_JSON)
+    out_svg = tmp_path / "out.svg"
+    code, _, err = run_cli(["render", fig3_file, "--overlay", str(ov), "-o", str(out_svg)], capsys)
+    assert code == 1
+    assert err == "error: bad oplog line 1\n"
+    assert not out_svg.exists()
+
+
 def test_augment_json(fig3_file, capsys):
     code, out, _ = run_cli(["augment", fig3_file, "--mode", "opt2ec", "--json"], capsys)
     assert code == 0

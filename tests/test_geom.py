@@ -7,13 +7,16 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from pslgaug import DegenerateInput, Point, build, convex_hull
+from pslgaug import geom
 from pslgaug.geom import (
+    _collinear_pair_exact,
     angle_less,
     collinear_pair,
     dist,
     in_ccw_sector,
     incircle_xy,
     orient_xy,
+    polar_sort,
     segments_properly_cross,
     to_rational,
 )
@@ -268,3 +271,81 @@ def test_collinear_pair_matches_triple_scan(offset, scale):
             else:
                 assert i < j and orient_xy(*pts[i], *pts[j], *c) == 0
     assert 50 < hits < 350
+
+
+def assert_collinear_pair_exact(c, pts):
+    """collinear_pair decides as the triple scan does and names the pair
+    the exact gcd scan names."""
+    pair = collinear_pair(c, pts)
+    assert (pair is not None) == collinear_by_triple_scan(c, pts), (c, pts)
+    assert pair == _collinear_pair_exact(c, pts)
+    return pair
+
+
+@pytest.fixture
+def exact_runs(monkeypatch):
+    """The number of times collinear_pair falls back to the exact scan."""
+    runs = []
+    exact = geom._collinear_pair_exact
+    monkeypatch.setattr(geom, "_collinear_pair_exact", lambda *a: runs.append(a) or exact(*a))
+    return runs
+
+
+# a 5 x 5 grid (dense in collinear triples) stretched by 10^300 or 10^400 on
+# one axis, each point nudged by at most 2: slopes from about 10^-400, which
+# round to 0.0, to 10^400, past the float range
+HUGE = st.sampled_from([10**300, 10**400])
+NUDGED = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 1), st.integers(-1, 1))
+
+
+@given(HUGE, st.booleans(), NUDGED, st.lists(NUDGED, max_size=7))
+def test_collinear_pair_matches_triple_scan_on_huge_and_tiny_slopes(scale, tall, c, pts):
+    def point(gx, gy, ex, ey):
+        return (gx + ex, gy * scale + ey) if tall else (gx * scale + ex, gy + ey)
+
+    assert_collinear_pair_exact(point(*c), [point(*p) for p in pts])
+
+
+def test_collinear_pair_float_tie_that_is_not_collinear(exact_runs):
+    # both slopes round to one float, yet the cross product is -1
+    a, b = (2**30 - 1, 2**30 - 2), (2**30 - 2, 2**30 - 3)
+    assert a[1] / a[0] == b[1] / b[0] and orient_xy(0, 0, *a, *b) != 0
+    assert assert_collinear_pair_exact((0, 0), [(5, -3), a, b]) is None
+    assert exact_runs
+
+
+def test_collinear_pair_exact_parallels_beyond_2_53(exact_runs):
+    pts = [(7, 1), (3 * 10**300, 10**300), (-4, 9), (6 * 10**300, 2 * 10**300)]
+    assert assert_collinear_pair_exact((0, 0), pts) == (1, 3)
+    assert exact_runs
+
+
+def test_collinear_pair_coincident_point(exact_runs):
+    assert assert_collinear_pair_exact((4, 5), [(1, 0), (4, 5), (9, 2)]) == (1, 1)
+    assert exact_runs
+
+
+def test_collinear_pair_slope_past_the_float_range(exact_runs):
+    pts = [(1, 10**400), (2, 10**400 + 1), (3, 1)]
+    with pytest.raises(OverflowError):
+        pts[0][1] / pts[0][0]
+    assert assert_collinear_pair_exact((0, 0), pts) is None
+    assert exact_runs
+
+
+def test_collinear_pair_distinct_slopes_decide_without_the_exact_scan(exact_runs):
+    # vertical, horizontal, negative and positive slopes
+    pts = [(0, 5), (3, 0), (2, -7), (-4, 1), (-6, -5)]
+    assert assert_collinear_pair_exact((0, 0), pts) is None
+    assert not exact_runs
+
+
+@given(st.lists(xy(-100, 100), max_size=12), st.integers(0, 12))
+def test_polar_sort_orders_by_angle_and_merges(pts, cut):
+    # distinct directions of small ints lie at least 10^-5 rad apart, so
+    # their float angles order them exactly
+    dirs = list({(x // math.gcd(x, y), y // math.gcd(x, y)) for x, y in pts if x or y})
+    want = sorted(dirs, key=lambda d: math.atan2(d[1], d[0]) % (2 * math.pi))
+    center, key = (7, -3), lambda d: (d[0] + 7, d[1] - 3)
+    assert polar_sort(center, dirs, key) == want
+    assert polar_sort(center, dirs[cut:], key, into=polar_sort(center, dirs[:cut], key)) == want

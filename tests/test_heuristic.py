@@ -15,7 +15,11 @@ from pslgaug import (
 )
 from pslgaug.geom import ekey
 from pslgaug.instances import generate
+from pslgaug import heuristic
+from pslgaug.geodesic import geodesic
 from pslgaug.pslg import InvalidInstance, Walk
+
+from test_optimal import pool_instances
 
 
 def test_split_sizes():
@@ -170,3 +174,23 @@ def test_bound_property_random():
             assert res.produced_length <= bound
             g2 = build(g.points, sorted(set(g.edges) | set(res.added)))
             assert getattr(connectivity(g2), check)
+
+
+def test_each_geodesic_is_computed_once(monkeypatch):
+    # the 2vc decomposition inserts the geodesic its simple-cycle check
+    # computed, so no heuristic call asks for one (graph, walk) twice
+    queries = []
+
+    def spy(g, walk_ids):
+        queries.append(tuple(walk_ids))
+        return geodesic(g, walk_ids)
+
+    monkeypatch.setattr(heuristic, "geodesic", spy)
+    total = 0
+    for g in pool_instances():
+        for augment in (augment_2ec, augment_2vc):
+            queries.clear()
+            augment(g)
+            assert len(set(queries)) == len(queries), (g.n, augment.__name__)
+            total += len(queries)
+    assert total > 500

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
@@ -20,12 +21,15 @@ from pslgaug import (
     convex_walk_decomposition,
     facial_walks,
 )
+from pslgaug import geom
 from pslgaug.geom import (
     Point,
+    _collinear_pair_exact,
     collinear_pair,
     ekey,
     orient_xy,
     polar_sort,
+    rotation_system,
     segments_properly_cross,
 )
 from pslgaug.instances import generate
@@ -108,7 +112,8 @@ def test_with_edges_rejects_like_build(fig3, base, extra, error):
 
 def reference_build(points, edge_pairs):
     """``build`` with the unconditional O(n*m) edge-through-vertex scan
-    ahead of the collinear scan, and the all-pairs crossing loop of
+    ahead of the exact collinear scan (no float filter), and the all-pairs
+    crossing loop and per-vertex ``polar_sort`` of
     ``reference_with_edges``."""
     pts = [p if isinstance(p, Point) else Point.make(*p) for p in points]
     ids = [p.id for p in pts]
@@ -142,7 +147,7 @@ def reference_build(points, edge_pairs):
     order = sorted(ids)
     placed = []
     for c in order:
-        pair = collinear_pair((ix[c], iy[c]), placed)
+        pair = _collinear_pair_exact((ix[c], iy[c]), placed)
         if pair is not None:
             a, b = order[pair[0]], order[pair[1]]
             raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
@@ -238,6 +243,39 @@ def test_build_matches_reference_on_random_inputs():
         assert outcome(build, pts, edges) == want, (pts, edges)
         kinds[want[0] if isinstance(want[0], str) else "valid"] += 1
     assert min(kinds.values()) >= 40 and len(kinds) == 6, kinds
+
+
+def _planted_collinear_point(rng, g):
+    """The points of g, in shuffled order, with one more point on the line
+    through two of them, a and b (between them, beyond b, or before a), and
+    g's edges, sometimes plus one: a CollinearTriple, or an
+    EdgeThroughVertex where an edge passes through the third point."""
+    pts = [(p.id, p.x, p.y) for p in g.points]
+    (a, ax, ay), (b, bx, by) = rng.sample(pts, 2)
+    t = rng.choice([Fraction(1, 2), Fraction(1, 3), 2, -1, 3])
+    new = max(g.by_id) + 1 if rng.random() < 0.5 else min(g.by_id) - 1
+    pts.append((new, ax + t * (bx - ax), ay + t * (by - ay)))
+    rng.shuffle(pts)
+    edges = sorted(g.edges)
+    r = rng.random()
+    if r < 0.3:  # an edge through the third point
+        edges.append((a, b) if 0 < t < 1 else (new, a) if t > 1 else (new, b))
+    elif r < 0.6:
+        edges.append((new, rng.choice(pts)[0]))
+    return pts, edges
+
+
+def test_build_errors_match_reference_with_a_planted_collinear_point():
+    rng = random.Random(31)
+    kinds = Counter()
+    for i in range(500):
+        g = generate(rng.randrange(4, 40), 610000 + i, rng.choice([0.0, 0.3, 0.6]))
+        pts, edges = _planted_collinear_point(rng, g)
+        want = outcome(reference_build, pts, edges)
+        assert outcome(build, pts, edges) == want, (i, pts, edges)
+        kinds[want[0]] += 1
+    assert kinds.keys() == {"CollinearTriple", "EdgeThroughVertex"}, kinds
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_with_edges_matches_reference_on_batches():
@@ -722,3 +760,81 @@ def test_generate_smallest():
             g = generate(3, seed, density)
             assert g.n == 3 and len(g.edges) in (2, 3)
             assert connectivity(g).connected
+
+
+# -- the float-sorted, exactly certified rotation system --------------------
+
+
+def polar_sort_rotations(g):
+    """Each vertex of g with an edge mapped to its neighbours sorted by
+    ``polar_sort`` alone."""
+    return {v: tuple(polar_sort(g.ipt(v), nbrs, g.ipt))
+            for v, nbrs in adjacency(g.edges).items()}
+
+
+def assert_rotation_system_exact(g):
+    want = polar_sort_rotations(g)
+    assert rotation_system(g.edges, g._ix, g._iy) == want
+    assert g.rotation == {v: want.get(v, ()) for v in g.by_id}
+
+
+@pytest.fixture
+def resorted(monkeypatch):
+    """The centres rotation_system hands to polar_sort to sort again."""
+    centres = []
+    sort = geom.polar_sort
+
+    def spy(center, items, key_xy, into=()):
+        centres.append(center)
+        return sort(center, items, key_xy, into)
+
+    monkeypatch.setattr(geom, "polar_sort", spy)
+    return centres
+
+
+def _rotation_graphs(group):
+    from test_adversarial import FAMILIES, LARGE, _general_position
+    from test_optimal import _lattice_graph, pool_instances
+
+    if group == "pool":
+        return pool_instances()
+    if group == "generated":
+        rng = random.Random(47)
+        return [generate(rng.randrange(3, 70), 620000 + i, rng.choice([0.0, 0.3, 0.6, 1.0]))
+                for i in range(500)]
+    if group == "adversarial":
+        return [_general_position(make, random.Random(seed)) for _, make, seed in FAMILIES + LARGE]
+    return [_lattice_graph("star"), _lattice_graph("path")]
+
+
+@pytest.mark.parametrize("group", ["pool", "generated", "adversarial", "lattice"])
+def test_rotation_system_matches_polar_sort(group):
+    graphs = _rotation_graphs(group)
+    assert len(graphs) >= {"pool": 49, "generated": 500}.get(group, 2)
+    for g in graphs:
+        assert_rotation_system_exact(g)
+
+
+def test_rotation_system_sorts_a_float_tie_again(resorted):
+    # the directions to 1 and 2 differ by about 10^-18 rad, below a float's
+    # resolution, so their float angles tie and the tie goes to the smaller
+    # id, 1; exactly, 2 comes first
+    a, b = (2**30 - 1, 2**30 - 2), (2**30 - 2, 2**30 - 3)
+    assert math.atan2(a[1], a[0]) == math.atan2(b[1], b[0])
+    pts = [(0, 0, 0), (1, *a), (2, *b), (3, -5, 7), (4, 3, -11), (5, -13, -2)]
+    g = build(pts, [(0, k) for k in range(1, 6)])
+    assert g.rotation[0] == (2, 1, 3, 5, 4)
+    assert resorted == [(0, 0)]
+    assert_rotation_system_exact(g)
+
+
+def test_rotation_system_sorts_directions_past_the_float_range_exactly(resorted):
+    # the points of test_feasibility_of_huge_and_tiny_coordinates_stays_exact:
+    # scaled to integers, the coordinates have about 600 digits
+    pts = [(i, f"{i}e300", f"{i * i}e300") for i in range(12)]
+    pts[0] = (0, "1e-300", "0e300")
+    g = build(pts, [(i, i + 1) for i in range(11)])
+    with pytest.raises(OverflowError):
+        float(g.ipt(5)[0])
+    assert sorted(resorted) == sorted(g.ipt(v) for v in g.by_id)
+    assert_rotation_system_exact(g)
