@@ -8,14 +8,15 @@ pulling the string taut through those portals (funnel algorithm) yields the
 geodesic.  Which triangulation it is does not matter: the reduced portal
 sequence of a homotopy class, and so the geodesic, is the same in any.
 
-A graph queried on its own gets a triangulation and faces (``pslg.Faces``)
-built for it.  The cycle morph instead keeps one triangulation alive across
-its certified edits: an inserted edge is forced in as a constraint, a
-deleted edge only loses its constraint mark (the triangulation stays valid).
-The faces come from the morph's certified editor, which keeps them per edit,
-and the triangulation keeps its directed-side map per triangle edit, so the
-triangle right of each directed edge is a lookup; the face of every triangle
-is still flooded for each queried graph, and checked.
+A graph queried on its own gets a triangulation built for it and reads the
+faces cached on it (``Pslg.faces``).  The cycle morph instead keeps one
+triangulation alive across its certified edits: an inserted edge is forced
+in as a constraint, a deleted edge only loses its constraint mark (the
+triangulation stays valid).  The faces come from the morph's certified
+editor, which keeps them per edit, and the triangulation keeps its
+directed-side map per triangle edit, so the triangle right of each
+directed edge is a lookup; the face of every triangle is still flooded for
+each queried graph, and checked.
 
 The clip box turns the unbounded face into a bounded region; geodesics never
 bend at box corners (they are convex corners of the region), which is
@@ -61,10 +62,11 @@ class _FaceEnv:
     its triangulation, which the caller has since edited to constrain
     exactly the edges of ``g``; ``live`` is then stale.
 
-    ``faces`` are the faces of ``g`` (a ``pslg.Faces``), by default derived
-    from its rotation system.  The morph's certified editor passes its own,
-    which it keeps per edit; the environment reads them as they stand, so it
-    goes stale with the editor's next edit, as the live triangulation does.
+    ``faces`` are the faces of ``g`` (a ``pslg.Faces``), by default the
+    ones cached on ``g`` (``Pslg.faces``).  The morph's certified editor
+    passes its own, which it keeps per edit; the environment reads them as
+    they stand, so it goes stale with the editor's next edit, as the live
+    triangulation does.
 
     Either way the triangle right of dart (u, v) is ``T.side`` at the local
     side (v, u), read when a query asks for it; the face of every triangle
@@ -92,7 +94,7 @@ class _FaceEnv:
             # local ids follow vertex ids, so (u, v) with u < v maps to i < j
             if self.T.constrained != {(self.lid[u], self.lid[v]) for u, v in g.edges}:
                 raise LemmaViolation("live triangulation constrains other edges than the graph")
-        self.faces = faces if faces is not None else Faces(g.rotation)
+        self.faces = faces if faces is not None else g.faces()
         # the triangle right of graph dart (u, v) is the CCW triangle on side
         # (v, u), the one across side (a, b) of a triangle is on (b, a), and
         # only clip-box sides have none.  Seed each triangle's face from the

@@ -16,9 +16,16 @@ A chordless face, whose closed walk repeats no vertex (2vc) or no edge
 (2ec), is a ZERO cell as a whole: optimal_augment records it with cost 0.0
 and no chord, and builds neither its feasibility matrix nor its DP.
 
-Feasibility runs its sector, crossing and winding tests on the scaled
-integer coordinates: as int64 numpy batches over all position pairs when
-the face has at least _BATCH_MIN_SLOTS positions and its coordinates fit
+Feasibility runs two exact tests on the scaled integer coordinates, the
+sector test at both ends and a proper-crossing test against the face's
+edges, which in general position imply that the chord lies in the face.
+The sector test at i puts the start of the open chord in the face, at
+occurrence i.  The open chord can leave the face only through the walk:
+through a face edge's interior, a proper crossing, or through a vertex,
+which would make a collinear triple (build rejects those).  So it lies in
+the face, and the sector test at j makes it arrive at occurrence j.  The
+tests run as int64 numpy batches over all position pairs when the face has
+at least _BATCH_MIN_SLOTS positions and its coordinates fit
 _INT64_COORD_MAX, and one pair at a time on Python ints otherwise.
 
 The DP reads only feasible chords.  Let f be their number, about 6% of the
@@ -184,31 +191,13 @@ class OptimalResult:
     faces: list
 
 
-def _winding_ok(segs, is_outer, mx2, my2):
-    """Exact point-in-face test at the (doubled) midpoint coordinates over
-    the walk's doubled segments: the walk winds -1 around points of a
-    bounded face, 0 in the outer face."""
-    wind = 0
-    for ax2, ay2, bx2, by2 in segs:
-        if (ay2 > my2) != (by2 > my2):
-            side = (bx2 - ax2) * (my2 - ay2) - (by2 - ay2) * (mx2 - ax2)
-            if ay2 <= my2 < by2:
-                if side > 0:
-                    wind += 1
-            elif by2 <= my2 < ay2:
-                if side < 0:
-                    wind -= 1
-    return wind == (0 if is_outer else -1)
-
-
 # Largest |scaled coordinate| at which the int64 feasibility kernel is exact.
-# With |x|, |y| <= B on the face, a coordinate difference is at most 2B and
-# the widest factor, the winding test's my2 - 2 ay = (uy - ay) + (vy - ay),
-# at most 4B, so no product exceeds 8 B^2 in absolute value.  Each sum of two
-# products is a dot product (at most |p| |q| <= 8 B^2), twice the area of a
-# triangle in the 2B-square (at most 4 B^2) or the winding's sum of two such
-# areas (at most 8 B^2).  8 B^2 < 2^63 for B = 2^30 - 1, while at B = 2^30
-# the product (bx - ax) (my2 - 2 ay) can reach 2^31 * 2^32 = 2^63.
+# With |x|, |y| <= B on the face, every factor is a coordinate difference of
+# at most 2B, so every product is at most 4 B^2 in absolute value.  The sums
+# of two products are orientations, each twice the area of a triangle with
+# corners in [-B, B]^2 (at most 4 B^2), and the sector test's dot products
+# (at most |p| |q| <= 8 B^2), the widest.  8 B^2 < 2^63 for B = 2^30 - 1; at
+# B = 2^30 the bound reaches 2^63.
 _INT64_COORD_MAX = 2**30 - 1
 
 # Faces with fewer walk positions take the Python loop: below this the
@@ -225,7 +214,7 @@ _CHUNK = 8192
 _SCORE_CHUNK = 32768
 
 
-def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
+def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     """Chord weight matrix over walk positions: F[i, j] is the segment
     length when the chord is usable, +inf otherwise.
 
@@ -235,9 +224,9 @@ def feasibility(g: Pslg, w: IndexedWalk, is_outer: bool) -> np.ndarray:
     n = w.n
     F = np.full((n + 1, n + 1), np.inf)
     if n >= _BATCH_MIN_SLOTS and _fits_int64(g, w):
-        pairs = _feasible_pairs_int64(g, w, is_outer)
+        pairs = _feasible_pairs_int64(g, w)
     else:
-        pairs = _feasible_pairs_exact(g, w, is_outer)
+        pairs = _feasible_pairs_exact(g, w)
     by_id, seq = g.by_id, w.seq
     for i, j in pairs:
         F[i, j] = F[j, i] = dist(by_id[seq[i]], by_id[seq[j]])
@@ -252,7 +241,7 @@ def _fits_int64(g: Pslg, w: IndexedWalk) -> bool:
     )
 
 
-def _feasible_pairs_exact(g: Pslg, w: IndexedWalk, is_outer: bool):
+def _feasible_pairs_exact(g: Pslg, w: IndexedWalk):
     """The usable chords (i, j), i < j, one pair of positions at a time."""
     n = w.n
     ix, iy = g._ix, g._iy
@@ -264,16 +253,8 @@ def _feasible_pairs_exact(g: Pslg, w: IndexedWalk, is_outer: bool):
         ax, ay, bx, by = ix[a], iy[a], ix[b], iy[b]
         elist.append((a, b, ax, ay, bx, by, min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
 
-    segs = [
-        (2 * ix[a], 2 * iy[a], 2 * ix[b], 2 * iy[b])
-        for a, b in zip(w.seq[: w.closed_m], w.seq[1 : w.closed_m + 1])
-    ]
-
-    sectors = []
-    for i in range(n + 1):
-        if i == 0:
-            sectors.append(None)
-            continue
+    sectors = [None]
+    for i in range(1, n + 1):
         prev, nxt = w.neighbors(i)
         v = w.seq[i]
         vx, vy = ix[v], iy[v]
@@ -299,20 +280,15 @@ def _feasible_pairs_exact(g: Pslg, w: IndexedWalk, is_outer: bool):
                 continue
             lox, hix = min(uxi, vxj), max(uxi, vxj)
             loy, hiy = min(uyi, vyj), max(uyi, vyj)
-            blocked = False
             for (a, b, ax, ay, bx, by, elox, ehix, eloy, ehiy) in elist:
                 if a == u or a == v or b == u or b == v:
                     continue
                 if elox > hix or ehix < lox or eloy > hiy or ehiy < loy:
                     continue
                 if segments_properly_cross(uxi, uyi, vxj, vyj, ax, ay, bx, by):
-                    blocked = True
                     break
-            if blocked:
-                continue
-            if not _winding_ok(segs, is_outer, uxi + vxj, uyi + vyj):
-                continue
-            yield i, j
+            else:
+                yield i, j
 
 
 def _chunks(size, width):
@@ -333,7 +309,7 @@ def _in_sector_batch(cuv, ux, uy, wx, wy, dx, dy):
     )
 
 
-def _feasible_pairs_int64(g: Pslg, w: IndexedWalk, is_outer: bool):
+def _feasible_pairs_int64(g: Pslg, w: IndexedWalk):
     """The usable chords (i, j), i < j, by the tests of
     _feasible_pairs_exact run as int64 batches over position pairs.
 
@@ -376,10 +352,9 @@ def _feasible_pairs_int64(g: Pslg, w: IndexedWalk, is_outer: bool):
         J.append(c[ci])
     I, J = np.concatenate(I), np.concatenate(J)
 
-    # the walk's segments SA[k] -> SB[k], and its edges EA[e] - EB[e]
-    SA = np.array([local[a] for a in seq[: w.closed_m]], dtype=np.int64)
-    SB = np.array([local[b] for b in seq[1 : w.closed_m + 1]], dtype=np.int64)
-    EA, EB = np.array(sorted({ekey(a, b) for a, b in zip(SA.tolist(), SB.tolist())})).T
+    # the face's edges EA[e] - EB[e]
+    steps = zip(seq, seq[1 : w.closed_m + 1])
+    EA, EB = np.array(sorted({ekey(local[a], local[b]) for a, b in steps})).T
 
     # crossings with the face's edges: vertex k lies strictly left of edge
     # e's line iff left[e, k], strictly right iff right[e, k]
@@ -395,20 +370,6 @@ def _feasible_pairs_int64(g: Pslg, w: IndexedWalk, is_outer: bool):
         hit = (cl[:, EA] & cr[:, EB]) | (cr[:, EA] & cl[:, EB])
         hit &= ((left[:, u] & right[:, v]) | (right[:, u] & left[:, v])).T
         keep[b] = ~hit.any(axis=1)
-    I, J = I[keep], J[keep]
-
-    # winding number of the walk around each chord's (doubled) midpoint; sd
-    # is half the determinant _winding_ok computes on doubled coordinates
-    AX2, AY2, BY2 = 2 * VX[SA], 2 * VY[SA], 2 * VY[SB]
-    SDX, SDY = VX[SB] - VX[SA], VY[SB] - VY[SA]
-    target = 0 if is_outer else -1
-    keep = np.ones(I.size, dtype=bool)
-    for b in _chunks(I.size, SA.size):
-        mx, my = (X[I[b]] + X[J[b]])[:, None], (Y[I[b]] + Y[J[b]])[:, None]
-        sd = SDX * (my - AY2) - SDY * (mx - AX2)
-        up = (AY2 <= my) & (my < BY2) & (sd > 0)
-        down = (BY2 <= my) & (my < AY2) & (sd < 0)
-        keep[b] = up.sum(axis=1) - down.sum(axis=1) == target
     return zip((I[keep] + 1).tolist(), (J[keep] + 1).tolist())
 
 
@@ -771,7 +732,7 @@ def dp_2vc(g: Pslg, walk, weight="length"):
     """(cost, chord edges) making the face 2-connected, by algorithm A."""
     _check_weight(weight)
     w = IndexedWalk.from_walk(walk)
-    F = feasibility(g, w, walk.is_outer)
+    F = feasibility(g, w)
     return _dp(g, w, F, MODE_2VC, weight)[:2]
 
 
@@ -779,7 +740,7 @@ def dp_2ec(g: Pslg, walk, weight="length"):
     """(cost, chord edges) making the face 2-edge-connected, algorithm B."""
     _check_weight(weight)
     w = IndexedWalk.from_walk(walk, extend=True)
-    F = feasibility(g, w, walk.is_outer)
+    F = feasibility(g, w)
     return _dp(g, w, F, MODE_2EC, weight)[:2]
 
 

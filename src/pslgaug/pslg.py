@@ -13,8 +13,10 @@ convex iff (prev - apex) x (next - apex) > 0 (``_corner_convex``).
 
 from __future__ import annotations
 
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice
 from math import fsum, lcm
 
@@ -27,7 +29,6 @@ from .geom import (
     polar_sort,
     rotation_system,
     segments_properly_cross,
-    to_rational,
 )
 
 
@@ -125,6 +126,7 @@ class Pslg:
         self.rotation = rotation  # id -> tuple of neighbor ids, CCW
         self._ix = ix  # id -> scaled int x
         self._iy = iy
+        self._faces = None
         self._walks = None
         self._conn = None
         self._face_env = None
@@ -145,6 +147,13 @@ class Pslg:
     def ipt(self, v):
         """Scaled integer coordinates (exact, for hot-path predicates)."""
         return (self._ix[v], self._iy[v])
+
+    def faces(self) -> Faces:
+        """The faces of the rotation system, shared by ``facial_walks``,
+        ``connectivity`` and ``face_env``; read only (an editor keeps its own)."""
+        if self._faces is None:
+            self._faces = Faces(self.rotation)
+        return self._faces
 
     def with_edges(self, edge_pairs) -> Pslg:
         """The PSLG on the same, already validated points with the edge set
@@ -202,7 +211,15 @@ class Pslg:
 class _ValidatedPoints(tuple):
     """The points of a built PSLG in input order, as :func:`build` checked
     them, with the id index ``by_id`` and the scaled integer coordinates
-    ``ix`` and ``iy``.  ``build`` takes such a tuple as already valid."""
+    ``ix`` and ``iy``.  ``build`` takes such a tuple as already valid.
+    ``g0`` is a weak reference to the first graph built on it, once there
+    is one: a strong one would keep every graph alive with its points.  A
+    copy or an unpickled tuple starts without one."""
+
+    g0 = None
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if k != "g0"}
 
 
 def build(points, edge_pairs) -> Pslg:
@@ -211,28 +228,48 @@ def build(points, edge_pairs) -> Pslg:
     ``points`` is an iterable of Point or (id, x, y) with decimal-string
     (or int/Fraction) coordinates; ``edge_pairs`` an iterable of id pairs.
     Raises DuplicatePoint, CollinearTriple, CrossingEdges, EdgeThroughVertex
-    or InvalidInstance with the offending ids.  The points of a built graph
-    (``g.points``) are not checked again; the edges always are.
+    or InvalidInstance with the offending ids.
+
+    The points of a built graph (``g.points``) are not checked again, nor,
+    while the first graph g0 built on them is alive, the pairs of g0's
+    edges: ``g0.with_edges`` tests only the pairs with an edge not in g0,
+    which accepts exactly the sets a build from the empty graph accepts,
+    with the same rotations.  Unknown ids, self-loops and duplicates are
+    always rejected.  On any error the build from the empty graph runs
+    again, so that the exception and its message are that build's.
     """
     if type(points) is not _ValidatedPoints:
         points = _validate_points(points, edge_pairs)
+    elif points.g0 is not None and (g0 := points.g0()) is not None:
+        edge_pairs = list(edge_pairs)
+        try:
+            return g0.with_edges(edge_pairs)
+        except PslgError:
+            pass
     rotation = {p.id: () for p in points}
     empty = Pslg(points, points.by_id, frozenset(), rotation, points.ix, points.iy)
-    return empty.with_edges(edge_pairs)
+    g = empty.with_edges(edge_pairs)
+    if points.g0 is None:
+        points.g0 = weakref.ref(g)
+    return g
+
+
+_EXACT = (int, Fraction)  # the coordinate types of Point.make
 
 
 def _validate_points(points, edge_pairs) -> _ValidatedPoints:
     """The point checks and the integer scaling of :func:`build`."""
     pts = []
     for p in points:
-        if isinstance(p, Point):
+        if isinstance(p, Point) and type(p.x) in _EXACT and type(p.y) in _EXACT:
             pts.append(p)
-        else:
-            pid, x, y = p
-            try:
-                pts.append(Point.make(pid, x, y))
-            except ValueError as e:
-                raise InvalidInstance(f"point {pid!r}: {e}") from None
+            continue
+        # a Point built directly, not by Point.make, is read as a triple
+        pid, x, y = (p.id, p.x, p.y) if isinstance(p, Point) else p
+        try:
+            pts.append(Point.make(pid, x, y))
+        except ValueError as e:
+            raise InvalidInstance(f"point {pid!r}: {e}") from None
 
     ids = [p.id for p in pts]
     if len(set(ids)) != len(ids):
@@ -249,7 +286,7 @@ def _validate_points(points, edge_pairs) -> _ValidatedPoints:
     # below (and the hot paths downstream) runs on ints
     denom = 1
     for p in pts:
-        denom = lcm(denom, to_rational(p.x).denominator, to_rational(p.y).denominator)
+        denom = lcm(denom, p.x.denominator, p.y.denominator)
     ix = {p.id: int(p.x * denom) for p in pts}
     iy = {p.id: int(p.y * denom) for p in pts}
 
@@ -482,7 +519,7 @@ def facial_walks(g: Pslg):
     if g._walks is not None:
         return g._walks
 
-    faces = Faces(g.rotation)
+    faces = g.faces()
     first = {}
     for d in sorted(faces.face):
         first.setdefault(faces.face[d], d)
@@ -625,7 +662,7 @@ def connectivity(g: Pslg) -> ConnectivityReport:
     # cross-check against the facial-walk characterization: an edge is a
     # bridge iff its two darts share a face label, a vertex is a cut vertex
     # iff two of its outgoing darts do
-    face = Faces(g.rotation).face
+    face = g.faces().face
     fw_bridges = {(u, v) for (u, v), f in face.items() if u < v and face[(v, u)] == f}
     fw_cut = {
         v for v, rot in g.rotation.items() if len({face[(v, w)] for w in rot}) < len(rot)

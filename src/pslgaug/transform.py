@@ -160,10 +160,10 @@ class _CertifiedEdges:
     that is not connected raises ReplayViolation at step 0.
 
     Next to the graph it keeps the graph's faces, ``faces`` (a
-    ``pslg.Faces``), split by each insert and merged by each delete.  In a
-    connected plane graph an edge is a bridge iff the same face lies on
-    both of its sides, so a delete disconnects iff its two darts share a
-    label.
+    ``pslg.Faces`` of its own, not the one cached on a graph), split by
+    each insert and merged by each delete.  In a connected plane graph an
+    edge is a bridge iff the same face lies on both of its sides, so a
+    delete disconnects iff its two darts share a label.
     """
 
     def __init__(self, g: Pslg, ceiling: float):

@@ -50,7 +50,7 @@ def occurrences(w, vid):
 def test_feasibility_fig3(fig3):
     walk = facial_walks(fig3)[0]
     w = IndexedWalk.from_walk(walk)
-    F = feasibility(fig3, w, walk.is_outer)
+    F = feasibility(fig3, w)
     # the two dashed chords are feasible at exactly one occurrence pair each
     p1_pos = occurrences(w, 1)
     p3_pos = occurrences(w, 3)
@@ -73,7 +73,7 @@ def test_feasibility_matches_brute_force():
     g = generate(7, 12345, 0.0)
     walk = facial_walks(g)[0]
     w = IndexedWalk.from_walk(walk)
-    F = feasibility(g, w, walk.is_outer)
+    F = feasibility(g, w)
     from pslgaug.geom import segments_properly_cross, in_ccw_sector
 
     def sector_ok(i, j):
@@ -142,7 +142,7 @@ def feasibility_paths(g, walk, extend, monkeypatch):
         out = {}
         for path, threshold in (("int64", 0), ("exact", w.n + 1)):
             m.setattr(optimal, "_BATCH_MIN_SLOTS", threshold)
-            out[path] = feasibility(g, w, walk.is_outer)
+            out[path] = feasibility(g, w)
     return out, ran
 
 
@@ -201,11 +201,11 @@ def test_feasibility_path_at_the_int64_bound(extra, path, monkeypatch):
             with monkeypatch.context() as m:
                 spy_paths(m, ran)
                 m.setattr(optimal, "_BATCH_MIN_SLOTS", 0)
-                F = feasibility(h, w, walk.is_outer)
+                F = feasibility(h, w)
             assert ran == [path]
             with monkeypatch.context() as m:
                 m.setattr(optimal, "_BATCH_MIN_SLOTS", w.n + 1)
-                assert np.array_equal(F, feasibility(h, w, walk.is_outer))
+                assert np.array_equal(F, feasibility(h, w))
 
 
 def test_feasibility_of_huge_and_tiny_coordinates_stays_exact(tmp_path, capsys, monkeypatch):
@@ -387,7 +387,7 @@ def assert_tables_match(g, walk, extend):
     every cell 1 <= s <= t <= n, for both modes and both weights, and every
     (s, i) the pocket test drops has C[s, i] = +inf in 2vc."""
     w = IndexedWalk.from_walk(walk, extend=extend)
-    F = feasibility(g, w, walk.is_outer)
+    F = feasibility(g, w)
     upper = _upper(w)
     for W in (F, np.where(np.isfinite(F), 1.0, np.inf)):
         for mode in ("2vc", "2ec"):
@@ -492,6 +492,50 @@ POCKET_GRAPHS = {
 }
 
 
+def _winding_ok(segs, is_outer, mx2, my2):
+    """Exact point-in-face test at the (doubled) midpoint coordinates over
+    the walk's doubled segments: the walk winds -1 around points of a
+    bounded face, 0 in the outer face."""
+    wind = 0
+    for ax2, ay2, bx2, by2 in segs:
+        if (ay2 > my2) != (by2 > my2):
+            side = (bx2 - ax2) * (my2 - ay2) - (by2 - ay2) * (mx2 - ax2)
+            if ay2 <= my2 < by2:
+                if side > 0:
+                    wind += 1
+            elif by2 <= my2 < ay2:
+                if side < 0:
+                    wind -= 1
+    return wind == (0 if is_outer else -1)
+
+
+WINDING_GRAPHS = dict(POCKET_GRAPHS, **{
+    "convex-path": lambda: [_convex_position_path(n) for n in (*range(8, 41), 60, 80, 120, 160)],
+})
+
+
+@pytest.mark.parametrize("group", WINDING_GRAPHS)
+def test_feasible_chords_pass_the_winding_test(group, monkeypatch):
+    """Every chord both feasibility paths accept has its midpoint inside its
+    face by the winding number of the walk: the sector and crossing tests
+    imply it in general position (see optimal's module docstring)."""
+    chords = 0
+    for g in WINDING_GRAPHS[group]():
+        for walk in facial_walks(g):
+            seq = walk.seq
+            segs = [(2 * g.ipt(a)[0], 2 * g.ipt(a)[1], 2 * g.ipt(b)[0], 2 * g.ipt(b)[1])
+                    for a, b in zip(seq, seq[1:])]
+            for extend in (False, True):
+                w = IndexedWalk.from_walk(walk, extend=extend)
+                F, _ = feasibility_paths(g, walk, extend, monkeypatch)
+                for path in ("int64", "exact"):
+                    for i, j in zip(*np.nonzero(np.triu(np.isfinite(F[path])))):
+                        (ux, uy), (vx, vy) = g.ipt(w.seq[i]), g.ipt(w.seq[j])
+                        assert _winding_ok(segs, walk.is_outer, ux + vx, uy + vy), (i, j)
+                        chords += 1
+    assert chords > 0
+
+
 @pytest.mark.parametrize("group", POCKET_GRAPHS)
 def test_pocket_test_is_sound(group):
     """Every (s, i) the 2vc fill drops by the pocket test has C[s, i] = +inf
@@ -503,7 +547,7 @@ def test_pocket_test_is_sound(group):
     for g in POCKET_GRAPHS[group]():
         for walk in facial_walks(g):
             w = IndexedWalk.from_walk(walk)
-            F = feasibility(g, w, walk.is_outer)
+            F = feasibility(g, w)
             dead = dead_pockets(w, F)
             distinct = _upper(w)
             distinct[1:-1, 1:-1] &= w.vert[1:, None] != w.vert[None, 1:]

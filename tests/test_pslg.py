@@ -1,5 +1,8 @@
+import copy
+import gc
 import hashlib
 import math
+import pickle
 import random
 from collections import Counter
 from fractions import Fraction
@@ -377,6 +380,126 @@ def test_build_from_built_points_rejects_edges_like_a_full_build():
     assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
 
 
+def _valid_chords(rng, g, count):
+    """g's edges plus up to ``count`` random chords that cross nothing."""
+    ids = sorted(g.by_id)
+    h = g
+    for _ in range(count):
+        e = ekey(*rng.sample(ids, 2))
+        if e not in h.edges:
+            try:
+                h = h._edit({e}, set())
+            except CrossingEdges:
+                pass
+    return sorted(h.edges)
+
+
+def _crossings(g, edges):
+    """The number of properly crossing pairs among ``edges``."""
+    return sum(
+        segments_properly_cross(*g.ipt(a), *g.ipt(b), *g.ipt(c), *g.ipt(d))
+        for i, (a, b) in enumerate(edges) for c, d in edges[i + 1 :]
+    )
+
+
+def _edge_sets(rng, g):
+    """Edge lists of four kinds on g's points, each shuffled with some pairs
+    reversed: g's edges plus valid chords, random subsets (of those), sets
+    with at least two crossings where the points allow them, and sets with
+    an unknown id, a self-loop or a duplicate."""
+    ids = sorted(g.by_id)
+    chords = _valid_chords(rng, g, rng.randrange(1, 3 * len(ids)))
+    subset = [e for e in chords if rng.random() < rng.choice([0.2, 0.5, 0.9])]
+    crossing = list(chords)
+    for _ in range(100):  # four or five points may allow fewer crossings
+        e = ekey(*rng.sample(ids, 2))
+        if e not in crossing:
+            crossing.append(e)
+            if _crossings(g, crossing) >= 2:
+                break
+    u = rng.choice(ids)
+    faults = [chords + [(u, max(ids) + 1)], chords + [(u, u)], chords + [chords[0][::-1]]]
+    for edges in [chords, subset, crossing, *faults]:
+        edges = [(v, u) if rng.random() < 0.3 else (u, v) for u, v in edges]
+        rng.shuffle(edges)
+        yield edges
+
+
+def _built_graphs(rng):
+    from test_adversarial import FAMILIES, LARGE, _general_position
+
+    graphs = [generate(rng.randrange(4, 40), 700000 + i, rng.choice([0.0, 0.3, 0.6]))
+              for i in range(60)]
+    return graphs + [_general_position(make, random.Random(seed))
+                     for _, make, seed in FAMILIES + LARGE]
+
+
+def test_build_on_built_points_edits_the_first_graph_like_reference(monkeypatch):
+    # build(g.points, E) edits g, the first graph built on those points,
+    # when that succeeds; valid sets, subsets, crossings and bad ids give
+    # reference_build's edges and rotations, or its exception and message
+    bases = []
+    with_edges = Pslg.with_edges
+
+    def spy(self, edge_pairs):
+        bases.append(self)
+        return with_edges(self, edge_pairs)
+
+    monkeypatch.setattr(Pslg, "with_edges", spy)
+    rng = random.Random(41)
+    kinds = Counter()
+    for g in _built_graphs(rng):
+        assert g.points.g0() is g
+        for edges in _edge_sets(rng, g):
+            bases.clear()
+            want = outcome(reference_build, g.points, edges)
+            assert outcome(build, g.points, edges) == want, (sorted(g.edges), edges)
+            kind = want[0] if isinstance(want[0], str) else "valid"
+            kinds[kind] += 1
+            # an error is reported by the build from the empty graph
+            assert bases[0] is g and len(bases) == (1 if kind == "valid" else 2)
+    assert kinds.keys() == {"valid", "CrossingEdges", "InvalidInstance"}, kinds
+    assert min(kinds.values()) >= 100, kinds
+
+
+def test_build_on_built_points_after_the_first_graph_is_dropped():
+    rng = random.Random(43)
+    for i in range(30):
+        g = generate(rng.randrange(4, 40), 710000 + i, rng.choice([0.0, 0.3, 0.6]))
+        points, sets = g.points, list(_edge_sets(rng, g))
+        want = [outcome(build, points, edges) for edges in sets]
+        # the points hold their first graph only weakly
+        del g
+        gc.collect()
+        assert points.g0() is None
+        assert [outcome(build, points, edges) for edges in sets] == want
+        assert [outcome(reference_build, points, edges) for edges in sets] == want
+
+
+def test_built_graphs_copy_and_pickle_without_their_first_graph():
+    g = generate(20, 4, 0.5)
+    for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):
+        assert h.points.g0 is None and h.points == g.points and h.edges == g.edges
+        assert h.points.by_id == g.points.by_id and h.points.ix == g.points.ix
+        assert build(h.points, g.edges).points is h.points
+        assert build(h.points, []).rotation == build(g.points, []).rotation
+
+
+@pytest.mark.parametrize("coord", [0.5, 2.0, True])
+def test_build_rejects_a_point_made_directly_with_a_float_or_bool(coord):
+    # Point() does not convert its coordinates, as Point.make does
+    pts = [Point(1, 5, 1), Point(2, 3, Fraction(7, 2))]
+    for p in (Point(0, coord, 0), Point(0, 0, coord)):
+        with pytest.raises(TypeError, match="expected int, Fraction or decimal string"):
+            build([p] + pts, [(0, 1), (1, 2)])
+
+
+def test_build_reads_a_point_made_directly_with_strings():
+    g = build([Point(0, "0.5", "0"), Point(1, 5, 1), Point(2, "3", Fraction(7, 2))], [(0, 1)])
+    assert [p.coords() for p in g.points] == [(Fraction(1, 2), 0), (5, 1), (3, Fraction(7, 2))]
+    assert (g.ipt(0), g.ipt(2)) == ((1, 0), (6, 7))
+
+
 def test_copied_points_are_checked_again():
     g = generate(20, 4, 0.5)
     p, q = g.points[0], g.points[1]
@@ -559,6 +682,31 @@ def test_connectivity_matches_brute_force():
         kinds["cut"] += bool(cut)
     assert len(graphs) >= 150
     assert min(kinds.values()) >= 20, kinds
+
+
+def test_one_faces_per_graph(monkeypatch):
+    # facial_walks, connectivity and face_env share the graph's faces, so an
+    # augment item builds one Faces for its input graph, one for the
+    # augmenter's closing check and one for verify's graph
+    from pslgaug.geodesic import face_env
+    from pslgaug.heuristic import augment_2ec, augment_2vc
+    from pslgaug.optimal import optimal_augment
+    from pslgaug.oracle import verify
+    from pslgaug.pslg import Faces
+
+    made = []
+    init = Faces.__init__
+    monkeypatch.setattr(Faces, "__init__", lambda self, rot: made.append(self) or init(self, rot))
+    for seed in range(5):
+        for augment, mode in ((augment_2ec, "2ec"), (augment_2vc, "2vc"),
+                              (lambda g: optimal_augment(g, "2ec"), "2ec"),
+                              (lambda g: optimal_augment(g, "2vc"), "2vc")):
+            g = generate(30, 720000 + seed, 0.4)
+            made.clear()
+            assert verify(g, augment(g).added, mode)["ok"]
+            assert len(made) == 3 and made[0] is g.faces()
+    assert face_env(g).faces is g.faces()
+    assert facial_walks(g) and connectivity(g) and len(made) == 3
 
 
 # sha256 of repr(facial_walks(g)) over _pinned_graphs(), recorded from the

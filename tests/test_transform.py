@@ -387,6 +387,29 @@ def test_face_labels_match_facial_walks():
     assert steps >= 200
 
 
+def test_editor_faces_are_never_a_graphs_cached_faces(monkeypatch):
+    # split and merge change the editor's faces in place, so they must not
+    # be the read-only faces a graph caches (Pslg.faces)
+    graphs = []
+    edit = _CertifiedEdges.edit
+
+    def checked(self, op, u, v):
+        graphs.append(self.graph)
+        out = edit(self, op, u, v)
+        graphs.append(self.graph)
+        assert all(self.faces is not h._faces for h in graphs)
+        return out
+
+    monkeypatch.setattr(_CertifiedEdges, "edit", checked)
+    for n, seed, density in ((8, 1, 0.5), (16, 3, 0.8), (30, 5, 0.3)):
+        g = generate(n, seed + 9600, density)
+        faces = g.faces()
+        graphs[:] = [g]
+        log = transform(g)[2]
+        replay(g, log.steps)
+        assert g._faces is faces and len(graphs) > 2 * len(log.steps)
+
+
 def mid_morph_graphs(count, rng):
     """(start graph, op log prefix) pairs: random morphs stopped at a random
     step."""
