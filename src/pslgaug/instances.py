@@ -144,7 +144,7 @@ def generate(n: int, seed: int, density: float) -> Pslg:
             coords.append(c)
 
     T = triangulate_points(coords)
-    lawson_flips(T, protect_constrained=False)
+    lawson_flips(T)
     dt_edges = sorted(T.edges())
 
     def d2(e):

@@ -9,6 +9,12 @@ non-negative area.  Under this convention the corner of a walk (prev, apex,
 next) spans exactly the angular sector of its face at that corner, measured
 counterclockwise from ray(apex->prev) to ray(apex->next), so a corner is
 convex iff (prev - apex) x (next - apex) > 0 (``_corner_convex``).
+
+Connectivity is read off the face labels: an edge is a bridge iff one face
+lies on both of its sides, and a vertex is a cut vertex iff one face meets
+it twice (two of its outgoing darts share a label).  This holds for every
+rotation system of genus 0, which Euler's formula certifies: V' - E + F =
+2C', counting only the vertices and components that have an edge.
 """
 
 from __future__ import annotations
@@ -605,74 +611,25 @@ def kruskal(edges, weight, joined=()):
 
 
 def connectivity(g: Pslg) -> ConnectivityReport:
+    """Components of g by search; cut vertices and bridges by the face rule
+    of the module docstring, after Euler's formula certifies its premise."""
     if g._conn is not None:
         return g._conn
 
-    adj = {p.id: list(g.rotation[p.id]) for p in g.points}
-    ids = sorted(adj)
-    visited = set()
-    components = []
-    cut = set()
-    bridges = set()
+    components, seen = [], set()
+    for root in sorted(g.rotation):
+        if root not in seen:
+            comp = reach(g.rotation, root)
+            seen.update(comp)
+            components.append(sorted(comp))
 
-    for root in ids:
-        if root in visited:
-            continue
-        comp = []
-        # iterative Tarjan articulation/bridge DFS
-        disc = {}
-        low = {}
-        parent = {root: None}
-        children = {root: 0}
-        stack = [(root, iter(adj[root]))]
-        disc[root] = low[root] = len(visited)
-        t = disc[root]
-        visited.add(root)
-        comp.append(root)
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in disc:
-                    t += 1
-                    disc[w] = low[w] = t
-                    parent[w] = v
-                    children[w] = 0
-                    children[v] = children.get(v, 0) + 1
-                    visited.add(w)
-                    comp.append(w)
-                    stack.append((w, iter(adj[w])))
-                    advanced = True
-                    break
-                elif w != parent[v]:
-                    low[v] = min(low[v], disc[w])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    low[u] = min(low[u], low[v])
-                    if low[v] > disc[u]:
-                        bridges.add(ekey(u, v))
-                    if parent[u] is not None and low[v] >= disc[u]:
-                        cut.add(u)
-        if children.get(root, 0) > 1:
-            cut.add(root)
-        components.append(sorted(comp))
-
-    # cross-check against the facial-walk characterization: an edge is a
-    # bridge iff its two darts share a face label, a vertex is a cut vertex
-    # iff two of its outgoing darts do
     face = g.faces().face
-    fw_bridges = {(u, v) for (u, v), f in face.items() if u < v and face[(v, u)] == f}
-    fw_cut = {
-        v for v, rot in g.rotation.items() if len({face[(v, w)] for w in rot}) < len(rot)
-    }
-    if fw_cut != cut or fw_bridges != bridges:
-        raise LemmaViolation(
-            f"facial-walk characterization disagrees with DFS: "
-            f"cut {sorted(fw_cut)} vs {sorted(cut)}, "
-            f"bridges {sorted(fw_bridges)} vs {sorted(bridges)}"
-        )
+    euler = sum(1 for rot in g.rotation.values() if rot) - len(g.edges) + len(set(face.values()))
+    c2 = 2 * sum(1 for comp in components if len(comp) > 1)
+    if euler != c2:
+        raise LemmaViolation(f"rotation system is not planar: V - E + F = {euler}, 2C = {c2}")
+    bridges = {(u, v) for (u, v), f in face.items() if u < v and face[(v, u)] == f}
+    cut = {v for v, rot in g.rotation.items() if len({face[(v, w)] for w in rot}) < len(rot)}
 
     connected = len(components) == 1
     report = ConnectivityReport(

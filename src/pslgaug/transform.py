@@ -386,7 +386,7 @@ def phase2_to_delaunay_tree(ed: _Editor, tree):
         tree.discard(e)
         tree.add(new)
 
-    flips = lawson_flips(T, protect_constrained=False, on_flip=on_flip)
+    flips = lawson_flips(T, on_flip=on_flip)
     if not is_delaunay(T):
         raise LemmaViolation("flip sequence did not reach Delaunay")
     for e in tree:

@@ -11,12 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 
-from .geom import DegenerateInput, in_ccw_sector, incircle_xy, orient_xy
+from .geom import DegenerateInput, ekey, in_ccw_sector, incircle_xy, orient_xy
 from .pslg import LemmaViolation
-
-
-def _ek(i, j):
-    return (i, j) if i < j else (j, i)
 
 
 class Triangulation:
@@ -64,7 +60,7 @@ class Triangulation:
         sides = ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
         for e in sides:
             if e in self.side:  # another triangle lies on this side of the edge
-                raise LemmaViolation(f"edge {_ek(*e)} borders 3 triangles")
+                raise LemmaViolation(f"edge {ekey(*e)} borders 3 triangles")
         self.tris.add(t)
         for e in sides:
             self.side[e] = t
@@ -83,7 +79,7 @@ class Triangulation:
                 del self.vertex_tris[v]
 
     def edges(self):
-        return {_ek(i, j) for i, j in self.side}
+        return {ekey(i, j) for i, j in self.side}
 
     def has_edge(self, i, j):
         return (i, j) in self.side or (j, i) in self.side
@@ -170,7 +166,7 @@ def insert_constraint(T: Triangulation, u, w):
     The open segment must not pass through any point and must not cross a
     constrained edge.
     """
-    k = _ek(u, w)
+    k = ekey(u, w)
     if T.has_edge(u, w):
         T.constrained.add(k)
         return
@@ -219,7 +215,7 @@ def insert_constraint(T: Triangulation, u, w):
 
     while True:
         i, j = cross_edge
-        if _ek(i, j) in T.constrained:
+        if ekey(i, j) in T.constrained:
             raise LemmaViolation(f"constraint ({u},{w}) crosses constrained edge ({i},{j})")
         nxt = T.other_tri(i, j, channel[-1])
         if nxt is None:
@@ -287,23 +283,21 @@ def ear_clip(T: Triangulation, poly):
     return out
 
 
-def lawson_flips(T: Triangulation, protect_constrained=True, on_flip=None, flip_cap=None):
+def lawson_flips(T: Triangulation, on_flip=None):
     """Flip non-Delaunay edges until the empty-circumcircle test passes.
+    Constraint marks are not read: callers flip unconstrained triangulations.
 
     on_flip(old_edge, new_edge, apexes) is called after each flip with local
-    indices; the flip count is returned and capped (a blown cap indicates a
-    bug, not bad input).
+    indices; the flip count is returned and capped at 4V^2 + 64 (a blown cap
+    indicates a bug, not bad input).
     """
-    if flip_cap is None:
-        flip_cap = 4 * len(T.pts) * len(T.pts) + 64
+    flip_cap = 4 * len(T.pts) * len(T.pts) + 64
     queue = deque(sorted(T.edges()))
     queued = set(queue)
     count = 0
     while queue:
         e = queue.popleft()
         queued.discard(e)
-        if protect_constrained and e in T.constrained:
-            continue
         a, b = e
         t1, t2 = T.side.get((a, b)), T.side.get((b, a))
         if t1 is None or t2 is None:
@@ -328,8 +322,8 @@ def lawson_flips(T: Triangulation, protect_constrained=True, on_flip=None, flip_
         if count > flip_cap:
             raise LemmaViolation("flip budget exceeded")
         if on_flip is not None:
-            on_flip((a, b), _ek(c, d), (c, d))
-        for k in (_ek(a, c), _ek(c, b), _ek(b, d), _ek(d, a), _ek(c, d)):
+            on_flip((a, b), ekey(c, d), (c, d))
+        for k in (ekey(a, c), ekey(c, b), ekey(b, d), ekey(d, a), ekey(c, d)):
             if k not in queued and T.has_edge(*k):
                 queue.append(k)
                 queued.add(k)

@@ -36,7 +36,7 @@ from pslgaug.geom import (
     segments_properly_cross,
 )
 from pslgaug.instances import generate
-from pslgaug.pslg import reach, require_augmentable
+from pslgaug.pslg import LemmaViolation, reach, require_augmentable
 from tests_support import adjacency
 
 
@@ -654,9 +654,15 @@ def brute_force_connectivity(g):
 
 
 def test_connectivity_matches_brute_force():
-    # the DFS report (and so the face-label cross-check inside connectivity)
-    # against deletion by brute force, on trees, connected graphs with
-    # cycles, disconnected graphs and graphs with isolated points
+    # the face-label report against deletion by brute force, on trees,
+    # connected graphs with cycles, disconnected graphs, graphs with
+    # isolated points, and the 16 augment-mixed pool graphs (n >= 40) with
+    # their 2-connected and 2-edge-connected augmentations, which have many
+    # faces
+    from pslgaug.heuristic import augment_2ec
+    from pslgaug.optimal import optimal_augment
+    from test_optimal import pool_instances
+
     rng = random.Random(47)
     graphs = [
         build([], []),
@@ -668,6 +674,12 @@ def test_connectivity_matches_brute_force():
         graphs.append(g)
         graphs.append(g.with_edges(e for e in sorted(g.edges) if rng.random() < 0.6))
         graphs.append(g.with_edges(e for e in sorted(g.edges) if rng.random() < 0.25))
+    pool = [g for g in pool_instances() if g.n >= 40]
+    assert len(pool) == 16
+    for g in pool:
+        graphs.append(g)
+        for added in (optimal_augment(g, "2vc").added, augment_2ec(g).added):
+            graphs.append(g.with_edges(sorted(g.edges) + [ekey(*e) for e in added]))
     kinds = Counter()
     for g in graphs:
         rep = connectivity(g)
@@ -680,8 +692,59 @@ def test_connectivity_matches_brute_force():
               "connected" if connected else "disconnected"] += 1
         kinds["isolated"] += any(not g.rotation[v] for v in g.by_id)
         kinds["cut"] += bool(cut)
-    assert len(graphs) >= 150
+        kinds["2-connected"] += rep.is_2_connected
+    assert len(graphs) >= 150 + 48
     assert min(kinds.values()) >= 20, kinds
+
+
+def _genus_zero(g, rotation):
+    """Whether V' - E + F == 2C' for the rotation system ``rotation`` on g's
+    edges, counting faces as the orbits of the facial-walk permutation and
+    only the vertices and components that have an edge."""
+    nxt = {}
+    for v, rot in rotation.items():
+        for i, u in enumerate(rot):
+            nxt[(u, v)] = (v, rot[(i + 1) % len(rot)])
+    faces, seen = 0, set()
+    for d in nxt:
+        faces += d not in seen
+        while d not in seen:
+            seen.add(d)
+            d = nxt[d]
+    edged = [v for v, rot in rotation.items() if rot]
+    return len(edged) - len(g.edges) + faces == 2 * len(_components(edged, g.edges))
+
+
+def test_connectivity_rejects_a_rotation_that_breaks_euler():
+    # swap two neighbours in one vertex's rotation: a mutant of genus > 0
+    # raises, one that stays genus 0 is still a plane embedding of the same
+    # graph, so the face labels give the brute-force report
+    rng = random.Random(53)
+    broken = planar = 0
+    for k in range(80):
+        g = generate(rng.randint(6, 30), 5300 + k, rng.choice([0.0, 0.3, 0.6, 1.0]))
+        if k % 2:
+            g = g.with_edges(e for e in sorted(g.edges) if rng.random() < 0.7)
+        assert _genus_zero(g, g.rotation)
+        expect = brute_force_connectivity(g)
+        rep = connectivity(g)
+        assert (rep.components, rep.cut_vertices, rep.bridges) == expect
+        hubs = [v for v in sorted(g.rotation) if len(g.rotation[v]) >= 3]
+        for v in rng.choices(hubs, k=6) if hubs else ():
+            rot = list(g.rotation[v])
+            i, j = rng.sample(range(len(rot)), 2)
+            rot[i], rot[j] = rot[j], rot[i]
+            mutant = Pslg(g.points, g.by_id, g.edges, {**g.rotation, v: tuple(rot)},
+                          g._ix, g._iy)
+            if _genus_zero(g, mutant.rotation):
+                planar += 1
+                rep = connectivity(mutant)
+                assert (rep.components, rep.cut_vertices, rep.bridges) == expect
+            else:
+                broken += 1
+                with pytest.raises(LemmaViolation, match="not planar"):
+                    connectivity(mutant)
+    assert broken >= 100 and planar >= 20, (broken, planar)
 
 
 def test_one_faces_per_graph(monkeypatch):
