@@ -306,30 +306,6 @@ def incircle_xy(ax, ay, bx, by, cx, cy, dx, dy) -> int:
     return 1 if det > 0 else (-1 if det < 0 else 0)
 
 
-def in_ccw_sector(ux, uy, vx, vy, dx, dy) -> bool:
-    """True iff direction d lies strictly inside the sector swept CCW from
-    direction u to direction v.
-
-    If u and v are the same direction the sector is the full angle (a leaf
-    corner); d then only has to avoid the ray u itself.
-    """
-    cuv = ux * vy - uy * vx
-    cud = ux * dy - uy * dx
-    cdv = dx * vy - dy * vx
-    if cuv == 0:
-        duv = ux * vx + uy * vy
-        if duv > 0:
-            # u and v coincide: full sector minus the ray u
-            return not (cud == 0 and ux * dx + uy * dy > 0)
-        raise DegenerateInput("opposite boundary rays in sector test")
-    if cuv > 0:
-        return cud > 0 and cdv > 0
-    # reflex sector: complement of the closed sector from v ccw to u
-    cvd = -cdv
-    cdu = -cud
-    return not (cvd >= 0 and cdu >= 0)
-
-
 def angle_less(u1, v1, u2, v2) -> bool:
     """Exact comparison of unsigned angles between vector pairs.
 

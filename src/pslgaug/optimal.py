@@ -24,9 +24,8 @@ occurrence i.  The open chord can leave the face only through the walk:
 through a face edge's interior, a proper crossing, or through a vertex,
 which would make a collinear triple (build rejects those).  So it lies in
 the face, and the sector test at j makes it arrive at occurrence j.  The
-tests run as int64 numpy batches over all position pairs when the face has
-at least _BATCH_MIN_SLOTS positions and its coordinates fit
-_INT64_COORD_MAX, and one pair at a time on Python ints otherwise.
+tests run as numpy batches over all position pairs, on int64 elements when
+the face's coordinates fit _INT64_COORD_MAX and on Python ints otherwise.
 
 The DP reads only feasible chords.  Let f be their number, about 6% of the
 position pairs on large random faces.  A cell (s, t) whose head p_s is not
@@ -83,7 +82,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import fsum
 
-from .geom import dist, ekey, in_ccw_sector, segments_properly_cross
+from .geom import dist, ekey
 from .pslg import (
     LemmaViolation,
     Pslg,
@@ -200,10 +199,6 @@ class OptimalResult:
 # B = 2^30 the bound reaches 2^63.
 _INT64_COORD_MAX = 2**30 - 1
 
-# Faces with fewer walk positions take the Python loop: below this the
-# numpy set-up of the batch kernel costs more than it saves (measured).
-_BATCH_MIN_SLOTS = 16
-
 # Elements per temporary array of a batch, so that a large face never holds
 # a whole chord-by-edge matrix.
 _CHUNK = 8192
@@ -216,79 +211,24 @@ _SCORE_CHUNK = 32768
 
 def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     """Chord weight matrix over walk positions: F[i, j] is the segment
-    length when the chord is usable, +inf otherwise.
-
-    A face of at least _BATCH_MIN_SLOTS positions whose scaled coordinates
-    all lie within _INT64_COORD_MAX runs the int64 batch kernel; any other
-    face the Python loop on exact ints.  Both give the same F."""
+    length when the chord is usable, +inf otherwise."""
     n = w.n
     F = np.full((n + 1, n + 1), np.inf)
-    if n >= _BATCH_MIN_SLOTS and _fits_int64(g, w):
-        pairs = _feasible_pairs_int64(g, w)
-    else:
-        pairs = _feasible_pairs_exact(g, w)
     by_id, seq = g.by_id, w.seq
-    for i, j in pairs:
+    for i, j in _feasible_pairs(g, w):
         F[i, j] = F[j, i] = dist(by_id[seq[i]], by_id[seq[j]])
     return F
 
 
-def _fits_int64(g: Pslg, w: IndexedWalk) -> bool:
+def _coord_dtype(g: Pslg, verts):
+    """The element type of the feasibility batches over the vertices verts:
+    int64 when all their scaled coordinates lie within _INT64_COORD_MAX, so
+    that no product overflows, else object, on which numpy applies Python's
+    exact int arithmetic and comparisons elementwise."""
     ix, iy = g._ix, g._iy
-    return all(
-        abs(ix[v]) <= _INT64_COORD_MAX and abs(iy[v]) <= _INT64_COORD_MAX
-        for v in set(w.seq)
-    )
-
-
-def _feasible_pairs_exact(g: Pslg, w: IndexedWalk):
-    """The usable chords (i, j), i < j, one pair of positions at a time."""
-    n = w.n
-    ix, iy = g._ix, g._iy
-    face_edges = set()
-    for i in range(1, n + 1):
-        face_edges.add(ekey(w.seq[i - 1], w.seq[i]))
-    elist = []
-    for (a, b) in sorted(face_edges):
-        ax, ay, bx, by = ix[a], iy[a], ix[b], iy[b]
-        elist.append((a, b, ax, ay, bx, by, min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
-
-    sectors = [None]
-    for i in range(1, n + 1):
-        prev, nxt = w.neighbors(i)
-        v = w.seq[i]
-        vx, vy = ix[v], iy[v]
-        sectors.append(
-            (vx, vy, ix[prev] - vx, iy[prev] - vy, ix[nxt] - vx, iy[nxt] - vy)
-        )
-
-    def in_sector(i, tx, ty):
-        vx, vy, ux, uy, wx, wy = sectors[i]
-        return in_ccw_sector(ux, uy, wx, wy, tx - vx, ty - vy)
-
-    for i in range(1, n + 1):
-        u = w.seq[i]
-        uxi, uyi = ix[u], iy[u]
-        for j in range(i + 1, n + 1):
-            v = w.seq[j]
-            if u == v or ekey(u, v) in g.edges:
-                continue
-            vxj, vyj = ix[v], iy[v]
-            if not in_sector(i, vxj, vyj):
-                continue
-            if not in_sector(j, uxi, uyi):
-                continue
-            lox, hix = min(uxi, vxj), max(uxi, vxj)
-            loy, hiy = min(uyi, vyj), max(uyi, vyj)
-            for (a, b, ax, ay, bx, by, elox, ehix, eloy, ehiy) in elist:
-                if a == u or a == v or b == u or b == v:
-                    continue
-                if elox > hix or ehix < lox or eloy > hiy or ehiy < loy:
-                    continue
-                if segments_properly_cross(uxi, uyi, vxj, vyj, ax, ay, bx, by):
-                    break
-            else:
-                yield i, j
+    if all(abs(ix[v]) <= _INT64_COORD_MAX and abs(iy[v]) <= _INT64_COORD_MAX for v in verts):
+        return np.int64
+    return object
 
 
 def _chunks(size, width):
@@ -299,8 +239,11 @@ def _chunks(size, width):
 
 
 def _in_sector_batch(cuv, ux, uy, wx, wy, dx, dy):
-    """in_ccw_sector over arrays.  The points are in general position, so a
-    sector with cuv == 0 is a leaf corner (rays u and w the same)."""
+    """Whether each direction d lies strictly inside the sector swept
+    counterclockwise from direction u to direction w, cuv being u x w.  The
+    points are in general position, so a sector with cuv == 0 is a leaf
+    corner (rays u and w the same), whose sector is the full angle less the
+    ray u."""
     cud = ux * dy - uy * dx
     cdv = dx * wy - dy * wx
     leaf = ~((cud == 0) & (ux * dx + uy * dy > 0))
@@ -309,21 +252,23 @@ def _in_sector_batch(cuv, ux, uy, wx, wy, dx, dy):
     )
 
 
-def _feasible_pairs_int64(g: Pslg, w: IndexedWalk):
-    """The usable chords (i, j), i < j, by the tests of
-    _feasible_pairs_exact run as int64 batches over position pairs.
+def _feasible_pairs(g: Pslg, w: IndexedWalk):
+    """The usable chords (i, j), i < j: the sector test at both ends and no
+    proper crossing with a face edge, run as batches over position pairs on
+    elements of _coord_dtype.
 
     The points are in general position (``build`` rejects collinear
     triples), so the orientation of three distinct points is never zero and
     a chord properly crosses a face edge with no shared endpoint iff each
     segment's endpoints lie strictly on opposite sides of the other's line.
     With a shared endpoint an orientation is zero, which puts that endpoint
-    on neither side and leaves the pair uncounted, as the loop skips it."""
+    on neither side and leaves the pair uncounted."""
     n, seq = w.n, w.seq
     verts = sorted(set(seq))
     local = {v: k for k, v in enumerate(verts)}
-    VX = np.array([g._ix[v] for v in verts], dtype=np.int64)
-    VY = np.array([g._iy[v] for v in verts], dtype=np.int64)
+    dtype = _coord_dtype(g, verts)
+    VX = np.array([g._ix[v] for v in verts], dtype=dtype)
+    VY = np.array([g._iy[v] for v in verts], dtype=dtype)
 
     # per position 1..n (array index 0..n-1): vertex, and its corner's rays
     lv = np.array([local[v] for v in seq[1 : n + 1]], dtype=np.int64)

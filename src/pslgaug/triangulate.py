@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .geom import DegenerateInput, ekey, in_ccw_sector, incircle_xy, orient_xy
+from .geom import DegenerateInput, ekey, incircle_xy, orient_xy
 from .pslg import LemmaViolation
 
 
@@ -183,9 +183,8 @@ def insert_constraint(T: Triangulation, u, w):
             p, q = c, a
         else:
             p, q = a, b
-        px, py = T.pts[p]
-        qx, qy = T.pts[q]
-        if in_ccw_sector(px - ux, py - uy, qx - ux, qy - uy, wx - ux, wy - uy):
+        # the wedge of a CCW triangle is convex
+        if T.orient(u, p, w) > 0 and T.orient(u, w, q) > 0:
             start = (t, p, q)
             break
     if start is None:

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from pslgaug import build, optimal
 from pslgaug.cli import main
-from pslgaug.geom import ekey
+from pslgaug.geom import dist, ekey, segments_properly_cross
 from pslgaug.instances import generate
 from pslgaug.optimal import (
     IndexedWalk,
@@ -39,6 +39,7 @@ from pslgaug.pslg import connectivity, facial_walks
 from pslgaug.heuristic import augment_2ec, augment_2vc
 
 from test_adversarial import FAMILIES, LARGE, _general_position
+from tests_support import in_ccw_sector
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -74,7 +75,6 @@ def test_feasibility_matches_brute_force():
     walk = facial_walks(g)[0]
     w = IndexedWalk.from_walk(walk)
     F = feasibility(g, w)
-    from pslgaug.geom import segments_properly_cross, in_ccw_sector
 
     def sector_ok(i, j):
         prev, nxt = w.neighbors(i)
@@ -124,36 +124,101 @@ def pool_instances():
     return [pool_instance(key) for key in sorted(json.loads(REFERENCE.read_text())["instances"])]
 
 
-def spy_paths(m, ran):
-    """Append to ran the name of each feasibility path as it runs."""
-    for name in ("_feasible_pairs_int64", "_feasible_pairs_exact"):
-        fn = getattr(optimal, name)
-        m.setattr(optimal, name, lambda *a, fn=fn, name=name: ran.append(name) or fn(*a))
+def reference_pairs(g, w):
+    """Reference: the usable chords (i, j), i < j, one pair of positions at a
+    time on Python ints, with the scalar sector and crossing tests."""
+    n = w.n
+    ix, iy = g._ix, g._iy
+    face_edges = set()
+    for i in range(1, n + 1):
+        face_edges.add(ekey(w.seq[i - 1], w.seq[i]))
+    elist = []
+    for (a, b) in sorted(face_edges):
+        ax, ay, bx, by = ix[a], iy[a], ix[b], iy[b]
+        elist.append((a, b, ax, ay, bx, by, min(ax, bx), max(ax, bx), min(ay, by), max(ay, by)))
+
+    sectors = [None]
+    for i in range(1, n + 1):
+        prev, nxt = w.neighbors(i)
+        v = w.seq[i]
+        vx, vy = ix[v], iy[v]
+        sectors.append(
+            (vx, vy, ix[prev] - vx, iy[prev] - vy, ix[nxt] - vx, iy[nxt] - vy)
+        )
+
+    def in_sector(i, tx, ty):
+        vx, vy, ux, uy, wx, wy = sectors[i]
+        return in_ccw_sector(ux, uy, wx, wy, tx - vx, ty - vy)
+
+    for i in range(1, n + 1):
+        u = w.seq[i]
+        uxi, uyi = ix[u], iy[u]
+        for j in range(i + 1, n + 1):
+            v = w.seq[j]
+            if u == v or ekey(u, v) in g.edges:
+                continue
+            vxj, vyj = ix[v], iy[v]
+            if not in_sector(i, vxj, vyj):
+                continue
+            if not in_sector(j, uxi, uyi):
+                continue
+            lox, hix = min(uxi, vxj), max(uxi, vxj)
+            loy, hiy = min(uyi, vyj), max(uyi, vyj)
+            for (a, b, ax, ay, bx, by, elox, ehix, eloy, ehiy) in elist:
+                if a == u or a == v or b == u or b == v:
+                    continue
+                if elox > hix or ehix < lox or eloy > hiy or ehiy < loy:
+                    continue
+                if segments_properly_cross(uxi, uyi, vxj, vyj, ax, ay, bx, by):
+                    break
+            else:
+                yield i, j
+
+
+def reference_feasibility(g, w):
+    """F from reference_pairs, filled as feasibility fills it."""
+    F = np.full((w.n + 1, w.n + 1), np.inf)
+    for i, j in reference_pairs(g, w):
+        F[i, j] = F[j, i] = dist(g.by_id[w.seq[i]], g.by_id[w.seq[j]])
+    return F
+
+
+def spy_dtype(m, ran):
+    """Append to ran the element type of each feasibility run."""
+    pick = optimal._coord_dtype
+
+    def spy(*args):
+        ran.append(pick(*args))
+        return ran[-1]
+
+    m.setattr(optimal, "_coord_dtype", spy)
 
 
 def feasibility_paths(g, walk, extend, monkeypatch):
-    """F of each feasibility path, the int64 batch with the size threshold
-    lowered to 0 and the Python loop with it raised past the face, and the
-    paths that ran."""
+    """F of the kernel on int64 elements, of the kernel on object elements
+    (forced by lowering _INT64_COORD_MAX to -1) and of the reference loop,
+    and the element types that ran."""
     w = IndexedWalk.from_walk(walk, extend=extend)
     ran = []
     with monkeypatch.context() as m:
-        spy_paths(m, ran)
-        out = {}
-        for path, threshold in (("int64", 0), ("exact", w.n + 1)):
-            m.setattr(optimal, "_BATCH_MIN_SLOTS", threshold)
-            out[path] = feasibility(g, w)
+        spy_dtype(m, ran)
+        out = {"int64": feasibility(g, w)}
+        m.setattr(optimal, "_INT64_COORD_MAX", -1)
+        out["object"] = feasibility(g, w)
+    out["reference"] = reference_feasibility(g, w)
     return out, ran
 
 
 def assert_paths_agree(g, monkeypatch):
-    """Both paths give the same F on every face of g, in both walk forms,
-    and the int64 path runs whenever it is asked to."""
+    """The kernel on int64 and on object elements and the reference loop
+    give the same F on every face of g, in both walk forms, and int64
+    elements run whenever the coordinates fit."""
     for walk in facial_walks(g):
         for extend in (False, True):
             F, ran = feasibility_paths(g, walk, extend, monkeypatch)
-            assert ran == ["_feasible_pairs_int64", "_feasible_pairs_exact"]
-            assert np.array_equal(F["int64"], F["exact"]), (walk.face_id, extend)
+            assert ran == [np.int64, object]
+            for path in ("object", "reference"):
+                assert np.array_equal(F["int64"], F[path]), (walk.face_id, extend, path)
 
 
 def test_feasibility_paths_agree_on_pool_and_random_instances(monkeypatch):
@@ -186,11 +251,8 @@ def _spread_to_width(g, width):
     return build([(p.id, k * p.x + dx, k * p.y + dy) for p in g.points], g.edges)
 
 
-@pytest.mark.parametrize(
-    "extra, path",
-    [(0, "_feasible_pairs_int64"), (1, "_feasible_pairs_exact")],
-)
-def test_feasibility_path_at_the_int64_bound(extra, path, monkeypatch):
+@pytest.mark.parametrize("extra, dtype", [(0, "int64"), (1, "object")])
+def test_feasibility_path_at_the_int64_bound(extra, dtype, monkeypatch):
     width = optimal._INT64_COORD_MAX + extra
     h = _spread_to_width(generate(40, 4, 0.2), width)
     assert max(max(abs(x), abs(y)) for x, y in map(h.ipt, h.by_id)) == width
@@ -199,29 +261,46 @@ def test_feasibility_path_at_the_int64_bound(extra, path, monkeypatch):
             w = IndexedWalk.from_walk(walk, extend=extend)
             ran = []
             with monkeypatch.context() as m:
-                spy_paths(m, ran)
-                m.setattr(optimal, "_BATCH_MIN_SLOTS", 0)
+                spy_dtype(m, ran)
                 F = feasibility(h, w)
-            assert ran == [path]
-            with monkeypatch.context() as m:
-                m.setattr(optimal, "_BATCH_MIN_SLOTS", w.n + 1)
-                assert np.array_equal(F, feasibility(h, w))
+            assert [np.dtype(t) for t in ran] == [np.dtype(dtype)]
+            assert np.array_equal(F, reference_feasibility(h, w))
 
 
 def test_feasibility_of_huge_and_tiny_coordinates_stays_exact(tmp_path, capsys, monkeypatch):
     # scaled by 10^300 with one point moved by 10^-300: the scaled integer
-    # coordinates have 600 digits, far past int64, so even this 22-slot
-    # face takes the Python loop
+    # coordinates have 600 digits, far past int64, so the kernel runs on
+    # Python ints
     points = [{"id": i, "x": f"{i}e300", "y": f"{i * i}e300"} for i in range(12)]
     points[0]["x"] = "1e-300"
     doc = {"format_version": 1, "points": points, "edges": [[i, i + 1] for i in range(11)]}
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     ran = []
-    spy_paths(monkeypatch, ran)
+    spy_dtype(monkeypatch, ran)
     assert main(["augment", str(path), "--mode", "opt2vc"]) == 0
     capsys.readouterr()
-    assert ran == ["_feasible_pairs_exact"]
+    assert ran == [object]
+
+
+@pytest.mark.parametrize("n", [20, 40])
+def test_feasibility_of_long_faces_with_wide_coordinates(n, monkeypatch):
+    """The convex path scaled by 10^20: its one long face runs the kernel on
+    Python ints, gives the reference's F in both walk forms, and the
+    optimal chords of the unscaled path in both modes."""
+    g = _convex_position_path(n)
+    wide = build([(p.id, p.x * 10**20, p.y * 10**20) for p in g.points], g.edges)
+    for walk in facial_walks(wide):
+        for extend in (False, True):
+            w = IndexedWalk.from_walk(walk, extend=extend)
+            ran = []
+            with monkeypatch.context() as m:
+                spy_dtype(m, ran)
+                F = feasibility(wide, w)
+            assert ran == [object]
+            assert np.array_equal(F, reference_feasibility(wide, w)), (walk.face_id, extend)
+    for mode in ("2vc", "2ec"):
+        assert optimal_augment(wide, mode).added == optimal_augment(g, mode).added, mode
 
 
 def cut_structure(w: IndexedWalk, s: int, t: int):
@@ -515,10 +594,11 @@ WINDING_GRAPHS = dict(POCKET_GRAPHS, **{
 
 
 @pytest.mark.parametrize("group", WINDING_GRAPHS)
-def test_feasible_chords_pass_the_winding_test(group, monkeypatch):
-    """Every chord both feasibility paths accept has its midpoint inside its
-    face by the winding number of the walk: the sector and crossing tests
-    imply it in general position (see optimal's module docstring)."""
+def test_feasible_chords_pass_the_winding_test(group):
+    """Every chord the feasibility kernel accepts, on the same F as the
+    reference loop, has its midpoint inside its face by the winding number
+    of the walk: the sector and crossing tests imply it in general position
+    (see optimal's module docstring)."""
     chords = 0
     for g in WINDING_GRAPHS[group]():
         for walk in facial_walks(g):
@@ -527,12 +607,12 @@ def test_feasible_chords_pass_the_winding_test(group, monkeypatch):
                     for a, b in zip(seq, seq[1:])]
             for extend in (False, True):
                 w = IndexedWalk.from_walk(walk, extend=extend)
-                F, _ = feasibility_paths(g, walk, extend, monkeypatch)
-                for path in ("int64", "exact"):
-                    for i, j in zip(*np.nonzero(np.triu(np.isfinite(F[path])))):
-                        (ux, uy), (vx, vy) = g.ipt(w.seq[i]), g.ipt(w.seq[j])
-                        assert _winding_ok(segs, walk.is_outer, ux + vx, uy + vy), (i, j)
-                        chords += 1
+                F = feasibility(g, w)
+                assert np.array_equal(F, reference_feasibility(g, w)), (walk.face_id, extend)
+                for i, j in zip(*np.nonzero(np.triu(np.isfinite(F)))):
+                    (ux, uy), (vx, vy) = g.ipt(w.seq[i]), g.ipt(w.seq[j])
+                    assert _winding_ok(segs, walk.is_outer, ux + vx, uy + vy), (i, j)
+                    chords += 1
     assert chords > 0
 
 
