@@ -79,7 +79,7 @@ costs O(n^2 f) instead of the dense O(n^4).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import fsum
 
 from .geom import dist, ekey
@@ -179,7 +179,6 @@ class FaceSolution:
     face_id: int
     cost: float
     edges: list
-    index_pairs: list = field(default_factory=list)
 
 
 @dataclass

@@ -10,7 +10,7 @@ vertices until the polygon is simple.
 
 Every step keeps the graph a connected PSLG below the length ceiling
 ||E|| + ||MST(V)||; the final cycle has length at most 2 ||MST(V)||.  All
-steps are recorded in a replayable OpLog, with per-step snapshots.
+steps are recorded in a replayable OpLog.
 """
 
 from __future__ import annotations
@@ -65,16 +65,8 @@ class OpStep:
 
 
 @dataclass
-class Snapshot:
-    len_graph: float
-    len_weighted: float
-    phase: int
-
-
-@dataclass
 class OpLog:
     steps: list = field(default_factory=list)
-    snapshots: list = field(default_factory=list)
     stats: dict = field(default_factory=dict)
 
 
@@ -210,15 +202,6 @@ class _CertifiedEdges:
         return None
 
 
-_ULP_SCALE = 1 << 1074  # every finite float is an integer multiple of 2**-1074
-
-
-def _exact(x: float) -> int:
-    """The float ``x`` as an exact integer multiple of 2**-1074."""
-    m, d = x.as_integer_ratio()  # d is a power of two, at most 2**1074
-    return m << (1075 - d.bit_length())
-
-
 class _Editor(_CertifiedEdges):
     """Certified edge set that records every edit in an OpLog.
 
@@ -233,35 +216,22 @@ class _Editor(_CertifiedEdges):
         self.log = OpLog()
         self.env = None
         self._lengths = {}
-        # weighted_length's polygon (at first the empty one) and, as exact
-        # sums, its own length and that of the graph's edges off it
-        self._poly = WeaklySimplePolygon(seq=[])
-        self._own = 0
-        self._off = sum(self._exact_length(e) for e in g.edges)
 
-    def _exact_length(self, e):
-        """``dist`` between the endpoints of edge key ``e``, computed once,
-        as an exact integer multiple of 2**-1074 (every float is one)."""
+    def _edge_length(self, e):
+        """``dist`` between the endpoints of edge key ``e``, computed once."""
         d = self._lengths.get(e)
         if d is None:
-            d = self._lengths[e] = _exact(dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]]))
+            d = self._lengths[e] = dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
         return d
 
     def weighted_length(self, poly: WeaklySimplePolygon):
         """``poly.length(g)`` plus the length of the graph's edges off the
-        polygon.  Both sums are kept exactly: each edit updates the
-        off-polygon sum, and a new polygon updates both by the edges it
-        gained and lost.  Each is rounded once, so it equals the ``fsum``
-        of its edges' lengths bit for bit."""
-        if poly is not self._poly:
-            old, new = self._poly.edge_multiset(), poly.edge_multiset()
-            x, edges = self._exact_length, self.graph.edges
-            self._own += sum(c * x(e) for e, c in (new - old).items())
-            self._own -= sum(c * x(e) for e, c in (old - new).items())
-            self._off += sum(x(e) for e in old.keys() - new.keys() if e in edges)
-            self._off -= sum(x(e) for e in new.keys() - old.keys() if e in edges)
-            self._poly = poly
-        return self._own / _ULP_SCALE + self._off / _ULP_SCALE
+        polygon: two ``fsum``s over the memoised edge lengths, added once.
+        Doubling a twice-used edge's length is exact, so the first equals
+        ``poly.length(g)`` bit for bit."""
+        ems, d = poly.edge_multiset(), self._edge_length
+        own = fsum(c * d(e) for e, c in ems.items())
+        return own + fsum(d(e) for e in self.graph.edges if e not in ems)
 
     def geodesic(self, walk):
         """``geodesic(self.graph, walk)``, read from the live triangulation
@@ -281,7 +251,7 @@ class _Editor(_CertifiedEdges):
         else:
             env.T.constrained.discard(ekey(i, j))
 
-    def _record(self, op, u, v, phase, poly):
+    def _record(self, op, u, v, phase):
         bad = self.edit(op, u, v)
         e = ekey(u, v)
         if bad is not None:
@@ -291,25 +261,13 @@ class _Editor(_CertifiedEdges):
             )
         if self.env is not None:
             self._follow(op, u, v)
-        if e not in self._poly.edge_multiset():
-            d = self._exact_length(e)
-            self._off += d if op == "insert" else -d
         self.log.steps.append(OpStep(op, e[0], e[1], phase))
-        self.log.snapshots.append(
-            Snapshot(
-                len_graph=self.length,
-                len_weighted=self.length if poly is None else self.weighted_length(poly),
-                phase=phase,
-            )
-        )
 
-    def insert(self, u, v, phase, poly=None):
-        """Insert (u, v); with ``poly``, the snapshot's weighted length is
-        ``weighted_length(poly)`` after the edit."""
-        self._record("insert", u, v, phase, poly)
+    def insert(self, u, v, phase):
+        self._record("insert", u, v, phase)
 
-    def delete(self, u, v, phase, poly=None):
-        self._record("delete", u, v, phase, poly)
+    def delete(self, u, v, phase):
+        self._record("delete", u, v, phase)
 
 
 def _sq(g, u, v):
@@ -430,25 +388,30 @@ def phase3_to_mst(ed: _Editor, tree, target):
     return tree
 
 
-def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
+def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase, bound):
     """Edit the graph onto the polygon: delete the edges of ``gone`` that
     left it, insert the missing edges of the vertex path ``path``, then
     delete every other edge between polygon vertices that is off the
-    polygon.  Each step's snapshot carries the polygon plus leftover edges
-    length.  Returns the validated polygon."""
+    polygon.  Returns the validated polygon, whose length plus that of the
+    leftover edges must not exceed ``bound``."""
     support = poly.edge_multiset()
     vc = poly.vertices()
     for e in gone:
         if e not in support:
-            ed.delete(*e, phase, poly)
+            ed.delete(*e, phase)
     for a, b in zip(path, path[1:]):
         e = ekey(a, b)
         if e not in ed.graph.edges:
-            ed.insert(*e, phase, poly)
+            ed.insert(*e, phase)
     for e in sorted(ed.graph.edges):
         if e[0] in vc and e[1] in vc and e not in support:
-            ed.delete(*e, phase, poly)
+            ed.delete(*e, phase)
     poly.validate(ed.graph)
+    wl = ed.weighted_length(poly)
+    if wl > bound:
+        raise LemmaViolation(
+            f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {bound:.9g}"
+        )
     return poly
 
 
@@ -522,12 +485,7 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
-        poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW)
-        wl = ed.weighted_length(poly)
-        if wl > bound:
-            raise LemmaViolation(
-                f"phase 4 weighted length {wl:.9g} exceeds 2*MST {bound:.9g}"
-            )
+        poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW, bound)
     if poly.length(g) > bound:
         raise LemmaViolation("final polygon exceeds 2*MST")
     return poly
@@ -580,9 +538,7 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         # corner edges that vanish go first (the repeated vertex stays on
         # the polygon elsewhere), keeping the intermediate length monotone
         corner = sorted({ekey(prev, vtx), ekey(vtx, nxt)})
-        poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY)
-        if ed.weighted_length(poly) > bound:
-            raise LemmaViolation("phase 5 exceeded 2*MST")
+        poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY, bound)
     return poly
 
 

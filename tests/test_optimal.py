@@ -355,6 +355,9 @@ def reference_fill(w: IndexedWalk, W, mode):
     vert = w.vert
     has_rep = _has_repeat(n, *_pockets(w))
     mate, has_br = _bridges(w)
+    # vertex ids renumbered from 0, so a set of descendant vertices is a mask
+    local = np.unique(vert, return_inverse=True)[1]
+    desc = np.zeros(n + 1, dtype=bool)
 
     C = np.full((n + 2, n + 2), np.inf)
     case = np.zeros((n + 2, n + 2), dtype=np.uint8)
@@ -400,28 +403,23 @@ def reference_fill(w: IndexedWalk, W, mode):
                 continue
 
             if mode == "2vc":
-                k = pair_anchor
-                D = np.arange(s + 1, k)
+                D = np.arange(s + 1, pair_anchor)
                 D = D[vert[D] != vert[s]]
-                desc_verts = np.unique(vert[D]) if D.size else np.array([], dtype=np.int64)
-                N = np.arange(k + 1, t + 1)
-                if N.size and desc_verts.size:
-                    N = N[~np.isin(vert[N], desc_verts)]
             else:
                 D = np.arange(s + 1, pair_anchor + 1)
-                desc_verts = np.unique(vert[D])
-                N = np.arange(pair_anchor + 1, t + 1)
-                if N.size:
-                    N = N[~np.isin(vert[N], desc_verts)]
+            N = np.arange(pair_anchor + 1, t + 1)
+            desc[local[D]] = True
+            N = N[~desc[local[N]]]
+            desc[local[D]] = False
 
             best = np.inf
             bcase, bk1, bk2 = _CASE_INF, 0, 0
             if D.size and N.size:
                 M = (
                     C[s, D][:, None]
-                    + C[np.ix_(D, N)]
+                    + C[D[:, None], N]
                     + C[N, t][None, :]
-                    + W[np.ix_(D, N)]
+                    + W[D[:, None], N]
                 )
                 flat = int(np.argmin(M))
                 bi, bj = divmod(flat, M.shape[1])
