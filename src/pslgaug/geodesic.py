@@ -10,13 +10,15 @@ sequence of a homotopy class, and so the geodesic, is the same in any.
 
 A graph queried on its own gets a triangulation built for it and reads the
 faces cached on it (``Pslg.faces``).  The cycle morph instead keeps one
-triangulation alive across its certified edits: an inserted edge is forced
-in as a constraint, a deleted edge only loses its constraint mark (the
-triangulation stays valid).  The faces come from the morph's certified
-editor, which keeps them per edit, and the triangulation keeps its
-directed-side map per triangle edit, so the triangle right of each
-directed edge is a lookup; the face of every triangle is still flooded for
-each queried graph, and checked.
+triangulation alive across its certified edits, started from its phase 2
+Delaunay triangulation with the box corners joined: an inserted edge is
+forced in as a constraint, a deleted edge only loses its constraint mark
+(the triangulation stays valid).  The faces come from the morph's certified
+editor, which keeps them per edit, and so does its set of the constraint
+keys; the triangulation keeps its directed-side map and hull-side count per
+triangle edit, so the triangle right of each directed edge is a lookup and
+the triangle count check is O(1).  The face of every triangle is still
+flooded for each queried graph, and checked.
 
 The clip box turns the unbounded face into a bounded region; geodesics never
 bend at box corners (they are convex corners of the region), which is
@@ -36,7 +38,7 @@ from .pslg import (
     _corner_convex,
     require_augmentable,
 )
-from .triangulate import insert_constraint, triangulate_points
+from .triangulate import Triangulation, add_outside_points, insert_constraint, triangulate_points
 
 
 class WalkNotInFace(PslgError):
@@ -57,10 +59,15 @@ class _FaceEnv:
     vertices and the clip-box corners with exactly the graph's edges
     constrained, and the faces of the graph read from it.
 
-    Without ``live`` the triangulation is built for ``g``.  With ``live``,
-    the environment of an earlier graph on the same points, ``g`` takes over
-    its triangulation, which the caller has since edited to constrain
-    exactly the edges of ``g``; ``live`` is then stale.
+    Without ``live`` the triangulation is built for ``g``, by
+    ``triangulate_points`` over the vertices and the box corners or, given
+    ``tri`` (an unconstrained triangulation of ``g``'s vertices in vertex-id
+    order, which the environment then owns), by ``add_outside_points``
+    joining the box corners to it; then every edge of ``g`` is constrained.
+    With ``live``, the environment of an earlier graph on the same points,
+    ``g`` takes over its triangulation, which the caller has since edited to
+    constrain exactly the edges of ``g``, and ``constrained`` is the
+    caller's own set of those edges' local keys; ``live`` is then stale.
 
     ``faces`` are the faces of ``g`` (a ``pslg.Faces``), by default the
     ones cached on ``g`` (``Pslg.faces``).  The morph's certified editor
@@ -70,12 +77,13 @@ class _FaceEnv:
 
     Either way the triangle right of dart (u, v) is ``T.side`` at the local
     side (v, u), read when a query asks for it; the face of every triangle
-    is flooded from those triangles for ``g``, and the constraint set, the
-    flood fill and then ``T.validate()`` check the triangulation against
-    ``g``.
+    is flooded from those triangles for ``g``, and the flood fill and then
+    ``T.validate()`` check the triangulation against ``g``, after a live
+    environment has compared ``T.constrained`` with ``constrained``.
     """
 
-    def __init__(self, g: Pslg, live: _FaceEnv | None = None, faces: Faces | None = None):
+    def __init__(self, g: Pslg, live: _FaceEnv | None = None, faces: Faces | None = None,
+                 constrained=None, tri: Triangulation | None = None):
         require_augmentable(g)
         self.g = g
         if live is None:
@@ -85,14 +93,19 @@ class _FaceEnv:
             pts = [g.ipt(v) for v in ids]
             self.n_graph = len(pts)
             self.box = _make_box(pts)
-            self.T = triangulate_points(pts + self.box)
+            if tri is None:
+                self.T = triangulate_points(pts + self.box)
+            elif tri.pts != pts or tri.constrained:
+                raise LemmaViolation("seed triangulation is not on the graph's points alone")
+            else:
+                self.T = tri
+                add_outside_points(tri, self.box)
             for (u, v) in sorted(g.edges):
                 insert_constraint(self.T, self.lid[u], self.lid[v])
         else:
             self.lid, self.gid, self.n_graph = live.lid, live.gid, live.n_graph
             self.box, self.T = live.box, live.T
-            # local ids follow vertex ids, so (u, v) with u < v maps to i < j
-            if self.T.constrained != {(self.lid[u], self.lid[v]) for u, v in g.edges}:
+            if self.T.constrained != constrained:
                 raise LemmaViolation("live triangulation constrains other edges than the graph")
         self.faces = faces if faces is not None else g.faces()
         # the triangle right of graph dart (u, v) is the CCW triangle on side

@@ -6,7 +6,9 @@ Five phases: (1) strip to a minimum spanning subtree of the existing edges;
 triangulation, swapping each flipped tree edge for a strictly shorter quad
 side; (3) exchange edges to the Euclidean MST; (4) grow a weakly simple
 polygon from a hull edge until it spans every vertex; (5) shortcut repeated
-vertices until the polygon is simple.
+vertices until the polygon is simple.  Phases 4-5 query geodesics in one
+live triangulation, phase 2's Delaunay triangulation extended to the clip
+box, so the points are triangulated once per morph.
 
 Every step keeps the graph a connected PSLG below the length ceiling
 ||E|| + ||MST(V)||; the final cycle has length at most 2 ||MST(V)||.  All
@@ -208,13 +210,19 @@ class _Editor(_CertifiedEdges):
     From its first geodesic query on, it also keeps the triangulation of the
     geodesic environment in step with the graph: ``env`` is the environment
     of the last graph queried, and each edit after that query constrains an
-    inserted edge in ``env.T`` or drops a deleted edge's constraint mark.
+    inserted edge in ``env.T`` or drops a deleted edge's constraint mark,
+    and does the same to ``constrained``, its own set of the graph's edges
+    in local ids, which each new environment compares with ``env.T``'s
+    marks.  The first environment starts from ``delaunay`` when it is set
+    (``transform`` sets phase 2's triangulation), else from scratch.
     """
 
     def __init__(self, g: Pslg, ceiling: float):
         super().__init__(g, ceiling + LENGTH_TOL)
         self.log = OpLog()
         self.env = None
+        self.delaunay = None
+        self.constrained = None
         self._lengths = {}
 
     def _edge_length(self, e):
@@ -237,8 +245,12 @@ class _Editor(_CertifiedEdges):
         """``geodesic(self.graph, walk)``, read from the live triangulation
         and the editor's face labels."""
         g = self.graph
-        if self.env is None or self.env.g is not g:
-            self.env = g._face_env = _FaceEnv(g, self.env, self.faces)
+        if self.env is None:
+            self.env = g._face_env = _FaceEnv(g, faces=self.faces, tri=self.delaunay)
+            self.delaunay = None  # the environment owns and edits it now
+            self.constrained = set(self.env.T.constrained)  # g's edges, just marked
+        elif self.env.g is not g:
+            self.env = g._face_env = _FaceEnv(g, self.env, self.faces, self.constrained)
         return geodesic(g, walk)
 
     def _follow(self, op, u, v):
@@ -246,10 +258,13 @@ class _Editor(_CertifiedEdges):
         if env.g._face_env is env:
             env.g._face_env = None  # its triangulation moves on from env.g
         i, j = env.lid[u], env.lid[v]
+        # local ids follow vertex ids, so the key of (u, v) is ekey(i, j)
         if op == "insert":
             insert_constraint(env.T, i, j)
+            self.constrained.add(ekey(i, j))
         else:
             env.T.constrained.discard(ekey(i, j))
+            self.constrained.discard(ekey(i, j))
 
     def _record(self, op, u, v, phase):
         bad = self.edit(op, u, v)
@@ -307,7 +322,11 @@ def phase1_spanning_tree(ed: _Editor):
 
 def phase2_to_delaunay_tree(ed: _Editor, tree):
     """Flip to the Delaunay triangulation, swapping flipped tree edges for
-    strictly shorter quad sides; the intermediate graph stays connected."""
+    strictly shorter quad sides; the intermediate graph stays connected.
+    Returns the tree and the certified, unconstrained Delaunay
+    triangulation, which ``transform`` hands to the editor to seed phase
+    4's geodesic environment (every Euclidean MST edge is a Gabriel edge,
+    so already one of its edges)."""
     g = ed.graph
     ids = sorted(p.id for p in g.points)
     lid = {v: i for i, v in enumerate(ids)}
@@ -553,7 +572,7 @@ def transform(g: Pslg):
     ed.log.stats["mst_length"] = mst_len
 
     tree = phase1_spanning_tree(ed)
-    tree, _ = phase2_to_delaunay_tree(ed, tree)
+    tree, ed.delaunay = phase2_to_delaunay_tree(ed, tree)
     tree = phase3_to_mst(ed, tree, mst)
     poly = phase4_grow_cycle(ed, tree, mst_len)
     poly = phase5_simplify(ed, poly, mst_len)

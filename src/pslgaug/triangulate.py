@@ -2,9 +2,12 @@
 
 Works on exact integer (or rational) coordinates with local point indices.
 The same machinery backs the geodesic face environment (constrained, no
-Delaunay requirement; the cycle morph keeps one alive and edits it) and the
-dynamic-transform phase 2 (unconstrained Lawson flips to the Delaunay
-triangulation).
+Delaunay requirement) and the dynamic-transform phase 2 (unconstrained
+Lawson flips to the Delaunay triangulation).  The cycle morph makes one
+triangulation of its points: phase 2's, which its geodesic environment then
+extends to the clip-box corners (``add_outside_points``, the scan's step)
+and keeps alive across its edits.  Every triangle edit keeps the
+directed-side map and the hull-side count, so ``validate`` reads a counter.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ class Triangulation:
         self.side = {}  # directed side (i, j) -> CCW triangle with that side
         self.vertex_tris = {}  # i -> list of triangles with corner i
         self.constrained = set()
+        self.hull_sides = 0  # directed sides with no triangle across
 
     # -- predicates on local indices -----------------------------------
 
@@ -43,35 +47,41 @@ class Triangulation:
 
     # -- structure edits ------------------------------------------------
 
-    def _canon(self, a, b, c):
-        if self.orient(a, b, c) < 0:
-            a, b, c = a, c, b
-        # rotate smallest first
+    def add_tri(self, a, b, c):
+        """Add the triangle on corners a, b, c, stored CCW from its smallest
+        index; returns the stored tuple."""
+        s = self.orient(a, b, c)
+        if s < 0:
+            b, c = c, b
         if b < a and b < c:
             a, b, c = b, c, a
         elif c < a and c < b:
             a, b, c = c, a, b
-        return (a, b, c)
-
-    def add_tri(self, a, b, c):
-        t = self._canon(a, b, c)
-        if self.orient(*t) <= 0:
+        t = (a, b, c)
+        if s == 0:
             raise DegenerateInput(f"degenerate triangle {t}")
-        sides = ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
+        side = self.side
+        sides = ((a, b), (b, c), (c, a))
         for e in sides:
-            if e in self.side:  # another triangle lies on this side of the edge
+            if e in side:  # another triangle lies on this side of the edge
                 raise LemmaViolation(f"edge {ekey(*e)} borders 3 triangles")
+        # each new side either closes a hull side (its reverse) or is one
+        self.hull_sides += 3 - 2 * (((b, a) in side) + ((c, b) in side) + ((a, c) in side))
         self.tris.add(t)
         for e in sides:
-            self.side[e] = t
+            side[e] = t
         for v in t:
             self.vertex_tris.setdefault(v, []).append(t)
         return t
 
     def remove_tri(self, t):
         self.tris.remove(t)
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            del self.side[e]
+        a, b, c = t
+        side = self.side
+        for e in ((a, b), (b, c), (c, a)):
+            del side[e]
+        # each side's reverse becomes a hull side, or the side was one
+        self.hull_sides += 2 * (((b, a) in side) + ((c, b) in side) + ((a, c) in side)) - 3
         for v in t:
             ts = self.vertex_tris[v]
             ts.remove(t)
@@ -98,9 +108,11 @@ class Triangulation:
         """Structural sanity (``add_tri`` already refuses a third triangle on
         an edge): the triangle count is 2V - h - 2 for the V points and the h
         sides with no triangle across, as in a triangulation of the points'
-        convex hull.  A removed triangle with no hull side breaks the count."""
-        side = self.side
-        h = sum((j, i) not in side for i, j in side)
+        convex hull.  h is ``hull_sides``, kept by ``add_tri`` and
+        ``remove_tri``, so the check is O(1).  A removed triangle with no
+        hull side breaks the count, and so does one dropped from ``tris``
+        and ``side`` behind their backs (h does not move)."""
+        h = self.hull_sides
         if len(self.tris) != 2 * len(self.pts) - h - 2:
             raise LemmaViolation(
                 f"{len(self.tris)} triangles, not 2V - h - 2 for V={len(self.pts)}, h={h}"
@@ -111,7 +123,7 @@ def triangulate_points(pts) -> Triangulation:
     """Scan triangulation of a point set in general position.
 
     Points are added in lexicographic order; each new point is joined to all
-    hull edges it sees.  O(n^2), exact.
+    hull edges it sees (``join_outside``).  O(n^2), exact.
     """
     T = Triangulation(pts)
     n = len(pts)
@@ -119,45 +131,67 @@ def triangulate_points(pts) -> Triangulation:
         raise DegenerateInput("need at least 3 points")
     order = sorted(range(n), key=lambda i: pts[i])
     a, b, c = order[0], order[1], order[2]
-    if T.orient(a, b, c) == 0:
+    s = T.orient(a, b, c)
+    if s == 0:
         raise DegenerateInput(f"collinear points {a},{b},{c}")
-    if T.orient(a, b, c) < 0:
+    if s < 0:
         b, c = c, b
     T.add_tri(a, b, c)
     hull = [a, b, c]  # CCW
-
     for q in order[3:]:
-        h = len(hull)
-        vis = []
-        for i in range(h):
-            u, v = hull[i], hull[(i + 1) % h]
-            s = T.orient(u, v, q)
-            if s == 0:
-                raise DegenerateInput(f"point {q} collinear with hull edge ({u},{v})")
-            vis.append(s < 0)
-        if not any(vis):
-            raise LemmaViolation(f"point {q} inside current hull during scan")
-        # visible edges form one contiguous cyclic arc
-        start = next(i for i in range(h) if vis[i] and not vis[i - 1])
-        arc = []
-        i = start
-        while vis[i % h]:
-            arc.append(i % h)
-            i += 1
-        for i in arc:
-            u, v = hull[i], hull[(i + 1) % h]
-            T.add_tri(u, q, v)
-        keep_from = (arc[-1] + 1) % h
-        keep_to = start  # hull[start] stays (first endpoint of first visible edge)
-        newhull = [q]
-        i = keep_from
-        while True:
-            newhull.append(hull[i])
-            if i == keep_to:
-                break
-            i = (i + 1) % h
-        hull = newhull
+        hull = join_outside(T, hull, q)
     return T
+
+
+def join_outside(T: Triangulation, hull, q):
+    """One step of the scan: join point q of T, outside the convex polygon
+    ``hull`` (the CCW cycle of T's hull vertices), to every hull edge it
+    sees.  Returns the new hull cycle.  A point inside the hull raises
+    LemmaViolation; one on the line of a hull edge, DegenerateInput."""
+    h = len(hull)
+    vis = []
+    for i in range(h):
+        u, v = hull[i], hull[(i + 1) % h]
+        s = T.orient(u, v, q)
+        if s == 0:
+            raise DegenerateInput(f"point {q} collinear with hull edge ({u},{v})")
+        vis.append(s < 0)
+    if not any(vis):
+        raise LemmaViolation(f"point {q} inside current hull during scan")
+    # visible edges form one contiguous cyclic arc
+    start = next(i for i in range(h) if vis[i] and not vis[i - 1])
+    arc = []
+    i = start
+    while vis[i % h]:
+        arc.append(i % h)
+        i += 1
+    for i in arc:
+        u, v = hull[i], hull[(i + 1) % h]
+        T.add_tri(u, q, v)
+    keep_from = (arc[-1] + 1) % h
+    keep_to = start  # hull[start] stays (first endpoint of first visible edge)
+    newhull = [q]
+    i = keep_from
+    while True:
+        newhull.append(hull[i])
+        if i == keep_to:
+            break
+        i = (i + 1) % h
+    return newhull
+
+
+def add_outside_points(T: Triangulation, pts):
+    """Append ``pts`` to T's points and join each, in order, by the scan's
+    step; each must lie outside the hull of T so far, as the clip-box
+    corners do.  The hull cycle is read off ``T.side`` once."""
+    side = T.side
+    nxt = {i: j for i, j in side if (j, i) not in side}
+    hull = [min(nxt)]
+    for _ in range(len(nxt) - 1):
+        hull.append(nxt[hull[-1]])
+    for p in pts:
+        T.pts.append(p)
+        hull = join_outside(T, hull, len(T.pts) - 1)
 
 
 def insert_constraint(T: Triangulation, u, w):

@@ -740,16 +740,20 @@ PHASE5_CASES = [
 ]
 
 
+def _local_edges(env, g):
+    return {(env.lid[u], env.lid[v]) for u, v in g.edges}
+
+
 def test_live_environment_matches_a_fresh_one(monkeypatch):
-    queries = Counter()
-    live_query = _Editor.geodesic
+    queries, follows = Counter(), Counter()
+    live_query, follow = _Editor.geodesic, _Editor._follow
 
     def checked(ed, walk):
         reused = ed.env is not None
         geo = live_query(ed, walk)
         g, env = ed.graph, ed.env
         assert env.g is g and g._face_env is env
-        assert env.T.constrained == {(env.lid[u], env.lid[v]) for u, v in g.edges}
+        assert env.T.constrained == _local_edges(env, g) == ed.constrained
         env.T.validate()
         assert_vertex_index_current(env.T)
         assert_side_map_current(env.T)
@@ -766,22 +770,73 @@ def test_live_environment_matches_a_fresh_one(monkeypatch):
         phase[0] = 5
         return simplify(*args)
 
+    def followed(ed, op, u, v):
+        follow(ed, op, u, v)
+        # the editor's mirror of the constraint marks is the graph's edges
+        assert ed.constrained == _local_edges(ed.env, ed.graph)
+        follows[op] += 1
+
     monkeypatch.setattr(_Editor, "geodesic", checked)
+    monkeypatch.setattr(_Editor, "_follow", followed)
     monkeypatch.setattr(transform_mod, "phase5_simplify", phase5)
     rng = random.Random(9)
     cases = [(rng.randint(6, 30), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
-             for _ in range(40)]
+             for _ in range(60)]
     cases += PHASE5_CASES
-    for case in cases:
-        for h in _copies(generate(*case), rng):
-            phase[0] = 4
-            try:
-                transform(h)
-            except LemmaViolation as exc:  # the known phase-4 splice defect
-                assert "interleave" in str(exc)
-    assert queries[4, False] >= 100  # one fresh build per morph
-    assert queries[4, True] >= 500
+    graphs = [h for case in cases for h in _copies(generate(*case), rng)] + pool_instances()
+    for h in graphs:
+        phase[0] = 4
+        try:
+            transform(h)
+        except LemmaViolation as exc:  # the known phase-4 splice defect
+            assert "interleave" in str(exc)
+    assert queries[4, False] >= 250  # one fresh build per morph
+    assert queries[4, True] >= 1000
     assert queries[5, True] >= 30
+    assert follows["insert"] >= 1000 and follows["delete"] >= 1000
+
+
+def test_transform_triangulates_its_points_once(monkeypatch):
+    # phase 2's Delaunay triangulation becomes the live environment's: the
+    # box corners join it and every edge of the first queried graph (the
+    # MST and a hull edge, all Delaunay edges) is already in it
+    transform_mod = sys.modules["pslgaug.transform"]
+    geodesic_mod = sys.modules["pslgaug.geodesic"]
+    calls, phase2, envs, channels = [], transform_mod.phase2_to_delaunay_tree, [], []
+    live_query, insert = _Editor.geodesic, geodesic_mod.insert_constraint
+
+    def counted(pts):
+        calls.append(len(pts))
+        return triangulate_points(pts)
+
+    def seeding(ed, tree):
+        tree, T = phase2(ed, tree)
+        envs.append(T)
+        return tree, T
+
+    def first_query(ed, walk):
+        if ed.env is None:
+            assert ed.delaunay is envs[-1]
+            geo = live_query(ed, walk)
+            assert ed.env.T is envs[-1] and ed.delaunay is None
+            return geo
+        return live_query(ed, walk)
+
+    def constrain(T, u, w):
+        channels.append(T.has_edge(u, w))
+        insert(T, u, w)
+
+    for mod in (transform_mod, geodesic_mod):
+        monkeypatch.setattr(mod, "triangulate_points", counted)
+    monkeypatch.setattr(transform_mod, "phase2_to_delaunay_tree", seeding)
+    monkeypatch.setattr(geodesic_mod, "insert_constraint", constrain)
+    monkeypatch.setattr(_Editor, "geodesic", first_query)
+    for case in sorted(GOLDEN_MORPHS):
+        g = generate(*case)
+        del calls[:]
+        transform(g)
+        assert calls == [g.n]  # phase 2's, on the points alone
+    assert len(envs) == len(GOLDEN_MORPHS) and all(channels) and len(channels) > 100
 
 
 def test_earlier_graph_is_not_served_the_live_environment(monkeypatch):
@@ -836,62 +891,86 @@ def _a_walk(g):
     raise AssertionError("no walk of two edges")
 
 
-def _live_editor():
+def _live_editor(seeded):
     """An editor whose live environment has followed one certified delete
-    since its first query, so its next query derives a new environment."""
+    since its first query, so its next query derives a new environment.
+    ``seeded``: that environment started from phase 2's triangulation of
+    the points, as in ``transform``."""
     g = generate(*CORRUPTED)
     ed = make_editor(g)
+    if seeded:
+        other = make_editor(g)
+        _, ed.delaunay = phase2_to_delaunay_tree(other, phase1_spanning_tree(other))
+    seed = ed.delaunay
     ed.geodesic(_a_walk(g))
+    assert (ed.env.T is seed) == seeded
     ed.delete(*min(g.edges - connectivity(g).bridges), 4)
     return ed
 
 
-def _query_after(corrupt):
-    ed = _live_editor()
+def _query_after(corrupt, seeded):
+    ed = _live_editor(seeded)
     corrupt(ed.env.T)
     return ed.geodesic(_a_walk(ed.graph))
 
 
+# each corruption test runs on an environment built from scratch and on one
+# started from phase 2's triangulation
+SEEDS = (False, True)
+
+
 def test_query_rejects_a_dropped_constraint_mark():
-    _query_after(lambda T: None)  # the uncorrupted query passes
-    with pytest.raises(LemmaViolation, match="^live triangulation constrains other edges"):
-        _query_after(lambda T: T.constrained.discard(min(T.constrained)))
+    for seeded in SEEDS:
+        _query_after(lambda T: None, seeded)  # the uncorrupted query passes
+        with pytest.raises(LemmaViolation, match="^live triangulation constrains other edges"):
+            _query_after(lambda T: T.constrained.discard(min(T.constrained)), seeded)
+
+
+def test_query_rejects_an_extra_constraint_mark():
+    def mark(T):
+        T.constrained.add(min(T.edges() - T.constrained))
+
+    for seeded in SEEDS:
+        with pytest.raises(LemmaViolation, match="^live triangulation constrains other edges"):
+            _query_after(mark, seeded)
 
 
 def test_query_rejects_a_flipped_constrained_edge():
     # the flipped graph edge keeps its mark, so the constraint set still
     # matches the graph; the faces on its two sides now meet across the new
     # diagonal, and a bridge (one face on both sides) loses its triangles
-    ed = _live_editor()
-    T, gid = ed.env.T, ed.env.gid
-    bridges = connectivity(ed.graph).bridges
-    seen = Counter()
-    for a, b in sorted(T.constrained):
-        c, d = T.apex(T.side[a, b], a, b), T.apex(T.side[b, a], a, b)
-        if T.orient(c, d, a) * T.orient(c, d, b) >= 0:
-            continue  # not a convex quad
+    for seeded in SEEDS:
+        ed = _live_editor(seeded)
+        T, gid = ed.env.T, ed.env.gid
+        bridges = connectivity(ed.graph).bridges
+        seen = Counter()
+        for a, b in sorted(T.constrained):
+            c, d = T.apex(T.side[a, b], a, b), T.apex(T.side[b, a], a, b)
+            if T.orient(c, d, a) * T.orient(c, d, b) >= 0:
+                continue  # not a convex quad
 
-        def flip(T, a=a, b=b, c=c, d=d):
-            for t in (T.side[a, b], T.side[b, a]):
-                T.remove_tri(t)
-            T.add_tri(a, c, d)
-            T.add_tri(b, c, d)
+            def flip(T, a=a, b=b, c=c, d=d):
+                for t in (T.side[a, b], T.side[b, a]):
+                    T.remove_tri(t)
+                T.add_tri(a, c, d)
+                T.add_tri(b, c, d)
 
-        with pytest.raises(LemmaViolation) as e:
-            _query_after(flip)
-        seen[str(e.value)] += 1
-        if (gid[a], gid[b]) in bridges:
-            assert str(e.value) == "face assignment incomplete"
-        else:  # a triangle spanning both faces may already get both seeds
-            assert str(e.value) in ("face flood fill conflict",
-                                    "conflicting face assignment for triangle")
-    assert seen["face flood fill conflict"] >= 5
-    assert seen["face assignment incomplete"] >= 3
+            with pytest.raises(LemmaViolation) as e:
+                _query_after(flip, seeded)
+            seen[str(e.value)] += 1
+            if (gid[a], gid[b]) in bridges:
+                assert str(e.value) == "face assignment incomplete"
+            else:  # a triangle spanning both faces may already get both seeds
+                assert str(e.value) in ("face flood fill conflict",
+                                        "conflicting face assignment for triangle")
+        assert seen["face flood fill conflict"] >= 5
+        assert seen["face assignment incomplete"] >= 3
 
 
 def test_query_rejects_a_deleted_triangle():
-    tris = sorted(_live_editor().env.T.tris)
-    assert len(tris) > 40
-    for t in tris:
-        with pytest.raises(LemmaViolation, match="^face assignment incomplete$"):
-            _query_after(lambda T, t=t: T.remove_tri(t))
+    for seeded in SEEDS:
+        tris = sorted(_live_editor(seeded).env.T.tris)
+        assert len(tris) > 40
+        for t in tris:
+            with pytest.raises(LemmaViolation, match="^face assignment incomplete$"):
+                _query_after(lambda T, t=t: T.remove_tri(t), seeded)
