@@ -26,8 +26,6 @@ from .geodesic import (
     geodesic,
 )
 from .heuristic import (
-    EDGE_2EC,
-    VERTEX_2VC,
     AugmentationResult,
     augment_2ec,
     augment_2vc,
@@ -46,7 +44,6 @@ from .oracle import (
     CandidateSet,
     Exhausted,
     brute_force_optimal,
-    exhaustive_optimal,
     verify,
 )
 from .transform import (

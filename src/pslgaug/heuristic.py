@@ -11,7 +11,8 @@ cycle.
 
 Since each edge occurs in at most two convex walks and geodesics never
 exceed their walks in length, the produced length is bounded by twice the
-total edge length; the bound is asserted, as is the resulting connectivity.
+total edge length; the bound is asserted, and ``oracle.certify`` checks the
+result's planarity, connectivity and ratio.
 """
 
 from __future__ import annotations
@@ -21,19 +22,8 @@ from math import fsum
 
 from .geom import LENGTH_TOL, convex_hull, dist, ekey
 from .geodesic import geodesic
-from .pslg import (
-    ConvexWalkSet,
-    LemmaViolation,
-    Pslg,
-    Walk,
-    build,
-    connectivity,
-    convex_walk_decomposition,
-    require_augmentable,
-)
-
-EDGE_2EC = "EDGE_2EC"
-VERTEX_2VC = "VERTEX_2VC"
+from .oracle import certify
+from .pslg import ConvexWalkSet, LemmaViolation, Pslg, Walk, convex_walk_decomposition
 
 
 @dataclass
@@ -52,7 +42,7 @@ class Certificate:
 class AugmentationResult:
     added: list  # sorted edge keys
     total_added_length: float
-    mode: str
+    mode: str  # "2ec" or "2vc", as oracle.verify reads it
     certificates: list = field(default_factory=list)
 
     @property
@@ -119,14 +109,10 @@ def _finish(g, added, certs, mode):
             f"augmentation length {total:.12g} (produced {produced:.12g}) "
             f"exceeds 2||E|| = {bound:.12g}"
         )
-    g2 = build(g.points, sorted(set(g.edges) | set(added)))
-    rep = connectivity(g2)
-    if mode == EDGE_2EC and not rep.is_2_edge_connected:
-        raise LemmaViolation("augmented graph is not 2-edge-connected")
-    if mode == VERTEX_2VC and not rep.is_2_connected:
-        raise LemmaViolation("augmented graph is not 2-connected")
+    edges = sorted(added)
+    certify(g, edges, mode, f"augment_{mode}")
     return AugmentationResult(
-        added=sorted(added),
+        added=edges,
         total_added_length=total,
         mode=mode,
         certificates=certs,
@@ -136,7 +122,6 @@ def _finish(g, added, certs, mode):
 def augment_2ec(g: Pslg) -> AugmentationResult:
     """Augment a connected PSLG to 2-edge-connectivity, added length at most
     2||E||."""
-    require_augmentable(g)
     c = convex_walk_decomposition(g)
     added = {}
     certs = []
@@ -144,7 +129,7 @@ def augment_2ec(g: Pslg) -> AugmentationResult:
         if piece.seq[0] == piece.seq[-1]:
             continue  # closed 3-edge piece of a longer walk: already a cycle
         _insert_geodesic_edges(g, piece, geodesic(g, piece.seq), added, certs)
-    return _finish(g, added, certs, EDGE_2EC)
+    return _finish(g, added, certs, "2ec")
 
 
 def _case2_decompose(g, walk: Walk, added, certs):
@@ -247,7 +232,6 @@ def _split_simple_segments(seq):
 def augment_2vc(g: Pslg) -> AugmentationResult:
     """Augment a connected PSLG to 2-connectivity, added length at most
     2||E||."""
-    require_augmentable(g)
     c = convex_walk_decomposition(g)
     added = {}
     certs = []
@@ -280,4 +264,4 @@ def augment_2vc(g: Pslg) -> AugmentationResult:
             if len(seg) >= 3:
                 _case2_decompose(g, Walk(w.face_id, tuple(seg)), added, certs)
 
-    return _finish(g, added, certs, VERTEX_2VC)
+    return _finish(g, added, certs, "2vc")

@@ -83,15 +83,8 @@ from dataclasses import dataclass
 from math import fsum
 
 from .geom import dist, ekey
-from .pslg import (
-    LemmaViolation,
-    Pslg,
-    PslgError,
-    build,
-    connectivity,
-    facial_walks,
-    require_augmentable,
-)
+from .oracle import CHECKS, certify, check_mode, check_weight
+from .pslg import LemmaViolation, Pslg, PslgError, facial_walks, require_augmentable
 
 
 class _LazyNumpy:
@@ -108,10 +101,6 @@ class _LazyNumpy:
 
 
 np = _LazyNumpy()
-
-MODE_2VC = "2vc"
-MODE_2EC = "2ec"
-WEIGHTS = ("length", "unit")
 
 _CASE_ZERO = 0
 _CASE_INF = 1
@@ -375,7 +364,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     candidates (see the module docstring)."""
     n, n2, vert = w.n, w.n + 2, w.vert
     nn = n2 * n2
-    if mode == MODE_2VC:
+    if mode == "2vc":
         p, q = _pockets(w)
         has = _has_repeat(n, p, q)
     else:
@@ -394,7 +383,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     zero = ~has[S, T]
     C[S[zero], T[zero]] = 0.0
     live = ~zero
-    if mode == MODE_2VC:
+    if mode == "2vc":
         inf = live & (vert[S] == vert[T])
         case[S[inf], T[inf]] = _CASE_INF
         live &= ~inf
@@ -408,7 +397,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     # (2ec).  The anchor is the last occurrence of p_s in [s, t] (2vc), or
     # that mate slot (2ec).
     cut_from = np.full(n + 1, n + 1, dtype=np.int64)
-    if mode == MODE_2VC:
+    if mode == "2vc":
         cut_from[p] = q
         occ = np.array([ps[0] * n2 + x for ps in sorted(w.occ.values()) for x in ps])
         first = np.zeros(n + 1, dtype=np.int64)
@@ -449,7 +438,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     fw = W[fs, fk]
     sk = fs * n2 + fk
     lo = bs + 2
-    if mode == MODE_2VC:
+    if mode == "2vc":
         np.maximum(lo, ba + 1, out=lo)
     sst = sk.searchsorted(bs * n2 + lo)
     sen = sk.searchsorted(bs * n2 + np.maximum(lo, t1))
@@ -462,11 +451,11 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     # C[s, i] = +inf by the pocket test.  pair_room, the finite W in rows
     # (s, anchor] and columns (anchor, t1] (fin holds prefix counts),
     # bounds a block's PAIR rows.
-    dlen = np.where(bcut, ba - bs - (mode == MODE_2VC), 0)
+    dlen = np.where(bcut, ba - bs - (mode == "2vc"), 0)
     below = np.zeros((n2, n2 - 1), dtype=np.int32)  # [r, c]: finite W[x, c], x < r
     ok.cumsum(axis=0, dtype=np.int32, out=below[1:])
     drop = None
-    if mode == MODE_2VC:
+    if mode == "2vc":
         drop = _dead_pockets(n, p, q, below)
         drop[1 : n + 1, 1 : n + 1] |= vert[1:, None] == vert[None, 1:]
     fin = np.zeros((n2, n2), dtype=np.int32)
@@ -667,25 +656,20 @@ def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
     return cost, edges, pairs
 
 
-def _check_weight(weight):
-    if weight not in WEIGHTS:
-        raise ValueError(f"weight must be {WEIGHTS[0]!r} or {WEIGHTS[1]!r}")
-
-
 def dp_2vc(g: Pslg, walk, weight="length"):
     """(cost, chord edges) making the face 2-connected, by algorithm A."""
-    _check_weight(weight)
+    check_weight(weight)
     w = IndexedWalk.from_walk(walk)
     F = feasibility(g, w)
-    return _dp(g, w, F, MODE_2VC, weight)[:2]
+    return _dp(g, w, F, "2vc", weight)[:2]
 
 
 def dp_2ec(g: Pslg, walk, weight="length"):
     """(cost, chord edges) making the face 2-edge-connected, algorithm B."""
-    _check_weight(weight)
+    check_weight(weight)
     w = IndexedWalk.from_walk(walk, extend=True)
     F = feasibility(g, w)
-    return _dp(g, w, F, MODE_2EC, weight)[:2]
+    return _dp(g, w, F, "2ec", weight)[:2]
 
 
 def _chordless(seq, mode) -> bool:
@@ -693,7 +677,7 @@ def _chordless(seq, mode) -> bool:
     cell of its DP as a whole: no vertex twice among p_1, ..., p_n (2vc), or
     no edge twice among its n traversals (2ec).  Such a face needs no chord,
     and the DP would return (0.0, [])."""
-    if mode == MODE_2VC:
+    if mode == "2vc":
         return len(set(seq)) == len(seq) - 1
     return len({ekey(a, b) for a, b in zip(seq, seq[1:])}) == len(seq) - 1
 
@@ -702,14 +686,15 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
     """Minimum-weight global augmentation: per-face optima are independent
     and their union is the global optimum.  A chordless face (see
     _chordless) is recorded with cost 0.0 and no chord, without building
-    its feasibility matrix or DP."""
-    if mode not in (MODE_2VC, MODE_2EC):
-        raise ValueError(f"mode must be {MODE_2VC!r} or {MODE_2EC!r}")
-    _check_weight(weight)
+    its feasibility matrix or DP.  The result is certified by
+    ``oracle.certify``: planar and of the mode's connectivity, and under
+    weight "length" also within the 2||E|| ratio."""
+    check_mode(mode)
+    check_weight(weight)
     require_augmentable(g)
     faces = []
     added = {}
-    solve = dp_2vc if mode == MODE_2VC else dp_2ec
+    solve = dp_2vc if mode == "2vc" else dp_2ec
     for walk in facial_walks(g):
         cost, edges = (0.0, []) if _chordless(walk.seq, mode) else solve(g, walk, weight)
         faces.append(FaceSolution(face_id=walk.face_id, cost=cost, edges=edges))
@@ -719,14 +704,12 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
             added[e] = dist(g.by_id[e[0]], g.by_id[e[1]])
 
     total = sum(f.cost for f in faces) if weight != "length" else fsum(added.values())
-    g2 = build(g.points, sorted(set(g.edges) | set(added)))
-    rep = connectivity(g2)
-    if mode == MODE_2VC and not rep.is_2_connected:
-        raise LemmaViolation("optimal augmentation is not 2-connected")
-    if mode == MODE_2EC and not rep.is_2_edge_connected:
-        raise LemmaViolation("optimal augmentation is not 2-edge-connected")
+    chords = sorted(added)
+    # a minimum-cardinality set has no length bound
+    checks = CHECKS if weight == "length" else CHECKS[:2]
+    certify(g, chords, mode, f"optimal_augment {mode}", checks)
     return OptimalResult(
-        added=sorted(added),
+        added=chords,
         total_added_length=total,
         mode=mode,
         faces=faces,

@@ -4,6 +4,10 @@ The ground truth for the dynamic programs: enumerate all subsets of
 individually-insertable candidate edges (pairwise non-crossing), pruned by
 an incumbent bound and a connectivity-deficiency lower bound.  Instances
 are capped by candidate count, not vertex count.
+
+``verify`` is the one certificate of an augmentation, in the one mode
+vocabulary MODES: both augmenters end by checking their own result through
+``certify``, and so does the command line.
 """
 
 from __future__ import annotations
@@ -12,11 +16,27 @@ from dataclasses import dataclass
 from math import fsum
 
 from .geom import LENGTH_TOL, dist, ekey, segments_properly_cross
-from .pslg import Pslg, PslgError, build, connectivity
+from .pslg import LemmaViolation, Pslg, PslgError, build, connectivity
+
+MODES = ("2vc", "2ec")
+WEIGHTS = ("length", "unit")
+CHECKS = ("planar", "connectivity_ok", "ratio_le_2")
 
 
 class Exhausted(PslgError):
     pass
+
+
+def check_mode(mode):
+    """Raise ValueError unless ``mode`` is one of MODES."""
+    if mode not in MODES:
+        raise ValueError("mode must be '2vc' or '2ec'")
+
+
+def check_weight(weight):
+    """Raise ValueError unless ``weight`` is one of WEIGHTS."""
+    if weight not in WEIGHTS:
+        raise ValueError("weight must be 'length' or 'unit'")
 
 
 @dataclass
@@ -29,8 +49,7 @@ class CandidateSet:
 def candidate_set(g: Pslg, weight="length") -> CandidateSet:
     """Non-edges that can be inserted alone: no proper crossing with E.
     (General position rules out passing through a vertex.)"""
-    if weight not in ("length", "unit"):
-        raise ValueError("weight must be 'length' or 'unit'")
+    check_weight(weight)
     ids = sorted(p.id for p in g.points)
     ipt = g.ipt
     cands = []
@@ -240,8 +259,7 @@ def brute_force_optimal(g: Pslg, mode: str, limit: int = 22, weight="length"):
     Branch and bound over candidates sorted by weight; raises Exhausted when
     the candidate count exceeds ``limit``.
     """
-    if mode not in ("2vc", "2ec"):
-        raise ValueError("mode must be '2vc' or '2ec'")
+    check_mode(mode)
     cs = candidate_set(g, weight=weight)
     m = len(cs.edges)
     if m > limit:
@@ -301,38 +319,11 @@ def _has_cut_vertex(sg):
     return False
 
 
-def exhaustive_optimal(g: Pslg, mode: str, limit: int = 15, weight="length"):
-    """Second, independent exhaustive recursion (plain subset enumeration,
-    weight-pruned only): cross-checks the branch-and-bound on small
-    candidate sets."""
-    cs = candidate_set(g, weight=weight)
-    m = len(cs.edges)
-    if m > limit:
-        raise Exhausted(f"{m} candidates exceed limit {limit}")
-    best = [float("inf"), None]
-    for mask in range(1 << m):
-        subset = [i for i in range(m) if mask >> i & 1]
-        w = sum(cs.weights[i] for i in subset)
-        if w >= best[0] - 1e-12:
-            continue
-        ok = True
-        for a in range(len(subset)):
-            if cs.crossing[subset[a]] & set(subset[a + 1 :]):
-                ok = False
-                break
-        if not ok:
-            continue
-        if _achieves(g, [cs.edges[i] for i in subset], mode):
-            best[0] = w
-            best[1] = subset
-    if best[1] is None:
-        raise Exhausted("no feasible augmentation among candidates")
-    return best[0], [cs.edges[i] for i in sorted(best[1])]
-
-
 def verify(g: Pslg, added, mode: str) -> dict:
     """Check planarity, the mode's connectivity and the 2||E|| ratio of an
-    augmentation; returns a report dict."""
+    augmentation; returns a report dict.  Raises ValueError on a mode not
+    in MODES."""
+    check_mode(mode)
     report = {"mode": mode, "n_added": len(added)}
     try:
         g2 = build(g.points, sorted(g.edges) + [ekey(*e) for e in added])
@@ -353,4 +344,16 @@ def verify(g: Pslg, added, mode: str) -> dict:
     report["ratio"] = add_len / base if base else float("inf")
     report["ratio_le_2"] = report["ratio"] <= 2 + LENGTH_TOL
     report["ok"] = report["planar"] and report["connectivity_ok"] and report["ratio_le_2"]
+    return report
+
+
+def certify(g: Pslg, added, mode: str, name: str, checks=CHECKS) -> dict:
+    """verify's report on the augmentation ``added`` of g, the result of
+    ``name``; raises LemmaViolation naming the first of ``checks`` (which
+    start with "planar") that failed."""
+    report = verify(g, added, mode)
+    failed = next((k for k in checks if not report[k]), None)
+    if failed is not None:
+        detail = f" ({report['error']})" if failed == "planar" else ""
+        raise LemmaViolation(f"verify rejected the {name} result: {failed} failed{detail}")
     return report

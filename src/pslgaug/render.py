@@ -66,7 +66,7 @@ def _line(view, g, u, v, cls):
     )
 
 
-def render_svg(g: Pslg, aug_edges=None, oplog_steps=None, labels=True) -> str:
+def render_svg(g: Pslg, aug_edges=None, oplog_steps=None) -> str:
     """SVG document for the instance, optionally overlaying an augmentation
     edge list or an op log (one group per phase)."""
     view = _View(g)
@@ -103,10 +103,7 @@ def render_svg(g: Pslg, aug_edges=None, oplog_steps=None, labels=True) -> str:
     for p in sorted(g.points, key=lambda p: p.id):
         x, y = view.pt(p)
         out.append(f'    <circle class="pt" cx="{_fmt(x)}" cy="{_fmt(y)}" r="1.4" />\n')
-        if labels:
-            out.append(
-                f'    <text class="lbl" x="{_fmt(x + 2)}" y="{_fmt(y - 2)}">{p.id}</text>\n'
-            )
+        out.append(f'    <text class="lbl" x="{_fmt(x + 2)}" y="{_fmt(y - 2)}">{p.id}</text>\n')
     out.append("  </g>\n")
     out.append("</svg>\n")
     return "".join(out)

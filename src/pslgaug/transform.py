@@ -149,7 +149,8 @@ class _CertifiedEdges:
     """The current graph ``graph``, a PSLG on the fixed points of the start
     graph, changed only by certified single edge edits through
     ``Pslg._edit``: it stays a connected PSLG whose length is at most
-    ``ceiling`` (tolerance included).  transform and replay both edit
+    ``ceiling``, the start graph's ||E|| + ||MST|| + LENGTH_TOL (its MST
+    length is ``mst_length``).  transform and replay both edit
     through it, so every op log transform writes replays.  A start graph
     that is not connected raises ReplayViolation at step 0.
 
@@ -160,12 +161,13 @@ class _CertifiedEdges:
     delete disconnects iff its two darts share a label.
     """
 
-    def __init__(self, g: Pslg, ceiling: float):
+    def __init__(self, g: Pslg):
         if g.points and len(reach(g.rotation, g.points[0].id)) != g.n:
             raise ReplayViolation(0, "connectivity", "start graph is not connected")
         self.graph = g
         self.length = g.total_length()
-        self.ceiling = ceiling
+        self.mst_length = mst_length(g)
+        self.ceiling = self.length + self.mst_length + LENGTH_TOL
         self.faces = Faces(g.rotation)
 
     def edit(self, op, u, v):
@@ -215,10 +217,14 @@ class _Editor(_CertifiedEdges):
     in local ids, which each new environment compares with ``env.T``'s
     marks.  The first environment starts from ``delaunay`` when it is set
     (``transform`` sets phase 2's triangulation), else from scratch.
+
+    ``cycle_bound``, 2||MST|| + LENGTH_TOL, bounds the morph's polygon plus
+    its leftover edges in phases 4 and 5, and the final cycle.
     """
 
-    def __init__(self, g: Pslg, ceiling: float):
-        super().__init__(g, ceiling + LENGTH_TOL)
+    def __init__(self, g: Pslg):
+        super().__init__(g)
+        self.cycle_bound = 2 * self.mst_length + LENGTH_TOL
         self.log = OpLog()
         self.env = None
         self.delaunay = None
@@ -302,11 +308,7 @@ def euclidean_mst(g: Pslg):
 
 
 def mst_length(g: Pslg):
-    return _length(g, euclidean_mst(g))
-
-
-def _length(g: Pslg, edges):
-    return fsum(dist(g.by_id[u], g.by_id[v]) for u, v in edges)
+    return fsum(dist(g.by_id[u], g.by_id[v]) for u, v in euclidean_mst(g))
 
 
 # -- phases -------------------------------------------------------------
@@ -407,12 +409,12 @@ def phase3_to_mst(ed: _Editor, tree, target):
     return tree
 
 
-def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase, bound):
+def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     """Edit the graph onto the polygon: delete the edges of ``gone`` that
     left it, insert the missing edges of the vertex path ``path``, then
     delete every other edge between polygon vertices that is off the
     polygon.  Returns the validated polygon, whose length plus that of the
-    leftover edges must not exceed ``bound``."""
+    leftover edges must not exceed ``ed.cycle_bound``."""
     support = poly.edge_multiset()
     vc = poly.vertices()
     for e in gone:
@@ -427,14 +429,14 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase, bound):
             ed.delete(*e, phase)
     poly.validate(ed.graph)
     wl = ed.weighted_length(poly)
-    if wl > bound:
+    if wl > ed.cycle_bound:
         raise LemmaViolation(
-            f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {bound:.9g}"
+            f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {ed.cycle_bound:.9g}"
         )
     return poly
 
 
-def phase4_grow_cycle(ed: _Editor, mst, mst_len):
+def phase4_grow_cycle(ed: _Editor, mst):
     """Grow a weakly simple polygon from a hull edge over the whole vertex
     set; the polygon plus leftover edges never exceed twice the MST."""
     g = ed.graph
@@ -450,7 +452,6 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
     path = forest_path(ed.graph.rotation, u, v)  # the graph is the MST here
     ed.insert(u, v, PHASE_GROW)
     poly = WeaklySimplePolygon(seq=list(path))
-    bound = 2 * mst_len + LENGTH_TOL
 
     rounds = 0
     while poly.vertices() != {p.id for p in g.points}:
@@ -504,17 +505,16 @@ def phase4_grow_cycle(ed: _Editor, mst, mst_len):
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
-        poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW, bound)
-    if poly.length(g) > bound:
+        poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW)
+    if poly.length(g) > ed.cycle_bound:
         raise LemmaViolation("final polygon exceeds 2*MST")
     return poly
 
 
-def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
+def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
     """Shortcut the sharpest corner of a repeated vertex until the polygon
     is simple; the total length strictly decreases each step."""
     g = ed.graph
-    bound = 2 * mst_len + LENGTH_TOL
     guard = 0
     while not poly.is_simple():
         guard += 1
@@ -557,25 +557,21 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon, mst_len):
         # corner edges that vanish go first (the repeated vertex stays on
         # the polygon elsewhere), keeping the intermediate length monotone
         corner = sorted({ekey(prev, vtx), ekey(vtx, nxt)})
-        poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY, bound)
+        poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY)
     return poly
 
 
 def transform(g: Pslg):
     """Run phases 1-5; returns (final cycle graph, polygon, OpLog)."""
     require_augmentable(g)
-    base_len = g.total_length()
-    mst = euclidean_mst(g)
-    mst_len = _length(g, mst)
-    ed = _Editor(g, ceiling=base_len + mst_len)
-    ed.log.stats["base_length"] = base_len
-    ed.log.stats["mst_length"] = mst_len
+    ed = _Editor(g)
+    ed.log.stats.update(base_length=ed.length, mst_length=ed.mst_length, ceiling=ed.ceiling)
 
     tree = phase1_spanning_tree(ed)
     tree, ed.delaunay = phase2_to_delaunay_tree(ed, tree)
-    tree = phase3_to_mst(ed, tree, mst)
-    poly = phase4_grow_cycle(ed, tree, mst_len)
-    poly = phase5_simplify(ed, poly, mst_len)
+    tree = phase3_to_mst(ed, tree, euclidean_mst(g))
+    poly = phase4_grow_cycle(ed, tree)
+    poly = phase5_simplify(ed, poly)
 
     final = ed.graph
     n = g.n
@@ -584,7 +580,7 @@ def transform(g: Pslg):
     if not poly.is_simple() or len(poly.seq) != n:
         raise LemmaViolation("final polygon is not simple Hamiltonian")
     final_len = final.total_length()
-    if final_len > 2 * mst_len + LENGTH_TOL:
+    if final_len > ed.cycle_bound:
         raise LemmaViolation("final cycle exceeds 2*MST")
     ed.log.stats["final_length"] = final_len
     return final, poly, ed.log
@@ -594,7 +590,7 @@ def replay(g: Pslg, steps):
     """Re-execute an OpLog on a fresh copy of g, asserting planarity,
     connectivity, the length ceiling and each step's own ``assert_len_le``
     after every step."""
-    cert = _CertifiedEdges(g, g.total_length() + mst_length(g) + LENGTH_TOL)
+    cert = _CertifiedEdges(g)
     max_len = cert.length
     for k, st in enumerate(steps):
         bad = cert.edit(st.op, st.u, st.v)

@@ -142,14 +142,13 @@ def test_criterion_5_transform_suite():
 
 
 def test_criterion_6_delaunay_certification():
-    from pslgaug.transform import _Editor, mst_length, phase1_spanning_tree, \
-        phase2_to_delaunay_tree
+    from pslgaug.transform import _Editor, phase1_spanning_tree, phase2_to_delaunay_tree
 
     t0 = time.perf_counter()
     for seed in range(100):
         n = 4 + seed % 14
         g = generate(n, 400_000 + seed, (seed % 4) / 4.0)
-        ed = _Editor(g, ceiling=g.total_length() + mst_length(g))
+        ed = _Editor(g)
         tree = phase1_spanning_tree(ed)
         tree, T = phase2_to_delaunay_tree(ed, tree)
         assert is_delaunay(T), seed

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from pslgaug import InvalidInstance, build, cli
+from pslgaug import InvalidInstance, build, cli, heuristic, optimal
 from pslgaug.cli import main
+from pslgaug.geom import dist
 from pslgaug.instances import (
     fraction_to_decimal,
     generate,
@@ -269,6 +270,41 @@ def test_augment_exits_3_when_verify_rejects_the_result(fig3_file, capsys, monke
     code, out, err = run_cli(["augment", fig3_file, "--mode", "opt2ec", "--json"], capsys)
     assert (code, out) == (3, "")
     assert err == f"internal invariant violated: verify rejected the opt2ec result: {failed}\n"
+
+
+def _crossing(edges):
+    """fig3's added edges with (1, 3) swapped for (1, 4), which crosses the
+    input edge (2, 3)."""
+    return sorted((1, 4) if e == (1, 3) else e for e in edges)
+
+
+@pytest.mark.parametrize("mode, name", [
+    ("heur2ec", "augment_2ec"), ("heur2vc", "augment_2vc"),
+    ("opt2ec", "optimal_augment 2ec"), ("opt2vc", "optimal_augment 2vc"),
+])
+def test_augment_exits_3_when_the_augmenter_rejects_its_own_result(fig3_file, capsys,
+                                                                   monkeypatch, mode, name):
+    # a crossing in the heuristic's geodesic edges or in a DP's chords is
+    # caught by the augmenter's own verify, an internal fault, not bad input
+    if mode.startswith("heur"):
+        finish = heuristic._finish
+
+        def tampered(g, added, certs, mode):
+            edges = _crossing(added)
+            return finish(g, {e: dist(g.by_id[e[0]], g.by_id[e[1]]) for e in edges}, certs, mode)
+
+        monkeypatch.setattr(heuristic, "_finish", tampered)
+    else:
+        for dp in ("dp_2ec", "dp_2vc"):
+            def tampered(g, walk, weight, solve=getattr(optimal, dp)):
+                cost, chords = solve(g, walk, weight)
+                return cost, _crossing(chords)
+
+            monkeypatch.setattr(optimal, dp, tampered)
+    code, out, err = run_cli(["augment", fig3_file, "--mode", mode, "--json"], capsys)
+    assert (code, out) == (3, "")
+    assert err == (f"internal invariant violated: verify rejected the {name} result: "
+                   "planar failed (edges (1,4) and (2,3) cross)\n")
 
 
 def test_transform_replay_roundtrip(tmp_path, capsys):

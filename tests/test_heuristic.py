@@ -4,8 +4,6 @@ import random
 import pytest
 
 from pslgaug import (
-    EDGE_2EC,
-    VERTEX_2VC,
     augment_2ec,
     augment_2vc,
     build,
@@ -74,7 +72,7 @@ def test_augment_2ec_fig3(fig3):
     res = augment_2ec(fig3)
     assert res.added == [(1, 3), (2, 4)]
     assert res.total_added_length == pytest.approx(2.0, abs=1e-9)
-    assert res.mode == EDGE_2EC
+    assert res.mode == "2ec"
     bound = 2 * (math.sqrt(1.01) + 0.2)
     assert res.total_added_length <= bound + 1e-9
 

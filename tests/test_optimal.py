@@ -34,8 +34,8 @@ from pslgaug.optimal import (
     feasibility,
     optimal_augment,
 )
-from pslgaug.oracle import Exhausted, brute_force_optimal, candidate_set
-from pslgaug.pslg import connectivity, facial_walks
+from pslgaug.oracle import Exhausted, brute_force_optimal, candidate_set, verify
+from pslgaug.pslg import LemmaViolation, connectivity, facial_walks
 from pslgaug.heuristic import augment_2ec, augment_2vc
 
 from test_adversarial import FAMILIES, LARGE, _general_position
@@ -746,6 +746,23 @@ def test_optimal_fig3(fig3):
 def test_optimal_already_2connected(square_diag):
     res = optimal_augment(square_diag, "2vc")
     assert res.added == [] and res.total_added_length == 0.0
+
+
+def test_optimal_augment_certifies_the_length_bound(monkeypatch):
+    # a fan from one end of a convex path is planar and 2-connected but over
+    # three times the path's length: under weight "length" optimal_augment
+    # rejects it as a DP result, under "unit" (minimum cardinality, no
+    # length bound) it accepts it
+    n = 10
+    g = build([(i, i, i * i) for i in range(n)], [(i, i + 1) for i in range(n - 1)])
+    fan = [(0, k) for k in range(2, n)]
+    rep = verify(g, fan, "2vc")
+    assert rep["planar"] and rep["connectivity_ok"] and rep["ratio"] > 3
+    monkeypatch.setattr(optimal, "dp_2vc", lambda g, walk, weight: (len(fan), fan))
+    with pytest.raises(LemmaViolation, match="^verify rejected the optimal_augment 2vc result: "
+                                             "ratio_le_2 failed$"):
+        optimal_augment(g, "2vc")
+    assert optimal_augment(g, "2vc", weight="unit").added == fan
 
 
 def test_oracle_equality_random():

@@ -7,12 +7,41 @@ from pslgaug.instances import generate
 from pslgaug.optimal import optimal_augment
 from pslgaug.oracle import (
     Exhausted,
+    _achieves,
     brute_force_optimal,
     candidate_set,
-    exhaustive_optimal,
     verify,
 )
 from tests_support import make_fig3
+
+
+def exhaustive_optimal(g, mode, limit=15):
+    """Second, independent exhaustive recursion (plain subset enumeration,
+    weight-pruned only): cross-checks the branch-and-bound on small
+    candidate sets."""
+    cs = candidate_set(g)
+    m = len(cs.edges)
+    if m > limit:
+        raise Exhausted(f"{m} candidates exceed limit {limit}")
+    best = [float("inf"), None]
+    for mask in range(1 << m):
+        subset = [i for i in range(m) if mask >> i & 1]
+        w = sum(cs.weights[i] for i in subset)
+        if w >= best[0] - 1e-12:
+            continue
+        ok = True
+        for a in range(len(subset)):
+            if cs.crossing[subset[a]] & set(subset[a + 1 :]):
+                ok = False
+                break
+        if not ok:
+            continue
+        if _achieves(g, [cs.edges[i] for i in subset], mode):
+            best[0] = w
+            best[1] = subset
+    if best[1] is None:
+        raise Exhausted("no feasible augmentation among candidates")
+    return best[0], [cs.edges[i] for i in sorted(best[1])]
 
 
 def test_bb_fig3(fig3):
@@ -87,6 +116,27 @@ def test_verify_ratio_tends_to_two():
 def test_verify_fail_connectivity(fig3):
     rep = verify(fig3, [], "2ec")
     assert not rep["ok"] and not rep["connectivity_ok"]
+
+
+@pytest.mark.parametrize("mode", ["VERTEX_2VC", "EDGE_2EC", "2VC", "vc", "", None])
+def test_verify_rejects_unknown_modes(fig3, mode):
+    with pytest.raises(ValueError, match="^mode must be '2vc' or '2ec'$"):
+        verify(fig3, augment_2vc(fig3).added, mode)
+
+
+def test_verify_reads_a_heuristic_results_mode():
+    # a heuristic result names its mode in verify's vocabulary: without its
+    # fourth added edge this 2vc augmentation is 2-edge-connected but has a
+    # cut vertex, which verify finds under res.mode
+    g = generate(10, 1, 0.4)
+    res = augment_2vc(g)
+    dropped = res.added[:3] + res.added[4:]
+    rep = verify(g, dropped, res.mode)
+    assert rep["planar"] and not rep["connectivity_ok"] and not rep["ok"]
+    assert verify(g, dropped, "2ec")["ok"]
+    assert res.mode == "2vc" and verify(g, res.added, res.mode)["ok"]
+    res = augment_2ec(g)
+    assert res.mode == "2ec" and verify(g, res.added, res.mode)["ok"]
 
 
 def test_verify_dp_outputs_random():

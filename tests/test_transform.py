@@ -42,19 +42,15 @@ from test_optimal import pool_instances
 from tests_support import adjacency, label_partition, walk_partition
 
 
-def make_editor(g):
-    return _Editor(g, ceiling=g.total_length() + mst_length(g))
-
-
 def test_phase1_tree_input(fig3):
-    ed = make_editor(fig3)
+    ed = _Editor(fig3)
     tree = phase1_spanning_tree(ed)
     assert tree == set(fig3.edges)
     assert ed.log.steps == []
 
 
 def test_phase1_triangle(triangle):
-    ed = make_editor(triangle)
+    ed = _Editor(triangle)
     tree = phase1_spanning_tree(ed)
     assert len(ed.log.steps) == 1
     deleted = ed.log.steps[0]
@@ -69,7 +65,7 @@ def test_phase1_random_counts():
     for seed in range(25):
         n = rng.randrange(4, 12)
         g = generate(n, seed + 3000, 0.7)
-        ed = make_editor(g)
+        ed = _Editor(g)
         tree = phase1_spanning_tree(ed)
         assert len(ed.log.steps) == len(g.edges) - (n - 1)
         assert len(tree) == n - 1
@@ -83,7 +79,7 @@ def test_phase2_mst_input_no_swaps():
         mst = euclidean_mst(g)
         if set(g.edges) != mst:
             continue
-        ed = make_editor(g)
+        ed = _Editor(g)
         tree = phase1_spanning_tree(ed)
         tree, _ = phase2_to_delaunay_tree(ed, tree)
         assert [s for s in ed.log.steps if s.phase == 2] == []
@@ -95,7 +91,7 @@ def test_phase2_one_swap():
         [(0, "0", "0"), (1, "10", "1"), (2, "5", "4"), (3, "5", "-3.2")],
         [(0, 1), (0, 2), (0, 3)],
     )
-    ed = make_editor(g)
+    ed = _Editor(g)
     tree = phase1_spanning_tree(ed)
     assert tree == set(g.edges)
     tree, _ = phase2_to_delaunay_tree(ed, tree)
@@ -116,7 +112,7 @@ def test_phase2_reaches_delaunay_random():
     for seed in range(30):
         n = rng.randrange(4, 14)
         g = generate(n, seed + 5000, rng.choice([0.3, 0.7]))
-        ed = make_editor(g)
+        ed = _Editor(g)
         tree = phase1_spanning_tree(ed)
         tree, T = phase2_to_delaunay_tree(ed, tree)
         assert is_delaunay(T)
@@ -130,7 +126,7 @@ def test_phase3_fixture():
         [(0, 1), (1, 2), (2, 3)],
     )
     mst = euclidean_mst(g)
-    ed = make_editor(g)
+    ed = _Editor(g)
     tree = phase1_spanning_tree(ed)
     tree, _ = phase2_to_delaunay_tree(ed, tree)
     before = len(ed.log.steps)
@@ -145,7 +141,7 @@ def test_phase3_random_exact_mst():
     for seed in range(25):
         n = rng.randrange(4, 13)
         g = generate(n, seed + 6000, rng.choice([0.4, 0.8]))
-        ed = make_editor(g)
+        ed = _Editor(g)
         tree = phase1_spanning_tree(ed)
         tree, _ = phase2_to_delaunay_tree(ed, tree)
         tree = phase3_to_mst(ed, tree, euclidean_mst(g))
@@ -159,9 +155,9 @@ def test_phase4_immediate_hamiltonian():
         [(0, 1), (1, 2), (2, 3), (3, 4)],
     )
     assert euclidean_mst(g) == set(g.edges)
-    ed = make_editor(g)
+    ed = _Editor(g)
     tree = set(g.edges)
-    poly = phase4_grow_cycle(ed, tree, mst_length(g))
+    poly = phase4_grow_cycle(ed, tree)
     assert poly.is_simple()
     assert poly.vertices() == {0, 1, 2, 3, 4}
     assert len([s for s in ed.log.steps if s.phase == 4]) == 1  # just the hull edge
@@ -175,8 +171,8 @@ def test_phase4_five_vertex_tree():
         [(0, 1), (0, 2), (0, 3), (0, 4)],
     )
     assert euclidean_mst(g) == set(g.edges)
-    ed = make_editor(g)
-    poly = phase4_grow_cycle(ed, set(g.edges), mst_length(g))
+    ed = _Editor(g)
+    poly = phase4_grow_cycle(ed, set(g.edges))
     assert poly.vertices() == {0, 1, 2, 3, 4}
     assert poly.length(g) <= 2 * mst_length(g) + 1e-9
 
@@ -220,13 +216,13 @@ def test_phase4_invariant_random(monkeypatch):
     checked = Counter()
     for g in graphs + pool_instances():
         steps.clear()
-        ed = make_editor(g)
+        ed = _Editor(g)
         tree = phase1_spanning_tree(ed)
         tree, _ = phase2_to_delaunay_tree(ed, tree)
         tree = phase3_to_mst(ed, tree, euclidean_mst(g))
-        poly = phase4_grow_cycle(ed, tree, mst_length(g))
+        poly = phase4_grow_cycle(ed, tree)
         assert poly.vertices() == {p.id for p in g.points}
-        phase5_simplify(ed, poly, mst_length(g))
+        phase5_simplify(ed, poly)
         assert len(steps) == len(ed.log.steps)
         for phase, length in steps:
             if phase >= 4:
@@ -245,13 +241,13 @@ def test_phase5_random():
     for seed in range(20):
         n = rng.randrange(4, 13)
         g = generate(n, seed + 8000, 0.0)
-        ed = make_editor(g)
+        ed = _Editor(g)
         tree = phase1_spanning_tree(ed)
         tree, _ = phase2_to_delaunay_tree(ed, tree)
         tree = phase3_to_mst(ed, tree, euclidean_mst(g))
-        poly4 = phase4_grow_cycle(ed, tree, mst_length(g))
+        poly4 = phase4_grow_cycle(ed, tree)
         len4 = poly4.length(g)
-        poly5 = phase5_simplify(ed, poly4, mst_length(g))
+        poly5 = phase5_simplify(ed, poly4)
         assert poly5.is_simple()
         assert len(poly5.seq) == n
         assert poly5.length(g) <= len4 + 1e-9
@@ -329,13 +325,24 @@ def test_replay_rejects_disconnected_start():
 
 @pytest.mark.parametrize("case", ["crossing_insert", "disconnecting_delete"])
 def test_editor_rejects(fig3, case):
-    ed = make_editor(fig3)
+    ed = _Editor(fig3)
     ed.insert(1, 3, 1)
     bad, invariant, message = REJECTED[case]
     with pytest.raises(LemmaViolation) as e:
         (ed.insert if bad.op == "insert" else ed.delete)(bad.u, bad.v, bad.phase)
     assert str(e.value) == f"{bad.op} {ekey(bad.u, bad.v)}: " + violation(invariant, message)
     assert len(ed.log.steps) == 1
+
+
+def test_editor_computes_the_ceiling_and_cycle_bound():
+    # the editor's ceiling is the old ||E|| + ||MST|| + LENGTH_TOL bit for
+    # bit, and transform records it for the op log
+    for case in sorted(GOLDEN_MORPHS):
+        g = generate(*case)
+        ed = _Editor(g)
+        assert ed.ceiling == g.total_length() + mst_length(g) + LENGTH_TOL
+        assert ed.cycle_bound == 2 * mst_length(g) + LENGTH_TOL
+    assert transform(g)[2].stats["ceiling"] == ed.ceiling
 
 
 def test_replay_checks_each_steps_length_ceiling():
@@ -376,7 +383,7 @@ def test_certified_insert_reports_the_crossing_with_edges_reports():
                 want = g.with_edges(g.edges | {e})
             except CrossingEdges as exc:
                 want = str(exc)
-            cert = _CertifiedEdges(g, float("inf"))
+            cert = _CertifiedEdges(g)
             got = cert.edit("insert", *e)
             if isinstance(want, str):
                 crossings += 1
@@ -392,7 +399,7 @@ def test_edited_graph_matches_build():
                              (28, 5, 0.6), (40, 6, 0.3)):
         g = generate(n, seed + 9500, density)
         _, _, log = transform(g)
-        cert = _CertifiedEdges(g, float("inf"))
+        cert = _CertifiedEdges(g)
         for st in log.steps:
             assert cert.edit(st.op, st.u, st.v) is None
             h = cert.graph
@@ -411,7 +418,7 @@ def test_face_labels_match_facial_walks():
                              (28, 5, 0.6), (40, 6, 0.3)):
         g = generate(n, seed + 9500, density)
         _, _, log = transform(g)
-        cert = _CertifiedEdges(g, float("inf"))
+        cert = _CertifiedEdges(g)
         assert label_partition(cert.faces) == walk_partition(g)
         for st in log.steps:
             assert cert.edit(st.op, st.u, st.v) is None
@@ -463,14 +470,14 @@ def test_label_bridge_test_matches_reach():
     rng = random.Random(14)
     bridges = kept = 0
     for g, prefix in mid_morph_graphs(40, rng):
-        cert = _CertifiedEdges(g, float("inf"))
+        cert = _CertifiedEdges(g)
         for st in prefix:
             assert cert.edit(st.op, st.u, st.v) is None
         h = cert.graph
         for u, v in sorted(h.edges):
             cut = len(reach(adjacency(h.edges - {(u, v)}), u)) != h.n
             assert (cert.faces.face[u, v] == cert.faces.face[v, u]) == cut
-            other = _CertifiedEdges(h, float("inf"))
+            other = _CertifiedEdges(h)
             got = other.edit("delete", *rng.choice(((u, v), (v, u))))
             if cut:
                 assert got == ("connectivity", "")
@@ -897,9 +904,9 @@ def _live_editor(seeded):
     ``seeded``: that environment started from phase 2's triangulation of
     the points, as in ``transform``."""
     g = generate(*CORRUPTED)
-    ed = make_editor(g)
+    ed = _Editor(g)
     if seeded:
-        other = make_editor(g)
+        other = _Editor(g)
         _, ed.delaunay = phase2_to_delaunay_tree(other, phase1_spanning_tree(other))
     seed = ed.delaunay
     ed.geodesic(_a_walk(g))
