@@ -16,7 +16,7 @@ import time
 from . import instances
 from .heuristic import augment_2ec, augment_2vc
 from .optimal import InfeasibleFace, optimal_augment
-from .oracle import Exhausted, brute_force_optimal, certify
+from .oracle import MODES, Exhausted, brute_force_optimal, certify, verify
 from .pslg import InvalidInstance, LemmaViolation, PslgError, connectivity
 from .render import render_svg
 from .transform import ReplayViolation, replay, transform
@@ -73,7 +73,7 @@ def cmd_augment(args):
     res = fn(g)
     wall = (time.perf_counter() - t0) * 1000
     # the augmenter certified its own result; this catches a result changed since
-    rep = certify(g, res.added, mode, args.mode)
+    rep = certify(verify(g, res.added, mode), args.mode)
     record = instances.run_record(
         g,
         args.mode,
@@ -229,7 +229,7 @@ def make_parser():
 
     sp = sub.add_parser("oracle", help="exhaustive optimal augmentation")
     sp.add_argument("file")
-    sp.add_argument("--mode", required=True, choices=["2vc", "2ec"])
+    sp.add_argument("--mode", required=True, choices=MODES)
     sp.add_argument("--limit", type=int, default=22)
     sp.add_argument("--json", action="store_true")
     sp.set_defaults(fn=cmd_oracle)

@@ -11,8 +11,9 @@ cycle.
 
 Since each edge occurs in at most two convex walks and geodesics never
 exceed their walks in length, the produced length is bounded by twice the
-total edge length; the bound is asserted, and ``oracle.certify`` checks the
-result's planarity, connectivity and ratio.
+total edge length; the bound is asserted, and the closing re-check builds
+the augmented graph and certifies ``oracle.report``'s planarity,
+connectivity and ratio on it.
 """
 
 from __future__ import annotations
@@ -22,8 +23,16 @@ from math import fsum
 
 from .geom import LENGTH_TOL, convex_hull, dist, ekey
 from .geodesic import geodesic
-from .oracle import certify
-from .pslg import ConvexWalkSet, LemmaViolation, Pslg, Walk, convex_walk_decomposition
+from .oracle import certify, report
+from .pslg import (
+    ConvexWalkSet,
+    LemmaViolation,
+    Pslg,
+    PslgError,
+    Walk,
+    build,
+    convex_walk_decomposition,
+)
 
 
 @dataclass
@@ -110,7 +119,13 @@ def _finish(g, added, certs, mode):
             f"exceeds 2||E|| = {bound:.12g}"
         )
     edges = sorted(added)
-    certify(g, edges, mode, f"augment_{mode}")
+    # built here, not by oracle.verify: perfbench's tracer self-check test
+    # unbinds heuristic.build to show that a missed binding is caught
+    try:
+        g2 = build(g.points, sorted(g.edges) + edges)
+    except PslgError as e:
+        g2 = e
+    certify(report(g, edges, mode, g2), f"augment_{mode}")
     return AugmentationResult(
         added=edges,
         total_added_length=total,

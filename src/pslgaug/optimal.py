@@ -83,7 +83,7 @@ from dataclasses import dataclass
 from math import fsum
 
 from .geom import dist, ekey
-from .oracle import CHECKS, certify, check_mode, check_weight
+from .oracle import CHECKS, certify, check_mode, check_weight, verify
 from .pslg import LemmaViolation, Pslg, PslgError, facial_walks, require_augmentable
 
 
@@ -687,7 +687,7 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
     and their union is the global optimum.  A chordless face (see
     _chordless) is recorded with cost 0.0 and no chord, without building
     its feasibility matrix or DP.  The result is certified by
-    ``oracle.certify``: planar and of the mode's connectivity, and under
+    ``oracle.verify``: planar and of the mode's connectivity, and under
     weight "length" also within the 2||E|| ratio."""
     check_mode(mode)
     check_weight(weight)
@@ -707,7 +707,7 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
     chords = sorted(added)
     # a minimum-cardinality set has no length bound
     checks = CHECKS if weight == "length" else CHECKS[:2]
-    certify(g, chords, mode, f"optimal_augment {mode}", checks)
+    certify(verify(g, chords, mode), f"optimal_augment {mode}", checks)
     return OptimalResult(
         added=chords,
         total_added_length=total,

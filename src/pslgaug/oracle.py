@@ -6,8 +6,8 @@ an incumbent bound and a connectivity-deficiency lower bound.  Instances
 are capped by candidate count, not vertex count.
 
 ``verify`` is the one certificate of an augmentation, in the one mode
-vocabulary MODES: both augmenters end by checking their own result through
-``certify``, and so does the command line.
+vocabulary MODES: both augmenters end by checking their own result with
+its ``report`` through ``certify``, and so does the command line.
 """
 
 from __future__ import annotations
@@ -30,13 +30,13 @@ class Exhausted(PslgError):
 def check_mode(mode):
     """Raise ValueError unless ``mode`` is one of MODES."""
     if mode not in MODES:
-        raise ValueError("mode must be '2vc' or '2ec'")
+        raise ValueError("mode must be " + " or ".join(map(repr, MODES)))
 
 
 def check_weight(weight):
     """Raise ValueError unless ``weight`` is one of WEIGHTS."""
     if weight not in WEIGHTS:
-        raise ValueError("weight must be 'length' or 'unit'")
+        raise ValueError("weight must be " + " or ".join(map(repr, WEIGHTS)))
 
 
 @dataclass
@@ -323,37 +323,41 @@ def verify(g: Pslg, added, mode: str) -> dict:
     """Check planarity, the mode's connectivity and the 2||E|| ratio of an
     augmentation; returns a report dict.  Raises ValueError on a mode not
     in MODES."""
-    check_mode(mode)
-    report = {"mode": mode, "n_added": len(added)}
     try:
         g2 = build(g.points, sorted(g.edges) + [ekey(*e) for e in added])
-        report["planar"] = True
     except PslgError as e:
-        report["planar"] = False
-        report["error"] = str(e)
-        report["ok"] = False
-        return report
-    rep = connectivity(g2)
-    report["connectivity_ok"] = (
-        rep.is_2_connected if mode == "2vc" else rep.is_2_edge_connected
-    )
+        g2 = e
+    return report(g, added, mode, g2)
+
+
+def report(g: Pslg, added, mode: str, g2) -> dict:
+    """verify's report on the augmentation ``added`` of g, given ``g2``: the
+    graph build made of g's edges and ``added``, or the PslgError it raised
+    (then the augmentation is not planar)."""
+    check_mode(mode)
+    rep = {"mode": mode, "n_added": len(added)}
+    if isinstance(g2, PslgError):
+        rep.update(planar=False, error=str(g2), ok=False)
+        return rep
+    rep["planar"] = True
+    conn = connectivity(g2)
+    rep["connectivity_ok"] = conn.is_2_connected if mode == "2vc" else conn.is_2_edge_connected
     base = g.total_length()
     add_len = fsum(dist(g.by_id[u], g.by_id[v]) for u, v in added)
-    report["base_length"] = base
-    report["added_length"] = add_len
-    report["ratio"] = add_len / base if base else float("inf")
-    report["ratio_le_2"] = report["ratio"] <= 2 + LENGTH_TOL
-    report["ok"] = report["planar"] and report["connectivity_ok"] and report["ratio_le_2"]
-    return report
+    rep["base_length"] = base
+    rep["added_length"] = add_len
+    rep["ratio"] = add_len / base if base else float("inf")
+    rep["ratio_le_2"] = rep["ratio"] <= 2 + LENGTH_TOL
+    rep["ok"] = rep["planar"] and rep["connectivity_ok"] and rep["ratio_le_2"]
+    return rep
 
 
-def certify(g: Pslg, added, mode: str, name: str, checks=CHECKS) -> dict:
-    """verify's report on the augmentation ``added`` of g, the result of
-    ``name``; raises LemmaViolation naming the first of ``checks`` (which
-    start with "planar") that failed."""
-    report = verify(g, added, mode)
-    failed = next((k for k in checks if not report[k]), None)
+def certify(rep: dict, name: str, checks=CHECKS) -> dict:
+    """``rep``, a verify report on the result of ``name``; raises
+    LemmaViolation naming the first of ``checks`` (which start with
+    "planar") that failed."""
+    failed = next((k for k in checks if not rep[k]), None)
     if failed is not None:
-        detail = f" ({report['error']})" if failed == "planar" else ""
+        detail = f" ({rep['error']})" if failed == "planar" else ""
         raise LemmaViolation(f"verify rejected the {name} result: {failed} failed{detail}")
-    return report
+    return rep
