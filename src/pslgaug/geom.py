@@ -204,48 +204,20 @@ def rotation_system(edges, ix, iy):
     return rotation
 
 
-def _between_1d(a, b, c) -> bool:
-    return min(a, b) < c < max(a, b)
-
-
 def segments_properly_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:
-    """True iff the open segments a-b and c-d share at least one point.
+    """True iff the segments a-b and c-d properly cross: each segment's
+    endpoints lie strictly on opposite sides of the other's line.
 
-    A shared endpoint is not a crossing; an endpoint of one segment in the
-    interior of the other is; so is any collinear overlap.
+    Segments that share an endpoint never cross.  The rule is complete for
+    points in general position, the only ones its callers pass (the points
+    of a built graph: ``build`` rejects any collinear triple before it tests
+    an edge), where no endpoint can lie on the other segment and no two
+    segments overlap.
     """
-    d1 = orient_xy(cx, cy, dx, dy, ax, ay)
-    d2 = orient_xy(cx, cy, dx, dy, bx, by)
-    d3 = orient_xy(ax, ay, bx, by, cx, cy)
-    d4 = orient_xy(ax, ay, bx, by, dx, dy)
-    if d1 * d2 < 0 and d3 * d4 < 0:
-        return True
-    if d1 == d2 == d3 == d4 == 0:
-        # collinear: open 1D interval overlap along the dominant axis
-        if ax != bx or cx != dx:
-            lo = max(min(ax, bx), min(cx, dx))
-            hi = min(max(ax, bx), max(cx, dx))
-        else:
-            lo = max(min(ay, by), min(cy, dy))
-            hi = min(max(ay, by), max(cy, dy))
-        return lo < hi
-    # endpoint strictly inside the other segment
-    if d3 == 0 and _on_open_segment(ax, ay, bx, by, cx, cy):
-        return True
-    if d4 == 0 and _on_open_segment(ax, ay, bx, by, dx, dy):
-        return True
-    if d1 == 0 and _on_open_segment(cx, cy, dx, dy, ax, ay):
-        return True
-    if d2 == 0 and _on_open_segment(cx, cy, dx, dy, bx, by):
-        return True
-    return False
-
-
-def _on_open_segment(ax, ay, bx, by, px, py) -> bool:
-    # assumes p collinear with a-b
-    if ax != bx:
-        return _between_1d(ax, bx, px)
-    return _between_1d(ay, by, py)
+    return (
+        orient_xy(cx, cy, dx, dy, ax, ay) * orient_xy(cx, cy, dx, dy, bx, by) < 0
+        and orient_xy(ax, ay, bx, by, cx, cy) * orient_xy(ax, ay, bx, by, dx, dy) < 0
+    )
 
 
 def convex_hull(pts) -> list:

@@ -3,7 +3,10 @@
 The ground truth for the dynamic programs: enumerate all subsets of
 individually-insertable candidate edges (pairwise non-crossing), pruned by
 an incumbent bound and a connectivity-deficiency lower bound.  Instances
-are capped by candidate count, not vertex count.
+are capped by candidate count, not vertex count.  Each node of the search
+makes one block search (Hopcroft & Tarjan 1973) on adjacency sets, which
+gives both the bound and whether the mode's connectivity is reached; it
+shares no code with the facial-walk ``connectivity`` it cross-checks.
 
 ``verify`` is the one certificate of an augmentation, in the one mode
 vocabulary MODES: both augmenters end by checking their own result with
@@ -12,7 +15,9 @@ its ``report`` through ``certify``, and so does the command line.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from math import fsum
 
 from .geom import LENGTH_TOL, dist, ekey, segments_properly_cross
@@ -81,175 +86,84 @@ def candidate_set(g: Pslg, weight="length") -> CandidateSet:
     return CandidateSet(edges=edges, weights=weights, crossing=crossing)
 
 
-def _deficiency(g: Pslg, extra, mode) -> int:
-    """Number of augmentation edges still needed, at least: half the leaves
-    of the block (resp. bridge) forest, rounded up."""
+def _blocks(adj):
+    """The blocks of the simple graph ``adj`` (vertex -> neighbour set), as
+    vertex sets, and its number of connected components: one iterative
+    depth-first search that pops a block off its edge stack whenever a
+    child's low point does not reach above its parent (Hopcroft & Tarjan
+    1973).  An isolated vertex is in no block."""
+    disc, low = {}, {}
+    blocks, edges = [], []
+    components = 0
+    for root in adj:
+        if root in disc:
+            continue
+        components += 1
+        disc[root] = low[root] = len(disc)
+        stack = [(root, None, iter(adj[root]), 0)]
+        while stack:
+            v, p, it, top = stack[-1]
+            for u in it:
+                if u not in disc:
+                    disc[u] = low[u] = len(disc)
+                    stack.append((u, v, iter(adj[u]), len(edges)))
+                    edges.append((v, u))
+                    break
+                if u != p and disc[u] < disc[v]:
+                    edges.append((v, u))
+                    low[v] = min(low[v], disc[u])
+            else:
+                stack.pop()
+                if p is None:
+                    continue
+                low[p] = min(low[p], low[v])
+                if low[v] >= disc[p]:
+                    # the tree edge (p, v) and every edge pushed after it
+                    blocks.append(set(chain.from_iterable(edges[top:])))
+                    del edges[top:]
+    return blocks, components
+
+
+def _shortfall(g: Pslg, extra, mode):
+    """(need, done) for g plus the edges ``extra``: ``need`` is a lower
+    bound on the edges still to add, ``done`` whether the graph already has
+    the mode's connectivity, from one ``_blocks`` search.
+
+    A disconnected graph needs one edge per component past the first.  A
+    connected one needs half its leaves, rounded up: in 2vc a leaf is a
+    block holding exactly one cut vertex (a vertex in two blocks), in 2ec a
+    2-edge-connected component that meets exactly one bridge (a two-vertex
+    block).  ``done`` implies need == 0."""
     adj = {p.id: set() for p in g.points}
-    for u, v in list(g.edges) + list(extra):
+    for u, v in chain(g.edges, extra):
         adj[u].add(v)
         adj[v].add(u)
-    g2 = _SimpleGraph(adj)
-    if not g2.connected():
-        return max(1, g2.n_components - 1)
-    if mode == "2ec":
-        leaves = g2.bridge_tree_leaves()
-    else:
-        leaves = g2.block_tree_leaves()
-    if leaves == 0:
-        return 0
-    return (leaves + 1) // 2
+    blocks, components = _blocks(adj)
+    if components > 1:
+        return components - 1, False
+    if mode == "2vc":
+        seen = Counter(v for b in blocks for v in b)
+        cut = {v for v, k in seen.items() if k > 1}
+        leaves = sum(1 for b in blocks if len(b & cut) == 1)
+        return (leaves + 1) // 2, len(adj) >= 3 and len(blocks) == 1
+    # 2-edge-connected components: the vertex classes that blocks of three
+    # or more vertices join (union-find); bridges are the two-vertex blocks
+    root = {v: v for v in adj}
 
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
 
-class _SimpleGraph:
-    """Small adjacency-set graph with bridge/articulation leaf counts,
-    independent of the facial-walk machinery."""
-
-    def __init__(self, adj):
-        self.adj = adj
-        self.n_components = 0
-
-    def connected(self):
-        ids = list(self.adj)
-        if not ids:
-            return True
-        seen = set()
-        comps = 0
-        for root in ids:
-            if root in seen:
-                continue
-            comps += 1
-            stack = [root]
-            seen.add(root)
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if u not in seen:
-                        seen.add(u)
-                        stack.append(u)
-        self.n_components = comps
-        return comps == 1
-
-    def _dfs_low(self):
-        disc, low, parent = {}, {}, {}
-        order = []
-        t = 0
-        for root in self.adj:
-            if root in disc:
-                continue
-            parent[root] = None
-            stack = [(root, iter(self.adj[root]))]
-            disc[root] = low[root] = t
-            t += 1
-            order.append(root)
-            while stack:
-                v, it = stack[-1]
-                moved = False
-                for u in it:
-                    if u not in disc:
-                        parent[u] = v
-                        disc[u] = low[u] = t
-                        t += 1
-                        order.append(u)
-                        stack.append((u, iter(self.adj[u])))
-                        moved = True
-                        break
-                    elif u != parent[v]:
-                        low[v] = min(low[v], disc[u])
-                if not moved:
-                    stack.pop()
-                    if stack:
-                        p = stack[-1][0]
-                        low[p] = min(low[p], low[v])
-        return disc, low, parent
-
-    def bridge_tree_leaves(self):
-        disc, low, parent = self._dfs_low()
-        bridges = set()
-        for v, p in parent.items():
-            if p is not None and low[v] > disc[p]:
-                bridges.add(frozenset((v, p)))
-        if not bridges:
-            return 0
-        # 2-edge-components by flood fill avoiding bridges
-        comp = {}
-        cid = 0
-        for root in self.adj:
-            if root in comp:
-                continue
-            stack = [root]
-            comp[root] = cid
-            while stack:
-                v = stack.pop()
-                for u in self.adj[v]:
-                    if frozenset((u, v)) in bridges or u in comp:
-                        continue
-                    comp[u] = cid
-                    stack.append(u)
-            cid += 1
-        degree = [0] * cid
-        for e in bridges:
-            u, v = tuple(e)
-            degree[comp[u]] += 1
-            degree[comp[v]] += 1
-        return sum(1 for d in degree if d == 1)
-
-    def block_tree_leaves(self):
-        """Leaf blocks of the block-cut forest."""
-        disc, low, parent = self._dfs_low()
-        cut = set()
-        children = {}
-        for v, p in parent.items():
-            if p is not None:
-                children[p] = children.get(p, 0) + 1
-                if parent[p] is not None and low[v] >= disc[p]:
-                    cut.add(p)
-        for root, p in parent.items():
-            if p is None and children.get(root, 0) > 1:
-                cut.add(root)
-        # block decomposition via edge stack
-        blocks = []
-        state = {"stack": []}
-        disc2, low2 = {}, {}
-        t = [0]
-
-        def root_dfs(root):
-            st = [(root, iter(self.adj[root]), None)]
-            disc2[root] = low2[root] = t[0]
-            t[0] += 1
-            while st:
-                v, it, pv = st[-1]
-                moved = False
-                for u in it:
-                    if u not in disc2:
-                        state["stack"].append((v, u))
-                        disc2[u] = low2[u] = t[0]
-                        t[0] += 1
-                        st.append((u, iter(self.adj[u]), v))
-                        moved = True
-                        break
-                    elif u != pv and disc2[u] < disc2[v]:
-                        state["stack"].append((v, u))
-                        low2[v] = min(low2[v], disc2[u])
-                if not moved:
-                    st.pop()
-                    if st:
-                        p = st[-1][0]
-                        if low2[v] >= disc2[p]:
-                            blk = set()
-                            while True:
-                                e = state["stack"].pop()
-                                blk.update(e)
-                                if e == (p, v):
-                                    break
-                            blocks.append(blk)
-                        low2[p] = min(low2[p], low2[v])
-
-        for root in self.adj:
-            if root not in disc2:
-                root_dfs(root)
-        if len(blocks) <= 1:
-            return 0
-        return sum(1 for b in blocks if len(b & cut) == 1)
+    bridges = [b for b in blocks if len(b) == 2]
+    for b in blocks:
+        if len(b) > 2:
+            r = find(next(iter(b)))
+            for v in b:
+                root[find(v)] = r
+    degree = Counter(find(v) for b in bridges for v in b)
+    leaves = sum(1 for d in degree.values() if d == 1)
+    return (leaves + 1) // 2, not bridges
 
 
 def brute_force_optimal(g: Pslg, mode: str, limit: int = 22, weight="length"):
@@ -270,8 +184,8 @@ def brute_force_optimal(g: Pslg, mode: str, limit: int = 22, weight="length"):
     def rec(i, chosen, wsum, blocked):
         if wsum >= best[0] - 1e-12:
             return
-        need = _deficiency(g, [cs.edges[j] for j in chosen], mode)
-        if need == 0 and _achieves(g, [cs.edges[j] for j in chosen], mode):
+        need, done = _shortfall(g, [cs.edges[j] for j in chosen], mode)
+        if done:
             best[0] = wsum
             best[1] = list(chosen)
             return
@@ -290,33 +204,6 @@ def brute_force_optimal(g: Pslg, mode: str, limit: int = 22, weight="length"):
     if best[1] is None:
         raise Exhausted("no feasible augmentation among candidates")
     return best[0], [cs.edges[i] for i in sorted(best[1])]
-
-
-def _achieves(g, extra, mode):
-    adj = {p.id: set() for p in g.points}
-    for u, v in list(g.edges) + list(extra):
-        adj[u].add(v)
-        adj[v].add(u)
-    sg = _SimpleGraph(adj)
-    if not sg.connected():
-        return False
-    if mode == "2ec":
-        return sg.bridge_tree_leaves() == 0
-    return len(adj) >= 3 and not _has_cut_vertex(sg)
-
-
-def _has_cut_vertex(sg):
-    disc, low, parent = sg._dfs_low()
-    children = {}
-    for v, p in parent.items():
-        if p is not None:
-            children[p] = children.get(p, 0) + 1
-            if parent[p] is not None and low[v] >= disc[p]:
-                return True
-    for root, p in parent.items():
-        if p is None and children.get(root, 0) > 1:
-            return True
-    return False
 
 
 def verify(g: Pslg, added, mode: str) -> dict:

@@ -85,22 +85,40 @@ def cross(s, t):
 def test_properly_cross_examples():
     assert cross(((0, 0), (2, 2)), ((0, 2), (2, 0)))
     assert not cross(((0, 0), (1, 0)), ((1, 0), (2, 1)))
-    # endpoint of one in the interior of the other counts
-    assert cross(((0, 0), (2, 0)), ((1, 0), (1, 1)))
+    assert not cross(((0, 0), (2, 1)), ((3, 0), (1, 3)))
 
 
-def test_properly_cross_collinear_overlap():
-    assert cross(((0, 0), (2, 0)), ((1, 0), (3, 0)))
-    assert cross(((0, 0), (3, 0)), ((1, 0), (2, 0)))
-    assert cross(((0, 0), (1, 0)), ((0, 0), (1, 0)))
-    assert not cross(((0, 0), (1, 0)), ((1, 0), (2, 0)))
-    # vertical collinear
-    assert cross(((0, 0), (0, 2)), ((0, 1), (0, 3)))
+def lines_meet_inside(a, b, c, d):
+    """Whether the lines through a-b and c-d meet in one point strictly
+    inside both segments: a + s (b - a) = c + t (d - c) solved for s and t
+    in exact Fractions."""
+    rx, ry, qx, qy = b[0] - a[0], b[1] - a[1], d[0] - c[0], d[1] - c[1]
+    wx, wy = c[0] - a[0], c[1] - a[1]
+    den = rx * qy - ry * qx
+    if den == 0:
+        return False
+    s, t = Fraction(wx * qy - wy * qx, den), Fraction(wx * ry - wy * rx, den)
+    return 0 < s < 1 and 0 < t < 1
 
 
 # a small grid makes shared endpoints, collinear overlaps and endpoints on
 # the other segment common
-SMALL_SEGMENT = st.tuples(xy(-5, 5), xy(-5, 5)).filter(lambda s: s[0] != s[1])
+SMALL_POINT = xy(-5, 5)
+SMALL_SEGMENT = st.tuples(SMALL_POINT, SMALL_POINT).filter(lambda s: s[0] != s[1])
+
+
+@given(st.lists(SMALL_POINT, min_size=4, max_size=4, unique=True))
+def test_properly_cross_is_an_interior_meeting_in_general_position(pts):
+    assume(all(orient(*t) != 0 for t in combinations(pts, 3)))
+    a, b, c, d = pts
+    assert cross((a, b), (c, d)) == lines_meet_inside(a, b, c, d)
+
+
+@given(st.lists(SMALL_POINT, min_size=3, max_size=3, unique=True))
+def test_segments_sharing_an_endpoint_never_cross(pts):
+    a, b, c = pts
+    for s, t in (((a, b), (a, c)), ((b, a), (a, c)), ((a, b), (c, a)), ((b, a), (c, a))):
+        assert not cross(s, t)
 
 
 @given(SMALL_SEGMENT, SMALL_SEGMENT)

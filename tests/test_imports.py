@@ -1,4 +1,6 @@
-"""Every name a library module imports is used in that module."""
+"""Every name a library module imports is used in that module, and every
+private function, class and method of the library is named in it besides
+its own definition."""
 
 import ast
 from pathlib import Path
@@ -31,3 +33,43 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text(encoding="utf-8")) == []
+
+
+def private_definitions(tree):
+    """The private module-level functions and classes of a module and the
+    private methods of its classes, as (qualified name, name) pairs."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out += [(f"{node.name}.{f.name}", f.name) for f in node.body
+                    if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+    return [(q, n) for q, n in out if n.startswith("_") and not n.endswith("__")]
+
+
+def unnamed_privates(sources):
+    """The private definitions (module, qualified name) of ``sources``
+    (module name -> source) whose name no code of any of them reads."""
+    trees = {m: ast.parse(text) for m, text in sources.items()}
+    named = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    return sorted((m, q) for m, tree in trees.items()
+                  for q, name in private_definitions(tree) if name not in named)
+
+
+def test_unnamed_privates_detected():
+    a = "def _a():\n    pass\n\n\ndef _b():\n    return _a()\n"
+    b = "class C:\n    def _m(self):\n        pass\n\n    def __init__(self):\n        pass\n"
+    assert unnamed_privates({"a": a, "b": b}) == [("a", "_b"), ("b", "C._m")]
+    assert unnamed_privates({"a": a, "b": b + "C()._m()\n_b()\n"}) == []
+
+
+def test_every_private_definition_is_named_in_the_library():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
+    assert unnamed_privates(sources) == []

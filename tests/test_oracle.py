@@ -1,17 +1,19 @@
+import hashlib
 import random
 
 import pytest
 
-from pslgaug import augment_2ec, augment_2vc
+from pslgaug import augment_2ec, augment_2vc, build
 from pslgaug.instances import generate
 from pslgaug.optimal import optimal_augment
 from pslgaug.oracle import (
     Exhausted,
-    _achieves,
+    _shortfall,
     brute_force_optimal,
     candidate_set,
     verify,
 )
+from pslgaug.pslg import connectivity
 from tests_support import make_fig3
 
 
@@ -36,7 +38,7 @@ def exhaustive_optimal(g, mode, limit=15):
                 break
         if not ok:
             continue
-        if _achieves(g, [cs.edges[i] for i in subset], mode):
+        if _shortfall(g, [cs.edges[i] for i in subset], mode)[1]:
             best[0] = w
             best[1] = subset
     if best[1] is None:
@@ -84,6 +86,63 @@ def test_two_independent_oracles_agree():
             assert c1 == pytest.approx(c2, abs=1e-9)
             agree += 1
     assert agree >= 40
+
+
+def test_shortfall_done_matches_connectivity():
+    # two independent implementations: one block search on adjacency sets,
+    # and the face labels of the built augmented graph
+    rng = random.Random(11)
+    seen = set()
+    for seed in range(60):
+        g = generate(rng.randint(3, 14), 50000 + seed, rng.choice([0.0, 0.3, 0.6]))
+        cs = candidate_set(g)
+        for _ in range(4):
+            p, extra, blocked = rng.random(), [], set()
+            for i in rng.sample(range(len(cs.edges)), len(cs.edges)):
+                if i not in blocked and rng.random() < p:
+                    extra.append(cs.edges[i])
+                    blocked |= cs.crossing[i]
+            conn = connectivity(build(g.points, sorted(g.edges) + extra))
+            for mode, want in (("2vc", conn.is_2_connected), ("2ec", conn.is_2_edge_connected)):
+                need, done = _shortfall(g, extra, mode)
+                assert done == want and (need == 0) == done, (seed, extra, mode)
+                seen.add((mode, done))
+    assert len(seen) == 4
+
+
+def test_shortfall_on_small_graphs(path3, star3, two_triangles, square):
+    assert _shortfall(path3, [], "2vc") == _shortfall(path3, [], "2ec") == (1, False)
+    assert _shortfall(path3, [(0, 2)], "2vc") == _shortfall(path3, [(0, 2)], "2ec") == (0, True)
+    assert _shortfall(star3, [], "2vc") == _shortfall(star3, [], "2ec") == (2, False)
+    assert _shortfall(two_triangles, [], "2vc") == (1, False)
+    assert _shortfall(two_triangles, [], "2ec") == (0, True)
+    assert _shortfall(square, [], "2vc") == _shortfall(square, [], "2ec") == (0, True)
+    pts = [(0, 0, 0), (1, 4, 1), (2, 1, 5), (3, 7, 3), (4, 9, 8)]
+    for edges, need in (([], 4), ([(0, 1)], 3), ([(0, 1), (1, 2), (2, 0)], 2),
+                        ([(0, 1), (2, 3)], 2), ([(0, 1), (1, 2), (2, 0), (3, 4)], 1)):
+        g = build(pts, edges)
+        assert _shortfall(g, [], "2vc") == _shortfall(g, [], "2ec") == (need, False)
+    # one edge: a single block, but 2-connectivity needs three vertices
+    edge = build(pts[:2], [(0, 1)])
+    assert _shortfall(edge, [], "2vc") == (0, False)
+    assert _shortfall(edge, [], "2ec") == (1, False)
+
+
+def test_brute_force_digest_pinned():
+    # the first 50 graphs of the acceptance set: both modes, both weights
+    rng = random.Random(2027)
+    h = hashlib.sha256()
+    for _ in range(50):
+        n = rng.randint(3, 11)
+        g = generate(n, rng.randrange(10**6), rng.choice([0.0, 0.2, 0.4, 0.6, 0.8]))
+        for mode in ("2vc", "2ec"):
+            for weight in ("length", "unit"):
+                try:
+                    r = brute_force_optimal(g, mode, limit=24, weight=weight)
+                except Exhausted as e:
+                    r = ("exhausted", str(e))
+                h.update(repr(r).encode())
+    assert h.hexdigest()[:16] == "c5af6102e6b0fcae"
 
 
 def test_verify_heuristic_fig3(fig3):
