@@ -8,16 +8,18 @@ pulling the string taut through those portals (funnel algorithm) yields the
 geodesic.  Which triangulation it is does not matter: the reduced portal
 sequence of a homotopy class, and so the geodesic, is the same in any.
 
-A graph queried on its own gets a triangulation built for it and reads the
-faces cached on it (``Pslg.faces``).  The cycle morph instead keeps one
-triangulation alive across its certified edits, started from its phase 2
-Delaunay triangulation with the box corners joined: an inserted edge is
-forced in as a constraint, a deleted edge only loses its constraint mark
-(the triangulation stays valid).  The faces come from the morph's certified
-editor, which keeps them per edit, and so does its set of the constraint
-keys; the triangulation keeps its directed-side map and hull-side count per
-triangle edit, so the triangle right of each directed edge is a lookup and
-the triangle count check is O(1).  The face of every triangle is still
+The triangulation names each vertex by the graph's own id and the box
+corners by the four ids just above the largest, so nothing translates an id.
+Every environment starts from a triangulation of the graph's points alone.
+A graph queried on its own gets one built for it and reads the faces cached
+on it (``Pslg.faces``).  The cycle morph instead keeps phase 2's Delaunay
+triangulation alive across its certified edits: an inserted edge is forced
+in as a constraint, a deleted edge only loses its constraint mark (the
+triangulation stays valid), and each query compares the marks with the
+graph's edges.  The faces come from the morph's certified editor, which
+keeps them per edit.  The directed-side map and hull-side count are kept
+per triangle edit, so the triangle right of each directed edge is a lookup
+and the triangle count check is O(1).  The face of every triangle is still
 flooded for each queried graph, and checked.
 
 The clip box turns the unbounded face into a bounded region; geodesics never
@@ -56,18 +58,18 @@ class GeodesicPath:
 
 class _FaceEnv:
     """The geodesic environment of one graph: a triangulation of its
-    vertices and the clip-box corners with exactly the graph's edges
+    vertices and the clip-box corners (``box``, keyed by the four ids just
+    above the largest vertex id) with exactly the graph's edges
     constrained, and the faces of the graph read from it.
 
-    Without ``live`` the triangulation is built for ``g``, by
-    ``triangulate_points`` over the vertices and the box corners or, given
-    ``tri`` (an unconstrained triangulation of ``g``'s vertices in vertex-id
-    order, which the environment then owns), by ``add_outside_points``
-    joining the box corners to it; then every edge of ``g`` is constrained.
-    With ``live``, the environment of an earlier graph on the same points,
-    ``g`` takes over its triangulation, which the caller has since edited to
-    constrain exactly the edges of ``g``, and ``constrained`` is the
-    caller's own set of those edges' local keys; ``live`` is then stale.
+    Without ``live`` the triangulation is built for ``g`` on one path: from
+    ``tri``, an unconstrained triangulation of ``g``'s points alone, which
+    the environment then owns (the morph passes phase 2's), or else from
+    ``triangulate_points`` over those points; ``add_outside_points`` joins
+    the box corners and every edge of ``g`` is constrained.  With ``live``,
+    the environment of an earlier graph on the same points, ``g`` takes
+    over its triangulation, which the caller has since edited to constrain
+    exactly the edges of ``g``; ``live`` is then stale.
 
     ``faces`` are the faces of ``g`` (a ``pslg.Faces``), by default the
     ones cached on ``g`` (``Pslg.faces``).  The morph's certified editor
@@ -75,37 +77,30 @@ class _FaceEnv:
     they stand, so it goes stale with the editor's next edit, as the live
     triangulation does.
 
-    Either way the triangle right of dart (u, v) is ``T.side`` at the local
-    side (v, u), read when a query asks for it; the face of every triangle
-    is flooded from those triangles for ``g``, and the flood fill and then
+    Either way the triangle right of dart (u, v) is ``T.side`` at (v, u),
+    read when a query asks for it; the face of every triangle is flooded
+    from those triangles for ``g``, and the flood fill and then
     ``T.validate()`` check the triangulation against ``g``, after a live
-    environment has compared ``T.constrained`` with ``constrained``.
+    environment has compared ``T.constrained`` with ``g.edges``.
     """
 
     def __init__(self, g: Pslg, live: _FaceEnv | None = None, faces: Faces | None = None,
-                 constrained=None, tri: Triangulation | None = None):
+                 tri: Triangulation | None = None):
         require_augmentable(g)
         self.g = g
         if live is None:
-            ids = sorted(p.id for p in g.points)
-            self.lid = {v: i for i, v in enumerate(ids)}
-            self.gid = ids
-            pts = [g.ipt(v) for v in ids]
-            self.n_graph = len(pts)
-            self.box = _make_box(pts)
+            pts = {p.id: g.ipt(p.id) for p in g.points}
             if tri is None:
-                self.T = triangulate_points(pts + self.box)
+                tri = triangulate_points(pts)
             elif tri.pts != pts or tri.constrained:
                 raise LemmaViolation("seed triangulation is not on the graph's points alone")
-            else:
-                self.T = tri
-                add_outside_points(tri, self.box)
+            self.T, self.box = tri, _make_box(pts)
+            add_outside_points(tri, self.box)
             for (u, v) in sorted(g.edges):
-                insert_constraint(self.T, self.lid[u], self.lid[v])
+                insert_constraint(tri, u, v)
         else:
-            self.lid, self.gid, self.n_graph = live.lid, live.gid, live.n_graph
             self.box, self.T = live.box, live.T
-            if self.T.constrained != constrained:
+            if self.T.constrained != g.edges:
                 raise LemmaViolation("live triangulation constrains other edges than the graph")
         self.faces = faces if faces is not None else g.faces()
         # the triangle right of graph dart (u, v) is the CCW triangle on side
@@ -113,10 +108,10 @@ class _FaceEnv:
         # only clip-box sides have none.  Seed each triangle's face from the
         # darts, then flood across unconstrained sides; every triangle and
         # every dart's side must get a face
-        side, lid, constrained = self.T.side, self.lid, self.T.constrained
+        side, box, constrained = self.T.side, self.box, self.T.constrained
         face_of, unseeded = {}, False
         for (u, v), face in self.faces.face.items():
-            t = side.get((lid[v], lid[u]))
+            t = side.get((v, u))
             if t is None:
                 unseeded = True
             elif face_of.setdefault(t, face) != face:
@@ -128,7 +123,7 @@ class _FaceEnv:
             for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
                 s = side.get((b, a))
                 if s is None:
-                    if min(a, b) < self.n_graph:  # a triangle is missing
+                    if min(a, b) not in box:  # a triangle is missing
                         raise LemmaViolation("face assignment incomplete")
                 elif ((a, b) if a < b else (b, a)) not in constrained:
                     if s not in face_of:
@@ -136,7 +131,7 @@ class _FaceEnv:
                         frontier.append(s)
                     elif face_of[s] != f:
                         raise LemmaViolation("face flood fill conflict")
-        if len(face_of) != len(self.T.tris) or unseeded:
+        if len(face_of) != len(side) // 3 or unseeded:
             raise LemmaViolation("face assignment incomplete")
         self.T.validate()
 
@@ -144,32 +139,32 @@ class _FaceEnv:
         """Portals crossed while swinging around ``apex`` from the triangle
         right of (prev, apex) to the triangle right of (apex, nxt).
 
-        Local-index pairs (left, right); left is always the pivot.
+        Vertex-id pairs (left, right); left is always the pivot.
         """
-        lid, side = self.lid, self.T.side
-        w, other = lid[apex], lid[prev]
-        cur, t_out = side[w, other], side[lid[nxt], w]
+        side, other = self.T.side, prev
+        cur, t_out = side[apex, prev], side[nxt, apex]
         portals = []
         guard = 0
         while cur != t_out:
-            z = self.T.apex(cur, w, other)
-            portals.append((w, z))
-            cur = side.get((w, z))
+            z = self.T.apex(cur, apex, other)
+            portals.append((apex, z))
+            cur = side.get((apex, z))
             if cur is None:
                 raise LemmaViolation("fan walked off the triangulation")
             other = z
             guard += 1
-            if guard > len(self.T.tris):
+            if guard > len(side) // 3:
                 raise LemmaViolation("fan did not close")
         return portals
 
 
 def _make_box(pts):
-    """Four far corners whose hull strictly contains all points with margin
-    at least the point-set diameter, nudged so no corner is collinear with
-    any two other points."""
-    xs = [p[0] for p in pts]
-    ys = [p[1] for p in pts]
+    """Four far corners whose hull strictly contains the points (a mapping
+    from vertex id to (x, y)) with margin at least the point-set diameter,
+    nudged so no corner is collinear with any two other points.  They are
+    keyed by the four ids just above the largest vertex id."""
+    xs = [p[0] for p in pts.values()]
+    ys = [p[1] for p in pts.values()]
     span = (max(xs) - min(xs)) + (max(ys) - min(ys)) + 1
     base = [
         (min(xs) - span, min(ys) - span),
@@ -178,13 +173,14 @@ def _make_box(pts):
         (min(xs) - span, max(ys) + span),
     ]
     out_dir = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-    placed = list(pts)
+    placed = list(pts.values())
     for (bx, by), (dx, dy) in zip(base, out_dir):
         k = 0
         while collinear_pair((bx + k * dx, by + 2 * k * dy), placed) is not None:
             k += 1
         placed.append((bx + k * dx, by + 2 * k * dy))
-    return placed[len(pts) :]
+    top = max(pts)
+    return {top + 1 + k: c for k, c in enumerate(placed[len(pts) :])}
 
 
 def face_env(g: Pslg) -> _FaceEnv:
@@ -217,7 +213,7 @@ def locate_subwalk(g: Pslg, walk_ids):
 
 def _funnel(T, portals, s, t):
     """Pull the string taut through a portal sequence: exact arithmetic,
-    restart variant.  Points are local indices into the triangulation T."""
+    restart variant.  Points are vertex ids of the triangulation T."""
     o = T.orient
     path = [s]
     apex, ai = s, -1
@@ -294,13 +290,10 @@ def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
                 portals.pop()
             else:
                 portals.append(p)
-    s = env.lid[walk_ids[0]]
-    t = env.lid[walk_ids[-1]]
-    path = _funnel(env.T, portals, s, t)
-    for v in path:
-        if v >= env.n_graph:
-            raise LemmaViolation("geodesic bent at a clip-box corner")
-    points = [g.by_id[env.gid[v]] for v in path]
+    path = _funnel(env.T, portals, walk_ids[0], walk_ids[-1])
+    if any(v in env.box for v in path):
+        raise LemmaViolation("geodesic bent at a clip-box corner")
+    points = [g.by_id[v] for v in path]
 
     # interior vertices must be reflex vertices of the graph
     for p in points[1:-1]:

@@ -143,7 +143,7 @@ def generate(n: int, seed: int, density: float) -> Pslg:
         if collinear_pair(c, coords) is None:
             coords.append(c)
 
-    T = triangulate_points(coords)
+    T = triangulate_points(dict(enumerate(coords)))
     lawson_flips(T)
     dt_edges = sorted(T.edges())
 

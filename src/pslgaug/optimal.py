@@ -127,7 +127,7 @@ class IndexedWalk:
     seq: tuple  # (p_0, ..., p_n[, p_1]) with p_0 == p_n
     n: int  # number of DP positions
     closed_m: int  # number of slots of the underlying closed walk
-    vert: np.ndarray  # vert[i] = vertex id at position i, 1..n (index 0 unused)
+    vert: np.ndarray  # vert[i] = dense number of position i's vertex, 1..n (index 0 unused)
     occ: dict  # vertex id -> sorted list of positions in 1..n
     extended: bool
 
@@ -138,11 +138,12 @@ class IndexedWalk:
         if extend:
             seq = seq + (seq[1],)
         n = m + (1 if extend else 0)
-        vert = np.zeros(n + 1, dtype=np.int64)
         occ = {}
         for i in range(1, n + 1):
-            vert[i] = seq[i]
             occ.setdefault(seq[i], []).append(i)
+        vert = np.zeros(n + 1, dtype=np.int64)
+        for k, positions in enumerate(occ.values()):
+            vert[positions] = k
         return IndexedWalk(
             face_id=walk.face_id,
             seq=seq,
@@ -612,7 +613,6 @@ def _first_min(vals, keys, idx, offs, cnt):
 
 
 def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
-    vert = w.vert
     n = w.n
     W = F if weight == "length" else np.where(np.isfinite(F), 1.0, np.inf)
     C, case, k1, k2 = _fill(w, W, mode)
@@ -651,7 +651,7 @@ def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
                     f"reconstructed chords interleave: {pairs[a]} {pairs[b]}"
                 )
 
-    edges = sorted({ekey(int(vert[i]), int(vert[j])) for i, j in pairs})
+    edges = sorted({ekey(w.seq[i], w.seq[j]) for i, j in pairs})
     cost = float(C[1, n])
     return cost, edges, pairs
 

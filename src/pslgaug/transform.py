@@ -213,10 +213,10 @@ class _Editor(_CertifiedEdges):
     geodesic environment in step with the graph: ``env`` is the environment
     of the last graph queried, and each edit after that query constrains an
     inserted edge in ``env.T`` or drops a deleted edge's constraint mark,
-    and does the same to ``constrained``, its own set of the graph's edges
-    in local ids, which each new environment compares with ``env.T``'s
-    marks.  The first environment starts from ``delaunay`` when it is set
-    (``transform`` sets phase 2's triangulation), else from scratch.
+    keyed by the edge's own vertex ids; each new environment compares
+    ``env.T``'s marks with the graph's edges.  The first environment starts
+    from ``delaunay`` when it is set (``transform`` sets phase 2's
+    triangulation), else from a triangulation of the points.
 
     ``cycle_bound``, 2||MST|| + LENGTH_TOL, bounds the morph's polygon plus
     its leftover edges in phases 4 and 5, and the final cycle.
@@ -228,7 +228,6 @@ class _Editor(_CertifiedEdges):
         self.log = OpLog()
         self.env = None
         self.delaunay = None
-        self.constrained = None
         self._lengths = {}
 
     def _edge_length(self, e):
@@ -254,23 +253,18 @@ class _Editor(_CertifiedEdges):
         if self.env is None:
             self.env = g._face_env = _FaceEnv(g, faces=self.faces, tri=self.delaunay)
             self.delaunay = None  # the environment owns and edits it now
-            self.constrained = set(self.env.T.constrained)  # g's edges, just marked
         elif self.env.g is not g:
-            self.env = g._face_env = _FaceEnv(g, self.env, self.faces, self.constrained)
+            self.env = g._face_env = _FaceEnv(g, self.env, self.faces)
         return geodesic(g, walk)
 
     def _follow(self, op, u, v):
         env = self.env
         if env.g._face_env is env:
             env.g._face_env = None  # its triangulation moves on from env.g
-        i, j = env.lid[u], env.lid[v]
-        # local ids follow vertex ids, so the key of (u, v) is ekey(i, j)
         if op == "insert":
-            insert_constraint(env.T, i, j)
-            self.constrained.add(ekey(i, j))
+            insert_constraint(env.T, u, v)
         else:
-            env.T.constrained.discard(ekey(i, j))
-            self.constrained.discard(ekey(i, j))
+            env.T.constrained.discard(ekey(u, v))
 
     def _record(self, op, u, v, phase):
         bad = self.edit(op, u, v)
@@ -330,22 +324,18 @@ def phase2_to_delaunay_tree(ed: _Editor, tree):
     4's geodesic environment (every Euclidean MST edge is a Gabriel edge,
     so already one of its edges)."""
     g = ed.graph
-    ids = sorted(p.id for p in g.points)
-    lid = {v: i for i, v in enumerate(ids)}
-    pts = [g.ipt(v) for v in ids]
-    T = triangulate_points(pts)
+    T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
     for (u, v) in sorted(tree):
-        insert_constraint(T, lid[u], lid[v])
+        insert_constraint(T, u, v)
     T.constrained.clear()
 
     tree = set(tree)
 
     def on_flip(old_edge, new_edge, apexes):
-        a, b = ids[old_edge[0]], ids[old_edge[1]]
-        e = ekey(a, b)
+        a, b = e = old_edge  # a key: the flip queue holds keys
         if e not in tree:
             return
-        c, d = ids[apexes[0]], ids[apexes[1]]
+        c, d = apexes
         # pick the apex with the obtuse angle: both its sides are shorter
         # than the flipped edge
         if _dot_at(g, c, a, b) < 0:
@@ -369,7 +359,7 @@ def phase2_to_delaunay_tree(ed: _Editor, tree):
     if not is_delaunay(T):
         raise LemmaViolation("flip sequence did not reach Delaunay")
     for e in tree:
-        if not T.has_edge(lid[e[0]], lid[e[1]]):
+        if not T.has_edge(*e):
             raise LemmaViolation("tree edge missing from the Delaunay triangulation")
     ed.log.stats["flips"] = flips
     ed.log.stats["delaunay_ok"] = True

@@ -1,13 +1,15 @@
 """Point-set triangulation with constraint insertion and Lawson flips.
 
-Works on exact integer (or rational) coordinates with local point indices.
-The same machinery backs the geodesic face environment (constrained, no
-Delaunay requirement) and the dynamic-transform phase 2 (unconstrained
-Lawson flips to the Delaunay triangulation).  The cycle morph makes one
-triangulation of its points: phase 2's, which its geodesic environment then
-extends to the clip-box corners (``add_outside_points``, the scan's step)
-and keeps alive across its edits.  Every triangle edit keeps the
-directed-side map and the hull-side count, so ``validate`` reads a counter.
+Works on exact integer (or rational) coordinates keyed by vertex id: a
+triangulation's points are a mapping from id to (x, y), and every triangle,
+side and constraint key is in those ids.  The same machinery backs the
+geodesic face environment (constrained, no Delaunay requirement) and the
+dynamic-transform phase 2 (unconstrained Lawson flips to the Delaunay
+triangulation).  Every environment starts from a triangulation of the
+graph's points alone, which ``add_outside_points`` (the scan's step) extends
+to the clip-box corners; the cycle morph's is phase 2's, kept alive across
+its edits.  Every triangle edit keeps the directed-side map and the
+hull-side count, so ``validate`` reads a counter.
 """
 
 from __future__ import annotations
@@ -19,23 +21,24 @@ from .pslg import LemmaViolation
 
 
 class Triangulation:
-    """Triangle soup over indexed points with side and vertex adjacency.
+    """Triangle soup over id-keyed points with side and vertex adjacency.
 
     Triangles are stored as CCW tuples canonically rotated to start at the
-    smallest index.  ``side`` maps each directed side (i, j) to the one CCW
+    smallest id.  ``side`` maps each directed side (i, j) to the one CCW
     triangle that has it, so the triangle across side (i, j) is
-    ``side.get((j, i))``, which only sides on the hull lack.
+    ``side.get((j, i))``, which only sides on the hull lack.  It is the one
+    triangle store: each triangle owns exactly three sides, so there are
+    ``len(side) // 3`` triangles.
     """
 
     def __init__(self, pts):
-        self.pts = list(pts)  # local index -> (x, y) exact
-        self.tris = set()
+        self.pts = {**pts}  # vertex id -> (x, y) exact; a sequence is refused
         self.side = {}  # directed side (i, j) -> CCW triangle with that side
         self.vertex_tris = {}  # i -> list of triangles with corner i
         self.constrained = set()
         self.hull_sides = 0  # directed sides with no triangle across
 
-    # -- predicates on local indices -----------------------------------
+    # -- predicates on vertex ids ----------------------------------------
 
     def orient(self, a, b, c):
         pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
@@ -49,7 +52,7 @@ class Triangulation:
 
     def add_tri(self, a, b, c):
         """Add the triangle on corners a, b, c, stored CCW from its smallest
-        index; returns the stored tuple."""
+        id; returns the stored tuple."""
         s = self.orient(a, b, c)
         if s < 0:
             b, c = c, b
@@ -67,7 +70,6 @@ class Triangulation:
                 raise LemmaViolation(f"edge {ekey(*e)} borders 3 triangles")
         # each new side either closes a hull side (its reverse) or is one
         self.hull_sides += 3 - 2 * (((b, a) in side) + ((c, b) in side) + ((a, c) in side))
-        self.tris.add(t)
         for e in sides:
             side[e] = t
         for v in t:
@@ -75,7 +77,6 @@ class Triangulation:
         return t
 
     def remove_tri(self, t):
-        self.tris.remove(t)
         a, b, c = t
         side = self.side
         for e in ((a, b), (b, c), (c, a)):
@@ -94,10 +95,6 @@ class Triangulation:
     def has_edge(self, i, j):
         return (i, j) in self.side or (j, i) in self.side
 
-    def other_tri(self, i, j, t):
-        s = self.side.get((i, j))
-        return self.side.get((j, i)) if s == t else s
-
     def apex(self, t, i, j):
         for v in t:
             if v != i and v != j:
@@ -110,26 +107,27 @@ class Triangulation:
         sides with no triangle across, as in a triangulation of the points'
         convex hull.  h is ``hull_sides``, kept by ``add_tri`` and
         ``remove_tri``, so the check is O(1).  A removed triangle with no
-        hull side breaks the count, and so does one dropped from ``tris``
-        and ``side`` behind their backs (h does not move)."""
-        h = self.hull_sides
-        if len(self.tris) != 2 * len(self.pts) - h - 2:
+        hull side breaks the count, and so does one dropped from ``side``
+        behind its back (h does not move)."""
+        h, tris = self.hull_sides, len(self.side) // 3
+        if tris != 2 * len(self.pts) - h - 2:
             raise LemmaViolation(
-                f"{len(self.tris)} triangles, not 2V - h - 2 for V={len(self.pts)}, h={h}"
+                f"{tris} triangles, not 2V - h - 2 for V={len(self.pts)}, h={h}"
             )
 
 
 def triangulate_points(pts) -> Triangulation:
-    """Scan triangulation of a point set in general position.
+    """Scan triangulation of a point set in general position, given as a
+    mapping from vertex id to (x, y).
 
     Points are added in lexicographic order; each new point is joined to all
     hull edges it sees (``join_outside``).  O(n^2), exact.
     """
     T = Triangulation(pts)
-    n = len(pts)
-    if n < 3:
+    pts = T.pts
+    if len(pts) < 3:
         raise DegenerateInput("need at least 3 points")
-    order = sorted(range(n), key=lambda i: pts[i])
+    order = sorted(pts, key=pts.__getitem__)
     a, b, c = order[0], order[1], order[2]
     s = T.orient(a, b, c)
     if s == 0:
@@ -181,17 +179,18 @@ def join_outside(T: Triangulation, hull, q):
 
 
 def add_outside_points(T: Triangulation, pts):
-    """Append ``pts`` to T's points and join each, in order, by the scan's
-    step; each must lie outside the hull of T so far, as the clip-box
-    corners do.  The hull cycle is read off ``T.side`` once."""
+    """Add ``pts``, a mapping from new vertex id to (x, y), to T's points
+    and join each, in order, by the scan's step; each must lie outside the
+    hull of T so far, as the clip-box corners do.  The hull cycle is read
+    off ``T.side`` once."""
     side = T.side
     nxt = {i: j for i, j in side if (j, i) not in side}
     hull = [min(nxt)]
     for _ in range(len(nxt) - 1):
         hull.append(nxt[hull[-1]])
-    for p in pts:
-        T.pts.append(p)
-        hull = join_outside(T, hull, len(T.pts) - 1)
+    for q, p in pts.items():
+        T.pts[q] = p
+        hull = join_outside(T, hull, q)
 
 
 def insert_constraint(T: Triangulation, u, w):
@@ -225,9 +224,12 @@ def insert_constraint(T: Triangulation, u, w):
         raise LemmaViolation(f"no wedge at {u} contains direction to {w}")
 
     t, p, q = start
-    left_chain, right_chain = [], []  # vertices left/right of line u->w
+    # the wedge test puts q strictly left of the line u->w and p strictly
+    # right; the crossed edge is kept as (left, right), so the triangle
+    # ahead of it is the one on its directed side
+    left_chain, right_chain = [q], [p]
     channel = [t]
-    cross_edge = (p, q)  # p is left of u->w? classify below
+    cross_edge = (q, p)
 
     def side(v):
         vx, vy = T.pts[v]
@@ -236,21 +238,11 @@ def insert_constraint(T: Triangulation, u, w):
             raise LemmaViolation(f"constraint ({u},{w}) passes through point {v}")
         return s
 
-    # p is CCW-before q around u; relative to the line u->w, p is left iff
-    # orient(u, w, p) > 0
-    if side(p) > 0:
-        left_chain.append(p)
-        right_chain.append(q)
-    else:
-        left_chain.append(q)
-        right_chain.append(p)
-        cross_edge = (q, p)
-
     while True:
         i, j = cross_edge
         if ekey(i, j) in T.constrained:
             raise LemmaViolation(f"constraint ({u},{w}) crosses constrained edge ({i},{j})")
-        nxt = T.other_tri(i, j, channel[-1])
+        nxt = T.side.get(cross_edge)
         if nxt is None:
             raise LemmaViolation(f"constraint ({u},{w}) exits the triangulation")
         channel.append(nxt)
@@ -275,8 +267,8 @@ def insert_constraint(T: Triangulation, u, w):
 
 
 def ear_clip(T: Triangulation, poly):
-    """Triangulate a simple polygon (list of local indices into T's points)
-    by ear clipping.
+    """Triangulate a simple polygon (list of vertex ids of T's points) by
+    ear clipping.
 
     Exact; assumes distinct vertices and no three collinear.  Returns CCW
     triangles.
@@ -320,8 +312,8 @@ def lawson_flips(T: Triangulation, on_flip=None):
     """Flip non-Delaunay edges until the empty-circumcircle test passes.
     Constraint marks are not read: callers flip unconstrained triangulations.
 
-    on_flip(old_edge, new_edge, apexes) is called after each flip with local
-    indices; the flip count is returned and capped at 4V^2 + 64 (a blown cap
+    on_flip(old_edge, new_edge, apexes) is called after each flip with vertex
+    ids; the flip count is returned and capped at 4V^2 + 64 (a blown cap
     indicates a bug, not bad input).
     """
     flip_cap = 4 * len(T.pts) * len(T.pts) + 64

@@ -254,6 +254,22 @@ def test_augment_all_modes(fig3_file, capsys):
         assert doc["cost"] == pytest.approx(2.0, abs=1e-9)
 
 
+def test_augment_takes_point_ids_beyond_int64(tmp_path, capsys):
+    # the instance format accepts any JSON integer as a point id
+    doc = json.loads(serialize(generate(14, 9, 0.3)))
+    big = {p["id"]: 2**63 + 7 * p["id"] for p in doc["points"]}
+    for p in doc["points"]:
+        p["id"] = big[p["id"]]
+    doc["edges"] = [[big[u], big[v]] for u, v in doc["edges"]]
+    inst = tmp_path / "big.json"
+    inst.write_text(json.dumps(doc))
+    for mode in ("heur2ec", "heur2vc", "opt2ec", "opt2vc"):
+        code, out, err = run_cli(["augment", str(inst), "--mode", mode, "--json"], capsys)
+        assert (code, err) == (0, ""), mode
+        edges = json.loads(out)["edges"]
+        assert edges and all(min(e) >= 2**63 for e in edges), mode
+
+
 @pytest.mark.parametrize("change, failed", [
     (lambda added: added[1:], "connectivity_ok failed"),
     (lambda added: sorted(added + [(1, 4)]), "planar failed (edges (1,4) and (2,3) cross)"),

@@ -85,7 +85,7 @@ def test_face_region(fig3, triangle):
     env = face_env(fig3)
     # the clip box strictly contains all (scaled) vertices with margin at
     # least the point-set diameter
-    (xmin, ymin), (xmax, ymax) = env.box[0], env.box[2]
+    (xmin, ymin), _, (xmax, ymax), _ = env.box.values()
     xs = [fig3.ipt(p.id)[0] for p in fig3.points]
     ys = [fig3.ipt(p.id)[1] for p in fig3.points]
     diam2 = max(
@@ -278,3 +278,60 @@ def test_lemma2_extension_property():
             assert not (set(gids[1:-1]) & set(seq[1:-1])), (seed, seq)
             checked += 1
     assert checked >= 100
+
+
+# -- the environment speaks the graph's own ids -----------------------------
+
+
+def _relabelled(g, rng):
+    """g under an order-preserving relabelling whose ids have gaps, are
+    negative and lie beyond +-2**63, with the map."""
+    n = g.n
+    k = n // 3
+    far = {rng.randrange(2**63, 2**66) for _ in range(k)}
+    ids = sorted([-x for x in far] + rng.sample(range(-3 * n, 3 * n), n - 2 * k) + [*far])
+    new = dict(zip(sorted(p.id for p in g.points), ids))
+    h = build([(new[p.id], p.x, p.y) for p in g.points], [(new[u], new[v]) for u, v in g.edges])
+    return h, new
+
+
+def test_outputs_follow_an_order_preserving_relabelling():
+    from pslgaug.heuristic import augment_2ec, augment_2vc
+    from pslgaug.optimal import optimal_augment
+    from pslgaug.transform import transform
+
+    rng = random.Random(28)
+    cases = [(12, 11, 0.3), (20, 12, 0.5), (28, 13, 0.0), (36, 14, 0.6)]
+    cases += [(rng.randint(6, 24), rng.randrange(10**6), rng.choice((0.0, 0.3))) for _ in range(16)]
+    for case in cases:
+        g = generate(*case)
+        h, new = _relabelled(g, rng)
+        assert min(new.values()) < -2**63 and max(new.values()) >= 2**63
+        ekeys = lambda es: [ekey(new[u], new[v]) for u, v in es]  # noqa: E731
+        for graph in (g, h):
+            assert min(face_env(graph).box) > max(p.id for p in graph.points)
+
+        _, poly, log = transform(g)
+        _, hpoly, hlog = transform(h)
+        assert hpoly.seq == [new[v] for v in poly.seq], case
+        assert [(s.op, s.u, s.v, s.phase) for s in hlog.steps] == [
+            (s.op, new[s.u], new[s.v], s.phase) for s in log.steps
+        ], case
+
+        for augment in (augment_2ec, augment_2vc):
+            r, hr = augment(g), augment(h)
+            assert hr.added == ekeys(r.added) and hr.total_added_length == r.total_added_length
+            assert [
+                (c.walk, c.geodesic, c.new_edges, c.geodesic_length) for c in hr.certificates
+            ] == [
+                (tuple(new[v] for v in c.walk), tuple(new[v] for v in c.geodesic),
+                 ekeys(c.new_edges), c.geodesic_length)
+                for c in r.certificates
+            ], (case, r.mode)
+
+        for mode in ("2vc", "2ec"):
+            r, hr = optimal_augment(g, mode), optimal_augment(h, mode)
+            assert hr.added == ekeys(r.added) and hr.total_added_length == r.total_added_length
+            assert [(f.cost, f.edges) for f in hr.faces] == [
+                (f.cost, ekeys(f.edges)) for f in r.faces
+            ], (case, mode)

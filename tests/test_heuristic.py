@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 
@@ -18,6 +20,7 @@ from pslgaug.geodesic import geodesic
 from pslgaug.pslg import InvalidInstance, Walk
 
 from test_optimal import pool_instances
+from test_transform import GOLDEN_MORPHS
 
 
 def test_split_sizes():
@@ -192,3 +195,23 @@ def test_each_geodesic_is_computed_once(monkeypatch):
             assert len(set(queries)) == len(queries), (g.n, augment.__name__)
             total += len(queries)
     assert total > 500
+
+
+# sha256 of both heuristics' results on the golden morph graphs and the
+# benchmark pool (55 graphs, 2,348 certificates): the added edges, their
+# length and every certificate's walk, geodesic, new edges and length,
+# recorded while the geodesic environment still renumbered the vertices, so
+# every geodesic is checked to be the same in the graph's own ids
+HEURISTIC_DIGEST = "e992b2b53d3dbc2b"
+
+
+def test_heuristic_digest_pinned():
+    graphs = [generate(*case) for case in sorted(GOLDEN_MORPHS)] + pool_instances()
+    text = []
+    for g in graphs:
+        for augment in (augment_2ec, augment_2vc):
+            r = augment(g)
+            certs = [[c.face_id, c.walk, c.geodesic, c.new_edges, repr(c.geodesic_length)]
+                     for c in r.certificates]
+            text.append(json.dumps([r.mode, r.added, repr(r.total_added_length), certs]))
+    assert hashlib.sha256("\n".join(text).encode()).hexdigest()[:16] == HEURISTIC_DIGEST

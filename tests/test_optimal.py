@@ -45,7 +45,7 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.js
 
 
 def occurrences(w, vid):
-    return [i for i in range(1, w.n + 1) if w.vert[i] == vid]
+    return [i for i in range(1, w.n + 1) if w.seq[i] == vid]
 
 
 def test_feasibility_fig3(fig3):
@@ -65,7 +65,7 @@ def test_feasibility_fig3(fig3):
     # existing edges are never candidates
     for i in range(1, w.n + 1):
         j = i + 1 if i < w.n else 1
-        u, v = int(w.vert[i]), int(w.vert[j])
+        u, v = w.seq[i], w.seq[j]
         assert not np.isfinite(F[min(i, j) or 1, max(i, j)]) or ekey(u, v) not in fig3.edges
 
 
@@ -308,21 +308,21 @@ def cut_structure(w: IndexedWalk, s: int, t: int):
     descendant position groups and non-descendant positions."""
     count = {}
     for q in range(s, t + 1):
-        count[int(w.vert[q])] = count.get(int(w.vert[q]), 0) + 1
+        count[w.seq[q]] = count.get(w.seq[q], 0) + 1
     cuts = {}
     for v, c in count.items():
         if c < 2:
             continue
-        positions = [q for q in range(s, t + 1) if w.vert[q] == v]
+        positions = [q for q in range(s, t + 1) if w.seq[q] == v]
         groups = []
         for a, b in zip(positions, positions[1:]):
             groups.append(list(range(a + 1, b)))
         desc = sorted({q for grp in groups for q in grp})
-        desc_verts = {int(w.vert[q]) for q in desc}
+        desc_verts = {w.seq[q] for q in desc}
         nondesc = [
             q
             for q in range(s, t + 1)
-            if int(w.vert[q]) != v and int(w.vert[q]) not in desc_verts
+            if w.seq[q] != v and w.seq[q] not in desc_verts
         ]
         cuts[v] = {"occurrences": positions, "groups": groups, "non_descendants": nondesc}
     return cuts
@@ -378,7 +378,7 @@ def reference_fill(w: IndexedWalk, W, mode):
                 continue
 
             if mode == "2vc":
-                ps = w.occ[int(vert[s])]
+                ps = w.occ[w.seq[s]]
                 idx = bisect_right(ps, t) - 1
                 head_is_cut = ps[idx] > s
                 pair_anchor = ps[idx] if head_is_cut else 0

@@ -671,7 +671,7 @@ def test_check_rotations_matches_polar_sort_reference_on_closed_walks():
 
 def assert_vertex_index_current(T):
     index = {}
-    for t in T.tris:
+    for t in set(T.side.values()):
         for v in t:
             index.setdefault(v, []).append(t)
     got = {v: sorted(ts) for v, ts in T.vertex_tris.items()}
@@ -679,8 +679,10 @@ def assert_vertex_index_current(T):
 
 
 def assert_side_map_current(T):
+    # rebuilt from the vertex index, which ``add_tri`` and ``remove_tri``
+    # keep apart from the side map
     side = {}
-    for t in T.tris:
+    for t in {t for ts in T.vertex_tris.values() for t in ts}:
         for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
             assert e not in side, e
             side[e] = t
@@ -691,7 +693,7 @@ def test_vertex_index_follows_random_constraint_edits():
     rng = random.Random(8)
     for _ in range(12):
         g = generate(rng.randint(8, 30), rng.randrange(10**6), 0.0)
-        T = triangulate_points([g.ipt(p.id) for p in g.points])
+        T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
         n, edits = g.n, 0
         while edits < 60:
             if T.constrained and rng.random() < 0.3:
@@ -712,10 +714,10 @@ def test_vertex_index_follows_random_constraint_edits():
 
 def test_validate_rejects_a_removed_interior_triangle():
     g = generate(30, 11, 0.0)
-    T = triangulate_points([g.ipt(p.id) for p in g.points])
+    T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
     lawson_flips(T)
     T.validate()
-    interior = [t for t in sorted(T.tris) if all(
+    interior = [t for t in sorted(set(T.side.values())) if all(
         (b, a) in T.side for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])))]
     assert len(interior) > 20
     for t in interior:
@@ -725,7 +727,7 @@ def test_validate_rejects_a_removed_interior_triangle():
         T.add_tri(*t)
     T.validate()
     a, b, c = interior[0]
-    z = next(z for z in range(len(T.pts)) if z not in (a, b, c) and T.orient(a, b, z))
+    z = next(z for z in sorted(T.pts) if z not in (a, b, c) and T.orient(a, b, z))
     with pytest.raises(LemmaViolation, match=re.escape(f"edge {ekey(a, b)} borders 3 triangles")):
         T.add_tri(a, b, z)
 
@@ -747,10 +749,6 @@ PHASE5_CASES = [
 ]
 
 
-def _local_edges(env, g):
-    return {(env.lid[u], env.lid[v]) for u, v in g.edges}
-
-
 def test_live_environment_matches_a_fresh_one(monkeypatch):
     queries, follows = Counter(), Counter()
     live_query, follow = _Editor.geodesic, _Editor._follow
@@ -760,7 +758,7 @@ def test_live_environment_matches_a_fresh_one(monkeypatch):
         geo = live_query(ed, walk)
         g, env = ed.graph, ed.env
         assert env.g is g and g._face_env is env
-        assert env.T.constrained == _local_edges(env, g) == ed.constrained
+        assert env.T.constrained == g.edges
         env.T.validate()
         assert_vertex_index_current(env.T)
         assert_side_map_current(env.T)
@@ -779,8 +777,8 @@ def test_live_environment_matches_a_fresh_one(monkeypatch):
 
     def followed(ed, op, u, v):
         follow(ed, op, u, v)
-        # the editor's mirror of the constraint marks is the graph's edges
-        assert ed.constrained == _local_edges(ed.env, ed.graph)
+        # the constraint marks follow the graph's edges
+        assert ed.env.T.constrained == ed.graph.edges
         follows[op] += 1
 
     monkeypatch.setattr(_Editor, "geodesic", checked)
@@ -948,7 +946,7 @@ def test_query_rejects_a_flipped_constrained_edge():
     # diagonal, and a bridge (one face on both sides) loses its triangles
     for seeded in SEEDS:
         ed = _live_editor(seeded)
-        T, gid = ed.env.T, ed.env.gid
+        T = ed.env.T
         bridges = connectivity(ed.graph).bridges
         seen = Counter()
         for a, b in sorted(T.constrained):
@@ -965,7 +963,7 @@ def test_query_rejects_a_flipped_constrained_edge():
             with pytest.raises(LemmaViolation) as e:
                 _query_after(flip, seeded)
             seen[str(e.value)] += 1
-            if (gid[a], gid[b]) in bridges:
+            if (a, b) in bridges:
                 assert str(e.value) == "face assignment incomplete"
             else:  # a triangle spanning both faces may already get both seeds
                 assert str(e.value) in ("face flood fill conflict",
@@ -976,7 +974,7 @@ def test_query_rejects_a_flipped_constrained_edge():
 
 def test_query_rejects_a_deleted_triangle():
     for seeded in SEEDS:
-        tris = sorted(_live_editor(seeded).env.T.tris)
+        tris = sorted(set(_live_editor(seeded).env.T.side.values()))
         assert len(tris) > 40
         for t in tris:
             with pytest.raises(LemmaViolation, match="^face assignment incomplete$"):

@@ -67,11 +67,12 @@ def test_hull_side_count_follows_every_triangle_edit(monkeypatch):
     monkeypatch.setattr(Triangulation, "remove_tri", checked(remove))
     rng = random.Random(3)
     for _ in range(20):
-        T = triangulate_points(_points(rng, rng.randint(3, 25)))
+        T = triangulate_points(dict(enumerate(_points(rng, rng.randint(3, 25)))))
         lawson_flips(T)
-        add_outside_points(T, [(-10**4, -10**4), (10**4, -10**4 - 1), (10**4 + 3, 10**4)])
+        add_outside_points(T, {-1: (-10**4, -10**4), 90: (10**4, -10**4 - 1),
+                               91: (10**4 + 3, 10**4)})
         for _ in range(8):
-            i, j = sorted(rng.sample(range(len(T.pts)), 2))
+            i, j = sorted(rng.sample(sorted(T.pts), 2))
             try:
                 insert_constraint(T, i, j)
             except LemmaViolation:  # crosses a constraint or passes a point
@@ -94,20 +95,18 @@ def test_hull_side_count_follows_every_triangle_edit(monkeypatch):
 
 
 def test_validate_rejects_a_triangle_dropped_behind_its_back():
-    # dropped from ``tris`` and ``side`` without ``remove_tri``: the hull
-    # side count does not move, so the triangle count no longer matches it
+    # dropped from ``side`` without ``remove_tri``: the hull side count
+    # does not move, so the triangle count no longer matches it
     g = generate(30, 11, 0.0)
-    T = triangulate_points([g.ipt(p.id) for p in g.points])
+    T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
     lawson_flips(T)
     T.validate()
-    for t in sorted(T.tris):
+    for t in sorted(set(T.side.values())):
         sides = ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
-        T.tris.remove(t)
         for e in sides:
             del T.side[e]
         with pytest.raises(LemmaViolation, match="triangles, not 2V - h - 2"):
             T.validate()
-        T.tris.add(t)
         for e in sides:
             T.side[e] = t
         T.validate()
@@ -117,29 +116,30 @@ def test_validate_rejects_a_triangle_dropped_behind_its_back():
 def test_add_outside_points_joins_the_box_corners():
     rng = random.Random(5)
     for _ in range(20):
-        pts = _points(rng, rng.randint(3, 30))
+        pts = dict(enumerate(_points(rng, rng.randint(3, 30))))
         T = triangulate_points(pts)
-        box = [(-10**4, -10**4), (10**4, -10**4 - 1), (10**4 + 3, 10**4), (-10**4 - 7, 10**4 + 2)]
+        box = {40: (-10**4, -10**4), 41: (10**4, -10**4 - 1), 42: (10**4 + 3, 10**4),
+               43: (-10**4 - 7, 10**4 + 2)}
         add_outside_points(T, box)
         T.validate()
-        assert T.pts == pts + box
-        assert sorted(_hull_cycle(T)) == list(range(len(pts), len(pts) + 4))
+        assert T.pts == {**pts, **box} and list(T.pts) == [*pts, *box]
+        assert sorted(_hull_cycle(T)) == [40, 41, 42, 43]
         assert T.hull_sides == recount_hull_sides(T) == 4
 
 
 def test_join_outside_refuses_a_point_inside_the_hull():
-    pts = [(0, 0), (10, 1), (4, 9), (-3, 5)]
+    pts = dict(enumerate([(0, 0), (10, 1), (4, 9), (-3, 5)]))
     T = triangulate_points(pts)
-    T.pts.append((3, 4))
+    T.pts[4] = (3, 4)
     with pytest.raises(LemmaViolation, match="^point 4 inside current hull during scan$"):
         join_outside(T, _hull_cycle(T), 4)
     T = triangulate_points(pts)
     with pytest.raises(LemmaViolation, match="^point 4 inside current hull during scan$"):
-        add_outside_points(T, [(3, 4)])
+        add_outside_points(T, {4: (3, 4)})
 
 
 def test_add_tri_orients_once_and_keeps_its_canonical_form(monkeypatch):
-    T = Triangulation([(0, 0), (4, 0), (1, 3), (2, 0)])
+    T = Triangulation(dict(enumerate([(0, 0), (4, 0), (1, 3), (2, 0)])))
     calls = []
     orient = T.orient
     monkeypatch.setattr(T, "orient", lambda *a: calls.append(a) or orient(*a))
@@ -147,4 +147,12 @@ def test_add_tri_orients_once_and_keeps_its_canonical_form(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(DegenerateInput, match=re.escape("degenerate triangle (0, 3, 1)")):
         T.add_tri(3, 1, 0)
-    assert T.tris == {(0, 1, 2)} and T.hull_sides == 3
+    assert set(T.side.values()) == {(0, 1, 2)} and T.hull_sides == 3
+
+
+def test_points_must_be_a_mapping():
+    # dict() would read each (x, y) of a sequence as the pair x -> y
+    pts = [(0, 0), (4, 0), (1, 3)]
+    for make in (Triangulation, triangulate_points):
+        with pytest.raises(TypeError):
+            make(pts)
