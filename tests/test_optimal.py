@@ -355,8 +355,8 @@ def reference_fill(w: IndexedWalk, W, mode):
     vert = w.vert
     has_rep = _has_repeat(n, *_pockets(w))
     mate, has_br = _bridges(w)
-    # vertex ids renumbered from 0, so a set of descendant vertices is a mask
-    local = np.unique(vert, return_inverse=True)[1]
+    # vert numbers the vertices densely from 0, so a set of descendant
+    # vertices is a mask
     desc = np.zeros(n + 1, dtype=bool)
 
     C = np.full((n + 2, n + 2), np.inf)
@@ -408,9 +408,9 @@ def reference_fill(w: IndexedWalk, W, mode):
             else:
                 D = np.arange(s + 1, pair_anchor + 1)
             N = np.arange(pair_anchor + 1, t + 1)
-            desc[local[D]] = True
-            N = N[~desc[local[N]]]
-            desc[local[D]] = False
+            desc[vert[D]] = True
+            N = N[~desc[vert[N]]]
+            desc[vert[D]] = False
 
             best = np.inf
             bcase, bk1, bk2 = _CASE_INF, 0, 0

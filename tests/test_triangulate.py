@@ -69,8 +69,8 @@ def test_hull_side_count_follows_every_triangle_edit(monkeypatch):
     for _ in range(20):
         T = triangulate_points(dict(enumerate(_points(rng, rng.randint(3, 25)))))
         lawson_flips(T)
-        add_outside_points(T, {-1: (-10**4, -10**4), 90: (10**4, -10**4 - 1),
-                               91: (10**4 + 3, 10**4)})
+        add_outside_points(T, {100: (-10**4, -10**4), 101: (10**4, -10**4 - 1),
+                               102: (10**4 + 3, 10**4)})
         for _ in range(8):
             i, j = sorted(rng.sample(sorted(T.pts), 2))
             try:
