@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from math import fsum
 
 from .geom import LENGTH_TOL, convex_hull, dist, ekey
-from .geodesic import geodesic
+from .geodesic import GeodesicPath, geodesic
 from .oracle import certify, report
 from .pslg import (
     ConvexWalkSet,
@@ -89,7 +89,8 @@ def split_into_short_walks(c: ConvexWalkSet):
 
 def _insert_geodesic_edges(g, walk, geo, added, certs):
     """Record the edges of ``geo``, the geodesic of ``walk`` in g, that are
-    neither in g nor added yet, and certify them."""
+    neither in g nor added yet, and write their Certificate (no other code
+    writes one)."""
     gids = geo.ids()
     new = []
     for a, b in zip(gids, gids[1:]):
@@ -176,25 +177,11 @@ def _case2_decompose(g, walk: Walk, added, certs):
 
     pts = [g.ipt(v) for v in seq]
     hull = set(convex_hull(pts))
-    on_hull = [p in hull for p in pts]
-    # the hull vertices of a convex walk form one contiguous block
-    blocks = []
-    k = 0
-    n = len(seq)
-    while k < n:
-        if on_hull[k]:
-            j = k
-            while j + 1 < n and on_hull[j + 1]:
-                j += 1
-            blocks.append((k, j))
-            k = j + 1
-        else:
-            k += 1
-    if len(blocks) != 1:
-        raise LemmaViolation(
-            f"hull subchain of convex walk is not contiguous: {blocks}"
-        )
-    i, j = blocks[0]
+    # the hull vertices of a convex walk sit at consecutive positions i..j
+    at = [k for k, p in enumerate(pts) if p in hull]
+    i, j, n = at[0], at[-1], len(seq)
+    if j - i + 1 != len(at):
+        raise LemmaViolation(f"hull subchain of convex walk is not contiguous: {at}")
     if j - i < 1:
         raise LemmaViolation("hull subchain of convex walk has no edge")
 
@@ -260,19 +247,10 @@ def augment_2vc(g: Pslg) -> AugmentationResult:
             raise LemmaViolation(
                 f"closed convex walk with unexpected repeat pattern: {seq}"
             )
-        p0, p2 = seq[0], seq[2]
-        e = ekey(p0, p2)
+        chord = [g.by_id[seq[0]], g.by_id[seq[2]]]
+        e = ekey(seq[0], seq[2])
         if e not in g.edges and e not in added:
-            added[e] = dist(g.by_id[p0], g.by_id[p2])
-            certs.append(
-                Certificate(
-                    face_id=w.face_id,
-                    walk=tuple(seq),
-                    geodesic=(p0, p2),
-                    new_edges=[e],
-                    geodesic_length=added[e],
-                )
-            )
+            _insert_geodesic_edges(g, w, GeodesicPath(chord, dist(*chord)), added, certs)
 
     for w in sorted(c.p2, key=lambda w: (w.face_id, w.seq)):
         for seg in _split_simple_segments(list(w.seq)):

@@ -612,7 +612,7 @@ def _first_min(vals, keys, idx, offs, cnt):
     return vmin, first
 
 
-def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
+def _dp(w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
     n = w.n
     W = F if weight == "length" else np.where(np.isfinite(F), 1.0, np.inf)
     C, case, k1, k2 = _fill(w, W, mode)
@@ -653,7 +653,7 @@ def _dp(g: Pslg, w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
 
     edges = sorted({ekey(w.seq[i], w.seq[j]) for i, j in pairs})
     cost = float(C[1, n])
-    return cost, edges, pairs
+    return cost, edges
 
 
 def dp_2vc(g: Pslg, walk, weight="length"):
@@ -661,7 +661,7 @@ def dp_2vc(g: Pslg, walk, weight="length"):
     check_weight(weight)
     w = IndexedWalk.from_walk(walk)
     F = feasibility(g, w)
-    return _dp(g, w, F, "2vc", weight)[:2]
+    return _dp(w, F, "2vc", weight)
 
 
 def dp_2ec(g: Pslg, walk, weight="length"):
@@ -669,7 +669,7 @@ def dp_2ec(g: Pslg, walk, weight="length"):
     check_weight(weight)
     w = IndexedWalk.from_walk(walk, extend=True)
     F = feasibility(g, w)
-    return _dp(g, w, F, "2ec", weight)[:2]
+    return _dp(w, F, "2ec", weight)
 
 
 def _chordless(seq, mode) -> bool:

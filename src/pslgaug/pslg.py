@@ -8,7 +8,8 @@ right of its directed boundary edges, bounded faces are traversed clockwise
 non-negative area.  Under this convention the corner of a walk (prev, apex,
 next) spans exactly the angular sector of its face at that corner, measured
 counterclockwise from ray(apex->prev) to ray(apex->next), so a corner is
-convex iff (prev - apex) x (next - apex) > 0 (``_corner_convex``).
+convex iff apex, prev, next turn counterclockwise: ``orient_xy`` of the
+three is +1 (``_corner_convex``).
 
 Connectivity is read off the face labels: an edge is a bridge iff one face
 lies on both of its sides, and a vertex is a cut vertex iff one face meets
@@ -656,12 +657,9 @@ def require_augmentable(g: Pslg):
 
 
 def _corner_convex(g: Pslg, prev, apex, nxt) -> bool:
-    if prev == nxt:
-        return False  # leaf / immediate backtrack: full angle
-    ax, ay = g.ipt(apex)
-    px, py = g.ipt(prev)
-    nx, ny = g.ipt(nxt)
-    return (px - ax) * (ny - ay) - (py - ay) * (nx - ax) > 0
+    """Whether the corner (prev, apex, nxt) of a facial walk is convex.  A
+    leaf corner (prev == nxt) spans the full angle and has orientation 0."""
+    return orient_xy(*g.ipt(apex), *g.ipt(prev), *g.ipt(nxt)) > 0
 
 
 def convex_walk_decomposition(g: Pslg) -> ConvexWalkSet:

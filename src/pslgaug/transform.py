@@ -309,31 +309,29 @@ def mst_length(g: Pslg):
 
 
 def phase1_spanning_tree(ed: _Editor):
-    """Strip to the minimum spanning subtree of the existing edges."""
-    tree = set(kruskal(ed.graph.edges, lambda e: _sq(ed.graph, *e)))
-    for e in sorted(ed.graph.edges - tree):
+    """Strip the graph to the minimum spanning subtree of its edges."""
+    g = ed.graph
+    keep = set(kruskal(g.edges, lambda e: _sq(g, *e)))
+    for e in sorted(g.edges - keep):
         ed.delete(e[0], e[1], PHASE_TREE)
-    return tree
 
 
-def phase2_to_delaunay_tree(ed: _Editor, tree):
-    """Flip to the Delaunay triangulation, swapping flipped tree edges for
-    strictly shorter quad sides; the intermediate graph stays connected.
-    Returns the tree and the certified, unconstrained Delaunay
+def phase2_to_delaunay_tree(ed: _Editor):
+    """Flip to the Delaunay triangulation, swapping each flipped edge of the
+    graph, a tree here, for a strictly shorter quad side; the intermediate
+    graph stays connected.  Returns the certified, unconstrained Delaunay
     triangulation, which ``transform`` hands to the editor to seed phase
     4's geodesic environment (every Euclidean MST edge is a Gabriel edge,
     so already one of its edges)."""
     g = ed.graph
     T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
-    for (u, v) in sorted(tree):
+    for (u, v) in sorted(g.edges):
         insert_constraint(T, u, v)
     T.constrained.clear()
 
-    tree = set(tree)
-
-    def on_flip(old_edge, new_edge, apexes):
+    def on_flip(old_edge, apexes):
         a, b = e = old_edge  # a key: the flip queue holds keys
-        if e not in tree:
+        if e not in ed.graph.edges:
             return
         c, d = apexes
         # pick the apex with the obtuse angle: both its sides are shorter
@@ -344,26 +342,23 @@ def phase2_to_delaunay_tree(ed: _Editor, tree):
             apex = d
         else:
             raise LemmaViolation("no obtuse apex on an illegal edge")
-        # the graph is the tree here: apex is on b's side of (a, b) iff
-        # the tree path from a to apex starts along (a, b)
+        # the graph is a tree: apex is on b's side of (a, b) iff the tree
+        # path from a to apex starts along (a, b)
         other = a if forest_path(ed.graph.rotation, a, apex)[1] == b else b
         new = ekey(apex, other)
         if _sq(g, *new) >= _sq(g, a, b):
             raise LemmaViolation("tree swap did not shorten")
         ed.insert(new[0], new[1], PHASE_DELAUNAY)
         ed.delete(a, b, PHASE_DELAUNAY)
-        tree.discard(e)
-        tree.add(new)
 
     flips = lawson_flips(T, on_flip=on_flip)
     if not is_delaunay(T):
         raise LemmaViolation("flip sequence did not reach Delaunay")
-    for e in tree:
+    for e in ed.graph.edges:
         if not T.has_edge(*e):
             raise LemmaViolation("tree edge missing from the Delaunay triangulation")
     ed.log.stats["flips"] = flips
-    ed.log.stats["delaunay_ok"] = True
-    return tree, T
+    return T
 
 
 def _dot_at(g, apex, a, b):
@@ -373,18 +368,17 @@ def _dot_at(g, apex, a, b):
     return (ax - cx) * (bx - cx) + (ay - cy) * (by - cy)
 
 
-def phase3_to_mst(ed: _Editor, tree, target):
-    """Exchange tree edges for the canonical Euclidean MST ``target``: insert
-    a missing MST edge, delete a longest edge of the unique created cycle."""
+def phase3_to_mst(ed: _Editor, target):
+    """Exchange the edges of the graph, a tree here, for those of the
+    canonical Euclidean MST ``target``: insert a missing MST edge, delete a
+    longest edge of the unique created cycle."""
     g = ed.graph
-    tree = set(tree)
-    for e in sorted(target - tree):
-        # the graph is the tree here; e closes the cycle through its path
+    for e in sorted(target - g.edges):
+        # e closes the cycle through the tree path between its endpoints
         path = forest_path(ed.graph.rotation, *e)
         if path is None:
             raise LemmaViolation("cycle edge endpoints not connected in tree")
         ed.insert(e[0], e[1], PHASE_MST)
-        tree.add(e)
         cyc = [e] + [ekey(a, b) for a, b in zip(path, path[1:])]
         mx = max(_sq(g, *f) for f in cyc)
         cand = [f for f in cyc if _sq(g, *f) == mx]
@@ -393,10 +387,8 @@ def phase3_to_mst(ed: _Editor, tree, target):
             raise LemmaViolation("all longest cycle edges belong to the MST")
         f = min(outside)
         ed.delete(f[0], f[1], PHASE_MST)
-        tree.discard(f)
-    if tree != target:
+    if ed.graph.edges != target:
         raise LemmaViolation("phase 3 did not reach the MST")
-    return tree
 
 
 def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
@@ -426,20 +418,21 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
     return poly
 
 
-def phase4_grow_cycle(ed: _Editor, mst):
+def phase4_grow_cycle(ed: _Editor):
     """Grow a weakly simple polygon from a hull edge over the whole vertex
-    set; the polygon plus leftover edges never exceed twice the MST."""
+    set, starting from the graph, the Euclidean MST here; the polygon plus
+    leftover edges never exceed twice the MST."""
     g = ed.graph
     id_at = {g.ipt(p.id): p.id for p in g.points}
     hull = [id_at[xy] for xy in convex_hull(list(id_at))]
     hull_edges = [ekey(hull[i], hull[(i + 1) % len(hull)]) for i in range(len(hull))]
-    absent = [e for e in hull_edges if e not in mst]
+    absent = [e for e in hull_edges if e not in g.edges]
     if not absent:
         raise LemmaViolation("spanning tree contains the whole hull cycle")
     uv = max(absent, key=lambda e: (_sq(g, *e), [-c for c in e]))
     u, v = uv
 
-    path = forest_path(ed.graph.rotation, u, v)  # the graph is the MST here
+    path = forest_path(g.rotation, u, v)
     ed.insert(u, v, PHASE_GROW)
     poly = WeaklySimplePolygon(seq=list(path))
 
@@ -478,14 +471,8 @@ def phase4_grow_cycle(ed: _Editor, mst):
 
         # splice: replace one copy of edge (xq, y) by xq .. geodesic .. zq, y
         m = len(poly.seq)
-        at = None
-        for j in range(m):
-            a, b = poly.seq[j], poly.seq[(j + 1) % m]
-            if ekey(a, b) == ekey(xq, y):
-                at = j
-                break
-        a, b = poly.seq[at], poly.seq[(at + 1) % m]
-        if a == xq:
+        at = next(j for j in range(m) if ekey(poly.seq[j], poly.seq[(j + 1) % m]) == ekey(xq, y))
+        if poly.seq[at] == xq:
             ins = gids[1:]  # ends at zq, then the old y follows
         else:
             ins = [zq] + gids[1:-1][::-1]
@@ -524,10 +511,9 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
             nx, ny = g.ipt(nxt)
             u_vec = (px - vx, py - vy)
             w_vec = (nx - vx, ny - vy)
-            key = (vtx, j)
-            if best is None or angle_less(u_vec, w_vec, best[1], best[2]):
-                best = (key, u_vec, w_vec, j, prev, vtx, nxt)
-        _, u_vec, w_vec, j, prev, vtx, nxt = best
+            if best is None or angle_less(u_vec, w_vec, best[0], best[1]):
+                best = (u_vec, w_vec, j, prev, vtx, nxt)
+        u_vec, w_vec, j, prev, vtx, nxt = best
         cr = u_vec[0] * w_vec[1] - u_vec[1] * w_vec[0]
         if cr == 0:
             raise LemmaViolation("degenerate corner in phase 5")
@@ -557,10 +543,10 @@ def transform(g: Pslg):
     ed = _Editor(g)
     ed.log.stats.update(base_length=ed.length, mst_length=ed.mst_length, ceiling=ed.ceiling)
 
-    tree = phase1_spanning_tree(ed)
-    tree, ed.delaunay = phase2_to_delaunay_tree(ed, tree)
-    tree = phase3_to_mst(ed, tree, euclidean_mst(g))
-    poly = phase4_grow_cycle(ed, tree)
+    phase1_spanning_tree(ed)
+    ed.delaunay = phase2_to_delaunay_tree(ed)
+    phase3_to_mst(ed, euclidean_mst(g))
+    poly = phase4_grow_cycle(ed)
     poly = phase5_simplify(ed, poly)
 
     final = ed.graph

@@ -312,9 +312,9 @@ def lawson_flips(T: Triangulation, on_flip=None):
     """Flip non-Delaunay edges until the empty-circumcircle test passes.
     Constraint marks are not read: callers flip unconstrained triangulations.
 
-    on_flip(old_edge, new_edge, apexes) is called after each flip with vertex
-    ids; the flip count is returned and capped at 4V^2 + 64 (a blown cap
-    indicates a bug, not bad input).
+    on_flip(old_edge, apexes) is called after each flip with vertex ids; the
+    new edge is ekey(*apexes).  The flip count is returned and capped at
+    4V^2 + 64 (a blown cap indicates a bug, not bad input).
     """
     flip_cap = 4 * len(T.pts) * len(T.pts) + 64
     queue = deque(sorted(T.edges()))
@@ -347,7 +347,7 @@ def lawson_flips(T: Triangulation, on_flip=None):
         if count > flip_cap:
             raise LemmaViolation("flip budget exceeded")
         if on_flip is not None:
-            on_flip((a, b), ekey(c, d), (c, d))
+            on_flip((a, b), (c, d))
         for k in (ekey(a, c), ekey(c, b), ekey(b, d), ekey(d, a), ekey(c, d)):
             if k not in queued and T.has_edge(*k):
                 queue.append(k)

@@ -343,6 +343,20 @@ def test_transform_replay_roundtrip(tmp_path, capsys):
     assert rep["steps"] == doc["steps"]
 
 
+def test_validate_and_replay_time_their_work(tmp_path, capsys):
+    # both records state the run time of connectivity and replay, not 0.0
+    inst = tmp_path / "inst.json"
+    inst.write_text(serialize(generate(20, 7, 0.4)))
+    oplog = tmp_path / "run.jsonl"
+    assert run_cli(["transform", str(inst), "--oplog", str(oplog)], capsys)[0] == 0
+    for argv in (["validate", str(inst)], ["replay", str(inst), str(oplog)]):
+        code, out, _ = run_cli(argv + ["--json"], capsys)
+        assert code == 0
+        doc = json.loads(out)
+        check_schema(doc)
+        assert doc["wall_ms"] > 0, argv[0]
+
+
 def test_transform_oplog_states_the_exact_ceiling_and_replay_checks_it(tmp_path, capsys):
     from pslgaug.geom import LENGTH_TOL
     from pslgaug.transform import transform

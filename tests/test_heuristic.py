@@ -13,7 +13,7 @@ from pslgaug import (
     convex_walk_decomposition,
     split_into_short_walks,
 )
-from pslgaug.geom import ekey
+from pslgaug.geom import convex_hull, ekey
 from pslgaug.instances import generate
 from pslgaug import heuristic
 from pslgaug.geodesic import geodesic
@@ -205,13 +205,40 @@ def test_each_geodesic_is_computed_once(monkeypatch):
 HEURISTIC_DIGEST = "e992b2b53d3dbc2b"
 
 
+def results_digest(results):
+    """sha256 prefix of augmentation results: the added edges, their length
+    and every certificate."""
+    text = []
+    for r in results:
+        certs = [[c.face_id, c.walk, c.geodesic, c.new_edges, repr(c.geodesic_length)]
+                 for c in r.certificates]
+        text.append(json.dumps([r.mode, r.added, repr(r.total_added_length), certs]))
+    return hashlib.sha256("\n".join(text).encode()).hexdigest()[:16]
+
+
 def test_heuristic_digest_pinned():
     graphs = [generate(*case) for case in sorted(GOLDEN_MORPHS)] + pool_instances()
-    text = []
-    for g in graphs:
-        for augment in (augment_2ec, augment_2vc):
-            r = augment(g)
-            certs = [[c.face_id, c.walk, c.geodesic, c.new_edges, repr(c.geodesic_length)]
-                     for c in r.certificates]
-            text.append(json.dumps([r.mode, r.added, repr(r.total_added_length), certs]))
-    assert hashlib.sha256("\n".join(text).encode()).hexdigest()[:16] == HEURISTIC_DIGEST
+    results = [augment(g) for g in graphs for augment in (augment_2ec, augment_2vc)]
+    assert results_digest(results) == HEURISTIC_DIGEST
+
+
+# graphs on which augment_2vc decomposes an open convex walk from its hull
+# subchain outward, once each; the digest of its results on them was
+# recorded before the hull positions were read as one consecutive run
+HULL_SUBCHAIN_CASES = [(39, 900020, 0.4), (15, 900079, 0.4), (13, 900176, 0.2),
+                       (13, 900254, 0.4), (20, 900308, 0.4), (9, 900479, 0.4),
+                       (40, 900513, 0.4)]
+HULL_SUBCHAIN_DIGEST = "283c70e2ea116202"
+
+
+def test_hull_subchain_digest_pinned(monkeypatch):
+    hulls = []
+
+    def counted(pts):
+        hulls.append(len(pts))
+        return convex_hull(pts)
+
+    monkeypatch.setattr(heuristic, "convex_hull", counted)
+    results = [augment_2vc(generate(*case)) for case in HULL_SUBCHAIN_CASES]
+    assert len(hulls) == len(HULL_SUBCHAIN_CASES)
+    assert results_digest(results) == HULL_SUBCHAIN_DIGEST

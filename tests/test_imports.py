@@ -73,3 +73,36 @@ def test_unnamed_privates_detected():
 def test_every_private_definition_is_named_in_the_library():
     sources = {p.name: p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))}
     assert unnamed_privates(sources) == []
+
+
+def unread_parameters(source):
+    """The parameters (line, function, name) of the functions and lambdas of
+    ``source`` that their body never reads, except ``self``, ``cls`` and
+    names starting with ``_``.  A nested function's read counts for the
+    function that encloses it."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        out += [(p.lineno, name, p.arg) for p in params
+                if p.arg not in read and p.arg not in ("self", "cls") and not p.arg.startswith("_")]
+    return sorted(out)
+
+
+def test_unread_parameters_detected():
+    source = ("def f(a, b, _c, *d, e, **k):\n    return a + (lambda x, y: x)(e, 0)\n\n\n"
+              "class C:\n    def m(self, v):\n        def inner():\n            return v\n"
+              "        return inner\n")
+    assert unread_parameters(source) == [
+        (1, "f", "b"), (1, "f", "d"), (1, "f", "k"), (2, "<lambda>", "y")]
+
+
+@pytest.mark.parametrize("module", ["__init__.py", *MODULES])
+def test_every_parameter_is_read(module):
+    assert unread_parameters((SRC / module).read_text(encoding="utf-8")) == []

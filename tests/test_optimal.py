@@ -348,7 +348,30 @@ def test_prefix_tables_match_cut_structure(
     assert checked > 1000
 
 
+_REFERENCE_TABLES = {}
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _free_reference_tables():
+    """The shared reference tables live as long as this module's tests."""
+    yield
+    _REFERENCE_TABLES.clear()
+
+
 def reference_fill(w: IndexedWalk, W, mode):
+    """The reference tables of ``_fill_by_cell``, filled once per walk,
+    weight matrix and mode and shared by every test that asks again (the
+    reference does not read ``_SCORE_CHUNK``).  The arrays are read-only."""
+    key = (w.seq, w.extended, W.tobytes(), mode)
+    if key not in _REFERENCE_TABLES:
+        tables = _fill_by_cell(w, W, mode)
+        for a in tables:
+            a.setflags(write=False)
+        _REFERENCE_TABLES[key] = tables
+    return _REFERENCE_TABLES[key]
+
+
+def _fill_by_cell(w: IndexedWalk, W, mode):
     """Reference: the DP tables filled one cell at a time, by increasing
     interval length, each inner minimization over its own index arrays."""
     n = w.n
@@ -827,7 +850,7 @@ def test_infeasible_face_error(star3):
         F = np.full((w.n + 1, w.n + 1), np.inf)
         for weight in ("length", "unit"):
             with pytest.raises(InfeasibleFace, match=f"face {walk.face_id}:"):
-                _dp(star3, w, F, mode, weight)
+                _dp(w, F, mode, weight)
 
 
 @pytest.mark.parametrize("weight", ["lenght", "count", "Length", None])

@@ -44,14 +44,14 @@ from tests_support import adjacency, label_partition, walk_partition
 
 def test_phase1_tree_input(fig3):
     ed = _Editor(fig3)
-    tree = phase1_spanning_tree(ed)
-    assert tree == set(fig3.edges)
+    phase1_spanning_tree(ed)
+    assert ed.graph.edges == set(fig3.edges)
     assert ed.log.steps == []
 
 
 def test_phase1_triangle(triangle):
     ed = _Editor(triangle)
-    tree = phase1_spanning_tree(ed)
+    phase1_spanning_tree(ed)
     assert len(ed.log.steps) == 1
     deleted = ed.log.steps[0]
     assert deleted.op == "delete"
@@ -66,9 +66,9 @@ def test_phase1_random_counts():
         n = rng.randrange(4, 12)
         g = generate(n, seed + 3000, 0.7)
         ed = _Editor(g)
-        tree = phase1_spanning_tree(ed)
+        phase1_spanning_tree(ed)
         assert len(ed.log.steps) == len(g.edges) - (n - 1)
-        assert len(tree) == n - 1
+        assert len(ed.graph.edges) == n - 1
 
 
 def test_phase2_mst_input_no_swaps():
@@ -80,8 +80,8 @@ def test_phase2_mst_input_no_swaps():
         if set(g.edges) != mst:
             continue
         ed = _Editor(g)
-        tree = phase1_spanning_tree(ed)
-        tree, _ = phase2_to_delaunay_tree(ed, tree)
+        phase1_spanning_tree(ed)
+        phase2_to_delaunay_tree(ed)
         assert [s for s in ed.log.steps if s.phase == 2] == []
 
 
@@ -92,9 +92,9 @@ def test_phase2_one_swap():
         [(0, 1), (0, 2), (0, 3)],
     )
     ed = _Editor(g)
-    tree = phase1_spanning_tree(ed)
-    assert tree == set(g.edges)
-    tree, _ = phase2_to_delaunay_tree(ed, tree)
+    phase1_spanning_tree(ed)
+    assert ed.graph.edges == set(g.edges)
+    phase2_to_delaunay_tree(ed)
     swaps = [s for s in ed.log.steps if s.phase == 2]
     if swaps:
         assert len(swaps) % 2 == 0
@@ -113,8 +113,8 @@ def test_phase2_reaches_delaunay_random():
         n = rng.randrange(4, 14)
         g = generate(n, seed + 5000, rng.choice([0.3, 0.7]))
         ed = _Editor(g)
-        tree = phase1_spanning_tree(ed)
-        tree, T = phase2_to_delaunay_tree(ed, tree)
+        phase1_spanning_tree(ed)
+        T = phase2_to_delaunay_tree(ed)
         assert is_delaunay(T)
         assert ed.log.stats["flips"] <= 4 * n * n
 
@@ -127,11 +127,11 @@ def test_phase3_fixture():
     )
     mst = euclidean_mst(g)
     ed = _Editor(g)
-    tree = phase1_spanning_tree(ed)
-    tree, _ = phase2_to_delaunay_tree(ed, tree)
+    phase1_spanning_tree(ed)
+    phase2_to_delaunay_tree(ed)
     before = len(ed.log.steps)
-    tree = phase3_to_mst(ed, tree, euclidean_mst(g))
-    assert tree == mst
+    phase3_to_mst(ed, euclidean_mst(g))
+    assert ed.graph.edges == mst
     diff = len(ed.log.steps) - before
     assert diff == 2 * len(mst - set(g.edges))
 
@@ -142,10 +142,10 @@ def test_phase3_random_exact_mst():
         n = rng.randrange(4, 13)
         g = generate(n, seed + 6000, rng.choice([0.4, 0.8]))
         ed = _Editor(g)
-        tree = phase1_spanning_tree(ed)
-        tree, _ = phase2_to_delaunay_tree(ed, tree)
-        tree = phase3_to_mst(ed, tree, euclidean_mst(g))
-        assert tree == euclidean_mst(g)
+        phase1_spanning_tree(ed)
+        phase2_to_delaunay_tree(ed)
+        phase3_to_mst(ed, euclidean_mst(g))
+        assert ed.graph.edges == euclidean_mst(g)
 
 
 def test_phase4_immediate_hamiltonian():
@@ -156,8 +156,7 @@ def test_phase4_immediate_hamiltonian():
     )
     assert euclidean_mst(g) == set(g.edges)
     ed = _Editor(g)
-    tree = set(g.edges)
-    poly = phase4_grow_cycle(ed, tree)
+    poly = phase4_grow_cycle(ed)
     assert poly.is_simple()
     assert poly.vertices() == {0, 1, 2, 3, 4}
     assert len([s for s in ed.log.steps if s.phase == 4]) == 1  # just the hull edge
@@ -172,7 +171,7 @@ def test_phase4_five_vertex_tree():
     )
     assert euclidean_mst(g) == set(g.edges)
     ed = _Editor(g)
-    poly = phase4_grow_cycle(ed, set(g.edges))
+    poly = phase4_grow_cycle(ed)
     assert poly.vertices() == {0, 1, 2, 3, 4}
     assert poly.length(g) <= 2 * mst_length(g) + 1e-9
 
@@ -217,10 +216,10 @@ def test_phase4_invariant_random(monkeypatch):
     for g in graphs + pool_instances():
         steps.clear()
         ed = _Editor(g)
-        tree = phase1_spanning_tree(ed)
-        tree, _ = phase2_to_delaunay_tree(ed, tree)
-        tree = phase3_to_mst(ed, tree, euclidean_mst(g))
-        poly = phase4_grow_cycle(ed, tree)
+        phase1_spanning_tree(ed)
+        phase2_to_delaunay_tree(ed)
+        phase3_to_mst(ed, euclidean_mst(g))
+        poly = phase4_grow_cycle(ed)
         assert poly.vertices() == {p.id for p in g.points}
         phase5_simplify(ed, poly)
         assert len(steps) == len(ed.log.steps)
@@ -242,10 +241,10 @@ def test_phase5_random():
         n = rng.randrange(4, 13)
         g = generate(n, seed + 8000, 0.0)
         ed = _Editor(g)
-        tree = phase1_spanning_tree(ed)
-        tree, _ = phase2_to_delaunay_tree(ed, tree)
-        tree = phase3_to_mst(ed, tree, euclidean_mst(g))
-        poly4 = phase4_grow_cycle(ed, tree)
+        phase1_spanning_tree(ed)
+        phase2_to_delaunay_tree(ed)
+        phase3_to_mst(ed, euclidean_mst(g))
+        poly4 = phase4_grow_cycle(ed)
         len4 = poly4.length(g)
         poly5 = phase5_simplify(ed, poly4)
         assert poly5.is_simple()
@@ -814,10 +813,10 @@ def test_transform_triangulates_its_points_once(monkeypatch):
         calls.append(len(pts))
         return triangulate_points(pts)
 
-    def seeding(ed, tree):
-        tree, T = phase2(ed, tree)
+    def seeding(ed):
+        T = phase2(ed)
         envs.append(T)
-        return tree, T
+        return T
 
     def first_query(ed, walk):
         if ed.env is None:
@@ -905,7 +904,8 @@ def _live_editor(seeded):
     ed = _Editor(g)
     if seeded:
         other = _Editor(g)
-        _, ed.delaunay = phase2_to_delaunay_tree(other, phase1_spanning_tree(other))
+        phase1_spanning_tree(other)
+        ed.delaunay = phase2_to_delaunay_tree(other)
     seed = ed.delaunay
     ed.geodesic(_a_walk(g))
     assert (ed.env.T is seed) == seeded
