@@ -10,17 +10,15 @@ sequence of a homotopy class, and so the geodesic, is the same in any.
 
 The triangulation names each vertex by the graph's own id and the box
 corners by the four ids just above the largest, so nothing translates an id.
-Every environment starts from a triangulation of the graph's points alone.
-A graph queried on its own gets one built for it and reads the faces cached
-on it (``Pslg.faces``).  The cycle morph instead keeps phase 2's Delaunay
-triangulation alive across its certified edits: an inserted edge is forced
-in as a constraint, a deleted edge only loses its constraint mark (the
-triangulation stays valid), and each query compares the marks with the
-graph's edges.  The faces come from the morph's certified editor, which
-keeps them per edit.  The directed-side map and hull-side count are kept
-per triangle edit, so the triangle right of each directed edge is a lookup
-and the triangle count check is O(1).  The face of every triangle is still
-flooded for each queried graph, and checked.
+Each queried graph gets one environment, built on first use from a
+triangulation of its points alone and cached on it; it reads the faces
+cached on the graph (``Pslg.faces``), floods the face of every triangle and
+checks the triangulation against the graph.
+
+The cycle morph asks only for the geodesic of a convex two-edge corner,
+which has a closed form (``corner_geodesic``): the hull chain of the
+vertices inside the corner's triangle.  It needs no triangulation, and it
+equals the funnel's answer.
 
 The clip box turns the unbounded face into a bounded region; geodesics never
 bend at box corners (they are convex corners of the region), which is
@@ -31,16 +29,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import collinear_pair, walk_length
+from .geom import collinear_pair, convex_hull, orient_xy, walk_length
 from .pslg import (
-    Faces,
     LemmaViolation,
     Pslg,
     PslgError,
     _corner_convex,
     require_augmentable,
 )
-from .triangulate import Triangulation, add_outside_points, insert_constraint, triangulate_points
+from .triangulate import add_outside_points, insert_constraint, triangulate_points
 
 
 class WalkNotInFace(PslgError):
@@ -60,49 +57,26 @@ class _FaceEnv:
     """The geodesic environment of one graph: a triangulation of its
     vertices and the clip-box corners (``box``, keyed by the four ids just
     above the largest vertex id) with exactly the graph's edges
-    constrained, and the faces of the graph read from it.
+    constrained, and the faces of the graph (``faces``, the ``pslg.Faces``
+    cached on ``g``).
 
-    Without ``live`` the triangulation is built for ``g`` on one path: from
-    ``tri``, an unconstrained triangulation of ``g``'s points alone, which
-    the environment then owns (the morph passes phase 2's), or else from
-    ``triangulate_points`` over those points; ``add_outside_points`` joins
-    the box corners and every edge of ``g`` is constrained.  With ``live``,
-    the environment of an earlier graph on the same points, ``g`` takes
-    over its triangulation, which the caller has since edited to constrain
-    exactly the edges of ``g``; ``live`` is then stale.
-
-    ``faces`` are the faces of ``g`` (a ``pslg.Faces``), by default the
-    ones cached on ``g`` (``Pslg.faces``).  The morph's certified editor
-    passes its own, which it keeps per edit; the environment reads them as
-    they stand, so it goes stale with the editor's next edit, as the live
-    triangulation does.
-
-    Either way the triangle right of dart (u, v) is ``T.side`` at (v, u),
-    read when a query asks for it; the face of every triangle is flooded
-    from those triangles for ``g``, and the flood fill and then
-    ``T.validate()`` check the triangulation against ``g``, after a live
-    environment has compared ``T.constrained`` with ``g.edges``.
+    The triangulation starts from ``triangulate_points`` over ``g``'s
+    points; ``add_outside_points`` joins the box corners and every edge of
+    ``g`` is constrained.  The triangle right of dart (u, v) is ``T.side``
+    at (v, u), read when a query asks for it; the face of every triangle is
+    flooded from those triangles, and the flood fill and then
+    ``T.validate()`` check the triangulation against ``g``.
     """
 
-    def __init__(self, g: Pslg, live: _FaceEnv | None = None, faces: Faces | None = None,
-                 tri: Triangulation | None = None):
+    def __init__(self, g: Pslg):
         require_augmentable(g)
         self.g = g
-        if live is None:
-            pts = {p.id: g.ipt(p.id) for p in g.points}
-            if tri is None:
-                tri = triangulate_points(pts)
-            elif tri.pts != pts or tri.constrained:
-                raise LemmaViolation("seed triangulation is not on the graph's points alone")
-            self.T, self.box = tri, _make_box(pts)
-            add_outside_points(tri, self.box)
-            for (u, v) in sorted(g.edges):
-                insert_constraint(tri, u, v)
-        else:
-            self.box, self.T = live.box, live.T
-            if self.T.constrained != g.edges:
-                raise LemmaViolation("live triangulation constrains other edges than the graph")
-        self.faces = faces if faces is not None else g.faces()
+        pts = {p.id: g.ipt(p.id) for p in g.points}
+        self.T, self.box = triangulate_points(pts), _make_box(pts)
+        add_outside_points(self.T, self.box)
+        for (u, v) in sorted(g.edges):
+            insert_constraint(self.T, u, v)
+        self.faces = g.faces()
         # the triangle right of graph dart (u, v) is the CCW triangle on side
         # (v, u), the one across side (a, b) of a triangle is on (b, a), and
         # only clip-box sides have none.  Seed each triangle's face from the
@@ -184,10 +158,7 @@ def _make_box(pts):
 
 
 def face_env(g: Pslg) -> _FaceEnv:
-    """The environment cached on ``g``, built on first use.  The morph's
-    editor caches on the graph it queries an environment read from its live
-    triangulation, and clears that cache at its next edit, so a graph is
-    never served a triangulation that has moved on from it."""
+    """The environment cached on ``g``, built on first use."""
     if g._face_env is None:
         g._face_env = _FaceEnv(g)
     return g._face_env
@@ -293,9 +264,67 @@ def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
     path = _funnel(env.T, portals, walk_ids[0], walk_ids[-1])
     if any(v in env.box for v in path):
         raise LemmaViolation("geodesic bent at a clip-box corner")
-    points = [g.by_id[v] for v in path]
+    return _geodesic_path(g, path)
 
-    # interior vertices must be reflex vertices of the graph
+
+def corner_geodesic(g: Pslg, a, y, b) -> GeodesicPath:
+    """``geodesic(g, [a, y, b])`` for a convex corner, in closed form: the
+    chain of conv({a, b} + S) on y's side, where S is the set of vertices
+    strictly inside triangle ayb.  It is the taut string that the funnel
+    pulls through the triangulated face (Hershberger & Snoeyink 1994), found
+    by one pass over the points: a bounding-box filter, then three exact
+    orientations.
+
+    ``b`` must follow ``a`` in the rotation at ``y``, else WalkNotInFace: the
+    walk a, y, b is then a facial subwalk, and its face fills the corner's
+    sector from ray y->a counterclockwise to ray y->b.  The corner must be
+    convex, else LemmaViolation.  Then the chain is the geodesic:
+
+    - no edge enters the triangle except from a vertex in S or across ab.
+      No edge at y lies between its consecutive edges ya and yb, and no edge
+      crosses them.  An edge at a or b that enters the triangle cannot leave
+      it (not across ya, yb or ab, and in general position not through a
+      vertex), so it ends in S;
+    - so conv({a, b} + S) contains every part of the graph inside the
+      triangle: each such part is a vertex of S, a segment between two of
+      S + {a, b}, or a segment from S to a point of ab;
+    - so the region between the chain and a-y-b holds no vertex and meets
+      no edge; it borders y's corner, so it lies in y's face, and the chain,
+      which is convex towards y and bends only at vertices of S, is the
+      shortest path homotopic to a-y-b there;
+    - every chain vertex is reflex: y's face covers the hull's outside
+      there, an angle above pi between two consecutive edges (or the whole
+      turn at a leaf).
+    """
+    rot = g.rotation.get(y, ())
+    if a not in rot or rot[(rot.index(a) + 1) % len(rot)] != b:
+        raise WalkNotInFace(f"({a}, {y}, {b}) is not a corner of a facial walk")
+    ix, iy = g._ix, g._iy
+    ax, ay, yx, yy, bx, by = ix[a], iy[a], ix[y], iy[y], ix[b], iy[b]
+    if orient_xy(yx, yy, ax, ay, bx, by) <= 0:
+        raise LemmaViolation(f"corner ({a}, {y}, {b}) is not convex")
+    xlo, xhi = min(ax, yx, bx), max(ax, yx, bx)
+    ylo, yhi = min(ay, yy, by), max(ay, yy, by)
+    inside = [
+        v for v, x in ix.items()
+        if xlo < x < xhi and ylo < iy[v] < yhi
+        and orient_xy(yx, yy, ax, ay, x, iy[v]) > 0
+        and orient_xy(ax, ay, bx, by, x, iy[v]) > 0
+        and orient_xy(bx, by, yx, yy, x, iy[v]) > 0
+    ]
+    ids = [a, b]
+    if inside:
+        at = {(ix[v], iy[v]): v for v in inside + ids}
+        hull = [at[xy] for xy in convex_hull(list(at))]
+        k = hull.index(b)
+        ids = (hull[k:] + hull[:k])[::-1]  # counterclockwise: a, b, then S
+    return _geodesic_path(g, ids)
+
+
+def _geodesic_path(g: Pslg, ids) -> GeodesicPath:
+    """The path on vertex ids ``ids``, whose interior vertices must be
+    reflex vertices of the graph."""
+    points = [g.by_id[v] for v in ids]
     for p in points[1:-1]:
         if not _is_reflex_vertex(g, p.id):
             raise LemmaViolation(f"geodesic interior vertex {p.id} is not reflex")

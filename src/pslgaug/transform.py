@@ -6,9 +6,10 @@ Five phases: (1) strip to a minimum spanning subtree of the existing edges;
 triangulation, swapping each flipped tree edge for a strictly shorter quad
 side; (3) exchange edges to the Euclidean MST; (4) grow a weakly simple
 polygon from a hull edge until it spans every vertex; (5) shortcut repeated
-vertices until the polygon is simple.  Phases 4-5 query geodesics in one
-live triangulation, phase 2's Delaunay triangulation extended to the clip
-box, so the points are triangulated once per morph.
+vertices until the polygon is simple.  Phases 4-5 only ever ask for the
+geodesic of a convex corner, which ``geodesic.corner_geodesic`` reads off a
+hull in closed form, so only phase 2 triangulates the points, once per
+morph.
 
 Every step keeps the graph a connected PSLG below the length ceiling
 ||E|| + ||MST(V)||; the final cycle has length at most 2 ||MST(V)||.  All
@@ -28,7 +29,7 @@ from .geom import (
     dist,
     ekey,
 )
-from .geodesic import _FaceEnv, geodesic
+from .geodesic import corner_geodesic
 from .pslg import (
     CrossingEdges,
     Faces,
@@ -209,15 +210,6 @@ class _CertifiedEdges:
 class _Editor(_CertifiedEdges):
     """Certified edge set that records every edit in an OpLog.
 
-    From its first geodesic query on, it also keeps the triangulation of the
-    geodesic environment in step with the graph: ``env`` is the environment
-    of the last graph queried, and each edit after that query constrains an
-    inserted edge in ``env.T`` or drops a deleted edge's constraint mark,
-    keyed by the edge's own vertex ids; each new environment compares
-    ``env.T``'s marks with the graph's edges.  The first environment starts
-    from ``delaunay`` when it is set (``transform`` sets phase 2's
-    triangulation), else from a triangulation of the points.
-
     ``cycle_bound``, 2||MST|| + LENGTH_TOL, bounds the morph's polygon plus
     its leftover edges in phases 4 and 5, and the final cycle.
     """
@@ -226,8 +218,6 @@ class _Editor(_CertifiedEdges):
         super().__init__(g)
         self.cycle_bound = 2 * self.mst_length + LENGTH_TOL
         self.log = OpLog()
-        self.env = None
-        self.delaunay = None
         self._lengths = {}
 
     def _edge_length(self, e):
@@ -247,24 +237,9 @@ class _Editor(_CertifiedEdges):
         return own + fsum(d(e) for e in self.graph.edges if e not in ems)
 
     def geodesic(self, walk):
-        """``geodesic(self.graph, walk)``, read from the live triangulation
-        and the editor's face labels."""
-        g = self.graph
-        if self.env is None:
-            self.env = g._face_env = _FaceEnv(g, faces=self.faces, tri=self.delaunay)
-            self.delaunay = None  # the environment owns and edits it now
-        elif self.env.g is not g:
-            self.env = g._face_env = _FaceEnv(g, self.env, self.faces)
-        return geodesic(g, walk)
-
-    def _follow(self, op, u, v):
-        env = self.env
-        if env.g._face_env is env:
-            env.g._face_env = None  # its triangulation moves on from env.g
-        if op == "insert":
-            insert_constraint(env.T, u, v)
-        else:
-            env.T.constrained.discard(ekey(u, v))
+        """The geodesic of the convex corner ``walk``, a facial subwalk
+        (a, y, b) of the current graph (``corner_geodesic``)."""
+        return corner_geodesic(self.graph, *walk)
 
     def _record(self, op, u, v, phase):
         bad = self.edit(op, u, v)
@@ -274,8 +249,6 @@ class _Editor(_CertifiedEdges):
             raise LemmaViolation(
                 f"{op} {e}: {invariant} violated{': ' + message if message else ''}"
             )
-        if self.env is not None:
-            self._follow(op, u, v)
         self.log.steps.append(OpStep(op, e[0], e[1], phase))
 
     def insert(self, u, v, phase):
@@ -320,9 +293,7 @@ def phase2_to_delaunay_tree(ed: _Editor):
     """Flip to the Delaunay triangulation, swapping each flipped edge of the
     graph, a tree here, for a strictly shorter quad side; the intermediate
     graph stays connected.  Returns the certified, unconstrained Delaunay
-    triangulation, which ``transform`` hands to the editor to seed phase
-    4's geodesic environment (every Euclidean MST edge is a Gabriel edge,
-    so already one of its edges)."""
+    triangulation, whose edges include the final tree's."""
     g = ed.graph
     T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
     for (u, v) in sorted(g.edges):
@@ -544,7 +515,7 @@ def transform(g: Pslg):
     ed.log.stats.update(base_length=ed.length, mst_length=ed.mst_length, ceiling=ed.ceiling)
 
     phase1_spanning_tree(ed)
-    ed.delaunay = phase2_to_delaunay_tree(ed)
+    phase2_to_delaunay_tree(ed)
     phase3_to_mst(ed, euclidean_mst(g))
     poly = phase4_grow_cycle(ed)
     poly = phase5_simplify(ed, poly)

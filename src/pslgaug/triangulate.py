@@ -7,9 +7,8 @@ geodesic face environment (constrained, no Delaunay requirement) and the
 dynamic-transform phase 2 (unconstrained Lawson flips to the Delaunay
 triangulation).  Every environment starts from a triangulation of the
 graph's points alone, which ``add_outside_points`` (the scan's step) extends
-to the clip-box corners; the cycle morph's is phase 2's, kept alive across
-its edits.  Every triangle edit keeps the directed-side map and the
-hull-side count, so ``validate`` reads a counter.
+to the clip-box corners.  Every triangle edit keeps the directed-side map
+and the hull-side count, so ``validate`` reads a counter.
 """
 
 from __future__ import annotations

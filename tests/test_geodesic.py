@@ -1,14 +1,17 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from pslgaug import build
 from pslgaug.geom import convex_hull, dist, ekey, segments_properly_cross
-from pslgaug.geodesic import WalkNotInFace, face_env, geodesic, locate_subwalk
+from pslgaug.geodesic import WalkNotInFace, corner_geodesic, face_env, geodesic, locate_subwalk
 from pslgaug.instances import generate
 from pslgaug.pslg import _corner_convex, convex_walk_decomposition, facial_walks
 
 from geodesic_oracle import oracle_geodesic
+from test_adversarial import FAMILIES, LARGE, _general_position
+from test_optimal import pool_instances
 from tests_support import label_partition, walk_partition
 
 
@@ -335,3 +338,36 @@ def test_outputs_follow_an_order_preserving_relabelling():
             assert [(f.cost, f.edges) for f in hr.faces] == [
                 (f.cost, ekeys(f.edges)) for f in r.faces
             ], (case, mode)
+
+
+def _convex_corners(g):
+    """Every convex corner (a, y, b) of g's facial walks: b follows a in
+    the rotation at y."""
+    for y, rot in sorted(g.rotation.items()):
+        for i, a in enumerate(rot):
+            b = rot[(i + 1) % len(rot)]
+            if _corner_convex(g, a, y, b):
+                yield a, y, b
+
+
+def test_corner_geodesic_matches_the_funnel():
+    # the closed form equals the funnel through the triangulated face, in
+    # ids and bit for bit in length, on every convex corner, also far from
+    # the origin and at a tiny scale
+    rng = random.Random(31)
+    graphs = [generate(rng.randint(5, 80), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6, 0.8)))
+              for _ in range(150)]
+    graphs += pool_instances()
+    graphs += [_general_position(make, random.Random(seed)) for _, make, seed in FAMILIES + LARGE]
+    graphs += [
+        build([(p.id, scale * p.x + offset, scale * p.y + offset) for p in g.points], g.edges)
+        for g in graphs[::3] for scale, offset in ((1, 10**15), (Fraction(1, 10**12), 0))
+    ]
+    corners, bends = 0, 0
+    for g in graphs:
+        for a, y, b in _convex_corners(g):
+            got, want = corner_geodesic(g, a, y, b), geodesic(g, [a, y, b])
+            assert got.ids() == want.ids() and got.length == want.length, (a, y, b)
+            corners += 1
+            bends += len(got.seq) - 2
+    assert corners >= 25000 and bends >= 1000

@@ -10,12 +10,13 @@ from math import fsum
 import pytest
 
 from pslgaug import build
-from pslgaug.geodesic import WalkNotInFace, face_env, geodesic, locate_subwalk
+from pslgaug.geodesic import WalkNotInFace, corner_geodesic, face_env, geodesic, locate_subwalk
 from pslgaug.geom import LENGTH_TOL, dist, ekey, polar_sort, segments_properly_cross
 from pslgaug.instances import generate, oplog_to_jsonl
 from pslgaug.pslg import (
     CrossingEdges,
     LemmaViolation,
+    _corner_convex,
     connectivity,
     facial_walks,
     next_darts,
@@ -496,39 +497,49 @@ def _located(g, walk):
         return str(exc)
 
 
+def _corner_outcome(g, walk):
+    try:
+        corner_geodesic(g, *walk)
+    except WalkNotInFace:
+        return "not located"
+    except LemmaViolation as exc:
+        assert "is not convex" in str(exc)
+        return "not convex"
+    return "path"
+
+
 def test_live_walk_lookup_matches_a_fresh_one(monkeypatch):
-    # at every live query, walks traced from the editor's labels are
-    # accepted or rejected, with the same message, as by a fresh environment
+    # at every morph query, the corner query accepts exactly the convex
+    # two-edge walks that a fresh environment locates: a located walk that
+    # is not convex raises LemmaViolation, any other walk WalkNotInFace
     rng = random.Random(15)
     outcomes = Counter()
-    live_query = _Editor.geodesic
+    query = _Editor.geodesic
 
     def checked(ed, walk):
-        geo = live_query(ed, walk)
+        geo = query(ed, walk)
         g = ed.graph
         fresh = g.with_edges(g.edges)
         for _ in range(6):
             w = rng.choice(facial_walks(fresh)).seq
             i = rng.randrange(len(w) - 1)
-            cand = list((w[:-1] * 3)[i : i + rng.randint(2, len(w) + 2)])
+            cand = list((w[:-1] * 3)[i : i + 3])
             if rng.random() < 0.3:
-                cand[rng.randrange(1, len(cand))] = rng.choice(sorted(g.by_id))
-            want, got = _located(fresh, cand), _located(g, cand)
-            if isinstance(want, str):
-                assert got == want
-                outcomes[want] += 1
-            else:  # the live lookup names the editor's face label
-                assert got == ed.faces.face[cand[0], cand[1]]
-                outcomes["located"] += 1
+                cand[rng.randrange(3)] = rng.choice(sorted(g.by_id))
+            if isinstance(_located(fresh, cand), str):
+                want = "not located"
+            else:
+                want = "path" if _corner_convex(g, *cand) else "not convex"
+            assert _corner_outcome(g, cand) == want, cand
+            outcomes[want] += 1
         return geo
 
     monkeypatch.setattr(_Editor, "geodesic", checked)
     for _ in range(12):
         transform(generate(rng.randint(8, 30), rng.randrange(10**6), rng.choice((0.0, 0.4))))
-    assert outcomes["located"] >= 300
-    assert sum(c for k, c in outcomes.items() if "diverges" in k) >= 100
-    assert sum(c for k, c in outcomes.items() if "not on any facial walk" in k) >= 20
-    assert outcomes["walk longer than its facial walk"] >= 50
+    assert outcomes["path"] >= 250
+    assert outcomes["not convex"] >= 200
+    assert outcomes["not located"] >= 150
 
 
 def test_weighted_length_equals_the_fsum_of_its_edges(monkeypatch):
@@ -665,7 +676,7 @@ def test_check_rotations_matches_polar_sort_reference_on_closed_walks():
     assert len(outcomes) - outcomes.count(None) > 100
 
 
-# -- the live geodesic environment of phases 4-5 ---------------------------
+# -- the triangulation's indexes --------------------------------------------
 
 
 def assert_vertex_index_current(T):
@@ -748,22 +759,17 @@ PHASE5_CASES = [
 ]
 
 
-def test_live_environment_matches_a_fresh_one(monkeypatch):
-    queries, follows = Counter(), Counter()
-    live_query, follow = _Editor.geodesic, _Editor._follow
+def test_morph_queries_match_the_funnel(monkeypatch):
+    # every corner geodesic of phases 4-5 equals the funnel through a fresh
+    # environment, in ids and bit for bit in length
+    queries = Counter()
+    query = _Editor.geodesic
 
     def checked(ed, walk):
-        reused = ed.env is not None
-        geo = live_query(ed, walk)
-        g, env = ed.graph, ed.env
-        assert env.g is g and g._face_env is env
-        assert env.T.constrained == g.edges
-        env.T.validate()
-        assert_vertex_index_current(env.T)
-        assert_side_map_current(env.T)
-        ref = fresh_geodesic(g, walk)
+        geo = query(ed, walk)
+        ref = fresh_geodesic(ed.graph, walk)
         assert geo.ids() == ref.ids() and geo.length == ref.length
-        queries[phase[0], reused] += 1
+        queries[phase[0]] += 1
         return geo
 
     phase = [4]
@@ -774,14 +780,7 @@ def test_live_environment_matches_a_fresh_one(monkeypatch):
         phase[0] = 5
         return simplify(*args)
 
-    def followed(ed, op, u, v):
-        follow(ed, op, u, v)
-        # the constraint marks follow the graph's edges
-        assert ed.env.T.constrained == ed.graph.edges
-        follows[op] += 1
-
     monkeypatch.setattr(_Editor, "geodesic", checked)
-    monkeypatch.setattr(_Editor, "_follow", followed)
     monkeypatch.setattr(transform_mod, "phase5_simplify", phase5)
     rng = random.Random(9)
     cases = [(rng.randint(6, 30), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
@@ -794,72 +793,60 @@ def test_live_environment_matches_a_fresh_one(monkeypatch):
             transform(h)
         except LemmaViolation as exc:  # the known phase-4 splice defect
             assert "interleave" in str(exc)
-    assert queries[4, False] >= 250  # one fresh build per morph
-    assert queries[4, True] >= 1000
-    assert queries[5, True] >= 30
-    assert follows["insert"] >= 1000 and follows["delete"] >= 1000
+    assert queries[4] >= 1250
+    assert queries[5] >= 30
 
 
 def test_transform_triangulates_its_points_once(monkeypatch):
-    # phase 2's Delaunay triangulation becomes the live environment's: the
-    # box corners join it and every edge of the first queried graph (the
-    # MST and a hull edge, all Delaunay edges) is already in it
+    # phase 2 triangulates the points and constrains the tree in it for its
+    # flips; the corner queries of phases 4-5 build no triangulation
     transform_mod = sys.modules["pslgaug.transform"]
     geodesic_mod = sys.modules["pslgaug.geodesic"]
-    calls, phase2, envs, channels = [], transform_mod.phase2_to_delaunay_tree, [], []
-    live_query, insert = _Editor.geodesic, geodesic_mod.insert_constraint
+    calls, phase2, inserts, in_phase2 = [], transform_mod.phase2_to_delaunay_tree, Counter(), [False]
 
     def counted(pts):
         calls.append(len(pts))
         return triangulate_points(pts)
 
-    def seeding(ed):
-        T = phase2(ed)
-        envs.append(T)
-        return T
-
-    def first_query(ed, walk):
-        if ed.env is None:
-            assert ed.delaunay is envs[-1]
-            geo = live_query(ed, walk)
-            assert ed.env.T is envs[-1] and ed.delaunay is None
-            return geo
-        return live_query(ed, walk)
+    def flagged(ed):
+        in_phase2[0] = True
+        try:
+            return phase2(ed)
+        finally:
+            in_phase2[0] = False
 
     def constrain(T, u, w):
-        channels.append(T.has_edge(u, w))
-        insert(T, u, w)
+        inserts[in_phase2[0]] += 1
+        insert_constraint(T, u, w)
 
     for mod in (transform_mod, geodesic_mod):
         monkeypatch.setattr(mod, "triangulate_points", counted)
-    monkeypatch.setattr(transform_mod, "phase2_to_delaunay_tree", seeding)
-    monkeypatch.setattr(geodesic_mod, "insert_constraint", constrain)
-    monkeypatch.setattr(_Editor, "geodesic", first_query)
+        monkeypatch.setattr(mod, "insert_constraint", constrain)
+    monkeypatch.setattr(transform_mod, "phase2_to_delaunay_tree", flagged)
     for case in sorted(GOLDEN_MORPHS):
         g = generate(*case)
         del calls[:]
         transform(g)
         assert calls == [g.n]  # phase 2's, on the points alone
-    assert len(envs) == len(GOLDEN_MORPHS) and all(channels) and len(channels) > 100
+    assert inserts[True] > 100 and inserts[False] == 0
 
 
-def test_earlier_graph_is_not_served_the_live_environment(monkeypatch):
+def test_queried_graphs_give_the_recorded_geodesics(monkeypatch):
+    # every graph the morph queried gives the recorded geodesic on its own
+    # environment, built after the morph has moved on from it
     asked = []
-    live_query = _Editor.geodesic
+    query = _Editor.geodesic
 
     def recorded(ed, walk):
-        geo = live_query(ed, walk)
-        asked.append((ed, ed.graph, walk, geo.ids()))
+        geo = query(ed, walk)
+        asked.append((ed.graph, walk, geo.ids()))
         return geo
 
     monkeypatch.setattr(_Editor, "geodesic", recorded)
     transform(generate(30, 17, 0.4))
     assert len(asked) > 10
-    ed = asked[0][0]
-    for _, g, walk, ids in asked[:-1]:
-        assert g is not ed.graph
-        assert geodesic(g, walk).ids() == ids == fresh_geodesic(g, walk).ids()
-        assert face_env(g).T is not ed.env.T
+    for g, walk, ids in asked:
+        assert geodesic(g, walk).ids() == ids
 
 
 # sha256 of the op log's JSONL followed by the final polygon, recorded from
@@ -882,7 +869,7 @@ def test_transform_golden_hash(case):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN_MORPHS[case]
 
 
-# -- the live environment's per-query checks ------------------------------
+# -- the one-shot environment's checks -------------------------------------
 
 CORRUPTED = (20, 5, 0.5)
 
@@ -895,87 +882,58 @@ def _a_walk(g):
     raise AssertionError("no walk of two edges")
 
 
-def _live_editor(seeded):
-    """An editor whose live environment has followed one certified delete
-    since its first query, so its next query derives a new environment.
-    ``seeded``: that environment started from phase 2's triangulation of
-    the points, as in ``transform``."""
+def _query_after(corrupt):
+    """A geodesic query on generate(*CORRUPTED), whose new environment's
+    triangulation ``corrupt`` changes once every graph edge is
+    constrained, before the face flood fill."""
     g = generate(*CORRUPTED)
-    ed = _Editor(g)
-    if seeded:
-        other = _Editor(g)
-        phase1_spanning_tree(other)
-        ed.delaunay = phase2_to_delaunay_tree(other)
-    seed = ed.delaunay
-    ed.geodesic(_a_walk(g))
-    assert (ed.env.T is seed) == seeded
-    ed.delete(*min(g.edges - connectivity(g).bridges), 4)
-    return ed
+    last = max(g.edges)
 
+    def constrain(T, u, v):
+        insert_constraint(T, u, v)
+        if (u, v) == last:
+            corrupt(T)
 
-def _query_after(corrupt, seeded):
-    ed = _live_editor(seeded)
-    corrupt(ed.env.T)
-    return ed.geodesic(_a_walk(ed.graph))
-
-
-# each corruption test runs on an environment built from scratch and on one
-# started from phase 2's triangulation
-SEEDS = (False, True)
-
-
-def test_query_rejects_a_dropped_constraint_mark():
-    for seeded in SEEDS:
-        _query_after(lambda T: None, seeded)  # the uncorrupted query passes
-        with pytest.raises(LemmaViolation, match="^live triangulation constrains other edges"):
-            _query_after(lambda T: T.constrained.discard(min(T.constrained)), seeded)
-
-
-def test_query_rejects_an_extra_constraint_mark():
-    def mark(T):
-        T.constrained.add(min(T.edges() - T.constrained))
-
-    for seeded in SEEDS:
-        with pytest.raises(LemmaViolation, match="^live triangulation constrains other edges"):
-            _query_after(mark, seeded)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys.modules["pslgaug.geodesic"], "insert_constraint", constrain)
+        return geodesic(g, _a_walk(g))
 
 
 def test_query_rejects_a_flipped_constrained_edge():
     # the flipped graph edge keeps its mark, so the constraint set still
     # matches the graph; the faces on its two sides now meet across the new
     # diagonal, and a bridge (one face on both sides) loses its triangles
-    for seeded in SEEDS:
-        ed = _live_editor(seeded)
-        T = ed.env.T
-        bridges = connectivity(ed.graph).bridges
-        seen = Counter()
-        for a, b in sorted(T.constrained):
-            c, d = T.apex(T.side[a, b], a, b), T.apex(T.side[b, a], a, b)
-            if T.orient(c, d, a) * T.orient(c, d, b) >= 0:
-                continue  # not a convex quad
+    _query_after(lambda T: None)  # the uncorrupted query passes
+    env = face_env(generate(*CORRUPTED))
+    T = env.T
+    bridges = connectivity(env.g).bridges
+    seen = Counter()
+    for a, b in sorted(T.constrained):
+        c, d = T.apex(T.side[a, b], a, b), T.apex(T.side[b, a], a, b)
+        if T.orient(c, d, a) * T.orient(c, d, b) >= 0:
+            continue  # not a convex quad
 
-            def flip(T, a=a, b=b, c=c, d=d):
-                for t in (T.side[a, b], T.side[b, a]):
-                    T.remove_tri(t)
-                T.add_tri(a, c, d)
-                T.add_tri(b, c, d)
+        def flip(T, a=a, b=b, c=c, d=d):
+            for t in (T.side[a, b], T.side[b, a]):
+                T.remove_tri(t)
+            T.add_tri(a, c, d)
+            T.add_tri(b, c, d)
 
-            with pytest.raises(LemmaViolation) as e:
-                _query_after(flip, seeded)
-            seen[str(e.value)] += 1
-            if (a, b) in bridges:
-                assert str(e.value) == "face assignment incomplete"
-            else:  # a triangle spanning both faces may already get both seeds
-                assert str(e.value) in ("face flood fill conflict",
-                                        "conflicting face assignment for triangle")
-        assert seen["face flood fill conflict"] >= 5
-        assert seen["face assignment incomplete"] >= 3
+        with pytest.raises(LemmaViolation) as e:
+            _query_after(flip)
+        seen[str(e.value)] += 1
+        if (a, b) in bridges:
+            assert str(e.value) == "face assignment incomplete"
+        else:  # a triangle spanning both faces may already get both seeds
+            assert str(e.value) in ("face flood fill conflict",
+                                    "conflicting face assignment for triangle")
+    assert seen["face flood fill conflict"] >= 5
+    assert seen["face assignment incomplete"] >= 3
 
 
 def test_query_rejects_a_deleted_triangle():
-    for seeded in SEEDS:
-        tris = sorted(set(_live_editor(seeded).env.T.side.values()))
-        assert len(tris) > 40
-        for t in tris:
-            with pytest.raises(LemmaViolation, match="^face assignment incomplete$"):
-                _query_after(lambda T, t=t: T.remove_tri(t), seeded)
+    tris = sorted(set(face_env(generate(*CORRUPTED)).T.side.values()))
+    assert len(tris) > 40
+    for t in tris:
+        with pytest.raises(LemmaViolation, match="^face assignment incomplete$"):
+            _query_after(lambda T, t=t: T.remove_tri(t))
