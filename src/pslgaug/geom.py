@@ -7,18 +7,15 @@ coordinate is an int when it is integral and a fractions.Fraction otherwise,
 never a float.  Euclidean lengths are reported as double-precision floats;
 exact comparisons of lengths go through squared distances.
 
-Two whole-graph scans let floats propose an answer that exact arithmetic
-then certifies (the floating-point filter of Fortune & Van Wyk 1996 and
-Shewchuk 1997).  ``collinear_pair`` compares the float slopes dy / dx of
+One whole-graph scan, ``collinear_pair``, lets floats propose an answer
+that exact arithmetic then certifies (the floating-point filter of Fortune
+& Van Wyk 1996 and Shewchuk 1997).  It compares the float slopes dy / dx of
 the directions from one point: Python's int / int true division is
 correctly rounded for ints of any size, so it is a function of the
 rational dy / dx alone, and two directions on one line through the point
 give equal floats.  Distinct floats therefore prove that no two points are
 collinear with it; any tie, a coincident point, or an OverflowError sends
-the question to the exact gcd scan.  ``rotation_system`` sorts every
-vertex's neighbours by float ``atan2`` angle and certifies each adjacent
-pair with the exact ``polar_before``; a vertex with an uncertified pair, or
-a direction past the float range, is sorted again by ``polar_sort``.
+the question to the exact gcd scan.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import groupby
-from operator import itemgetter
 
 
 class DegenerateInput(ValueError):
@@ -142,8 +137,7 @@ def polar_before(ax, ay, bx, by) -> bool:
     """True iff the direction (ax, ay) comes strictly before (bx, by) in
     counterclockwise order from the +x axis: angles in [0, pi) before those
     in [pi, 2 pi), then by the sign of the cross product.  Exact; the one
-    definition of the angular order of ``polar_sort`` and
-    ``rotation_system``."""
+    definition of the angular order of ``polar_sort``."""
     lower_a = ay < 0 or (ay == 0 and ax < 0)
     if lower_a != (by < 0 or (by == 0 and bx < 0)):
         return not lower_a
@@ -171,37 +165,6 @@ def polar_sort(center_xy, items, key_xy, into=()):
                 lo = mid + 1
         out.insert(lo, item)
     return out
-
-
-def rotation_system(edges, ix, iy):
-    """The rotation system of the straight-line graph with the edge set
-    ``edges`` on the points (ix[v], iy[v]): each vertex with an edge mapped
-    to the tuple of its neighbours in ``polar_sort``'s order.
-
-    All darts are sorted once by (vertex, float angle in [0, 2 pi)), and
-    each pair of darts adjacent at a vertex in that order is certified by
-    ``polar_before``.  A vertex with an uncertified pair, or with a
-    direction too long for a float, is sorted again by ``polar_sort``.
-    """
-    tau = 2 * math.pi
-    darts, redo = [], set()
-    for u, v in edges:
-        dx, dy = ix[v] - ix[u], iy[v] - iy[u]
-        try:
-            a = math.atan2(dy, dx)
-        except OverflowError:
-            a = 0.0
-            redo.update((u, v))
-        # (vertex, angle, neighbour, direction); a + pi is the reverse angle
-        darts += ((u, a + tau if a < 0 else a, v, dx, dy), (v, a + math.pi, u, -dx, -dy))
-    darts.sort()
-    for d, e in zip(darts, darts[1:]):
-        if d[0] == e[0] and not polar_before(d[3], d[4], e[3], e[4]):
-            redo.add(d[0])
-    rotation = {v: tuple([d[2] for d in fan]) for v, fan in groupby(darts, itemgetter(0))}
-    for v in redo:
-        rotation[v] = tuple(polar_sort((ix[v], iy[v]), rotation[v], lambda w: (ix[w], iy[w])))
-    return rotation
 
 
 def segments_properly_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:

@@ -13,7 +13,7 @@ import os
 import random
 from fractions import Fraction
 
-from .geom import MAX_EXPONENT, Point, collinear_pair, to_rational
+from .geom import MAX_EXPONENT, Point, collinear_pair
 from .pslg import InvalidInstance, Pslg, build, kruskal
 from .triangulate import lawson_flips, triangulate_points
 
@@ -83,25 +83,13 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _coordinate(c):
-    """A JSON integer as is, a decimal string of the geom.to_rational grammar
-    as an exact rational (int when integral), anything else None."""
-    if _is_int(c):
-        return c
-    if isinstance(c, str):
-        try:
-            return to_rational(c)
-        except ValueError:  # off the grammar, or more digits than int() converts
-            pass
-    return None
-
-
 def _point(i, pid, x, y):
     """Point entry i: an integer id, coordinates decimal strings or integers."""
     if _is_int(pid):
-        cx, cy = _coordinate(x), _coordinate(y)
-        if cx is not None and cy is not None:
-            return Point(pid, cx, cy)
+        try:
+            return Point.make(pid, x, y)
+        except (TypeError, ValueError):  # ValueError: off the grammar, or too many digits
+            pass
     raise InvalidInstance(
         f"point entry {i} (id {pid!r}, x {x!r}, y {y!r}) needs an integer id and "
         f"coordinates that are integers or decimal strings with an exponent of at "

@@ -34,7 +34,6 @@ from .geom import (
     ekey,
     orient_xy,
     polar_sort,
-    rotation_system,
     segments_properly_cross,
 )
 
@@ -185,17 +184,11 @@ class Pslg:
         edge through a vertex, so only crossings with an added edge are
         tested (_raise_first_crossing).  At each endpoint of a changed edge
         the old rotation, less the removed neighbours, is merged with the
-        sorted added ones; from the empty graph (every :func:`build`) one
-        ``rotation_system`` sorts them all.  Raises CrossingEdges."""
+        sorted added ones.  Raises CrossingEdges."""
         ix, iy = self._ix, self._iy
         kept = self.edges - removed if removed else self.edges
         if added:
             _raise_first_crossing(kept, added, ix, iy)
-        if not self.edges:
-            rotation = dict(self.rotation)
-            rotation.update(rotation_system(added, ix, iy))
-            return Pslg(self.points, self.by_id, frozenset(added), rotation, ix, iy)
-
         gone, new = {}, {}
         for u, v in removed:
             gone.setdefault(u, set()).add(v)

@@ -377,7 +377,10 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
         e = ekey(a, b)
         if e not in ed.graph.edges:
             ed.insert(*e, phase)
-    for e in sorted(ed.graph.edges):
+    # Before the splice no off-polygon edge joined two polygon vertices, and
+    # the splice keeps every old polygon edge but those of ``gone``, so an
+    # edge that now joins two of them off the polygon touches ``path``.
+    for e in sorted({ekey(v, w) for v in path for w in ed.graph.rotation[v]}):
         if e[0] in vc and e[1] in vc and e not in support:
             ed.delete(*e, phase)
     poly.validate(ed.graph)
@@ -485,17 +488,24 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
             if best is None or angle_less(u_vec, w_vec, best[0], best[1]):
                 best = (u_vec, w_vec, j, prev, vtx, nxt)
         u_vec, w_vec, j, prev, vtx, nxt = best
-        cr = u_vec[0] * w_vec[1] - u_vec[1] * w_vec[0]
-        if cr == 0:
-            raise LemmaViolation("degenerate corner in phase 5")
-        walk = [prev, vtx, nxt] if cr > 0 else [nxt, vtx, prev]
-        geo = ed.geodesic(walk)
-        gids = geo.ids() if cr > 0 else geo.ids()[::-1]
-        # replace (prev, vtx, nxt) at position j by the geodesic
+        if prev == nxt:
+            # a spike (angle 0): drop its tip and the copy of prev after it,
+            # so the twice-used edge (prev, vtx) leaves the polygon
+            drop = (j, (j + 1) % m)
+            new_seq = [w for k, w in enumerate(poly.seq) if k not in drop]
+            gone, path = [ekey(prev, vtx)], [prev]
+        else:
+            # three distinct points in general position: cr != 0
+            cr = u_vec[0] * w_vec[1] - u_vec[1] * w_vec[0]
+            walk = [prev, vtx, nxt] if cr > 0 else [nxt, vtx, prev]
+            geo = ed.geodesic(walk)
+            path = geo.ids() if cr > 0 else geo.ids()[::-1]
+            # replace (prev, vtx, nxt) at position j by the geodesic
+            new_seq = poly.seq[:j] + path[1:-1] + poly.seq[j + 1 :]
+            if j == 0:
+                new_seq = poly.seq[1:] + path[1:-1]
+            gone = sorted([ekey(prev, vtx), ekey(vtx, nxt)])
         old_len = poly.length(g)
-        new_seq = poly.seq[:j] + gids[1:-1] + poly.seq[j + 1 :]
-        if j == 0:
-            new_seq = poly.seq[1:] + gids[1:-1]
         new_poly = WeaklySimplePolygon(seq=new_seq)
         new_len = new_poly.length(g)
         if not new_len < old_len + 1e-12:
@@ -503,8 +513,7 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
 
         # corner edges that vanish go first (the repeated vertex stays on
         # the polygon elsewhere), keeping the intermediate length monotone
-        corner = sorted({ekey(prev, vtx), ekey(vtx, nxt)})
-        poly = _retrace(ed, new_poly, corner, gids, PHASE_SIMPLIFY)
+        poly = _retrace(ed, new_poly, gone, path, PHASE_SIMPLIFY)
     return poly
 
 

@@ -15,8 +15,8 @@ from pslgaug import (
     transform,
     verify,
 )
+from pslgaug.geom import to_rational
 from pslgaug.instances import (
-    _coordinate,
     generate,
     instance_hash,
     oplog_from_jsonl,
@@ -72,7 +72,7 @@ DIGITS = st.text("0123456789", min_size=1, max_size=25)
 def test_integer_literals_parse_to_the_int_fraction_gave(sign, zeros, value):
     # negative, -0, leading zeros and values beyond int64
     text = sign + "0" * zeros + str(value)
-    got = _coordinate(text)
+    got = to_rational(text)
     assert type(got) is int
     assert got == _fraction_reading(text)
 
@@ -85,7 +85,7 @@ def test_decimal_literals_parse_to_the_same_value_as_before(sign, whole, frac, e
     text = sign + whole + ("" if frac is None else "." + frac)
     if exp is not None:
         text += exp[0] + exp[1] + str(exp[2])
-    got, before = _coordinate(text), _fraction_reading(text)
+    got, before = to_rational(text), _fraction_reading(text)
     assert type(got) is type(before) and got == before
 
 

@@ -5,6 +5,7 @@ import math
 import pickle
 import random
 from collections import Counter
+from functools import cmp_to_key
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
@@ -24,15 +25,14 @@ from pslgaug import (
     convex_walk_decomposition,
     facial_walks,
 )
-from pslgaug import geom
 from pslgaug.geom import (
     Point,
     _collinear_pair_exact,
     collinear_pair,
     ekey,
     orient_xy,
+    polar_before,
     polar_sort,
-    rotation_system,
     segments_properly_cross,
 )
 from pslgaug.instances import generate
@@ -973,34 +973,43 @@ def test_generate_smallest():
             assert connectivity(g).connected
 
 
-# -- the float-sorted, exactly certified rotation system --------------------
+# -- the rotation system, against a comparison sort -------------------------
 
 
-def polar_sort_rotations(g):
-    """Each vertex of g with an edge mapped to its neighbours sorted by
-    ``polar_sort`` alone."""
-    return {v: tuple(polar_sort(g.ipt(v), nbrs, g.ipt))
-            for v, nbrs in adjacency(g.edges).items()}
+def oracle_rotations(g):
+    """Every vertex of g mapped to its neighbours sorted by ``sorted`` with
+    ``polar_before`` as the comparison, independent of ``polar_sort``'s
+    binary insertion."""
+    adj = adjacency(g.edges)
+    out = {}
+    for v in g.by_id:
+        cx, cy = g.ipt(v)
+
+        def cmp(a, b):
+            (ax, ay), (bx, by) = g.ipt(a), g.ipt(b)
+            if polar_before(ax - cx, ay - cy, bx - cx, by - cy):
+                return -1
+            return 1 if polar_before(bx - cx, by - cy, ax - cx, ay - cy) else 0
+
+        out[v] = tuple(sorted(adj.get(v, ()), key=cmp_to_key(cmp)))
+    return out
 
 
-def assert_rotation_system_exact(g):
-    want = polar_sort_rotations(g)
-    assert rotation_system(g.edges, g._ix, g._iy) == want
-    assert g.rotation == {v: want.get(v, ()) for v in g.by_id}
+def float_angle_rotations(g):
+    """Every vertex of g mapped to its neighbours sorted by float ``atan2``
+    angle in [0, 2 pi): the same order as the exact one wherever two
+    directions' angles differ by more than a float's resolution."""
+    adj = adjacency(g.edges)
+    out = {}
+    for v in g.by_id:
+        cx, cy = g.ipt(v)
 
+        def angle(w):
+            x, y = g.ipt(w)
+            return math.atan2(y - cy, x - cx) % (2 * math.pi)
 
-@pytest.fixture
-def resorted(monkeypatch):
-    """The centres rotation_system hands to polar_sort to sort again."""
-    centres = []
-    sort = geom.polar_sort
-
-    def spy(center, items, key_xy, into=()):
-        centres.append(center)
-        return sort(center, items, key_xy, into)
-
-    monkeypatch.setattr(geom, "polar_sort", spy)
-    return centres
+        out[v] = tuple(sorted(adj.get(v, ()), key=angle))
+    return out
 
 
 def _rotation_graphs(group):
@@ -1020,26 +1029,33 @@ def _rotation_graphs(group):
 
 @pytest.mark.parametrize("group", ["pool", "generated", "adversarial", "lattice"])
 def test_rotation_system_matches_polar_sort(group):
+    # every built graph's rotations equal the comparison sort's; on the pool
+    # and the generated graphs, whose scaled coordinates stay below 2 * 10^6,
+    # two directions differ in angle by more than 10^-14, far above atan2's
+    # resolution, so the float angle order is a third, independent witness
     graphs = _rotation_graphs(group)
     assert len(graphs) >= {"pool": 49, "generated": 500}.get(group, 2)
     for g in graphs:
-        assert_rotation_system_exact(g)
+        want = oracle_rotations(g)
+        assert g.rotation == want
+        if group in ("pool", "generated"):
+            assert max(abs(c) for v in g.by_id for c in g.ipt(v)) < 2 * 10**6
+            assert float_angle_rotations(g) == want
 
 
-def test_rotation_system_sorts_a_float_tie_again(resorted):
+def test_rotation_system_orders_a_float_tie_exactly():
     # the directions to 1 and 2 differ by about 10^-18 rad, below a float's
-    # resolution, so their float angles tie and the tie goes to the smaller
-    # id, 1; exactly, 2 comes first
+    # resolution, so their float angles tie and a float sort would put the
+    # smaller id, 1, first; exactly, 2 comes first
     a, b = (2**30 - 1, 2**30 - 2), (2**30 - 2, 2**30 - 3)
     assert math.atan2(a[1], a[0]) == math.atan2(b[1], b[0])
     pts = [(0, 0, 0), (1, *a), (2, *b), (3, -5, 7), (4, 3, -11), (5, -13, -2)]
     g = build(pts, [(0, k) for k in range(1, 6)])
     assert g.rotation[0] == (2, 1, 3, 5, 4)
-    assert resorted == [(0, 0)]
-    assert_rotation_system_exact(g)
+    assert g.rotation == oracle_rotations(g)
 
 
-def test_rotation_system_sorts_directions_past_the_float_range_exactly(resorted):
+def test_rotation_system_sorts_directions_past_the_float_range_exactly():
     # the points of test_feasibility_of_huge_and_tiny_coordinates_stays_exact:
     # scaled to integers, the coordinates have about 600 digits
     pts = [(i, f"{i}e300", f"{i * i}e300") for i in range(12)]
@@ -1047,5 +1063,4 @@ def test_rotation_system_sorts_directions_past_the_float_range_exactly(resorted)
     g = build(pts, [(i, i + 1) for i in range(11)])
     with pytest.raises(OverflowError):
         float(g.ipt(5)[0])
-    assert sorted(resorted) == sorted(g.ipt(v) for v in g.by_id)
-    assert_rotation_system_exact(g)
+    assert g.rotation == oracle_rotations(g)

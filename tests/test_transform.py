@@ -231,6 +231,42 @@ def test_phase4_invariant_random(monkeypatch):
     assert checked[4] >= 2400 and checked[5] >= 15
 
 
+def test_retrace_leaves_no_off_polygon_edge_between_polygon_vertices(monkeypatch):
+    # _retrace scans only the edges at its path for edges to delete; after
+    # every call on the 150-morph set, no edge of the whole graph joins two
+    # polygon vertices off the polygon
+    transform_mod = sys.modules["pslgaug.transform"]  # the package exports the function
+    retrace = transform_mod._retrace
+    calls = Counter()
+
+    def checked(ed, poly, *args):
+        out = retrace(ed, poly, *args)
+        vc, sup = poly.vertices(), poly.edge_multiset()
+        assert [e for e in ed.graph.edges if e[0] in vc and e[1] in vc and e not in sup] == []
+        calls[args[-1]] += 1
+        return out
+
+    monkeypatch.setattr(transform_mod, "_retrace", checked)
+    rng = random.Random(7)
+    for _ in range(150):
+        transform(generate(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6))))
+    assert calls[4] >= 3000 and calls[5] >= 15
+
+
+def test_phase5_shortcuts_a_spike():
+    # phase 4 ends with the spike (0, 28, 0) at a repeated vertex 28; phase 5
+    # drops its tip and one copy of 0 instead of asking for the geodesic of
+    # a corner of angle 0
+    g = generate(48, 518200, 0.5)
+    n = max(p.id for p in g.points)
+    g = build([(n - p.id, p.x, p.y) for p in g.points], [(n - u, n - v) for u, v in g.edges])
+    final, poly, log = transform(g)
+    assert len(log.steps) == 127
+    assert [(s.op, s.u, s.v) for s in log.steps if s.phase == 5] == [("delete", 0, 28)]
+    assert replay(g, log.steps)["final_edges"] == sorted(final.edges)
+    assert poly.length(g) <= 2 * mst_length(g) + 1e-9
+
+
 def test_phase5_simple_input_no_ops(triangle):
     final, poly, log = transform(triangle)
     assert [s for s in log.steps if s.phase == 5] == []
