@@ -122,7 +122,9 @@ class Pslg:
     """Immutable planar straight-line graph in general position.
 
     Construct through :func:`build` and edit through :meth:`with_edges`;
-    all derived queries are cached.
+    all derived queries are cached.  One instance changes: the graph of the
+    morph's certified editor (``transform._CertifiedEdges``), edited in place,
+    which is never asked a derived query and is handed out only as a copy.
     """
 
     def __init__(self, points, by_id, edges, rotation, ix, iy):
@@ -198,14 +200,20 @@ class Pslg:
             new.setdefault(v, []).append(u)
         rotation = dict(self.rotation)
         for v in gone.keys() | new.keys():
-            rot = rotation[v]
-            if v in gone:
-                rot = tuple(w for w in rot if w not in gone[v])
-            if v in new:
-                rot = tuple(polar_sort(self.ipt(v), new[v], self.ipt, rot))
-            rotation[v] = rot
-        edges = kept | added if added else kept
+            _reroute(rotation, self.ipt, v, gone.get(v), new.get(v))
+        edges = frozenset(kept | added if added else kept)
         return Pslg(self.points, self.by_id, edges, rotation, ix, iy)
+
+
+def _reroute(rotation, ipt, v, gone=(), new=()):
+    """Drop the neighbours ``gone`` from the rotation at v in ``rotation``,
+    then merge in the neighbours ``new`` (``ipt``: scaled coordinates)."""
+    rot = rotation[v]
+    if gone:
+        rot = tuple(w for w in rot if w not in gone)
+    if new:
+        rot = tuple(polar_sort(ipt(v), new, ipt, rot))
+    rotation[v] = rot
 
 
 class _ValidatedPoints(tuple):

@@ -37,6 +37,8 @@ from .pslg import (
     Pslg,
     PslgError,
     _corner_convex,
+    _raise_first_crossing,
+    _reroute,
     forest_path,
     kruskal,
     reach,
@@ -78,17 +80,14 @@ class WeaklySimplePolygon:
     """Closed vertex sequence with edge multiset of multiplicity at most 2."""
 
     seq: list  # cyclic, no duplicated closing vertex; never edited in place
-    _edges: Counter = field(default=None, init=False, repr=False, compare=False)
 
     def vertices(self):
         return set(self.seq)
 
     def edge_multiset(self):
-        """Edge key -> multiplicity, counted once per polygon."""
-        if self._edges is None:
-            m = len(self.seq)
-            self._edges = Counter(ekey(self.seq[i], self.seq[(i + 1) % m]) for i in range(m))
-        return self._edges
+        """Edge key -> multiplicity."""
+        m = len(self.seq)
+        return Counter(ekey(self.seq[i], self.seq[(i + 1) % m]) for i in range(m))
 
     def multiplicity(self):
         return Counter(self.seq)
@@ -103,33 +102,34 @@ class WeaklySimplePolygon:
     def is_simple(self):
         return max(self.multiplicity().values()) == 1
 
-    def validate(self, g):
+    def validate(self, g, ems=None, at=None):
         """Check that the polygon is a weakly simple closed walk in the
         certified PSLG ``g``: at least three corners, every edge a graph edge
         used at most twice, and no self-crossing at a repeated vertex.  The
-        graph's edges are already pairwise non-crossing."""
-        m = len(self.seq)
-        if m < 3:
+        graph's edges are already pairwise non-crossing.  Given ``ems``, the
+        multiplicities of some edges, and ``at`` (``_check_rotations``), only
+        those edges and vertices are checked."""
+        if len(self.seq) < 3:
             raise LemmaViolation("polygon too short")
-        ems = self.edge_multiset()
-        if max(ems.values()) > 2:
+        ems = self.edge_multiset() if ems is None else ems
+        if max(ems.values(), default=0) > 2:
             raise LemmaViolation("polygon edge multiplicity exceeds 2")
         for e in ems:
             if e not in g.edges:
                 raise LemmaViolation(f"polygon edge {e} is not a graph edge")
-        self._check_rotations(g)
+        self._check_rotations(g, at)
 
-    def _check_rotations(self, g):
+    def _check_rotations(self, g, at=None):
         """Occurrence ray pairs at a repeated vertex must not strictly
         interleave in the circular order (the curve would cross itself).
-        Every ray is a graph edge, so the order is the rotation at v."""
-        m = len(self.seq)
-        at = {}
-        for j, v in enumerate(self.seq):
-            prev = self.seq[j - 1]
-            nxt = self.seq[(j + 1) % m]
-            at.setdefault(v, []).append((prev, nxt))
-        for v, occs in at.items():
+        Every ray is a graph edge, so the order is the rotation at v.  Given
+        ``at``, every position of some vertices in increasing order, only
+        those vertices are checked, in the whole check's order."""
+        seq, m = self.seq, len(self.seq)
+        occurrences = {}
+        for j in range(m) if at is None else at:
+            occurrences.setdefault(seq[j], []).append((seq[j - 1], seq[(j + 1) % m]))
+        for v, occs in occurrences.items():
             if len(occs) < 2:
                 continue
             pos = {w: i for i, w in enumerate(g.rotation[v])}
@@ -148,8 +148,9 @@ class WeaklySimplePolygon:
 
 class _CertifiedEdges:
     """The current graph ``graph``, a PSLG on the fixed points of the start
-    graph, changed only by certified single edge edits through
-    ``Pslg._edit``: it stays a connected PSLG whose length is at most
+    graph, changed in place only by certified single edge edits: it starts
+    as a copy of the start graph's edge set and rotations, and stays a
+    connected PSLG whose length is at most
     ``ceiling``, the start graph's ||E|| + ||MST|| + LENGTH_TOL (its MST
     length is ``mst_length``).  transform and replay both edit
     through it, so every op log transform writes replays.  A start graph
@@ -165,7 +166,7 @@ class _CertifiedEdges:
     def __init__(self, g: Pslg):
         if g.points and len(reach(g.rotation, g.points[0].id)) != g.n:
             raise ReplayViolation(0, "connectivity", "start graph is not connected")
-        self.graph = g
+        self.graph = Pslg(g.points, g.by_id, set(g.edges), dict(g.rotation), g._ix, g._iy)
         self.length = g.total_length()
         self.mst_length = mst_length(g)
         self.ceiling = self.length + self.mst_length + LENGTH_TOL
@@ -186,10 +187,13 @@ class _CertifiedEdges:
             if u == v:
                 return "vertices", f"self-loop at point {u}"
             try:
-                self.graph = g._edit({e}, set())
+                _raise_first_crossing(g.edges, {e}, g._ix, g._iy)
             except CrossingEdges as exc:
                 return "planarity", str(exc)
-            self.faces.split(self.graph.rotation, u, v)
+            g.edges.add(e)
+            _reroute(g.rotation, g.ipt, u, new=(v,))
+            _reroute(g.rotation, g.ipt, v, new=(u,))
+            self.faces.split(g.rotation, u, v)
             self.length += d
         elif op == "delete":
             if e not in g.edges:
@@ -198,7 +202,9 @@ class _CertifiedEdges:
             if face[(u, v)] == face[(v, u)]:  # a bridge
                 return "connectivity", ""
             self.faces.merge(g.rotation, u, v)
-            self.graph = g._edit(set(), {e})
+            g.edges.remove(e)
+            _reroute(g.rotation, g.ipt, u, gone=(v,))
+            _reroute(g.rotation, g.ipt, v, gone=(u,))
             self.length -= d
         else:
             return "op", op
@@ -206,13 +212,20 @@ class _CertifiedEdges:
             return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
         return None
 
+    def frozen(self) -> Pslg:
+        """A copy of the current graph that later edits leave as it is."""
+        g = self.graph
+        return Pslg(g.points, g.by_id, frozenset(g.edges), dict(g.rotation), g._ix, g._iy)
+
 
 class _Editor(_CertifiedEdges):
     """Certified edge set that records every edit in an OpLog.
 
     ``cycle_bound``, 2||MST|| + LENGTH_TOL, bounds the morph's polygon plus
-    its leftover edges in phases 4 and 5, and the final cycle.
-    """
+    its leftover edges in phases 4 and 5, and the final cycle.  From ``trace``
+    on, ``_retrace`` keeps its state by deltas: edge multiset ``support``,
+    vertex set ``vc``, and per edge, ``own`` multiplicity times length, or
+    ``off`` the length of a graph edge off the polygon."""
 
     def __init__(self, g: Pslg):
         super().__init__(g)
@@ -227,14 +240,14 @@ class _Editor(_CertifiedEdges):
             d = self._lengths[e] = dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
         return d
 
-    def weighted_length(self, poly: WeaklySimplePolygon):
-        """``poly.length(g)`` plus the length of the graph's edges off the
-        polygon: two ``fsum``s over the memoised edge lengths, added once.
-        Doubling a twice-used edge's length is exact, so the first equals
-        ``poly.length(g)`` bit for bit."""
-        ems, d = poly.edge_multiset(), self._edge_length
-        own = fsum(c * d(e) for e, c in ems.items())
-        return own + fsum(d(e) for e in self.graph.edges if e not in ems)
+    def trace(self, seq):
+        """The validated polygon on the cycle ``seq``, its state counted once."""
+        poly = WeaklySimplePolygon(seq=seq)
+        self.support, self.vc = poly.edge_multiset(), poly.vertices()
+        self.own = {e: c * self._edge_length(e) for e, c in self.support.items()}
+        self.off = {e: self._edge_length(e) for e in self.graph.edges if e not in self.support}
+        poly.validate(self.graph)
+        return poly
 
     def geodesic(self, walk):
         """The geodesic of the convex corner ``walk``, a facial subwalk
@@ -362,29 +375,46 @@ def phase3_to_mst(ed: _Editor, target):
         raise LemmaViolation("phase 3 did not reach the MST")
 
 
-def _retrace(ed: _Editor, poly: WeaklySimplePolygon, gone, path, phase):
-    """Edit the graph onto the polygon: delete the edges of ``gone`` that
-    left it, insert the missing edges of the vertex path ``path``, then
-    delete every other edge between polygon vertices that is off the
-    polygon.  Returns the validated polygon, whose length plus that of the
-    leftover edges must not exceed ``ed.cycle_bound``."""
-    support = poly.edge_multiset()
-    vc = poly.vertices()
-    for e in gone:
+def _retrace(ed: _Editor, poly: WeaklySimplePolygon, old, new, phase):
+    """Edit the graph onto ``poly``, the traced polygon with its vertex path
+    ``old`` replaced by ``new`` (the same ends): update the polygon's state
+    by the splice's edges, delete those of ``old`` that left the polygon,
+    insert the missing ones of ``new``, then delete every other edge between
+    polygon vertices that is off the polygon.  Returns ``poly``, checked
+    where it changed; its weighted length must not exceed ``ed.cycle_bound``."""
+    support, own, off, vc = ed.support, ed.own, ed.off, ed.vc
+    lost = [ekey(a, b) for a, b in zip(old, old[1:])]
+    gained = [ekey(a, b) for a, b in zip(new, new[1:])]
+    changed = Counter(gained)
+    changed.subtract(lost)
+    for e, c in changed.items():
+        c = support[e] = support[e] + c
+        if c:
+            own[e] = c * ed._edge_length(e)
+            off.pop(e, None)
+        else:
+            del support[e], own[e]
+    vc.update(new)
+    for e in sorted(set(lost)):
         if e not in support:
             ed.delete(*e, phase)
-    for a, b in zip(path, path[1:]):
-        e = ekey(a, b)
+    for e in gained:
         if e not in ed.graph.edges:
             ed.insert(*e, phase)
     # Before the splice no off-polygon edge joined two polygon vertices, and
-    # the splice keeps every old polygon edge but those of ``gone``, so an
-    # edge that now joins two of them off the polygon touches ``path``.
-    for e in sorted({ekey(v, w) for v in path for w in ed.graph.rotation[v]}):
+    # the splice keeps every old polygon edge but those of ``old``, so an
+    # edge that now joins two of them off the polygon touches ``new``.
+    touched = {*old, *new}
+    for e in sorted({ekey(v, w) for v in new for w in ed.graph.rotation[v]}):
         if e[0] in vc and e[1] in vc and e not in support:
             ed.delete(*e, phase)
-    poly.validate(ed.graph)
-    wl = ed.weighted_length(poly)
+            del off[e]
+            touched.update(e)
+    # the last polygon passed validate, so only the changed edges and the
+    # vertices whose occurrences or rotation changed can fail it now
+    at = [j for j, v in enumerate(poly.seq) if v in touched]
+    poly.validate(ed.graph, {e: support[e] for e in changed if e in support}, at)
+    wl = fsum(own.values()) + fsum(off.values())
     if wl > ed.cycle_bound:
         raise LemmaViolation(
             f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {ed.cycle_bound:.9g}"
@@ -408,15 +438,15 @@ def phase4_grow_cycle(ed: _Editor):
 
     path = forest_path(g.rotation, u, v)
     ed.insert(u, v, PHASE_GROW)
-    poly = WeaklySimplePolygon(seq=list(path))
+    poly = ed.trace(path)
 
     rounds = 0
-    while poly.vertices() != {p.id for p in g.points}:
+    while len(ed.vc) < g.n:
         rounds += 1
         if rounds > g.n:
             raise LemmaViolation("phase 4 exceeded its round budget")
         g_cur = ed.graph
-        vc = poly.vertices()
+        vc = ed.vc
         found = None
         for y in sorted(vc):
             rot = g_cur.rotation[y]
@@ -437,26 +467,28 @@ def phase4_grow_cycle(ed: _Editor):
             raise LemmaViolation("no convex boundary pair found in phase 4")
         a_end, y, b_end = found
         xq, zq = (a_end, b_end) if a_end in vc else (b_end, a_end)
-        if ekey(xq, y) not in poly.edge_multiset():
+        if ekey(xq, y) not in ed.support:
             raise LemmaViolation("selected pair edge is not on the polygon")
 
         geo = ed.geodesic([a_end, y, b_end])
         gids = geo.ids() if a_end == xq else geo.ids()[::-1]  # from xq to zq
 
-        # splice: replace one copy of edge (xq, y) by xq .. geodesic .. zq, y
-        m = len(poly.seq)
-        at = next(j for j in range(m) if ekey(poly.seq[j], poly.seq[(j + 1) % m]) == ekey(xq, y))
-        if poly.seq[at] == xq:
+        # splice: replace the first copy of edge (xq, y), seq[at] to seq[at + 1],
+        # by xq .. geodesic .. zq, y; it starts at or just before an xq
+        seq, m = poly.seq, len(poly.seq)
+        at = min(j % m for i, w in enumerate(seq) if w == xq for j in (i, i - 1)
+                 if {seq[j], seq[(j + 1) % m]} == {xq, y})
+        if seq[at] == xq:
             ins = gids[1:]  # ends at zq, then the old y follows
         else:
             ins = [zq] + gids[1:-1][::-1]
-        new_seq = poly.seq[: at + 1] + ins + poly.seq[at + 1 :]
-        new_poly = WeaklySimplePolygon(seq=new_seq)
+        new_poly = WeaklySimplePolygon(seq=seq[: at + 1] + ins + seq[at + 1 :])
 
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
-        poly = _retrace(ed, new_poly, [ekey(xq, y)], gids, PHASE_GROW)
+        poly = _retrace(ed, new_poly, [xq, y], gids + [y], PHASE_GROW)
+    poly.validate(ed.graph)
     if poly.length(g) > ed.cycle_bound:
         raise LemmaViolation("final polygon exceeds 2*MST")
     return poly
@@ -493,7 +525,7 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
             # so the twice-used edge (prev, vtx) leaves the polygon
             drop = (j, (j + 1) % m)
             new_seq = [w for k, w in enumerate(poly.seq) if k not in drop]
-            gone, path = [ekey(prev, vtx)], [prev]
+            path = [prev]
         else:
             # three distinct points in general position: cr != 0
             cr = u_vec[0] * w_vec[1] - u_vec[1] * w_vec[0]
@@ -504,7 +536,6 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
             new_seq = poly.seq[:j] + path[1:-1] + poly.seq[j + 1 :]
             if j == 0:
                 new_seq = poly.seq[1:] + path[1:-1]
-            gone = sorted([ekey(prev, vtx), ekey(vtx, nxt)])
         old_len = poly.length(g)
         new_poly = WeaklySimplePolygon(seq=new_seq)
         new_len = new_poly.length(g)
@@ -513,7 +544,8 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
 
         # corner edges that vanish go first (the repeated vertex stays on
         # the polygon elsewhere), keeping the intermediate length monotone
-        poly = _retrace(ed, new_poly, gone, path, PHASE_SIMPLIFY)
+        poly = _retrace(ed, new_poly, [prev, vtx, nxt], path, PHASE_SIMPLIFY)
+    poly.validate(ed.graph)
     return poly
 
 
@@ -529,7 +561,7 @@ def transform(g: Pslg):
     poly = phase4_grow_cycle(ed)
     poly = phase5_simplify(ed, poly)
 
-    final = ed.graph
+    final = ed.frozen()
     n = g.n
     if len(final.edges) != n or any(final.degree(p.id) != 2 for p in final.points):
         raise LemmaViolation("final graph is not a Hamiltonian cycle")

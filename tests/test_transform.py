@@ -253,6 +253,86 @@ def test_retrace_leaves_no_off_polygon_edge_between_polygon_vertices(monkeypatch
     assert calls[4] >= 3000 and calls[5] >= 15
 
 
+def test_live_polygon_state_equals_a_recount(monkeypatch):
+    # after every round of phases 4-5 on the 150-morph set and the pool, the
+    # polygon state the editor keeps by deltas equals a recount from
+    # poly.seq, the weighted length bit for bit, and the whole validate passes
+    transform_mod = sys.modules["pslgaug.transform"]  # the package exports the function
+    retrace = transform_mod._retrace
+    calls = Counter()
+
+    def recounted(ed, poly, *args):
+        out = retrace(ed, poly, *args)
+        g, sup = ed.graph, poly.edge_multiset()
+        d = {e: dist(g.by_id[e[0]], g.by_id[e[1]]) for e in g.edges | set(sup)}
+        assert dict(ed.support) == dict(sup) and ed.vc == poly.vertices()
+        assert ed.own == {e: c * d[e] for e, c in sup.items()}
+        assert ed.off == {e: d[e] for e in g.edges if e not in sup}
+        want = poly.length(g) + fsum(d[e] for e in g.edges if e not in sup)
+        assert fsum(ed.own.values()) + fsum(ed.off.values()) == want
+        poly.validate(g)
+        calls[args[-1]] += 1
+        return out
+
+    monkeypatch.setattr(transform_mod, "_retrace", recounted)
+    rng = random.Random(7)
+    for _ in range(150):
+        transform(generate(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6))))
+    for g in pool_instances():
+        transform(g)
+    assert calls[4] >= 4000 and calls[5] >= 20
+
+
+# plain generate graphs whose phase-4 splice takes the wrong copy of a doubled
+# edge (a known defect), with the vertex that the whole check names
+DEFECT_A = {
+    (21, 904, 0.3): 7, (24, 680188, 0.6): 3, (50, 778402, 0.0): 4, (38, 950275, 0.6): 4,
+    (41, 456502, 0.0): 13, (39, 940107, 0.6): 4, (30, 859481, 0.3): 18, (40, 692119, 0.4): 8,
+    (88, 254460, 0.9): 19, (55, 108661, 0.6): 4, (33, 662209, 0.9): 12, (45, 296622, 0.8): 3,
+    (53, 618053, 0.6): 2, (45, 730250, 0.2): 11, (60, 639648, 0.8): 7, (47, 932522, 0.8): 35,
+}
+
+
+def test_local_round_checks_catch_the_known_interleaves():
+    # a round checks only the vertices it changed, and still names the
+    # vertex that the whole check names
+    for case, v in DEFECT_A.items():
+        with pytest.raises(LemmaViolation) as e:
+            transform(generate(*case))
+        assert str(e.value) == f"polygon occurrences interleave at vertex {v}", case
+
+
+def test_transform_and_replay_leave_the_start_graph_as_it_is(monkeypatch):
+    # the editor edits a copy of the start graph in place: the start graph's
+    # edges, rotations and faces stay as they were, transform's final graph
+    # is a frozen copy that equals a fresh build, and the editor's graph
+    # never fills a derived cache
+    transform_mod = sys.modules["pslgaug.transform"]
+    editors = []
+
+    class Recorded(_Editor):
+        def __init__(self, g):
+            super().__init__(g)
+            editors.append(self)
+
+    monkeypatch.setattr(transform_mod, "_Editor", Recorded)
+    for g in pool_instances():
+        edges, rotation, walks, faces = g.edges, dict(g.rotation), facial_walks(g), g.faces()
+        nxt, face = dict(faces.nxt), dict(faces.face)
+        final, _, log = transform(g)
+        replay(g, log.steps)
+        assert g.edges is edges and g.rotation == rotation and g._faces is faces
+        assert (faces.nxt, faces.face) == (nxt, face)
+        assert facial_walks(g) == walks == facial_walks(g.with_edges(g.edges))
+        ref = build(g.points, final.edges)
+        assert type(final.edges) is frozenset
+        assert final.edges == ref.edges and final.rotation == ref.rotation
+        live = editors[-1].graph
+        assert final.edges is not live.edges and final.rotation is not live.rotation
+        assert [live._faces, live._walks, live._conn, live._face_env, live._mst] == [None] * 5
+    assert len(editors) == len(pool_instances())
+
+
 def test_phase5_shortcuts_a_spike():
     # phase 4 ends with the spike (0, 28, 0) at a repeated vertex 28; phase 5
     # drops its tip and one copy of 0 instead of asking for the geodesic of
@@ -430,7 +510,8 @@ def test_certified_insert_reports_the_crossing_with_edges_reports():
 
 
 def test_edited_graph_matches_build():
-    # every graph the certified edit passes through equals a fresh build
+    # every graph the certified edit passes through equals a fresh build; the
+    # editor changes its graph in place, so each step is checked on a copy
     for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
                              (28, 5, 0.6), (40, 6, 0.3)):
         g = generate(n, seed + 9500, density)
@@ -438,7 +519,7 @@ def test_edited_graph_matches_build():
         cert = _CertifiedEdges(g)
         for st in log.steps:
             assert cert.edit(st.op, st.u, st.v) is None
-            h = cert.graph
+            h = cert.frozen()
             ref = build(g.points, h.edges)
             assert h.edges == ref.edges and h.rotation == ref.rotation
             assert facial_walks(h) == facial_walks(ref)
@@ -579,23 +660,26 @@ def test_live_walk_lookup_matches_a_fresh_one(monkeypatch):
 
 
 def test_weighted_length_equals_the_fsum_of_its_edges(monkeypatch):
-    # every weighted length the morph checks equals the polygon's length
-    # plus the fsum of the graph's off-polygon edges, bit for bit, also when
-    # the polygon runs along an edge twice
+    # every weighted length the morph checks, the fsums of its live maps
+    # after a round of _retrace, equals the polygon's length plus the fsum of
+    # the graph's off-polygon edges, bit for bit, also when the polygon runs
+    # along an edge twice
     calls = Counter()
-    exact = _Editor.weighted_length
+    transform_mod = sys.modules["pslgaug.transform"]  # the package exports the function
+    retrace = transform_mod._retrace
 
-    def reference(ed, poly):
-        got = exact(ed, poly)
+    def reference(ed, poly, *args):
+        out = retrace(ed, poly, *args)
+        got = fsum(ed.own.values()) + fsum(ed.off.values())
         g, seq, m = ed.graph, poly.seq, len(poly.seq)
         own = fsum(dist(g.by_id[seq[i]], g.by_id[seq[(i + 1) % m]]) for i in range(m))
         sup = poly.edge_multiset()
         want = own + fsum(dist(g.by_id[u], g.by_id[v]) for u, v in g.edges if (u, v) not in sup)
         assert got == want
         calls[max(sup.values())] += 1
-        return got
+        return out
 
-    monkeypatch.setattr(_Editor, "weighted_length", reference)
+    monkeypatch.setattr(transform_mod, "_retrace", reference)
     rng = random.Random(16)
     for _ in range(40):
         transform(generate(rng.randint(8, 40), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6))))
@@ -662,11 +746,13 @@ def _outcome(check, *args):
 
 
 def test_check_rotations_matches_polar_sort_reference(monkeypatch):
+    # each round checks only the vertices it changed; that equals the whole
+    # reference check, since the polygon before it passed
     checked = []
     new_check = WeaklySimplePolygon._check_rotations
 
-    def both(poly, g):
-        got = _outcome(new_check, poly, g)
+    def both(poly, g, at=None):
+        got = _outcome(new_check, poly, g, at)
         assert got == _outcome(reference_check_rotations, poly, g), poly.seq
         checked.append((len(poly.seq) > len(poly.vertices()), got))
         if got:
@@ -869,13 +955,14 @@ def test_transform_triangulates_its_points_once(monkeypatch):
 
 def test_queried_graphs_give_the_recorded_geodesics(monkeypatch):
     # every graph the morph queried gives the recorded geodesic on its own
-    # environment, built after the morph has moved on from it
+    # environment, built after the morph has moved on from it (from a copy:
+    # the editor changes its graph in place)
     asked = []
     query = _Editor.geodesic
 
     def recorded(ed, walk):
         geo = query(ed, walk)
-        asked.append((ed.graph, walk, geo.ids()))
+        asked.append((ed.frozen(), walk, geo.ids()))
         return geo
 
     monkeypatch.setattr(_Editor, "geodesic", recorded)
