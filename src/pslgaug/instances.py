@@ -166,15 +166,15 @@ def record_json(rec: dict) -> str:
 
 
 def oplog_to_jsonl(steps, assert_len_le=None) -> str:
-    """One JSON object per step: {"op", "u", "v"} plus the optional length
-    ceiling and phase tag."""
-    lines = []
-    for st in steps:
-        doc = {"op": st.op, "u": st.u, "v": st.v, "phase": st.phase}
-        if assert_len_le is not None:
-            doc["assert_len_le"] = assert_len_le
-        lines.append(json.dumps(doc, sort_keys=True))
-    return "\n".join(lines) + ("\n" if lines else "")
+    """One JSON object per step, its keys sorted as ``json.dumps`` sorts
+    them: the optional length ceiling, then "op", "phase", "u" and "v".  The
+    ceiling and each distinct op are encoded once; ids and phases are ints."""
+    head = "{" if assert_len_le is None else f'{{"assert_len_le": {json.dumps(assert_len_le)}, '
+    ops = {op: json.dumps(op) for op in {st.op for st in steps}}
+    return "".join(
+        f'{head}"op": {ops[st.op]}, "phase": {st.phase}, "u": {st.u}, "v": {st.v}}}\n'
+        for st in steps
+    )
 
 
 def oplog_from_jsonl(text: str):

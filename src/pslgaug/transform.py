@@ -6,10 +6,12 @@ Five phases: (1) strip to a minimum spanning subtree of the existing edges;
 triangulation, swapping each flipped tree edge for a strictly shorter quad
 side; (3) exchange edges to the Euclidean MST; (4) grow a weakly simple
 polygon from a hull edge until it spans every vertex; (5) shortcut repeated
-vertices until the polygon is simple.  Phases 4-5 only ever ask for the
-geodesic of a convex corner, which ``geodesic.corner_geodesic`` reads off a
-hull in closed form, so only phase 2 triangulates the points, once per
-morph.
+vertices until the polygon is simple.  Phase 2's flips depend only on the
+start graph, so ``transform`` triangulates the points once, before the first
+edit, and takes the Euclidean MST that the ceiling needs from that Delaunay
+triangulation.  Phases 4-5 only ever ask for the geodesic of a convex
+corner, which ``geodesic.corner_geodesic`` reads off a hull in closed form,
+so they build no triangulation.
 
 Every step keeps the graph a connected PSLG below the length ceiling
 ||E|| + ||MST(V)||; the final cycle has length at most 2 ||MST(V)||.  All
@@ -277,12 +279,35 @@ def _sq(g, u, v):
     return (ux - vx) ** 2 + (uy - vy) ** 2
 
 
-def euclidean_mst(g: Pslg):
-    """Canonical Euclidean MST over all point pairs (exact comparisons):
-    computed once per graph, and a new set on every call."""
+def delaunay(g: Pslg, tree=()):
+    """The Delaunay triangulation of g's points, certified by ``is_delaunay``,
+    and the Lawson flips ``(old_edge, apexes)`` that reach it, in order, from
+    the scan triangulation with the edges of ``tree`` constrained (the marks
+    are cleared before the flips)."""
+    T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
+    for (u, v) in sorted(tree):
+        insert_constraint(T, u, v)
+    T.constrained.clear()
+    flips = lawson_flips(T)
+    if not is_delaunay(T):
+        raise LemmaViolation("flip sequence did not reach Delaunay")
+    return T, flips
+
+
+def euclidean_mst(g: Pslg, T=None):
+    """Canonical Euclidean MST of g's points (Kruskal by exact squared
+    length, then key) over the edges of ``T``, a certified Delaunay
+    triangulation of them, ``delaunay(g)``'s when not given.  A point on or
+    in the closed disk on an MST edge's diameter would close a cycle of two
+    strictly shorter edges, so every MST edge is a Gabriel edge and lies in
+    every Delaunay triangulation of the points, cocircular ones included
+    (Shamos & Hoey 1975).  Computed once per graph, and a new set on every
+    call."""
     if g._mst is None:
-        ids = sorted(p.id for p in g.points)
-        pool = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+        if g.n <= 2:
+            pool = [ekey(*(p.id for p in g.points))] if g.n == 2 else []
+        else:
+            pool = (delaunay(g)[0] if T is None else T).edges()
         g._mst = frozenset(kruskal(pool, lambda e: _sq(g, *e)))
     return set(g._mst)
 
@@ -294,30 +319,29 @@ def mst_length(g: Pslg):
 # -- phases -------------------------------------------------------------
 
 
-def phase1_spanning_tree(ed: _Editor):
-    """Strip the graph to the minimum spanning subtree of its edges."""
-    g = ed.graph
-    keep = set(kruskal(g.edges, lambda e: _sq(g, *e)))
-    for e in sorted(g.edges - keep):
+def spanning_subtree(g: Pslg):
+    """The minimum spanning subtree of g's edges, phase 1's target."""
+    return set(kruskal(g.edges, lambda e: _sq(g, *e)))
+
+
+def phase1_spanning_tree(ed: _Editor, tree):
+    """Strip the graph to ``tree``, the minimum spanning subtree of its
+    edges."""
+    for e in sorted(ed.graph.edges - tree):
         ed.delete(e[0], e[1], PHASE_TREE)
 
 
-def phase2_to_delaunay_tree(ed: _Editor):
-    """Flip to the Delaunay triangulation, swapping each flipped edge of the
-    graph, a tree here, for a strictly shorter quad side; the intermediate
-    graph stays connected.  Returns the certified, unconstrained Delaunay
-    triangulation, whose edges include the final tree's."""
+def phase2_to_delaunay_tree(ed: _Editor, T, flips):
+    """Pass ``flips``, the Lawson flips that reach the Delaunay triangulation
+    ``T`` from the scan triangulation with the graph, a tree here,
+    constrained (``delaunay``), through the swap rule in order: each flipped
+    edge of the tree is swapped for a strictly shorter quad side, and the
+    intermediate graph stays connected.  The rule reads only the flip and
+    the current tree.  Returns T, whose edges include the final tree's."""
     g = ed.graph
-    T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
-    for (u, v) in sorted(g.edges):
-        insert_constraint(T, u, v)
-    T.constrained.clear()
-
-    def on_flip(old_edge, apexes):
-        a, b = e = old_edge  # a key: the flip queue holds keys
-        if e not in ed.graph.edges:
-            return
-        c, d = apexes
+    for (a, b), (c, d) in flips:
+        if (a, b) not in g.edges:  # a key: the flip queue holds keys
+            continue
         # pick the apex with the obtuse angle: both its sides are shorter
         # than the flipped edge
         if _dot_at(g, c, a, b) < 0:
@@ -328,20 +352,16 @@ def phase2_to_delaunay_tree(ed: _Editor):
             raise LemmaViolation("no obtuse apex on an illegal edge")
         # the graph is a tree: apex is on b's side of (a, b) iff the tree
         # path from a to apex starts along (a, b)
-        other = a if forest_path(ed.graph.rotation, a, apex)[1] == b else b
+        other = a if forest_path(g.rotation, a, apex)[1] == b else b
         new = ekey(apex, other)
         if _sq(g, *new) >= _sq(g, a, b):
             raise LemmaViolation("tree swap did not shorten")
         ed.insert(new[0], new[1], PHASE_DELAUNAY)
         ed.delete(a, b, PHASE_DELAUNAY)
-
-    flips = lawson_flips(T, on_flip=on_flip)
-    if not is_delaunay(T):
-        raise LemmaViolation("flip sequence did not reach Delaunay")
-    for e in ed.graph.edges:
+    for e in g.edges:
         if not T.has_edge(*e):
             raise LemmaViolation("tree edge missing from the Delaunay triangulation")
-    ed.log.stats["flips"] = flips
+    ed.log.stats["flips"] = len(flips)
     return T
 
 
@@ -552,12 +572,17 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
 def transform(g: Pslg):
     """Run phases 1-5; returns (final cycle graph, polygon, OpLog)."""
     require_augmentable(g)
+    # phase 2's triangulation depends only on g: build it first, and take
+    # the MST that the editor's ceiling needs from it
+    tree = spanning_subtree(g)
+    T, flips = delaunay(g, tree)
+    mst = euclidean_mst(g, T)
     ed = _Editor(g)
     ed.log.stats.update(base_length=ed.length, mst_length=ed.mst_length, ceiling=ed.ceiling)
 
-    phase1_spanning_tree(ed)
-    phase2_to_delaunay_tree(ed)
-    phase3_to_mst(ed, euclidean_mst(g))
+    phase1_spanning_tree(ed, tree)
+    phase2_to_delaunay_tree(ed, T, flips)
+    phase3_to_mst(ed, mst)
     poly = phase4_grow_cycle(ed)
     poly = phase5_simplify(ed, poly)
 

@@ -4,8 +4,8 @@ Works on exact integer (or rational) coordinates keyed by vertex id: a
 triangulation's points are a mapping from id to (x, y), and every triangle,
 side and constraint key is in those ids.  The same machinery backs the
 geodesic face environment (constrained, no Delaunay requirement) and the
-dynamic-transform phase 2 (unconstrained Lawson flips to the Delaunay
-triangulation).  Every environment starts from a triangulation of the
+morph's Delaunay triangulation (unconstrained Lawson flips, which phase 2
+replays and whose edges hold the Euclidean MST).  Every environment starts from a triangulation of the
 graph's points alone, which ``add_outside_points`` (the scan's step) extends
 to the clip-box corners.  Every triangle edit keeps the directed-side map
 and the hull-side count, so ``validate`` reads a counter.
@@ -307,18 +307,18 @@ def ear_clip(T: Triangulation, poly):
     return out
 
 
-def lawson_flips(T: Triangulation, on_flip=None):
+def lawson_flips(T: Triangulation):
     """Flip non-Delaunay edges until the empty-circumcircle test passes.
     Constraint marks are not read: callers flip unconstrained triangulations.
 
-    on_flip(old_edge, apexes) is called after each flip with vertex ids; the
-    new edge is ekey(*apexes).  The flip count is returned and capped at
-    4V^2 + 64 (a blown cap indicates a bug, not bad input).
+    Returns the flips in order, each ``(old_edge, apexes)`` in vertex ids;
+    the new edge is ekey(*apexes).  Their count is capped at 4V^2 + 64 (a
+    blown cap indicates a bug, not bad input).
     """
     flip_cap = 4 * len(T.pts) * len(T.pts) + 64
     queue = deque(sorted(T.edges()))
     queued = set(queue)
-    count = 0
+    flips = []
     while queue:
         e = queue.popleft()
         queued.discard(e)
@@ -342,16 +342,14 @@ def lawson_flips(T: Triangulation, on_flip=None):
         T.remove_tri(t2)
         T.add_tri(a, c, d)
         T.add_tri(b, c, d)
-        count += 1
-        if count > flip_cap:
+        flips.append(((a, b), (c, d)))
+        if len(flips) > flip_cap:
             raise LemmaViolation("flip budget exceeded")
-        if on_flip is not None:
-            on_flip((a, b), (c, d))
         for k in (ekey(a, c), ekey(c, b), ekey(b, d), ekey(d, a), ekey(c, d)):
             if k not in queued and T.has_edge(*k):
                 queue.append(k)
                 queued.add(k)
-    return count
+    return flips
 
 
 def is_delaunay(T: Triangulation) -> bool:

@@ -14,7 +14,7 @@ from pslgaug.pslg import facial_walks
 from pslgaug.transform import replay, transform
 from pslgaug.triangulate import is_delaunay
 
-from tests_support import make_fig3
+from tests_support import make_fig3, through_phase2
 
 TOL = 1e-9
 
@@ -142,15 +142,11 @@ def test_criterion_5_transform_suite():
 
 
 def test_criterion_6_delaunay_certification():
-    from pslgaug.transform import _Editor, phase1_spanning_tree, phase2_to_delaunay_tree
-
     t0 = time.perf_counter()
     for seed in range(100):
         n = 4 + seed % 14
         g = generate(n, 400_000 + seed, (seed % 4) / 4.0)
-        ed = _Editor(g)
-        phase1_spanning_tree(ed)
-        T = phase2_to_delaunay_tree(ed)
+        ed, T = through_phase2(g)
         assert is_delaunay(T), seed
         assert ed.log.stats["flips"] <= 4 * n * n, seed
     elapsed = time.perf_counter() - t0

@@ -430,6 +430,23 @@ def test_replay_rejects_a_disconnected_start_graph_with_an_empty_log(tmp_path, c
                    "start graph is not connected\n")
 
 
+@pytest.mark.parametrize("points", [[], [(4, "1", "2")], [(4, "1", "2"), (9, "3.5", "-1")]],
+                         ids=["0", "1", "2"])
+def test_replay_of_a_graph_of_at_most_two_points(points, tmp_path, capsys):
+    # the MST of at most two points is the one pair, with no triangulation
+    inst = tmp_path / "small.json"
+    inst.write_text(serialize(build(points, [(4, 9)] if len(points) == 2 else [])))
+    empty, bad = tmp_path / "empty.jsonl", tmp_path / "bad.jsonl"
+    empty.write_text("")
+    bad.write_text('{"op": "delete", "phase": 1, "u": 4, "v": 9}\n')
+    code, out, err = run_cli(["replay", str(inst), str(empty), "--json"], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["steps"] == 0
+    code, out, err = run_cli(["replay", str(inst), str(bad)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("replay violation: step 0: ") and "Traceback" not in err
+
+
 def test_oracle_cli(fig3_file, capsys):
     code, out, _ = run_cli(["oracle", fig3_file, "--mode", "2ec", "--json"], capsys)
     assert code == 0

@@ -5,7 +5,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import replace
-from math import fsum
+from math import atan2, fsum, isqrt
 
 import pytest
 
@@ -24,11 +24,13 @@ from pslgaug.pslg import (
 )
 from pslgaug.triangulate import insert_constraint, lawson_flips, triangulate_points
 from pslgaug.transform import (
+    PHASE_DELAUNAY,
     OpStep,
     ReplayViolation,
     WeaklySimplePolygon,
     _CertifiedEdges,
     _Editor,
+    delaunay,
     euclidean_mst,
     mst_length,
     phase1_spanning_tree,
@@ -37,22 +39,31 @@ from pslgaug.transform import (
     phase4_grow_cycle,
     phase5_simplify,
     replay,
+    spanning_subtree,
     transform,
 )
+import test_adversarial as A
 from test_optimal import pool_instances
-from tests_support import adjacency, label_partition, walk_partition
+from tests_support import (
+    adjacency,
+    all_pairs_mst,
+    label_partition,
+    scan_graph,
+    through_phase2,
+    walk_partition,
+)
 
 
 def test_phase1_tree_input(fig3):
     ed = _Editor(fig3)
-    phase1_spanning_tree(ed)
+    phase1_spanning_tree(ed, spanning_subtree(fig3))
     assert ed.graph.edges == set(fig3.edges)
     assert ed.log.steps == []
 
 
 def test_phase1_triangle(triangle):
     ed = _Editor(triangle)
-    phase1_spanning_tree(ed)
+    phase1_spanning_tree(ed, spanning_subtree(triangle))
     assert len(ed.log.steps) == 1
     deleted = ed.log.steps[0]
     assert deleted.op == "delete"
@@ -67,7 +78,7 @@ def test_phase1_random_counts():
         n = rng.randrange(4, 12)
         g = generate(n, seed + 3000, 0.7)
         ed = _Editor(g)
-        phase1_spanning_tree(ed)
+        phase1_spanning_tree(ed, spanning_subtree(g))
         assert len(ed.log.steps) == len(g.edges) - (n - 1)
         assert len(ed.graph.edges) == n - 1
 
@@ -80,9 +91,7 @@ def test_phase2_mst_input_no_swaps():
         mst = euclidean_mst(g)
         if set(g.edges) != mst:
             continue
-        ed = _Editor(g)
-        phase1_spanning_tree(ed)
-        phase2_to_delaunay_tree(ed)
+        ed, _ = through_phase2(g)
         assert [s for s in ed.log.steps if s.phase == 2] == []
 
 
@@ -92,10 +101,12 @@ def test_phase2_one_swap():
         [(0, "0", "0"), (1, "10", "1"), (2, "5", "4"), (3, "5", "-3.2")],
         [(0, 1), (0, 2), (0, 3)],
     )
+    tree = spanning_subtree(g)
+    T, flips = delaunay(g, tree)
     ed = _Editor(g)
-    phase1_spanning_tree(ed)
+    phase1_spanning_tree(ed, tree)
     assert ed.graph.edges == set(g.edges)
-    phase2_to_delaunay_tree(ed)
+    phase2_to_delaunay_tree(ed, T, flips)
     swaps = [s for s in ed.log.steps if s.phase == 2]
     if swaps:
         assert len(swaps) % 2 == 0
@@ -113,9 +124,7 @@ def test_phase2_reaches_delaunay_random():
     for seed in range(30):
         n = rng.randrange(4, 14)
         g = generate(n, seed + 5000, rng.choice([0.3, 0.7]))
-        ed = _Editor(g)
-        phase1_spanning_tree(ed)
-        T = phase2_to_delaunay_tree(ed)
+        ed, T = through_phase2(g)
         assert is_delaunay(T)
         assert ed.log.stats["flips"] <= 4 * n * n
 
@@ -127,9 +136,7 @@ def test_phase3_fixture():
         [(0, 1), (1, 2), (2, 3)],
     )
     mst = euclidean_mst(g)
-    ed = _Editor(g)
-    phase1_spanning_tree(ed)
-    phase2_to_delaunay_tree(ed)
+    ed, _ = through_phase2(g)
     before = len(ed.log.steps)
     phase3_to_mst(ed, euclidean_mst(g))
     assert ed.graph.edges == mst
@@ -142,11 +149,64 @@ def test_phase3_random_exact_mst():
     for seed in range(25):
         n = rng.randrange(4, 13)
         g = generate(n, seed + 6000, rng.choice([0.4, 0.8]))
-        ed = _Editor(g)
-        phase1_spanning_tree(ed)
-        phase2_to_delaunay_tree(ed)
+        ed, _ = through_phase2(g)
         phase3_to_mst(ed, euclidean_mst(g))
         assert ed.graph.edges == euclidean_mst(g)
+
+
+def test_euclidean_mst_equals_the_all_pairs_oracle():
+    # half of the random graphs are Delaunay subgraphs, half subgraphs of
+    # the unflipped scan triangulation; graphs of 0-2 points take no
+    # triangulation
+    rng = random.Random(61)
+    small = [build([], []), build([(7, "1", "2")], []),
+             build([(7, "1", "2"), (3, "-4", "0.5")], [])]
+    assert [euclidean_mst(g) for g in small] == [set(), set(), {(3, 7)}]
+    graphs = small + pool_instances()
+    for _ in range(250):
+        case = (rng.randint(3, 60), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
+        graphs += [generate(*case), scan_graph(*case)]
+    for g in graphs:
+        assert euclidean_mst(g) == all_pairs_mst(g)
+
+
+def test_transform_takes_the_mst_from_its_triangulation():
+    # transform takes the MST from the triangulation it flips for phase 2,
+    # built with the tree constrained, before the editor's ceiling
+    rng = random.Random(62)
+    cases = [(rng.randint(5, 60), rng.randrange(10**6), 0.4) for _ in range(20)]
+    graphs = [f(*case) for case in cases for f in (generate, scan_graph)]
+    for g in graphs + pool_instances():
+        _, _, log = transform(g)
+        assert g._mst == all_pairs_mst(g)
+        assert log.stats["mst_length"] == fsum(dist(g.by_id[u], g.by_id[v]) for u, v in g._mst)
+
+
+def cocircular_points(r=5525):
+    """Every lattice point of the circle x^2 + y^2 = r^2, in angle order; 180
+    of them for r = 5525 = 5^2 * 13 * 17."""
+    pts = [(x, y) for x in range(-r, r + 1) for y in {isqrt(r * r - x * x), -isqrt(r * r - x * x)}
+           if x * x + y * y == r * r]
+    return sorted(pts, key=lambda p: atan2(p[1], p[0]))
+
+
+def test_euclidean_mst_on_cocircular_points():
+    # every Delaunay triangulation of cocircular points is one of many, and
+    # equal chords tie: Kruskal over any of them still gives the oracle's tree
+    circle = cocircular_points()
+    assert len(circle) == 180
+    rng = random.Random(63)
+    for k in (180, 3, 4, 5, 8, 12, 20, 45, 90, 120):
+        pts = circle if k == 180 else sorted(rng.sample(circle, k), key=circle.index)
+        for dx, dy in ((0, 0), (1, 0), (-7, 3), (10**6 + 1, -(10**5) - 3)):
+            ids = rng.sample(range(1000), len(pts))
+            points = [(i, x + dx, y + dy) for i, (x, y) in zip(ids, pts)]
+            g = build(points, [])
+            assert euclidean_mst(g) == all_pairs_mst(g), (k, dx, dy)
+            # a path around the circle: transform constrains it, then flips
+            path = build(points, list(zip(ids, ids[1:])))
+            transform(path)
+            assert path._mst == all_pairs_mst(path), (k, dx, dy)
 
 
 def test_phase4_immediate_hamiltonian():
@@ -216,9 +276,7 @@ def test_phase4_invariant_random(monkeypatch):
     checked = Counter()
     for g in graphs + pool_instances():
         steps.clear()
-        ed = _Editor(g)
-        phase1_spanning_tree(ed)
-        phase2_to_delaunay_tree(ed)
+        ed, _ = through_phase2(g)
         phase3_to_mst(ed, euclidean_mst(g))
         poly = phase4_grow_cycle(ed)
         assert poly.vertices() == {p.id for p in g.points}
@@ -357,9 +415,7 @@ def test_phase5_random():
     for seed in range(20):
         n = rng.randrange(4, 13)
         g = generate(n, seed + 8000, 0.0)
-        ed = _Editor(g)
-        phase1_spanning_tree(ed)
-        phase2_to_delaunay_tree(ed)
+        ed, _ = through_phase2(g)
         phase3_to_mst(ed, euclidean_mst(g))
         poly4 = phase4_grow_cycle(ed)
         len4 = poly4.length(g)
@@ -920,37 +976,36 @@ def test_morph_queries_match_the_funnel(monkeypatch):
 
 
 def test_transform_triangulates_its_points_once(monkeypatch):
-    # phase 2 triangulates the points and constrains the tree in it for its
-    # flips; the corner queries of phases 4-5 build no triangulation
+    # the morph triangulates the points and constrains the tree in it before
+    # its first edit, for phase 2's flips and the MST; phases 2-5 build no
+    # triangulation and constrain no edge
     transform_mod = sys.modules["pslgaug.transform"]
     geodesic_mod = sys.modules["pslgaug.geodesic"]
-    calls, phase2, inserts, in_phase2 = [], transform_mod.phase2_to_delaunay_tree, Counter(), [False]
+    calls, phase1, inserts, edited = [], transform_mod.phase1_spanning_tree, Counter(), [False]
 
     def counted(pts):
-        calls.append(len(pts))
+        calls.append((len(pts), edited[0]))
         return triangulate_points(pts)
 
-    def flagged(ed):
-        in_phase2[0] = True
-        try:
-            return phase2(ed)
-        finally:
-            in_phase2[0] = False
+    def flagged(ed, tree):
+        edited[0] = True
+        return phase1(ed, tree)
 
     def constrain(T, u, w):
-        inserts[in_phase2[0]] += 1
+        inserts[edited[0]] += 1
         insert_constraint(T, u, w)
 
     for mod in (transform_mod, geodesic_mod):
         monkeypatch.setattr(mod, "triangulate_points", counted)
         monkeypatch.setattr(mod, "insert_constraint", constrain)
-    monkeypatch.setattr(transform_mod, "phase2_to_delaunay_tree", flagged)
+    monkeypatch.setattr(transform_mod, "phase1_spanning_tree", flagged)
     for case in sorted(GOLDEN_MORPHS):
         g = generate(*case)
         del calls[:]
+        edited[0] = False
         transform(g)
-        assert calls == [g.n]  # phase 2's, on the points alone
-    assert inserts[True] > 100 and inserts[False] == 0
+        assert calls == [(g.n, False)]  # on the points alone, before phase 1
+    assert inserts[False] > 100 and inserts[True] == 0
 
 
 def test_queried_graphs_give_the_recorded_geodesics(monkeypatch):
@@ -990,6 +1045,35 @@ def test_transform_golden_hash(case):
     _, poly, log = transform(generate(*case))
     text = oplog_to_jsonl(log.steps) + json.dumps(poly.seq)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN_MORPHS[case]
+
+
+def phase2_sets():
+    """Graphs on which phase 2 swaps tree edges: the adversarial families,
+    and 40 seeded subgraphs of scan triangulations.  The golden six and the
+    pool are Delaunay subgraphs, so phase 2 makes no op on them."""
+    rng = random.Random(33)
+    return {
+        "adversarial": [A._general_position(make, random.Random(seed))
+                        for _, make, seed in A.FAMILIES + A.LARGE],
+        "scan": [scan_graph(rng.randint(5, 60), rng.randrange(10**6),
+                            rng.choice((0.2, 0.4, 0.6, 0.8))) for _ in range(40)],
+    }
+
+
+# sha256 over each set's op logs, final polygons and stats, recorded before
+# the morph's triangulation moved out of phase 2, with its phase-2 op count
+PHASE2_DIGESTS = {"adversarial": ("b84d4934e20c58d4", 178), "scan": ("6bb431677aed9535", 732)}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE2_DIGESTS))
+def test_phase2_swaps_digest(name):
+    h, ops = hashlib.sha256(), 0
+    for g in phase2_sets()[name]:
+        _, poly, log = transform(g)
+        h.update((oplog_to_jsonl(log.steps) + json.dumps(poly.seq)
+                  + json.dumps(log.stats, sort_keys=True)).encode())
+        ops += sum(st.phase == PHASE_DELAUNAY for st in log.steps)
+    assert (h.hexdigest()[:16], ops) == PHASE2_DIGESTS[name]
 
 
 # -- the one-shot environment's checks -------------------------------------

@@ -1,12 +1,60 @@
 """Shared fixture builders and oracles for the test suite."""
 
+import random
+
 from pslgaug import DegenerateInput, build, facial_walks
+from pslgaug.instances import generate
+from pslgaug.pslg import kruskal
+from pslgaug.transform import (
+    _Editor,
+    delaunay,
+    phase1_spanning_tree,
+    phase2_to_delaunay_tree,
+    spanning_subtree,
+)
+from pslgaug.triangulate import triangulate_points
 
 
 def make_fig3(eps):
     """The four-vertex lower-bound family at a given epsilon (decimal str)."""
     pts = [(1, "0", "0"), (2, "0", eps), (3, "1", "0"), (4, "1", eps)]
     return build(pts, [(1, 2), (2, 3), (3, 4)])
+
+
+def scan_graph(n, seed, density):
+    """A seeded random connected PSLG on the points of ``generate(n, seed,
+    0.0)`` whose edges are a random subgraph of the points' scan
+    triangulation, not flipped to Delaunay, repaired to connectivity by
+    Kruskal over that triangulation: phase 2 of the morph swaps its edges."""
+    g = generate(n, seed, 0.0)
+    rng = random.Random(seed)
+    edges = sorted(triangulate_points({p.id: g.ipt(p.id) for p in g.points}).edges())
+    keep = [e for e in edges if rng.random() < density]
+    keep += kruskal(edges, lambda e: _sq(g, e), joined=keep)
+    return build([(p.id, p.x, p.y) for p in g.points], sorted(set(keep)))
+
+
+def _sq(g, e):
+    (ax, ay), (bx, by) = g.ipt(e[0]), g.ipt(e[1])
+    return (ax - bx) ** 2 + (ay - by) ** 2
+
+
+def all_pairs_mst(g):
+    """The canonical Euclidean MST by Kruskal over all point pairs, by exact
+    squared length, then key: the oracle of ``transform.euclidean_mst``."""
+    ids = sorted(p.id for p in g.points)
+    pool = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    return set(kruskal(pool, lambda e: _sq(g, e)))
+
+
+def through_phase2(g):
+    """The morph's editor on g after phases 1 and 2, run as ``transform``
+    runs them, and phase 2's Delaunay triangulation."""
+    tree = spanning_subtree(g)
+    T, flips = delaunay(g, tree)
+    ed = _Editor(g)
+    phase1_spanning_tree(ed, tree)
+    return ed, phase2_to_delaunay_tree(ed, T, flips)
 
 
 def adjacency(edges):
