@@ -429,13 +429,9 @@ class Faces:
     """The faces of a rotation system, half-edge style (Guibas & Stolfi
     1985, without the dual): ``nxt`` maps each dart (directed edge) to the
     next dart of its facial walk (``next_darts``), and ``face`` maps it to a
-    label shared by exactly the darts of its walk.
-
-    ``split`` and ``merge`` keep both in step with a one-edge insert or
-    delete: both sides of the edit are walked in lockstep and the smaller
-    one is relabelled, so an edit costs the size of the smaller face.  In a
-    connected plane graph an edge is a bridge iff the same face lies on both
-    of its sides, and a vertex is a cut vertex iff one face meets it twice.
+    label shared by exactly the darts of its walk.  In a connected plane
+    graph an edge is a bridge iff the same face lies on both of its sides,
+    and a vertex is a cut vertex iff one face meets it twice.
     """
 
     def __init__(self, rotation):
@@ -458,20 +454,10 @@ class Faces:
                 break
         return out
 
-    def _smaller(self, a, b):
-        """Whichever of darts ``a`` and ``b`` lies on the shorter facial
-        walk (``a`` on a tie), found by walking both in lockstep."""
-        nxt = self.nxt
-        x, y = nxt[a], nxt[b]
-        while x != a and y != b:
-            x, y = nxt[x], nxt[y]
-        return a if x == a else b
-
-    def _label(self, d, label=None):
-        """Give the darts of the facial walk through dart ``d`` the face
-        label ``label``, or a new one."""
-        if label is None:
-            label = self._labels = self._labels + 1
+    def _label(self, d):
+        """Give the darts of the facial walk through dart ``d`` a new face
+        label."""
+        label = self._labels = self._labels + 1
         nxt, face = self.nxt, self.face
         x = d
         while True:
@@ -479,42 +465,6 @@ class Faces:
             x = nxt[x]
             if x == d:
                 return
-
-    @staticmethod
-    def _ends(rotation, u, v):
-        """The CCW-predecessor and -successor of v at u in ``rotation``."""
-        rot = rotation[u]
-        i = rot.index(v)
-        return rot[i - 1], rot[(i + 1) % len(rot)]
-
-    def split(self, rotation, u, v):
-        """Thread the inserted edge (u, v), already in ``rotation``, into
-        the face it splits: the walk that reached u from its
-        CCW-predecessor of v now turns onto (u, v), the one that reached v
-        from its CCW-predecessor of u onto (v, u), and the smaller of the
-        two new walks takes a new label."""
-        nxt = self.nxt
-        p, s = self._ends(rotation, u, v)
-        q, t = self._ends(rotation, v, u)
-        label = self.face[(p, u)]
-        nxt[(p, u)], nxt[(v, u)] = (u, v), (u, s)
-        nxt[(q, v)], nxt[(u, v)] = (v, u), (v, t)
-        self.face[(u, v)] = self.face[(v, u)] = label
-        self._label(self._smaller((u, v), (v, u)))
-
-    def merge(self, rotation, u, v):
-        """Unthread the edge (u, v), still in ``rotation`` and not a
-        bridge: its two faces merge, the smaller taking the other's label."""
-        nxt, face = self.nxt, self.face
-        a, b = self._ends(rotation, u, v)
-        c, d = self._ends(rotation, v, u)
-        if self._smaller((u, v), (v, u)) == (u, v):
-            self._label((u, v), face[(v, u)])
-        else:
-            self._label((v, u), face[(u, v)])
-        nxt[(a, u)], nxt[(c, v)] = (u, b), (v, d)
-        for x in ((u, v), (v, u)):
-            del nxt[x], face[x]
 
 
 def facial_walks(g: Pslg):

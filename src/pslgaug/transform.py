@@ -34,7 +34,6 @@ from .geom import (
 from .geodesic import corner_geodesic
 from .pslg import (
     CrossingEdges,
-    Faces,
     LemmaViolation,
     Pslg,
     PslgError,
@@ -43,10 +42,11 @@ from .pslg import (
     _reroute,
     forest_path,
     kruskal,
+    next_darts,
     reach,
     require_augmentable,
 )
-from .triangulate import insert_constraint, is_delaunay, lawson_flips, triangulate_points
+from .triangulate import insert_constraint, lawson_flips, triangulate_points
 
 PHASE_TREE = 1
 PHASE_DELAUNAY = 2
@@ -158,11 +158,11 @@ class _CertifiedEdges:
     through it, so every op log transform writes replays.  A start graph
     that is not connected raises ReplayViolation at step 0.
 
-    Next to the graph it keeps the graph's faces, ``faces`` (a
-    ``pslg.Faces`` of its own, not the one cached on a graph), split by
-    each insert and merged by each delete.  In a connected plane graph an
-    edge is a bridge iff the same face lies on both of its sides, so a
-    delete disconnects iff its two darts share a label.
+    Next to the graph it keeps ``nxt``, the next dart of every dart on its
+    facial walk (``pslg.next_darts``, a map of its own, not the one a graph
+    caches), threaded by each insert and unthreaded by each delete at the
+    edge's two ends, with no walk.  In a connected plane graph an edge is a
+    bridge iff the same face lies on both of its sides (``_bridge``).
     """
 
     def __init__(self, g: Pslg):
@@ -172,7 +172,7 @@ class _CertifiedEdges:
         self.length = g.total_length()
         self.mst_length = mst_length(g)
         self.ceiling = self.length + self.mst_length + LENGTH_TOL
-        self.faces = Faces(g.rotation)
+        self.nxt = next_darts(g.rotation)
 
     def edit(self, op, u, v):
         """Insert or delete edge (u, v).  Returns None when the edit keeps
@@ -195,15 +195,25 @@ class _CertifiedEdges:
             g.edges.add(e)
             _reroute(g.rotation, g.ipt, u, new=(v,))
             _reroute(g.rotation, g.ipt, v, new=(u,))
-            self.faces.split(g.rotation, u, v)
+            # the walks that reached u before v, and v before u, now turn
+            # onto the new edge
+            nxt = self.nxt
+            p, s = _ends(g.rotation, u, v)
+            q, t = _ends(g.rotation, v, u)
+            nxt[(p, u)], nxt[(v, u)] = (u, v), (u, s)
+            nxt[(q, v)], nxt[(u, v)] = (v, u), (v, t)
             self.length += d
         elif op == "delete":
             if e not in g.edges:
                 return "planarity", f"edge {e} not present"
-            face = self.faces.face
-            if face[(u, v)] == face[(v, u)]:  # a bridge
+            if self._bridge(u, v):
                 return "connectivity", ""
-            self.faces.merge(g.rotation, u, v)
+            # the walks that turned onto the edge now pass it by
+            nxt = self.nxt
+            p, s = _ends(g.rotation, u, v)
+            q, t = _ends(g.rotation, v, u)
+            nxt[(p, u)], nxt[(q, v)] = (u, s), (v, t)
+            del nxt[(u, v)], nxt[(v, u)]
             g.edges.remove(e)
             _reroute(g.rotation, g.ipt, u, gone=(v,))
             _reroute(g.rotation, g.ipt, v, gone=(u,))
@@ -213,6 +223,20 @@ class _CertifiedEdges:
         if self.length > self.ceiling:
             return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
         return None
+
+    def _bridge(self, u, v):
+        """Whether edge (u, v) has one face on both sides: its darts' walks
+        are followed in lockstep until one reaches the other's dart (one
+        face) or returns to its own (two faces), so the walk stops within
+        the smaller face."""
+        nxt = self.nxt
+        a, b = (u, v), (v, u)
+        x, y = nxt[a], nxt[b]
+        while x != a and y != b:
+            if x == b or y == a:
+                return True
+            x, y = nxt[x], nxt[y]
+        return False
 
     def frozen(self) -> Pslg:
         """A copy of the current graph that later edits leave as it is."""
@@ -273,6 +297,13 @@ class _Editor(_CertifiedEdges):
         self._record("delete", u, v, phase)
 
 
+def _ends(rotation, u, v):
+    """The CCW-predecessor and -successor of v at u in ``rotation``."""
+    rot = rotation[u]
+    i = rot.index(v)
+    return rot[i - 1], rot[(i + 1) % len(rot)]
+
+
 def _sq(g, u, v):
     ux, uy = g.ipt(u)
     vx, vy = g.ipt(v)
@@ -280,7 +311,7 @@ def _sq(g, u, v):
 
 
 def delaunay(g: Pslg, tree=()):
-    """The Delaunay triangulation of g's points, certified by ``is_delaunay``,
+    """The Delaunay triangulation of g's points, certified by ``lawson_flips``,
     and the Lawson flips ``(old_edge, apexes)`` that reach it, in order, from
     the scan triangulation with the edges of ``tree`` constrained (the marks
     are cleared before the flips)."""
@@ -288,10 +319,7 @@ def delaunay(g: Pslg, tree=()):
     for (u, v) in sorted(tree):
         insert_constraint(T, u, v)
     T.constrained.clear()
-    flips = lawson_flips(T)
-    if not is_delaunay(T):
-        raise LemmaViolation("flip sequence did not reach Delaunay")
-    return T, flips
+    return T, lawson_flips(T)
 
 
 def euclidean_mst(g: Pslg, T=None):

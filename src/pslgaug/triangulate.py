@@ -314,6 +314,17 @@ def lawson_flips(T: Triangulation):
     Returns the flips in order, each ``(old_edge, apexes)`` in vertex ids;
     the new edge is ekey(*apexes).  Their count is capped at 4V^2 + 64 (a
     blown cap indicates a bug, not bad input).
+
+    The result is Delaunay, so no caller tests it again.  Every side starts
+    on the queue, and a flip of (a, b) changes only its two triangles, whose
+    sides are the quad's four and the new (c, d): all five are queued again.
+    So on return every interior side has passed the in-circle test since
+    its two triangles last changed, and the test is symmetric in them (the
+    apex of either lies strictly inside the other's circumcircle, or
+    neither does).  A triangulation that is locally Delaunay at every side
+    is Delaunay, no point strictly inside any triangle's circumcircle
+    (Delaunay's lemma), cocircular points included, because the test is
+    strict.
     """
     flip_cap = 4 * len(T.pts) * len(T.pts) + 64
     queue = deque(sorted(T.edges()))
@@ -350,16 +361,3 @@ def lawson_flips(T: Triangulation):
                 queue.append(k)
                 queued.add(k)
     return flips
-
-
-def is_delaunay(T: Triangulation) -> bool:
-    """Exact empty-circumcircle check over all adjacent triangle pairs."""
-    for (a, b), t1 in T.side.items():
-        t2 = T.side.get((b, a))
-        if t2 is None or a > b:
-            continue
-        c = T.apex(t1, a, b)
-        d = T.apex(t2, a, b)
-        if T.in_circle(*t1, d) > 0 or T.in_circle(*t2, c) > 0:
-            return False
-    return True

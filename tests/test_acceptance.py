@@ -12,9 +12,8 @@ from pslgaug.optimal import dp_2vc, optimal_augment
 from pslgaug.oracle import Exhausted, brute_force_optimal, verify
 from pslgaug.pslg import facial_walks
 from pslgaug.transform import replay, transform
-from pslgaug.triangulate import is_delaunay
 
-from tests_support import make_fig3, through_phase2
+from tests_support import is_delaunay, make_fig3, through_phase2
 
 TOL = 1e-9
 

@@ -750,12 +750,14 @@ def test_connectivity_rejects_a_rotation_that_breaks_euler():
 def test_one_faces_per_graph(monkeypatch):
     # facial_walks, connectivity and face_env share the graph's faces, so an
     # augment item builds one Faces for its input graph, one for the
-    # augmenter's closing check and one for verify's graph
+    # augmenter's closing check and one for verify's graph; the morph's
+    # editor keeps its own next darts, so transform and replay build none
     from pslgaug.geodesic import face_env
     from pslgaug.heuristic import augment_2ec, augment_2vc
     from pslgaug.optimal import optimal_augment
     from pslgaug.oracle import verify
     from pslgaug.pslg import Faces
+    from pslgaug.transform import replay, transform
 
     made = []
     init = Faces.__init__
@@ -770,6 +772,11 @@ def test_one_faces_per_graph(monkeypatch):
             assert len(made) == 3 and made[0] is g.faces()
     assert face_env(g).faces is g.faces()
     assert facial_walks(g) and connectivity(g) and len(made) == 3
+    for seed in range(5):
+        g = generate(30, 720000 + seed, 0.4)
+        made.clear()
+        assert replay(g, transform(g)[2].steps)["ok"]
+        assert made == []
 
 
 # sha256 of repr(facial_walks(g)) over _pinned_graphs(), recorded from the

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import random
 import re
@@ -47,10 +48,9 @@ from test_optimal import pool_instances
 from tests_support import (
     adjacency,
     all_pairs_mst,
-    label_partition,
+    is_delaunay,
     scan_graph,
     through_phase2,
-    walk_partition,
 )
 
 
@@ -118,8 +118,6 @@ def test_phase2_one_swap():
 
 
 def test_phase2_reaches_delaunay_random():
-    from pslgaug.triangulate import is_delaunay
-
     rng = random.Random(21)
     for seed in range(30):
         n = rng.randrange(4, 14)
@@ -190,23 +188,34 @@ def cocircular_points(r=5525):
     return sorted(pts, key=lambda p: atan2(p[1], p[0]))
 
 
-def test_euclidean_mst_on_cocircular_points():
-    # every Delaunay triangulation of cocircular points is one of many, and
-    # equal chords tie: Kruskal over any of them still gives the oracle's tree
+def cocircular_sets():
+    """Pairs of graphs on cocircular points, one with no edges and one with a
+    path around the circle, on samples of 3-180 of ``cocircular_points``
+    with random ids, at four offsets."""
     circle = cocircular_points()
-    assert len(circle) == 180
     rng = random.Random(63)
+    out = []
     for k in (180, 3, 4, 5, 8, 12, 20, 45, 90, 120):
         pts = circle if k == 180 else sorted(rng.sample(circle, k), key=circle.index)
         for dx, dy in ((0, 0), (1, 0), (-7, 3), (10**6 + 1, -(10**5) - 3)):
             ids = rng.sample(range(1000), len(pts))
             points = [(i, x + dx, y + dy) for i, (x, y) in zip(ids, pts)]
-            g = build(points, [])
-            assert euclidean_mst(g) == all_pairs_mst(g), (k, dx, dy)
-            # a path around the circle: transform constrains it, then flips
-            path = build(points, list(zip(ids, ids[1:])))
-            transform(path)
-            assert path._mst == all_pairs_mst(path), (k, dx, dy)
+            out.append((build(points, []), build(points, list(zip(ids, ids[1:])))))
+    return out
+
+
+def test_euclidean_mst_on_cocircular_points():
+    # every Delaunay triangulation of cocircular points is one of many, and
+    # equal chords tie: Kruskal over any of them still gives the oracle's
+    # tree, and the oracle certifies each triangulation
+    assert len(cocircular_points()) == 180
+    for g, path in cocircular_sets():
+        assert euclidean_mst(g) == all_pairs_mst(g), g.points
+        # transform constrains the path, then flips
+        transform(path)
+        assert path._mst == all_pairs_mst(path), g.points
+        assert is_delaunay(delaunay(g)[0]), g.points
+        assert is_delaunay(delaunay(path, spanning_subtree(path))[0]), g.points
 
 
 def test_phase4_immediate_hamiltonian():
@@ -583,28 +592,35 @@ def test_edited_graph_matches_build():
             assert h.total_length() == ref.total_length()
 
 
-def test_face_labels_match_facial_walks():
-    # after every certified step of six recorded morphs, the labels group
-    # the darts as a fresh facial-walk derivation does, and nxt is the walk
-    steps = 0
-    for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
-                             (28, 5, 0.6), (40, 6, 0.3)):
-        g = generate(n, seed + 9500, density)
-        _, _, log = transform(g)
-        cert = _CertifiedEdges(g)
-        assert label_partition(cert.faces) == walk_partition(g)
-        for st in log.steps:
-            assert cert.edit(st.op, st.u, st.v) is None
-            h = build(g.points, cert.graph.edges)
-            assert label_partition(cert.faces) == walk_partition(h)
-            assert cert.faces.nxt == next_darts(h.rotation)
-            steps += 1
-    assert steps >= 200
+def test_editor_next_darts_match_facial_walks(monkeypatch):
+    # after every certified step of transform and of replay, on six recorded
+    # morphs and the adversarial families, the editor's next darts are those
+    # of a fresh build of its edge set, so its walks are the facial walks
+    steps = Counter()
+    edit = _CertifiedEdges.edit
+
+    def checked(self, op, u, v):
+        out = edit(self, op, u, v)
+        h = build(self.graph.points, self.graph.edges)
+        assert out is None and self.nxt == next_darts(h.rotation)
+        steps[type(self)] += 1
+        return out
+
+    monkeypatch.setattr(_CertifiedEdges, "edit", checked)
+    graphs = [generate(n, seed + 9500, density)
+              for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
+                                       (28, 5, 0.6), (40, 6, 0.3))]
+    graphs += [A._general_position(make, random.Random(seed))
+               for _, make, seed in A.FAMILIES + A.LARGE]
+    for g in graphs:
+        assert _CertifiedEdges(g).nxt == next_darts(g.rotation)
+        assert replay(g, transform(g)[2].steps)["ok"]
+    assert steps[_Editor] == steps[_CertifiedEdges] >= 1000
 
 
-def test_editor_faces_are_never_a_graphs_cached_faces(monkeypatch):
-    # split and merge change the editor's faces in place, so they must not
-    # be the read-only faces a graph caches (Pslg.faces)
+def test_editor_next_darts_are_never_a_graphs_cached_faces(monkeypatch):
+    # each edit changes the editor's next darts in place, so they must not be
+    # those of the read-only faces a graph caches (Pslg.faces)
     graphs = []
     edit = _CertifiedEdges.edit
 
@@ -612,7 +628,7 @@ def test_editor_faces_are_never_a_graphs_cached_faces(monkeypatch):
         graphs.append(self.graph)
         out = edit(self, op, u, v)
         graphs.append(self.graph)
-        assert all(self.faces is not h._faces for h in graphs)
+        assert all(h._faces is None or self.nxt is not h._faces.nxt for h in graphs)
         return out
 
     monkeypatch.setattr(_CertifiedEdges, "edit", checked)
@@ -622,7 +638,8 @@ def test_editor_faces_are_never_a_graphs_cached_faces(monkeypatch):
         graphs[:] = [g]
         log = transform(g)[2]
         replay(g, log.steps)
-        assert g._faces is faces and len(graphs) > 2 * len(log.steps)
+        assert g._faces is faces and faces.nxt == next_darts(g.rotation)
+        assert len(graphs) > 2 * len(log.steps)
 
 
 def mid_morph_graphs(count, rng):
@@ -636,10 +653,10 @@ def mid_morph_graphs(count, rng):
     return out
 
 
-def test_label_bridge_test_matches_reach():
-    # on every edge of 40 mid-morph graphs, a delete disconnects the graph
-    # iff both of its darts carry one label, and the certified delete fails
-    # with "connectivity" exactly then
+def test_walk_bridge_test_matches_reach():
+    # on every edge of 40 mid-morph graphs, the lockstep walk finds one face
+    # on both sides iff a delete disconnects the graph, and the certified
+    # delete fails with "connectivity" exactly then
     rng = random.Random(14)
     bridges = kept = 0
     for g, prefix in mid_morph_graphs(40, rng):
@@ -649,7 +666,7 @@ def test_label_bridge_test_matches_reach():
         h = cert.graph
         for u, v in sorted(h.edges):
             cut = len(reach(adjacency(h.edges - {(u, v)}), u)) != h.n
-            assert (cert.faces.face[u, v] == cert.faces.face[v, u]) == cut
+            assert cert._bridge(u, v) == cert._bridge(v, u) == cut
             other = _CertifiedEdges(h)
             got = other.edit("delete", *rng.choice(((u, v), (v, u))))
             if cut:
@@ -658,7 +675,7 @@ def test_label_bridge_test_matches_reach():
             else:
                 assert got is None
                 fresh = build(g.points, other.graph.edges)
-                assert label_partition(other.faces) == walk_partition(fresh)
+                assert other.nxt == next_darts(fresh.rotation)
                 kept += 1
     assert bridges >= 300 and kept >= 200
 
@@ -1074,6 +1091,37 @@ def test_phase2_swaps_digest(name):
                   + json.dumps(log.stats, sort_keys=True)).encode())
         ops += sum(st.phase == PHASE_DELAUNAY for st in log.steps)
     assert (h.hexdigest()[:16], ops) == PHASE2_DIGESTS[name]
+
+
+def test_lawson_queue_certifies_delaunay():
+    # with no runtime re-check left, the oracle confirms phase 2's
+    # triangulation on every graph of the phase-2 digest sets
+    for name, graphs in phase2_sets().items():
+        for g in graphs:
+            assert is_delaunay(delaunay(g, spanning_subtree(g))[0]), name
+
+
+def _lawson_mutant(skip):
+    """``lawson_flips`` with the quad side ``skip`` not queued again after a
+    flip."""
+    triangulate = sys.modules["pslgaug.triangulate"]
+    source = inspect.getsource(triangulate.lawson_flips)
+    sides = "(ekey(a, c), ekey(c, b), ekey(b, d), ekey(d, a), ekey(c, d))"
+    assert source.count(sides) == 1 and sides.count(skip + ", ") == 1
+    scope = dict(vars(triangulate))
+    exec(source.replace(sides, sides.replace(skip + ", ", "")), scope)
+    return scope["lawson_flips"]
+
+
+@pytest.mark.parametrize("skip", ["ekey(a, c)", "ekey(c, b)", "ekey(b, d)", "ekey(d, a)"])
+def test_delaunay_oracle_rejects_a_lawson_mutant(skip, monkeypatch):
+    # a queue that forgets one quad side after a flip can stop short of
+    # Delaunay: the oracle rejects the mutant's result on some graph of the
+    # phase-2 and cocircular sets
+    monkeypatch.setattr(sys.modules["pslgaug.transform"], "lawson_flips", _lawson_mutant(skip))
+    graphs = [g for gs in phase2_sets().values() for g in gs]
+    graphs += [g for pair in cocircular_sets() for g in pair]
+    assert any(not is_delaunay(delaunay(g, spanning_subtree(g))[0]) for g in graphs)
 
 
 # -- the one-shot environment's checks -------------------------------------

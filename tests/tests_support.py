@@ -102,3 +102,17 @@ def in_ccw_sector(ux, uy, vx, vy, dx, dy) -> bool:
     cvd = -cdv
     cdu = -cud
     return not (cvd >= 0 and cdu >= 0)
+
+
+def is_delaunay(T) -> bool:
+    """Exact empty-circumcircle check over all adjacent triangle pairs of
+    the triangulation T: the oracle of ``triangulate.lawson_flips``."""
+    for (a, b), t1 in T.side.items():
+        t2 = T.side.get((b, a))
+        if t2 is None or a > b:
+            continue
+        c = T.apex(t1, a, b)
+        d = T.apex(t2, a, b)
+        if T.in_circle(*t1, d) > 0 or T.in_circle(*t2, c) > 0:
+            return False
+    return True
