@@ -1,35 +1,26 @@
-"""Shortest homotopic paths (geodesics) for subwalks of facial walks.
+"""Shortest homotopic paths (geodesics) for convex subwalks of facial walks.
 
-The plane is triangulated over all vertices plus four far-away box corners,
-with every graph edge as a constraint.  Each triangle is assigned to the
-face it lies in.  A query walk is pushed slightly into its face; the portals
-it crosses are exactly the triangle fans around its interior corners, and
-pulling the string taut through those portals (funnel algorithm) yields the
-geodesic.  Which triangulation it is does not matter: the reduced portal
-sequence of a homotopy class, and so the geodesic, is the same in any.
+Every walk the heuristics and the morph close is convex: each corner turns
+into its face by less than pi.  Its geodesic has a closed form, found by
+shortcutting corners (``convex_geodesic``): the path starts as the walk,
+and each slack corner (a, y, b) is replaced by the chain of the convex
+hull of a, b and the vertices strictly inside triangle ayb, until the path
+is taut.  Every walk vertex is slack and every vertex that a shortcut puts
+in stays taut, so one pass from the walk's start does it.  It reads only
+the graph's rotations and scaled integer coordinates, so it builds no
+triangulation and caches nothing on the graph; the morph asks it on its
+live graph.
 
-The triangulation names each vertex by the graph's own id and the box
-corners by the four ids just above the largest, so nothing translates an id.
-Each queried graph gets one environment, built on first use from a
-triangulation of its points alone and cached on it; it reads the faces
-cached on the graph (``Pslg.faces``), floods the face of every triangle and
-checks the triangulation against the graph.
-
-The cycle morph asks only for the geodesic of a convex two-edge corner,
-which has a closed form (``corner_geodesic``): the hull chain of the
-vertices inside the corner's triangle.  It needs no triangulation, and it
-equals the funnel's answer.
-
-The clip box turns the unbounded face into a bounded region; geodesics never
-bend at box corners (they are convex corners of the region), which is
-asserted.
+``geodesic(g, walk)`` first locates the walk on the faces cached on ``g``
+(``locate_subwalk``), through the environment ``face_env(g)`` that it
+caches on the graph: the graph's checked connectivity and its faces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import collinear_pair, convex_hull, orient_xy, walk_length
+from .geom import convex_hull, orient_xy, walk_length
 from .pslg import (
     LemmaViolation,
     Pslg,
@@ -37,7 +28,6 @@ from .pslg import (
     _corner_convex,
     require_augmentable,
 )
-from .triangulate import add_outside_points, insert_constraint, triangulate_points
 
 
 class WalkNotInFace(PslgError):
@@ -54,107 +44,13 @@ class GeodesicPath:
 
 
 class _FaceEnv:
-    """The geodesic environment of one graph: a triangulation of its
-    vertices and the clip-box corners (``box``, keyed by the four ids just
-    above the largest vertex id) with exactly the graph's edges
-    constrained, and the faces of the graph (``faces``, the ``pslg.Faces``
-    cached on ``g``).
-
-    The triangulation starts from ``triangulate_points`` over ``g``'s
-    points; ``add_outside_points`` joins the box corners and every edge of
-    ``g`` is constrained.  The triangle right of dart (u, v) is ``T.side``
-    at (v, u), read when a query asks for it; the face of every triangle is
-    flooded from those triangles, and the flood fill and then
-    ``T.validate()`` check the triangulation against ``g``.
-    """
+    """The geodesic environment of one graph, checked connected with at
+    least 3 vertices: its faces (``faces``, the ``pslg.Faces`` cached on
+    ``g``), on which ``locate_subwalk`` finds a walk."""
 
     def __init__(self, g: Pslg):
         require_augmentable(g)
-        self.g = g
-        pts = {p.id: g.ipt(p.id) for p in g.points}
-        self.T, self.box = triangulate_points(pts), _make_box(pts)
-        add_outside_points(self.T, self.box)
-        for (u, v) in sorted(g.edges):
-            insert_constraint(self.T, u, v)
         self.faces = g.faces()
-        # the triangle right of graph dart (u, v) is the CCW triangle on side
-        # (v, u), the one across side (a, b) of a triangle is on (b, a), and
-        # only clip-box sides have none.  Seed each triangle's face from the
-        # darts, then flood across unconstrained sides; every triangle and
-        # every dart's side must get a face
-        side, box, constrained = self.T.side, self.box, self.T.constrained
-        face_of, unseeded = {}, False
-        for (u, v), face in self.faces.face.items():
-            t = side.get((v, u))
-            if t is None:
-                unseeded = True
-            elif face_of.setdefault(t, face) != face:
-                raise LemmaViolation("conflicting face assignment for triangle")
-        frontier = list(face_of)
-        while frontier:
-            t = frontier.pop()
-            f = face_of[t]
-            for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                s = side.get((b, a))
-                if s is None:
-                    if min(a, b) not in box:  # a triangle is missing
-                        raise LemmaViolation("face assignment incomplete")
-                elif ((a, b) if a < b else (b, a)) not in constrained:
-                    if s not in face_of:
-                        face_of[s] = f
-                        frontier.append(s)
-                    elif face_of[s] != f:
-                        raise LemmaViolation("face flood fill conflict")
-        if len(face_of) != len(side) // 3 or unseeded:
-            raise LemmaViolation("face assignment incomplete")
-        self.T.validate()
-
-    def fan_portals(self, prev, apex, nxt):
-        """Portals crossed while swinging around ``apex`` from the triangle
-        right of (prev, apex) to the triangle right of (apex, nxt).
-
-        Vertex-id pairs (left, right); left is always the pivot.
-        """
-        side, other = self.T.side, prev
-        cur, t_out = side[apex, prev], side[nxt, apex]
-        portals = []
-        guard = 0
-        while cur != t_out:
-            z = self.T.apex(cur, apex, other)
-            portals.append((apex, z))
-            cur = side.get((apex, z))
-            if cur is None:
-                raise LemmaViolation("fan walked off the triangulation")
-            other = z
-            guard += 1
-            if guard > len(side) // 3:
-                raise LemmaViolation("fan did not close")
-        return portals
-
-
-def _make_box(pts):
-    """Four far corners whose hull strictly contains the points (a mapping
-    from vertex id to (x, y)) with margin at least the point-set diameter,
-    nudged so no corner is collinear with any two other points.  They are
-    keyed by the four ids just above the largest vertex id."""
-    xs = [p[0] for p in pts.values()]
-    ys = [p[1] for p in pts.values()]
-    span = (max(xs) - min(xs)) + (max(ys) - min(ys)) + 1
-    base = [
-        (min(xs) - span, min(ys) - span),
-        (max(xs) + span, min(ys) - span),
-        (max(xs) + span, max(ys) + span),
-        (min(xs) - span, max(ys) + span),
-    ]
-    out_dir = [(-1, -1), (1, -1), (1, 1), (-1, 1)]
-    placed = list(pts.values())
-    for (bx, by), (dx, dy) in zip(base, out_dir):
-        k = 0
-        while collinear_pair((bx + k * dx, by + 2 * k * dy), placed) is not None:
-            k += 1
-        placed.append((bx + k * dx, by + 2 * k * dy))
-    top = max(pts)
-    return {top + 1 + k: c for k, c in enumerate(placed[len(pts) :])}
 
 
 def face_env(g: Pslg) -> _FaceEnv:
@@ -182,64 +78,13 @@ def locate_subwalk(g: Pslg, walk_ids):
     return faces.face[key]
 
 
-def _funnel(T, portals, s, t):
-    """Pull the string taut through a portal sequence: exact arithmetic,
-    restart variant.  Points are vertex ids of the triangulation T."""
-    o = T.orient
-    path = [s]
-    apex, ai = s, -1
-    left, li = s, -1
-    right, ri = s, -1
-    seq = list(portals) + [(t, t)]
-    i = 0
-    guard = (len(seq) + 2) * (len(seq) + 2)
-    steps = 0
-    while i < len(seq):
-        steps += 1
-        if steps > guard:
-            raise LemmaViolation("funnel did not converge")
-        nl, nr = seq[i]
-        restart = False
-        if nr != right:
-            if nr == apex or right == apex or o(apex, right, nr) >= 0:
-                if nr == apex or left == apex or o(apex, left, nr) < 0:
-                    right, ri = nr, i
-                else:
-                    path.append(left)
-                    apex, ai = left, li
-                    left = right = apex
-                    li = ri = ai
-                    i = ai + 1
-                    restart = True
-        if restart:
-            continue
-        if nl != left:
-            if nl == apex or left == apex or o(apex, left, nl) <= 0:
-                if nl == apex or right == apex or o(apex, right, nl) > 0:
-                    left, li = nl, i
-                else:
-                    path.append(right)
-                    apex, ai = right, ri
-                    left = right = apex
-                    li = ri = ai
-                    i = ai + 1
-                    restart = True
-        if restart:
-            continue
-        i += 1
-    path.append(t)
-    out = [path[0]]
-    for v in path[1:]:
-        if v != out[-1]:
-            out.append(v)
-    return out
-
-
 def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
-    """Shortest path homotopic to the given facial subwalk inside its face.
+    """Shortest path homotopic to the given convex facial subwalk inside its
+    face (``convex_geodesic``).
 
     ``walk_ids`` must trace a contiguous subwalk (>= 2 edges) of one facial
-    walk, in walk direction.
+    walk, in walk direction, else WalkNotInFace; every corner must be
+    convex, else LemmaViolation.
     """
     walk_ids = list(walk_ids)
     if len(walk_ids) < 3:
@@ -250,59 +95,80 @@ def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
         if a == b:
             raise WalkNotInFace("repeated consecutive vertex in walk")
     locate_subwalk(g, walk_ids)
-    env = face_env(g)
+    return convex_geodesic(g, walk_ids)
 
-    portals = []
-    for k in range(1, len(walk_ids) - 1):
-        for p in env.fan_portals(walk_ids[k - 1], walk_ids[k], walk_ids[k + 1]):
-            # reduce the crossing word: re-crossing the last portal is a
-            # contractible excursion into a single (obstacle-free) triangle
-            if portals and {*portals[-1]} == {*p}:
-                portals.pop()
-            else:
-                portals.append(p)
-    path = _funnel(env.T, portals, walk_ids[0], walk_ids[-1])
-    if any(v in env.box for v in path):
-        raise LemmaViolation("geodesic bent at a clip-box corner")
+
+def convex_geodesic(g: Pslg, walk) -> GeodesicPath:
+    """The geodesic of ``walk``, a convex facial subwalk of g with distinct
+    ends, by shortcutting corners until the path is taut (Hershberger &
+    Snoeyink 1994).  Each corner (a, y, b) must have b follow a in the
+    rotation at y, else WalkNotInFace: the face then fills the sector from
+    ray y->a counterclockwise to ray y->b, on the walk's right.  Each must
+    be convex, a right turn, else LemmaViolation.
+
+    The path is built left to right: the walk's start, then bends (vertices
+    that shortcuts put in), then the last walk vertex y so far.  When the
+    next walk vertex v comes, y leaves the path, and the chain of
+    conv({a, v} + S) on y's side, where a is y's predecessor on the path
+    and S is the set of vertices strictly inside triangle ayv, goes in,
+    then v.  For a walk of one corner this is the hull chain alone.
+
+    - y is slack, the path turns right into y's face sector: a is the
+      walk's start, or a vertex of the triangle of the shortcut that
+      replaced y's walk predecessor x (its corner, or its chain's last
+      vertex, y's neighbour on the hull), and that triangle's angle at y
+      starts at ray y->x.  If the angle passes ray y->v, the edge yv
+      enters the triangle and cannot leave it, so v is in its S, and y's
+      neighbour on the hull is no further from ray y->x than v.  So ray
+      y->a lies in y's face sector.
+    - The chain is the geodesic of a-y-v.  ay and yv are path segments,
+      which lie in the face and cross no edge, and no edge at y enters the
+      triangle, whose angle at y lies in y's face sector.  An edge that
+      enters the triangle at a or v, or across av, cannot leave it except
+      across av, and in general position meets no vertex on its way, so
+      it ends in S or crosses av.  So conv({a, v} + S) holds every part of
+      the graph inside the triangle, the region between the chain and
+      a-y-v meets no vertex and no edge, and the chain, convex towards y,
+      is homotopic to a-y-v in the face and strictly shorter.
+    - Every bend is taut: it turns right, around the hull, with its
+      obstacle inside the turn.  A shortcut at y swings the direction from
+      a to its successor across the triangle, which holds no edge at a,
+      towards a's predecessor, so a still turns right, or, exactly when a
+      is a leaf joined to its predecessor, the path now wraps that edge: a
+      spike (p, a, p), which is taut.
+    - If a is v, a spike at y, the excursion a-y-a bounds no obstacle: y
+      leaves the path without a chain, and a stands for v.  Then a is a
+      chain vertex, so v lies inside the last triangle, and v is the
+      walk's end: a successor of v would lie inside that triangle beyond
+      the chain.
+
+    At the end every vertex of the path between its ends is a taut bend,
+    so the path is the shortest in its homotopy class, which is unique.
+    Every interior vertex is a reflex vertex of g, which
+    ``_geodesic_path`` checks.
+    """
+    rot, ix, iy = g.rotation, g._ix, g._iy
+    path = [walk[0], walk[1]]
+    for k in range(2, len(walk)):
+        x, y, v = walk[k - 2], walk[k - 1], walk[k]
+        r = rot.get(y, ())
+        if x not in r or r[(r.index(x) + 1) % len(r)] != v:
+            raise WalkNotInFace(f"({x}, {y}, {v}) is not a corner of a facial walk")
+        if orient_xy(ix[y], iy[y], ix[x], iy[x], ix[v], iy[v]) <= 0:
+            raise LemmaViolation(f"corner ({x}, {y}, {v}) is not convex")
+        path.pop()  # y, which is slack
+        if path[-1] != v:  # else a spike at y, contracted
+            path += _chain(path[-1], y, v, ix, iy)
+            path.append(v)
     return _geodesic_path(g, path)
 
 
-def corner_geodesic(g: Pslg, a, y, b) -> GeodesicPath:
-    """``geodesic(g, [a, y, b])`` for a convex corner, in closed form: the
-    chain of conv({a, b} + S) on y's side, where S is the set of vertices
-    strictly inside triangle ayb.  It is the taut string that the funnel
-    pulls through the triangulated face (Hershberger & Snoeyink 1994), found
-    by one pass over the points: a bounding-box filter, then three exact
-    orientations.
-
-    ``b`` must follow ``a`` in the rotation at ``y``, else WalkNotInFace: the
-    walk a, y, b is then a facial subwalk, and its face fills the corner's
-    sector from ray y->a counterclockwise to ray y->b.  The corner must be
-    convex, else LemmaViolation.  Then the chain is the geodesic:
-
-    - no edge enters the triangle except from a vertex in S or across ab.
-      No edge at y lies between its consecutive edges ya and yb, and no edge
-      crosses them.  An edge at a or b that enters the triangle cannot leave
-      it (not across ya, yb or ab, and in general position not through a
-      vertex), so it ends in S;
-    - so conv({a, b} + S) contains every part of the graph inside the
-      triangle: each such part is a vertex of S, a segment between two of
-      S + {a, b}, or a segment from S to a point of ab;
-    - so the region between the chain and a-y-b holds no vertex and meets
-      no edge; it borders y's corner, so it lies in y's face, and the chain,
-      which is convex towards y and bends only at vertices of S, is the
-      shortest path homotopic to a-y-b there;
-    - every chain vertex is reflex: y's face covers the hull's outside
-      there, an angle above pi between two consecutive edges (or the whole
-      turn at a leaf).
-    """
-    rot = g.rotation.get(y, ())
-    if a not in rot or rot[(rot.index(a) + 1) % len(rot)] != b:
-        raise WalkNotInFace(f"({a}, {y}, {b}) is not a corner of a facial walk")
-    ix, iy = g._ix, g._iy
+def _chain(a, y, b, ix, iy):
+    """The vertices of conv({a, b} + S) strictly between a and b on y's
+    side, in order from a, where S is the set of vertices strictly inside
+    triangle yab, counterclockwise: one pass over the vertices, a
+    bounding-box filter, then three exact orientations."""
     ax, ay, yx, yy, bx, by = ix[a], iy[a], ix[y], iy[y], ix[b], iy[b]
-    if orient_xy(yx, yy, ax, ay, bx, by) <= 0:
-        raise LemmaViolation(f"corner ({a}, {y}, {b}) is not convex")
     xlo, xhi = min(ax, yx, bx), max(ax, yx, bx)
     ylo, yhi = min(ay, yy, by), max(ay, yy, by)
     inside = [
@@ -312,13 +178,12 @@ def corner_geodesic(g: Pslg, a, y, b) -> GeodesicPath:
         and orient_xy(ax, ay, bx, by, x, iy[v]) > 0
         and orient_xy(bx, by, yx, yy, x, iy[v]) > 0
     ]
-    ids = [a, b]
-    if inside:
-        at = {(ix[v], iy[v]): v for v in inside + ids}
-        hull = [at[xy] for xy in convex_hull(list(at))]
-        k = hull.index(b)
-        ids = (hull[k:] + hull[:k])[::-1]  # counterclockwise: a, b, then S
-    return _geodesic_path(g, ids)
+    if not inside:
+        return []
+    at = {(ix[v], iy[v]): v for v in inside + [a, b]}
+    hull = [at[xy] for xy in convex_hull(list(at))]
+    k = hull.index(a)
+    return (hull[k:] + hull[:k])[:1:-1]  # counterclockwise a, b, then S
 
 
 def _geodesic_path(g: Pslg, ids) -> GeodesicPath:

@@ -218,7 +218,7 @@ def dist(a: Point, b: Point) -> float:
 
 
 def walk_length(points) -> float:
-    return sum(dist(points[i], points[i + 1]) for i in range(len(points) - 1))
+    return sum(map(dist, points, points[1:]))
 
 
 def ekey(u: int, v: int) -> tuple:

@@ -10,7 +10,7 @@ vertices until the polygon is simple.  Phase 2's flips depend only on the
 start graph, so ``transform`` triangulates the points once, before the first
 edit, and takes the Euclidean MST that the ceiling needs from that Delaunay
 triangulation.  Phases 4-5 only ever ask for the geodesic of a convex
-corner, which ``geodesic.corner_geodesic`` reads off a hull in closed form,
+corner, which ``geodesic.convex_geodesic`` reads off a hull in closed form,
 so they build no triangulation.
 
 Every step keeps the graph a connected PSLG below the length ceiling
@@ -31,7 +31,7 @@ from .geom import (
     dist,
     ekey,
 )
-from .geodesic import corner_geodesic
+from .geodesic import convex_geodesic
 from .pslg import (
     CrossingEdges,
     LemmaViolation,
@@ -277,8 +277,8 @@ class _Editor(_CertifiedEdges):
 
     def geodesic(self, walk):
         """The geodesic of the convex corner ``walk``, a facial subwalk
-        (a, y, b) of the current graph (``corner_geodesic``)."""
-        return corner_geodesic(self.graph, *walk)
+        (a, y, b) of the current graph (``convex_geodesic``)."""
+        return convex_geodesic(self.graph, walk)
 
     def _record(self, op, u, v, phase):
         bad = self.edit(op, u, v)

@@ -2,13 +2,11 @@
 
 Works on exact integer (or rational) coordinates keyed by vertex id: a
 triangulation's points are a mapping from id to (x, y), and every triangle,
-side and constraint key is in those ids.  The same machinery backs the
-geodesic face environment (constrained, no Delaunay requirement) and the
-morph's Delaunay triangulation (unconstrained Lawson flips, which phase 2
-replays and whose edges hold the Euclidean MST).  Every environment starts from a triangulation of the
-graph's points alone, which ``add_outside_points`` (the scan's step) extends
-to the clip-box corners.  Every triangle edit keeps the directed-side map
-and the hull-side count, so ``validate`` reads a counter.
+side and constraint key is in those ids.  It backs the morph's Delaunay
+triangulation: the scan triangulation of the points with phase 1's tree
+constrained, then unconstrained Lawson flips, which phase 2 replays and
+whose edges hold the Euclidean MST.  Every triangle edit keeps the
+directed-side map and the vertex index.
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ class Triangulation:
         self.side = {}  # directed side (i, j) -> CCW triangle with that side
         self.vertex_tris = {}  # i -> list of triangles with corner i
         self.constrained = set()
-        self.hull_sides = 0  # directed sides with no triangle across
 
     # -- predicates on vertex ids ----------------------------------------
 
@@ -67,8 +64,6 @@ class Triangulation:
         for e in sides:
             if e in side:  # another triangle lies on this side of the edge
                 raise LemmaViolation(f"edge {ekey(*e)} borders 3 triangles")
-        # each new side either closes a hull side (its reverse) or is one
-        self.hull_sides += 3 - 2 * (((b, a) in side) + ((c, b) in side) + ((a, c) in side))
         for e in sides:
             side[e] = t
         for v in t:
@@ -80,8 +75,6 @@ class Triangulation:
         side = self.side
         for e in ((a, b), (b, c), (c, a)):
             del side[e]
-        # each side's reverse becomes a hull side, or the side was one
-        self.hull_sides += 2 * (((b, a) in side) + ((c, b) in side) + ((a, c) in side)) - 3
         for v in t:
             ts = self.vertex_tris[v]
             ts.remove(t)
@@ -99,20 +92,6 @@ class Triangulation:
             if v != i and v != j:
                 return v
         raise KeyError((t, i, j))
-
-    def validate(self):
-        """Structural sanity (``add_tri`` already refuses a third triangle on
-        an edge): the triangle count is 2V - h - 2 for the V points and the h
-        sides with no triangle across, as in a triangulation of the points'
-        convex hull.  h is ``hull_sides``, kept by ``add_tri`` and
-        ``remove_tri``, so the check is O(1).  A removed triangle with no
-        hull side breaks the count, and so does one dropped from ``side``
-        behind its back (h does not move)."""
-        h, tris = self.hull_sides, len(self.side) // 3
-        if tris != 2 * len(self.pts) - h - 2:
-            raise LemmaViolation(
-                f"{tris} triangles, not 2V - h - 2 for V={len(self.pts)}, h={h}"
-            )
 
 
 def triangulate_points(pts) -> Triangulation:
@@ -175,21 +154,6 @@ def join_outside(T: Triangulation, hull, q):
             break
         i = (i + 1) % h
     return newhull
-
-
-def add_outside_points(T: Triangulation, pts):
-    """Add ``pts``, a mapping from new vertex id to (x, y), to T's points
-    and join each, in order, by the scan's step; each must lie outside the
-    hull of T so far, as the clip-box corners do.  The hull cycle is read
-    off ``T.side`` once."""
-    side = T.side
-    nxt = {i: j for i, j in side if (j, i) not in side}
-    hull = [min(nxt)]
-    for _ in range(len(nxt) - 1):
-        hull.append(nxt[hull[-1]])
-    for q, p in pts.items():
-        T.pts[q] = p
-        hull = join_outside(T, hull, q)
 
 
 def insert_constraint(T: Triangulation, u, w):
@@ -343,11 +307,8 @@ def lawson_flips(T: Triangulation):
         if T.in_circle(a, b, c, d) <= 0:
             continue
         # quad a-c-b-d must be strictly convex for the flip
-        if not (
-            T.orient(c, d, a) != T.orient(c, d, b)
-            and T.orient(c, d, a) != 0
-            and T.orient(c, d, b) != 0
-        ):
+        oa, ob = T.orient(c, d, a), T.orient(c, d, b)
+        if oa == ob or oa == 0 or ob == 0:
             raise LemmaViolation(f"illegal edge {e} in non-convex quad")
         T.remove_tri(t1)
         T.remove_tri(t2)

@@ -1,14 +1,18 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslgaug import build
 from pslgaug.geom import convex_hull, dist, ekey, segments_properly_cross
-from pslgaug.geodesic import WalkNotInFace, corner_geodesic, face_env, geodesic, locate_subwalk
+from pslgaug.geodesic import WalkNotInFace, convex_geodesic, face_env, geodesic, locate_subwalk
 from pslgaug.instances import generate
-from pslgaug.pslg import _corner_convex, convex_walk_decomposition, facial_walks
+from pslgaug.pslg import LemmaViolation, _corner_convex, convex_walk_decomposition, facial_walks
 
+from funnel_oracle import funnel_env, funnel_geodesic
 from geodesic_oracle import oracle_geodesic
 from test_adversarial import FAMILIES, LARGE, _general_position
 from test_optimal import pool_instances
@@ -28,6 +32,19 @@ def _is_safe(g, walk):
         return False
     hull = set(convex_hull(pts))
     return all(p in hull for p in pts[1:-1])
+
+
+def any_geodesic(g, walk):
+    """The geodesic of any facial subwalk: the library's for a convex walk,
+    checked equal to the funnel's, else the funnel's, after the library has
+    refused the walk with LemmaViolation."""
+    if _is_convex(g, walk):
+        got, want = geodesic(g, walk), funnel_geodesic(g, walk)
+        assert got.ids() == want.ids() and got.length == want.length, walk
+        return got
+    with pytest.raises(LemmaViolation, match="is not convex$"):
+        geodesic(g, walk)
+    return funnel_geodesic(g, walk)
 
 
 def _lemma1_holds(g, walk):
@@ -85,7 +102,7 @@ def test_face_region(fig3, triangle):
     for g in graphs:
         assert label_partition(face_env(g).faces) == walk_partition(g)
     assert facial_walks(fig3)[0].is_outer
-    env = face_env(fig3)
+    env = funnel_env(fig3)
     # the clip box strictly contains all (scaled) vertices with margin at
     # least the point-set diameter
     (xmin, ymin), _, (xmax, ymax), _ = env.box.values()
@@ -171,7 +188,7 @@ def test_geodesic_properties_random():
             for sub in list(_subwalks(w.seq))[:6]:
                 if sub[0] == sub[-1] or any(a == b for a, b in zip(sub, sub[1:])):
                     continue
-                geo = geodesic(g, list(sub))
+                geo = any_geodesic(g, list(sub))
                 walk_len = sum(
                     dist(g.by_id[a], g.by_id[b]) for a, b in zip(sub, sub[1:])
                 )
@@ -202,7 +219,7 @@ def test_geodesic_idempotent():
             # walk's homotopy class survive the augmentation as a face class
             if sub[0] == sub[-1] or len(set(sub)) != len(sub):
                 continue
-            geo = geodesic(g, list(sub))
+            geo = any_geodesic(g, list(sub))
             gids = geo.ids()
             if len(gids) < 3 or len(set(gids)) != len(gids):
                 continue
@@ -223,7 +240,7 @@ def test_geodesic_idempotent():
                     locate_subwalk(g2, cand)
                 except WalkNotInFace:
                     continue
-                geo2 = geodesic(g2, cand)
+                geo2 = any_geodesic(g2, cand)
                 results.append(geo2.ids() == cand and
                                abs(geo2.length - geo.length) < 1e-9)
             if results:
@@ -312,7 +329,7 @@ def test_outputs_follow_an_order_preserving_relabelling():
         assert min(new.values()) < -2**63 and max(new.values()) >= 2**63
         ekeys = lambda es: [ekey(new[u], new[v]) for u, v in es]  # noqa: E731
         for graph in (g, h):
-            assert min(face_env(graph).box) > max(p.id for p in graph.points)
+            assert min(funnel_env(graph).box) > max(p.id for p in graph.points)
 
         _, poly, log = transform(g)
         _, hpoly, hlog = transform(h)
@@ -350,6 +367,14 @@ def _convex_corners(g):
                 yield a, y, b
 
 
+def _copies(graphs):
+    """Each graph offset by 10^15 and each scaled by 10^-12."""
+    return [
+        build([(p.id, scale * p.x + offset, scale * p.y + offset) for p in g.points], g.edges)
+        for g in graphs for scale, offset in ((1, 10**15), (Fraction(1, 10**12), 0))
+    ]
+
+
 def test_corner_geodesic_matches_the_funnel():
     # the closed form equals the funnel through the triangulated face, in
     # ids and bit for bit in length, on every convex corner, also far from
@@ -359,15 +384,133 @@ def test_corner_geodesic_matches_the_funnel():
               for _ in range(150)]
     graphs += pool_instances()
     graphs += [_general_position(make, random.Random(seed)) for _, make, seed in FAMILIES + LARGE]
-    graphs += [
-        build([(p.id, scale * p.x + offset, scale * p.y + offset) for p in g.points], g.edges)
-        for g in graphs[::3] for scale, offset in ((1, 10**15), (Fraction(1, 10**12), 0))
-    ]
+    graphs += _copies(graphs[::3])
     corners, bends = 0, 0
     for g in graphs:
         for a, y, b in _convex_corners(g):
-            got, want = corner_geodesic(g, a, y, b), geodesic(g, [a, y, b])
+            got, want = convex_geodesic(g, [a, y, b]), funnel_geodesic(g, [a, y, b])
             assert got.ids() == want.ids() and got.length == want.length, (a, y, b)
             corners += 1
             bends += len(got.seq) - 2
     assert corners >= 25000 and bends >= 1000
+
+
+def convex_subwalks(g, hi=20):
+    """Every convex subwalk of 2 to ``hi`` edges of g's facial walks, no
+    longer than its face, with distinct ends."""
+    for w in facial_walks(g):
+        seq = w.seq[:-1]
+        m = len(seq)
+        for i in range(m):
+            for k in range(2, min(hi, m) + 1):
+                walk = [seq[(i + j) % m] for j in range(k + 1)]
+                if not _corner_convex(g, *walk[-3:]):
+                    break
+                if walk[0] != walk[-1]:
+                    yield walk
+
+
+def convex_path_with_a_chain(rng):
+    """A convex path on y = x^2 and a chain of jittered points just inside
+    it, hanging from the path's last vertex: the geodesics of the path's
+    long convex subwalks bend at the chain."""
+    m = 21
+    points = [(i, 4 * i, 16 * i * i) for i in range(m)]
+    edges = [(i, i + 1) for i in range(m - 1)] + [(m - 1, m)]
+    for j in range(9):
+        x = 4 * (19 - 2 * j) + rng.randint(-1, 1)
+        points.append((m + j, x, x * x + rng.randint(48, 68)))
+        if j:
+            edges.append((m + j - 1, m + j))
+    return points, edges
+
+
+def _spiked(ids):
+    return any(a == b for a, b in zip(ids, ids[2:]))
+
+
+def test_convex_geodesic_matches_the_funnel():
+    # on every convex subwalk of 2-20 edges, shortcutting corners gives the
+    # funnel's geodesic, in ids and bit for bit in length, also far from the
+    # origin and at a tiny scale; some geodesics wrap a leaf (a spike)
+    rng = random.Random(35)
+    graphs = [generate(rng.randint(5, 100), rng.randrange(10**6),
+                       rng.choice((0.0, 0.2, 0.3, 0.4, 0.6, 0.8, 1.0)))
+              for _ in range(60)]
+    graphs += pool_instances()
+    graphs += [_general_position(make, random.Random(seed)) for _, make, seed in FAMILIES + LARGE]
+    graphs += [_general_position(convex_path_with_a_chain, random.Random(seed)) for seed in range(3)]
+    graphs += _copies(graphs[::4])
+    walks, long_walks, spikes = 0, 0, 0
+    for g in graphs:
+        for walk in convex_subwalks(g):
+            got, want = geodesic(g, walk), funnel_geodesic(g, walk)
+            assert got.ids() == want.ids() and got.length == want.length, walk
+            walks += 1
+            long_walks += len(walk) > 11
+            spikes += _spiked(got.ids())
+    assert walks >= 26000 and long_walks >= 350 and spikes >= 7
+
+
+@settings(max_examples=120)
+@given(st.integers(5, 70), st.integers(0, 10**6), st.sampled_from((0.0, 0.2, 0.4, 0.7, 1.0)),
+       st.integers(0, 10**9))
+def test_convex_geodesic_equals_the_funnel_on_random_walks(n, seed, density, pick):
+    g = generate(n, seed, density)
+    walks = list(convex_subwalks(g))
+    walk = walks[pick % len(walks)]
+    got, want = convex_geodesic(g, walk), funnel_geodesic(g, walk)
+    assert got.ids() == want.ids() and got.length == want.length
+
+
+def _corner_off_rotation(g):
+    """A convex corner (a, y, b) whose b does not follow a in the rotation
+    at y."""
+    for y, rot in sorted(g.rotation.items()):
+        for i, a in enumerate(rot):
+            for b in rot[i + 2 :] + rot[:i]:
+                if b != rot[(i + 1) % len(rot)] and _corner_convex(g, a, y, b):
+                    return a, y, b
+    raise AssertionError("no such corner")
+
+
+def test_a_corner_off_the_rotation_is_not_in_a_face():
+    g = generate(30, 8, 0.6)
+    a, y, b = _corner_off_rotation(g)
+    message = re.escape(f"({a}, {y}, {b}) is not a corner of a facial walk")
+    with pytest.raises(WalkNotInFace, match=f"^{message}$"):
+        convex_geodesic(g, [a, y, b])
+    with pytest.raises(WalkNotInFace, match="^walk diverges from facial walk at step 2$"):
+        geodesic(g, [a, y, b])
+
+
+def test_a_walk_longer_than_its_face_is_not_in_it(triangle):
+    # once around the triangle's inner face and one edge more: every corner
+    # is a convex corner of the face, but the walk is longer than the face
+    inner = next(w for w in facial_walks(triangle) if not w.is_outer).seq
+    walk = list(inner) + [inner[1]]
+    assert _is_convex(triangle, walk) and len(walk) - 1 > len(inner) - 1
+    with pytest.raises(WalkNotInFace, match="^walk longer than its facial walk$"):
+        geodesic(triangle, walk)
+    with pytest.raises(WalkNotInFace, match="^walk longer than its facial walk$"):
+        locate_subwalk(triangle, walk)
+
+
+def test_a_reflex_corner_is_refused():
+    # every reflex corner of a facial walk, leaves included, is located and
+    # then refused, by geodesic and by convex_geodesic alike
+    refused = 0
+    for seed in range(6):
+        g = generate(25, 410 + seed, 0.3)
+        for w in facial_walks(g):
+            seq = w.seq
+            for i in range(1, len(seq) - 1):
+                a, y, b = seq[i - 1 : i + 2]
+                if a == b or _corner_convex(g, a, y, b):
+                    continue
+                message = re.escape(f"corner ({a}, {y}, {b}) is not convex")
+                for query in (geodesic, convex_geodesic):
+                    with pytest.raises(LemmaViolation, match=f"^{message}$"):
+                        query(g, [a, y, b])
+                refused += 1
+    assert refused >= 50

@@ -11,7 +11,7 @@ from math import atan2, fsum, isqrt
 import pytest
 
 from pslgaug import build
-from pslgaug.geodesic import WalkNotInFace, corner_geodesic, face_env, geodesic, locate_subwalk
+from pslgaug.geodesic import WalkNotInFace, convex_geodesic, geodesic, locate_subwalk
 from pslgaug.geom import LENGTH_TOL, dist, ekey, polar_sort, segments_properly_cross
 from pslgaug.instances import generate, oplog_to_jsonl
 from pslgaug.pslg import (
@@ -43,7 +43,9 @@ from pslgaug.transform import (
     spanning_subtree,
     transform,
 )
+import funnel_oracle
 import test_adversarial as A
+from funnel_oracle import funnel_env, funnel_geodesic, validate
 from test_optimal import pool_instances
 from tests_support import (
     adjacency,
@@ -689,7 +691,7 @@ def _located(g, walk):
 
 def _corner_outcome(g, walk):
     try:
-        corner_geodesic(g, *walk)
+        convex_geodesic(g, walk)
     except WalkNotInFace:
         return "not located"
     except LemmaViolation as exc:
@@ -912,7 +914,7 @@ def test_vertex_index_follows_random_constraint_edits():
                     continue
                 insert_constraint(T, i, j)
             edits += 1
-            T.validate()
+            validate(T)
             assert_vertex_index_current(T)
             assert_side_map_current(T)
 
@@ -921,16 +923,16 @@ def test_validate_rejects_a_removed_interior_triangle():
     g = generate(30, 11, 0.0)
     T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
     lawson_flips(T)
-    T.validate()
+    validate(T)
     interior = [t for t in sorted(set(T.side.values())) if all(
         (b, a) in T.side for a, b in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])))]
     assert len(interior) > 20
     for t in interior:
         T.remove_tri(t)
         with pytest.raises(LemmaViolation, match="triangles, not 2V - h - 2"):
-            T.validate()
+            validate(T)
         T.add_tri(*t)
-    T.validate()
+    validate(T)
     a, b, c = interior[0]
     z = next(z for z in sorted(T.pts) if z not in (a, b, c) and T.orient(a, b, z))
     with pytest.raises(LemmaViolation, match=re.escape(f"edge {ekey(a, b)} borders 3 triangles")):
@@ -938,11 +940,11 @@ def test_validate_rejects_a_removed_interior_triangle():
 
 
 def fresh_geodesic(g, walk):
-    """The geodesic from an environment built for g alone: a copy of g
-    without a cached environment."""
+    """The funnel's geodesic through an environment built for g alone: a
+    copy of g without a cached environment."""
     h = g.with_edges(g.edges)
     assert h._face_env is None
-    return geodesic(h, walk)
+    return funnel_geodesic(h, walk)
 
 
 # phase 5 is rare: found among 600 random morphs, each shortcuts a corner
@@ -997,7 +999,6 @@ def test_transform_triangulates_its_points_once(monkeypatch):
     # its first edit, for phase 2's flips and the MST; phases 2-5 build no
     # triangulation and constrain no edge
     transform_mod = sys.modules["pslgaug.transform"]
-    geodesic_mod = sys.modules["pslgaug.geodesic"]
     calls, phase1, inserts, edited = [], transform_mod.phase1_spanning_tree, Counter(), [False]
 
     def counted(pts):
@@ -1012,9 +1013,8 @@ def test_transform_triangulates_its_points_once(monkeypatch):
         inserts[edited[0]] += 1
         insert_constraint(T, u, w)
 
-    for mod in (transform_mod, geodesic_mod):
-        monkeypatch.setattr(mod, "triangulate_points", counted)
-        monkeypatch.setattr(mod, "insert_constraint", constrain)
+    monkeypatch.setattr(transform_mod, "triangulate_points", counted)
+    monkeypatch.setattr(transform_mod, "insert_constraint", constrain)
     monkeypatch.setattr(transform_mod, "phase1_spanning_tree", flagged)
     for case in sorted(GOLDEN_MORPHS):
         g = generate(*case)
@@ -1150,8 +1150,8 @@ def _query_after(corrupt):
             corrupt(T)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sys.modules["pslgaug.geodesic"], "insert_constraint", constrain)
-        return geodesic(g, _a_walk(g))
+        mp.setattr(funnel_oracle, "insert_constraint", constrain)
+        return funnel_geodesic(g, _a_walk(g))
 
 
 def test_query_rejects_a_flipped_constrained_edge():
@@ -1159,9 +1159,9 @@ def test_query_rejects_a_flipped_constrained_edge():
     # matches the graph; the faces on its two sides now meet across the new
     # diagonal, and a bridge (one face on both sides) loses its triangles
     _query_after(lambda T: None)  # the uncorrupted query passes
-    env = face_env(generate(*CORRUPTED))
-    T = env.T
-    bridges = connectivity(env.g).bridges
+    g = generate(*CORRUPTED)
+    T = funnel_env(g).T
+    bridges = connectivity(g).bridges
     seen = Counter()
     for a, b in sorted(T.constrained):
         c, d = T.apex(T.side[a, b], a, b), T.apex(T.side[b, a], a, b)
@@ -1187,7 +1187,7 @@ def test_query_rejects_a_flipped_constrained_edge():
 
 
 def test_query_rejects_a_deleted_triangle():
-    tris = sorted(set(face_env(generate(*CORRUPTED)).T.side.values()))
+    tris = sorted(set(funnel_env(generate(*CORRUPTED)).T.side.values()))
     assert len(tris) > 40
     for t in tris:
         with pytest.raises(LemmaViolation, match="^face assignment incomplete$"):

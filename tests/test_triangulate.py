@@ -11,19 +11,26 @@ from pslgaug.pslg import LemmaViolation
 from pslgaug.transform import transform
 from pslgaug.triangulate import (
     Triangulation,
-    add_outside_points,
     insert_constraint,
     join_outside,
     lawson_flips,
     triangulate_points,
 )
+from funnel_oracle import add_outside_points, validate
 from test_optimal import pool_instances
 
 
-def recount_hull_sides(T):
-    """The oracle for ``T.hull_sides``: directed sides with no triangle
-    across, counted over the whole side map."""
+def hull_sides(T):
+    """The directed sides with no triangle across, counted over the whole
+    side map."""
     return sum((j, i) not in T.side for i, j in T.side)
+
+
+def assert_stores_agree(T):
+    """Every triangle of the vertex index owns exactly its three sides of
+    the side map, and the side map holds no other."""
+    tris = {t for ts in T.vertex_tris.values() for t in ts}
+    assert {e: t for t in tris for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))} == T.side
 
 
 def _hull_cycle(T):
@@ -48,14 +55,14 @@ def _points(rng, n):
     return pts
 
 
-def test_hull_side_count_follows_every_triangle_edit(monkeypatch):
+def test_side_map_and_vertex_index_follow_every_triangle_edit(monkeypatch):
     edits = Counter()
     add, remove = Triangulation.add_tri, Triangulation.remove_tri
 
     def checked(edit):
         def run(T, *args):
             out = edit(T, *args)
-            assert T.hull_sides == recount_hull_sides(T)
+            assert_stores_agree(T)
             caller = sys._getframe(1).f_code.co_name
             if caller == "join_outside":  # the scan, or the box corners
                 caller = sys._getframe(2).f_code.co_name
@@ -77,7 +84,7 @@ def test_hull_side_count_follows_every_triangle_edit(monkeypatch):
                 insert_constraint(T, i, j)
             except LemmaViolation:  # crosses a constraint or passes a point
                 pass
-        T.validate()
+        validate(T)
     rng = random.Random(4)
     graphs = pool_instances() + [
         generate(rng.randint(5, 40), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
@@ -95,22 +102,22 @@ def test_hull_side_count_follows_every_triangle_edit(monkeypatch):
 
 
 def test_validate_rejects_a_triangle_dropped_behind_its_back():
-    # dropped from ``side`` without ``remove_tri``: the hull side count
-    # does not move, so the triangle count no longer matches it
+    # dropped from ``side`` without ``remove_tri``, a hull triangle as well
+    # as an interior one: the points and their hull do not change, so the
+    # triangle count no longer matches them
     g = generate(30, 11, 0.0)
     T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
     lawson_flips(T)
-    T.validate()
+    validate(T)
     for t in sorted(set(T.side.values())):
         sides = ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))
         for e in sides:
             del T.side[e]
         with pytest.raises(LemmaViolation, match="triangles, not 2V - h - 2"):
-            T.validate()
+            validate(T)
         for e in sides:
             T.side[e] = t
-        T.validate()
-    assert T.hull_sides == recount_hull_sides(T)
+        validate(T)
 
 
 def test_add_outside_points_joins_the_box_corners():
@@ -121,10 +128,10 @@ def test_add_outside_points_joins_the_box_corners():
         box = {40: (-10**4, -10**4), 41: (10**4, -10**4 - 1), 42: (10**4 + 3, 10**4),
                43: (-10**4 - 7, 10**4 + 2)}
         add_outside_points(T, box)
-        T.validate()
+        validate(T)
         assert T.pts == {**pts, **box} and list(T.pts) == [*pts, *box]
         assert sorted(_hull_cycle(T)) == [40, 41, 42, 43]
-        assert T.hull_sides == recount_hull_sides(T) == 4
+        assert hull_sides(T) == 4
 
 
 def test_join_outside_refuses_a_point_inside_the_hull():
@@ -147,7 +154,7 @@ def test_add_tri_orients_once_and_keeps_its_canonical_form(monkeypatch):
     assert len(calls) == 1
     with pytest.raises(DegenerateInput, match=re.escape("degenerate triangle (0, 3, 1)")):
         T.add_tri(3, 1, 0)
-    assert set(T.side.values()) == {(0, 1, 2)} and T.hull_sides == 3
+    assert set(T.side.values()) == {(0, 1, 2)} and hull_sides(T) == 3
 
 
 def test_points_must_be_a_mapping():
