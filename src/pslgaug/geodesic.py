@@ -11,9 +11,9 @@ the graph's rotations and scaled integer coordinates, so it builds no
 triangulation and caches nothing on the graph; the morph asks it on its
 live graph.
 
-``geodesic(g, walk)`` first locates the walk on the faces cached on ``g``
-(``locate_subwalk``), through the environment ``face_env(g)`` that it
-caches on the graph: the graph's checked connectivity and its faces.
+``geodesic(g, walk)`` checks once per graph that g is augmentable
+(``face_env``), refuses a walk that repeats a directed edge, and returns
+``convex_geodesic``, whose corner checks put the walk on a face.
 """
 
 from __future__ import annotations
@@ -44,38 +44,18 @@ class GeodesicPath:
 
 
 class _FaceEnv:
-    """The geodesic environment of one graph, checked connected with at
-    least 3 vertices: its faces (``faces``, the ``pslg.Faces`` cached on
-    ``g``), on which ``locate_subwalk`` finds a walk."""
+    """The check that a graph is connected with at least 3 vertices, made
+    once per graph (``face_env``)."""
 
     def __init__(self, g: Pslg):
         require_augmentable(g)
-        self.faces = g.faces()
 
 
 def face_env(g: Pslg) -> _FaceEnv:
-    """The environment cached on ``g``, built on first use."""
+    """``require_augmentable(g)``, run on first use and cached on ``g``."""
     if g._face_env is None:
         g._face_env = _FaceEnv(g)
     return g._face_env
-
-
-def locate_subwalk(g: Pslg, walk_ids):
-    """The face label (in ``face_env(g).faces``) of the unique occurrence of
-    the directed subwalk, or raise WalkNotInFace."""
-    if len(walk_ids) < 2:
-        raise WalkNotInFace("walk needs at least one edge")
-    key = (walk_ids[0], walk_ids[1])
-    faces = face_env(g).faces
-    if key not in faces.face:
-        raise WalkNotInFace(f"directed edge {key} not on any facial walk")
-    seq = faces.walk(key, len(walk_ids) - 1)
-    if len(seq) < len(walk_ids):
-        raise WalkNotInFace("walk longer than its facial walk")
-    for k, v in enumerate(walk_ids):
-        if seq[k] != v:
-            raise WalkNotInFace(f"walk diverges from facial walk at step {k}")
-    return faces.face[key]
 
 
 def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
@@ -83,18 +63,21 @@ def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
     face (``convex_geodesic``).
 
     ``walk_ids`` must trace a contiguous subwalk (>= 2 edges) of one facial
-    walk, in walk direction, else WalkNotInFace; every corner must be
-    convex, else LemmaViolation.
+    walk, in walk direction, else WalkNotInFace: no directed edge repeats,
+    as in a walk longer than its face, and each corner follows the rotation
+    (``convex_geodesic``).  Every corner must be convex, else LemmaViolation.
     """
     walk_ids = list(walk_ids)
     if len(walk_ids) < 3:
         raise WalkNotInFace("geodesic needs a walk of at least 2 edges")
     if walk_ids[0] == walk_ids[-1]:
         raise WalkNotInFace("geodesic of a closed walk is degenerate")
-    for a, b in zip(walk_ids, walk_ids[1:]):
-        if a == b:
-            raise WalkNotInFace("repeated consecutive vertex in walk")
-    locate_subwalk(g, walk_ids)
+    darts = list(zip(walk_ids, walk_ids[1:]))
+    if any(a == b for a, b in darts):
+        raise WalkNotInFace("repeated consecutive vertex in walk")
+    face_env(g)
+    if len(set(darts)) < len(darts):
+        raise WalkNotInFace("walk longer than its facial walk")
     return convex_geodesic(g, walk_ids)
 
 
@@ -104,7 +87,8 @@ def convex_geodesic(g: Pslg, walk) -> GeodesicPath:
     Snoeyink 1994).  Each corner (a, y, b) must have b follow a in the
     rotation at y, else WalkNotInFace: the face then fills the sector from
     ray y->a counterclockwise to ray y->b, on the walk's right.  Each must
-    be convex, a right turn, else LemmaViolation.
+    be convex, a right turn, else LemmaViolation; every corner's rotation is
+    tested before any corner's turn.
 
     The path is built left to right: the walk's start, then bends (vertices
     that shortcuts put in), then the last walk vertex y so far.  When the
@@ -148,12 +132,13 @@ def convex_geodesic(g: Pslg, walk) -> GeodesicPath:
     ``_geodesic_path`` checks.
     """
     rot, ix, iy = g.rotation, g._ix, g._iy
-    path = [walk[0], walk[1]]
-    for k in range(2, len(walk)):
-        x, y, v = walk[k - 2], walk[k - 1], walk[k]
+    corners = list(zip(walk, walk[1:], walk[2:]))
+    for x, y, v in corners:
         r = rot.get(y, ())
         if x not in r or r[(r.index(x) + 1) % len(r)] != v:
             raise WalkNotInFace(f"({x}, {y}, {v}) is not a corner of a facial walk")
+    path = [walk[0], walk[1]]
+    for x, y, v in corners:
         if orient_xy(ix[y], iy[y], ix[x], iy[x], ix[v], iy[v]) <= 0:
             raise LemmaViolation(f"corner ({x}, {y}, {v}) is not convex")
         path.pop()  # y, which is slack

@@ -25,7 +25,7 @@ through a face edge's interior, a proper crossing, or through a vertex,
 which would make a collinear triple (build rejects those).  So it lies in
 the face, and the sector test at j makes it arrive at occurrence j.  The
 tests run as numpy batches over all position pairs, on int64 elements when
-the face's coordinates fit _INT64_COORD_MAX and on Python ints otherwise.
+the face's extent fits _INT64_COORD_MAX and on Python ints otherwise.
 
 The DP reads only feasible chords.  Let f be their number, about 6% of the
 position pairs on large random faces.  A cell (s, t) whose head p_s is not
@@ -179,13 +179,13 @@ class OptimalResult:
     faces: list
 
 
-# Largest |scaled coordinate| at which the int64 feasibility kernel is exact.
-# With |x|, |y| <= B on the face, every factor is a coordinate difference of
-# at most 2B, so every product is at most 4 B^2 in absolute value.  The sums
-# of two products are orientations, each twice the area of a triangle with
-# corners in [-B, B]^2 (at most 4 B^2), and the sector test's dot products
-# (at most |p| |q| <= 8 B^2), the widest.  8 B^2 < 2^63 for B = 2^30 - 1; at
-# B = 2^30 the bound reaches 2^63.
+# Largest extent of a face, in scaled coordinates on either axis, at which
+# the int64 feasibility kernel runs.  The kernel reads only coordinate
+# differences, so it moves the face into [0, B]^2 first.  Every factor is
+# then a difference of at most B, every product at most B^2 in absolute
+# value.  The sums of two products are orientations, each twice the area of
+# a triangle in [0, B]^2 (at most B^2), and the sector test's dot products
+# (at most |p| |q| <= 2 B^2), the widest: 2 B^2 < 2^63 with room to spare.
 _INT64_COORD_MAX = 2**30 - 1
 
 # Elements per temporary array of a batch, so that a large face never holds
@@ -209,15 +209,13 @@ def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     return F
 
 
-def _coord_dtype(g: Pslg, verts):
-    """The element type of the feasibility batches over the vertices verts:
-    int64 when all their scaled coordinates lie within _INT64_COORD_MAX, so
-    that no product overflows, else object, on which numpy applies Python's
-    exact int arithmetic and comparisons elementwise."""
-    ix, iy = g._ix, g._iy
-    if all(abs(ix[v]) <= _INT64_COORD_MAX and abs(iy[v]) <= _INT64_COORD_MAX for v in verts):
-        return np.int64
-    return object
+def _coord_dtype(xs, ys):
+    """The element type of the feasibility batches over the face-local
+    coordinates xs and ys, each at least 0: int64 when none exceeds
+    _INT64_COORD_MAX, so that no product overflows, else object, on which
+    numpy applies Python's exact int arithmetic and comparisons
+    elementwise."""
+    return np.int64 if max(*xs, *ys) <= _INT64_COORD_MAX else object
 
 
 def _chunks(size, width):
@@ -244,7 +242,7 @@ def _in_sector_batch(cuv, ux, uy, wx, wy, dx, dy):
 def _feasible_pairs(g: Pslg, w: IndexedWalk):
     """The usable chords (i, j), i < j: the sector test at both ends and no
     proper crossing with a face edge, run as batches over position pairs on
-    elements of _coord_dtype.
+    elements of _coord_dtype, with the face's least x and y at 0.
 
     The points are in general position (``build`` rejects collinear
     triples), so the orientation of three distinct points is never zero and
@@ -255,9 +253,11 @@ def _feasible_pairs(g: Pslg, w: IndexedWalk):
     n, seq = w.n, w.seq
     verts = sorted(set(seq))
     local = {v: k for k, v in enumerate(verts)}
-    dtype = _coord_dtype(g, verts)
-    VX = np.array([g._ix[v] for v in verts], dtype=dtype)
-    VY = np.array([g._iy[v] for v in verts], dtype=dtype)
+    xs, ys = [g._ix[v] for v in verts], [g._iy[v] for v in verts]
+    x0, y0 = min(xs), min(ys)
+    xs, ys = [x - x0 for x in xs], [y - y0 for y in ys]
+    dtype = _coord_dtype(xs, ys)
+    VX, VY = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
 
     # per position 1..n (array index 0..n-1): vertex, and its corner's rays
     lv = np.array([local[v] for v in seq[1 : n + 1]], dtype=np.int64)

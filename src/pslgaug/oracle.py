@@ -129,18 +129,18 @@ def _shortfall(g: Pslg, extra, mode):
     bound on the edges still to add, ``done`` whether the graph already has
     the mode's connectivity, from one ``_blocks`` search.
 
-    A disconnected graph needs one edge per component past the first.  A
-    connected one needs half its leaves, rounded up: in 2vc a leaf is a
-    block holding exactly one cut vertex (a vertex in two blocks), in 2ec a
-    2-edge-connected component that meets exactly one bridge (a two-vertex
-    block).  ``done`` implies need == 0."""
+    A disconnected graph, or one with no vertex, needs one edge per
+    component past the first.  A connected one needs half its leaves,
+    rounded up: in 2vc a leaf is a block holding exactly one cut vertex (a
+    vertex in two blocks), in 2ec a 2-edge-connected component that meets
+    exactly one bridge (a two-vertex block).  ``done`` implies need == 0."""
     adj = {p.id: set() for p in g.points}
     for u, v in chain(g.edges, extra):
         adj[u].add(v)
         adj[v].add(u)
     blocks, components = _blocks(adj)
-    if components > 1:
-        return components - 1, False
+    if components != 1:
+        return max(components - 1, 0), False
     if mode == "2vc":
         seen = Counter(v for b in blocks for v in b)
         cut = {v for v, k in seen.items() if k > 1}

@@ -157,8 +157,8 @@ class Pslg:
         return (self._ix[v], self._iy[v])
 
     def faces(self) -> Faces:
-        """The faces of the rotation system, shared by ``facial_walks``,
-        ``connectivity`` and ``face_env``; read only (an editor keeps its own)."""
+        """The faces of the rotation system, shared by ``facial_walks`` and
+        ``connectivity``; read only (an editor keeps its own)."""
         if self._faces is None:
             self._faces = Faces(self.rotation)
         return self._faces
@@ -242,18 +242,14 @@ def build(points, edge_pairs) -> Pslg:
     while the first graph g0 built on them is alive, the pairs of g0's
     edges: ``g0.with_edges`` tests only the pairs with an edge not in g0,
     which accepts exactly the sets a build from the empty graph accepts,
-    with the same rotations.  Unknown ids, self-loops and duplicates are
-    always rejected.  On any error the build from the empty graph runs
-    again, so that the exception and its message are that build's.
+    with the same rotations, and rejects the others with the same exception
+    and message: the list checks run in list order from any base, and a
+    crossing is reported as the least crossing pair of the whole set.
     """
     if type(points) is not _ValidatedPoints:
         points = _validate_points(points, edge_pairs)
     elif points.g0 is not None and (g0 := points.g0()) is not None:
-        edge_pairs = list(edge_pairs)
-        try:
-            return g0.with_edges(edge_pairs)
-        except PslgError:
-            pass
+        return g0.with_edges(edge_pairs)
     rotation = {p.id: () for p in points}
     empty = Pslg(points, points.by_id, frozenset(), rotation, points.ix, points.iy)
     g = empty.with_edges(edge_pairs)
@@ -329,10 +325,10 @@ def _validate_points(points, edge_pairs) -> _ValidatedPoints:
 
 
 def _raise_first_crossing(kept, added, ix, iy):
-    """Raise CrossingEdges for the first pair of properly crossing edges,
-    one of them in ``added`` and the other in ``kept`` or ``added``, in the
-    order of the all-pairs loop over each added[i] against sorted(kept) +
-    added[i+1:] (``added`` sorted), if there is one.
+    """Raise CrossingEdges for the least pair, by edge keys, of properly
+    crossing edges, one of them in ``added`` and the other in ``kept`` or
+    ``added``, if there is one.  Kept edges cross no kept edge, so this is
+    the least crossing pair of the whole edge set, whatever the base graph.
 
     Broad phase on bounding boxes.  The added boxes are sorted by xmin;
     each is swept against the later ones that start at or before its xmax.
@@ -352,10 +348,7 @@ def _raise_first_crossing(kept, added, ix, iy):
         boxes.append((x0, x1, y0, y1, u, v))
     boxes.sort()
     xmins = [box[0] for box in boxes]
-    # the loop position of each crossing pair: the added edge a (the
-    # smaller one if both are added), kept partners before added ones, then
-    # the partner b
-    found = []
+    found = []  # crossing pairs, each sorted
     if kept:
         _, xmaxs, ymins, ymaxs, _, _ = zip(*boxes)
         xlo, xhi, ylo, yhi = xmins[0], max(xmaxs), min(ymins), max(ymaxs)
@@ -378,7 +371,7 @@ def _raise_first_crossing(kept, added, ix, iy):
                     ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
                 )
             ):
-                found.append(((s, t), 0, (u, v)))
+                found.append(tuple(sorted(((u, v), (s, t)))))
     for i, (_, x1, y0, y1, u, v) in enumerate(boxes):
         for _, _, ymin2, ymax2, s, t in islice(boxes, i + 1, bisect_right(xmins, x1, i + 1)):
             if (
@@ -388,11 +381,9 @@ def _raise_first_crossing(kept, added, ix, iy):
                     ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
                 )
             ):
-                a, b = sorted(((u, v), (s, t)))
-                found.append((a, 1, b))
+                found.append(tuple(sorted(((u, v), (s, t)))))
     if found:
-        first = min(found)
-        (a, b), (c, d) = sorted((first[0], first[2]))
+        (a, b), (c, d) = min(found)
         raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
 
 

@@ -8,6 +8,8 @@ it crosses are exactly the triangle fans around its interior corners, and
 pulling the string taut through those portals (funnel algorithm) yields the
 geodesic.  Which triangulation it is does not matter: the reduced portal
 sequence of a homotopy class, and so the geodesic, is the same in any.
+Before that, the walk is looked up on the graph's faces
+(``locate_subwalk``), independently of the library's corner checks.
 
 The triangulation names each vertex by the graph's own id and the box
 corners by the four ids just above the largest.  Each queried graph gets one
@@ -23,7 +25,7 @@ asserted.
 
 import weakref
 
-from pslgaug.geodesic import GeodesicPath, locate_subwalk
+from pslgaug.geodesic import GeodesicPath, WalkNotInFace
 from pslgaug.geom import collinear_pair, convex_hull, walk_length
 from pslgaug.pslg import LemmaViolation, require_augmentable
 from pslgaug.triangulate import insert_constraint, join_outside, triangulate_points
@@ -220,6 +222,25 @@ def funnel(T, portals, s, t):
         if v != out[-1]:
             out.append(v)
     return out
+
+
+def locate_subwalk(g, walk_ids):
+    """The face label (in ``g.faces()``) of the unique occurrence of the
+    directed subwalk, or raise WalkNotInFace: the lookup on the faces that
+    ``geodesic.geodesic`` leaves to its corner checks."""
+    if len(walk_ids) < 2:
+        raise WalkNotInFace("walk needs at least one edge")
+    key = (walk_ids[0], walk_ids[1])
+    faces = g.faces()
+    if key not in faces.face:
+        raise WalkNotInFace(f"directed edge {key} not on any facial walk")
+    seq = faces.walk(key, len(walk_ids) - 1)
+    if len(seq) < len(walk_ids):
+        raise WalkNotInFace("walk longer than its facial walk")
+    for k, v in enumerate(walk_ids):
+        if seq[k] != v:
+            raise WalkNotInFace(f"walk diverges from facial walk at step {k}")
+    return faces.face[key]
 
 
 def funnel_geodesic(g, walk_ids) -> GeodesicPath:

@@ -465,6 +465,16 @@ def test_oracle_exhausted(tmp_path, capsys):
     assert "exceed" in err
 
 
+@pytest.mark.parametrize("mode", ["2vc", "2ec"])
+def test_oracle_on_an_empty_instance_is_infeasible(tmp_path, capsys, mode):
+    # a graph with no vertex is not connected, so no augmentation exists
+    inst = tmp_path / "empty.json"
+    inst.write_text(json.dumps({"format_version": 1, "points": [], "edges": []}))
+    code, out, err = run_cli(["oracle", str(inst), "--mode", mode], capsys)
+    assert (code, out) == (2, "")
+    assert err == "infeasible: no feasible augmentation among candidates\n"
+
+
 @pytest.mark.parametrize("limit", ["-1", "-5"])
 def test_oracle_rejects_negative_limit(fig3_file, capsys, limit):
     # a negative limit once ran and ended as exhausted (exit 2)

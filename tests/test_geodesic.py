@@ -1,5 +1,6 @@
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,11 @@ from hypothesis import strategies as st
 
 from pslgaug import build
 from pslgaug.geom import convex_hull, dist, ekey, segments_properly_cross
-from pslgaug.geodesic import WalkNotInFace, convex_geodesic, face_env, geodesic, locate_subwalk
+from pslgaug.geodesic import WalkNotInFace, convex_geodesic, geodesic
 from pslgaug.instances import generate
 from pslgaug.pslg import LemmaViolation, _corner_convex, convex_walk_decomposition, facial_walks
 
-from funnel_oracle import funnel_env, funnel_geodesic
+from funnel_oracle import funnel_env, funnel_geodesic, locate_subwalk
 from geodesic_oracle import oracle_geodesic
 from test_adversarial import FAMILIES, LARGE, _general_position
 from test_optimal import pool_instances
@@ -95,12 +96,12 @@ def test_walk_not_in_face(path3):
 
 
 def test_face_region(fig3, triangle):
-    # the environment's faces group the darts as the facial walks do
+    # the graph's faces group the darts as the facial walks do
     graphs = [fig3, triangle] + [
         generate(5 + 2 * k, 700 + k, (0.0, 0.3, 0.6, 1.0)[k % 4]) for k in range(20)
     ]
     for g in graphs:
-        assert label_partition(face_env(g).faces) == walk_partition(g)
+        assert label_partition(g.faces()) == walk_partition(g)
     assert facial_walks(fig3)[0].is_outer
     env = funnel_env(fig3)
     # the clip box strictly contains all (scaled) vertices with margin at
@@ -478,10 +479,9 @@ def test_a_corner_off_the_rotation_is_not_in_a_face():
     g = generate(30, 8, 0.6)
     a, y, b = _corner_off_rotation(g)
     message = re.escape(f"({a}, {y}, {b}) is not a corner of a facial walk")
-    with pytest.raises(WalkNotInFace, match=f"^{message}$"):
-        convex_geodesic(g, [a, y, b])
-    with pytest.raises(WalkNotInFace, match="^walk diverges from facial walk at step 2$"):
-        geodesic(g, [a, y, b])
+    for query in (geodesic, convex_geodesic):
+        with pytest.raises(WalkNotInFace, match=f"^{message}$"):
+            query(g, [a, y, b])
 
 
 def test_a_walk_longer_than_its_face_is_not_in_it(triangle):
@@ -494,6 +494,60 @@ def test_a_walk_longer_than_its_face_is_not_in_it(triangle):
         geodesic(triangle, walk)
     with pytest.raises(WalkNotInFace, match="^walk longer than its facial walk$"):
         locate_subwalk(triangle, walk)
+
+
+def _looked_up_geodesic(g, walk):
+    """The geodesic as the lookup on the faces and the corner checks give
+    it: the three input checks, the oracle's ``locate_subwalk``, then
+    ``convex_geodesic``."""
+    if len(walk) < 3 or walk[0] == walk[-1] or any(a == b for a, b in zip(walk, walk[1:])):
+        raise WalkNotInFace("not an open walk of at least 2 edges")
+    locate_subwalk(g, walk)
+    return convex_geodesic(g, walk)
+
+
+def _query_outcome(query, g, walk):
+    """The exception class's name, or the path's ids and length."""
+    try:
+        geo = query(g, walk)
+    except (WalkNotInFace, LemmaViolation) as exc:
+        return type(exc).__name__
+    return geo.ids(), geo.length
+
+
+def lookup_walks(g, rng, neighbour_walks):
+    """Every facial subwalk of 2 to L + 2 edges of each face of L edges,
+    then ``neighbour_walks`` random walks of 2 to 6 edges that step to a
+    random neighbour, now and then to any vertex."""
+    for w in facial_walks(g):
+        ring = list(w.seq[:-1]) * 3
+        L = len(ring) // 3
+        for i in range(L):
+            for k in range(2, L + 3):
+                yield ring[i : i + k + 1]
+    ids = sorted(g.by_id)
+    for _ in range(neighbour_walks):
+        walk = [rng.choice(ids)]
+        for _ in range(rng.randint(2, 6)):
+            rot = g.rotation[walk[-1]]
+            walk.append(rng.choice(rot) if rot and rng.random() < 0.9 else rng.choice(ids))
+        yield walk
+
+
+def test_geodesic_agrees_with_the_lookup_on_the_faces():
+    # geodesic() reads the walk alone: on every facial subwalk up to two
+    # edges past its face and on random neighbour walks it raises the class
+    # that the lookup on the faces and then the corner checks raise, or
+    # returns their path
+    rng = random.Random(36)
+    kinds = Counter()
+    for _ in range(40):
+        g = generate(rng.randint(4, 24), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.7)))
+        for walk in lookup_walks(g, rng, 60):
+            want = _query_outcome(_looked_up_geodesic, g, walk)
+            assert _query_outcome(geodesic, g, walk) == want, walk
+            kinds[want if isinstance(want, str) else "path"] += 1
+    assert min(kinds.values()) >= 1000, kinds
 
 
 def test_a_reflex_corner_is_refused():

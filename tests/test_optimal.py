@@ -241,30 +241,67 @@ def test_feasibility_paths_agree_on_adversarial_families(monkeypatch):
         assert_paths_agree(_general_position(make, random.Random(seed)), monkeypatch)
 
 
-def _spread_to_width(g, width):
-    """g scaled by an integer and translated so that it spans about
-    [-width, width] on both axes, its largest x is width and its smallest y
-    is -width, so the kernel's products come near their bound."""
-    xs, ys = [p.x for p in g.points], [p.y for p in g.points]
-    k = 2 * width // max(max(xs) - min(xs), max(ys) - min(ys))
-    dx, dy = width - k * max(xs), -width - k * min(ys)
-    return build([(p.id, k * p.x + dx, k * p.y + dy) for p in g.points], g.edges)
+def _stretch_to_extent(g, width):
+    """g moved and stretched on each axis so that its scaled coordinates
+    span [0, width] on both: v -> (v - least) * width // span.  For
+    generate's points the rounding keeps every orientation, so the graph
+    keeps its rotations."""
+    def axis(values):
+        least, span = min(values), max(values) - min(values)
+        return lambda v: (v - least) * width // span
+
+    ipts = {v: g.ipt(v) for v in g.by_id}
+    fx, fy = axis([x for x, _ in ipts.values()]), axis([y for _, y in ipts.values()])
+    return build([(v, fx(x), fy(y)) for v, (x, y) in ipts.items()], g.edges)
+
+
+def _face_extent(g, walk):
+    xs, ys = zip(*map(g.ipt, set(walk.seq)))
+    return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
 @pytest.mark.parametrize("extra, dtype", [(0, "int64"), (1, "object")])
 def test_feasibility_path_at_the_int64_bound(extra, dtype, monkeypatch):
+    # the outer face spans the whole graph, _INT64_COORD_MAX + extra on both
+    # axes: int64 elements at the widest face that fits, object one unit
+    # past it; every face gets the reference's F
     width = optimal._INT64_COORD_MAX + extra
-    h = _spread_to_width(generate(40, 4, 0.2), width)
-    assert max(max(abs(x), abs(y)) for x, y in map(h.ipt, h.by_id)) == width
+    g = generate(40, 4, 0.2)
+    h = _stretch_to_extent(g, width)
+    assert h.rotation == g.rotation
+    widest = set()
     for walk in facial_walks(h):
+        extent = _face_extent(h, walk)
+        fits = extent <= optimal._INT64_COORD_MAX
+        if extent == width:
+            widest.add("int64" if fits else "object")
         for extend in (False, True):
             w = IndexedWalk.from_walk(walk, extend=extend)
             ran = []
             with monkeypatch.context() as m:
                 spy_dtype(m, ran)
                 F = feasibility(h, w)
-            assert [np.dtype(t) for t in ran] == [np.dtype(dtype)]
+            assert ran == [np.int64 if fits else object]
             assert np.array_equal(F, reference_feasibility(h, w))
+    assert widest == {dtype}
+
+
+@pytest.mark.parametrize("shift", [0, 2**30, 10**15, -10**15])
+def test_feasibility_reads_face_local_coordinates(shift, monkeypatch):
+    # the kernel reads only coordinate differences: a copy moved by shift on
+    # both axes gets the same F, on int64 elements like the unmoved graph
+    g = generate(40, 4, 0.2)
+    h = build([(p.id, p.x + shift, p.y + shift) for p in g.points], g.edges)
+    for walk, moved in zip(facial_walks(g), facial_walks(h), strict=True):
+        assert walk.seq == moved.seq
+        for extend in (False, True):
+            ran = []
+            with monkeypatch.context() as m:
+                spy_dtype(m, ran)
+                F = feasibility(g, IndexedWalk.from_walk(walk, extend=extend))
+                G = feasibility(h, IndexedWalk.from_walk(moved, extend=extend))
+            assert ran == [np.int64, np.int64]
+            assert np.array_equal(F, G)
 
 
 def test_feasibility_of_huge_and_tiny_coordinates_stays_exact(tmp_path, capsys, monkeypatch):

@@ -128,6 +128,23 @@ def test_shortfall_on_small_graphs(path3, star3, two_triangles, square):
     assert _shortfall(edge, [], "2ec") == (1, False)
 
 
+def test_brute_force_on_the_smallest_graphs_matches_connectivity():
+    # (0.0, []) exactly when the graph already has the mode's connectivity,
+    # else Exhausted: the empty graph, with no component, is not connected
+    pts = [(0, 0, 0), (1, 4, 1)]
+    outcomes = []
+    for g in (build([], []), build(pts[:1], []), build(pts, []), build(pts, [(0, 1)])):
+        conn = connectivity(g)
+        for mode, has in (("2vc", conn.is_2_connected), ("2ec", conn.is_2_edge_connected)):
+            if has:
+                assert brute_force_optimal(g, mode) == (0.0, [])
+            else:
+                with pytest.raises(Exhausted, match="no feasible augmentation"):
+                    brute_force_optimal(g, mode)
+            outcomes.append(has)
+    assert outcomes == [False, False, False, True, False, False, False, False]
+
+
 def test_brute_force_digest_pinned():
     # the first 50 graphs of the acceptance set: both modes, both weights
     rng = random.Random(2027)

@@ -161,8 +161,8 @@ def reference_build(points, edge_pairs):
 
 
 def reference_with_edges(g, edge_pairs):
-    """``g.with_edges`` with every added edge tested against every kept
-    edge and every later added one, in sorted order."""
+    """``g.with_edges`` with every pair of the final edge set tested, in
+    sorted order: the least crossing pair is reported."""
     edges = set()
     for u, v in edge_pairs:
         if u not in g.by_id or v not in g.by_id:
@@ -174,14 +174,10 @@ def reference_with_edges(g, edge_pairs):
             raise InvalidInstance(f"duplicate edge {k}")
         edges.add(k)
     ix, iy = g._ix, g._iy
-    added = sorted(edges - g.edges)
-    kept = sorted(edges & g.edges)
-    for i, (u1, v1) in enumerate(added):
-        for u2, v2 in kept + added[i + 1 :]:
-            if segments_properly_cross(
-                ix[u1], iy[u1], ix[v1], iy[v1], ix[u2], iy[u2], ix[v2], iy[v2]
-            ):
-                (a, b), (c, d) = sorted([(u1, v1), (u2, v2)])
+    final = sorted(edges)
+    for i, (a, b) in enumerate(final):
+        for c, d in final[i + 1 :]:
+            if segments_properly_cross(ix[a], iy[a], ix[b], iy[b], ix[c], iy[c], ix[d], iy[d]):
                 raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
     rotation = dict(g.rotation)
     adj = adjacency(edges)
@@ -435,9 +431,10 @@ def _built_graphs(rng):
 
 
 def test_build_on_built_points_edits_the_first_graph_like_reference(monkeypatch):
-    # build(g.points, E) edits g, the first graph built on those points,
-    # when that succeeds; valid sets, subsets, crossings and bad ids give
-    # reference_build's edges and rotations, or its exception and message
+    # build(g.points, E) edits g, the first graph built on those points, in
+    # one with_edges call, errors included; valid sets, subsets, crossings
+    # and bad ids give reference_build's edges and rotations, or its
+    # exception and message
     bases = []
     with_edges = Pslg.with_edges
 
@@ -456,8 +453,7 @@ def test_build_on_built_points_edits_the_first_graph_like_reference(monkeypatch)
             assert outcome(build, g.points, edges) == want, (sorted(g.edges), edges)
             kind = want[0] if isinstance(want[0], str) else "valid"
             kinds[kind] += 1
-            # an error is reported by the build from the empty graph
-            assert bases[0] is g and len(bases) == (1 if kind == "valid" else 2)
+            assert bases == [g]
     assert kinds.keys() == {"valid", "CrossingEdges", "InvalidInstance"}, kinds
     assert min(kinds.values()) >= 100, kinds
 
@@ -748,11 +744,10 @@ def test_connectivity_rejects_a_rotation_that_breaks_euler():
 
 
 def test_one_faces_per_graph(monkeypatch):
-    # facial_walks, connectivity and face_env share the graph's faces, so an
+    # facial_walks and connectivity share the graph's faces, so an
     # augment item builds one Faces for its input graph, one for the
     # augmenter's closing check and one for verify's graph; the morph's
     # editor keeps its own next darts, so transform and replay build none
-    from pslgaug.geodesic import face_env
     from pslgaug.heuristic import augment_2ec, augment_2vc
     from pslgaug.optimal import optimal_augment
     from pslgaug.oracle import verify
@@ -770,7 +765,6 @@ def test_one_faces_per_graph(monkeypatch):
             made.clear()
             assert verify(g, augment(g).added, mode)["ok"]
             assert len(made) == 3 and made[0] is g.faces()
-    assert face_env(g).faces is g.faces()
     assert facial_walks(g) and connectivity(g) and len(made) == 3
     for seed in range(5):
         g = generate(30, 720000 + seed, 0.4)

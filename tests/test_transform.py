@@ -11,7 +11,7 @@ from math import atan2, fsum, isqrt
 import pytest
 
 from pslgaug import build
-from pslgaug.geodesic import WalkNotInFace, convex_geodesic, geodesic, locate_subwalk
+from pslgaug.geodesic import WalkNotInFace, convex_geodesic, geodesic
 from pslgaug.geom import LENGTH_TOL, dist, ekey, polar_sort, segments_properly_cross
 from pslgaug.instances import generate, oplog_to_jsonl
 from pslgaug.pslg import (
@@ -45,7 +45,7 @@ from pslgaug.transform import (
 )
 import funnel_oracle
 import test_adversarial as A
-from funnel_oracle import funnel_env, funnel_geodesic, validate
+from funnel_oracle import funnel_env, funnel_geodesic, locate_subwalk, validate
 from test_optimal import pool_instances
 from tests_support import (
     adjacency,
