@@ -120,8 +120,8 @@ def generate(n: int, seed: int, density: float) -> Pslg:
     """Seeded random connected PSLG: n grid points in general position,
     edges a random subgraph of their Delaunay triangulation repaired to
     connectivity with minimum-spanning-tree edges."""
-    if n < 3:
-        raise InvalidInstance("need n >= 3")
+    if not 3 <= n <= 2 * GRID:  # no three points of a grid row in general position
+        raise InvalidInstance(f"need 3 <= n <= {2 * GRID}")
     if not 0 <= density <= 1:
         raise InvalidInstance(f"density {density!r} is not in [0, 1]")
     rng = random.Random(seed)

@@ -183,10 +183,10 @@ class OptimalResult:
 # the int64 feasibility kernel runs.  The kernel reads only coordinate
 # differences, so it moves the face into [0, B]^2 first.  Every factor is
 # then a difference of at most B, every product at most B^2 in absolute
-# value.  The sums of two products are orientations, each twice the area of
-# a triangle in [0, B]^2 (at most B^2), and the sector test's dot products
-# (at most |p| |q| <= 2 B^2), the widest: 2 B^2 < 2^63 with room to spare.
-_INT64_COORD_MAX = 2**30 - 1
+# value.  The sums of two products are orientations (at most B^2) and the
+# sector test's dot products, the widest: at most 2 B^2, which for
+# B = 2^31 - 1 is 2^63 - 2^33 + 2 and fits int64.
+_INT64_COORD_MAX = 2**31 - 1
 
 # Elements per temporary array of a batch, so that a large face never holds
 # a whole chord-by-edge matrix.

@@ -497,33 +497,19 @@ def facial_walks(g: Pslg):
 # -- graph search --------------------------------------------------------
 
 
-def reach(adj, root, goal=None):
+def reach(adj, root):
     """Depth-first search from root over ``adj`` (vertex -> neighbours):
-    maps every vertex reached to its predecessor (root to None).  Stops
-    once goal is reached."""
+    maps every vertex of root's component to its predecessor (root to
+    None).  The morph reads tree sides and paths off its faces instead."""
     prev = {root: None}
     stack = [root]
     while stack:
         x = stack.pop()
-        if x == goal:
-            break
         for y in adj.get(x, ()):
             if y not in prev:
                 prev[y] = x
                 stack.append(y)
     return prev
-
-
-def forest_path(adj, u, v):
-    """Vertex path from u to v in the forest ``adj`` (vertex -> neighbours),
-    or None when v is not reachable from u."""
-    prev = reach(adj, u, v)
-    if v not in prev:
-        return None
-    path = [v]
-    while path[-1] != u:
-        path.append(prev[path[-1]])
-    return path[::-1]
 
 
 def kruskal(edges, weight, joined=()):

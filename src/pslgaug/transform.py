@@ -40,7 +40,6 @@ from .pslg import (
     _corner_convex,
     _raise_first_crossing,
     _reroute,
-    forest_path,
     kruskal,
     next_darts,
     reach,
@@ -161,8 +160,9 @@ class _CertifiedEdges:
     Next to the graph it keeps ``nxt``, the next dart of every dart on its
     facial walk (``pslg.next_darts``, a map of its own, not the one a graph
     caches), threaded by each insert and unthreaded by each delete at the
-    edge's two ends, with no walk.  In a connected plane graph an edge is a
-    bridge iff the same face lies on both of its sides (``_bridge``).
+    edge's two ends, with no walk.  ``_smaller`` walks an edge's faces in
+    lockstep: it finds bridges (one face on both sides) for the deletes, and
+    the sides of a tree edge and the cycle an edge closes for the morph.
     """
 
     def __init__(self, g: Pslg):
@@ -206,7 +206,7 @@ class _CertifiedEdges:
         elif op == "delete":
             if e not in g.edges:
                 return "planarity", f"edge {e} not present"
-            if self._bridge(u, v):
+            if self._smaller(u, v)[1]:
                 return "connectivity", ""
             # the walks that turned onto the edge now pass it by
             nxt = self.nxt
@@ -224,19 +224,28 @@ class _CertifiedEdges:
             return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
         return None
 
-    def _bridge(self, u, v):
-        """Whether edge (u, v) has one face on both sides: its darts' walks
-        are followed in lockstep until one reaches the other's dart (one
-        face) or returns to its own (two faces), so the walk stops within
-        the smaller face."""
+    def _smaller(self, u, v):
+        """``(d, bridge)``: the walks of edge (u, v)'s darts, in lockstep,
+        stop at the other dart (a bridge) or their own; d's stopped first.
+        d's walk up to its reverse is then the side of d's head, or up to d
+        the smaller face (``_part``)."""
         nxt = self.nxt
         a, b = (u, v), (v, u)
         x, y = nxt[a], nxt[b]
         while x != a and y != b:
             if x == b or y == a:
-                return True
+                return (a if x == b else b), True
             x, y = nxt[x], nxt[y]
-        return False
+        return (a if x == a else b), False
+
+    def _part(self, u, v):
+        """``_smaller``'s part as d's walk from d, and whether it is a bridge."""
+        d, bridge = self._smaller(u, v)
+        out, x, stop = [d], self.nxt[d], (d[1], d[0]) if bridge else d
+        while x != stop:
+            out.append(x)
+            x = self.nxt[x]
+        return out, bridge
 
     def frozen(self) -> Pslg:
         """A copy of the current graph that later edits leave as it is."""
@@ -279,6 +288,15 @@ class _Editor(_CertifiedEdges):
         """The geodesic of the convex corner ``walk``, a facial subwalk
         (a, y, b) of the current graph (``convex_geodesic``)."""
         return convex_geodesic(self.graph, walk)
+
+    def _cycle(self, u, v):
+        """The darts of the smaller face at (u, v) whose reverse it lacks,
+        from its first: the cycle that (u, v) closes in a tree."""
+        face, bridge = self._part(u, v)
+        if bridge:
+            raise LemmaViolation("cycle edge endpoints not connected in tree")
+        darts = set(face)
+        return [x for x in face if (x[1], x[0]) not in darts]
 
     def _record(self, op, u, v, phase):
         bad = self.edit(op, u, v)
@@ -378,9 +396,11 @@ def phase2_to_delaunay_tree(ed: _Editor, T, flips):
             apex = d
         else:
             raise LemmaViolation("no obtuse apex on an illegal edge")
-        # the graph is a tree: apex is on b's side of (a, b) iff the tree
-        # path from a to apex starts along (a, b)
-        other = a if forest_path(g.rotation, a, apex)[1] == b else b
+        # in a tree the heads of the part's darts are the side of its first head
+        side, bridge = ed._part(a, b)
+        if not bridge:
+            raise LemmaViolation(f"tree edge {(a, b)} is not a bridge")
+        other = side[0][0] if apex in {x[1] for x in side} else side[0][1]
         new = ekey(apex, other)
         if _sq(g, *new) >= _sq(g, a, b):
             raise LemmaViolation("tree swap did not shorten")
@@ -406,12 +426,8 @@ def phase3_to_mst(ed: _Editor, target):
     longest edge of the unique created cycle."""
     g = ed.graph
     for e in sorted(target - g.edges):
-        # e closes the cycle through the tree path between its endpoints
-        path = forest_path(ed.graph.rotation, *e)
-        if path is None:
-            raise LemmaViolation("cycle edge endpoints not connected in tree")
         ed.insert(e[0], e[1], PHASE_MST)
-        cyc = [e] + [ekey(a, b) for a, b in zip(path, path[1:])]
+        cyc = [ekey(*x) for x in ed._cycle(*e)]
         mx = max(_sq(g, *f) for f in cyc)
         cand = [f for f in cyc if _sq(g, *f) == mx]
         outside = [f for f in cand if f not in target]
@@ -481,23 +497,21 @@ def phase4_grow_cycle(ed: _Editor):
     absent = [e for e in hull_edges if e not in g.edges]
     if not absent:
         raise LemmaViolation("spanning tree contains the whole hull cycle")
-    uv = max(absent, key=lambda e: (_sq(g, *e), [-c for c in e]))
-    u, v = uv
-
-    path = forest_path(g.rotation, u, v)
+    u, v = max(absent, key=lambda e: (_sq(g, *e), [-c for c in e]))
     ed.insert(u, v, PHASE_GROW)
-    poly = ed.trace(path)
+    # the face of (v, u) runs the cycle from u to v, that of (u, v) back
+    cyc = ed._cycle(u, v)
+    poly = ed.trace([x[1] for x in cyc[::-1 if cyc[0] == (u, v) else 1]])
 
     rounds = 0
     while len(ed.vc) < g.n:
         rounds += 1
         if rounds > g.n:
             raise LemmaViolation("phase 4 exceeded its round budget")
-        g_cur = ed.graph
         vc = ed.vc
         found = None
         for y in sorted(vc):
-            rot = g_cur.rotation[y]
+            rot = g.rotation[y]
             k = len(rot)
             # a CCW-consecutive mixed pair with a convex corner always
             # exists at some boundary vertex (at most one reflex sector per
@@ -506,7 +520,7 @@ def phase4_grow_cycle(ed: _Editor):
                 a, b = rot[i], rot[(i + 1) % k]
                 if (a in vc) == (b in vc):
                     continue
-                if _corner_convex(g_cur, a, y, b):
+                if _corner_convex(g, a, y, b):
                     found = (a, y, b)
                     break
             if found:

@@ -501,6 +501,14 @@ def test_gen_rejects_density_outside_unit_interval(tmp_path, capsys, density):
     assert not out.exists()
 
 
+def test_gen_rejects_more_points_than_the_grid_holds(tmp_path, capsys):
+    out = tmp_path / "g.json"
+    code, _, err = run_cli(["gen", "--n", "2000001", "-o", str(out)], capsys)
+    assert code == 1
+    assert err == "error: need 3 <= n <= 2000000\n"
+    assert not out.exists()
+
+
 def test_gen_env_seed(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("PSLG_SEED", "123")
     code, out1, _ = run_cli(["gen", "--n", "5"], capsys)

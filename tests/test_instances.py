@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pslgaug import (
+    InvalidInstance,
     Point,
     PslgError,
     augment_2ec,
@@ -15,8 +16,10 @@ from pslgaug import (
     transform,
     verify,
 )
+from pslgaug import instances
 from pslgaug.geom import to_rational
 from pslgaug.instances import (
+    GRID,
     generate,
     instance_hash,
     oplog_from_jsonl,
@@ -40,6 +43,19 @@ GOLDEN = {
 @pytest.mark.parametrize("case", sorted(GOLDEN))
 def test_generate_golden_hash(case):
     assert instance_hash(generate(*case)) == GOLDEN[case]
+
+
+@pytest.mark.parametrize("n", [2, 2 * GRID + 1, 10**20])
+def test_generate_rejects_a_count_no_grid_can_hold(n, monkeypatch):
+    # three points of one grid row are collinear, so at most 2 * GRID points
+    # are in general position: past that the draw loop could never end, and
+    # generate raises before it draws a point
+    def drawn(*args):
+        raise AssertionError("generate drew a point")
+
+    monkeypatch.setattr(instances, "collinear_pair", drawn)
+    with pytest.raises(InvalidInstance, match=rf"need 3 <= n <= {2 * GRID}"):
+        generate(n, 0, 0.3)
 
 
 def test_parse_gives_ints_for_integral_coordinates():

@@ -286,6 +286,29 @@ def test_feasibility_path_at_the_int64_bound(extra, dtype, monkeypatch):
     assert widest == {dtype}
 
 
+def test_feasibility_near_the_int64_corner(monkeypatch):
+    # a zigzag between a cluster at (0, 0) and its mirror at (B, B), with
+    # B = _INT64_COORD_MAX: every corner's rays and every chord between the
+    # clusters run near (B, B), and the leaf ray (0, 0) -> (B, B) makes the
+    # sector test's dot product exactly 2 B^2; int64 elements give the
+    # reference's F
+    B = optimal._INT64_COORD_MAX
+    low = [(0, 0), (3, 1), (7, 2), (12, 5), (18, 7)]
+    pts = low + [(B - y, B - x) for x, y in low]
+    edges = [(i, 5 + i) for i in range(5)] + [(5 + i, i + 1) for i in range(4)]
+    g = build([(k, x, y) for k, (x, y) in enumerate(pts)], edges)
+    (walk,) = facial_walks(g)
+    assert _face_extent(g, walk) == B
+    for extend in (False, True):
+        w = IndexedWalk.from_walk(walk, extend=extend)
+        ran = []
+        with monkeypatch.context() as m:
+            spy_dtype(m, ran)
+            F = feasibility(g, w)
+        assert ran == [np.int64]
+        assert np.array_equal(F, reference_feasibility(g, w)) and np.isfinite(F).any()
+
+
 @pytest.mark.parametrize("shift", [0, 2**30, 10**15, -10**15])
 def test_feasibility_reads_face_local_coordinates(shift, monkeypatch):
     # the kernel reads only coordinate differences: a copy moved by shift on

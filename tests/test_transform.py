@@ -50,6 +50,7 @@ from test_optimal import pool_instances
 from tests_support import (
     adjacency,
     all_pairs_mst,
+    forest_path,
     is_delaunay,
     scan_graph,
     through_phase2,
@@ -655,10 +656,19 @@ def mid_morph_graphs(count, rng):
     return out
 
 
-def test_walk_bridge_test_matches_reach():
+def _walk(nxt, d, stop):
+    """The darts of d's facial walk in ``nxt`` from d up to ``stop``."""
+    out = [d]
+    while nxt[out[-1]] != stop:
+        out.append(nxt[out[-1]])
+    return out
+
+
+def test_walk_smaller_part_matches_reach():
     # on every edge of 40 mid-morph graphs, the lockstep walk finds one face
     # on both sides iff a delete disconnects the graph, and the certified
-    # delete fails with "connectivity" exactly then
+    # delete fails with "connectivity" exactly then; its part is the side of
+    # its first dart's head, or that dart's face, and never the larger one
     rng = random.Random(14)
     bridges = kept = 0
     for g, prefix in mid_morph_graphs(40, rng):
@@ -666,9 +676,19 @@ def test_walk_bridge_test_matches_reach():
         for st in prefix:
             assert cert.edit(st.op, st.u, st.v) is None
         h = cert.graph
+        nxt = next_darts(h.rotation)
         for u, v in sorted(h.edges):
-            cut = len(reach(adjacency(h.edges - {(u, v)}), u)) != h.n
-            assert cert._bridge(u, v) == cert._bridge(v, u) == cut
+            side = set(reach(adjacency(h.edges - {(u, v)}), v))
+            cut = u not in side
+            assert cert._smaller(u, v)[1] == cert._smaller(v, u)[1] == cut
+            part, bridge = cert._part(u, v)
+            d, r = part[0], (part[0][1], part[0][0])
+            assert bridge == cut and d in ((u, v), (v, u))
+            if cut:
+                assert {x[1] for x in part} == (side if d[1] == v else set(h.by_id) - side)
+                assert part == _walk(nxt, d, r) and len(part) <= len(_walk(nxt, r, d))
+            else:
+                assert part == _walk(nxt, d, d) and len(part) <= len(_walk(nxt, r, r))
             other = _CertifiedEdges(h)
             got = other.edit("delete", *rng.choice(((u, v), (v, u))))
             if cut:
@@ -680,6 +700,50 @@ def test_walk_bridge_test_matches_reach():
                 assert other.nxt == next_darts(fresh.rotation)
                 kept += 1
     assert bridges >= 300 and kept >= 200
+
+
+def test_tree_sides_and_cycles_match_the_forest_path_oracle(monkeypatch):
+    # on the 150-morph set and the phase-2 digest sets, every phase-2 swap
+    # reconnects the side that a depth-first search puts apex on, every
+    # cycle phases 3 and 4 read off a face is the edge plus the tree path
+    # between its ends, and phase 4's first polygon is that path from u to v
+    cycle, trace = _Editor._cycle, _Editor.trace
+    checked = Counter()
+
+    def cycle_checked(ed, u, v):
+        out = cycle(ed, u, v)
+        path = forest_path(adjacency(ed.graph.edges - {ekey(u, v)}), u, v)
+        assert {ekey(*x) for x in out} == {ekey(u, v), *map(ekey, path, path[1:])}
+        assert len(out) == len(path)
+        checked[ed.log.steps[-1].phase] += 1
+        return out
+
+    def trace_checked(ed, seq):
+        e = ed.log.steps[-1]
+        assert seq == forest_path(adjacency(ed.graph.edges - {(e.u, e.v)}), e.u, e.v)
+        checked["polygon"] += 1
+        return trace(ed, seq)
+
+    monkeypatch.setattr(_Editor, "_cycle", cycle_checked)
+    monkeypatch.setattr(_Editor, "trace", trace_checked)
+    rng = random.Random(7)
+    graphs = [generate(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6)))
+              for _ in range(150)]
+    graphs += [h for hs in phase2_sets().values() for h in hs]
+    for g in graphs:
+        steps = transform(g)[2].steps
+        edges = set(g.edges)
+        for k, st in enumerate(steps):
+            if st.phase == PHASE_DELAUNAY and st.op == "insert":
+                # the swap (apex, other) for the flipped tree edge (a, b)
+                (a, b), new = (steps[k + 1].u, steps[k + 1].v), (st.u, st.v)
+                apex = (set(new) - {a, b}).pop()
+                other = a if forest_path(adjacency(edges), a, apex)[1] == b else b
+                assert ekey(apex, other) == new
+                checked["swap"] += 1
+            (edges.add if st.op == "insert" else edges.discard)((st.u, st.v))
+    assert checked["polygon"] == len(graphs)
+    assert checked["swap"] >= 450 and checked[3] >= 2000 and checked[4] == checked["polygon"]
 
 
 def _located(g, walk):

@@ -4,7 +4,7 @@ import random
 
 from pslgaug import DegenerateInput, build, facial_walks
 from pslgaug.instances import generate
-from pslgaug.pslg import kruskal
+from pslgaug.pslg import kruskal, reach
 from pslgaug.transform import (
     _Editor,
     delaunay,
@@ -64,6 +64,19 @@ def adjacency(edges):
         adj.setdefault(u, []).append(v)
         adj.setdefault(v, []).append(u)
     return adj
+
+
+def forest_path(adj, u, v):
+    """Vertex path from u to v in the forest ``adj`` (vertex -> neighbours),
+    or None when v is not reachable from u, by a depth-first search: the
+    oracle of the sides and cycles that the morph reads off its faces."""
+    prev = reach(adj, u)
+    if v not in prev:
+        return None
+    path = [v]
+    while path[-1] != u:
+        path.append(prev[path[-1]])
+    return path[::-1]
 
 
 def label_partition(faces):
