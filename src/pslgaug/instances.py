@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 
 from .geom import MAX_EXPONENT, Point, collinear_pair
-from .pslg import InvalidInstance, Pslg, build, kruskal
+from .pslg import InvalidInstance, Pslg, _validated, build, kruskal
 from .triangulate import lawson_flips, triangulate_points
 
 FORMAT_VERSION = 1
@@ -144,8 +144,11 @@ def generate(n: int, seed: int, density: float) -> Pslg:
     # Kruskal over DT edges gives the repair spanning tree
     keep += kruskal(dt_edges, d2, joined=keep)
 
-    pts = [(i, coords[i][0], coords[i][1]) for i in range(n)]
-    return build(pts, sorted(set(keep)))
+    # the draw ran build's general-position scan, in id order, so build
+    # takes the points as they are
+    pts = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
+    ix, iy = dict(enumerate(x for x, _ in coords)), dict(enumerate(y for _, y in coords))
+    return build(_validated(pts, ix, iy), sorted(set(keep)))
 
 
 # -- run records and op logs -------------------------------------------

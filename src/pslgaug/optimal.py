@@ -307,46 +307,30 @@ def _feasible_pairs(g: Pslg, w: IndexedWalk):
     return zip((I[keep] + 1).tolist(), (J[keep] + 1).tolist())
 
 
-def _pockets(w: IndexedWalk):
-    """Consecutive occurrences p[r] < q[r] of one vertex, over all vertices."""
-    pq = [(a, b) for ps in w.occ.values() for a, b in zip(ps, ps[1:])]
-    return np.array(pq, dtype=np.int64).reshape(-1, 2).T
+def _cut_from(w: IndexedWalk, mode: str):
+    """``cut_from[s]`` over 0 <= s <= n, the least t at which the head p_s
+    of a cell (s, t) is a cut, or n + 1: the next occurrence of p_s (2vc),
+    or one past the later mate slot of slot s (2ec).  Also the pockets,
+    consecutive occurrences p[r] < q[r] of one vertex (2vc), or each
+    slot's later mate slot, or 0 (2ec).
 
-
-def _has_repeat(n, p, q):
-    """[s, t]: some vertex occurs twice among the positions s .. t, from the
-    consecutive occurrences p < q of each vertex (see _pockets)."""
-    back = np.zeros(n + 2, dtype=np.int64)
-    back[q] = p
-    return _reaches_back(n, back)
-
-
-def _bridges(w: IndexedWalk):
-    """Each slot's later mate slot (or 0), and has_bridge[s, t]: some slot
-    c <= t - 1 has its mate in [s, c)."""
+    No vertex (2vc) or edge (2ec) repeats in (p_s, ..., p_t), the cell is
+    ZERO, iff no cell (x, t), s <= x <= t, has a cut head: iff t is below
+    min(cut_from[s:])."""
     n, seq = w.n, w.seq
-    seen, pairs = {}, []
+    cut_from = np.full(n + 1, n + 1, dtype=np.int64)
+    if mode == "2vc":
+        pq = [(a, b) for ps in w.occ.values() for a, b in zip(ps, ps[1:])]
+        p, q = np.array(pq, dtype=np.int64).reshape(-1, 2).T
+        cut_from[p] = q
+        return cut_from, (p, q)
+    first, mate = {}, np.zeros(n + 1, dtype=np.int64)
     for c in range(1, n):  # slots 1..n-1: edge between positions c, c+1
-        e = ekey(seq[c], seq[c + 1])
-        if e in seen:
-            pairs.append((seen[e], c))
-        else:
-            seen[e] = c
-    a, c = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-    mate = np.zeros(n + 1, dtype=np.int64)
-    mate[a] = c
-    back = np.zeros(n + 2, dtype=np.int64)  # [t]: slot t-1's earlier mate
-    back[c + 1] = a
-    return mate, _reaches_back(n, back)
-
-
-def _reaches_back(n, back):
-    """[s, t] over 0 <= s, t <= n + 1: 1 <= s < t <= n and some back[q],
-    s < q <= t, is at least s."""
-    rows = np.arange(n + 2)[:, None]
-    cols = np.arange(n + 2)
-    run = np.maximum.accumulate(np.where(cols > rows, back, 0), axis=1)
-    return (cols > rows) & (cols <= n) & (rows >= 1) & (run >= rows)
+        a = first.setdefault(ekey(seq[c], seq[c + 1]), c)
+        if a != c:
+            mate[a] = c
+    cut_from[mate > 0] = mate[mate > 0] + 1
+    return cut_from, mate
 
 
 def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
@@ -354,22 +338,19 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     one diagonal t - s = L at a time; every cell reads only shorter ones.
 
     Everything that does not depend on C is set up once for the face: the
-    ZERO and INF cells, the live cells' blocks, every block's run, cut
-    blocks included, each cell's prefix end and the rows each diagonal
-    reads first.  No run waits for C: a cut block's PAIR rows are laid out
-    with every descendant i, less in 2vc the i that _dead_pockets proves to
-    have C[s, i] = +inf, and a kept row with C[s, i] = +inf scores +inf
-    and never wins.  A row costs 36 bytes (int32 tie key, y and activation
-    entries, float64 w and A).  A diagonal then activates its rows and
-    scores one run prefix per cell, in batches of about _SCORE_CHUNK
-    candidates (see the module docstring)."""
+    ZERO cells, read off a suffix minimum of ``_cut_from``, the INF cells,
+    the live cells' blocks, every block's run, cut blocks included, each
+    cell's prefix end and the rows each diagonal reads first.  No run
+    waits for C: a cut block's PAIR rows are laid out with every descendant
+    i, less in 2vc the i that _dead_pockets proves to have C[s, i] = +inf,
+    and a kept row with C[s, i] = +inf scores +inf and never wins.  A row
+    costs 36 bytes (int32 tie key, y and activation entries, float64 w and
+    A).  A diagonal then activates its rows and scores one run prefix per
+    cell, in batches of about _SCORE_CHUNK candidates (see the module
+    docstring)."""
     n, n2, vert = w.n, w.n + 2, w.vert
     nn = n2 * n2
-    if mode == "2vc":
-        p, q = _pockets(w)
-        has = _has_repeat(n, p, q)
-    else:
-        mate, has = _bridges(w)
+    cut_from, heads = _cut_from(w, mode)
     C = np.full((n2, n2), np.inf)
     Cf = C.reshape(-1)
     case = np.zeros((n2, n2), dtype=np.uint8)
@@ -381,7 +362,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     start = per_diag.cumsum() - per_diag
     S = np.arange(1, n * (n + 1) // 2 + 1) - start.repeat(per_diag)
     T = S + np.arange(n).repeat(per_diag)
-    zero = ~has[S, T]
+    zero = T < np.minimum.accumulate(cut_from[::-1])[::-1][S]
     C[S[zero], T[zero]] = 0.0
     live = ~zero
     if mode == "2vc":
@@ -393,20 +374,16 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
         return C, case, k1, k2
     diag = np.searchsorted(T - S, np.arange(n + 1)).tolist()
 
-    # The head p_s of (s, t) is a cut iff t >= cut_from[s]: p_s occurs again
-    # in (s, t] (2vc), or the edge of slot s has its mate slot in (s, t)
-    # (2ec).  The anchor is the last occurrence of p_s in [s, t] (2vc), or
-    # that mate slot (2ec).
-    cut_from = np.full(n + 1, n + 1, dtype=np.int64)
+    # The head p_s of (s, t) is a cut iff t >= cut_from[s].  The anchor is
+    # the last occurrence of p_s in [s, t] (2vc), or the mate slot of slot
+    # s (2ec).
     if mode == "2vc":
-        cut_from[p] = q
         occ = np.array([ps[0] * n2 + x for ps in sorted(w.occ.values()) for x in ps])
         first = np.zeros(n + 1, dtype=np.int64)
         first[occ % n2] = occ // n2
         anchor = occ[np.searchsorted(occ, first[S] * n2 + T, side="right") - 1] % n2
     else:
-        cut_from[mate > 0] = mate[mate > 0] + 1
-        anchor = mate[S]
+        anchor = heads[S]
     cut = T >= cut_from[S]
 
     # blocks (s, anchor) in that order, a non-cut block as (s, s); bid[c] is
@@ -425,7 +402,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     cells = np.concatenate(([0], np.bincount(bid).cumsum()))
     t0, t1 = T[by_block[cells[:-1]]], T[by_block[cells[1:] - 1]]
     # arrays the fill no longer reads are freed early, for a lower peak
-    del has, key, anchor, used, hk
+    del key, anchor, used, hk
 
     # SPLIT rows of a block: the feasible chords (s, k), lo <= k < t1, in
     # the index range sst .. sen of fs, fk.  At a cut p_s the optimum may
@@ -457,7 +434,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     ok.cumsum(axis=0, dtype=np.int32, out=below[1:])
     drop = None
     if mode == "2vc":
-        drop = _dead_pockets(n, p, q, below)
+        drop = _dead_pockets(n, *heads, below)
         drop[1 : n + 1, 1 : n + 1] |= vert[1:, None] == vert[None, 1:]
     fin = np.zeros((n2, n2), dtype=np.int32)
     below.cumsum(axis=1, out=fin[:, 1:])

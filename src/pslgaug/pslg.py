@@ -123,8 +123,9 @@ class Pslg:
 
     Construct through :func:`build` and edit through :meth:`with_edges`;
     all derived queries are cached.  One instance changes: the graph of the
-    morph's certified editor (``transform._CertifiedEdges``), edited in place,
-    which is never asked a derived query and is handed out only as a copy.
+    morph's certified editor (``transform._CertifiedEdges``, whose edge set
+    is a live key view), edited in place, never asked a derived query and
+    handed out only as a copy.
     """
 
     def __init__(self, points, by_id, edges, rotation, ix, iy):
@@ -318,7 +319,12 @@ def _validate_points(points, edge_pairs) -> _ValidatedPoints:
             a, b = order[pair[0]], order[pair[1]]
             raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
         placed.append((ix[c], iy[c]))
+    return _validated(pts, ix, iy)
 
+
+def _validated(pts, ix, iy) -> _ValidatedPoints:
+    """The points ``pts``, scaled to ``ix`` and ``iy``, as :func:`build`
+    takes them, which the caller has run through its point checks."""
     out = _ValidatedPoints(pts)
     out.by_id, out.ix, out.iy = {p.id: p for p in pts}, ix, iy
     return out
@@ -330,61 +336,69 @@ def _raise_first_crossing(kept, added, ix, iy):
     ``added``, if there is one.  Kept edges cross no kept edge, so this is
     the least crossing pair of the whole edge set, whatever the base graph.
 
-    Broad phase on bounding boxes.  The added boxes are sorted by xmin;
-    each is swept against the later ones that start at or before its xmax.
-    Kept edges take one unsorted pass: one outside the box around all added
-    edges is skipped, any other is compared with the added boxes that start
-    at or before its xmax (a binary search).  Only pairs whose boxes
-    overlap and that share no endpoint reach the exact test: the points
-    are in general position, so edges with a common endpoint cannot cross.
+    Broad phase on bounding boxes (``_box``), exact test ``_cross``.  One
+    added edge takes ``_first_crossing``'s pass over the kept edges.
+    Several are sorted by xmin, each swept against the later ones that
+    start at or before its xmax, and each kept edge is compared with the
+    added boxes that start at or before its xmax (a binary search).
     """
-    boxes = []
-    for u, v in added:
-        x0, x1, y0, y1 = ix[u], ix[v], iy[u], iy[v]
-        if x0 > x1:
-            x0, x1 = x1, x0
-        if y0 > y1:
-            y0, y1 = y1, y0
-        boxes.append((x0, x1, y0, y1, u, v))
-    boxes.sort()
+    if len(added) == 1:
+        (e,) = added
+        f = _first_crossing(e, _box(*e, ix, iy), ((k, _box(*k, ix, iy)) for k in kept), ix, iy)
+        if f is not None:
+            raise _crossing(e, f)
+        return
+    boxes = sorted((*_box(u, v, ix, iy), u, v) for u, v in added)
     xmins = [box[0] for box in boxes]
     found = []  # crossing pairs, each sorted
-    if kept:
-        _, xmaxs, ymins, ymaxs, _, _ = zip(*boxes)
-        xlo, xhi, ylo, yhi = xmins[0], max(xmaxs), min(ymins), max(ymaxs)
     for u, v in kept:
-        x0, x1 = ix[u], ix[v]
-        if (x0 < xlo and x1 < xlo) or (x0 > xhi and x1 > xhi):
-            continue
-        y0, y1 = iy[u], iy[v]
-        if (y0 < ylo and y1 < ylo) or (y0 > yhi and y1 > yhi):
-            continue
-        if x0 > x1:
-            x0, x1 = x1, x0
-        if y0 > y1:
-            y0, y1 = y1, y0
+        x0, x1, y0, y1 = _box(u, v, ix, iy)
         for _, xmax2, ymin2, ymax2, s, t in islice(boxes, bisect_right(xmins, x1)):
-            if (
-                xmax2 >= x0 and ymin2 <= y1 and y0 <= ymax2
-                and u != s and u != t and v != s and v != t
-                and segments_properly_cross(
-                    ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
-                )
-            ):
+            if xmax2 >= x0 and ymin2 <= y1 and y0 <= ymax2 and _cross(u, v, s, t, ix, iy):
                 found.append(tuple(sorted(((u, v), (s, t)))))
     for i, (_, x1, y0, y1, u, v) in enumerate(boxes):
         for _, _, ymin2, ymax2, s, t in islice(boxes, i + 1, bisect_right(xmins, x1, i + 1)):
-            if (
-                ymin2 <= y1 and y0 <= ymax2
-                and u != s and u != t and v != s and v != t
-                and segments_properly_cross(
-                    ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
-                )
-            ):
+            if ymin2 <= y1 and y0 <= ymax2 and _cross(u, v, s, t, ix, iy):
                 found.append(tuple(sorted(((u, v), (s, t)))))
     if found:
-        (a, b), (c, d) = min(found)
-        raise CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
+        raise _crossing(*min(found))
+
+
+def _box(u, v, ix, iy):
+    """The bounding box (xmin, xmax, ymin, ymax) of edge (u, v) on ix, iy."""
+    x0, x1, y0, y1 = ix[u], ix[v], iy[u], iy[v]
+    if x0 > x1:
+        x0, x1 = x1, x0
+    if y0 > y1:
+        y0, y1 = y1, y0
+    return x0, x1, y0, y1
+
+
+def _first_crossing(e, box, boxes, ix, iy):
+    """The least edge key k of ``boxes``, pairs (k, _box of k), that crosses
+    edge ``e`` of box ``box``, or None: a box filter, then ``_cross``."""
+    u, v = e
+    x0, x1, y0, y1 = box
+    best = None
+    for k, (a, b, c, d) in boxes:
+        if a <= x1 and x0 <= b and c <= y1 and y0 <= d and (best is None or k < best):
+            if _cross(u, v, *k, ix, iy):
+                best = k
+    return best
+
+
+def _cross(u, v, s, t, ix, iy):
+    """Whether edges (u, v) and (s, t) share no endpoint and properly cross;
+    in general position, edges with a common endpoint cannot cross."""
+    return u != s and u != t and v != s and v != t and segments_properly_cross(
+        ix[u], iy[u], ix[v], iy[v], ix[s], iy[s], ix[t], iy[t]
+    )
+
+
+def _crossing(e, f):
+    """CrossingEdges naming the crossing edges ``e`` and ``f`` in key order."""
+    (a, b), (c, d) = sorted((e, f))
+    return CrossingEdges(f"edges ({a},{b}) and ({c},{d}) cross")
 
 
 def _raise_edge_through_vertex(pts, edge_pairs, ix, iy):
@@ -499,8 +513,7 @@ def facial_walks(g: Pslg):
 
 def reach(adj, root):
     """Depth-first search from root over ``adj`` (vertex -> neighbours):
-    maps every vertex of root's component to its predecessor (root to
-    None).  The morph reads tree sides and paths off its faces instead."""
+    each vertex of root's component mapped to its predecessor, root to None."""
     prev = {root: None}
     stack = [root]
     while stack:

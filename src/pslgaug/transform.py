@@ -33,12 +33,13 @@ from .geom import (
 )
 from .geodesic import convex_geodesic
 from .pslg import (
-    CrossingEdges,
     LemmaViolation,
     Pslg,
     PslgError,
+    _box,
     _corner_convex,
-    _raise_first_crossing,
+    _crossing,
+    _first_crossing,
     _reroute,
     kruskal,
     next_darts,
@@ -163,12 +164,18 @@ class _CertifiedEdges:
     edge's two ends, with no walk.  ``_smaller`` walks an edge's faces in
     lockstep: it finds bridges (one face on both sides) for the deletes, and
     the sides of a tree edge and the cycle an edge closes for the morph.
+
+    The graph's edge set is the key view of ``boxes``, which maps each live
+    edge to its bounding box (``pslg._box``).  An insert's planarity check
+    is one pass over them (``pslg._first_crossing``), which names the least
+    crossing edge: the pair ``_raise_first_crossing`` would report.
     """
 
     def __init__(self, g: Pslg):
         if g.points and len(reach(g.rotation, g.points[0].id)) != g.n:
             raise ReplayViolation(0, "connectivity", "start graph is not connected")
-        self.graph = Pslg(g.points, g.by_id, set(g.edges), dict(g.rotation), g._ix, g._iy)
+        self.boxes = {e: _box(*e, g._ix, g._iy) for e in g.edges}
+        self.graph = Pslg(g.points, g.by_id, self.boxes.keys(), dict(g.rotation), g._ix, g._iy)
         self.length = g.total_length()
         self.mst_length = mst_length(g)
         self.ceiling = self.length + self.mst_length + LENGTH_TOL
@@ -188,11 +195,11 @@ class _CertifiedEdges:
                 return "planarity", f"edge {e} already present"
             if u == v:
                 return "vertices", f"self-loop at point {u}"
-            try:
-                _raise_first_crossing(g.edges, {e}, g._ix, g._iy)
-            except CrossingEdges as exc:
-                return "planarity", str(exc)
-            g.edges.add(e)
+            box = _box(*e, g._ix, g._iy)
+            f = _first_crossing(e, box, self.boxes.items(), g._ix, g._iy)
+            if f is not None:
+                return "planarity", str(_crossing(e, f))
+            self.boxes[e] = box
             _reroute(g.rotation, g.ipt, u, new=(v,))
             _reroute(g.rotation, g.ipt, v, new=(u,))
             # the walks that reached u before v, and v before u, now turn
@@ -214,7 +221,7 @@ class _CertifiedEdges:
             q, t = _ends(g.rotation, v, u)
             nxt[(p, u)], nxt[(q, v)] = (u, s), (v, t)
             del nxt[(u, v)], nxt[(v, u)]
-            g.edges.remove(e)
+            del self.boxes[e]
             _reroute(g.rotation, g.ipt, u, gone=(v,))
             _reroute(g.rotation, g.ipt, v, gone=(u,))
             self.length -= d

@@ -22,13 +22,11 @@ from pslgaug.optimal import (
     _CASE_SKIP,
     _CASE_SPLIT,
     _CASE_ZERO,
-    _bridges,
     _chordless,
+    _cut_from,
     _dead_pockets,
     _dp,
     _fill,
-    _has_repeat,
-    _pockets,
     dp_2ec,
     dp_2vc,
     feasibility,
@@ -388,10 +386,40 @@ def cut_structure(w: IndexedWalk, s: int, t: int):
     return cuts
 
 
+def _reaches_back(n, back):
+    """Reference: [s, t] over 0 <= s, t <= n + 1: 1 <= s < t <= n and some
+    back[q], s < q <= t, is at least s."""
+    rows = np.arange(n + 2)[:, None]
+    cols = np.arange(n + 2)
+    run = np.maximum.accumulate(np.where(cols > rows, back, 0), axis=1)
+    return (cols > rows) & (cols <= n) & (rows >= 1) & (run >= rows)
+
+
+def _has_repeat(w: IndexedWalk):
+    """Reference: [s, t]: some vertex occurs twice among the positions
+    s .. t, from the consecutive occurrences p < q of each vertex."""
+    p, q = _cut_from(w, "2vc")[1]
+    back = np.zeros(w.n + 2, dtype=np.int64)
+    back[q] = p
+    return _reaches_back(w.n, back)
+
+
+def _has_bridge(w: IndexedWalk):
+    """Reference: [s, t]: some slot c <= t - 1 has its mate in [s, c)."""
+    mate = _cut_from(w, "2ec")[1]
+    a = mate.nonzero()[0]
+    back = np.zeros(w.n + 2, dtype=np.int64)  # [t]: slot t-1's earlier mate
+    back[mate[a] + 1] = a
+    return _reaches_back(w.n, back)
+
+
 def test_prefix_tables_match_cut_structure(
     fig3, triangle, path3, star3, two_triangles, square_diag, pendant_in_polygon,
     double_pendant,
 ):
+    """The fill's ZERO rule, t below min(cut_from[s:]), says for 2vc that no
+    vertex repeats in (p_s, ..., p_t), as ``cut_structure`` and the dense
+    reference table find, and for 2ec that no edge is traversed twice."""
     graphs = [fig3, triangle, path3, star3, two_triangles, square_diag,
               pendant_in_polygon, double_pendant]
     graphs += [generate(n, seed, d) for n, seed, d in ((9, 1, 0.0), (14, 2, 0.3), (20, 3, 0.6))]
@@ -400,10 +428,16 @@ def test_prefix_tables_match_cut_structure(
         for walk in facial_walks(g):
             for extend in (False, True):
                 w = IndexedWalk.from_walk(walk, extend=extend)
-                has_rep = _has_repeat(w.n, *_pockets(w))
+                has_rep, has_br = _has_repeat(w), _has_bridge(w)
+                reach = {m: np.minimum.accumulate(_cut_from(w, m)[0][::-1])[::-1]
+                         for m in ("2vc", "2ec")}
                 for s in range(1, w.n + 1):
-                    for t in range(s + 1, w.n + 1):
+                    for t in range(s, w.n + 1):
+                        edges = [ekey(w.seq[x], w.seq[x + 1]) for x in range(s, t)]
+                        assert (t >= reach["2vc"][s]) == has_rep[s, t], (s, t)
                         assert has_rep[s, t] == bool(cut_structure(w, s, t)), (s, t)
+                        assert (t >= reach["2ec"][s]) == has_br[s, t], (s, t)
+                        assert has_br[s, t] == (len(set(edges)) < len(edges)), (s, t)
                         checked += 1
     assert checked > 1000
 
@@ -436,8 +470,8 @@ def _fill_by_cell(w: IndexedWalk, W, mode):
     interval length, each inner minimization over its own index arrays."""
     n = w.n
     vert = w.vert
-    has_rep = _has_repeat(n, *_pockets(w))
-    mate, has_br = _bridges(w)
+    has_rep = _has_repeat(w)
+    mate, has_br = _cut_from(w, "2ec")[1], _has_bridge(w)
     # vert numbers the vertices densely from 0, so a set of descendant
     # vertices is a mask
     desc = np.zeros(n + 1, dtype=bool)
@@ -539,7 +573,7 @@ def dead_pockets(w, W):
     """The (s, i) the 2vc fill's pocket test drops, from the walk and W."""
     below = np.zeros((w.n + 2, w.n + 1), dtype=np.int32)
     below[1:] = np.isfinite(W).cumsum(axis=0)
-    return _dead_pockets(w.n, *_pockets(w), below)
+    return _dead_pockets(w.n, *_cut_from(w, "2vc")[1], below)
 
 
 def assert_tables_match(g, walk, extend):

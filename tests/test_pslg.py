@@ -36,7 +36,14 @@ from pslgaug.geom import (
     segments_properly_cross,
 )
 from pslgaug.instances import generate
-from pslgaug.pslg import LemmaViolation, reach, require_augmentable
+from pslgaug.pslg import (
+    LemmaViolation,
+    _box,
+    _first_crossing,
+    _raise_first_crossing,
+    reach,
+    require_augmentable,
+)
 from tests_support import adjacency
 
 
@@ -319,6 +326,73 @@ def test_one_edge_edits_match_reference():
                 kinds["insert" if insert else "delete"] += 1
                 g = g._edit({e}, set()) if insert else g._edit(set(), {e})
     assert min(kinds.values()) >= 200, kinds
+
+
+def _least_crossing(kept, added, ix, iy):
+    """Reference: the least pair, by edge keys, of properly crossing edges
+    with one in ``added``, every pair tested; None if there is none."""
+    pairs = [
+        tuple(sorted((e, f)))
+        for e in added for f in set(kept) | set(added)
+        if e != f and segments_properly_cross(
+            ix[e[0]], iy[e[0]], ix[e[1]], iy[e[1]], ix[f[0]], iy[f[0]], ix[f[1]], iy[f[1]]
+        )
+    ]
+    return min(pairs, default=None)
+
+
+def test_first_crossing_pass_matches_the_least_crossing_pair():
+    # random segment sets on small grids, where endpoints are shared and
+    # boxes often only touch, and on wide ones: the one-pass helper names
+    # the least crossing kept edge, and _raise_first_crossing, with one
+    # added edge (that pass) or several (the sweep), the least pair
+    rng = random.Random(38)
+    kinds, sets = Counter(), Counter()
+    for trial in range(2400):
+        # a k x k grid holds at most 2k points with no three on a line, and
+        # a greedy draw can stop short of that: 100 draws at most
+        span, n, coords = rng.choice((4, 6, 10**6)), rng.randrange(5, 13), []
+        for _ in range(100):
+            c = (rng.randrange(span), rng.randrange(span))
+            if collinear_pair(c, coords) is None:
+                coords.append(c)
+                if len(coords) == n:
+                    break
+        ix, iy = dict(enumerate(x for x, _ in coords)), dict(enumerate(y for _, y in coords))
+        pairs = [ekey(*rng.sample(range(len(coords)), 2)) for _ in range(3 * len(coords))]
+        kept = set()
+        for e in dict.fromkeys(pairs):
+            if rng.random() < 0.7 and _least_crossing(kept, {e}, ix, iy) is None:
+                kept.add(e)
+        free = sorted({ekey(u, v) for u in ix for v in ix if u != v} - kept)
+        if trial % 4 == 0:  # several edges that cross no kept one
+            free = [e for e in free if _least_crossing(kept, {e}, ix, iy) is None]
+        added = set(rng.sample(free, min(len(free), 1 if trial % 2 else rng.randrange(2, 6))))
+        if not added:
+            continue
+        want = _least_crossing(kept, added, ix, iy)
+        if len(added) == 1:
+            (e,) = added
+            boxes = [(k, _box(*k, ix, iy)) for k in kept]
+            assert _first_crossing(e, _box(*e, ix, iy), boxes, ix, iy) == (
+                None if want is None else next(k for k in want if k != e))
+            for k, (a, b, c, d) in boxes:
+                x0, x1, y0, y1 = _box(*e, ix, iy)
+                if set(k) & set(e) and a <= x1 and x0 <= b and c <= y1 and y0 <= d:
+                    kinds["shared endpoint"] += 1
+                if (a == x1 or b == x0) and c <= y1 and y0 <= d or (
+                        c == y1 or d == y0) and a <= x1 and x0 <= b:
+                    kinds["touching boxes"] += 1
+        try:
+            _raise_first_crossing(kept, added, ix, iy)
+            got = None
+        except CrossingEdges as exc:
+            got = str(exc)
+        message = want and "edges ({},{}) and ({},{}) cross".format(*want[0], *want[1])
+        assert got == message, (coords, kept, added)
+        sets[("several", "one")[len(added) == 1], want is not None] += 1
+    assert min(kinds.values()) >= 500 and len(kinds) == 2, kinds
+    assert min(sets.values()) >= 500 and len(sets) == 4 and sets.total() >= 2000, sets
 
 
 def _full_build(g, edges):

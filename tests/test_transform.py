@@ -553,28 +553,68 @@ def test_replay_checks_each_steps_length_ceiling():
 
 def test_certified_insert_reports_the_crossing_with_edges_reports():
     # a crossing insert through the one-edge edit names the same pair as a
-    # whole-list with_edges of the same graph
+    # whole-list with_edges of the same graph, on start graphs and on
+    # editors stopped in the middle of a morph; an insert that passes is
+    # deleted again, so later inserts meet an editor that has edited
     rng = random.Random(12)
-    crossings = 0
-    for _ in range(30):
-        g = generate(rng.randint(6, 30), rng.randrange(10**6), rng.choice((0.2, 0.5, 0.8)))
-        ids = sorted(g.by_id)
+    crossings = Counter()
+    starts = [(generate(rng.randint(6, 30), rng.randrange(10**6), rng.choice((0.2, 0.5, 0.8))), [])
+              for _ in range(30)]
+    for g, prefix in starts + mid_morph_graphs(30, rng):
+        cert = _CertifiedEdges(g)
+        for st in prefix:
+            assert cert.edit(st.op, st.u, st.v) is None
+        h = cert.frozen()
+        ids = sorted(h.by_id)
         for _ in range(20):
             e = tuple(sorted(rng.sample(ids, 2)))
-            if e in g.edges:
+            if e in h.edges:
                 continue
             try:
-                want = g.with_edges(g.edges | {e})
+                want = h.with_edges(h.edges | {e})
             except CrossingEdges as exc:
                 want = str(exc)
-            cert = _CertifiedEdges(g)
             got = cert.edit("insert", *e)
             if isinstance(want, str):
-                crossings += 1
+                crossings[bool(prefix)] += 1
                 assert got == ("planarity", want)
             else:
                 assert got is None and cert.graph.rotation == want.rotation
-    assert crossings >= 100
+                assert cert.edit("delete", *e) is None
+            assert cert.graph.edges == h.edges and cert.boxes == _boxes(h)
+    assert crossings[False] >= 100 and crossings[True] >= 100, crossings
+
+
+def _boxes(g):
+    """Each edge of g's rotation system, as a key, mapped to its (xmin,
+    xmax, ymin, ymax): the rotations are kept apart from the edge set."""
+    ix, iy = g._ix, g._iy
+    return {(u, v): (min(ix[u], ix[v]), max(ix[u], ix[v]), min(iy[u], iy[v]), max(iy[u], iy[v]))
+            for u, rot in g.rotation.items() for v in rot if u < v}
+
+
+def test_editor_boxes_follow_every_edit(monkeypatch):
+    # after every certified step of transform and of replay, on the
+    # 150-morph set and the pool, the editor's box map, whose keys are its
+    # graph's edge set, holds exactly the boxes of the edges of its rotations
+    steps = Counter()
+    edit = _CertifiedEdges.edit
+
+    def checked(self, op, u, v):
+        out = edit(self, op, u, v)
+        assert out is None and self.boxes == _boxes(self.graph)
+        steps[type(self), op] += 1
+        return out
+
+    monkeypatch.setattr(_CertifiedEdges, "edit", checked)
+    rng = random.Random(7)
+    graphs = [generate(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6)))
+              for _ in range(150)]
+    for g in graphs + pool_instances():
+        assert _CertifiedEdges(g).boxes == _boxes(g)
+        assert replay(g, transform(g)[2].steps)["ok"]
+    assert steps[_Editor, "insert"] == steps[_CertifiedEdges, "insert"] >= 6000
+    assert steps[_Editor, "delete"] == steps[_CertifiedEdges, "delete"] >= 7000
 
 
 def test_edited_graph_matches_build():
