@@ -74,7 +74,8 @@ def cmd_augment(args):
     t0 = time.perf_counter()
     res = fn(g)
     wall = (time.perf_counter() - t0) * 1000
-    # the augmenter certified its own result; this catches a result changed since
+    # the augmenter certified its own result; this catches a result changed
+    # since, and otherwise reads the graph the augmenter built (pslg.build)
     rep = certify(verify(g, res.added, mode), args.mode)
     record = instances.run_record(
         g,

@@ -120,8 +120,8 @@ def _finish(g, added, certs, mode):
             f"exceeds 2||E|| = {bound:.12g}"
         )
     edges = sorted(added)
-    # built here, not by oracle.verify: perfbench's tracer self-check test
-    # unbinds heuristic.build to show that a missed binding is caught
+    # built here, not by oracle.verify (perfbench's tracer self-check unbinds
+    # heuristic.build); a later verify of this result gets this same graph
     try:
         g2 = build(g.points, sorted(g.edges) + edges)
     except PslgError as e:

@@ -155,13 +155,7 @@ def generate(n: int, seed: int, density: float) -> Pslg:
 
 
 def run_record(g: Pslg, mode: str, payload: dict, wall_ms: float) -> dict:
-    rec = {
-        "instance": instance_hash(g),
-        "mode": mode,
-    }
-    rec.update(payload)
-    rec["wall_ms"] = round(wall_ms, 3)
-    return rec
+    return {"instance": instance_hash(g), "mode": mode, **payload, "wall_ms": round(wall_ms, 3)}
 
 
 def record_json(rec: dict) -> str:

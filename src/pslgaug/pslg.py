@@ -76,9 +76,6 @@ class FacialWalk:
     def __len__(self):
         return len(self.seq) - 1  # number of edge slots
 
-    def edge_slots(self):
-        return [ekey(self.seq[i], self.seq[i + 1]) for i in range(len(self.seq) - 1)]
-
 
 @dataclass(frozen=True)
 class Walk:
@@ -90,9 +87,6 @@ class Walk:
     @property
     def closed(self):
         return self.seq[0] == self.seq[-1]
-
-    def edges(self):
-        return [ekey(self.seq[i], self.seq[i + 1]) for i in range(len(self.seq) - 1)]
 
     def __len__(self):
         return len(self.seq) - 1
@@ -128,6 +122,10 @@ class Pslg:
     handed out only as a copy.
     """
 
+    # cached derived queries (_mst: transform.euclidean_mst), and _last, the
+    # graph with_edges last returned
+    _faces = _walks = _conn = _face_env = _mst = _length = _last = None
+
     def __init__(self, points, by_id, edges, rotation, ix, iy):
         self.points = points  # tuple of Point, input order
         self.by_id = by_id
@@ -135,11 +133,6 @@ class Pslg:
         self.rotation = rotation  # id -> tuple of neighbor ids, CCW
         self._ix = ix  # id -> scaled int x
         self._iy = iy
-        self._faces = None
-        self._walks = None
-        self._conn = None
-        self._face_env = None
-        self._mst = None  # transform.euclidean_mst
 
     # -- basic views ---------------------------------------------------
 
@@ -151,7 +144,10 @@ class Pslg:
         return len(self.rotation[v])
 
     def total_length(self):
-        return fsum(dist(self.by_id[u], self.by_id[v]) for u, v in self.edges)
+        """||E||, summed on the first call: a built graph never changes."""
+        if self._length is None:
+            self._length = fsum(dist(self.by_id[u], self.by_id[v]) for u, v in self.edges)
+        return self._length
 
     def ipt(self, v):
         """Scaled integer coordinates (exact, for hot-path predicates)."""
@@ -168,7 +164,11 @@ class Pslg:
         """The PSLG on the same, already validated points with the edge set
         ``edge_pairs``: checks the list for unknown ids, self-loops and
         duplicates, then makes the edit with :meth:`_edit`.  Raises
-        InvalidInstance or CrossingEdges with the offending ids."""
+        InvalidInstance or CrossingEdges with the offending ids.
+
+        The set of the graph it last returned gets that graph back, cached
+        faces included: on fixed points a graph is a function of its edge
+        set, its rotations ``polar_sort``'s.  A set that raised is not kept."""
         edges = set()
         for u, v in edge_pairs:
             if u not in self.by_id or v not in self.by_id:
@@ -179,7 +179,10 @@ class Pslg:
             if k in edges:
                 raise InvalidInstance(f"duplicate edge {k}")
             edges.add(k)
-        return self._edit(edges - self.edges, self.edges - edges)
+        last = self._last
+        if last is None or edges != last.edges:
+            last = self._last = self._edit(edges - self.edges, self.edges - edges)
+        return last
 
     def _edit(self, added, removed) -> Pslg:
         """The PSLG with the sets of edge keys ``added`` (new, no self-loops)
@@ -245,7 +248,9 @@ def build(points, edge_pairs) -> Pslg:
     which accepts exactly the sets a build from the empty graph accepts,
     with the same rotations, and rejects the others with the same exception
     and message: the list checks run in list order from any base, and a
-    crossing is reported as the least crossing pair of the whole set.
+    crossing is reported as the least crossing pair of the whole set.  The
+    set g0 last accepted gets that graph itself back: ``verify`` after an
+    augmenter reads the graph the augmenter built, held by g0 strongly.
     """
     if type(points) is not _ValidatedPoints:
         points = _validate_points(points, edge_pairs)

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 from hypothesis import settings
 
@@ -10,6 +12,18 @@ from tests_support import make_fig3
 # its outcome.
 settings.register_profile("pslgaug", derandomize=True, database=None, deadline=None)
 settings.load_profile("pslgaug")
+
+# When a property test fails, hypothesis's pytest plugin imports this module
+# to suggest a patch, and its libcst import raises a DeprecationWarning that
+# filterwarnings = ["error"] turns into an INTERNALERROR, ending the run
+# before the remaining tests.  Imported once here with only that warning
+# ignored, a failing property test is one failure among the others.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # an older hypothesis, or no libcst
+        pass
 
 
 @pytest.fixture

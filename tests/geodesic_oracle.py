@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from pslgaug.geom import dist, ekey
 from pslgaug.pslg import facial_walks
+from tests_support import walk_edges
 
 WIND_CLAMP = 4
 
@@ -61,7 +62,7 @@ class FaceModel:
         walk = facial_walks(g)[face_id]
         self.seq = walk.seq
         self.m = len(walk.seq) - 1
-        self.edges = set(walk.edge_slots())
+        self.edges = set(walk_edges(walk))
         self.is_outer = walk.is_outer
         self.cut_slot = None
         if walk.is_outer:

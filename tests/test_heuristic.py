@@ -17,7 +17,7 @@ from pslgaug.geom import convex_hull, ekey
 from pslgaug.instances import generate
 from pslgaug import heuristic
 from pslgaug.geodesic import geodesic
-from pslgaug.pslg import InvalidInstance, Walk
+from pslgaug.pslg import InvalidInstance, LemmaViolation, Walk
 
 from test_optimal import pool_instances
 from test_transform import GOLDEN_MORPHS
@@ -242,3 +242,12 @@ def test_hull_subchain_digest_pinned(monkeypatch):
     results = [augment_2vc(generate(*case)) for case in HULL_SUBCHAIN_CASES]
     assert len(hulls) == len(HULL_SUBCHAIN_CASES)
     assert results_digest(results) == HULL_SUBCHAIN_DIGEST
+
+
+@pytest.mark.xfail(strict=True, raises=LemmaViolation, reason="known defect: the open convex "
+                   "walk (19, 3, 29, 28, 7, 15, 6) ends at the leaf 6; its hull subchain "
+                   "ends at 15 and _case2_decompose drops the one-edge rest (15, 6), so "
+                   "15 stays a cut vertex and the closing certificate rejects the result")
+def test_augment_2vc_covers_a_leaf_that_ends_an_open_convex_walk():
+    g = generate(33, 730070, 0.3)
+    assert connectivity(build(g.points, sorted(g.edges) + augment_2vc(g).added)).is_2_connected

@@ -4,6 +4,7 @@ import hashlib
 import math
 import pickle
 import random
+import weakref
 from collections import Counter
 from functools import cmp_to_key
 from fractions import Fraction
@@ -29,6 +30,7 @@ from pslgaug.geom import (
     Point,
     _collinear_pair_exact,
     collinear_pair,
+    dist,
     ekey,
     orient_xy,
     polar_before,
@@ -44,7 +46,7 @@ from pslgaug.pslg import (
     reach,
     require_augmentable,
 )
-from tests_support import adjacency
+from tests_support import adjacency, full_build, walk_edges
 
 
 def test_build_fig3(fig3):
@@ -395,11 +397,6 @@ def test_first_crossing_pass_matches_the_least_crossing_pair():
     assert min(sets.values()) >= 500 and len(sets) == 4 and sets.total() >= 2000, sets
 
 
-def _full_build(g, edges):
-    """build on fresh (id, x, y) triples of g's points: every point check."""
-    return build([(p.id, p.x, p.y) for p in g.points], edges)
-
-
 def _augmented_edge_sets(g):
     from pslgaug.heuristic import augment_2ec, augment_2vc
     from pslgaug.optimal import optimal_augment
@@ -420,7 +417,7 @@ def test_build_from_built_points_matches_a_full_build():
     ]
     for g in graphs:
         for edges in _augmented_edge_sets(g):
-            fast, full = build(g.points, edges), _full_build(g, edges)
+            fast, full = build(g.points, edges), full_build(g, edges)
             assert fast.edges == full.edges and fast.rotation == full.rotation
             assert (fast._ix, fast._iy) == (full._ix, full._iy)
             assert facial_walks(fast) == facial_walks(full)
@@ -444,7 +441,7 @@ def test_build_from_built_points_rejects_edges_like_a_full_build():
             [(a, b), (c, d)],  # crossing
         ] + [_random_edges(rng, ids, rng.randrange(1, 20), faults=True) for _ in range(40)]
         for edges in batches:
-            want = outcome(_full_build, g, edges)
+            want = outcome(full_build, g, edges)
             assert outcome(build, g.points, edges) == want, (seed, edges)
             kinds[want[0] if isinstance(want[0], str) else "valid"] += 1
     assert len(kinds) == 3 and min(kinds.values()) >= 10, kinds
@@ -555,6 +552,75 @@ def test_built_graphs_copy_and_pickle_without_their_first_graph():
         assert build(h.points, []).rotation == build(g.points, []).rotation
 
 
+def test_build_gets_the_last_graph_back_for_the_same_set():
+    # on fixed points a graph is a function of its edge set: the set g0 last
+    # accepted, in any order and orientation, gets the same graph back with
+    # its faces; another set, of the same size too, is built as a full build
+    rng = random.Random(67)
+    for g in _built_graphs(rng)[:40]:
+        edges = _valid_chords(rng, g, rng.randrange(1, 3 * g.n))
+        h = build(g.points, edges)
+        faces = h.faces()
+        again = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in edges]
+        rng.shuffle(again)
+        assert build(g.points, edges) is h and build(g.points, again) is h
+        assert g.with_edges(iter(again)) is h and h.faces() is faces
+        if len(g.edges) < 2:
+            continue
+        for same_size in (sorted(g.edges)[1:], sorted(g.edges)[:-1]):
+            k = build(g.points, same_size)
+            assert k is not h and (k.edges, k.rotation) == outcome(full_build, g, same_size)
+            h = k
+
+
+def test_a_graph_and_its_last_graph_need_no_cycle_collector():
+    # a graph holds its last graph strongly, which reaches it back only
+    # through the points' weak g0: dropping both frees both at once
+    g = generate(30, 5, 0.3)
+    h = build(g.points, _valid_chords(random.Random(5), g, 20))
+    assert g._last is h and connectivity(g) and connectivity(h)
+    refs = weakref.ref(g), weakref.ref(h)
+    gc.disable()
+    try:
+        del g, h
+        assert [r() for r in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
+def test_build_never_keeps_a_set_that_raised():
+    # a set that raised is not the last set: asked again, it raises the same
+    # exception and message, and the last valid set still gets its graph.  A
+    # duplicate list of the last set's edges is a bad list, not that set
+    rng = random.Random(71)
+    kinds = Counter()
+    for g in _built_graphs(rng)[:40]:
+        sets = list(_edge_sets(rng, g))
+        valid = sets[0]
+        h = build(g.points, valid)
+        u = valid[0][0]
+        bad = sets[2:] + [valid + [valid[-1][::-1]], valid + [(u, u)], valid + [(u, max(g.by_id) + 1)]]
+        for edges in bad:
+            want = outcome(full_build, g, edges)
+            if not isinstance(want[0], str):
+                continue
+            kinds[want[0]] += 1
+            assert outcome(build, g.points, edges) == want
+            assert outcome(build, g.points, edges) == want
+            assert build(g.points, valid) is h
+    assert kinds.keys() == {"CrossingEdges", "InvalidInstance"} and min(kinds.values()) >= 30, kinds
+
+
+def test_total_length_is_the_fsum_of_the_edge_lengths():
+    from test_optimal import pool_instances
+
+    for g in pool_instances():
+        want = math.fsum(dist(g.by_id[u], g.by_id[v]) for u, v in g.edges)
+        assert g.total_length() == want and g.total_length() == want
+        h = g.with_edges(sorted(g.edges)[1:])
+        assert h.total_length() == math.fsum(dist(h.by_id[u], h.by_id[v]) for u, v in h.edges)
+
+
 @pytest.mark.parametrize("coord", [0.5, 2.0, True])
 def test_build_rejects_a_point_made_directly_with_a_float_or_bool(coord):
     # Point() does not convert its coordinates, as Point.make does
@@ -626,7 +692,7 @@ def test_facial_walks_fig3(fig3):
     assert len(walks) == 1
     assert len(walks[0]) == 6
     assert walks[0].is_outer
-    counts = Counter(walks[0].edge_slots())
+    counts = Counter(walk_edges(walks[0]))
     assert all(v == 2 for v in counts.values())
 
 
@@ -819,8 +885,9 @@ def test_connectivity_rejects_a_rotation_that_breaks_euler():
 
 def test_one_faces_per_graph(monkeypatch):
     # facial_walks and connectivity share the graph's faces, so an
-    # augment item builds one Faces for its input graph, one for the
-    # augmenter's closing check and one for verify's graph; the morph's
+    # augment item builds one Faces for its input graph and one for the
+    # augmenter's closing check, whose graph verify's build gets back; the
+    # item edits two graphs, the input and the augmented one.  The morph's
     # editor keeps its own next darts, so transform and replay build none
     from pslgaug.heuristic import augment_2ec, augment_2vc
     from pslgaug.optimal import optimal_augment
@@ -828,18 +895,21 @@ def test_one_faces_per_graph(monkeypatch):
     from pslgaug.pslg import Faces
     from pslgaug.transform import replay, transform
 
-    made = []
-    init = Faces.__init__
+    made, edits = [], []
+    init, edit = Faces.__init__, Pslg._edit
     monkeypatch.setattr(Faces, "__init__", lambda self, rot: made.append(self) or init(self, rot))
+    monkeypatch.setattr(Pslg, "_edit", lambda self, *a: edits.append(self) or edit(self, *a))
     for seed in range(5):
         for augment, mode in ((augment_2ec, "2ec"), (augment_2vc, "2vc"),
                               (lambda g: optimal_augment(g, "2ec"), "2ec"),
                               (lambda g: optimal_augment(g, "2vc"), "2vc")):
-            g = generate(30, 720000 + seed, 0.4)
             made.clear()
+            edits.clear()
+            g = generate(30, 720000 + seed, 0.4)
             assert verify(g, augment(g).added, mode)["ok"]
-            assert len(made) == 3 and made[0] is g.faces()
-    assert facial_walks(g) and connectivity(g) and len(made) == 3
+            assert len(made) == 2 and made[0] is g.faces()
+            assert len(edits) == 2 and edits[1] is g
+    assert facial_walks(g) and connectivity(g) and len(made) == 2
     for seed in range(5):
         g = generate(30, 720000 + seed, 0.4)
         made.clear()
@@ -954,10 +1024,10 @@ def test_decomposition_cover(fig3, triangle, square_diag, two_triangles, star3,
         c = convex_walk_decomposition(g)
         wanted = Counter()
         for w in walks:
-            wanted.update(w.edge_slots())
+            wanted.update(walk_edges(w))
         got = Counter()
         for wk in c.p0 + c.p1 + c.p2:
-            got.update(wk.edges())
+            got.update(walk_edges(wk))
         assert got == wanted
 
 
@@ -981,7 +1051,7 @@ def dual_graph(g, c):
     nodes = c.p1 + c.p2
     edge_to_nodes = {}
     for i, wk in enumerate(nodes):
-        for e in wk.edges():
+        for e in walk_edges(wk):
             edge_to_nodes.setdefault(e, set()).add(i)
     assert g.edges <= edge_to_nodes.keys(), "edges not covered by any convex chain"
     adj = {i: set() for i in range(len(nodes))}
@@ -1020,10 +1090,10 @@ def test_random_instance_properties():
         dual_graph(g, c)  # asserts cover and connectivity
         wanted = Counter()
         for w in walks:
-            wanted.update(w.edge_slots())
+            wanted.update(walk_edges(w))
         got = Counter()
         for wk in c.p0 + c.p1 + c.p2:
-            got.update(wk.edges())
+            got.update(walk_edges(wk))
         assert got == wanted
 
 

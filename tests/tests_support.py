@@ -3,6 +3,7 @@
 import random
 
 from pslgaug import DegenerateInput, build, facial_walks
+from pslgaug.geom import ekey
 from pslgaug.instances import generate
 from pslgaug.pslg import kruskal, reach
 from pslgaug.transform import (
@@ -19,6 +20,12 @@ def make_fig3(eps):
     """The four-vertex lower-bound family at a given epsilon (decimal str)."""
     pts = [(1, "0", "0"), (2, "0", eps), (3, "1", "0"), (4, "1", eps)]
     return build(pts, [(1, 2), (2, 3), (3, 4)])
+
+
+def full_build(g, edges):
+    """build on fresh (id, x, y) triples of g's points: every point check,
+    and no graph built before to edit or to get back."""
+    return build([(p.id, p.x, p.y) for p in g.points], edges)
 
 
 def scan_graph(n, seed, density):
@@ -77,6 +84,13 @@ def forest_path(adj, u, v):
     while path[-1] != u:
         path.append(prev[path[-1]])
     return path[::-1]
+
+
+def walk_edges(walk):
+    """The edge keys of a facial walk or subwalk, one per edge slot, in
+    walk order (an edge met twice is listed twice)."""
+    seq = walk.seq
+    return [ekey(a, b) for a, b in zip(seq, seq[1:])]
 
 
 def label_partition(faces):
