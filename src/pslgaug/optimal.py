@@ -1,6 +1,6 @@
 """Minimum-total-length augmentation to 2-connectivity (algorithm A) or
 2-edge-connectivity (algorithm B) of a connected PSLG, one interval dynamic
-program per face.
+program per pack of faces.
 
 For a face with closed walk (p_0, ..., p_n), p_0 = p_n, C[s][t] is the
 minimum weight of a chord set that satisfies every cut vertex (resp. bridge)
@@ -16,6 +16,15 @@ A chordless face, whose closed walk repeats no vertex (2vc) or no edge
 (2ec), is a ZERO cell as a whole: optimal_augment records it with cost 0.0
 and no chord, and builds neither its feasibility matrix nor its DP.
 
+The faces' optima are independent and add up, so optimal_augment solves
+the other faces together, in packs of at most _PACK positions (a longer
+walk alone) that lay their walks side by side.  Feasibility tests only the
+pairs of one walk, against the pack's face edges: a chord in its own face
+crosses no edge of another.  The fill scores only cells of one walk, whose
+candidates read cells of that walk, and compares tie keys within a cell,
+so each walk gets its own DP's C and keys, bit for bit, from one set-up
+and one wavefront of the longest walk's diagonals.
+
 Feasibility runs two exact tests on the scaled integer coordinates, the
 sector test at both ends and a proper-crossing test against the face's
 edges, which in general position imply that the chord lies in the face.
@@ -24,15 +33,16 @@ occurrence i.  The open chord can leave the face only through the walk:
 through a face edge's interior, a proper crossing, or through a vertex,
 which would make a collinear triple (build rejects those).  So it lies in
 the face, and the sector test at j makes it arrive at occurrence j.  The
-tests run as numpy batches over all position pairs, on int64 elements when
-the face's extent fits _INT64_COORD_MAX and on Python ints otherwise.
+tests run as numpy batches, on int64 elements when the pack's extent fits
+_INT64_COORD_MAX and on Python ints otherwise, and no face joins a pack
+that would move it from the one to the other.
 
 The DP reads only feasible chords.  Let f be their number, about 6% of the
 position pairs on large random faces.  A cell (s, t) whose head p_s is not
 a cut takes SKIP, C[s + 1, t], or SPLIT at a feasible chord (s, k); a cut
 head takes the best PAIR of chords (i, j), i a descendant of p_s and j a
 later non-descendant, or SPLIT beyond the anchor.  Each such choice is a
-row of one candidate pool per face, scored (A + C[y, t]) + w: SKIP has
+row of one candidate pool per pack, scored (A + C[y, t]) + w: SKIP has
 A = 0, y = s + 1, w = 0; PAIR A = C[s, i] + C[i, j], y = j, w = W[i, j];
 SPLIT A = C[s, k], y = k, w = W[s, k].  The rows of a block (a head s, its
 anchor and its cut status) form one run, sorted by the first t that may
@@ -41,7 +51,7 @@ block's cells lie on consecutive diagonals, so cell (s, t) reads a prefix
 of its run.  A cut block's run starts with a +inf sentinel in SKIP's
 place, so a cell with no candidate comes out INF.
 
-Every run is laid out once per face, before any C is known, and so are
+Every run is laid out once per pack, before any C is known, and so are
 each cell's prefix end and the list of rows each diagonal reads first.  A
 row is activated, its A computed once and cached, on that diagonal, when
 both addends are final.  A descendant's vertex occurs nowhere outside the
@@ -52,7 +62,7 @@ later position up to a block's last cell is a non-descendant.
 
 A PAIR row with C[s, i] = +inf scores +inf.  It never wins: the sentinel's
 key -1 is the least, so a cut cell whose candidates are all +inf still
-comes out INF, and C, case, k1 and k2 are those of a pool without such
+comes out INF, and C and the winning keys are those of a pool without such
 rows.  In 2vc most of them are known before the fill, by the pocket test.
 A pocket is the positions strictly between consecutive occurrences p < q
 of one vertex v; by the non-interleaving above, a vertex at a pocket
@@ -71,15 +81,17 @@ Each diagonal t - s = L then activates its rows and gathers, for all its
 cells at once, the prefixes of their runs and takes each cell's first
 minimum by tie key: SKIP before every PAIR, in (i, j) order, before every
 SPLIT, in k order.  So PAIR takes its least (i, j), SPLIT wins only when
-strictly smaller and SKIP is kept on a tie.  Case, k1 and k2 follow from
-the winning keys once per face.  SPLIT costs O(f) per cell; PAIR costs the
-block's feasible (i, j) with j <= t, O(f) per cell as well, so a face
-costs O(n^2 f) instead of the dense O(n^4).
+strictly smaller and SKIP is kept on a tie; the reconstruction reads the
+winning keys.  SPLIT costs O(f) per cell; PAIR costs the block's feasible
+(i, j) with j <= t, O(f) per cell as well, so a face costs O(n^2 f)
+instead of the dense O(n^4).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations
 from math import fsum
 
 from .geom import dist, ekey
@@ -90,8 +102,7 @@ from .pslg import LemmaViolation, Pslg, PslgError, facial_walks, require_augment
 class _LazyNumpy:
     """Stands in for numpy until a DP first reads it, so that importing
     pslgaug and every command without a DP stay free of numpy's import
-    time.  The first attribute read imports numpy and rebinds the module
-    global ``np`` to it; later reads cost nothing extra."""
+    time: the first attribute read rebinds the module global ``np``."""
 
     def __getattr__(self, name):
         global np
@@ -102,11 +113,8 @@ class _LazyNumpy:
 
 np = _LazyNumpy()
 
-_CASE_ZERO = 0
-_CASE_INF = 1
-_CASE_SKIP = 2
-_CASE_SPLIT = 3
-_CASE_PAIR = 4
+# the keys of the cells the fill does not score (see _fill)
+_ZERO, _INF, _SKIP = -3, -2, -1
 
 
 class InfeasibleFace(PslgError):
@@ -115,53 +123,43 @@ class InfeasibleFace(PslgError):
 
 @dataclass
 class IndexedWalk:
-    """A facial walk with 1-based position indexing and occurrence maps.
+    """The facial walks of one pack, laid side by side on one axis of
+    1-based positions: walk k holds positions off[k] + 1 .. off[k + 1].
 
-    For the bridge DP the walk is extended by one position (p_{n+1} = p_1)
-    so that all n edge traversals, including the closing one, fall inside
-    the top-level interval: a bridge whose second traversal is the closing
-    slot would otherwise never be "relative to" any subwalk.
+    For the bridge DP each walk is extended by one position (p_{m+1} = p_1)
+    so that all m edge traversals, including the closing one, fall inside
+    the walk's top-level interval: a bridge whose second traversal is the
+    closing slot would otherwise never be "relative to" any subwalk.
     """
 
-    face_id: int
-    seq: tuple  # (p_0, ..., p_n[, p_1]) with p_0 == p_n
+    walks: list  # the FacialWalks, in pack order
+    off: list  # off[k]: the positions before walk k; off[-1] == n
+    seq: tuple  # seq[i]: the vertex at position i; seq[0] is walk 0's p_0
     n: int  # number of DP positions
-    closed_m: int  # number of slots of the underlying closed walk
-    vert: np.ndarray  # vert[i] = dense number of position i's vertex, 1..n (index 0 unused)
-    occ: dict  # vertex id -> sorted list of positions in 1..n
-    extended: bool
+    vert: np.ndarray  # vert[i]: the index in occ of position i's vertex in its walk
+    occ: list  # per vertex of a walk, its sorted positions, by first position
 
     @staticmethod
-    def from_walk(walk, extend=False):
-        seq = walk.seq
-        m = len(seq) - 1
-        if extend:
-            seq = seq + (seq[1],)
-        n = m + (1 if extend else 0)
-        occ = {}
-        for i in range(1, n + 1):
-            occ.setdefault(seq[i], []).append(i)
+    def pack(walks, extend=False):
+        seq, off, occ = [walks[0].seq[0]], [0], {}
+        for k, walk in enumerate(walks):
+            for v in walk.seq[1:] + walk.seq[1:2] * extend:
+                occ.setdefault((k, v), []).append(len(seq))
+                seq.append(v)
+            off.append(len(seq) - 1)
+        n, occ = off[-1], list(occ.values())
         vert = np.zeros(n + 1, dtype=np.int64)
-        for k, positions in enumerate(occ.values()):
-            vert[positions] = k
-        return IndexedWalk(
-            face_id=walk.face_id,
-            seq=seq,
-            n=n,
-            closed_m=m,
-            vert=vert,
-            occ=occ,
-            extended=extend,
-        )
+        vert[[i for ps in occ for i in ps]] = np.arange(len(occ)).repeat([len(ps) for ps in occ])
+        return IndexedWalk(walks, off, tuple(seq), n, vert, occ)
 
     def neighbors(self, i):
         """Cyclic corner neighbors of the occurrence at position i (for the
-        sector test); the duplicated end position shares position 1's corner."""
-        if self.extended and i == self.n:
-            return self.seq[self.closed_m], self.seq[2]
-        prev = self.seq[i - 1]
-        nxt = self.seq[i + 1] if i < len(self.seq) - 1 else self.seq[1]
-        return prev, nxt
+        sector test); a walk's duplicated end position shares its position
+        1's corner."""
+        k = bisect_left(self.off, i) - 1
+        seq, x = self.walks[k].seq, i - self.off[k]
+        x = 1 if x == len(seq) else x
+        return seq[x - 1], seq[x % (len(seq) - 1) + 1]
 
 
 @dataclass
@@ -197,16 +195,9 @@ _CHUNK = 8192
 # The set-up lays out and lists its rows in batches of about as many.
 _SCORE_CHUNK = 32768
 
-
-def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
-    """Chord weight matrix over walk positions: F[i, j] is the segment
-    length when the chord is usable, +inf otherwise."""
-    n = w.n
-    F = np.full((n + 1, n + 1), np.inf)
-    by_id, seq = g.by_id, w.seq
-    for i, j in _feasible_pairs(g, w):
-        F[i, j] = F[j, i] = dist(by_id[seq[i]], by_id[seq[j]])
-    return F
+# Positions per pack: past about 128 a pack's dense (n + 2)^2 tables and its
+# crossing tests against every face edge of the pack cost more than it saves.
+_PACK = 128
 
 
 def _coord_dtype(xs, ys):
@@ -239,10 +230,12 @@ def _in_sector_batch(cuv, ux, uy, wx, wy, dx, dy):
     )
 
 
-def _feasible_pairs(g: Pslg, w: IndexedWalk):
-    """The usable chords (i, j), i < j: the sector test at both ends and no
-    proper crossing with a face edge, run as batches over position pairs on
-    elements of _coord_dtype, with the face's least x and y at 0.
+def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
+    """Chord weight matrix over the pack's positions: F[i, j] is the
+    segment length when the chord is usable, +inf otherwise.  A chord (i, j)
+    of one walk is usable when it passes the sector test at both ends and
+    crosses no face edge properly, tested as batches over position pairs on
+    elements of _coord_dtype, with the pack's least x and y at 0.
 
     The points are in general position (``build`` rejects collinear
     triples), so the orientation of three distinct points is never zero and
@@ -268,29 +261,31 @@ def _feasible_pairs(g: Pslg, w: IndexedWalk):
     UX, UY, WX, WY = VX[lp] - X, VY[lp] - Y, VX[ln] - X, VY[ln] - Y
     CUV = UX * WY - UY * WX
 
-    # both sector tests, a block of rows at a time.  A face corner at u lies
-    # between two edges that are consecutive around u, so no edge of g at u
-    # points strictly into it: the sector test also rules out every chord
-    # that is an edge, and only a repeated vertex needs its own test.
+    # both sector tests on the pairs of positions of one walk, a block of
+    # rows at a time.  A face corner at u lies between two edges that are
+    # consecutive around u, so no edge of g at u points strictly into it:
+    # the sector test also rules out every chord that is an edge, and only
+    # a repeated vertex needs its own test.
     I, J = [], []
     pos = np.arange(n)
-    for rows in _chunks(n, n):
-        r = pos[rows][:, None]
-        c = pos[r[0, 0] + 1 :]
+    stop = np.repeat(w.off[1:], np.diff(w.off))  # past the last position of its walk
+    for rows in _chunks(n, int(np.diff(w.off).max())):
+        c, _, cnt = _ranges(pos[rows] + 1, stop[rows])
+        r = pos[rows].repeat(cnt)
         DX, DY = X[c] - X[r], Y[c] - Y[r]
-        ok = (c > r) & (lv[r] != lv[c])
+        ok = lv[r] != lv[c]
         ok &= _in_sector_batch(CUV[r], UX[r], UY[r], WX[r], WY[r], DX, DY)
         ok &= _in_sector_batch(CUV[c], UX[c], UY[c], WX[c], WY[c], -DX, -DY)
-        ri, ci = np.nonzero(ok)
-        I.append(r[ri, 0])
-        J.append(c[ci])
+        I.append(r[ok])
+        J.append(c[ok])
     I, J = np.concatenate(I), np.concatenate(J)
 
-    # the face's edges EA[e] - EB[e]
-    steps = zip(seq, seq[1 : w.closed_m + 1])
-    EA, EB = np.array(sorted({ekey(local[a], local[b]) for a, b in steps})).T
+    # the pack's face edges EA[e] - EB[e]: a chord in its own face crosses
+    # no edge of another
+    steps = [zip(wk.seq, wk.seq[1:]) for wk in w.walks]
+    EA, EB = np.array(sorted({ekey(local[a], local[b]) for st in steps for a, b in st})).T
 
-    # crossings with the face's edges: vertex k lies strictly left of edge
+    # crossings with those edges: vertex k lies strictly left of edge
     # e's line iff left[e, k], strictly right iff right[e, k]
     ex, ey = (VX[EB] - VX[EA])[:, None], (VY[EB] - VY[EA])[:, None]
     side = ex * (VY - VY[EA][:, None]) - ey * (VX - VX[EA][:, None])
@@ -304,48 +299,50 @@ def _feasible_pairs(g: Pslg, w: IndexedWalk):
         hit = (cl[:, EA] & cr[:, EB]) | (cr[:, EA] & cl[:, EB])
         hit &= ((left[:, u] & right[:, v]) | (right[:, u] & left[:, v])).T
         keep[b] = ~hit.any(axis=1)
-    return zip((I[keep] + 1).tolist(), (J[keep] + 1).tolist())
+    F = np.full((n + 1, n + 1), np.inf)
+    for i, j in zip((I[keep] + 1).tolist(), (J[keep] + 1).tolist()):
+        F[i, j] = F[j, i] = dist(g.by_id[seq[i]], g.by_id[seq[j]])
+    return F
 
 
 def _cut_from(w: IndexedWalk, mode: str):
     """``cut_from[s]`` over 0 <= s <= n, the least t at which the head p_s
-    of a cell (s, t) is a cut, or n + 1: the next occurrence of p_s (2vc),
-    or one past the later mate slot of slot s (2ec).  Also the pockets,
-    consecutive occurrences p[r] < q[r] of one vertex (2vc), or each
-    slot's later mate slot, or 0 (2ec).
+    of a cell (s, t) is a cut, or n + 1: the next occurrence of p_s in its
+    walk (2vc), or one past the later mate slot of slot s in its walk
+    (2ec).  Also the pockets, consecutive occurrences p[r] < q[r] of one
+    vertex in one walk (2vc), or each slot's later mate slot, or 0 (2ec).
 
     No vertex (2vc) or edge (2ec) repeats in (p_s, ..., p_t), the cell is
     ZERO, iff no cell (x, t), s <= x <= t, has a cut head: iff t is below
-    min(cut_from[s:])."""
+    min(cut_from[s:]), whose entries of later walks lie past t."""
     n, seq = w.n, w.seq
     cut_from = np.full(n + 1, n + 1, dtype=np.int64)
     if mode == "2vc":
-        pq = [(a, b) for ps in w.occ.values() for a, b in zip(ps, ps[1:])]
+        pq = [(a, b) for ps in w.occ for a, b in zip(ps, ps[1:])]
         p, q = np.array(pq, dtype=np.int64).reshape(-1, 2).T
         cut_from[p] = q
         return cut_from, (p, q)
     first, mate = {}, np.zeros(n + 1, dtype=np.int64)
-    for c in range(1, n):  # slots 1..n-1: edge between positions c, c+1
-        a = first.setdefault(ekey(seq[c], seq[c + 1]), c)
-        if a != c:
-            mate[a] = c
+    for k, (o, end) in enumerate(zip(w.off, w.off[1:])):
+        for c in range(o + 1, end):  # slot c: the edge between positions c, c + 1
+            a = first.setdefault((k, ekey(seq[c], seq[c + 1])), c)
+            if a != c:
+                mate[a] = c
     cut_from[mate > 0] = mate[mate > 0] + 1
     return cut_from, mate
 
 
 def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
-    """The DP tables C, case, k1, k2 over the cells 1 <= s <= t <= n, filled
-    one diagonal t - s = L at a time; every cell reads only shorter ones.
+    """The DP table C and the winning key ``won`` of each cell (s, t),
+    s <= t, of one walk of the pack, filled one diagonal t - s = L at a
+    time; no cell of two walks is scored.  A key is _ZERO, _INF, _SKIP, a
+    PAIR's i * (n + 2) + j or a SPLIT's (n + 2)^2 + k * (n + 3).
 
-    Everything that does not depend on C is set up once for the face: the
-    ZERO cells, read off a suffix minimum of ``_cut_from``, the INF cells,
-    the live cells' blocks, every block's run, cut blocks included, each
-    cell's prefix end and the rows each diagonal reads first.  No run
-    waits for C: a cut block's PAIR rows are laid out with every descendant
-    i, less in 2vc the i that _dead_pockets proves to have C[s, i] = +inf,
-    and a kept row with C[s, i] = +inf scores +inf and never wins.  A row
-    costs 36 bytes (int32 tie key, y and activation entries, float64 w and
-    A).  A diagonal then activates its rows and scores one run prefix per
+    The ZERO cells, read off a suffix minimum of ``_cut_from``, the INF
+    cells, the blocks, every block's run (less in 2vc the PAIR rows of the
+    i that _dead_pockets proves to have C[s, i] = +inf), each cell's prefix
+    end and the rows each diagonal reads first are set up once for the
+    pack.  A diagonal then activates its rows and scores one run prefix per
     cell, in batches of about _SCORE_CHUNK candidates (see the module
     docstring)."""
     n, n2, vert = w.n, w.n + 2, w.vert
@@ -353,32 +350,33 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     cut_from, heads = _cut_from(w, mode)
     C = np.full((n2, n2), np.inf)
     Cf = C.reshape(-1)
-    case = np.zeros((n2, n2), dtype=np.uint8)
-    k1 = np.zeros((n2, n2), dtype=np.int64)
-    k2 = np.zeros((n2, n2), dtype=np.int64)
+    won = np.full((n2, n2), _ZERO, dtype=np.int32)
 
-    # every cell, by diagonal and then s
-    per_diag = np.arange(n, 0, -1)
-    start = per_diag.cumsum() - per_diag
-    S = np.arange(1, n * (n + 1) // 2 + 1) - start.repeat(per_diag)
-    T = S + np.arange(n).repeat(per_diag)
+    # every cell of one walk, by diagonal and then s: walk k's cells on
+    # diagonal D have s in off[k] + 1 .. off[k + 1] - D
+    off, m = np.array(w.off[:-1]), np.diff(w.off)
+    D, _, cnt = _ranges(np.zeros_like(m), m)
+    by_diag = D.argsort(kind="stable")
+    D, k = D[by_diag], np.arange(m.size).repeat(cnt)[by_diag]
+    S, _, cnt = _ranges(off[k] + 1, off[k] + m[k] - D + 1)
+    T = S + D.repeat(cnt)
     zero = T < np.minimum.accumulate(cut_from[::-1])[::-1][S]
     C[S[zero], T[zero]] = 0.0
     live = ~zero
     if mode == "2vc":
         inf = live & (vert[S] == vert[T])
-        case[S[inf], T[inf]] = _CASE_INF
+        won[S[inf], T[inf]] = _INF
         live &= ~inf
     S, T = S[live], T[live]
     if not S.size:
-        return C, case, k1, k2
-    diag = np.searchsorted(T - S, np.arange(n + 1)).tolist()
+        return C, won
+    diag = np.searchsorted(T - S, np.arange(m.max() + 1)).tolist()
 
     # The head p_s of (s, t) is a cut iff t >= cut_from[s].  The anchor is
     # the last occurrence of p_s in [s, t] (2vc), or the mate slot of slot
     # s (2ec).
     if mode == "2vc":
-        occ = np.array([ps[0] * n2 + x for ps in sorted(w.occ.values()) for x in ps])
+        occ = np.array([ps[0] * n2 + x for ps in w.occ for x in ps])
         first = np.zeros(n + 1, dtype=np.int64)
         first[occ % n2] = occ // n2
         anchor = occ[np.searchsorted(occ, first[S] * n2 + T, side="right") - 1] % n2
@@ -443,7 +441,8 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     room = 1 + sen - sst + pair_room
     size = int(room.sum())
     if max(size, 2 * nn) > np.iinfo(np.int32).max:
-        raise MemoryError(f"face {w.face_id}: too large for the DP's int32 rows and keys")
+        ids = [wk.face_id for wk in w.walks]
+        raise MemoryError(f"faces {ids}: too large for the DP's int32 rows and keys")
 
     # The pool: each block's rows form one run, its SKIP row (a +inf
     # sentinel for a cut block) first and then the others sorted by the
@@ -476,7 +475,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
         pos = rb * n2 + np.concatenate((t0[blk] - 1, np.maximum(k + 1, t0[eb]), j))
         o = pos.argsort(kind="stable")
         r = slice(top, top + o.size)
-        tie[r] = np.concatenate((np.full(blk.size, -1), nn + k * (n2 + 1), i * n2 + j))[o]
+        tie[r] = np.concatenate((np.full(blk.size, _SKIP), nn + k * (n2 + 1), i * n2 + j))[o]
         ys[r] = np.concatenate(((bs[blk] + 1) * n2 + bs[blk], k * n2 + bs[eb], j * n2 + bs[pb]))[o]
         wv[r] = np.concatenate((np.zeros(blk.size), fw[es], fw[ep]))[o]
         cnt = np.bincount(rb, minlength=blk.size)
@@ -511,8 +510,8 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     g -= reach[:-1]
     rel = reach[:-1] - reach[diag[:-1]].repeat(np.diff(diag))
     scored = np.diff(reach[diag]).tolist()  # candidates per diagonal
-    won = np.zeros(S.size, dtype=np.int64)
-    for L in range(n):
+    best = np.zeros(S.size, dtype=np.int64)
+    for L in range(len(diag) - 1):
         a, b = diag[L], diag[L + 1]
         if a == b:
             continue
@@ -524,14 +523,11 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
             vals = A.take(idx) + Cf[L:].take(ys.take(idx))
             vals += wv.take(idx)
             offs = rel[c0:c1] - rel[c0] if c0 > a else rel[a:c1]
-            Cf[cell[c0:c1]], won[c0:c1] = _first_min(vals, tie, idx, offs, cnt[c0:c1])
+            Cf[cell[c0:c1]], best[c0:c1] = _first_min(vals, tie, idx, offs, cnt[c0:c1])
 
-    case[S, T] = np.where(cut, np.uint8(_CASE_INF), np.uint8(_CASE_SKIP))
-    pair, split = (won >= 0) & (won < nn), won >= nn
-    case[S[pair], T[pair]], case[S[split], T[split]] = _CASE_PAIR, _CASE_SPLIT
-    k1[S[pair], T[pair]], k2[S[pair], T[pair]] = np.divmod(won[pair], n2)
-    k1[S[split], T[split]] = (won[split] - nn) // (n2 + 1)
-    return C, case, k1, k2
+    # a cut cell won by its +inf sentinel has no candidate
+    won[S, T] = np.where(cut & (best == _SKIP), _INF, best)
+    return C, won
 
 
 def _dead_pockets(n, p, q, below):
@@ -590,63 +586,50 @@ def _first_min(vals, keys, idx, offs, cnt):
 
 
 def _dp(w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
-    n = w.n
+    """One (cost, chord edges) per walk of the pack, read off one fill."""
     W = F if weight == "length" else np.where(np.isfinite(F), 1.0, np.inf)
-    C, case, k1, k2 = _fill(w, W, mode)
+    C, won = _fill(w, W, mode)
+    n2, out = w.n + 2, []
+    for walk, o, end in zip(w.walks, w.off, w.off[1:]):
+        pairs, stack = [], [(o + 1, end)]
+        while stack:
+            s, t = stack.pop()
+            key = int(won[s, t])
+            if key == _ZERO:
+                continue
+            if key == _INF:
+                raise InfeasibleFace(f"face {walk.face_id}: no chord set satisfies "
+                                     f"W[{s - o},{t - o}]")
+            if key == _SKIP:
+                stack.append((s + 1, t))
+            else:  # PAIR (i, j), or SPLIT at k as (s, k), whose (s, s) is ZERO
+                i, j = divmod(key, n2) if key < n2 * n2 else (s, (key - n2 * n2) // (n2 + 1))
+                pairs.append((i, j))
+                stack += (s, i), (i, j), (j, t)
 
-    # reconstruction
-    pairs = []
-    stack = [(1, n)]
-    while stack:
-        s, t = stack.pop()
-        cs = case[s, t]
-        if cs == _CASE_ZERO:
-            continue
-        if cs == _CASE_INF:
-            raise InfeasibleFace(
-                f"face {w.face_id}: no chord set satisfies W[{s},{t}]"
-            )
-        if cs == _CASE_SKIP:
-            stack.append((s + 1, t))
-        elif cs == _CASE_SPLIT:
-            k = int(k1[s, t])
-            pairs.append((s, k))
-            stack.append((s, k))
-            stack.append((k, t))
-        else:
-            i, j = int(k1[s, t]), int(k2[s, t])
-            pairs.append((i, j))
-            stack.append((s, i))
-            stack.append((i, j))
-            stack.append((j, t))
-
-    for a in range(len(pairs)):
-        for b in range(a + 1, len(pairs)):
-            (i, j), (i2, j2) = sorted(pairs[a]), sorted(pairs[b])
-            if i < i2 < j < j2 or i2 < i < j2 < j:
-                raise LemmaViolation(
-                    f"reconstructed chords interleave: {pairs[a]} {pairs[b]}"
-                )
-
-    edges = sorted({ekey(w.seq[i], w.seq[j]) for i, j in pairs})
-    cost = float(C[1, n])
-    return cost, edges
+        for (i, j), (i2, j2) in combinations(sorted(map(sorted, pairs)), 2):
+            if i < i2 < j < j2:
+                raise LemmaViolation(f"reconstructed chords interleave: {i, j} {i2, j2}")
+        out.append((float(C[o + 1, end]), sorted({ekey(w.seq[i], w.seq[j]) for i, j in pairs})))
+    return out
 
 
-def dp_2vc(g: Pslg, walk, weight="length"):
-    """(cost, chord edges) making the face 2-connected, by algorithm A."""
+def _solve(g: Pslg, walks, mode, weight):
     check_weight(weight)
-    w = IndexedWalk.from_walk(walk)
-    F = feasibility(g, w)
-    return _dp(w, F, "2vc", weight)
+    w = IndexedWalk.pack(walks, extend=mode == "2ec")
+    return _dp(w, feasibility(g, w), mode, weight)
 
 
-def dp_2ec(g: Pslg, walk, weight="length"):
-    """(cost, chord edges) making the face 2-edge-connected, algorithm B."""
-    check_weight(weight)
-    w = IndexedWalk.from_walk(walk, extend=True)
-    F = feasibility(g, w)
-    return _dp(w, F, "2ec", weight)
+def dp_2vc(g: Pslg, walks, weight="length"):
+    """One (cost, chord edges) per facial walk, in order, making its face
+    2-connected by algorithm A; the walks are solved as one pack."""
+    return _solve(g, walks, "2vc", weight)
+
+
+def dp_2ec(g: Pslg, walks, weight="length"):
+    """One (cost, chord edges) per facial walk, in order, making its face
+    2-edge-connected by algorithm B; the walks are solved as one pack."""
+    return _solve(g, walks, "2ec", weight)
 
 
 def _chordless(seq, mode) -> bool:
@@ -659,6 +642,28 @@ def _chordless(seq, mode) -> bool:
     return len({ekey(a, b) for a, b in zip(seq, seq[1:])}) == len(seq) - 1
 
 
+def _packs(g: Pslg, walks, extend):
+    """The walks, first fit in order, in packs of at most _PACK positions;
+    a longer walk is a pack of its own.  No walk changes element type (see
+    _coord_dtype): a pack's extent stays within _INT64_COORD_MAX unless
+    every walk in it exceeds that alone."""
+    def fits(xs, ys):
+        return max(max(xs) - min(xs), max(ys) - min(ys)) <= _INT64_COORD_MAX
+
+    packs = []  # [walks, positions, xs, ys, whether their extent fits]
+    for walk in walks:
+        xs, ys = [g._ix[v] for v in walk.seq], [g._iy[v] for v in walk.seq]
+        n, alone = len(walk) + extend, fits(xs, ys)
+        for p in packs:
+            if p[1] + n <= _PACK and (fits(p[2] + xs, p[3] + ys) if alone else not p[4]):
+                p[0].append(walk)
+                p[1:4] = p[1] + n, p[2] + xs, p[3] + ys
+                break
+        else:
+            packs.append([[walk], n, xs, ys, alone])
+    return [p[0] for p in packs]
+
+
 def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
     """Minimum-weight global augmentation: per-face optima are independent
     and their union is the global optimum.  A chordless face (see
@@ -669,25 +674,20 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
     check_mode(mode)
     check_weight(weight)
     require_augmentable(g)
-    faces = []
+    walks = facial_walks(g)
+    solve, solved = dp_2vc if mode == "2vc" else dp_2ec, {}
+    for pack in _packs(g, [wk for wk in walks if not _chordless(wk.seq, mode)], mode == "2ec"):
+        solved.update(zip([wk.face_id for wk in pack], solve(g, pack, weight), strict=True))
+    faces = [FaceSolution(wk.face_id, *solved.get(wk.face_id, (0.0, []))) for wk in walks]
     added = {}
-    solve = dp_2vc if mode == "2vc" else dp_2ec
-    for walk in facial_walks(g):
-        cost, edges = (0.0, []) if _chordless(walk.seq, mode) else solve(g, walk, weight)
-        faces.append(FaceSolution(face_id=walk.face_id, cost=cost, edges=edges))
-        for e in edges:
-            if e in added:
-                raise LemmaViolation(f"chord {e} chosen in two faces")
-            added[e] = dist(g.by_id[e[0]], g.by_id[e[1]])
+    for e in (e for face in faces for e in face.edges):
+        if e in added:
+            raise LemmaViolation(f"chord {e} chosen in two faces")
+        added[e] = dist(g.by_id[e[0]], g.by_id[e[1]])
 
     total = sum(f.cost for f in faces) if weight != "length" else fsum(added.values())
     chords = sorted(added)
     # a minimum-cardinality set has no length bound
     checks = CHECKS if weight == "length" else CHECKS[:2]
     certify(verify(g, chords, mode), f"optimal_augment {mode}", checks)
-    return OptimalResult(
-        added=chords,
-        total_added_length=total,
-        mode=mode,
-        faces=faces,
-    )
+    return OptimalResult(added=chords, total_added_length=total, mode=mode, faces=faces)

@@ -166,9 +166,10 @@ class Pslg:
         duplicates, then makes the edit with :meth:`_edit`.  Raises
         InvalidInstance or CrossingEdges with the offending ids.
 
-        The set of the graph it last returned gets that graph back, cached
-        faces included: on fixed points a graph is a function of its edge
-        set, its rotations ``polar_sort``'s.  A set that raised is not kept."""
+        Its own edge set gets this graph back, and the set of the graph it
+        last returned that graph, cached faces included: on fixed points a
+        graph is a function of its edge set, its rotations ``polar_sort``'s.
+        A set that raised is not kept."""
         edges = set()
         for u, v in edge_pairs:
             if u not in self.by_id or v not in self.by_id:
@@ -179,7 +180,7 @@ class Pslg:
             if k in edges:
                 raise InvalidInstance(f"duplicate edge {k}")
             edges.add(k)
-        last = self._last
+        last = self if edges == self.edges else self._last
         if last is None or edges != last.edges:
             last = self._last = self._edit(edges - self.edges, self.edges - edges)
         return last
@@ -224,9 +225,9 @@ class _ValidatedPoints(tuple):
     """The points of a built PSLG in input order, as :func:`build` checked
     them, with the id index ``by_id`` and the scaled integer coordinates
     ``ix`` and ``iy``.  ``build`` takes such a tuple as already valid.
-    ``g0`` is a weak reference to the first graph built on it, once there
-    is one: a strong one would keep every graph alive with its points.  A
-    copy or an unpickled tuple starts without one."""
+    ``g0`` is a weak reference to the graph ``build`` last built on it from
+    the empty graph: a strong one would keep every graph alive with its
+    points.  A copy or an unpickled tuple starts without one."""
 
     g0 = None
 
@@ -243,7 +244,7 @@ def build(points, edge_pairs) -> Pslg:
     or InvalidInstance with the offending ids.
 
     The points of a built graph (``g.points``) are not checked again, nor,
-    while the first graph g0 built on them is alive, the pairs of g0's
+    while g0 (the last graph built on them from none) lives, the pairs of g0's
     edges: ``g0.with_edges`` tests only the pairs with an edge not in g0,
     which accepts exactly the sets a build from the empty graph accepts,
     with the same rotations, and rejects the others with the same exception
@@ -259,8 +260,7 @@ def build(points, edge_pairs) -> Pslg:
     rotation = {p.id: () for p in points}
     empty = Pslg(points, points.by_id, frozenset(), rotation, points.ix, points.iy)
     g = empty.with_edges(edge_pairs)
-    if points.g0 is None:
-        points.g0 = weakref.ref(g)
+    points.g0 = weakref.ref(g)
     return g
 
 

@@ -166,7 +166,7 @@ def test_criterion_7_complexity_sanity():
         g = _convex_position_path(n)
         walk = facial_walks(g)[0]
         t0 = time.perf_counter()
-        dp_2vc(g, walk)
+        dp_2vc(g, [walk])
         times[n] = time.perf_counter() - t0
     coeffs = {n: t / n**4 for n, t in times.items()}
     cap = max(coeffs[20], coeffs[40], coeffs[60]) * 1.5

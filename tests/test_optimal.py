@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -17,11 +18,9 @@ from pslgaug.instances import generate
 from pslgaug.optimal import (
     IndexedWalk,
     InfeasibleFace,
-    _CASE_INF,
-    _CASE_PAIR,
-    _CASE_SKIP,
-    _CASE_SPLIT,
-    _CASE_ZERO,
+    _INF,
+    _SKIP,
+    _ZERO,
     _chordless,
     _cut_from,
     _dead_pockets,
@@ -48,7 +47,7 @@ def occurrences(w, vid):
 
 def test_feasibility_fig3(fig3):
     walk = facial_walks(fig3)[0]
-    w = IndexedWalk.from_walk(walk)
+    w = IndexedWalk.pack([walk])
     F = feasibility(fig3, w)
     # the two dashed chords are feasible at exactly one occurrence pair each
     p1_pos = occurrences(w, 1)
@@ -71,7 +70,7 @@ def test_feasibility_matches_brute_force():
     # independent re-derivation of the feasibility semantics on a small tree
     g = generate(7, 12345, 0.0)
     walk = facial_walks(g)[0]
-    w = IndexedWalk.from_walk(walk)
+    w = IndexedWalk.pack([walk])
     F = feasibility(g, w)
 
     def sector_ok(i, j):
@@ -196,7 +195,7 @@ def feasibility_paths(g, walk, extend, monkeypatch):
     """F of the kernel on int64 elements, of the kernel on object elements
     (forced by lowering _INT64_COORD_MAX to -1) and of the reference loop,
     and the element types that ran."""
-    w = IndexedWalk.from_walk(walk, extend=extend)
+    w = IndexedWalk.pack([walk], extend=extend)
     ran = []
     with monkeypatch.context() as m:
         spy_dtype(m, ran)
@@ -253,8 +252,8 @@ def _stretch_to_extent(g, width):
     return build([(v, fx(x), fy(y)) for v, (x, y) in ipts.items()], g.edges)
 
 
-def _face_extent(g, walk):
-    xs, ys = zip(*map(g.ipt, set(walk.seq)))
+def _face_extent(g, *walks):
+    xs, ys = zip(*map(g.ipt, {v for walk in walks for v in walk.seq}))
     return max(max(xs) - min(xs), max(ys) - min(ys))
 
 
@@ -274,7 +273,7 @@ def test_feasibility_path_at_the_int64_bound(extra, dtype, monkeypatch):
         if extent == width:
             widest.add("int64" if fits else "object")
         for extend in (False, True):
-            w = IndexedWalk.from_walk(walk, extend=extend)
+            w = IndexedWalk.pack([walk], extend=extend)
             ran = []
             with monkeypatch.context() as m:
                 spy_dtype(m, ran)
@@ -298,7 +297,7 @@ def test_feasibility_near_the_int64_corner(monkeypatch):
     (walk,) = facial_walks(g)
     assert _face_extent(g, walk) == B
     for extend in (False, True):
-        w = IndexedWalk.from_walk(walk, extend=extend)
+        w = IndexedWalk.pack([walk], extend=extend)
         ran = []
         with monkeypatch.context() as m:
             spy_dtype(m, ran)
@@ -319,8 +318,8 @@ def test_feasibility_reads_face_local_coordinates(shift, monkeypatch):
             ran = []
             with monkeypatch.context() as m:
                 spy_dtype(m, ran)
-                F = feasibility(g, IndexedWalk.from_walk(walk, extend=extend))
-                G = feasibility(h, IndexedWalk.from_walk(moved, extend=extend))
+                F = feasibility(g, IndexedWalk.pack([walk], extend=extend))
+                G = feasibility(h, IndexedWalk.pack([moved], extend=extend))
             assert ran == [np.int64, np.int64]
             assert np.array_equal(F, G)
 
@@ -350,7 +349,7 @@ def test_feasibility_of_long_faces_with_wide_coordinates(n, monkeypatch):
     wide = build([(p.id, p.x * 10**20, p.y * 10**20) for p in g.points], g.edges)
     for walk in facial_walks(wide):
         for extend in (False, True):
-            w = IndexedWalk.from_walk(walk, extend=extend)
+            w = IndexedWalk.pack([walk], extend=extend)
             ran = []
             with monkeypatch.context() as m:
                 spy_dtype(m, ran)
@@ -427,7 +426,7 @@ def test_prefix_tables_match_cut_structure(
     for g in graphs:
         for walk in facial_walks(g):
             for extend in (False, True):
-                w = IndexedWalk.from_walk(walk, extend=extend)
+                w = IndexedWalk.pack([walk], extend=extend)
                 has_rep, has_br = _has_repeat(w), _has_bridge(w)
                 reach = {m: np.minimum.accumulate(_cut_from(w, m)[0][::-1])[::-1]
                          for m in ("2vc", "2ec")}
@@ -444,6 +443,28 @@ def test_prefix_tables_match_cut_structure(
 
 _REFERENCE_TABLES = {}
 
+# the cases of the reference tables; fill_tables decodes _fill's keys to them
+_CASE_ZERO, _CASE_INF, _CASE_SKIP, _CASE_SPLIT, _CASE_PAIR = range(5)
+
+
+def decode(won, n):
+    """The case, k1 and k2 tables of _fill's winning keys over n positions:
+    a PAIR's key is i * (n + 2) + j, a SPLIT's (n + 2)^2 + k * (n + 3)."""
+    n2 = n + 2
+    split = won >= n2 * n2
+    pair = (won >= 0) & ~split
+    codes = [won == _ZERO, won == _INF, won == _SKIP, split]
+    case = np.select(codes, [_CASE_ZERO, _CASE_INF, _CASE_SKIP, _CASE_SPLIT], _CASE_PAIR)
+    k1 = np.where(pair, won // n2, np.where(split, (won - n2 * n2) // (n2 + 1), 0))
+    return case.astype(np.uint8), k1.astype(np.int64), np.where(pair, won % n2, 0).astype(np.int64)
+
+
+def fill_tables(w: IndexedWalk, W, mode):
+    """C, case, k1 and k2 of _fill, its keys decoded, as reference_fill
+    gives them."""
+    C, won = _fill(w, W, mode)
+    return (C, *decode(won, w.n))
+
 
 @pytest.fixture(autouse=True, scope="module")
 def _free_reference_tables():
@@ -456,7 +477,7 @@ def reference_fill(w: IndexedWalk, W, mode):
     """The reference tables of ``_fill_by_cell``, filled once per walk,
     weight matrix and mode and shared by every test that asks again (the
     reference does not read ``_SCORE_CHUNK``).  The arrays are read-only."""
-    key = (w.seq, w.extended, W.tobytes(), mode)
+    key = (w.seq, W.tobytes(), mode)
     if key not in _REFERENCE_TABLES:
         tables = _fill_by_cell(w, W, mode)
         for a in tables:
@@ -495,7 +516,7 @@ def _fill_by_cell(w: IndexedWalk, W, mode):
                 continue
 
             if mode == "2vc":
-                ps = w.occ[w.seq[s]]
+                ps = w.occ[w.vert[s]]
                 idx = bisect_right(ps, t) - 1
                 head_is_cut = ps[idx] > s
                 pair_anchor = ps[idx] if head_is_cut else 0
@@ -580,12 +601,12 @@ def assert_tables_match(g, walk, extend):
     """The diagonal fill equals the per-cell reference, bit for bit, on
     every cell 1 <= s <= t <= n, for both modes and both weights, and every
     (s, i) the pocket test drops has C[s, i] = +inf in 2vc."""
-    w = IndexedWalk.from_walk(walk, extend=extend)
+    w = IndexedWalk.pack([walk], extend=extend)
     F = feasibility(g, w)
     upper = _upper(w)
     for W in (F, np.where(np.isfinite(F), 1.0, np.inf)):
         for mode in ("2vc", "2ec"):
-            got, want = _fill(w, W, mode), reference_fill(w, W, mode)
+            got, want = fill_tables(w, W, mode), reference_fill(w, W, mode)
             for name, a, b in zip(("C", "case", "k1", "k2"), got, want):
                 assert np.array_equal(a[upper], b[upper]), (walk.face_id, extend, mode, name)
             if mode == "2vc":
@@ -721,7 +742,7 @@ def test_feasible_chords_pass_the_winding_test(group):
             segs = [(2 * g.ipt(a)[0], 2 * g.ipt(a)[1], 2 * g.ipt(b)[0], 2 * g.ipt(b)[1])
                     for a, b in zip(seq, seq[1:])]
             for extend in (False, True):
-                w = IndexedWalk.from_walk(walk, extend=extend)
+                w = IndexedWalk.pack([walk], extend=extend)
                 F = feasibility(g, w)
                 assert np.array_equal(F, reference_feasibility(g, w)), (walk.face_id, extend)
                 for i, j in zip(*np.nonzero(np.triu(np.isfinite(F)))):
@@ -741,7 +762,7 @@ def test_pocket_test_is_sound(group):
     dropped = infinite = 0
     for g in POCKET_GRAPHS[group]():
         for walk in facial_walks(g):
-            w = IndexedWalk.from_walk(walk)
+            w = IndexedWalk.pack([walk])
             F = feasibility(g, w)
             dead = dead_pockets(w, F)
             distinct = _upper(w)
@@ -752,6 +773,159 @@ def test_pocket_test_is_sound(group):
                 dropped += int((dead & distinct).sum())
                 infinite += int((distinct & ~np.isfinite(C)).sum())
     assert infinite > 0 and dropped >= infinite / 2
+
+
+def _pack_graphs_120():
+    """300 generate graphs of 5 to 120 points."""
+    rng = random.Random(9191)
+    return [generate(rng.randint(5, 120), 310000 + i, rng.choice([0.0, 0.2, 0.4, 0.6, 0.8]))
+            for i in range(300)]
+
+
+PACK_GRAPHS = {
+    "pool": pool_instances,
+    "adversarial": POCKET_GRAPHS["adversarial"],
+    "generated": _pack_graphs_120,
+}
+
+
+def place(w: IndexedWalk, parts, fill, size):
+    """A size x size table holding each walk's table of the walk alone,
+    rows and columns 1 .. m, at the walk's positions in the pack w, and
+    fill elsewhere."""
+    out = np.full((size, size), fill, dtype=parts[0].dtype)
+    for o, end, part in zip(w.off, w.off[1:], parts):
+        out[o + 1 : end + 1, o + 1 : end + 1] = part[1 : end - o + 1, 1 : end - o + 1]
+    return out
+
+
+def placed_tables(w: IndexedWalk, alone):
+    """The pack's C, case, k1 and k2 assembled from the tables of its walks
+    alone: their k1 and k2 move by the walk's offset, and no cell of two
+    walks has a value."""
+    moved = []
+    for o, (C, case, k1, k2) in zip(w.off, alone):
+        k1 = np.where(case >= _CASE_SPLIT, k1 + o, 0)
+        moved.append((C, case, k1, np.where(case == _CASE_PAIR, k2 + o, 0)))
+    return [place(w, parts, fill, w.n + 2) for parts, fill in zip(zip(*moved), (np.inf, 0, 0, 0))]
+
+
+def solved_face_by_face(g, mode, monkeypatch, weight="length"):
+    """optimal_augment with every walk in a pack of its own."""
+    with monkeypatch.context() as m:
+        m.setattr(optimal, "_PACK", 0)
+        return optimal_augment(g, mode, weight)
+
+
+@pytest.mark.parametrize("group", PACK_GRAPHS)
+def test_packs_match_each_walk_alone(group, monkeypatch):
+    """One pack of all of a graph's DP faces (those not chordless) gives, in
+    both modes and under both weights, F and the decoded DP tables of every
+    walk alone, bit for bit, at the walk's positions, and +inf and ZERO at
+    every cell of two walks, and every walk's tables are the per-cell
+    reference's.  optimal_augment gives the chords, FaceSolutions and total
+    of solving every face alone.  The adversarial families have one DP face
+    each, so their packs take every facial walk."""
+    packs = 0
+    for g in PACK_GRAPHS[group]():
+        for mode in ("2vc", "2ec"):
+            walks = [wk for wk in facial_walks(g)
+                     if group == "adversarial" or not _chordless(wk.seq, mode)]
+            if len(walks) < 2:  # a pack of one walk is the walk alone
+                continue
+            packs += 1
+            w = IndexedWalk.pack(walks, extend=mode == "2ec")
+            alone = [IndexedWalk.pack([wk], extend=mode == "2ec") for wk in walks]
+            Fs = [feasibility(g, u) for u in alone]
+            F = feasibility(g, w)
+            assert np.array_equal(F, place(w, Fs, np.inf, w.n + 1)), mode
+            for weight in ("length", "unit"):
+                Ws = [X if weight == "length" else np.where(np.isfinite(X), 1.0, np.inf)
+                      for X in [F] + Fs]
+                tables = [fill_tables(u, Wu, mode) for u, Wu in zip(alone, Ws[1:])]
+                got = fill_tables(w, Ws[0], mode)
+                for name, a, b in zip(("C", "case", "k1", "k2"), got, placed_tables(w, tables)):
+                    assert np.array_equal(a, b), (mode, weight, name)
+                for u, Wu, mine in zip(alone, Ws[1:], tables):
+                    upper = _upper(u)
+                    for a, b in zip(mine, reference_fill(u, Wu, mode)):
+                        assert np.array_equal(a[upper], b[upper]), (mode, weight)
+                res = optimal_augment(g, mode, weight)
+                assert res == solved_face_by_face(g, mode, monkeypatch, weight), (mode, weight)
+    assert packs > 0
+
+
+def test_pack_feasibility_tests_only_pairs_of_one_walk(monkeypatch):
+    """The sector tests of a pack run on the position pairs of each walk,
+    exactly as many as its walks alone, not on the pairs of two walks."""
+    sizes, sector = [], optimal._in_sector_batch
+
+    def spy(*args):
+        sizes.append(args[-1].size)
+        return sector(*args)
+
+    monkeypatch.setattr(optimal, "_in_sector_batch", spy)
+    for g in pool_instances():
+        for extend in (False, True):
+            walks = facial_walks(g)
+            sizes.clear()
+            for walk in walks:
+                feasibility(g, IndexedWalk.pack([walk], extend=extend))
+            alone = sum(sizes)
+            sizes.clear()
+            feasibility(g, IndexedWalk.pack(walks, extend=extend))
+            assert sum(sizes) == alone == sum((len(wk) + extend) * (len(wk) + extend - 1)
+                                              for wk in walks)
+
+
+def traced_packs(g, mode, monkeypatch):
+    """optimal_augment(g, mode) and the pack and element type of each of its
+    feasibility runs."""
+    packs, ran = [], []
+    with monkeypatch.context() as m:
+        spy_dtype(m, ran)
+        feas = optimal.feasibility
+        m.setattr(optimal, "feasibility", lambda g, w: packs.append(w) or feas(g, w))
+        res = optimal_augment(g, mode)
+    return res, list(zip(packs, ran, strict=True))
+
+
+@pytest.mark.parametrize("limit", [12, 40, optimal._PACK])
+def test_packs_keep_the_position_and_int64_bounds(limit, monkeypatch):
+    """With the int64 bound at the median extent of a graph's DP faces, a
+    pack holds at most _PACK positions or one walk, its walks all fit the
+    bound alone and run on int64 elements, or none does and they run on
+    Python ints, and optimal_augment gives what solving every face alone
+    gives.  Some pair of packs on int64 elements could share one by size
+    alone, so the union's extent kept them apart."""
+    monkeypatch.setattr(optimal, "_PACK", limit)
+    rng = random.Random(5151)
+    kept_apart = shared = 0
+    for i in range(40):
+        g = generate(rng.randint(40, 120), 520000 + i, rng.choice([0.4, 0.5, 0.6, 0.7]))
+        for mode in ("2vc", "2ec"):
+            extend = mode == "2ec"
+            walks = [wk for wk in facial_walks(g) if not _chordless(wk.seq, mode)]
+            if len(walks) < 2:
+                continue
+            extents = sorted(_face_extent(g, wk) for wk in walks)
+            bound = extents[len(extents) // 2]
+            monkeypatch.setattr(optimal, "_INT64_COORD_MAX", bound)
+            res, packs = traced_packs(g, mode, monkeypatch)
+            assert sorted(wk.face_id for w, _ in packs for wk in w.walks) == sorted(
+                wk.face_id for wk in walks)
+            sizes = []
+            for w, dtype in packs:
+                assert w.n <= limit or len(w.walks) == 1
+                fits = {_face_extent(g, wk) <= bound for wk in w.walks}
+                assert len(fits) == 1 and fits.pop() == (dtype is np.int64), (mode, w.n)
+                shared += len(w.walks) > 1
+                if dtype is np.int64:
+                    sizes.append((w.n, w.walks))
+            for (a, wa), (b, wb) in itertools.combinations(sizes, 2):
+                kept_apart += a + b <= limit and _face_extent(g, *wa, *wb) > bound
+            assert res == solved_face_by_face(g, mode, monkeypatch), mode
+    assert kept_apart > 0 and shared > 0
 
 
 @settings(max_examples=40)
@@ -765,7 +939,7 @@ def test_fill_matches_reference_on_generated_faces(n, seed, d):
 
 def test_cut_structure_fig3(fig3):
     walk = facial_walks(fig3)[0]
-    w = IndexedWalk.from_walk(walk)
+    w = IndexedWalk.pack([walk])
     cuts = cut_structure(w, 1, w.n)
     assert set(cuts) == {2, 3}
     for v in (2, 3):
@@ -774,13 +948,13 @@ def test_cut_structure_fig3(fig3):
 
 def test_cut_structure_no_repeats(triangle):
     walk = [w for w in facial_walks(triangle) if not w.is_outer][0]
-    w = IndexedWalk.from_walk(walk)
+    w = IndexedWalk.pack([walk])
     assert cut_structure(w, 1, w.n) == {}
 
 
 def test_cut_structure_star(star3):
     walk = facial_walks(star3)[0]
-    w = IndexedWalk.from_walk(walk)
+    w = IndexedWalk.pack([walk])
     cuts = cut_structure(w, 1, w.n)
     assert set(cuts) == {0}
     assert len(cuts[0]["occurrences"]) == 3
@@ -789,18 +963,18 @@ def test_cut_structure_star(star3):
 
 def test_dp_fig3(fig3):
     walk = facial_walks(fig3)[0]
-    cost, edges = dp_2vc(fig3, walk)
+    ((cost, edges),) = dp_2vc(fig3, [walk])
     assert cost == pytest.approx(2.0, abs=1e-9)
     assert edges == [(1, 3), (2, 4)]
-    cost, edges = dp_2ec(fig3, walk)
+    ((cost, edges),) = dp_2ec(fig3, [walk])
     assert cost == pytest.approx(2.0, abs=1e-9)
     assert edges == [(1, 3), (2, 4)]
 
 
 def test_dp_2connected_face(triangle):
     for walk in facial_walks(triangle):
-        assert dp_2vc(triangle, walk) == (0.0, [])
-        assert dp_2ec(triangle, walk) == (0.0, [])
+        assert dp_2vc(triangle, [walk]) == [(0.0, [])]
+        assert dp_2ec(triangle, [walk]) == [(0.0, [])]
 
 
 def test_dp_two_triangles(two_triangles):
@@ -832,7 +1006,7 @@ def assert_chordless_shortcut_agrees(g, monkeypatch):
             chordless = _chordless(walk.seq, mode)
             assert ((face.cost, face.edges) == (0.0, [])) == chordless, (walk.face_id, mode)
             if chordless:
-                assert dp(g, walk, "unit") == (0.0, []), (walk.face_id, mode)
+                assert dp(g, [walk], "unit") == [(0.0, [])], (walk.face_id, mode)
         assert optimal_augment(g, mode) == full, mode
     return sum(_chordless(w.seq, "2ec") and not _chordless(w.seq, "2vc") for w in walks)
 
@@ -843,7 +1017,7 @@ def test_chordless_shortcut_agrees_with_the_dp(two_triangles, monkeypatch):
     outer = [w for w in facial_walks(two_triangles) if w.is_outer]
     assert [_chordless(w.seq, "2ec") for w in outer] == [True]
     assert [_chordless(w.seq, "2vc") for w in outer] == [False]
-    assert dp_2vc(two_triangles, outer[0])[0] > 0
+    assert dp_2vc(two_triangles, outer)[0][0] > 0
     graphs = [two_triangles] + pool_instances()
     rng = random.Random(1717)
     for i in range(300):
@@ -875,7 +1049,7 @@ def test_optimal_augment_certifies_the_length_bound(monkeypatch):
     fan = [(0, k) for k in range(2, n)]
     rep = verify(g, fan, "2vc")
     assert rep["planar"] and rep["connectivity_ok"] and rep["ratio"] > 3
-    monkeypatch.setattr(optimal, "dp_2vc", lambda g, walk, weight: (len(fan), fan))
+    monkeypatch.setattr(optimal, "dp_2vc", lambda g, walks, weight: [(len(fan), fan)])
     with pytest.raises(LemmaViolation, match="^verify rejected the optimal_augment 2vc result: "
                                              "ratio_le_2 failed$"):
         optimal_augment(g, "2vc")
@@ -940,7 +1114,7 @@ def test_infeasible_face_error(star3):
     # (2ec) leave the top-level interval at infinity
     walk = facial_walks(star3)[0]
     for mode, extend in (("2vc", False), ("2ec", True)):
-        w = IndexedWalk.from_walk(walk, extend=extend)
+        w = IndexedWalk.pack([walk], extend=extend)
         F = np.full((w.n + 1, w.n + 1), np.inf)
         for weight in ("length", "unit"):
             with pytest.raises(InfeasibleFace, match=f"face {walk.face_id}:"):
@@ -955,8 +1129,8 @@ def test_unknown_weight_rejected(weight):
     calls = [
         lambda: optimal_augment(g, "2vc", weight=weight),
         lambda: optimal_augment(g, "2ec", weight=weight),
-        lambda: dp_2vc(g, walk, weight),
-        lambda: dp_2ec(g, walk, weight),
+        lambda: dp_2vc(g, [walk], weight),
+        lambda: dp_2ec(g, [walk], weight),
         lambda: candidate_set(g, weight=weight),
         lambda: brute_force_optimal(g, "2vc", weight=weight),
     ]

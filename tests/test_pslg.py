@@ -543,6 +543,23 @@ def test_build_on_built_points_after_the_first_graph_is_dropped():
         assert [outcome(reference_build, points, edges) for edges in sets] == want
 
 
+def test_build_on_points_whose_first_graph_was_dropped_keeps_the_next(monkeypatch):
+    # once the first graph on a point set is dropped, the next build on the
+    # points takes its place: built again, that graph comes back itself, for
+    # one graph edit in all
+    g = generate(30, 5, 0.3)
+    points, edges = g.points, sorted(g.edges)[1:]
+    del g
+    gc.collect()
+    assert points.g0() is None
+    edits = []
+    edit = Pslg._edit
+    monkeypatch.setattr(Pslg, "_edit", lambda self, *a: edits.append(self) or edit(self, *a))
+    h = build(points, edges)
+    assert build(points, edges) is h and points.g0() is h
+    assert len(edits) == 1
+
+
 def test_built_graphs_copy_and_pickle_without_their_first_graph():
     g = generate(20, 4, 0.5)
     for h in (pickle.loads(pickle.dumps(g)), copy.deepcopy(g)):

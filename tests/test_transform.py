@@ -51,6 +51,7 @@ from tests_support import (
     adjacency,
     all_pairs_mst,
     forest_path,
+    full_build,
     is_delaunay,
     scan_graph,
     through_phase2,
@@ -393,7 +394,7 @@ def test_transform_and_replay_leave_the_start_graph_as_it_is(monkeypatch):
         replay(g, log.steps)
         assert g.edges is edges and g.rotation == rotation and g._faces is faces
         assert (faces.nxt, faces.face) == (nxt, face)
-        assert facial_walks(g) == walks == facial_walks(g.with_edges(g.edges))
+        assert facial_walks(g) == walks == facial_walks(full_build(g, g.edges))
         ref = build(g.points, final.edges)
         assert type(final.edges) is frozenset
         assert final.edges == ref.edges and final.rotation == ref.rotation
@@ -815,7 +816,7 @@ def test_live_walk_lookup_matches_a_fresh_one(monkeypatch):
     def checked(ed, walk):
         geo = query(ed, walk)
         g = ed.graph
-        fresh = g.with_edges(g.edges)
+        fresh = ed.frozen()
         for _ in range(6):
             w = rng.choice(facial_walks(fresh)).seq
             i = rng.randrange(len(w) - 1)
@@ -1044,11 +1045,10 @@ def test_validate_rejects_a_removed_interior_triangle():
 
 
 def fresh_geodesic(g, walk):
-    """The funnel's geodesic through an environment built for g alone: a
-    copy of g without a cached environment."""
-    h = g.with_edges(g.edges)
-    assert h._face_env is None
-    return funnel_geodesic(h, walk)
+    """The funnel's geodesic through an environment built for g alone: g is
+    a copy without a cached environment."""
+    assert g._face_env is None
+    return funnel_geodesic(g, walk)
 
 
 # phase 5 is rare: found among 600 random morphs, each shortcuts a corner
@@ -1068,7 +1068,7 @@ def test_morph_queries_match_the_funnel(monkeypatch):
 
     def checked(ed, walk):
         geo = query(ed, walk)
-        ref = fresh_geodesic(ed.graph, walk)
+        ref = fresh_geodesic(ed.frozen(), walk)
         assert geo.ids() == ref.ids() and geo.length == ref.length
         queries[phase[0]] += 1
         return geo
