@@ -137,34 +137,31 @@ def polar_before(ax, ay, bx, by) -> bool:
     """True iff the direction (ax, ay) comes strictly before (bx, by) in
     counterclockwise order from the +x axis: angles in [0, pi) before those
     in [pi, 2 pi), then by the sign of the cross product.  Exact; the one
-    definition of the angular order of ``polar_sort``."""
+    definition of the angular order of every rotation (``polar_index``)."""
     lower_a = ay < 0 or (ay == 0 and ax < 0)
     if lower_a != (by < 0 or (by == 0 and bx < 0)):
         return not lower_a
     return ax * by - ay * bx > 0
 
 
-def polar_sort(center_xy, items, key_xy, into=()):
-    """Sort items by CCW polar angle of key_xy(item) around center, starting
-    from the +x axis, merged into ``into``, a sequence already in that
-    order.  Each item finds its place by binary search with
-    ``polar_before``, so one item costs O(log len(into)) comparisons.
-    Exact; assumes no two directions coincide."""
-    cx, cy = center_xy
-    out = list(into)
-    for item in items:
-        x, y = key_xy(item)
-        dx, dy = x - cx, y - cy
-        lo, hi = 0, len(out)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            x, y = key_xy(out[mid])
-            if polar_before(dx, dy, x - cx, y - cy):
-                hi = mid
-            else:
-                lo = mid + 1
-        out.insert(lo, item)
-    return out
+def polar_index(rot, v, w, ix, iy) -> int:
+    """The position at which neighbour w joins ``rot``, the rotation at v
+    (its neighbours in CCW order from the +x axis): the number of them that
+    ``polar_before`` does not put after w, found by binary search on the
+    coordinates ``ix``, ``iy``.  Exact; assumes no two directions from v
+    coincide.  With w inserted there at position i, rot[i - 1] and
+    rot[(i + 1) % len(rot)] are its CCW predecessor and successor at v."""
+    cx, cy = ix[v], iy[v]
+    dx, dy = ix[w] - cx, iy[w] - cy
+    lo, hi = 0, len(rot)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        x = rot[mid]
+        if polar_before(dx, dy, ix[x] - cx, iy[x] - cy):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def segments_properly_cross(ax, ay, bx, by, cx, cy, dx, dy) -> bool:

@@ -616,6 +616,8 @@ def _dp(w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
 
 def _solve(g: Pslg, walks, mode, weight):
     check_weight(weight)
+    if not walks:
+        return []
     w = IndexedWalk.pack(walks, extend=mode == "2ec")
     return _dp(w, feasibility(g, w), mode, weight)
 

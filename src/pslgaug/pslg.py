@@ -33,7 +33,7 @@ from .geom import (
     dist,
     ekey,
     orient_xy,
-    polar_sort,
+    polar_index,
     segments_properly_cross,
 )
 
@@ -168,7 +168,7 @@ class Pslg:
 
         Its own edge set gets this graph back, and the set of the graph it
         last returned that graph, cached faces included: on fixed points a
-        graph is a function of its edge set, its rotations ``polar_sort``'s.
+        graph is a function of its edge set, its rotations ``polar_index``'s.
         A set that raised is not kept."""
         edges = set()
         for u, v in edge_pairs:
@@ -190,8 +190,9 @@ class Pslg:
         and ``removed`` (present) changed.  General position rules out an
         edge through a vertex, so only crossings with an added edge are
         tested (_raise_first_crossing).  At each endpoint of a changed edge
-        the old rotation, less the removed neighbours, is merged with the
-        sorted added ones.  Raises CrossingEdges."""
+        the old rotation, less the removed neighbours, gains the added ones
+        one at a time, each where ``polar_index`` puts it.  Raises
+        CrossingEdges."""
         ix, iy = self._ix, self._iy
         kept = self.edges - removed if removed else self.edges
         if added:
@@ -205,20 +206,13 @@ class Pslg:
             new.setdefault(v, []).append(u)
         rotation = dict(self.rotation)
         for v in gone.keys() | new.keys():
-            _reroute(rotation, self.ipt, v, gone.get(v), new.get(v))
+            drop = gone.get(v, ())
+            rot = [w for w in rotation[v] if w not in drop]
+            for w in new.get(v, ()):
+                rot.insert(polar_index(rot, v, w, ix, iy), w)
+            rotation[v] = tuple(rot)
         edges = frozenset(kept | added if added else kept)
         return Pslg(self.points, self.by_id, edges, rotation, ix, iy)
-
-
-def _reroute(rotation, ipt, v, gone=(), new=()):
-    """Drop the neighbours ``gone`` from the rotation at v in ``rotation``,
-    then merge in the neighbours ``new`` (``ipt``: scaled coordinates)."""
-    rot = rotation[v]
-    if gone:
-        rot = tuple(w for w in rot if w not in gone)
-    if new:
-        rot = tuple(polar_sort(ipt(v), new, ipt, rot))
-    rotation[v] = rot
 
 
 class _ValidatedPoints(tuple):

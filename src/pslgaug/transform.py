@@ -30,6 +30,7 @@ from .geom import (
     convex_hull,
     dist,
     ekey,
+    polar_index,
 )
 from .geodesic import convex_geodesic
 from .pslg import (
@@ -40,7 +41,6 @@ from .pslg import (
     _corner_convex,
     _crossing,
     _first_crossing,
-    _reroute,
     kruskal,
     next_darts,
     reach,
@@ -161,14 +161,17 @@ class _CertifiedEdges:
     Next to the graph it keeps ``nxt``, the next dart of every dart on its
     facial walk (``pslg.next_darts``, a map of its own, not the one a graph
     caches), threaded by each insert and unthreaded by each delete at the
-    edge's two ends, with no walk.  ``_smaller`` walks an edge's faces in
+    edge's two ends, with no walk: the insert position ``geom.polar_index``
+    gives, or the delete's ``index``, names the CCW neighbours there, so a
+    rotation changes by one splice.  ``_smaller`` walks an edge's faces in
     lockstep: it finds bridges (one face on both sides) for the deletes, and
     the sides of a tree edge and the cycle an edge closes for the morph.
 
     The graph's edge set is the key view of ``boxes``, which maps each live
     edge to its bounding box (``pslg._box``).  An insert's planarity check
     is one pass over them (``pslg._first_crossing``), which names the least
-    crossing edge: the pair ``_raise_first_crossing`` would report.
+    crossing edge: the pair ``_raise_first_crossing`` would report.  Each
+    edge's length is ``dist``'s, computed once (``_edge_length``).
     """
 
     def __init__(self, g: Pslg):
@@ -180,6 +183,7 @@ class _CertifiedEdges:
         self.mst_length = mst_length(g)
         self.ceiling = self.length + self.mst_length + LENGTH_TOL
         self.nxt = next_darts(g.rotation)
+        self._lengths = {}  # edge key -> dist, filled by _edge_length
 
     def edit(self, op, u, v):
         """Insert or delete edge (u, v).  Returns None when the edit keeps
@@ -189,7 +193,7 @@ class _CertifiedEdges:
         e = ekey(u, v)
         if u not in g.by_id or v not in g.by_id:
             return "vertices", f"unknown endpoint in {e}"
-        d = dist(g.by_id[u], g.by_id[v])
+        rotation, nxt = g.rotation, self.nxt
         if op == "insert":
             if e in g.edges:
                 return "planarity", f"edge {e} already present"
@@ -200,36 +204,41 @@ class _CertifiedEdges:
             if f is not None:
                 return "planarity", str(_crossing(e, f))
             self.boxes[e] = box
-            _reroute(g.rotation, g.ipt, u, new=(v,))
-            _reroute(g.rotation, g.ipt, v, new=(u,))
+            ru, rv = rotation[u], rotation[v]
+            i, j = polar_index(ru, u, v, g._ix, g._iy), polar_index(rv, v, u, g._ix, g._iy)
+            ru = rotation[u] = ru[:i] + (v,) + ru[i:]
+            rv = rotation[v] = rv[:j] + (u,) + rv[j:]
             # the walks that reached u before v, and v before u, now turn
             # onto the new edge
-            nxt = self.nxt
-            p, s = _ends(g.rotation, u, v)
-            q, t = _ends(g.rotation, v, u)
-            nxt[(p, u)], nxt[(v, u)] = (u, v), (u, s)
-            nxt[(q, v)], nxt[(u, v)] = (v, u), (v, t)
-            self.length += d
+            nxt[(ru[i - 1], u)], nxt[(v, u)] = (u, v), (u, ru[(i + 1) % len(ru)])
+            nxt[(rv[j - 1], v)], nxt[(u, v)] = (v, u), (v, rv[(j + 1) % len(rv)])
+            self.length += self._edge_length(e)
         elif op == "delete":
             if e not in g.edges:
                 return "planarity", f"edge {e} not present"
             if self._smaller(u, v)[1]:
                 return "connectivity", ""
             # the walks that turned onto the edge now pass it by
-            nxt = self.nxt
-            p, s = _ends(g.rotation, u, v)
-            q, t = _ends(g.rotation, v, u)
-            nxt[(p, u)], nxt[(q, v)] = (u, s), (v, t)
+            ru, rv = rotation[u], rotation[v]
+            i, j = ru.index(v), rv.index(u)
+            nxt[(ru[i - 1], u)] = (u, ru[(i + 1) % len(ru)])
+            nxt[(rv[j - 1], v)] = (v, rv[(j + 1) % len(rv)])
             del nxt[(u, v)], nxt[(v, u)]
             del self.boxes[e]
-            _reroute(g.rotation, g.ipt, u, gone=(v,))
-            _reroute(g.rotation, g.ipt, v, gone=(u,))
-            self.length -= d
+            rotation[u], rotation[v] = ru[:i] + ru[i + 1 :], rv[:j] + rv[j + 1 :]
+            self.length -= self._edge_length(e)
         else:
             return "op", op
         if self.length > self.ceiling:
             return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
         return None
+
+    def _edge_length(self, e):
+        """``dist`` between the endpoints of edge key ``e``, computed once."""
+        d = self._lengths.get(e)
+        if d is None:
+            d = self._lengths[e] = dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
+        return d
 
     def _smaller(self, u, v):
         """``(d, bridge)``: the walks of edge (u, v)'s darts, in lockstep,
@@ -273,14 +282,6 @@ class _Editor(_CertifiedEdges):
         super().__init__(g)
         self.cycle_bound = 2 * self.mst_length + LENGTH_TOL
         self.log = OpLog()
-        self._lengths = {}
-
-    def _edge_length(self, e):
-        """``dist`` between the endpoints of edge key ``e``, computed once."""
-        d = self._lengths.get(e)
-        if d is None:
-            d = self._lengths[e] = dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
-        return d
 
     def trace(self, seq):
         """The validated polygon on the cycle ``seq``, its state counted once."""
@@ -320,13 +321,6 @@ class _Editor(_CertifiedEdges):
 
     def delete(self, u, v, phase):
         self._record("delete", u, v, phase)
-
-
-def _ends(rotation, u, v):
-    """The CCW-predecessor and -successor of v at u in ``rotation``."""
-    rot = rotation[u]
-    i = rot.index(v)
-    return rot[i - 1], rot[(i + 1) % len(rot)]
 
 
 def _sq(g, u, v):

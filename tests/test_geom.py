@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 
 import numpy as np
@@ -16,14 +17,15 @@ from pslgaug.geom import (
     dist,
     incircle_xy,
     orient_xy,
-    polar_sort,
+    polar_before,
+    polar_index,
     segments_properly_cross,
     to_rational,
 )
 from pslgaug.optimal import _in_sector_batch
 from pslgaug.pslg import _corner_convex
 
-from tests_support import in_ccw_sector
+from tests_support import in_ccw_sector, polar_sort
 
 P = Point.make
 @pytest.mark.parametrize(
@@ -377,3 +379,43 @@ def test_polar_sort_orders_by_angle_and_merges(pts, cut):
     center, key = (7, -3), lambda d: (d[0] + 7, d[1] - 3)
     assert polar_sort(center, dirs, key) == want
     assert polar_sort(center, dirs[cut:], key, into=polar_sort(center, dirs[:cut], key)) == want
+
+
+# the axes, and directions just above, at and just below +x, where the order
+# wraps from the last angle before 2 pi to 0
+AXIS_AND_WRAP = [(1, 0), (0, 1), (-1, 0), (0, -1), (10**6, 1), (10**6, -1), (-(10**6), 1),
+                 (-(10**6), -1), (1, 10**6), (-1, 10**6), (1, -(10**6)), (-1, -(10**6))]
+
+
+def _by_polar_before(dirs):
+    """Indices of ``dirs`` sorted by a comparison sort on ``polar_before``."""
+    def cmp(a, b):
+        return -1 if polar_before(*dirs[a], *dirs[b]) else (1 if polar_before(*dirs[b], *dirs[a]) else 0)
+    return sorted(range(len(dirs)), key=cmp_to_key(cmp))
+
+
+@given(
+    st.lists(st.one_of(xy(-50, 50), st.sampled_from(AXIS_AND_WRAP)), max_size=14),
+    st.sampled_from([0, 10**15, -(10**15)]),
+    st.sampled_from([1, 3, 10**9 + 7]),
+    st.randoms(use_true_random=False),
+)
+def test_polar_index_one_at_a_time_equals_a_polar_before_sort(pts, offset, den, rnd):
+    # directions in all four quadrants and on both axes, around a centre
+    # moved by +-10^15, on int or Fraction coordinates, inserted in a random
+    # order: after each insert the rotation is the comparison sort's
+    dirs = list({(x // math.gcd(x, y), y // math.gcd(x, y)) for x, y in pts if x or y})
+    rnd.shuffle(dirs)
+    c = len(dirs)
+    ix = {c: Fraction(offset, den)}
+    iy = {c: Fraction(-offset, den)}
+    for k, (dx, dy) in enumerate(dirs):
+        ix[k], iy[k] = Fraction(offset + dx, den), Fraction(-offset + dy, den)
+    if den == 1:
+        ix, iy = ({k: int(x) for k, x in m.items()} for m in (ix, iy))
+    rot = ()
+    for k in range(c):
+        i = polar_index(rot, c, k, ix, iy)
+        rot = rot[:i] + (k,) + rot[i:]
+        assert rot == tuple(_by_polar_before(dirs[: k + 1]))
+    assert list(rot) == polar_sort((ix[c], iy[c]), range(c), lambda k: (ix[k], iy[k]))

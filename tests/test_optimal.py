@@ -977,6 +977,15 @@ def test_dp_2connected_face(triangle):
         assert dp_2ec(triangle, [walk]) == [(0.0, [])]
 
 
+@pytest.mark.parametrize("dp", [dp_2vc, dp_2ec])
+@pytest.mark.parametrize("weight", ["length", "unit"])
+def test_dp_of_no_walks_is_empty(fig3, dp, weight):
+    # one (cost, chords) per walk: no walks, no solutions and no pack
+    assert dp(fig3, [], weight) == []
+    with pytest.raises(ValueError):
+        dp(fig3, [], "bogus")
+
+
 def test_dp_two_triangles(two_triangles):
     res_ec = optimal_augment(two_triangles, "2ec")
     assert res_ec.total_added_length == 0.0

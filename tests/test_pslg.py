@@ -34,7 +34,6 @@ from pslgaug.geom import (
     ekey,
     orient_xy,
     polar_before,
-    polar_sort,
     segments_properly_cross,
 )
 from pslgaug.instances import generate
@@ -46,7 +45,7 @@ from pslgaug.pslg import (
     reach,
     require_augmentable,
 )
-from tests_support import adjacency, full_build, walk_edges
+from tests_support import adjacency, full_build, polar_sort, walk_edges
 
 
 def test_build_fig3(fig3):

@@ -12,7 +12,7 @@ import pytest
 
 from pslgaug import build
 from pslgaug.geodesic import WalkNotInFace, convex_geodesic, geodesic
-from pslgaug.geom import LENGTH_TOL, dist, ekey, polar_sort, segments_properly_cross
+from pslgaug.geom import LENGTH_TOL, dist, ekey, segments_properly_cross
 from pslgaug.instances import generate, oplog_to_jsonl
 from pslgaug.pslg import (
     CrossingEdges,
@@ -53,6 +53,7 @@ from tests_support import (
     forest_path,
     full_build,
     is_delaunay,
+    polar_sort,
     scan_graph,
     through_phase2,
 )
@@ -619,21 +620,33 @@ def test_editor_boxes_follow_every_edit(monkeypatch):
 
 
 def test_edited_graph_matches_build():
-    # every graph the certified edit passes through equals a fresh build; the
-    # editor changes its graph in place, so each step is checked on a copy
-    for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
-                             (28, 5, 0.6), (40, 6, 0.3)):
-        g = generate(n, seed + 9500, density)
+    # every graph the certified edit passes through equals a fresh build, and
+    # the next darts the editor threaded at the spliced ends are the build's;
+    # on generate graphs, on scan_graph starts, where phase 2 inserts and
+    # deletes, and on copies of those moved by 10^15.  The editor changes
+    # its graph in place, so each step is checked on a copy
+    graphs = [generate(n, seed + 9500, density)
+              for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
+                                       (28, 5, 0.6), (40, 6, 0.3))]
+    for n, seed, density in ((10, 1, 0.3), (18, 2, 0.5), (26, 3, 0.2), (34, 4, 0.6)):
+        start = scan_graph(n, seed + 9700, density)
+        far = build([(p.id, p.x + 10**15, p.y - 10**15) for p in start.points], start.edges)
+        graphs += [start, far]
+    phase2 = 0
+    for g in graphs:
         _, _, log = transform(g)
+        phase2 += sum(st.phase == PHASE_DELAUNAY for st in log.steps)
         cert = _CertifiedEdges(g)
         for st in log.steps:
             assert cert.edit(st.op, st.u, st.v) is None
             h = cert.frozen()
             ref = build(g.points, h.edges)
             assert h.edges == ref.edges and h.rotation == ref.rotation
+            assert cert.nxt == next_darts(ref.rotation)
             assert facial_walks(h) == facial_walks(ref)
             assert connectivity(h) == connectivity(ref)
             assert h.total_length() == ref.total_length()
+    assert phase2 >= 80
 
 
 def test_editor_next_darts_match_facial_walks(monkeypatch):

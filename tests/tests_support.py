@@ -3,7 +3,7 @@
 import random
 
 from pslgaug import DegenerateInput, build, facial_walks
-from pslgaug.geom import ekey
+from pslgaug.geom import ekey, polar_before
 from pslgaug.instances import generate
 from pslgaug.pslg import kruskal, reach
 from pslgaug.transform import (
@@ -104,6 +104,29 @@ def label_partition(faces):
 def walk_partition(g):
     """The darts of g grouped by facial walk."""
     return sorted(sorted(zip(w.seq, w.seq[1:])) for w in facial_walks(g))
+
+
+def polar_sort(center_xy, items, key_xy, into=()):
+    """Sort items by CCW polar angle of key_xy(item) around center, starting
+    from the +x axis, merged into ``into``, a sequence already in that
+    order: binary insertion by ``polar_before``, one item at a time on a
+    list.  The reference of ``geom.polar_index``; assumes no two
+    directions coincide."""
+    cx, cy = center_xy
+    out = list(into)
+    for item in items:
+        x, y = key_xy(item)
+        dx, dy = x - cx, y - cy
+        lo, hi = 0, len(out)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            x, y = key_xy(out[mid])
+            if polar_before(dx, dy, x - cx, y - cy):
+                hi = mid
+            else:
+                lo = mid + 1
+        out.insert(lo, item)
+    return out
 
 
 def in_ccw_sector(ux, uy, vx, vy, dx, dy) -> bool:
