@@ -323,10 +323,16 @@ class _Editor(_CertifiedEdges):
         self._record("delete", u, v, phase)
 
 
-def _sq(g, u, v):
-    ux, uy = g.ipt(u)
-    vx, vy = g.ipt(v)
-    return (ux - vx) ** 2 + (uy - vy) ** 2
+def _sq_len(g):
+    """The exact squared length of an edge key (u, v), read off g's scaled
+    ints: the weight of both Kruskal runs and of every length comparison."""
+    ix, iy = g._ix, g._iy
+
+    def sq(e):
+        u, v = e
+        dx, dy = ix[u] - ix[v], iy[u] - iy[v]
+        return dx * dx + dy * dy
+    return sq
 
 
 def delaunay(g: Pslg, tree=()):
@@ -334,7 +340,8 @@ def delaunay(g: Pslg, tree=()):
     and the Lawson flips ``(old_edge, apexes)`` that reach it, in order, from
     the scan triangulation with the edges of ``tree`` constrained (the marks
     are cleared before the flips)."""
-    T = triangulate_points({p.id: g.ipt(p.id) for p in g.points})
+    ix, iy = g._ix, g._iy
+    T = triangulate_points({v: (ix[v], iy[v]) for v in ix})
     for (u, v) in sorted(tree):
         insert_constraint(T, u, v)
     T.constrained.clear()
@@ -355,7 +362,7 @@ def euclidean_mst(g: Pslg, T=None):
             pool = [ekey(*(p.id for p in g.points))] if g.n == 2 else []
         else:
             pool = (delaunay(g)[0] if T is None else T).edges()
-        g._mst = frozenset(kruskal(pool, lambda e: _sq(g, *e)))
+        g._mst = frozenset(kruskal(pool, _sq_len(g)))
     return set(g._mst)
 
 
@@ -368,7 +375,7 @@ def mst_length(g: Pslg):
 
 def spanning_subtree(g: Pslg):
     """The minimum spanning subtree of g's edges, phase 1's target."""
-    return set(kruskal(g.edges, lambda e: _sq(g, *e)))
+    return set(kruskal(g.edges, _sq_len(g)))
 
 
 def phase1_spanning_tree(ed: _Editor, tree):
@@ -386,6 +393,7 @@ def phase2_to_delaunay_tree(ed: _Editor, T, flips):
     intermediate graph stays connected.  The rule reads only the flip and
     the current tree.  Returns T, whose edges include the final tree's."""
     g = ed.graph
+    sq = _sq_len(g)
     for (a, b), (c, d) in flips:
         if (a, b) not in g.edges:  # a key: the flip queue holds keys
             continue
@@ -403,7 +411,7 @@ def phase2_to_delaunay_tree(ed: _Editor, T, flips):
             raise LemmaViolation(f"tree edge {(a, b)} is not a bridge")
         other = side[0][0] if apex in {x[1] for x in side} else side[0][1]
         new = ekey(apex, other)
-        if _sq(g, *new) >= _sq(g, a, b):
+        if sq(new) >= sq((a, b)):
             raise LemmaViolation("tree swap did not shorten")
         ed.insert(new[0], new[1], PHASE_DELAUNAY)
         ed.delete(a, b, PHASE_DELAUNAY)
@@ -425,13 +433,13 @@ def phase3_to_mst(ed: _Editor, target):
     """Exchange the edges of the graph, a tree here, for those of the
     canonical Euclidean MST ``target``: insert a missing MST edge, delete a
     longest edge of the unique created cycle."""
-    g = ed.graph
-    for e in sorted(target - g.edges):
+    sq = _sq_len(ed.graph)
+    for e in sorted(target - ed.graph.edges):
         ed.insert(e[0], e[1], PHASE_MST)
         cyc = [ekey(*x) for x in ed._cycle(*e)]
-        mx = max(_sq(g, *f) for f in cyc)
-        cand = [f for f in cyc if _sq(g, *f) == mx]
-        outside = [f for f in cand if f not in target]
+        lens = [sq(f) for f in cyc]
+        mx = max(lens)
+        outside = [f for f, w in zip(cyc, lens) if w == mx and f not in target]
         if not outside:
             raise LemmaViolation("all longest cycle edges belong to the MST")
         f = min(outside)
@@ -498,7 +506,8 @@ def phase4_grow_cycle(ed: _Editor):
     absent = [e for e in hull_edges if e not in g.edges]
     if not absent:
         raise LemmaViolation("spanning tree contains the whole hull cycle")
-    u, v = max(absent, key=lambda e: (_sq(g, *e), [-c for c in e]))
+    sq = _sq_len(g)
+    u, v = max(absent, key=lambda e: (sq(e), [-c for c in e]))
     ed.insert(u, v, PHASE_GROW)
     # the face of (v, u) runs the cycle from u to v, that of (u, v) back
     cyc = ed._cycle(u, v)

@@ -20,8 +20,9 @@ from .pslg import LemmaViolation
 class Triangulation:
     """Triangle soup over id-keyed points with side and vertex adjacency.
 
-    Triangles are stored as CCW tuples canonically rotated to start at the
-    smallest id.  ``side`` maps each directed side (i, j) to the one CCW
+    Triangles are stored by ``add_ccw``, as CCW tuples canonically rotated
+    to start at the smallest id; every caller has oriented its triangles by
+    its own test.  ``side`` maps each directed side (i, j) to the one CCW
     triangle that has it, so the triangle across side (i, j) is
     ``side.get((j, i))``, which only sides on the hull lack.  It is the one
     triangle store: each triangle owns exactly three sides, so there are
@@ -40,34 +41,25 @@ class Triangulation:
         pa, pb, pc = self.pts[a], self.pts[b], self.pts[c]
         return orient_xy(pa[0], pa[1], pb[0], pb[1], pc[0], pc[1])
 
-    def in_circle(self, a, b, c, d):
-        """+1 iff d strictly inside the circumcircle of CCW triangle abc."""
-        return incircle_xy(*self.pts[a], *self.pts[b], *self.pts[c], *self.pts[d])
-
     # -- structure edits ------------------------------------------------
 
-    def add_tri(self, a, b, c):
-        """Add the triangle on corners a, b, c, stored CCW from its smallest
-        id; returns the stored tuple."""
-        s = self.orient(a, b, c)
-        if s < 0:
-            b, c = c, b
+    def add_ccw(self, a, b, c):
+        """Store the triangle a, b, c, whose corners the caller has proved
+        counterclockwise, rotated to start at its smallest id; returns the
+        stored tuple.  It is not oriented again."""
         if b < a and b < c:
             a, b, c = b, c, a
         elif c < a and c < b:
             a, b, c = c, a, b
         t = (a, b, c)
-        if s == 0:
-            raise DegenerateInput(f"degenerate triangle {t}")
         side = self.side
-        sides = ((a, b), (b, c), (c, a))
-        for e in sides:
+        for e in ((a, b), (b, c), (c, a)):
             if e in side:  # another triangle lies on this side of the edge
                 raise LemmaViolation(f"edge {ekey(*e)} borders 3 triangles")
-        for e in sides:
-            side[e] = t
+        side[a, b] = side[b, c] = side[c, a] = t
+        vertex_tris = self.vertex_tris
         for v in t:
-            self.vertex_tris.setdefault(v, []).append(t)
+            vertex_tris.setdefault(v, []).append(t)
         return t
 
     def remove_tri(self, t):
@@ -95,11 +87,18 @@ class Triangulation:
 
 
 def triangulate_points(pts) -> Triangulation:
-    """Scan triangulation of a point set in general position, given as a
-    mapping from vertex id to (x, y).
+    """Scan triangulation of a point set given as a mapping from vertex id
+    to (x, y), in the general position that ``build`` certifies: no two
+    points equal and no three collinear.
 
-    Points are added in lexicographic order; each new point is joined to all
-    hull edges it sees (``join_outside``).  O(n^2), exact.
+    Points are added in lexicographic order.  The point added last is then
+    the largest so far, so it is a hull vertex, and the next point, larger
+    still, sees a hull edge at it.  The scan keeps the hull as its lower and
+    upper chains, both ending at that point, walks each back while its last
+    edge is visible and joins the new point to the arc walked: it pays for
+    the triangles it makes plus two tests a point, O(n log n) with the sort.
+    An edge the walk tests raises DegenerateInput when the new point is on
+    its line; a hull edge beyond the visible arc is not tested.  Exact.
     """
     T = Triangulation(pts)
     pts = T.pts
@@ -110,50 +109,38 @@ def triangulate_points(pts) -> Triangulation:
     s = T.orient(a, b, c)
     if s == 0:
         raise DegenerateInput(f"collinear points {a},{b},{c}")
-    if s < 0:
-        b, c = c, b
-    T.add_tri(a, b, c)
-    hull = [a, b, c]  # CCW
+    if s > 0:
+        T.add_ccw(a, b, c)
+        lower, upper = [a, b, c], [a, c]
+    else:
+        T.add_ccw(a, c, b)
+        lower, upper = [a, c], [a, b, c]
     for q in order[3:]:
-        hull = join_outside(T, hull, q)
+        qx, qy = pts[q]
+        # the hull edges visible from q, walked from the last point: the
+        # upper chain's CCW edges run right to left, the lower chain's left
+        # to right.  The leftmost point is never inside the visible arc, but
+        # it can end it
+        runs = []
+        for chain, ccw in ((upper, False), (lower, True)):
+            run = []
+            while len(chain) > 1:
+                u, v = (chain[-2], chain[-1]) if ccw else (chain[-1], chain[-2])
+                (ux, uy), (vx, vy) = pts[u], pts[v]
+                s = orient_xy(ux, uy, vx, vy, qx, qy)
+                if s > 0:
+                    break
+                if s == 0:
+                    raise DegenerateInput(f"point {q} collinear with hull edge ({u},{v})")
+                run.append((u, v))
+                chain.pop()
+            chain.append(q)
+            runs.append(run)
+        # the visible arc in CCW order: the lower run up to the last point,
+        # then the upper run away from it; q is right of each u->v
+        for u, v in runs[1][::-1] + runs[0]:
+            T.add_ccw(u, q, v)
     return T
-
-
-def join_outside(T: Triangulation, hull, q):
-    """One step of the scan: join point q of T, outside the convex polygon
-    ``hull`` (the CCW cycle of T's hull vertices), to every hull edge it
-    sees.  Returns the new hull cycle.  A point inside the hull raises
-    LemmaViolation; one on the line of a hull edge, DegenerateInput."""
-    h = len(hull)
-    vis = []
-    for i in range(h):
-        u, v = hull[i], hull[(i + 1) % h]
-        s = T.orient(u, v, q)
-        if s == 0:
-            raise DegenerateInput(f"point {q} collinear with hull edge ({u},{v})")
-        vis.append(s < 0)
-    if not any(vis):
-        raise LemmaViolation(f"point {q} inside current hull during scan")
-    # visible edges form one contiguous cyclic arc
-    start = next(i for i in range(h) if vis[i] and not vis[i - 1])
-    arc = []
-    i = start
-    while vis[i % h]:
-        arc.append(i % h)
-        i += 1
-    for i in arc:
-        u, v = hull[i], hull[(i + 1) % h]
-        T.add_tri(u, q, v)
-    keep_from = (arc[-1] + 1) % h
-    keep_to = start  # hull[start] stays (first endpoint of first visible edge)
-    newhull = [q]
-    i = keep_from
-    while True:
-        newhull.append(hull[i])
-        if i == keep_to:
-            break
-        i = (i + 1) % h
-    return newhull
 
 
 def insert_constraint(T: Triangulation, u, w):
@@ -223,9 +210,9 @@ def insert_constraint(T: Triangulation, u, w):
         T.remove_tri(t)
     # left polygon: u -> left chain -> w, closed by segment w->u
     for tri in ear_clip(T, [u] + left_chain + [w]):
-        T.add_tri(*tri)
+        T.add_ccw(*tri)
     for tri in ear_clip(T, [u] + right_chain + [w]):
-        T.add_tri(*tri)
+        T.add_ccw(*tri)
     T.constrained.add(k)
 
 
@@ -234,7 +221,8 @@ def ear_clip(T: Triangulation, poly):
     ear clipping.
 
     Exact; assumes distinct vertices and no three collinear.  Returns CCW
-    triangles.
+    triangles: each, the last one included, passed the ear test, which
+    orients it.
     """
     o, pts = T.orient, T.pts
     idx = list(poly)
@@ -248,7 +236,7 @@ def ear_clip(T: Triangulation, poly):
         idx.reverse()
 
     out = []
-    while len(idx) > 3:
+    while len(idx) > 2:
         n = len(idx)
         for k in range(n):
             a, b, c = idx[k - 1], idx[k], idx[(k + 1) % n]
@@ -267,7 +255,6 @@ def ear_clip(T: Triangulation, poly):
                 break
         else:
             raise LemmaViolation("ear clipping found no ear (polygon not simple?)")
-    out.append(tuple(idx))
     return out
 
 
@@ -290,7 +277,8 @@ def lawson_flips(T: Triangulation):
     (Delaunay's lemma), cocircular points included, because the test is
     strict.
     """
-    flip_cap = 4 * len(T.pts) * len(T.pts) + 64
+    pts, side = T.pts, T.side
+    flip_cap = 4 * len(pts) * len(pts) + 64
     queue = deque(sorted(T.edges()))
     queued = set(queue)
     flips = []
@@ -298,27 +286,30 @@ def lawson_flips(T: Triangulation):
         e = queue.popleft()
         queued.discard(e)
         a, b = e
-        t1, t2 = T.side.get((a, b)), T.side.get((b, a))
+        t1, t2 = side.get(e), side.get((b, a))
         if t1 is None or t2 is None:
             continue
-        # c is the apex left of a->b, so (a, b, c) is CCW as in_circle wants
-        c = T.apex(t1, a, b)
-        d = T.apex(t2, a, b)
-        if T.in_circle(a, b, c, d) <= 0:
+        # t1 is (a, b, c) and t2 is (b, a, d), each rotated: an apex follows
+        # the side's head.  c is left of a->b, so (a, b, c) is CCW as
+        # incircle_xy wants
+        c, d = t1[t1.index(b) - 2], t2[t2.index(a) - 2]
+        (ax, ay), (bx, by), (cx, cy), (dx, dy) = pts[a], pts[b], pts[c], pts[d]
+        if incircle_xy(ax, ay, bx, by, cx, cy, dx, dy) <= 0:
             continue
-        # quad a-c-b-d must be strictly convex for the flip
-        oa, ob = T.orient(c, d, a), T.orient(c, d, b)
-        if oa == ob or oa == 0 or ob == 0:
+        # quad a-d-b-c must be strictly convex for the flip: a right of c->d
+        # and b left of it, which makes (a, d, c) and (b, c, d) CCW
+        if orient_xy(cx, cy, dx, dy, ax, ay) >= 0 or orient_xy(cx, cy, dx, dy, bx, by) <= 0:
             raise LemmaViolation(f"illegal edge {e} in non-convex quad")
         T.remove_tri(t1)
         T.remove_tri(t2)
-        T.add_tri(a, c, d)
-        T.add_tri(b, c, d)
+        T.add_ccw(a, d, c)
+        T.add_ccw(b, c, d)
         flips.append(((a, b), (c, d)))
         if len(flips) > flip_cap:
             raise LemmaViolation("flip budget exceeded")
+        # the quad's four sides and the new (c, d) are edges now
         for k in (ekey(a, c), ekey(c, b), ekey(b, d), ekey(d, a), ekey(c, d)):
-            if k not in queued and T.has_edge(*k):
+            if k not in queued:
                 queue.append(k)
                 queued.add(k)
     return flips

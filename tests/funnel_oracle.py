@@ -26,9 +26,68 @@ asserted.
 import weakref
 
 from pslgaug.geodesic import GeodesicPath, WalkNotInFace
-from pslgaug.geom import collinear_pair, convex_hull, walk_length
+from pslgaug.geom import DegenerateInput, collinear_pair, convex_hull, walk_length
 from pslgaug.pslg import LemmaViolation, require_augmentable
-from pslgaug.triangulate import insert_constraint, join_outside, triangulate_points
+from pslgaug.triangulate import Triangulation, insert_constraint, triangulate_points
+
+
+def join_outside(T, hull, q):
+    """The scan's step on the whole hull: join point q of T, outside the
+    convex polygon ``hull`` (the CCW cycle of T's hull vertices), to every
+    hull edge it sees.  Returns the new hull cycle, starting at q.  A point
+    inside the hull raises LemmaViolation; one on the line of any hull edge,
+    DegenerateInput.  ``triangulate_points`` walks only the visible arc; this
+    tests every edge, for points that are not the scan's next one, and is
+    the reference of that walk (``full_hull_scan``)."""
+    h = len(hull)
+    vis = []
+    for i in range(h):
+        u, v = hull[i], hull[(i + 1) % h]
+        s = T.orient(u, v, q)
+        if s == 0:
+            raise DegenerateInput(f"point {q} collinear with hull edge ({u},{v})")
+        vis.append(s < 0)
+    if not any(vis):
+        raise LemmaViolation(f"point {q} inside current hull during scan")
+    # visible edges form one contiguous cyclic arc
+    start = next(i for i in range(h) if vis[i] and not vis[i - 1])
+    arc = []
+    i = start
+    while vis[i % h]:
+        arc.append(i % h)
+        i += 1
+    for i in arc:
+        u, v = hull[i], hull[(i + 1) % h]
+        T.add_ccw(u, q, v)  # q is right of u->v
+    keep_from = (arc[-1] + 1) % h
+    keep_to = start  # hull[start] stays (first endpoint of first visible edge)
+    newhull = [q]
+    i = keep_from
+    while True:
+        newhull.append(hull[i])
+        if i == keep_to:
+            break
+        i = (i + 1) % h
+    return newhull
+
+
+def full_hull_scan(pts):
+    """The scan triangulation as it was built before the scan walked only
+    the visible arc: each point, in lexicographic order, joined to every
+    hull edge it sees by ``join_outside``."""
+    T = Triangulation(pts)
+    order = sorted(T.pts, key=T.pts.__getitem__)
+    a, b, c = order[0], order[1], order[2]
+    s = T.orient(a, b, c)
+    if s == 0:
+        raise DegenerateInput(f"collinear points {a},{b},{c}")
+    if s < 0:
+        b, c = c, b
+    T.add_ccw(a, b, c)
+    hull = [a, b, c]  # CCW
+    for q in order[3:]:
+        hull = join_outside(T, hull, q)
+    return T
 
 
 def add_outside_points(T, pts):
@@ -48,7 +107,7 @@ def add_outside_points(T, pts):
 
 def validate(T):
     """Structural sanity of a triangulation of its points' convex hull
-    (``add_tri`` already refuses a third triangle on an edge): the triangle
+    (``add_ccw`` already refuses a third triangle on an edge): the triangle
     count is 2V - h - 2 for the V points, h of them on the hull.  A removed
     triangle breaks the count, and so does one dropped from ``side`` behind
     its back."""

@@ -45,7 +45,7 @@ from pslgaug.transform import (
 )
 import funnel_oracle
 import test_adversarial as A
-from funnel_oracle import funnel_env, funnel_geodesic, locate_subwalk, validate
+from funnel_oracle import full_hull_scan, funnel_env, funnel_geodesic, locate_subwalk, validate
 from test_optimal import pool_instances
 from tests_support import (
     adjacency,
@@ -54,6 +54,7 @@ from tests_support import (
     full_build,
     is_delaunay,
     polar_sort,
+    reference_lawson_flips,
     scan_graph,
     through_phase2,
 )
@@ -1004,7 +1005,7 @@ def assert_vertex_index_current(T):
 
 
 def assert_side_map_current(T):
-    # rebuilt from the vertex index, which ``add_tri`` and ``remove_tri``
+    # rebuilt from the vertex index, which ``add_ccw`` and ``remove_tri``
     # keep apart from the side map
     side = {}
     for t in {t for ts in T.vertex_tris.values() for t in ts}:
@@ -1049,12 +1050,12 @@ def test_validate_rejects_a_removed_interior_triangle():
         T.remove_tri(t)
         with pytest.raises(LemmaViolation, match="triangles, not 2V - h - 2"):
             validate(T)
-        T.add_tri(*t)
+        T.add_ccw(*t)
     validate(T)
     a, b, c = interior[0]
     z = next(z for z in sorted(T.pts) if z not in (a, b, c) and T.orient(a, b, z))
     with pytest.raises(LemmaViolation, match=re.escape(f"edge {ekey(a, b)} borders 3 triangles")):
-        T.add_tri(a, b, z)
+        T.add_ccw(*((a, b, z) if T.orient(a, b, z) > 0 else (b, a, z)))
 
 
 def fresh_geodesic(g, walk):
@@ -1218,6 +1219,28 @@ def test_lawson_queue_certifies_delaunay():
             assert is_delaunay(delaunay(g, spanning_subtree(g))[0]), name
 
 
+def test_delaunay_flips_equal_the_reference_lawson():
+    # the scan walks only the visible arc, each triangle is stored as its
+    # caller oriented it, and the flip reads its apexes and coordinates
+    # locally: from the full-hull scan, with the same tree constrained, the
+    # reference queue makes the same flips and the same store, in order
+    graphs = [g for gs in phase2_sets().values() for g in gs]
+    graphs += [g for pair in cocircular_sets() for g in pair]
+    flips = 0
+    for g in graphs:
+        tree = spanning_subtree(g)
+        T, got = delaunay(g, tree)
+        R = full_hull_scan({p.id: g.ipt(p.id) for p in g.points})
+        for u, v in sorted(tree):
+            insert_constraint(R, u, v)
+        R.constrained.clear()
+        assert got == reference_lawson_flips(R)
+        assert list(T.side.items()) == list(R.side.items())
+        assert list(T.vertex_tris.items()) == list(R.vertex_tris.items())
+        flips += len(got)
+    assert flips > 1000
+
+
 def _lawson_mutant(skip):
     """``lawson_flips`` with the quad side ``skip`` not queued again after a
     flip."""
@@ -1284,12 +1307,14 @@ def test_query_rejects_a_flipped_constrained_edge():
         c, d = T.apex(T.side[a, b], a, b), T.apex(T.side[b, a], a, b)
         if T.orient(c, d, a) * T.orient(c, d, b) >= 0:
             continue  # not a convex quad
+        # c is left of a->b and d right: the quad a-d-b-c is CCW, and the
+        # diagonal (c, d) splits it into (a, d, c) and (b, c, d)
 
         def flip(T, a=a, b=b, c=c, d=d):
             for t in (T.side[a, b], T.side[b, a]):
                 T.remove_tri(t)
-            T.add_tri(a, c, d)
-            T.add_tri(b, c, d)
+            T.add_ccw(a, d, c)
+            T.add_ccw(b, c, d)
 
         with pytest.raises(LemmaViolation) as e:
             _query_after(flip)

@@ -4,7 +4,9 @@ import sys
 from collections import Counter
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from pslgaug import triangulate
 from pslgaug.geom import DegenerateInput
 from pslgaug.instances import generate
 from pslgaug.pslg import LemmaViolation
@@ -12,11 +14,10 @@ from pslgaug.transform import transform
 from pslgaug.triangulate import (
     Triangulation,
     insert_constraint,
-    join_outside,
     lawson_flips,
     triangulate_points,
 )
-from funnel_oracle import add_outside_points, validate
+from funnel_oracle import add_outside_points, full_hull_scan, join_outside, validate
 from test_optimal import pool_instances
 
 
@@ -57,20 +58,20 @@ def _points(rng, n):
 
 def test_side_map_and_vertex_index_follow_every_triangle_edit(monkeypatch):
     edits = Counter()
-    add, remove = Triangulation.add_tri, Triangulation.remove_tri
+    add, remove = Triangulation.add_ccw, Triangulation.remove_tri
 
     def checked(edit):
         def run(T, *args):
             out = edit(T, *args)
             assert_stores_agree(T)
             caller = sys._getframe(1).f_code.co_name
-            if caller == "join_outside":  # the scan, or the box corners
+            if caller == "join_outside":  # the box corners
                 caller = sys._getframe(2).f_code.co_name
             edits[edit.__name__, caller] += 1
             return out
         return run
 
-    monkeypatch.setattr(Triangulation, "add_tri", checked(add))
+    monkeypatch.setattr(Triangulation, "add_ccw", checked(add))
     monkeypatch.setattr(Triangulation, "remove_tri", checked(remove))
     rng = random.Random(3)
     for _ in range(20):
@@ -96,7 +97,7 @@ def test_side_map_and_vertex_index_follow_every_triangle_edit(monkeypatch):
         except LemmaViolation as exc:  # the known phase-4 splice defect
             assert "interleave" in str(exc)
     for caller in ("triangulate_points", "add_outside_points", "insert_constraint", "lawson_flips"):
-        assert edits["add_tri", caller] > 100, caller
+        assert edits["add_ccw", caller] > 100, caller
     for caller in ("insert_constraint", "lawson_flips"):
         assert edits["remove_tri", caller] > 100, caller
 
@@ -145,16 +146,75 @@ def test_join_outside_refuses_a_point_inside_the_hull():
         add_outside_points(T, {4: (3, 4)})
 
 
-def test_add_tri_orients_once_and_keeps_its_canonical_form(monkeypatch):
-    T = Triangulation(dict(enumerate([(0, 0), (4, 0), (1, 3), (2, 0)])))
+def test_add_ccw_orients_none_and_keeps_its_canonical_form(monkeypatch):
+    T = Triangulation(dict(enumerate([(0, 0), (4, 0), (1, 3), (3, 2)])))
     calls = []
-    orient = T.orient
-    monkeypatch.setattr(T, "orient", lambda *a: calls.append(a) or orient(*a))
-    assert T.add_tri(2, 1, 0) == (0, 1, 2)  # clockwise in, CCW from the smallest out
-    assert len(calls) == 1
-    with pytest.raises(DegenerateInput, match=re.escape("degenerate triangle (0, 3, 1)")):
-        T.add_tri(3, 1, 0)
+    monkeypatch.setattr(triangulate, "orient_xy", lambda *a: calls.append(a))
+    monkeypatch.setattr(T, "orient", lambda *a: calls.append(a))
+    assert T.add_ccw(2, 0, 1) == (0, 1, 2)  # CCW in, CCW from the smallest out
+    assert calls == []
+    with pytest.raises(LemmaViolation, match=re.escape("edge (0, 1) borders 3 triangles")):
+        T.add_ccw(3, 0, 1)  # CCW too, on the same side of (0, 1)
     assert set(T.side.values()) == {(0, 1, 2)} and hull_sides(T) == 3
+    assert T.vertex_tris == {0: [(0, 1, 2)], 1: [(0, 1, 2)], 2: [(0, 1, 2)]}
+
+
+def test_scan_tests_two_hull_edges_a_point_beyond_its_triangles(monkeypatch):
+    # each point after the first three is tested against the hull edges it
+    # joins and at most one more edge each way (none on a side whose walk
+    # ends at the leftmost point, and that is never both sides); the first
+    # triangle is oriented once and no triangle again
+    orient_xy, tested = triangulate.orient_xy, []
+    monkeypatch.setattr(triangulate, "orient_xy", lambda *a: tested.append(a) or orient_xy(*a))
+    rng = random.Random(6)
+    for n in (3, 4, 12, 40):
+        T = triangulate_points(dict(enumerate(_points(rng, n))))
+        del tested[:]
+        T = triangulate_points(T.pts)
+        tris = len(T.side) // 3
+        assert tris + (n - 3) <= len(tested) <= tris + 2 * (n - 3)
+
+
+def test_scan_walk_refuses_collinear_points_as_the_full_hull_scan_does():
+    # on a 7 x 7 grid most sets have a collinear triple: an edge the walk
+    # tests raises DegenerateInput with the message the full-hull scan
+    # gives, and the sets the walk accepts, both scans triangulate alike
+    rng, outcomes = random.Random(7), Counter()
+    for _ in range(1500):
+        cells = rng.sample([(x, y) for x in range(-3, 4) for y in range(-3, 4)], rng.randint(3, 9))
+        pts = dict(zip(rng.sample(range(100), len(cells)), cells))
+        got = []
+        for scan in (triangulate_points, full_hull_scan):
+            try:
+                got.append(list(scan(pts).side.items()))
+            except DegenerateInput as exc:
+                got.append(str(exc))
+        assert got[0] == got[1], pts
+        outcomes[type(got[0]).__name__] += 1
+    assert outcomes["str"] > 500 and outcomes["list"] > 200
+
+
+def _no_three_collinear(pts):
+    ps = list(pts.values())
+    return not any(
+        (b[0] - a[0]) * (c[1] - a[1]) == (b[1] - a[1]) * (c[0] - a[0])
+        for i, a in enumerate(ps) for j, b in enumerate(ps[i + 1 :], i + 1) for c in ps[j + 1 :]
+    )
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(st.integers(-6, 6), st.integers(-40, 40)), min_size=3, max_size=14),
+       st.sampled_from((0, 10**15, -(10**15))), st.sampled_from((0, 10**15, -(10**15))))
+def test_scan_walk_equals_the_full_hull_scan(xy, dx, dy):
+    # x is drawn from 13 values, so equal-x ties are common; the walk makes
+    # the same triangles in the same order as the scan that tests every
+    # hull edge, so the side map and the vertex index agree, in order
+    pts = {3 * k + 1: (x + dx, y + dy) for k, (x, y) in enumerate(dict.fromkeys(xy))}
+    assume(len(pts) >= 3 and _no_three_collinear(pts))
+    T, R = triangulate_points(pts), full_hull_scan(pts)
+    assert list(T.side.items()) == list(R.side.items())
+    assert list(T.vertex_tris.items()) == list(R.vertex_tris.items())
+    validate(T)
 
 
 def test_points_must_be_a_mapping():

@@ -1,11 +1,12 @@
 """Shared fixture builders and oracles for the test suite."""
 
 import random
+from collections import deque
 
 from pslgaug import DegenerateInput, build, facial_walks
-from pslgaug.geom import ekey, polar_before
+from pslgaug.geom import ekey, incircle_xy, polar_before
 from pslgaug.instances import generate
-from pslgaug.pslg import kruskal, reach
+from pslgaug.pslg import LemmaViolation, kruskal, reach
 from pslgaug.transform import (
     _Editor,
     delaunay,
@@ -154,6 +155,48 @@ def in_ccw_sector(ux, uy, vx, vy, dx, dy) -> bool:
     return not (cvd >= 0 and cdu >= 0)
 
 
+def reference_lawson_flips(T):
+    """``triangulate.lawson_flips`` as it read before each test read its
+    apexes and coordinates locally: apexes by ``T.apex``, the convex-quad
+    test on the orientation pair, each new triangle oriented before it is
+    stored, and a quad side re-queued only if it is an edge.  The oracle of
+    the flip list, in order."""
+
+    def add_oriented(a, b, c):
+        T.add_ccw(*((a, b, c) if T.orient(a, b, c) > 0 else (a, c, b)))
+
+    flip_cap = 4 * len(T.pts) * len(T.pts) + 64
+    queue = deque(sorted(T.edges()))
+    queued = set(queue)
+    flips = []
+    while queue:
+        e = queue.popleft()
+        queued.discard(e)
+        a, b = e
+        t1, t2 = T.side.get((a, b)), T.side.get((b, a))
+        if t1 is None or t2 is None:
+            continue
+        c = T.apex(t1, a, b)
+        d = T.apex(t2, a, b)
+        if incircle_xy(*T.pts[a], *T.pts[b], *T.pts[c], *T.pts[d]) <= 0:
+            continue
+        oa, ob = T.orient(c, d, a), T.orient(c, d, b)
+        if oa == ob or oa == 0 or ob == 0:
+            raise LemmaViolation(f"illegal edge {e} in non-convex quad")
+        T.remove_tri(t1)
+        T.remove_tri(t2)
+        add_oriented(a, c, d)
+        add_oriented(b, c, d)
+        flips.append(((a, b), (c, d)))
+        if len(flips) > flip_cap:
+            raise LemmaViolation("flip budget exceeded")
+        for k in (ekey(a, c), ekey(c, b), ekey(b, d), ekey(d, a), ekey(c, d)):
+            if k not in queued and T.has_edge(*k):
+                queue.append(k)
+                queued.add(k)
+    return flips
+
+
 def is_delaunay(T) -> bool:
     """Exact empty-circumcircle check over all adjacent triangle pairs of
     the triangulation T: the oracle of ``triangulate.lawson_flips``."""
@@ -163,6 +206,8 @@ def is_delaunay(T) -> bool:
             continue
         c = T.apex(t1, a, b)
         d = T.apex(t2, a, b)
-        if T.in_circle(*t1, d) > 0 or T.in_circle(*t2, c) > 0:
+        p = T.pts
+        if incircle_xy(*p[t1[0]], *p[t1[1]], *p[t1[2]], *p[d]) > 0 or \
+                incircle_xy(*p[t2[0]], *p[t2[1]], *p[t2[2]], *p[c]) > 0:
             return False
     return True
