@@ -3,7 +3,7 @@
 program per pack of faces.
 
 For a face with closed walk (p_0, ..., p_n), p_0 = p_n, C[s][t] is the
-minimum weight of a chord set that satisfies every cut vertex (resp. bridge)
+minimum length of a chord set that satisfies every cut vertex (resp. bridge)
 relative to the subwalk (p_s, ..., p_t).  A vertex is a cut vertex relative
 to the subwalk if it occurs in it more than once; the positions strictly
 between consecutive occurrences are its descendants.  An edge is a bridge
@@ -95,7 +95,7 @@ from itertools import combinations
 from math import fsum
 
 from .geom import dist, ekey
-from .oracle import CHECKS, certify, check_mode, check_weight, verify
+from .oracle import certify, check_mode, verify
 from .pslg import LemmaViolation, Pslg, PslgError, facial_walks, require_augmentable
 
 
@@ -585,10 +585,9 @@ def _first_min(vals, keys, idx, offs, cnt):
     return vmin, first
 
 
-def _dp(w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
+def _dp(w: IndexedWalk, F: np.ndarray, mode: str):
     """One (cost, chord edges) per walk of the pack, read off one fill."""
-    W = F if weight == "length" else np.where(np.isfinite(F), 1.0, np.inf)
-    C, won = _fill(w, W, mode)
+    C, won = _fill(w, F, mode)
     n2, out = w.n + 2, []
     for walk, o, end in zip(w.walks, w.off, w.off[1:]):
         pairs, stack = [], [(o + 1, end)]
@@ -614,24 +613,23 @@ def _dp(w: IndexedWalk, F: np.ndarray, mode: str, weight: str):
     return out
 
 
-def _solve(g: Pslg, walks, mode, weight):
-    check_weight(weight)
+def _solve(g: Pslg, walks, mode):
     if not walks:
         return []
     w = IndexedWalk.pack(walks, extend=mode == "2ec")
-    return _dp(w, feasibility(g, w), mode, weight)
+    return _dp(w, feasibility(g, w), mode)
 
 
-def dp_2vc(g: Pslg, walks, weight="length"):
+def dp_2vc(g: Pslg, walks):
     """One (cost, chord edges) per facial walk, in order, making its face
     2-connected by algorithm A; the walks are solved as one pack."""
-    return _solve(g, walks, "2vc", weight)
+    return _solve(g, walks, "2vc")
 
 
-def dp_2ec(g: Pslg, walks, weight="length"):
+def dp_2ec(g: Pslg, walks):
     """One (cost, chord edges) per facial walk, in order, making its face
     2-edge-connected by algorithm B; the walks are solved as one pack."""
-    return _solve(g, walks, "2ec", weight)
+    return _solve(g, walks, "2ec")
 
 
 def _chordless(seq, mode) -> bool:
@@ -666,20 +664,19 @@ def _packs(g: Pslg, walks, extend):
     return [p[0] for p in packs]
 
 
-def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
-    """Minimum-weight global augmentation: per-face optima are independent
+def optimal_augment(g: Pslg, mode: str) -> OptimalResult:
+    """Minimum-length global augmentation: per-face optima are independent
     and their union is the global optimum.  A chordless face (see
     _chordless) is recorded with cost 0.0 and no chord, without building
     its feasibility matrix or DP.  The result is certified by
-    ``oracle.verify``: planar and of the mode's connectivity, and under
-    weight "length" also within the 2||E|| ratio."""
+    ``oracle.verify``: planar, of the mode's connectivity and within the
+    2||E|| ratio."""
     check_mode(mode)
-    check_weight(weight)
     require_augmentable(g)
     walks = facial_walks(g)
     solve, solved = dp_2vc if mode == "2vc" else dp_2ec, {}
     for pack in _packs(g, [wk for wk in walks if not _chordless(wk.seq, mode)], mode == "2ec"):
-        solved.update(zip([wk.face_id for wk in pack], solve(g, pack, weight), strict=True))
+        solved.update(zip([wk.face_id for wk in pack], solve(g, pack), strict=True))
     faces = [FaceSolution(wk.face_id, *solved.get(wk.face_id, (0.0, []))) for wk in walks]
     added = {}
     for e in (e for face in faces for e in face.edges):
@@ -687,9 +684,6 @@ def optimal_augment(g: Pslg, mode: str, weight="length") -> OptimalResult:
             raise LemmaViolation(f"chord {e} chosen in two faces")
         added[e] = dist(g.by_id[e[0]], g.by_id[e[1]])
 
-    total = sum(f.cost for f in faces) if weight != "length" else fsum(added.values())
     chords = sorted(added)
-    # a minimum-cardinality set has no length bound
-    checks = CHECKS if weight == "length" else CHECKS[:2]
-    certify(verify(g, chords, mode), f"optimal_augment {mode}", checks)
-    return OptimalResult(added=chords, total_added_length=total, mode=mode, faces=faces)
+    certify(verify(g, chords, mode), f"optimal_augment {mode}")
+    return OptimalResult(chords, fsum(added.values()), mode, faces)

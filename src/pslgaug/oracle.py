@@ -1,4 +1,4 @@
-"""Exhaustive minimum-weight augmentation and solution verification.
+"""Exhaustive minimum-length augmentation and solution verification.
 
 The ground truth for the dynamic programs: enumerate all subsets of
 individually-insertable candidate edges (pairwise non-crossing), pruned by
@@ -24,7 +24,6 @@ from .geom import LENGTH_TOL, dist, ekey, segments_properly_cross
 from .pslg import LemmaViolation, Pslg, PslgError, build, connectivity
 
 MODES = ("2vc", "2ec")
-WEIGHTS = ("length", "unit")
 CHECKS = ("planar", "connectivity_ok", "ratio_le_2")
 
 
@@ -38,23 +37,16 @@ def check_mode(mode):
         raise ValueError("mode must be " + " or ".join(map(repr, MODES)))
 
 
-def check_weight(weight):
-    """Raise ValueError unless ``weight`` is one of WEIGHTS."""
-    if weight not in WEIGHTS:
-        raise ValueError("weight must be " + " or ".join(map(repr, WEIGHTS)))
-
-
 @dataclass
 class CandidateSet:
-    edges: list  # candidate edge keys, sorted by (weight, key)
-    weights: list
+    edges: list  # candidate edge keys, sorted by (length, key)
+    weights: list  # their lengths
     crossing: dict  # index -> set of indices it crosses
 
 
-def candidate_set(g: Pslg, weight="length") -> CandidateSet:
+def candidate_set(g: Pslg) -> CandidateSet:
     """Non-edges that can be inserted alone: no proper crossing with E.
     (General position rules out passing through a vertex.)"""
-    check_weight(weight)
     ids = sorted(p.id for p in g.points)
     ipt = g.ipt
     cands = []
@@ -70,8 +62,7 @@ def candidate_set(g: Pslg, weight="length") -> CandidateSet:
                     ok = False
                     break
             if ok:
-                w = 1.0 if weight == "unit" else dist(g.by_id[u], g.by_id[v])
-                cands.append((w, (u, v)))
+                cands.append((dist(g.by_id[u], g.by_id[v]), (u, v)))
     cands.sort()
     edges = [e for _, e in cands]
     weights = [w for w, _ in cands]
@@ -166,15 +157,15 @@ def _shortfall(g: Pslg, extra, mode):
     return (leaves + 1) // 2, not bridges
 
 
-def brute_force_optimal(g: Pslg, mode: str, limit: int = 22, weight="length"):
-    """Minimum-weight subset of pairwise-non-crossing candidates whose
+def brute_force_optimal(g: Pslg, mode: str, limit: int = 22):
+    """Minimum-length subset of pairwise-non-crossing candidates whose
     insertion achieves the mode's connectivity: (cost, edges).
 
-    Branch and bound over candidates sorted by weight; raises Exhausted when
+    Branch and bound over candidates sorted by length; raises Exhausted when
     the candidate count exceeds ``limit``.
     """
     check_mode(mode)
-    cs = candidate_set(g, weight=weight)
+    cs = candidate_set(g)
     m = len(cs.edges)
     if m > limit:
         raise Exhausted(f"{m} candidates exceed limit {limit}")
@@ -239,11 +230,11 @@ def report(g: Pslg, added, mode: str, g2) -> dict:
     return rep
 
 
-def certify(rep: dict, name: str, checks=CHECKS) -> dict:
+def certify(rep: dict, name: str) -> dict:
     """``rep``, a verify report on the result of ``name``; raises
-    LemmaViolation naming the first of ``checks`` (which start with
-    "planar") that failed."""
-    failed = next((k for k in checks if not rep[k]), None)
+    LemmaViolation naming the first of CHECKS that failed: planarity, the
+    mode's connectivity, the 2||E|| ratio."""
+    failed = next((k for k in CHECKS if not rep[k]), None)
     if failed is not None:
         detail = f" ({rep['error']})" if failed == "planar" else ""
         raise LemmaViolation(f"verify rejected the {name} result: {failed} failed{detail}")

@@ -153,11 +153,11 @@ def insert_constraint(T: Triangulation, u, w):
     if T.has_edge(u, w):
         T.constrained.add(k)
         return
-    # find the triangle at u whose wedge contains the direction to w
+    # the one triangle at u whose open wedge holds the direction to w
     ux, uy = T.pts[u]
     wx, wy = T.pts[w]
     start = None
-    for t in sorted(T.vertex_tris.get(u, ())):
+    for t in T.vertex_tris.get(u, ()):
         a, b, c = t
         # order so the triangle reads (u, p, q) CCW: wedge from ray u->p to u->q
         if a == u:

@@ -312,8 +312,8 @@ def test_augment_exits_3_when_the_augmenter_rejects_its_own_result(fig3_file, ca
         monkeypatch.setattr(heuristic, "_finish", tampered)
     else:
         for dp in ("dp_2ec", "dp_2vc"):
-            def tampered(g, walks, weight, solve=getattr(optimal, dp)):
-                return [(cost, _crossing(chords)) for cost, chords in solve(g, walks, weight)]
+            def tampered(g, walks, solve=getattr(optimal, dp)):
+                return [(cost, _crossing(chords)) for cost, chords in solve(g, walks)]
 
             monkeypatch.setattr(optimal, dp, tampered)
     code, out, err = run_cli(["augment", fig3_file, "--mode", mode, "--json"], capsys)

@@ -149,20 +149,19 @@ def test_brute_force_on_the_smallest_graphs_matches_connectivity():
 
 
 def test_brute_force_digest_pinned():
-    # the first 50 graphs of the acceptance set: both modes, both weights
+    # the first 50 graphs of the acceptance set, both modes
     rng = random.Random(2027)
     h = hashlib.sha256()
     for _ in range(50):
         n = rng.randint(3, 11)
         g = generate(n, rng.randrange(10**6), rng.choice([0.0, 0.2, 0.4, 0.6, 0.8]))
         for mode in ("2vc", "2ec"):
-            for weight in ("length", "unit"):
-                try:
-                    r = brute_force_optimal(g, mode, limit=24, weight=weight)
-                except Exhausted as e:
-                    r = ("exhausted", str(e))
-                h.update(repr(r).encode())
-    assert h.hexdigest()[:16] == "c5af6102e6b0fcae"
+            try:
+                r = brute_force_optimal(g, mode, limit=24)
+            except Exhausted as e:
+                r = ("exhausted", str(e))
+            h.update(repr(r).encode())
+    assert h.hexdigest()[:16] == "0115ae34aa540219"
 
 
 def test_verify_heuristic_fig3(fig3):
