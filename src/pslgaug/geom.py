@@ -10,12 +10,12 @@ exact comparisons of lengths go through squared distances.
 One whole-graph scan, ``collinear_pair``, lets floats propose an answer
 that exact arithmetic then certifies (the floating-point filter of Fortune
 & Van Wyk 1996 and Shewchuk 1997).  It compares the float slopes dy / dx of
-the directions from one point: Python's int / int true division is
-correctly rounded for ints of any size, so it is a function of the
-rational dy / dx alone, and two directions on one line through the point
-give equal floats.  Distinct floats therefore prove that no two points are
-collinear with it; any tie, a coincident point, or an OverflowError sends
-the question to the exact gcd scan.
+the directions from one point: int / int true division is correctly
+rounded for ints of any size, so it is a function of the rational dy / dx
+alone, and two directions on one line through the point give equal floats.
+Distinct floats prove that no two points are collinear with it (for every
+point at once, ``pslg._tied_rows`` runs this filter in float64); a tie, a
+coincident point, or an OverflowError sends the question to the exact scan.
 """
 
 from __future__ import annotations
@@ -53,14 +53,15 @@ def to_rational(value):
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
+        digits = value[1:] if value[:1] in "+-" else value
+        if digits.isascii() and digits.isdigit():  # a plain integer, the common case
+            return int(value)
         m = _DECIMAL.fullmatch(value)
         if m is None or (m.group(2) and abs(int(m.group(2))) > MAX_EXPONENT):
             raise ValueError(
                 f"{value!r} is no decimal literal (sign, ASCII digits, optional "
                 f"fraction, exponent at most {MAX_EXPONENT} in magnitude)"
             )
-        if m.lastindex is None:
-            return int(value)
         value = Fraction(value)
     elif not isinstance(value, Fraction):
         raise TypeError(f"expected int, Fraction or decimal string, got {type(value).__name__}")

@@ -44,9 +44,11 @@ class CandidateSet:
     crossing: dict  # index -> set of indices it crosses
 
 
-def candidate_set(g: Pslg) -> CandidateSet:
+def candidate_set(g: Pslg, limit=None) -> CandidateSet:
     """Non-edges that can be inserted alone: no proper crossing with E.
-    (General position rules out passing through a vertex.)"""
+    (General position rules out passing through a vertex.)  Raises
+    Exhausted when there are more than ``limit``, before their pairwise
+    crossing table is built."""
     ids = sorted(p.id for p in g.points)
     ipt = g.ipt
     cands = []
@@ -63,6 +65,8 @@ def candidate_set(g: Pslg) -> CandidateSet:
                     break
             if ok:
                 cands.append((dist(g.by_id[u], g.by_id[v]), (u, v)))
+    if limit is not None and len(cands) > limit:
+        raise Exhausted(f"{len(cands)} candidates exceed limit {limit}")
     cands.sort()
     edges = [e for _, e in cands]
     weights = [w for w, _ in cands]
@@ -165,10 +169,8 @@ def brute_force_optimal(g: Pslg, mode: str, limit: int = 22):
     the candidate count exceeds ``limit``.
     """
     check_mode(mode)
-    cs = candidate_set(g)
+    cs = candidate_set(g, limit)
     m = len(cs.edges)
-    if m > limit:
-        raise Exhausted(f"{m} candidates exceed limit {limit}")
 
     best = [float("inf"), None]
 

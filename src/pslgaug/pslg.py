@@ -20,6 +20,7 @@ rotation system of genus 0, which Euler's formula certifies: V' - E + F =
 
 from __future__ import annotations
 
+import sys
 import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -309,16 +310,59 @@ def _validate_points(points, edge_pairs) -> _ValidatedPoints:
     # triple, so it is looked for only then; it is the reported fault when
     # there is one.  build's with_edges then rejects unknown ids,
     # self-loops, duplicates and crossings.
-    order = sorted(ids)
-    placed = []
-    for c in order:
-        pair = collinear_pair((ix[c], iy[c]), placed)
-        if pair is not None:
-            _raise_edge_through_vertex(pts, edge_pairs, ix, iy)
-            a, b = order[pair[0]], order[pair[1]]
-            raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
-        placed.append((ix[c], iy[c]))
+    triple = _first_collinear(sorted(ids), ix, iy)
+    if triple is not None:
+        _raise_edge_through_vertex(pts, edge_pairs, ix, iy)
+        raise CollinearTriple("points ({},{},{}) are collinear".format(*triple))
     return _validated(pts, ix, iy)
+
+
+# the batch costs less than the loop from 32 points, with numpy's import from 1,300
+_LOADED_N, _BATCH_N, _BLOCK = 32, 1300, 1 << 20  # _BLOCK: slopes per batch block
+
+
+def _first_collinear(order, ix, iy):
+    """The ids (a, b, c) of the first point c of ``order`` collinear with
+    two points a, b before it, by ``collinear_pair``, or None.  It tries
+    only the rows ``_tied_rows`` names where that costs less than the loop:
+    from _LOADED_N points when numpy is loaded already, else from _BATCH_N."""
+    pts = [(ix[c], iy[c]) for c in order]
+    batch = len(pts) >= (_LOADED_N if "numpy" in sys.modules else _BATCH_N)
+    for k in _tied_rows(pts) if batch else range(len(pts)):
+        pair = collinear_pair(pts[k], pts[:k])
+        if pair is not None:
+            return order[pair[0]], order[pair[1]], order[k]
+    return None
+
+
+def _tied_rows(pts):
+    """The indices k, ascending, where the float slopes from the integer
+    point pts[k] to the distinct points pts[:k] are not all distinct: the
+    float filter of ``collinear_pair`` in float64 blocks of _BLOCK slopes.
+    Shifted by their minimum while ints, coordinates and differences are
+    integers below 2^53 if each axis's extent is, exact in float64, so IEEE
+    division rounds each slope once, as int / int does; past that extent
+    every row is named."""
+    xs, ys = [x for x, _ in pts], [y for _, y in pts]
+    x0, y0 = min(xs, default=0), min(ys, default=0)
+    if max(xs, default=0) - x0 >= 2**53 or max(ys, default=0) - y0 >= 2**53:
+        return range(len(pts))
+    import numpy as np
+
+    x = np.array([v - x0 for v in xs], dtype=float)
+    y = np.array([v - y0 for v in ys], dtype=float)
+    rows, step = [], max(1, _BLOCK // max(len(pts), 1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for r0 in range(1, len(pts), step):
+            r1 = min(r0 + step, len(pts))
+            dx = x[:r1] - x[r0:r1, None]
+            s = (y[:r1] - y[r0:r1, None]) / dx
+            s[dx == 0] = np.inf  # vertical, either way
+            # a row's own and later points: NaN sorts last and ties nothing
+            s[np.arange(r1) >= np.arange(r0, r1)[:, None]] = np.nan
+            s.sort(axis=1)
+            rows += (np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1)) + r0).tolist()
+    return rows
 
 
 def _validated(pts, ix, iy) -> _ValidatedPoints:

@@ -208,8 +208,8 @@ def insert_constraint(T: Triangulation, u, w):
 
     for t in channel:
         T.remove_tri(t)
-    # left polygon: u -> left chain -> w, closed by segment w->u
-    for tri in ear_clip(T, [u] + left_chain + [w]):
+    # both polygons CCW: the left chain lies left of u->w, the right chain right
+    for tri in ear_clip(T, [w] + left_chain[::-1] + [u]):
         T.add_ccw(*tri)
     for tri in ear_clip(T, [u] + right_chain + [w]):
         T.add_ccw(*tri)
@@ -220,38 +220,33 @@ def ear_clip(T: Triangulation, poly):
     """Triangulate a simple polygon (list of vertex ids of T's points) by
     ear clipping.
 
-    Exact; assumes distinct vertices and no three collinear.  Returns CCW
-    triangles: each, the last one included, passed the ear test, which
-    orients it.
+    Exact; assumes the vertices in CCW order, distinct, no three collinear.
+    Returns CCW triangles: each, the last one included, passed the ear
+    test, which orients it.
     """
-    o, pts = T.orient, T.pts
-    idx = list(poly)
-    if len(idx) < 3:
+    ring = [(v, *T.pts[v]) for v in poly]  # each vertex's coordinates, read once
+    if len(ring) < 3:
         raise DegenerateInput("polygon with fewer than 3 vertices")
-    area2 = 0
-    for i in range(len(idx)):
-        a, b = pts[idx[i]], pts[idx[(i + 1) % len(idx)]]
-        area2 += a[0] * b[1] - b[0] * a[1]
-    if area2 < 0:
-        idx.reverse()
 
-    out = []
-    while len(idx) > 2:
-        n = len(idx)
+    o, out = orient_xy, []
+    while len(ring) > 2:
+        n = len(ring)
         for k in range(n):
-            a, b, c = idx[k - 1], idx[k], idx[(k + 1) % n]
-            if o(a, b, c) <= 0:
+            (a, ax, ay), (b, bx, by), (c, cx, cy) = ring[k - 1], ring[k], ring[(k + 1) % n]
+            if o(ax, ay, bx, by, cx, cy) <= 0:
                 continue
-            ok = True
-            for v in idx:
+            for v, vx, vy in ring:
                 if v in (a, b, c):
                     continue
-                if o(a, b, v) > 0 and o(b, c, v) > 0 and o(c, a, v) > 0:
-                    ok = False
-                    break
-            if ok:
+                if (
+                    o(ax, ay, bx, by, vx, vy) > 0
+                    and o(bx, by, cx, cy, vx, vy) > 0
+                    and o(cx, cy, ax, ay, vx, vy) > 0
+                ):
+                    break  # v lies inside: no ear
+            else:
                 out.append((a, b, c))
-                del idx[k]
+                del ring[k]
                 break
         else:
             raise LemmaViolation("ear clipping found no ear (polygon not simple?)")

@@ -658,6 +658,7 @@ def test_import_does_not_load_numpy(module):
 
 def test_numpy_loads_at_the_first_dp(tmp_path):
     inst, oplog = str(tmp_path / "inst.json"), str(tmp_path / "run.jsonl")
+    inst40 = str(tmp_path / "inst40.json")
     commands = [
         ["gen", "--n", "12", "--seed", "7", "--density", "0.4", "-o", inst],
         ["validate", inst],
@@ -665,21 +666,37 @@ def test_numpy_loads_at_the_first_dp(tmp_path):
         ["replay", inst, oplog],
         ["augment", inst, "--mode", "heur2vc"],
         ["augment", inst, "--mode", "opt2vc"],
+        ["gen", "--n", "40", "--seed", "7", "--density", "0.4", "-o", inst40],
+        ["validate", inst40],
     ]
-    out = _child_stdout(
+    # the last line: the last command's output and the point counts of the
+    # general-position scan's float64 batches
+    script = (
         "import contextlib, io, json, sys\n"
+        "from pslgaug import pslg\n"
         "from pslgaug.cli import main\n"
+        "tied, batches = pslg._tied_rows, []\n"
+        "pslg._tied_rows = lambda pts: batches.append(len(pts)) or tied(pts)\n"
         "for argv in json.loads(sys.argv[1]):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()) as buf:\n"
         "        code = main(argv)\n"
-        "    print(argv[0], code, 'numpy' in sys.modules)\n",
-        json.dumps(commands),
+        "    print(argv[0], code, 'numpy' in sys.modules)\n"
+        "print(json.dumps([buf.getvalue(), batches]))\n"
     )
-    assert out.splitlines() == [
+    *rows, last = _child_stdout(script, json.dumps(commands)).splitlines()
+    assert rows == [
         "gen 0 False",
         "validate 0 False",
         "transform 0 False",
         "replay 0 False",
         "augment 0 False",
         "augment 0 True",
+        "gen 0 True",
+        "validate 0 True",
     ]
+    batched, batches = json.loads(last)
+    assert batches == [40]
+    # a fresh process validates the same instance on the loop, alike
+    *rows, last = _child_stdout(script, json.dumps([["validate", inst40]])).splitlines()
+    assert rows == ["validate 0 False"] and json.loads(last) == [batched, []]
+    assert batched.startswith("valid PSLG: 40 points")

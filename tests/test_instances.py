@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from pslgaug import (
     InvalidInstance,
@@ -17,7 +17,7 @@ from pslgaug import (
     verify,
 )
 from pslgaug import instances
-from pslgaug.geom import to_rational
+from pslgaug.geom import _DECIMAL, MAX_EXPONENT, to_rational
 from pslgaug.instances import (
     GRID,
     generate,
@@ -103,6 +103,48 @@ def test_decimal_literals_parse_to_the_same_value_as_before(sign, whole, frac, e
         text += exp[0] + exp[1] + str(exp[2])
     got, before = to_rational(text), _fraction_reading(text)
     assert type(got) is type(before) and got == before
+
+
+def _regex_reading(text):
+    """to_rational's reading of a string by the _DECIMAL grammar alone:
+    its result, or its exception type and message."""
+    try:
+        m = _DECIMAL.fullmatch(text)
+        if m is None or (m.group(2) and abs(int(m.group(2))) > MAX_EXPONENT):
+            raise ValueError(
+                f"{text!r} is no decimal literal (sign, ASCII digits, optional "
+                f"fraction, exponent at most {MAX_EXPONENT} in magnitude)"
+            )
+        return int(text) if m.lastindex is None else _fraction_reading(text)
+    except ValueError as e:  # int() also refuses a literal past its digit limit
+        return ValueError, str(e)
+
+
+@given(st.text("+-0123456789\u0663\u0661 ._eE", max_size=12))
+@example("+12")
+@example("-0")
+@example("00012")
+@example("-00012")
+@example("5" * 5000)
+@example("-" + "5" * 5000)
+@example("+" + "5" * 5000)
+@example("\u0663")
+@example("-\u0663")
+@example("+\u0663")
+@example("+-1")
+@example("")
+@example("-")
+@example("--1")
+@example("1_0")
+@example(" 12")
+def test_the_integer_path_reads_as_the_grammar_does(text):
+    # ahead of the regex, an optional sign and ASCII digits go to int()
+    try:
+        got = to_rational(text)
+    except ValueError as e:
+        got = ValueError, str(e)
+    want = _regex_reading(text)
+    assert type(got) is type(want) and got == want
 
 
 @given(

@@ -75,6 +75,25 @@ def test_limit_exhausted():
         brute_force_optimal(g, "2ec", limit=1)
 
 
+def test_exhausted_before_the_crossing_table(monkeypatch):
+    # the candidates are counted before their pairwise crossing table is
+    # built: an Exhausted search tests candidates against g's edges only
+    from pslgaug import oracle
+
+    g = generate(12, 3, 0.2)
+    edges = {(*g.ipt(a), *g.ipt(b)) for a, b in g.edges}
+    calls = []
+    monkeypatch.setattr(
+        oracle, "segments_properly_cross", lambda *a: calls.append(a) or segments_properly_cross(*a)
+    )
+    m = len(candidate_set(g).edges)
+    assert any(a[4:] not in edges for a in calls)  # the table of a full set
+    calls.clear()
+    with pytest.raises(Exhausted, match=f"^{m} candidates exceed limit 5$"):
+        brute_force_optimal(g, "2ec", limit=5)
+    assert calls and all(a[4:] in edges for a in calls)
+
+
 def test_two_independent_oracles_agree():
     rng = random.Random(4)
     agree = 0

@@ -10,6 +10,7 @@ from functools import cmp_to_key
 from fractions import Fraction
 from itertools import permutations
 from math import lcm
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,6 +37,7 @@ from pslgaug.geom import (
     polar_before,
     segments_properly_cross,
 )
+from pslgaug import pslg as pslg_module
 from pslgaug.instances import generate
 from pslgaug.pslg import (
     LemmaViolation,
@@ -676,10 +678,119 @@ def test_built_points_are_validated_once_and_immutable(monkeypatch):
     def unexpected(*args):
         raise AssertionError("points checked again")
 
-    monkeypatch.setattr("pslgaug.pslg.collinear_pair", unexpected)
+    # the one general-position scan, on either path (batch or loop)
+    monkeypatch.setattr("pslgaug.pslg._first_collinear", unexpected)
     assert build(g.points, g.edges).rotation == g.rotation
     with pytest.raises(AssertionError, match="checked again"):
         build(list(g.points), g.edges)
+
+
+# -- the general-position scan: one float64 batch, or the loop -------------
+
+
+def _scan_on(monkeypatch, numpy_loaded):
+    """Let the general-position scan see numpy as loaded, and batch every
+    point set, or not loaded (then the loop runs on fewer than _BATCH_N
+    points); returns the point counts _tied_rows ran on."""
+    runs, tied = [], pslg_module._tied_rows
+    monkeypatch.setattr(pslg_module, "_tied_rows", lambda pts: runs.append(len(pts)) or tied(pts))
+    if numpy_loaded:
+        import numpy  # noqa: F401
+
+        monkeypatch.setattr(pslg_module, "_LOADED_N", 0)
+    else:
+        monkeypatch.setattr(pslg_module, "sys", SimpleNamespace(modules={}))
+    return runs
+
+
+@pytest.mark.parametrize("numpy_loaded", [True, False], ids=["numpy", "no_numpy"])
+def test_collinear_and_edge_through_vertex_families_with_and_without_numpy(
+    numpy_loaded, monkeypatch
+):
+    runs = _scan_on(monkeypatch, numpy_loaded)
+    test_build_collinear()
+    test_build_matches_reference_on_random_inputs()
+    test_build_errors_match_reference_with_a_planted_collinear_point()
+    test_copied_points_are_checked_again()
+    assert bool(runs) == numpy_loaded
+
+
+def on_each_scan(points, edges=()):
+    """build's outcome on ``points`` and ``edges``, the same with the scan
+    on the float64 batch, in one block or in blocks of a few rows, and on
+    the loop, and the same as the reference's."""
+    got = []
+    for batch_n, block in ((0, pslg_module._BLOCK), (0, 7), (math.inf, None)):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pslg_module, "sys", SimpleNamespace(modules={}))
+            mp.setattr(pslg_module, "_BATCH_N", batch_n)
+            mp.setattr(pslg_module, "_BLOCK", block)
+            got.append(outcome(build, points, edges))
+    want = outcome(reference_build, points, edges)
+    assert got == [want] * 3, (points, edges)
+    return want
+
+
+def test_batch_and_loop_scans_agree_on_random_sets():
+    # small grids are dense in collinear triples and float ties; offsets of
+    # +-10^15 and denominators that scale coordinates past 2^53
+    rng = random.Random(44)
+    kinds = Counter()
+    for _ in range(600):
+        n, span = rng.randrange(3, 25), rng.choice([5, 9, 40, 10**6])
+        offset = rng.choice([0, 10**15, -(10**15)])
+        cells = list(dict.fromkeys((rng.randrange(span), rng.randrange(span)) for _ in range(n)))
+        ids = rng.sample(range(3 * n), len(cells))
+        dens = [1] if rng.random() < 0.5 else [1, 2, 3, 7]
+        pts = [(i, Fraction(offset + x, rng.choice(dens)), Fraction(offset + y, rng.choice(dens)))
+               for i, (x, y) in zip(ids, cells)]
+        edges = _random_edges(rng, ids, rng.randrange(0, n), faults=False)
+        want = on_each_scan(pts, edges)
+        kinds[want[0] if isinstance(want[0], str) else "valid"] += 1
+    del kinds["DuplicatePoint"]  # two cells scaled onto one point
+    assert len(kinds) == 4 and min(kinds.values()) >= 40, kinds
+
+
+@pytest.mark.parametrize(
+    "pts, want, tied",
+    [
+        # from point 2, one vertical up (slope inf) and one down (-inf)
+        ([(0, 0, 5), (1, 0, -3), (2, 0, 0)], "points (0,1,2) are collinear", [2]),
+        # from point 2, horizontals to the right (slope 0.0) and left (-0.0)
+        ([(0, 5, 0), (1, -3, 0), (2, 0, 0)], "points (0,1,2) are collinear", [2]),
+        # both slopes from point 3 round to one float; the cross product is -1
+        ([(0, 5, -3), (1, 2**30 - 1, 2**30 - 2), (2, 2**30 - 2, 2**30 - 3), (3, 0, 0)], None, [3]),
+        # a rectangle: every slope 0.0, -0.0 or inf, none twice from a corner
+        ([(0, 0, 5), (1, 3, 0), (2, 0, 0), (3, 3, 5)], None, []),
+    ],
+    ids=["vertical", "horizontal", "float_tie", "rectangle"],
+)
+def test_batch_and_loop_scans_agree_on_axis_directions_and_float_ties(pts, want, tied):
+    got = on_each_scan(pts)
+    assert (got[1] if got[0] == "CollinearTriple" else None) == want
+    assert pslg_module._tied_rows([(x, y) for _, x, y in pts]) == tied
+
+
+@pytest.mark.parametrize("extent", [2**53 - 1, 2**53])
+def test_batch_and_loop_scans_agree_at_the_float64_extent(extent):
+    # past an extent of 2^53 a difference may not convert exactly, so every
+    # row goes to collinear_pair
+    h = (extent - 1) // 2
+    base = [(0, 0, 0), (1, extent, 1), (2, 1, extent), (3, extent - 1, extent - 3), (4, h, 7)]
+    assert on_each_scan(base)[0] == frozenset()
+    planted = base + [(5, 2 * h, 14)]  # on the line through 0 and 4
+    assert on_each_scan(planted) == ("CollinearTriple", "points (0,4,5) are collinear")
+    rows = pslg_module._tied_rows([(x, y) for _, x, y in planted])
+    assert isinstance(rows, range) == (extent >= 2**53)
+
+
+@pytest.mark.parametrize("offset", [2**60, -(2**60), 10**15, -(10**15)])
+def test_batch_subtracts_before_it_converts(offset):
+    # X + 100 and X + 200 are floats X and X + 256 at X = 2^60: a scan that
+    # converted before it subtracted would see slopes inf and 200 / 256 from
+    # point 2 and miss the line
+    pts = [(0, offset + 100, 100), (1, offset + 200, 200), (2, offset, 0), (3, offset + 1, 5)]
+    assert on_each_scan(pts) == ("CollinearTriple", "points (0,1,2) are collinear")
 
 
 def test_lengths_independent_of_edge_order():
