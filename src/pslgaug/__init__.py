@@ -9,7 +9,6 @@ from .pslg import (
     CrossingEdges,
     DuplicatePoint,
     EdgeThroughVertex,
-    FacialWalk,
     InvalidInstance,
     LemmaViolation,
     Pslg,

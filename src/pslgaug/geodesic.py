@@ -12,7 +12,7 @@ triangulation and caches nothing on the graph; the morph asks it on its
 live graph.
 
 ``geodesic(g, walk)`` checks once per graph that g is augmentable
-(``face_env``), refuses a walk that repeats a directed edge, and returns
+(``_FaceEnv``), refuses a walk that repeats a directed edge, and returns
 ``convex_geodesic``, whose corner checks put the walk on a face.
 """
 
@@ -45,17 +45,10 @@ class GeodesicPath:
 
 class _FaceEnv:
     """The check that a graph is connected with at least 3 vertices, made
-    once per graph (``face_env``)."""
+    once per graph: ``geodesic`` caches it on the graph."""
 
     def __init__(self, g: Pslg):
         require_augmentable(g)
-
-
-def face_env(g: Pslg) -> _FaceEnv:
-    """``require_augmentable(g)``, run on first use and cached on ``g``."""
-    if g._face_env is None:
-        g._face_env = _FaceEnv(g)
-    return g._face_env
 
 
 def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
@@ -75,7 +68,8 @@ def geodesic(g: Pslg, walk_ids) -> GeodesicPath:
     darts = list(zip(walk_ids, walk_ids[1:]))
     if any(a == b for a, b in darts):
         raise WalkNotInFace("repeated consecutive vertex in walk")
-    face_env(g)
+    if g._face_env is None:
+        g._face_env = _FaceEnv(g)
     if len(set(darts)) < len(darts):
         raise WalkNotInFace("walk longer than its facial walk")
     return convex_geodesic(g, walk_ids)

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .geom import MAX_EXPONENT, Point, collinear_pair
 from .pslg import InvalidInstance, Pslg, _validated, build, kruskal
-from .triangulate import lawson_flips, triangulate_points
+from .transform import OpStep, _sq_len, delaunay
 
 FORMAT_VERSION = 1
 
@@ -131,24 +131,19 @@ def generate(n: int, seed: int, density: float) -> Pslg:
         if collinear_pair(c, coords) is None:
             coords.append(c)
 
-    T = triangulate_points(dict(enumerate(coords)))
-    lawson_flips(T)
-    dt_edges = sorted(T.edges())
-
-    def d2(e):
-        (x1, y1), (x2, y2) = coords[e[0]], coords[e[1]]
-        return (x1 - x2) ** 2 + (y1 - y2) ** 2
-
+    # the draw ran build's general-position scan, in id order, so build
+    # takes the points as they are
+    ix, iy = dict(enumerate(x for x, _ in coords)), dict(enumerate(y for _, y in coords))
+    pts = _validated([Point(i, x, y) for i, (x, y) in enumerate(coords)], ix, iy)
+    # an empty graph on them for the Delaunay set-up and the squared
+    # lengths, made without build, so that pts.g0 is the graph returned
+    empty = Pslg(pts, pts.by_id, frozenset(), {i: () for i in ix}, ix, iy)
+    dt_edges = sorted(delaunay(empty)[0].edges())
     keep = [e for e in dt_edges if rng.random() < density]
 
     # Kruskal over DT edges gives the repair spanning tree
-    keep += kruskal(dt_edges, d2, joined=keep)
-
-    # the draw ran build's general-position scan, in id order, so build
-    # takes the points as they are
-    pts = [Point(i, x, y) for i, (x, y) in enumerate(coords)]
-    ix, iy = dict(enumerate(x for x, _ in coords)), dict(enumerate(y for _, y in coords))
-    return build(_validated(pts, ix, iy), sorted(set(keep)))
+    keep += kruskal(dt_edges, _sq_len(empty), joined=keep)
+    return build(pts, sorted(set(keep)))
 
 
 # -- run records and op logs -------------------------------------------
@@ -175,8 +170,6 @@ def oplog_to_jsonl(steps, assert_len_le=None) -> str:
 
 
 def oplog_from_jsonl(text: str):
-    from .transform import OpStep
-
     steps = []
     for ln, line in enumerate(text.splitlines(), 1):
         line = line.strip()

@@ -132,7 +132,7 @@ class IndexedWalk:
     closing slot would otherwise never be "relative to" any subwalk.
     """
 
-    walks: list  # the FacialWalks, in pack order
+    walks: list  # the facial walks (closed Walks), in pack order
     off: list  # off[k]: the positions before walk k; off[-1] == n
     seq: tuple  # seq[i]: the vertex at position i; seq[0] is walk 0's p_0
     n: int  # number of DP positions

@@ -4,9 +4,9 @@ the maximal-convex-walk decomposition.
 Facial-walk convention: arriving at v via edge (u, v), the walk departs via
 the CCW-successor of (v, u) in the rotation at v.  Each face then lies to the
 right of its directed boundary edges, bounded faces are traversed clockwise
-(negative shoelace area) and the outer walk is the unique one with
-non-negative area.  Under this convention the corner of a walk (prev, apex,
-next) spans exactly the angular sector of its face at that corner, measured
+(negative shoelace area) and a component's outer walk has non-negative
+area.  Under this convention the corner of a walk (prev, apex, next) spans
+exactly the angular sector of its face at that corner, measured
 counterclockwise from ray(apex->prev) to ray(apex->next), so a corner is
 convex iff apex, prev, next turn counterclockwise: ``orient_xy`` of the
 three is +1 (``_corner_convex``).
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 import weakref
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
@@ -69,18 +69,8 @@ class LemmaViolation(PslgError):
 
 
 @dataclass(frozen=True)
-class FacialWalk:
-    face_id: int
-    seq: tuple  # closed vertex-id sequence, seq[0] == seq[-1]
-    is_outer: bool
-
-    def __len__(self):
-        return len(self.seq) - 1  # number of edge slots
-
-
-@dataclass(frozen=True)
 class Walk:
-    """A contiguous subwalk of one facial walk (open or closed)."""
+    """A facial walk, or a contiguous subwalk of one (open or closed)."""
 
     face_id: int
     seq: tuple
@@ -379,18 +369,11 @@ def _raise_first_crossing(kept, added, ix, iy):
     ``added``, if there is one.  Kept edges cross no kept edge, so this is
     the least crossing pair of the whole edge set, whatever the base graph.
 
-    Broad phase on bounding boxes (``_box``), exact test ``_cross``.  One
-    added edge takes ``_first_crossing``'s pass over the kept edges.
-    Several are sorted by xmin, each swept against the later ones that
+    Broad phase on bounding boxes (``_box``), exact test ``_cross``.  The
+    added edges are sorted by xmin, each swept against the later ones that
     start at or before its xmax, and each kept edge is compared with the
     added boxes that start at or before its xmax (a binary search).
     """
-    if len(added) == 1:
-        (e,) = added
-        f = _first_crossing(e, _box(*e, ix, iy), ((k, _box(*k, ix, iy)) for k in kept), ix, iy)
-        if f is not None:
-            raise _crossing(e, f)
-        return
     boxes = sorted((*_box(u, v, ix, iy), u, v) for u, v in added)
     xmins = [box[0] for box in boxes]
     found = []  # crossing pairs, each sorted
@@ -446,17 +429,21 @@ def _crossing(e, f):
 
 def _raise_edge_through_vertex(pts, edge_pairs, ix, iy):
     """Raise EdgeThroughVertex for the first edge, in sorted order, that
-    passes through a third point, if any."""
+    passes through a third point, if any, naming the first such point in
+    input order.  An edge tests only the points in its x-range: a binary
+    search over the input positions sorted by x."""
+    order = sorted(range(len(pts)), key=lambda i: ix[pts[i].id])
+    xs = [ix[pts[i].id] for i in order]
     for (u, v) in sorted({ekey(u, v) for u, v in edge_pairs if u in ix and v in ix}):
         ax, ay, bx, by = ix[u], iy[u], ix[v], iy[v]
-        for p in pts:
-            if p.id in (u, v):
-                continue
-            px, py = ix[p.id], iy[p.id]
-            if orient_xy(ax, ay, bx, by, px, py) == 0 and (
-                min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-            ):
-                raise EdgeThroughVertex(f"edge ({u},{v}) passes through point {p.id}")
+        on = []
+        for i in order[bisect_left(xs, min(ax, bx)) : bisect_right(xs, max(ax, bx))]:
+            p = pts[i].id
+            if p != u and p != v and min(ay, by) <= iy[p] <= max(ay, by):
+                if orient_xy(ax, ay, bx, by, ix[p], iy[p]) == 0:
+                    on.append(i)
+        if on:
+            raise EdgeThroughVertex(f"edge ({u},{v}) passes through point {pts[min(on)].id}")
 
 
 # -- facial walks ------------------------------------------------------
@@ -519,36 +506,17 @@ def facial_walks(g: Pslg):
     """All facial walks of g, one per face label, each starting at its
     smallest directed edge and ordered by it.
 
-    Each directed edge appears in exactly one walk exactly once; the unique
-    walk of non-negative shoelace area is flagged as outer.
+    Each is a closed ``Walk`` whose face_id is its index, and each directed
+    edge appears in exactly one walk exactly once.
     """
-    if g._walks is not None:
-        return g._walks
-
-    faces = g.faces()
-    first = {}
-    for d in sorted(faces.face):
-        first.setdefault(faces.face[d], d)
-    walks = [tuple(faces.walk(d, len(faces.nxt))) for d in first.values()]
-
-    areas = []
-    for seq in walks:
-        a = 0
-        for i in range(len(seq) - 1):
-            u, v = seq[i], seq[i + 1]
-            a += g._ix[u] * g._iy[v] - g._ix[v] * g._iy[u]
-        areas.append(a)
-
-    # bounded faces are traversed clockwise (negative area); a walk of
-    # non-negative area is the external boundary of its component (unique
-    # when the graph is connected)
-    result = []
-    if walks and not any(a >= 0 for a in areas):
-        raise LemmaViolation("no outer facial walk found")
-    for i, seq in enumerate(walks):
-        result.append(FacialWalk(face_id=i, seq=seq, is_outer=(areas[i] >= 0)))
-    g._walks = result
-    return result
+    if g._walks is None:
+        faces = g.faces()
+        first = {}
+        for d in sorted(faces.face):
+            first.setdefault(faces.face[d], d)
+        walks = [faces.walk(d, len(faces.nxt)) for d in first.values()]
+        g._walks = [Walk(i, tuple(seq)) for i, seq in enumerate(walks)]
+    return g._walks
 
 
 # -- graph search --------------------------------------------------------

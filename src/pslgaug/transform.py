@@ -571,11 +571,10 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
     is simple; the total length strictly decreases each step."""
     g = ed.graph
     guard = 0
-    while not poly.is_simple():
+    while max((mult := poly.multiplicity()).values()) > 1:
         guard += 1
         if guard > 4 * g.n * g.n + 16:
             raise LemmaViolation("phase 5 exceeded its step budget")
-        mult = poly.multiplicity()
         m = len(poly.seq)
         best = None
         for j in range(m):

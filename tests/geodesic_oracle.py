@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from pslgaug.geom import dist, ekey
 from pslgaug.pslg import facial_walks
-from tests_support import walk_edges
+from tests_support import is_outer, walk_edges
 
 WIND_CLAMP = 4
 
@@ -63,9 +63,9 @@ class FaceModel:
         self.seq = walk.seq
         self.m = len(walk.seq) - 1
         self.edges = set(walk_edges(walk))
-        self.is_outer = walk.is_outer
+        self.is_outer = is_outer(g, walk)
         self.cut_slot = None
-        if walk.is_outer:
+        if self.is_outer:
             self._make_cut()
 
     def _pt(self, v):

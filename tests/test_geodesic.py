@@ -17,7 +17,7 @@ from funnel_oracle import funnel_env, funnel_geodesic, locate_subwalk
 from geodesic_oracle import oracle_geodesic
 from test_adversarial import FAMILIES, LARGE, _general_position
 from test_optimal import pool_instances
-from tests_support import label_partition, walk_partition
+from tests_support import is_outer, label_partition, walk_partition
 
 
 def _is_convex(g, walk):
@@ -102,7 +102,7 @@ def test_face_region(fig3, triangle):
     ]
     for g in graphs:
         assert label_partition(g.faces()) == walk_partition(g)
-    assert facial_walks(fig3)[0].is_outer
+    assert is_outer(fig3, facial_walks(fig3)[0])
     env = funnel_env(fig3)
     # the clip box strictly contains all (scaled) vertices with margin at
     # least the point-set diameter
@@ -116,7 +116,7 @@ def test_face_region(fig3, triangle):
     )
     margin = min(min(xs) - xmin, min(ys) - ymin, xmax - max(xs), ymax - max(ys))
     assert margin > 0 and margin * margin >= diam2
-    assert sorted(w.is_outer for w in facial_walks(triangle)) == [False, True]
+    assert sorted(is_outer(triangle, w) for w in facial_walks(triangle)) == [False, True]
 
 
 def test_check_lemma1_convex_position():
@@ -487,7 +487,7 @@ def test_a_corner_off_the_rotation_is_not_in_a_face():
 def test_a_walk_longer_than_its_face_is_not_in_it(triangle):
     # once around the triangle's inner face and one edge more: every corner
     # is a convex corner of the face, but the walk is longer than the face
-    inner = next(w for w in facial_walks(triangle) if not w.is_outer).seq
+    inner = next(w for w in facial_walks(triangle) if not is_outer(triangle, w)).seq
     walk = list(inner) + [inner[1]]
     assert _is_convex(triangle, walk) and len(walk) - 1 > len(inner) - 1
     with pytest.raises(WalkNotInFace, match="^walk longer than its facial walk$"):

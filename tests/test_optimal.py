@@ -36,7 +36,7 @@ from pslgaug.pslg import LemmaViolation, connectivity, facial_walks
 from pslgaug.heuristic import augment_2ec, augment_2vc
 
 from test_adversarial import FAMILIES, LARGE, _general_position
-from tests_support import in_ccw_sector
+from tests_support import in_ccw_sector, is_outer
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
@@ -637,7 +637,7 @@ def test_fill_matches_reference_generated():
     # density 0.6
     for key in ("gen-n62-d0.26", "gen-n66-d0.37", "gen-n69-d0.43", "gen-n76-d0.6"):
         g = pool_instance(key)
-        walk = next(wk for wk in facial_walks(g) if wk.is_outer)
+        walk = next(wk for wk in facial_walks(g) if is_outer(g, wk))
         for extend in (False, True):
             assert_tables_match(g, walk, extend)
 
@@ -707,7 +707,7 @@ POCKET_GRAPHS = {
 }
 
 
-def _winding_ok(segs, is_outer, mx2, my2):
+def _winding_ok(segs, outer, mx2, my2):
     """Exact point-in-face test at the (doubled) midpoint coordinates over
     the walk's doubled segments: the walk winds -1 around points of a
     bounded face, 0 in the outer face."""
@@ -721,7 +721,7 @@ def _winding_ok(segs, is_outer, mx2, my2):
             elif by2 <= my2 < ay2:
                 if side < 0:
                     wind -= 1
-    return wind == (0 if is_outer else -1)
+    return wind == (0 if outer else -1)
 
 
 WINDING_GRAPHS = dict(POCKET_GRAPHS, **{
@@ -747,7 +747,7 @@ def test_feasible_chords_pass_the_winding_test(group):
                 assert np.array_equal(F, reference_feasibility(g, w)), (walk.face_id, extend)
                 for i, j in zip(*np.nonzero(np.triu(np.isfinite(F)))):
                     (ux, uy), (vx, vy) = g.ipt(w.seq[i]), g.ipt(w.seq[j])
-                    assert _winding_ok(segs, walk.is_outer, ux + vx, uy + vy), (i, j)
+                    assert _winding_ok(segs, is_outer(g, walk), ux + vx, uy + vy), (i, j)
                     chords += 1
     assert chords > 0
 
@@ -947,7 +947,7 @@ def test_cut_structure_fig3(fig3):
 
 
 def test_cut_structure_no_repeats(triangle):
-    walk = [w for w in facial_walks(triangle) if not w.is_outer][0]
+    walk = [w for w in facial_walks(triangle) if not is_outer(triangle, w)][0]
     w = IndexedWalk.pack([walk])
     assert cut_structure(w, 1, w.n) == {}
 
@@ -1020,7 +1020,7 @@ def assert_chordless_shortcut_agrees(g, monkeypatch):
 def test_chordless_shortcut_agrees_with_the_dp(two_triangles, monkeypatch):
     # the two triangles' outer face repeats their shared vertex and no edge:
     # chordless for 2ec only, and algorithm A needs a chord there
-    outer = [w for w in facial_walks(two_triangles) if w.is_outer]
+    outer = [w for w in facial_walks(two_triangles) if is_outer(two_triangles, w)]
     assert [_chordless(w.seq, "2ec") for w in outer] == [True]
     assert [_chordless(w.seq, "2vc") for w in outer] == [False]
     assert dp_2vc(two_triangles, outer)[0][0] > 0

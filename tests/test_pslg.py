@@ -47,7 +47,7 @@ from pslgaug.pslg import (
     reach,
     require_augmentable,
 )
-from tests_support import adjacency, full_build, polar_sort, walk_edges
+from tests_support import adjacency, full_build, is_outer, polar_sort, shoelace, walk_edges
 
 
 def test_build_fig3(fig3):
@@ -146,16 +146,7 @@ def reference_build(points, edge_pairs):
     iy = {p.id: int(p.y * denom) for p in pts}
 
     edge_pairs = list(edge_pairs)
-    for (u, v) in sorted({ekey(u, v) for u, v in edge_pairs if u in ix and v in ix}):
-        ax, ay, bx, by = ix[u], iy[u], ix[v], iy[v]
-        for p in pts:
-            if p.id in (u, v):
-                continue
-            px, py = ix[p.id], iy[p.id]
-            if orient_xy(ax, ay, bx, by, px, py) == 0 and (
-                min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
-            ):
-                raise EdgeThroughVertex(f"edge ({u},{v}) passes through point {p.id}")
+    reference_edge_through_vertex(pts, edge_pairs, ix, iy)
 
     order = sorted(ids)
     placed = []
@@ -168,6 +159,56 @@ def reference_build(points, edge_pairs):
 
     empty = Pslg(pts, {p.id: p for p in pts}, frozenset(), {i: () for i in ids}, ix, iy)
     return reference_with_edges(empty, edge_pairs)
+
+
+def reference_edge_through_vertex(pts, edge_pairs, ix, iy):
+    """``pslg._raise_edge_through_vertex`` as an O(n*m) scan: every edge, in
+    sorted key order, against every point, in input order."""
+    for (u, v) in sorted({ekey(u, v) for u, v in edge_pairs if u in ix and v in ix}):
+        ax, ay, bx, by = ix[u], iy[u], ix[v], iy[v]
+        for p in pts:
+            if p.id in (u, v):
+                continue
+            px, py = ix[p.id], iy[p.id]
+            if orient_xy(ax, ay, bx, by, px, py) == 0 and (
+                min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
+            ):
+                raise EdgeThroughVertex(f"edge ({u},{v}) passes through point {p.id}")
+
+
+def test_edge_through_vertex_matches_the_all_points_scan():
+    # small grids, where many edges pass through a point and some through
+    # several; ids ascending or descending along the input order, edges in
+    # either direction, unknown ids and self-loops in the list
+    rng = random.Random(45)
+    kinds = Counter()
+    for trial in range(800):
+        span = rng.choice((3, 4, 5, 6))
+        cells = rng.sample(range(span * span), rng.randrange(3, min(14, span * span) + 1))
+        ids = sorted(rng.sample(range(3 * len(cells)), len(cells)), reverse=trial % 2 == 0)
+        pts = [Point.make(i, c % span, c // span) for i, c in zip(ids, cells)]
+        ix, iy = {p.id: int(p.x) for p in pts}, {p.id: int(p.y) for p in pts}
+        edges = _random_edges(rng, ids, rng.randrange(0, 2 * len(ids) + 1), faults=True)
+        edges += [(rng.choice(ids), rng.choice(ids)) for _ in range(trial % 3)]  # self-loops, repeats
+        got = want = None
+        try:
+            reference_edge_through_vertex(pts, edges, ix, iy)
+        except EdgeThroughVertex as exc:
+            want = str(exc)
+        try:
+            pslg_module._raise_edge_through_vertex(pts, edges, ix, iy)
+        except EdgeThroughVertex as exc:
+            got = str(exc)
+        assert got == want, (pts, edges)
+        if want is not None:
+            u, v = map(int, want[len("edge ("):want.index(")")].split(","))
+            ax, ay, bx, by = ix[u], iy[u], ix[v], iy[v]
+            on = [p for p in ids if p not in (u, v) and orient_xy(ax, ay, bx, by, ix[p], iy[p]) == 0
+                  and min(ax, bx) <= ix[p] <= max(ax, bx) and min(ay, by) <= iy[p] <= max(ay, by)]
+            kinds["several points on the edge" if len(on) > 1 else "one point"] += 1
+        kinds["raised" if want else "passed"] += 1
+        kinds["bad entries"] += any(u == v or u not in ix or v not in ix for u, v in edges)
+    assert len(kinds) == 5 and min(kinds.values()) >= 40, kinds
 
 
 def reference_with_edges(g, edge_pairs):
@@ -347,8 +388,8 @@ def _least_crossing(kept, added, ix, iy):
 def test_first_crossing_pass_matches_the_least_crossing_pair():
     # random segment sets on small grids, where endpoints are shared and
     # boxes often only touch, and on wide ones: the one-pass helper names
-    # the least crossing kept edge, and _raise_first_crossing, with one
-    # added edge (that pass) or several (the sweep), the least pair
+    # the least crossing kept edge, and _raise_first_crossing's sweep, with
+    # one added edge or several, the least pair
     rng = random.Random(38)
     kinds, sets = Counter(), Counter()
     for trial in range(2400):
@@ -810,15 +851,48 @@ def test_facial_walks_triangle(triangle):
     walks = facial_walks(triangle)
     assert len(walks) == 2
     assert all(len(w) == 3 for w in walks)
-    outer = [w for w in walks if w.is_outer]
+    outer = [w for w in walks if is_outer(triangle, w)]
     assert len(outer) == 1
+
+
+def test_facial_walk_shoelace_sums_cancel():
+    # each directed edge lies on exactly one facial walk, and an edge's two
+    # directions add x_u y_v - x_v y_u and its negative: the sums of a
+    # graph's walks total 0.  Bounded faces are traversed clockwise, so
+    # exactly one walk per component with an edge, its outer walk, has a
+    # non-negative sum
+    from test_adversarial import FAMILIES, LARGE, _general_position
+    from test_optimal import pool_instances
+
+    rng = random.Random(45)
+    graphs = pool_instances()
+    graphs += [generate(rng.randrange(3, 60), 4500 + i, rng.choice((0.0, 0.3, 0.6, 1.0)))
+               for i in range(40)]
+    graphs += [_general_position(make, random.Random(seed)) for _, make, seed in FAMILIES + LARGE]
+    g = generate(40, 45, 0.6)
+    apart = g.with_edges(e for e in sorted(g.edges) if rng.random() < 0.5)
+    assert len(connectivity(apart).components) > 1
+    for g in graphs + [apart]:
+        sums = [shoelace(g, w) for w in facial_walks(g)]
+        assert sum(sums) == 0
+        parts = sum(1 for comp in connectivity(g).components if len(comp) > 1)
+        assert sum(1 for s in sums if s >= 0) == parts
+
+
+def test_generate_anchors_its_points_on_the_graph_it_returns():
+    # build on the points edits that graph, so an augmenter's closing build
+    # starts from the generated graph, not from an empty one
+    for n, seed, density in ((3, 0, 0.0), (20, 1, 0.3), (60, 2, 1.0)):
+        g = generate(n, seed, density)
+        assert g.points.g0() is g
+        assert build(g.points, sorted(g.edges)) is g
 
 
 def test_facial_walks_fig3(fig3):
     walks = facial_walks(fig3)
     assert len(walks) == 1
     assert len(walks[0]) == 6
-    assert walks[0].is_outer
+    assert is_outer(fig3, walks[0])
     counts = Counter(walk_edges(walks[0]))
     assert all(v == 2 for v in counts.values())
 
@@ -1044,10 +1118,11 @@ def test_one_faces_per_graph(monkeypatch):
         assert made == []
 
 
-# sha256 of repr(facial_walks(g)) over _pinned_graphs(), recorded from the
-# walk tracer that face labels replaced: the walks, their order, where each
-# starts and which is outer stay exactly as they were
-PINNED_FACIAL_WALKS = "d563ddca9034d8cde0c6df39b7ae42ce7775152aae10c9624a8f2bced67d6e3c"
+# sha256 of the (face_id, seq) pairs of facial_walks(g) over
+# _pinned_graphs(), computed on walks whose whole repr, outer flag included,
+# matched the walk tracer that face labels replaced: the walks, their order
+# and where each starts stay exactly as they were
+PINNED_FACIAL_WALKS = "8f744b606d48f9eea127becbff7538f964552db7b29c17f14643f1add3beabb0"
 
 
 def _pinned_graphs():
@@ -1073,7 +1148,7 @@ def _pinned_graphs():
 def test_facial_walks_pinned():
     graphs = _pinned_graphs()
     assert len(graphs) == 76
-    text = "".join(repr(facial_walks(g)) for g in graphs)
+    text = "".join(repr([(w.face_id, w.seq) for w in facial_walks(g)]) for g in graphs)
     assert hashlib.sha256(text.encode()).hexdigest() == PINNED_FACIAL_WALKS
 
 

@@ -94,6 +94,19 @@ def walk_edges(walk):
     return [ekey(a, b) for a, b in zip(seq, seq[1:])]
 
 
+def shoelace(g, walk):
+    """Twice the signed area of a closed walk on g's scaled coordinates."""
+    ix, iy, seq = g._ix, g._iy, walk.seq
+    return sum(ix[a] * iy[b] - ix[b] * iy[a] for a, b in zip(seq, seq[1:]))
+
+
+def is_outer(g, walk):
+    """Whether a facial walk of g is its component's outer walk: bounded
+    faces are traversed clockwise, so only the outer walk's shoelace sum is
+    non-negative."""
+    return shoelace(g, walk) >= 0
+
+
 def label_partition(faces):
     """The darts of a ``pslg.Faces`` grouped by face label."""
     groups = {}
