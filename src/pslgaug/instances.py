@@ -19,6 +19,9 @@ from .transform import OpStep, _sq_len, delaunay
 
 FORMAT_VERSION = 1
 
+# decodes one op-log line: json.loads without its per-call type checks
+_decode_line = json.JSONDecoder().decode
+
 
 def fraction_to_decimal(x: Fraction) -> str:
     """Exact decimal string of a rational whose denominator divides 10^k."""
@@ -176,7 +179,7 @@ def oplog_from_jsonl(text: str):
         if not line:
             continue
         try:
-            doc = json.loads(line)
+            doc = _decode_line(line)
             op, u, v, phase = doc["op"], doc["u"], doc["v"], doc.get("phase", 0)
             if not (_is_int(u) and _is_int(v) and _is_int(phase)):
                 raise TypeError("point ids and the phase must be integers")

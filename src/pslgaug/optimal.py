@@ -35,7 +35,12 @@ which would make a collinear triple (build rejects those).  So it lies in
 the face, and the sector test at j makes it arrive at occurrence j.  The
 tests run as numpy batches, on int64 elements when the pack's extent fits
 _INT64_COORD_MAX and on Python ints otherwise, and no face joins a pack
-that would move it from the one to the other.
+that would move it from the one to the other.  The crossing test keeps
+only orientation signs, as int8: a vertex-by-edge table per pack, and per
+chunk of chords a chord-by-vertex one.  A chord crosses an edge properly
+iff both sign products, of the edge's ends against the chord and of the
+chord's ends against the edge, are negative: four gathers per chord, and
+every chord-by-edge temporary stays inside one block of _chunks.
 
 The DP reads only feasible chords.  Let f be their number, about 6% of the
 position pairs on large random faces.  A cell (s, t) whose head p_s is not
@@ -242,7 +247,10 @@ def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     a chord properly crosses a face edge with no shared endpoint iff each
     segment's endpoints lie strictly on opposite sides of the other's line.
     With a shared endpoint an orientation is zero, which puts that endpoint
-    on neither side and leaves the pair uncounted."""
+    on neither side and leaves the pair uncounted.  The sides are int8
+    signs (+1 left, -1 right, 0 on the line), so each half of the test is a
+    sign product below 0; the vertex-by-edge table is built once per pack,
+    and every chord-by-edge temporary stays inside one block of _chunks."""
     n, seq = w.n, w.seq
     verts = sorted(set(seq))
     local = {v: k for k, v in enumerate(verts)}
@@ -285,23 +293,24 @@ def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     steps = [zip(wk.seq, wk.seq[1:]) for wk in w.walks]
     EA, EB = np.array(sorted({ekey(local[a], local[b]) for st in steps for a, b in st})).T
 
-    # crossings with those edges: vertex k lies strictly left of edge
-    # e's line iff left[e, k], strictly right iff right[e, k]
-    ex, ey = (VX[EB] - VX[EA])[:, None], (VY[EB] - VY[EA])[:, None]
-    side = ex * (VY - VY[EA][:, None]) - ey * (VX - VX[EA][:, None])
-    left, right = side > 0, side < 0
+    # crossings with those edges: side[k, e] is the sign of vertex k's
+    # orientation against edge e, chord[r, k] that against chord r
+    ex, ey = VX[EB] - VX[EA], VY[EB] - VY[EA]
+    side = np.sign(ex * (VY[:, None] - VY[EA]) - ey * (VX[:, None] - VX[EA])).astype(np.int8)
     keep = np.ones(I.size, dtype=bool)
     for b in _chunks(I.size, max(len(verts), len(EA))):
         u, v = lv[I[b]], lv[J[b]]
         ux, uy = VX[u][:, None], VY[u][:, None]
         chord = (VX[v][:, None] - ux) * (VY - uy) - (VY[v][:, None] - uy) * (VX - ux)
-        cl, cr = chord > 0, chord < 0
-        hit = (cl[:, EA] & cr[:, EB]) | (cr[:, EA] & cl[:, EB])
-        hit &= ((left[:, u] & right[:, v]) | (right[:, u] & left[:, v])).T
+        chord = np.sign(chord).astype(np.int8)
+        # take: numpy gathers columns by take in about half the time of chord[:, EA]
+        hit = chord.take(EA, axis=1) * chord.take(EB, axis=1) < 0
+        hit &= side[u] * side[v] < 0
         keep[b] = ~hit.any(axis=1)
+    I, J = I[keep] + 1, J[keep] + 1
+    d = [dist(g.by_id[seq[i]], g.by_id[seq[j]]) for i, j in zip(I.tolist(), J.tolist())]
     F = np.full((n + 1, n + 1), np.inf)
-    for i, j in zip((I[keep] + 1).tolist(), (J[keep] + 1).tolist()):
-        F[i, j] = F[j, i] = dist(g.by_id[seq[i]], g.by_id[seq[j]])
+    F[I, J] = F[J, I] = d
     return F
 
 

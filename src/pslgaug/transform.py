@@ -458,8 +458,11 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, old, new, phase):
     support, own, off, vc = ed.support, ed.own, ed.off, ed.vc
     lost = [ekey(a, b) for a, b in zip(old, old[1:])]
     gained = [ekey(a, b) for a, b in zip(new, new[1:])]
-    changed = Counter(gained)
-    changed.subtract(lost)
+    changed = {}
+    for e in gained:
+        changed[e] = changed.get(e, 0) + 1
+    for e in lost:
+        changed[e] = changed.get(e, 0) - 1
     for e, c in changed.items():
         c = support[e] = support[e] + c
         if c:

@@ -75,6 +75,15 @@ def test_limit_exhausted():
         brute_force_optimal(g, "2ec", limit=1)
 
 
+def test_candidate_limit_is_inclusive():
+    # exactly ``limit`` candidates are returned; one more raises
+    g = generate(9, 3, 0.2)
+    m = len(candidate_set(g).edges)
+    assert len(candidate_set(g, limit=m).edges) == m
+    with pytest.raises(Exhausted, match=f"^{m} candidates exceed limit {m - 1}$"):
+        candidate_set(g, limit=m - 1)
+
+
 def test_exhausted_before_the_crossing_table(monkeypatch):
     # the candidates are counted before their pairwise crossing table is
     # built: an Exhausted search tests candidates against g's edges only
