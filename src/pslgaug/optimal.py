@@ -32,15 +32,18 @@ The sector test at i puts the start of the open chord in the face, at
 occurrence i.  The open chord can leave the face only through the walk:
 through a face edge's interior, a proper crossing, or through a vertex,
 which would make a collinear triple (build rejects those).  So it lies in
-the face, and the sector test at j makes it arrive at occurrence j.  The
-tests run as numpy batches, on int64 elements when the pack's extent fits
-_INT64_COORD_MAX and on Python ints otherwise, and no face joins a pack
-that would move it from the one to the other.  The crossing test keeps
-only orientation signs, as int8: a vertex-by-edge table per pack, and per
-chunk of chords a chord-by-vertex one.  A chord crosses an edge properly
-iff both sign products, of the edge's ends against the chord and of the
-chord's ends against the edge, are negative: four gathers per chord, and
-every chord-by-edge temporary stays inside one block of _chunks.
+the face, and the sector test at j makes it arrive at occurrence j.  Both
+read orientation signs, as int8, computed on int64 elements when the
+pack's extent fits _INT64_COORD_MAX and on Python ints otherwise, and no
+face joins a pack that would move it from the one to the other.  One
+vertex-by-edge table per pack holds each vertex's sign against each face
+edge.  A corner's rays are face edges, so the sector test is sign logic on
+two of its columns, one vertex-by-position table, and the pairs of one
+walk that pass at both ends are one mask.  A chord crosses an edge
+properly iff both sign products, of the edge's ends against the chord (a
+chord-by-vertex table per chunk of chords) and of the chord's ends against
+the edge, are negative: four gathers per chord, and every chord-by-edge
+temporary stays inside one block of _chunks.
 
 The DP reads only feasible chords.  Let f be their number, about 6% of the
 position pairs on large random faces.  A cell (s, t) whose head p_s is not
@@ -186,9 +189,9 @@ class OptimalResult:
 # the int64 feasibility kernel runs.  The kernel reads only coordinate
 # differences, so it moves the face into [0, B]^2 first.  Every factor is
 # then a difference of at most B, every product at most B^2 in absolute
-# value.  The sums of two products are orientations (at most B^2) and the
-# sector test's dot products, the widest: at most 2 B^2, which for
-# B = 2^31 - 1 is 2^63 - 2^33 + 2 and fits int64.
+# value.  The widest values are the orientations and their two products:
+# an orientation is twice a triangle's area in the box, at most B^2 as
+# well, which for B = 2^31 - 1 is below 2^62 and fits int64.
 _INT64_COORD_MAX = 2**31 - 1
 
 # Elements per temporary array of a batch, so that a large face never holds
@@ -221,26 +224,13 @@ def _chunks(size, width):
         yield slice(lo, lo + step)
 
 
-def _in_sector_batch(cuv, ux, uy, wx, wy, dx, dy):
-    """Whether each direction d lies strictly inside the sector swept
-    counterclockwise from direction u to direction w, cuv being u x w.  The
-    points are in general position, so a sector with cuv == 0 is a leaf
-    corner (rays u and w the same), whose sector is the full angle less the
-    ray u."""
-    cud = ux * dy - uy * dx
-    cdv = dx * wy - dy * wx
-    leaf = ~((cud == 0) & (ux * dx + uy * dy > 0))
-    return np.where(
-        cuv > 0, (cud > 0) & (cdv > 0), np.where(cuv < 0, (cud > 0) | (cdv > 0), leaf)
-    )
-
-
 def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     """Chord weight matrix over the pack's positions: F[i, j] is the
     segment length when the chord is usable, +inf otherwise.  A chord (i, j)
     of one walk is usable when it passes the sector test at both ends and
-    crosses no face edge properly, tested as batches over position pairs on
-    elements of _coord_dtype, with the pack's least x and y at 0.
+    crosses no face edge properly.  Both tests read orientation signs
+    computed on elements of _coord_dtype, with the pack's least x and y at
+    0; the sector test reads only the vertex-by-edge table.
 
     The points are in general position (``build`` rejects collinear
     triples), so the orientation of three distinct points is never zero and
@@ -260,43 +250,45 @@ def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     dtype = _coord_dtype(xs, ys)
     VX, VY = np.array(xs, dtype=dtype), np.array(ys, dtype=dtype)
 
-    # per position 1..n (array index 0..n-1): vertex, and its corner's rays
-    lv = np.array([local[v] for v in seq[1 : n + 1]], dtype=np.int64)
-    corners = [w.neighbors(i) for i in range(1, n + 1)]
-    lp = np.array([local[p] for p, _ in corners], dtype=np.int64)
-    ln = np.array([local[q] for _, q in corners], dtype=np.int64)
-    X, Y = VX[lv], VY[lv]
-    UX, UY, WX, WY = VX[lp] - X, VY[lp] - Y, VX[ln] - X, VY[ln] - Y
-    CUV = UX * WY - UY * WX
-
-    # both sector tests on the pairs of positions of one walk, a block of
-    # rows at a time.  A face corner at u lies between two edges that are
-    # consecutive around u, so no edge of g at u points strictly into it:
-    # the sector test also rules out every chord that is an edge, and only
-    # a repeated vertex needs its own test.
-    I, J = [], []
-    pos = np.arange(n)
-    stop = np.repeat(w.off[1:], np.diff(w.off))  # past the last position of its walk
-    for rows in _chunks(n, int(np.diff(w.off).max())):
-        c, _, cnt = _ranges(pos[rows] + 1, stop[rows])
-        r = pos[rows].repeat(cnt)
-        DX, DY = X[c] - X[r], Y[c] - Y[r]
-        ok = lv[r] != lv[c]
-        ok &= _in_sector_batch(CUV[r], UX[r], UY[r], WX[r], WY[r], DX, DY)
-        ok &= _in_sector_batch(CUV[c], UX[c], UY[c], WX[c], WY[c], -DX, -DY)
-        I.append(r[ok])
-        J.append(c[ok])
-    I, J = np.concatenate(I), np.concatenate(J)
-
     # the pack's face edges EA[e] - EB[e]: a chord in its own face crosses
-    # no edge of another
+    # no edge of another.  side[k, e] is the sign of vertex k's orientation
+    # against edge e.
     steps = [zip(wk.seq, wk.seq[1:]) for wk in w.walks]
     EA, EB = np.array(sorted({ekey(local[a], local[b]) for st in steps for a, b in st})).T
-
-    # crossings with those edges: side[k, e] is the sign of vertex k's
-    # orientation against edge e, chord[r, k] that against chord r
     ex, ey = VX[EB] - VX[EA], VY[EB] - VY[EA]
     side = np.sign(ex * (VY[:, None] - VY[EA]) - ey * (VX[:, None] - VX[EA])).astype(np.int8)
+
+    # sector[t, i]: whether vertex t lies in the corner (p, u, q) of
+    # position i, swept counterclockwise from p to q.  Its rays are the face
+    # edges {u, p} and {u, q}, so orient(u, p, t) and orient(u, t, q) =
+    # orient(q, u, t) are columns of side, and orient(u, p, q) is the first
+    # at t = q.  At a leaf corner (p == q) that is 0 and rt is lt mirrored,
+    # so lt | rt takes every t off the line through u and p.  t = u is on
+    # both rays and in no sector, so no pair of one vertex passes.
+    nv = len(verts)
+    code = EA * nv + EB  # sorted, as the edge keys are
+    lv, lp, lq = np.array([[local[seq[i]], *map(local.get, w.neighbors(i))]
+                           for i in range(1, n + 1)]).T
+
+    def left(a, b):
+        """orient(a, b, t) > 0 for every vertex t, per position: edge
+        {a, b}'s column of side, signed by the order of its key."""
+        e = code.searchsorted(np.minimum(a, b) * nv + np.maximum(a, b))
+        return side[:, e] == np.where(a < b, 1, -1)
+
+    lt, rt = left(lv, lp), left(lq, lv)
+    sector = np.where(lt[lq, np.arange(n)], lt & rt, lt | rt)
+
+    # both sector tests on the pairs of positions of one walk.  A face
+    # corner at u lies between two edges that are consecutive around u, so
+    # no edge of g at u points strictly into it: the sector test also rules
+    # out every chord that is an edge.
+    inside = sector[lv]  # inside[j, i]: position j's vertex in i's corner
+    walk = np.arange(len(w.walks)).repeat(np.diff(w.off))
+    I, J = np.nonzero(np.triu(inside & inside.T & (walk[:, None] == walk), 1))
+
+    # crossings with the face edges: chord[r, k] is the sign of vertex k's
+    # orientation against chord r
     keep = np.ones(I.size, dtype=bool)
     for b in _chunks(I.size, max(len(verts), len(EA))):
         u, v = lv[I[b]], lv[J[b]]

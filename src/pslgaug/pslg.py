@@ -477,17 +477,15 @@ class Faces:
             if d not in self.face:
                 self._label(d)
 
-    def walk(self, d, k):
-        """The vertices of the facial walk from dart ``d`` on, for k edges
-        or, when the walk is shorter, once around."""
+    def walk(self, d):
+        """The vertices of the facial walk from dart ``d`` on, once around
+        and closed (back at ``d[0]``)."""
         nxt = self.nxt
-        out, x = [d[0]], d
-        for _ in range(k):
-            x = nxt[x]
+        out, x = [d[0]], nxt[d]
+        while x != d:
             out.append(x[0])
-            if x == d:
-                break
-        return out
+            x = nxt[x]
+        return out + [d[0]]
 
     def _label(self, d):
         """Give the darts of the facial walk through dart ``d`` a new face
@@ -514,7 +512,7 @@ def facial_walks(g: Pslg):
         first = {}
         for d in sorted(faces.face):
             first.setdefault(faces.face[d], d)
-        walks = [faces.walk(d, len(faces.nxt)) for d in first.values()]
+        walks = [faces.walk(d) for d in first.values()]
         g._walks = [Walk(i, tuple(seq)) for i, seq in enumerate(walks)]
     return g._walks
 

@@ -171,7 +171,7 @@ class _CertifiedEdges:
     edge to its bounding box (``pslg._box``).  An insert's planarity check
     is one pass over them (``pslg._first_crossing``), which names the least
     crossing edge: the pair ``_raise_first_crossing`` would report.  Each
-    edge's length is ``dist``'s, computed once (``_edge_length``).
+    edge's length is ``dist``'s (``_edge_length``).
     """
 
     def __init__(self, g: Pslg):
@@ -183,7 +183,6 @@ class _CertifiedEdges:
         self.mst_length = mst_length(g)
         self.ceiling = self.length + self.mst_length + LENGTH_TOL
         self.nxt = next_darts(g.rotation)
-        self._lengths = {}  # edge key -> dist, filled by _edge_length
 
     def edit(self, op, u, v):
         """Insert or delete edge (u, v).  Returns None when the edit keeps
@@ -234,11 +233,8 @@ class _CertifiedEdges:
         return None
 
     def _edge_length(self, e):
-        """``dist`` between the endpoints of edge key ``e``, computed once."""
-        d = self._lengths.get(e)
-        if d is None:
-            d = self._lengths[e] = dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
-        return d
+        """``dist`` between the endpoints of edge key ``e``."""
+        return dist(self.graph.by_id[e[0]], self.graph.by_id[e[1]])
 
     def _smaller(self, u, v):
         """``(d, bridge)``: the walks of edge (u, v)'s darts, in lockstep,

@@ -293,7 +293,7 @@ def locate_subwalk(g, walk_ids):
     faces = g.faces()
     if key not in faces.face:
         raise WalkNotInFace(f"directed edge {key} not on any facial walk")
-    seq = faces.walk(key, len(walk_ids) - 1)
+    seq = faces.walk(key)
     if len(seq) < len(walk_ids):
         raise WalkNotInFace("walk longer than its facial walk")
     for k, v in enumerate(walk_ids):

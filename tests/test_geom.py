@@ -4,7 +4,6 @@ from fractions import Fraction
 from functools import cmp_to_key
 from itertools import combinations
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
@@ -22,7 +21,6 @@ from pslgaug.geom import (
     segments_properly_cross,
     to_rational,
 )
-from pslgaug.optimal import _in_sector_batch
 from pslgaug.pslg import _corner_convex
 
 from tests_support import in_ccw_sector, polar_sort
@@ -238,23 +236,16 @@ def test_incircle_sign_matches_circumcircle(a, b, c, d):
 
 
 def test_in_ccw_sector():
-    def batch(ux, uy, vx, vy, dx, dy):
-        # the same case as one-element arrays through the feasibility kernel
-        args = [np.array([c], dtype=np.int64) for c in (ux * vy - uy * vx, ux, uy, vx, vy, dx, dy)]
-        (got,) = _in_sector_batch(*args)
-        return bool(got)
-
-    for sector in (in_ccw_sector, batch):
-        # quarter-circle sector from +x to +y
-        assert sector(1, 0, 0, 1, 1, 1)
-        assert not sector(1, 0, 0, 1, 1, -1)
-        # reflex sector from +y to +x (270 degrees)
-        assert sector(0, 1, 1, 0, -1, 0)
-        assert sector(0, 1, 1, 0, 1, -1)
-        assert not sector(0, 1, 1, 0, 1, 1)
-        # full sector at a leaf corner
-        assert sector(1, 0, 1, 0, 0, 1)
-        assert not sector(1, 0, 1, 0, 1, 0)
+    # quarter-circle sector from +x to +y
+    assert in_ccw_sector(1, 0, 0, 1, 1, 1)
+    assert not in_ccw_sector(1, 0, 0, 1, 1, -1)
+    # reflex sector from +y to +x (270 degrees)
+    assert in_ccw_sector(0, 1, 1, 0, -1, 0)
+    assert in_ccw_sector(0, 1, 1, 0, 1, -1)
+    assert not in_ccw_sector(0, 1, 1, 0, 1, 1)
+    # full sector at a leaf corner
+    assert in_ccw_sector(1, 0, 1, 0, 0, 1)
+    assert not in_ccw_sector(1, 0, 1, 0, 1, 0)
 
 
 def test_angle_less():

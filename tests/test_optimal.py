@@ -286,9 +286,9 @@ def test_feasibility_path_at_the_int64_bound(extra, dtype, monkeypatch):
 def test_feasibility_near_the_int64_corner(monkeypatch):
     # a zigzag between a cluster at (0, 0) and its mirror at (B, B), with
     # B = _INT64_COORD_MAX: every corner's rays and every chord between the
-    # clusters run near (B, B), and the leaf ray (0, 0) -> (B, B) makes the
-    # sector test's dot product exactly 2 B^2; int64 elements give the
-    # reference's F
+    # clusters run near (B, B), and the leaf corner at (0, 0), whose ray
+    # spans the whole extent, has orientations against the far cluster with
+    # products near B^2; int64 elements give the reference's F
     B = optimal._INT64_COORD_MAX
     low = [(0, 0), (3, 1), (7, 2), (12, 5), (18, 7)]
     pts = low + [(B - y, B - x) for x, y in low]
@@ -855,27 +855,15 @@ def test_packs_match_each_walk_alone(group, monkeypatch):
     assert packs > 0
 
 
-def test_pack_feasibility_tests_only_pairs_of_one_walk(monkeypatch):
-    """The sector tests of a pack run on the position pairs of each walk,
-    exactly as many as its walks alone, not on the pairs of two walks."""
-    sizes, sector = [], optimal._in_sector_batch
-
-    def spy(*args):
-        sizes.append(args[-1].size)
-        return sector(*args)
-
-    monkeypatch.setattr(optimal, "_in_sector_batch", spy)
+def test_pack_feasibility_tests_only_pairs_of_one_walk():
+    """The feasibility of one pack of all of a graph's walks holds each
+    walk's own F on that walk's block and +inf everywhere between walks."""
     for g in pool_instances():
+        walks = facial_walks(g)
         for extend in (False, True):
-            walks = facial_walks(g)
-            sizes.clear()
-            for walk in walks:
-                feasibility(g, IndexedWalk.pack([walk], extend=extend))
-            alone = sum(sizes)
-            sizes.clear()
-            feasibility(g, IndexedWalk.pack(walks, extend=extend))
-            assert sum(sizes) == alone == sum((len(wk) + extend) * (len(wk) + extend - 1)
-                                              for wk in walks)
+            w = IndexedWalk.pack(walks, extend=extend)
+            alone = [feasibility(g, IndexedWalk.pack([wk], extend=extend)) for wk in walks]
+            assert np.array_equal(feasibility(g, w), place(w, alone, np.inf, w.n + 1)), extend
 
 
 def traced_packs(g, mode, monkeypatch):

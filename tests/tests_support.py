@@ -145,8 +145,8 @@ def polar_sort(center_xy, items, key_xy, into=()):
 
 def in_ccw_sector(ux, uy, vx, vy, dx, dy) -> bool:
     """True iff direction d lies strictly inside the sector swept CCW from
-    direction u to direction v, on exact scalars: the oracle of the batch
-    sector test in ``optimal._in_sector_batch``.
+    direction u to direction v, on exact scalars: the oracle of the sector
+    test that ``optimal.feasibility`` reads off its orientation signs.
 
     If u and v are the same direction the sector is the full angle (a leaf
     corner); d then only has to avoid the ray u itself.
