@@ -104,6 +104,19 @@ class WeaklySimplePolygon:
     def is_simple(self):
         return max(self.multiplicity().values()) == 1
 
+    def splice(self, at, old, new):
+        """The polygon with its vertex path ``old`` replaced by ``new``, a
+        path with the same ends, or with a spike ``old`` (p, v, p)
+        contracted to ``new`` [p].  ``old`` holds the positions from ``at``
+        on, read forward, or backward when ``seq[at]`` is not ``old[0]``.
+        A path that wraps past the end drops the head positions it covers
+        and puts its new middle at the end: phase 4's search for the first
+        copy of an edge reads positions."""
+        seq, m = self.seq, len(self.seq)
+        mid = new[1:-1] if seq[at] == old[0] else new[-2:0:-1]
+        stop = at + len(old) - (len(new) > 1)  # first position kept after it; a spike keeps only p
+        return WeaklySimplePolygon(seq[max(0, stop - m) : at + 1] + mid + seq[stop:])
+
     def validate(self, g, ems=None, at=None):
         """Check that the polygon is a weakly simple closed walk in the
         certified PSLG ``g``: at least three corners, every edge a graph edge
@@ -272,7 +285,8 @@ class _Editor(_CertifiedEdges):
     its leftover edges in phases 4 and 5, and the final cycle.  From ``trace``
     on, ``_retrace`` keeps its state by deltas: edge multiset ``support``,
     vertex set ``vc``, and per edge, ``own`` multiplicity times length, or
-    ``off`` the length of a graph edge off the polygon."""
+    ``off`` the length of a graph edge off the polygon; ``poly_len``, the
+    fsum of ``own``, is the polygon's length."""
 
     def __init__(self, g: Pslg):
         super().__init__(g)
@@ -285,6 +299,7 @@ class _Editor(_CertifiedEdges):
         self.support, self.vc = poly.edge_multiset(), poly.vertices()
         self.own = {e: c * self._edge_length(e) for e, c in self.support.items()}
         self.off = {e: self._edge_length(e) for e in self.graph.edges if e not in self.support}
+        self.poly_len = fsum(self.own.values())
         poly.validate(self.graph)
         return poly
 
@@ -387,7 +402,7 @@ def phase2_to_delaunay_tree(ed: _Editor, T, flips):
     constrained (``delaunay``), through the swap rule in order: each flipped
     edge of the tree is swapped for a strictly shorter quad side, and the
     intermediate graph stays connected.  The rule reads only the flip and
-    the current tree.  Returns T, whose edges include the final tree's."""
+    the current tree.  The final tree's edges must be edges of T."""
     g = ed.graph
     sq = _sq_len(g)
     for (a, b), (c, d) in flips:
@@ -415,7 +430,6 @@ def phase2_to_delaunay_tree(ed: _Editor, T, flips):
         if not T.has_edge(*e):
             raise LemmaViolation("tree edge missing from the Delaunay triangulation")
     ed.log.stats["flips"] = len(flips)
-    return T
 
 
 def _dot_at(g, apex, a, b):
@@ -454,11 +468,8 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, old, new, phase):
     support, own, off, vc = ed.support, ed.own, ed.off, ed.vc
     lost = [ekey(a, b) for a, b in zip(old, old[1:])]
     gained = [ekey(a, b) for a, b in zip(new, new[1:])]
-    changed = {}
-    for e in gained:
-        changed[e] = changed.get(e, 0) + 1
-    for e in lost:
-        changed[e] = changed.get(e, 0) - 1
+    changed = Counter(gained)
+    changed.subtract(lost)
     for e, c in changed.items():
         c = support[e] = support[e] + c
         if c:
@@ -486,7 +497,8 @@ def _retrace(ed: _Editor, poly: WeaklySimplePolygon, old, new, phase):
     # vertices whose occurrences or rotation changed can fail it now
     at = [j for j, v in enumerate(poly.seq) if v in touched]
     poly.validate(ed.graph, {e: support[e] for e in changed if e in support}, at)
-    wl = fsum(own.values()) + fsum(off.values())
+    ed.poly_len = fsum(own.values())
+    wl = ed.poly_len + fsum(off.values())
     if wl > ed.cycle_bound:
         raise LemmaViolation(
             f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {ed.cycle_bound:.9g}"
@@ -537,7 +549,7 @@ def phase4_grow_cycle(ed: _Editor):
         if found is None:
             raise LemmaViolation("no convex boundary pair found in phase 4")
         a_end, y, b_end = found
-        xq, zq = (a_end, b_end) if a_end in vc else (b_end, a_end)
+        xq = a_end if a_end in vc else b_end  # on the polygon; the other end, zq, is not
         if ekey(xq, y) not in ed.support:
             raise LemmaViolation("selected pair edge is not on the polygon")
 
@@ -549,18 +561,13 @@ def phase4_grow_cycle(ed: _Editor):
         seq, m = poly.seq, len(poly.seq)
         at = min(j % m for i, w in enumerate(seq) if w == xq for j in (i, i - 1)
                  if {seq[j], seq[(j + 1) % m]} == {xq, y})
-        if seq[at] == xq:
-            ins = gids[1:]  # ends at zq, then the old y follows
-        else:
-            ins = [zq] + gids[1:-1][::-1]
-        new_poly = WeaklySimplePolygon(seq=seq[: at + 1] + ins + seq[at + 1 :])
-
+        old, new = [xq, y], gids + [y]
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
-        poly = _retrace(ed, new_poly, [xq, y], gids + [y], PHASE_GROW)
+        poly = _retrace(ed, poly.splice(at, old, new), old, new, PHASE_GROW)
     poly.validate(ed.graph)
-    if poly.length(g) > ed.cycle_bound:
+    if ed.poly_len > ed.cycle_bound:
         raise LemmaViolation("final polygon exceeds 2*MST")
     return poly
 
@@ -574,47 +581,34 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
         guard += 1
         if guard > 4 * g.n * g.n + 16:
             raise LemmaViolation("phase 5 exceeded its step budget")
-        m = len(poly.seq)
+        seq, m = poly.seq, len(poly.seq)
         best = None
         for j in range(m):
-            vtx = poly.seq[j]
-            if mult[vtx] < 2:
+            if mult[seq[j]] < 2:
                 continue
-            prev = poly.seq[j - 1]
-            nxt = poly.seq[(j + 1) % m]
-            px, py = g.ipt(prev)
-            vx, vy = g.ipt(vtx)
-            nx, ny = g.ipt(nxt)
-            u_vec = (px - vx, py - vy)
-            w_vec = (nx - vx, ny - vy)
+            px, py = g.ipt(seq[j - 1])
+            vx, vy = g.ipt(seq[j])
+            nx, ny = g.ipt(seq[(j + 1) % m])
+            u_vec, w_vec = (px - vx, py - vy), (nx - vx, ny - vy)
             if best is None or angle_less(u_vec, w_vec, best[0], best[1]):
-                best = (u_vec, w_vec, j, prev, vtx, nxt)
-        u_vec, w_vec, j, prev, vtx, nxt = best
-        if prev == nxt:
-            # a spike (angle 0): drop its tip and the copy of prev after it,
-            # so the twice-used edge (prev, vtx) leaves the polygon
-            drop = (j, (j + 1) % m)
-            new_seq = [w for k, w in enumerate(poly.seq) if k not in drop]
-            path = [prev]
+                best = (u_vec, w_vec, j)
+        j = best[2]
+        old = [seq[j - 1], seq[j], seq[(j + 1) % m]]  # prev, vtx, nxt
+        if old[0] == old[2]:
+            # a spike (angle 0): contract it, so the twice-used edge
+            # (prev, vtx) leaves the polygon
+            new = old[:1]
         else:
-            # three distinct points in general position: cr != 0
-            cr = u_vec[0] * w_vec[1] - u_vec[1] * w_vec[0]
-            walk = [prev, vtx, nxt] if cr > 0 else [nxt, vtx, prev]
-            geo = ed.geodesic(walk)
-            path = geo.ids() if cr > 0 else geo.ids()[::-1]
-            # replace (prev, vtx, nxt) at position j by the geodesic
-            new_seq = poly.seq[:j] + path[1:-1] + poly.seq[j + 1 :]
-            if j == 0:
-                new_seq = poly.seq[1:] + path[1:-1]
-        old_len = poly.length(g)
-        new_poly = WeaklySimplePolygon(seq=new_seq)
-        new_len = new_poly.length(g)
-        if not new_len < old_len + 1e-12:
-            raise LemmaViolation("phase 5 step did not shorten the polygon")
-
+            # three distinct points in general position: convex or reflex
+            convex = _corner_convex(g, *old)
+            ids = ed.geodesic(old if convex else old[::-1]).ids()
+            new = ids if convex else ids[::-1]
+        old_len = ed.poly_len
         # corner edges that vanish go first (the repeated vertex stays on
         # the polygon elsewhere), keeping the intermediate length monotone
-        poly = _retrace(ed, new_poly, [prev, vtx, nxt], path, PHASE_SIMPLIFY)
+        poly = _retrace(ed, poly.splice((j - 1) % m, old, new), old, new, PHASE_SIMPLIFY)
+        if not ed.poly_len < old_len + 1e-12:
+            raise LemmaViolation("phase 5 step did not shorten the polygon")
     poly.validate(ed.graph)
     return poly
 

@@ -343,6 +343,7 @@ def test_live_polygon_state_equals_a_recount(monkeypatch):
         assert ed.off == {e: d[e] for e in g.edges if e not in sup}
         want = poly.length(g) + fsum(d[e] for e in g.edges if e not in sup)
         assert fsum(ed.own.values()) + fsum(ed.off.values()) == want
+        assert ed.poly_len == poly.length(g)
         poly.validate(g)
         calls[args[-1]] += 1
         return out
@@ -895,6 +896,56 @@ def test_weakly_simple_validation(fig3):
         fig3.with_edges(crossing.edge_multiset())
     with pytest.raises(LemmaViolation, match="multiplicity"):
         WeaklySimplePolygon(seq=[1, 2, 1, 2]).validate(fig3)  # multiplicity 4
+
+
+def _list_insert(seq, at, xq, gids):
+    """Phase 4's list edit: the copy of edge (xq, y) at positions at and
+    at + 1, either way round, becomes xq, gids' inside, zq, y."""
+    ins = gids[1:] if seq[at] == xq else [gids[-1]] + gids[1:-1][::-1]
+    return seq[: at + 1] + ins + seq[at + 1 :]
+
+
+def _list_shortcut(seq, j, path):
+    """Phase 5's list edit of the corner at position j: a spike drops its
+    tip and the copy of prev after it; a corner's path from prev to nxt
+    replaces the tip, at the end when j is 0."""
+    m = len(seq)
+    if seq[j - 1] == seq[(j + 1) % m]:
+        return [w for k, w in enumerate(seq) if k not in (j, (j + 1) % m)]
+    if j == 0:
+        return seq[1:] + path[1:-1]
+    return seq[:j] + path[1:-1] + seq[j + 1 :]
+
+
+def test_splice_builds_the_sequences_of_the_list_edits():
+    # splice gives back the very sequence of phase 4's edge insert (both
+    # ways round) and of phase 5's corner and spike shortcuts, at every
+    # position of random cyclic sequences, the wrap positions included:
+    # phase 4's "first copy" search reads positions
+    rng = random.Random(48)
+    kinds = Counter()
+    while sum(kinds.values()) < 3000:
+        m = rng.randint(3, 9)
+        seq = [rng.randrange(4) for _ in range(m)]
+        if any(seq[i] == seq[i - 1] for i in range(m)):
+            continue
+        poly = WeaklySimplePolygon(seq=list(seq))
+        for at in range(m):
+            mid = [100 + k for k in range(rng.randint(0, 3))]
+            edge = [seq[at], seq[(at + 1) % m]]
+            for xq, y in (edge, edge[::-1]):
+                gids = [xq, *mid, 99]
+                got = poly.splice(at, [xq, y], gids + [y]).seq
+                assert got == _list_insert(seq, at, xq, gids)
+                kinds["insert", xq == edge[0], at == m - 1] += 1
+            old = [seq[at - 1], seq[at], seq[(at + 1) % m]]
+            spike = old[0] == old[2]
+            path = old[:1] if spike else [old[0], *mid, old[2]]
+            got = poly.splice((at - 1) % m, old, path).seq
+            assert got == _list_shortcut(seq, at, path)
+            kinds["spike" if spike else "corner", at in (0, m - 1)] += 1
+        assert poly.seq == seq
+    assert len(kinds) == 8 and min(kinds.values()) >= 100
 
 
 def reference_check_rotations(poly, g):

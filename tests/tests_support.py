@@ -62,7 +62,8 @@ def through_phase2(g):
     T, flips = delaunay(g, tree)
     ed = _Editor(g)
     phase1_spanning_tree(ed, tree)
-    return ed, phase2_to_delaunay_tree(ed, T, flips)
+    phase2_to_delaunay_tree(ed, T, flips)
+    return ed, T
 
 
 def adjacency(edges):
