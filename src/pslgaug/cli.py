@@ -2,8 +2,8 @@
 
 Subcommands: validate, augment, transform, oracle, replay, gen, render.
 Machine-readable JSON goes to stdout with --json.  Exit codes:
-0 success, 1 validation failure, 2 infeasible or oracle exhausted,
-3 internal invariant (lemma) violation.
+0 success, 1 validation failure, 2 infeasible, oracle exhausted or too
+large for the DP (MemoryError), 3 internal invariant (lemma) violation.
 """
 
 from __future__ import annotations
@@ -268,7 +268,7 @@ def main(argv=None):
     except (ReplayViolation,) as e:
         print(f"replay violation: {e}", file=sys.stderr)
         return EXIT_INVALID
-    except (InfeasibleFace, Exhausted) as e:
+    except (InfeasibleFace, Exhausted, MemoryError) as e:
         print(f"infeasible: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except LemmaViolation as e:

@@ -463,57 +463,41 @@ def next_darts(rotation):
 class Faces:
     """The faces of a rotation system, half-edge style (Guibas & Stolfi
     1985, without the dual): ``nxt`` maps each dart (directed edge) to the
-    next dart of its facial walk (``next_darts``), and ``face`` maps it to a
-    label shared by exactly the darts of its walk.  In a connected plane
-    graph an edge is a bridge iff the same face lies on both of its sides,
-    and a vertex is a cut vertex iff one face meets it twice.
+    next dart of its facial walk (``next_darts``), ``face`` maps it to a
+    label shared by exactly the darts of its walk, and ``walks[label]``
+    lists those darts in walk order, each face walked once.  Labels number
+    the faces 0, 1, ... in the order ``nxt`` lists their first darts.  In a
+    connected plane graph an edge is a bridge iff the same face lies on both
+    of its sides, and a vertex is a cut vertex iff one face meets it twice.
     """
 
     def __init__(self, rotation):
-        self.nxt = next_darts(rotation)
-        self.face = {}
-        self._labels = 0
-        for d in self.nxt:
-            if d not in self.face:
-                self._label(d)
-
-    def walk(self, d):
-        """The vertices of the facial walk from dart ``d`` on, once around
-        and closed (back at ``d[0]``)."""
-        nxt = self.nxt
-        out, x = [d[0]], nxt[d]
-        while x != d:
-            out.append(x[0])
-            x = nxt[x]
-        return out + [d[0]]
-
-    def _label(self, d):
-        """Give the darts of the facial walk through dart ``d`` a new face
-        label."""
-        label = self._labels = self._labels + 1
-        nxt, face = self.nxt, self.face
-        x = d
-        while True:
-            face[x] = label
-            x = nxt[x]
-            if x == d:
-                return
+        self.nxt = nxt = next_darts(rotation)
+        self.face, self.walks = face, walks = {}, []
+        for d in nxt:
+            if d not in face:
+                label, walk, x = len(walks), [d], nxt[d]
+                face[d] = label
+                while x != d:
+                    face[x] = label
+                    walk.append(x)
+                    x = nxt[x]
+                walks.append(walk)
 
 
 def facial_walks(g: Pslg):
-    """All facial walks of g, one per face label, each starting at its
-    smallest directed edge and ordered by it.
+    """All facial walks of g: the walks ``Faces`` recorded, each rotated to
+    start at its smallest directed edge and ordered by it.
 
     Each is a closed ``Walk`` whose face_id is its index, and each directed
     edge appears in exactly one walk exactly once.
     """
     if g._walks is None:
-        faces = g.faces()
-        first = {}
-        for d in sorted(faces.face):
-            first.setdefault(faces.face[d], d)
-        walks = [faces.walk(d) for d in first.values()]
-        g._walks = [Walk(i, tuple(seq)) for i, seq in enumerate(walks)]
+        starts = sorted((min(w), w) for w in g.faces().walks)
+        g._walks = []
+        for i, (d, walk) in enumerate(starts):
+            k, heads = walk.index(d), [x for x, _ in walk]
+            g._walks.append(Walk(i, tuple(heads[k:] + heads[: k + 1])))
     return g._walks
 
 
@@ -574,8 +558,9 @@ def connectivity(g: Pslg) -> ConnectivityReport:
             seen.update(comp)
             components.append(sorted(comp))
 
-    face = g.faces().face
-    euler = sum(1 for rot in g.rotation.values() if rot) - len(g.edges) + len(set(face.values()))
+    faces = g.faces()
+    face = faces.face
+    euler = sum(1 for rot in g.rotation.values() if rot) - len(g.edges) + len(faces.walks)
     c2 = 2 * sum(1 for comp in components if len(comp) > 1)
     if euler != c2:
         raise LemmaViolation(f"rotation system is not planar: V - E + F = {euler}, 2C = {c2}")

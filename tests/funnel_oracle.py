@@ -293,7 +293,9 @@ def locate_subwalk(g, walk_ids):
     faces = g.faces()
     if key not in faces.face:
         raise WalkNotInFace(f"directed edge {key} not on any facial walk")
-    seq = faces.walk(key)
+    walk = faces.walks[faces.face[key]]
+    at = walk.index(key)
+    seq = [x for x, _ in walk[at:] + walk[:at]] + [key[0]]
     if len(seq) < len(walk_ids):
         raise WalkNotInFace("walk longer than its facial walk")
     for k, v in enumerate(walk_ids):

@@ -322,6 +322,20 @@ def test_augment_exits_3_when_the_augmenter_rejects_its_own_result(fig3_file, ca
                    "planar failed (edges (1,4) and (2,3) cross)\n")
 
 
+@pytest.mark.parametrize("mode", ["opt2ec", "opt2vc"])
+def test_augment_exits_2_when_a_face_is_too_large_for_the_dp(fig3_file, capsys, monkeypatch,
+                                                             mode):
+    # _fill raises MemoryError past the DP's int32 rows and keys
+    def too_large(w, W, mode):
+        ids = [wk.face_id for wk in w.walks]
+        raise MemoryError(f"faces {ids}: too large for the DP's int32 rows and keys")
+
+    monkeypatch.setattr(optimal, "_fill", too_large)
+    code, out, err = run_cli(["augment", fig3_file, "--mode", mode, "--json"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "infeasible: faces [0]: too large for the DP's int32 rows and keys\n"
+
+
 def test_transform_replay_roundtrip(tmp_path, capsys):
     inst = tmp_path / "inst.json"
     g = generate(12, 7, 0.4)

@@ -919,6 +919,44 @@ def test_walk_invariants(fig3, triangle, square_diag, two_triangles, star3):
         assert g.n - len(g.edges) + len(walks) == 2
 
 
+def test_faces_record_each_walk_once_in_walk_order():
+    # Faces.walks[label] holds exactly the darts labelled label, each dart
+    # the nxt of the one before it, closing on itself; facial_walks lists
+    # those entries by least dart, each walked from that dart
+    from test_adversarial import FAMILIES, _general_position
+    from tests_support import scan_graph
+
+    rng = random.Random(49)
+    graphs = [generate(rng.randint(3, 120), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6, 1.0)))
+              for _ in range(30)]
+    graphs += [scan_graph(rng.randint(3, 60), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6)))
+               for _ in range(20)]
+    graphs += [_general_position(make, random.Random(seed)) for _, make, seed in FAMILIES]
+    pts = [(0, "0", "0"), (1, "4", "0"), (2, "1", "3"), (3, "10", "2"), (4, "14", "1"), (5, "11", "5")]
+    graphs += [
+        build(pts, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]),  # two disjoint triangles
+        build(pts[:2], [(0, 1)]),
+        build(pts[:3], []),
+    ]
+    for g in graphs:
+        faces = g.faces()
+        nxt, walks = faces.nxt, faces.walks
+        darts = [d for walk in walks for d in walk]
+        assert len(darts) == len(set(darts)) == len(nxt) == len(faces.face) == 2 * len(g.edges)
+        for label, walk in enumerate(walks):
+            assert {faces.face[d] for d in walk} == {label}
+            assert [nxt[d] for d in walk] == walk[1:] + walk[:1]
+        out = facial_walks(g)
+        assert len(out) == len(walks)
+        for k, walk in enumerate(sorted(walks, key=min)):
+            d = min(walk)
+            seq, x = [d[0]], nxt[d]
+            while x != d:
+                seq.append(x[0])
+                x = nxt[x]
+            assert out[k].face_id == k and out[k].seq == (*seq, d[0])
+
+
 def test_connectivity_fig3(fig3):
     rep = connectivity(fig3)
     assert rep.connected
