@@ -83,26 +83,13 @@ class WeaklySimplePolygon:
 
     seq: list  # cyclic, no duplicated closing vertex; never edited in place
 
-    def vertices(self):
-        return set(self.seq)
-
     def edge_multiset(self):
         """Edge key -> multiplicity."""
         m = len(self.seq)
         return Counter(ekey(self.seq[i], self.seq[(i + 1) % m]) for i in range(m))
 
-    def multiplicity(self):
-        return Counter(self.seq)
-
-    def length(self, g):
-        m = len(self.seq)
-        return fsum(
-            dist(g.by_id[self.seq[i]], g.by_id[self.seq[(i + 1) % m]])
-            for i in range(m)
-        )
-
     def is_simple(self):
-        return max(self.multiplicity().values()) == 1
+        return len(set(self.seq)) == len(self.seq)
 
     def splice(self, at, old, new):
         """The polygon with its vertex path ``old`` replaced by ``new``, a
@@ -283,10 +270,12 @@ class _Editor(_CertifiedEdges):
 
     ``cycle_bound``, 2||MST|| + LENGTH_TOL, bounds the morph's polygon plus
     its leftover edges in phases 4 and 5, and the final cycle.  From ``trace``
-    on, ``_retrace`` keeps its state by deltas: edge multiset ``support``,
-    vertex set ``vc``, and per edge, ``own`` multiplicity times length, or
-    ``off`` the length of a graph edge off the polygon; ``poly_len``, the
-    fsum of ``own``, is the polygon's length."""
+    on, the editor owns the morph's polygon ``poly``, which only ``splice``
+    changes, and keeps its state by deltas: edge multiset ``support``, vertex
+    multiset ``mult`` (a dict, faster to test than a Counter), and per edge,
+    ``own`` multiplicity times length, or ``off`` the length of a graph edge
+    off the polygon; ``poly_len``, the fsum of ``own``, is the polygon's
+    length."""
 
     def __init__(self, g: Pslg):
         super().__init__(g)
@@ -294,14 +283,66 @@ class _Editor(_CertifiedEdges):
         self.log = OpLog()
 
     def trace(self, seq):
-        """The validated polygon on the cycle ``seq``, its state counted once."""
-        poly = WeaklySimplePolygon(seq=seq)
-        self.support, self.vc = poly.edge_multiset(), poly.vertices()
+        """Take the cycle ``seq`` as the polygon: count its state once, validate it."""
+        self.poly = poly = WeaklySimplePolygon(seq=seq)
+        self.support, self.mult = poly.edge_multiset(), dict(Counter(seq))
         self.own = {e: c * self._edge_length(e) for e, c in self.support.items()}
         self.off = {e: self._edge_length(e) for e in self.graph.edges if e not in self.support}
         self.poly_len = fsum(self.own.values())
         poly.validate(self.graph)
-        return poly
+
+    def splice(self, at, old, new, phase):
+        """Replace the polygon's vertex path ``old`` from position ``at`` by
+        ``new`` (``WeaklySimplePolygon.splice``) and edit the graph onto it:
+        update the polygon's state by the splice's edges and vertices, delete
+        the edges of ``old`` that left the polygon, insert the missing ones of
+        ``new``, then delete every other edge between polygon vertices that is
+        off the polygon.  The polygon is checked where it changed; its
+        weighted length must not exceed ``cycle_bound``."""
+        self.poly = poly = self.poly.splice(at, old, new)
+        support, own, off, mult = self.support, self.own, self.off, self.mult
+        lost = [ekey(a, b) for a, b in zip(old, old[1:])]
+        gained = [ekey(a, b) for a, b in zip(new, new[1:])]
+        changed = Counter(gained)
+        changed.subtract(lost)
+        for e, c in changed.items():
+            c = support[e] = support[e] + c
+            if c:
+                own[e] = c * self._edge_length(e)
+                off.pop(e, None)
+            else:
+                del support[e], own[e]
+        # phase 4 only adds vertices, and phase 5 drops a repeated one or a
+        # spike's tip and one copy of its base: no count reaches 0
+        for v in new[:-1]:
+            mult[v] = mult.get(v, 0) + 1
+        for v in old[:-1]:
+            mult[v] -= 1
+        for e in sorted(set(lost)):
+            if e not in support:
+                self.delete(*e, phase)
+        for e in gained:
+            if e not in self.graph.edges:
+                self.insert(*e, phase)
+        # Before the splice no off-polygon edge joined two polygon vertices, and
+        # the splice keeps every old polygon edge but those of ``old``, so an
+        # edge that now joins two of them off the polygon touches ``new``.
+        touched = {*old, *new}
+        for e in sorted({ekey(v, w) for v in new for w in self.graph.rotation[v]}):
+            if e[0] in mult and e[1] in mult and e not in support:
+                self.delete(*e, phase)
+                del off[e]
+                touched.update(e)
+        # the last polygon passed validate, so only the changed edges and the
+        # vertices whose occurrences or rotation changed can fail it now
+        at = [j for j, v in enumerate(poly.seq) if v in touched]
+        poly.validate(self.graph, {e: support[e] for e in changed if e in support}, at)
+        self.poly_len = fsum(own.values())
+        wl = self.poly_len + fsum(off.values())
+        if wl > self.cycle_bound:
+            raise LemmaViolation(
+                f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {self.cycle_bound:.9g}"
+            )
 
     def geodesic(self, walk):
         """The geodesic of the convex corner ``walk``, a facial subwalk
@@ -458,54 +499,6 @@ def phase3_to_mst(ed: _Editor, target):
         raise LemmaViolation("phase 3 did not reach the MST")
 
 
-def _retrace(ed: _Editor, poly: WeaklySimplePolygon, old, new, phase):
-    """Edit the graph onto ``poly``, the traced polygon with its vertex path
-    ``old`` replaced by ``new`` (the same ends): update the polygon's state
-    by the splice's edges, delete those of ``old`` that left the polygon,
-    insert the missing ones of ``new``, then delete every other edge between
-    polygon vertices that is off the polygon.  Returns ``poly``, checked
-    where it changed; its weighted length must not exceed ``ed.cycle_bound``."""
-    support, own, off, vc = ed.support, ed.own, ed.off, ed.vc
-    lost = [ekey(a, b) for a, b in zip(old, old[1:])]
-    gained = [ekey(a, b) for a, b in zip(new, new[1:])]
-    changed = Counter(gained)
-    changed.subtract(lost)
-    for e, c in changed.items():
-        c = support[e] = support[e] + c
-        if c:
-            own[e] = c * ed._edge_length(e)
-            off.pop(e, None)
-        else:
-            del support[e], own[e]
-    vc.update(new)
-    for e in sorted(set(lost)):
-        if e not in support:
-            ed.delete(*e, phase)
-    for e in gained:
-        if e not in ed.graph.edges:
-            ed.insert(*e, phase)
-    # Before the splice no off-polygon edge joined two polygon vertices, and
-    # the splice keeps every old polygon edge but those of ``old``, so an
-    # edge that now joins two of them off the polygon touches ``new``.
-    touched = {*old, *new}
-    for e in sorted({ekey(v, w) for v in new for w in ed.graph.rotation[v]}):
-        if e[0] in vc and e[1] in vc and e not in support:
-            ed.delete(*e, phase)
-            del off[e]
-            touched.update(e)
-    # the last polygon passed validate, so only the changed edges and the
-    # vertices whose occurrences or rotation changed can fail it now
-    at = [j for j, v in enumerate(poly.seq) if v in touched]
-    poly.validate(ed.graph, {e: support[e] for e in changed if e in support}, at)
-    ed.poly_len = fsum(own.values())
-    wl = ed.poly_len + fsum(off.values())
-    if wl > ed.cycle_bound:
-        raise LemmaViolation(
-            f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {ed.cycle_bound:.9g}"
-        )
-    return poly
-
-
 def phase4_grow_cycle(ed: _Editor):
     """Grow a weakly simple polygon from a hull edge over the whole vertex
     set, starting from the graph, the Euclidean MST here; the polygon plus
@@ -522,16 +515,16 @@ def phase4_grow_cycle(ed: _Editor):
     ed.insert(u, v, PHASE_GROW)
     # the face of (v, u) runs the cycle from u to v, that of (u, v) back
     cyc = ed._cycle(u, v)
-    poly = ed.trace([x[1] for x in cyc[::-1 if cyc[0] == (u, v) else 1]])
+    ed.trace([x[1] for x in cyc[::-1 if cyc[0] == (u, v) else 1]])
 
     rounds = 0
-    while len(ed.vc) < g.n:
+    mult = ed.mult
+    while len(mult) < g.n:
         rounds += 1
         if rounds > g.n:
             raise LemmaViolation("phase 4 exceeded its round budget")
-        vc = ed.vc
         found = None
-        for y in sorted(vc):
+        for y in sorted(mult):
             rot = g.rotation[y]
             k = len(rot)
             # a CCW-consecutive mixed pair with a convex corner always
@@ -539,7 +532,7 @@ def phase4_grow_cycle(ed: _Editor):
             # vertex); the in-polygon endpoint may come first or second
             for i in range(k):
                 a, b = rot[i], rot[(i + 1) % k]
-                if (a in vc) == (b in vc):
+                if (a in mult) == (b in mult):
                     continue
                 if _corner_convex(g, a, y, b):
                     found = (a, y, b)
@@ -549,7 +542,7 @@ def phase4_grow_cycle(ed: _Editor):
         if found is None:
             raise LemmaViolation("no convex boundary pair found in phase 4")
         a_end, y, b_end = found
-        xq = a_end if a_end in vc else b_end  # on the polygon; the other end, zq, is not
+        xq = a_end if a_end in mult else b_end  # on the polygon; the other end, zq, is not
         if ekey(xq, y) not in ed.support:
             raise LemmaViolation("selected pair edge is not on the polygon")
 
@@ -558,33 +551,32 @@ def phase4_grow_cycle(ed: _Editor):
 
         # splice: replace the first copy of edge (xq, y), seq[at] to seq[at + 1],
         # by xq .. geodesic .. zq, y; it starts at or just before an xq
-        seq, m = poly.seq, len(poly.seq)
+        seq, m = ed.poly.seq, len(ed.poly.seq)
         at = min(j % m for i, w in enumerate(seq) if w == xq for j in (i, i - 1)
                  if {seq[j], seq[(j + 1) % m]} == {xq, y})
         old, new = [xq, y], gids + [y]
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
-        poly = _retrace(ed, poly.splice(at, old, new), old, new, PHASE_GROW)
-    poly.validate(ed.graph)
+        ed.splice(at, old, new, PHASE_GROW)
+    ed.poly.validate(ed.graph)
     if ed.poly_len > ed.cycle_bound:
         raise LemmaViolation("final polygon exceeds 2*MST")
-    return poly
 
 
-def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
+def phase5_simplify(ed: _Editor):
     """Shortcut the sharpest corner of a repeated vertex until the polygon
     is simple; the total length strictly decreases each step."""
     g = ed.graph
     guard = 0
-    while max((mult := poly.multiplicity()).values()) > 1:
+    while len(ed.mult) < len(ed.poly.seq):
         guard += 1
         if guard > 4 * g.n * g.n + 16:
             raise LemmaViolation("phase 5 exceeded its step budget")
-        seq, m = poly.seq, len(poly.seq)
+        seq, m = ed.poly.seq, len(ed.poly.seq)
         best = None
         for j in range(m):
-            if mult[seq[j]] < 2:
+            if ed.mult[seq[j]] < 2:
                 continue
             px, py = g.ipt(seq[j - 1])
             vx, vy = g.ipt(seq[j])
@@ -606,11 +598,10 @@ def phase5_simplify(ed: _Editor, poly: WeaklySimplePolygon):
         old_len = ed.poly_len
         # corner edges that vanish go first (the repeated vertex stays on
         # the polygon elsewhere), keeping the intermediate length monotone
-        poly = _retrace(ed, poly.splice((j - 1) % m, old, new), old, new, PHASE_SIMPLIFY)
+        ed.splice((j - 1) % m, old, new, PHASE_SIMPLIFY)
         if not ed.poly_len < old_len + 1e-12:
             raise LemmaViolation("phase 5 step did not shorten the polygon")
-    poly.validate(ed.graph)
-    return poly
+    ed.poly.validate(ed.graph)
 
 
 def transform(g: Pslg):
@@ -627,10 +618,10 @@ def transform(g: Pslg):
     phase1_spanning_tree(ed, tree)
     phase2_to_delaunay_tree(ed, T, flips)
     phase3_to_mst(ed, mst)
-    poly = phase4_grow_cycle(ed)
-    poly = phase5_simplify(ed, poly)
+    phase4_grow_cycle(ed)
+    phase5_simplify(ed)
 
-    final = ed.frozen()
+    final, poly = ed.frozen(), ed.poly
     n = g.n
     if len(final.edges) != n or any(final.degree(p.id) != 2 for p in final.points):
         raise LemmaViolation("final graph is not a Hamiltonian cycle")

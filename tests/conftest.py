@@ -1,17 +1,30 @@
+import shutil
+import tempfile
 import warnings
 
 import pytest
 from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from pslgaug import build
 from tests_support import make_fig3
 
 # Property tests draw the same examples on every run and write no example
-# database, so a failure reproduces and the suite leaves nothing behind.  No
-# per-example deadline: a loaded machine slows an example without changing
-# its outcome.
+# database, so a failure reproduces.  No per-example deadline: a loaded
+# machine slows an example without changing its outcome.
 settings.register_profile("pslgaug", derandomize=True, database=None, deadline=None)
 settings.load_profile("pslgaug")
+
+# Hypothesis still caches constants and unicode tables in its home directory,
+# ./.hypothesis by default, and writes a failing test's patch there after the
+# session: a temporary home, removed once pytest is done, keeps the suite from
+# leaving anything behind.
+HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="pslgaug-hypothesis-")
+set_hypothesis_home_dir(HYPOTHESIS_HOME)
+
+
+def pytest_unconfigure(config):
+    shutil.rmtree(HYPOTHESIS_HOME, ignore_errors=True)
 
 # When a property test fails, hypothesis's pytest plugin imports this module
 # to suggest a patch, and its libcst import raises a DeprecationWarning that

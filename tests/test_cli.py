@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pslgaug import InvalidInstance, build, cli, heuristic, optimal
 from pslgaug.cli import main
@@ -714,3 +719,83 @@ def test_numpy_loads_at_the_first_dp(tmp_path):
     *rows, last = _child_stdout(script, json.dumps([["validate", inst40]])).splitlines()
     assert rows == ["validate 0 False"] and json.loads(last) == [batched, []]
     assert batched.startswith("valid PSLG: 40 points")
+
+
+# -- fuzzing ---------------------------------------------------------------
+
+# a value of any JSON type, or a string near the coordinate grammar
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-(10**30), 10**30),
+    st.floats(),
+    st.sampled_from(["0", "-1.5", "1e400", "1e-400", "nan", "inf", "1/2", " 3", ""]),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 9), max_size=3),
+    st.dictionaries(st.sampled_from(["id", "x", "y", "op", "u", "v"]), st.integers(-2, 9), max_size=3),
+)
+DROP = object()  # marks an entry to leave out
+
+
+def _dropped(x):
+    """x with every entry marked DROP left out, at any depth."""
+    if isinstance(x, dict):
+        return {k: _dropped(v) for k, v in x.items() if v is not DROP}
+    if isinstance(x, list):
+        return [_dropped(v) for v in x if v is not DROP]
+    return x
+
+
+@st.composite
+def instance_docs(draw):
+    """A small generated instance document with up to three of its entries
+    dropped or replaced by a value of any type: the document's keys, each
+    point's keys, each edge, or an edge's second end."""
+    g = generate(draw(st.integers(3, 7)), draw(st.integers(0, 10**6)),
+                 draw(st.sampled_from((0.0, 0.5, 1.0))))
+    doc = json.loads(serialize(g))
+    slots = [(doc, key) for key in ("format_version", "points", "edges")]
+    slots += [(p, key) for p in doc["points"] for key in ("id", "x", "y")]
+    slots += [(doc["edges"], i) for i in range(len(doc["edges"]))]
+    slots += [(e, 1) for e in doc["edges"]]
+    for _ in range(draw(st.integers(0, 3))):
+        box, key = draw(st.sampled_from(slots))
+        box[key] = draw(st.one_of(st.just(DROP), JUNK))
+    return _dropped(doc)
+
+
+OPLOG_LINES = st.lists(
+    st.one_of(
+        st.fixed_dictionaries({}, optional={
+            "op": st.one_of(st.sampled_from(["insert", "delete"]), JUNK),
+            "u": st.one_of(st.integers(0, 7), JUNK),
+            "v": st.one_of(st.integers(0, 7), JUNK),
+            "phase": st.one_of(st.integers(0, 5), JUNK),
+            "assert_len_le": st.one_of(st.floats(), JUNK),
+        }).map(json.dumps),
+        st.text(max_size=8),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=60)
+@given(instance_docs(), OPLOG_LINES)
+def test_cli_exits_with_a_code_on_any_document(doc, lines):
+    # every command ends with exit code 0-3 on a malformed or valid instance
+    # and on a malformed or valid op log, and raises nothing
+    with tempfile.TemporaryDirectory() as d:
+        inst, log, out = (os.path.join(d, name) for name in ("g.json", "g.jsonl", "t.jsonl"))
+        with open(inst, "w", encoding="utf-8") as f:
+            json.dump(doc, f)
+        with open(log, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
+        runs = [["validate", inst], ["transform", inst, "--oplog", out], ["replay", inst, log]]
+        runs += [["augment", inst, "--mode", mode] for mode in sorted(cli.AUGMENT_MODES)]
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            assert code in (0, 1, 2, 3), argv
+        if os.path.exists(out):  # the transform's own op log replays
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["replay", inst, out]) == 0

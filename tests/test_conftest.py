@@ -1,11 +1,14 @@
 """The suite's own configuration: a failing property test is reported as
-one failure, and the tests after it still run."""
+one failure, the tests after it still run, and hypothesis writes nothing
+into the repository."""
 
 import os
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+from hypothesis.configuration import storage_directory
 
 TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
@@ -42,3 +45,12 @@ def test_a_failing_property_test_does_not_end_the_run(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr, run.stdout[-2000:]
     assert "1 failed, 2 passed" in run.stdout, run.stdout[-2000:]
+    assert not (tmp_path / ".hypothesis").exists()
+
+
+def test_hypothesis_storage_lies_outside_the_repository():
+    # hypothesis caches constants and unicode tables in its home directory
+    # even with no example database; conftest points it at a temporary one
+    store = storage_directory()
+    home = Path(getattr(store, "path", store)).resolve()
+    assert home != ROOT and ROOT not in home.parents, home

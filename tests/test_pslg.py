@@ -47,7 +47,15 @@ from pslgaug.pslg import (
     reach,
     require_augmentable,
 )
-from tests_support import adjacency, full_build, is_outer, polar_sort, shoelace, walk_edges
+from tests_support import (
+    adjacency,
+    full_build,
+    is_outer,
+    polar_sort,
+    polygon_length,
+    shoelace,
+    walk_edges,
+)
 
 
 def test_build_fig3(fig3):
@@ -835,15 +843,13 @@ def test_batch_subtracts_before_it_converts(offset):
 
 
 def test_lengths_independent_of_edge_order():
-    from pslgaug.transform import WeaklySimplePolygon
-
     for seed in range(12):
         g = generate(40, seed, 0.5)
         edges = sorted(g.edges)
         random.Random(seed).shuffle(edges)
         assert build(g.points, edges).total_length() == g.total_length()
         seq = [p.id for p in g.points]
-        lengths = {WeaklySimplePolygon(seq[k:] + seq[:k]).length(g) for k in range(len(seq))}
+        lengths = {polygon_length(g, seq[k:] + seq[:k]) for k in range(len(seq))}
         assert len(lengths) == 1
 
 

@@ -54,6 +54,7 @@ from tests_support import (
     full_build,
     is_delaunay,
     polar_sort,
+    polygon_length,
     reference_lawson_flips,
     scan_graph,
     through_phase2,
@@ -232,9 +233,9 @@ def test_phase4_immediate_hamiltonian():
     )
     assert euclidean_mst(g) == set(g.edges)
     ed = _Editor(g)
-    poly = phase4_grow_cycle(ed)
-    assert poly.is_simple()
-    assert poly.vertices() == {0, 1, 2, 3, 4}
+    phase4_grow_cycle(ed)
+    assert ed.poly.is_simple()
+    assert set(ed.poly.seq) == {0, 1, 2, 3, 4}
     assert len([s for s in ed.log.steps if s.phase == 4]) == 1  # just the hull edge
 
 
@@ -247,37 +248,37 @@ def test_phase4_five_vertex_tree():
     )
     assert euclidean_mst(g) == set(g.edges)
     ed = _Editor(g)
-    poly = phase4_grow_cycle(ed)
-    assert poly.vertices() == {0, 1, 2, 3, 4}
-    assert poly.length(g) <= 2 * mst_length(g) + 1e-9
+    phase4_grow_cycle(ed)
+    assert set(ed.poly.seq) == {0, 1, 2, 3, 4}
+    assert ed.poly_len == polygon_length(g, ed.poly.seq) <= 2 * mst_length(g) + 1e-9
 
 
 def weighted_lengths(monkeypatch):
     """Record, after every edit, its phase and the length the paper bounds:
-    while ``_retrace`` traces a polygon, the polygon's length plus the fsum
-    of the graph's edges off it; otherwise the graph's length."""
-    transform_mod = sys.modules["pslgaug.transform"]  # the package exports the function
-    retrace, record = transform_mod._retrace, _Editor._record
-    traced, steps = [None], []
+    while ``_Editor.splice`` edits the graph onto the editor's polygon, the
+    polygon's length plus the fsum of the graph's edges off it; otherwise
+    the graph's length."""
+    splice, record = _Editor.splice, _Editor._record
+    traced, steps = [False], []
 
-    def tracing(ed, poly, *args):
-        traced[0] = poly
+    def tracing(ed, *args):
+        traced[0] = True
         try:
-            return retrace(ed, poly, *args)
+            return splice(ed, *args)
         finally:
-            traced[0] = None
+            traced[0] = False
 
     def recorded(ed, op, u, v, phase):
         record(ed, op, u, v, phase)
-        poly, g = traced[0], ed.graph
-        if poly is None:
+        g = ed.graph
+        if not traced[0]:
             steps.append((phase, ed.length))
             return
-        sup = poly.edge_multiset()
+        sup = ed.poly.edge_multiset()
         off = fsum(dist(g.by_id[a], g.by_id[b]) for a, b in g.edges if (a, b) not in sup)
-        steps.append((phase, poly.length(g) + off))
+        steps.append((phase, polygon_length(g, ed.poly.seq) + off))
 
-    monkeypatch.setattr(transform_mod, "_retrace", tracing)
+    monkeypatch.setattr(_Editor, "splice", tracing)
     monkeypatch.setattr(_Editor, "_record", recorded)
     return steps
 
@@ -293,9 +294,9 @@ def test_phase4_invariant_random(monkeypatch):
         steps.clear()
         ed, _ = through_phase2(g)
         phase3_to_mst(ed, euclidean_mst(g))
-        poly = phase4_grow_cycle(ed)
-        assert poly.vertices() == {p.id for p in g.points}
-        phase5_simplify(ed, poly)
+        phase4_grow_cycle(ed)
+        assert set(ed.poly.seq) == {p.id for p in g.points}
+        phase5_simplify(ed)
         assert len(steps) == len(ed.log.steps)
         for phase, length in steps:
             if phase >= 4:
@@ -304,57 +305,67 @@ def test_phase4_invariant_random(monkeypatch):
     assert checked[4] >= 2400 and checked[5] >= 15
 
 
-def test_retrace_leaves_no_off_polygon_edge_between_polygon_vertices(monkeypatch):
-    # _retrace scans only the edges at its path for edges to delete; after
-    # every call on the 150-morph set, no edge of the whole graph joins two
-    # polygon vertices off the polygon
-    transform_mod = sys.modules["pslgaug.transform"]  # the package exports the function
-    retrace = transform_mod._retrace
+def test_splice_leaves_no_off_polygon_edge_between_polygon_vertices(monkeypatch):
+    # _Editor.splice scans only the edges at its path for edges to delete;
+    # after every call on the 150-morph set, no edge of the whole graph
+    # joins two polygon vertices off the polygon
+    splice = _Editor.splice
     calls = Counter()
 
-    def checked(ed, poly, *args):
-        out = retrace(ed, poly, *args)
-        vc, sup = poly.vertices(), poly.edge_multiset()
+    def checked(ed, *args):
+        splice(ed, *args)
+        vc, sup = set(ed.poly.seq), ed.poly.edge_multiset()
         assert [e for e in ed.graph.edges if e[0] in vc and e[1] in vc and e not in sup] == []
         calls[args[-1]] += 1
-        return out
 
-    monkeypatch.setattr(transform_mod, "_retrace", checked)
+    monkeypatch.setattr(_Editor, "splice", checked)
     rng = random.Random(7)
     for _ in range(150):
         transform(generate(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6))))
     assert calls[4] >= 3000 and calls[5] >= 15
 
 
+# generate(n, seed, 0.0) draws whose morphs take two or more phase-5 rounds
+PHASE5_ROUNDS = [
+    (60, 418281), (38, 326959), (59, 37847), (55, 683504), (54, 458587), (53, 997279),
+    (47, 505035), (47, 217632), (44, 642201), (41, 655842), (40, 602593), (39, 231961),
+    (38, 317798), (31, 668502),
+]
+
+
 def test_live_polygon_state_equals_a_recount(monkeypatch):
-    # after every round of phases 4-5 on the 150-morph set and the pool, the
-    # polygon state the editor keeps by deltas equals a recount from
-    # poly.seq, the weighted length bit for bit, and the whole validate passes
-    transform_mod = sys.modules["pslgaug.transform"]  # the package exports the function
-    retrace = transform_mod._retrace
+    # after every round of phases 4-5 on the 150-morph set, the pool, the
+    # draws with several phase-5 rounds and the spike, the polygon state the
+    # editor keeps by deltas equals a recount from its polygon's sequence,
+    # every vertex count at least 1 and the weighted length bit for bit, and
+    # the whole validate passes
+    splice = _Editor.splice
     calls = Counter()
 
-    def recounted(ed, poly, *args):
-        out = retrace(ed, poly, *args)
-        g, sup = ed.graph, poly.edge_multiset()
+    def recounted(ed, *args):
+        splice(ed, *args)
+        g, poly = ed.graph, ed.poly
+        sup = poly.edge_multiset()
         d = {e: dist(g.by_id[e[0]], g.by_id[e[1]]) for e in g.edges | set(sup)}
-        assert dict(ed.support) == dict(sup) and ed.vc == poly.vertices()
+        assert dict(ed.support) == dict(sup)
+        assert dict(ed.mult) == dict(Counter(poly.seq)) and min(ed.mult.values()) >= 1
         assert ed.own == {e: c * d[e] for e, c in sup.items()}
         assert ed.off == {e: d[e] for e in g.edges if e not in sup}
-        want = poly.length(g) + fsum(d[e] for e in g.edges if e not in sup)
+        length = polygon_length(g, poly.seq)
+        want = length + fsum(d[e] for e in g.edges if e not in sup)
         assert fsum(ed.own.values()) + fsum(ed.off.values()) == want
-        assert ed.poly_len == poly.length(g)
+        assert ed.poly_len == length
         poly.validate(g)
         calls[args[-1]] += 1
-        return out
+        calls["spike"] += len(args[2]) == 1  # new, a spike's base alone
 
-    monkeypatch.setattr(transform_mod, "_retrace", recounted)
+    monkeypatch.setattr(_Editor, "splice", recounted)
     rng = random.Random(7)
     for _ in range(150):
         transform(generate(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6))))
-    for g in pool_instances():
+    for g in pool_instances() + [generate(n, seed, 0.0) for n, seed in PHASE5_ROUNDS] + [_spike()]:
         transform(g)
-    assert calls[4] >= 4000 and calls[5] >= 20
+    assert calls[4] >= 4900 and calls[5] >= 51 and calls["spike"] == 1
 
 
 # plain generate graphs whose phase-4 splice takes the wrong copy of a doubled
@@ -407,18 +418,24 @@ def test_transform_and_replay_leave_the_start_graph_as_it_is(monkeypatch):
     assert len(editors) == len(pool_instances())
 
 
+def _spike():
+    """``generate(48, 518200, 0.5)`` with every id v as N - v: phase 4 ends
+    with a spike."""
+    g = generate(48, 518200, 0.5)
+    n = max(p.id for p in g.points)
+    return build([(n - p.id, p.x, p.y) for p in g.points], [(n - u, n - v) for u, v in g.edges])
+
+
 def test_phase5_shortcuts_a_spike():
     # phase 4 ends with the spike (0, 28, 0) at a repeated vertex 28; phase 5
     # drops its tip and one copy of 0 instead of asking for the geodesic of
     # a corner of angle 0
-    g = generate(48, 518200, 0.5)
-    n = max(p.id for p in g.points)
-    g = build([(n - p.id, p.x, p.y) for p in g.points], [(n - u, n - v) for u, v in g.edges])
+    g = _spike()
     final, poly, log = transform(g)
     assert len(log.steps) == 127
     assert [(s.op, s.u, s.v) for s in log.steps if s.phase == 5] == [("delete", 0, 28)]
     assert replay(g, log.steps)["final_edges"] == sorted(final.edges)
-    assert poly.length(g) <= 2 * mst_length(g) + 1e-9
+    assert polygon_length(g, poly.seq) <= 2 * mst_length(g) + 1e-9
 
 
 def test_phase5_simple_input_no_ops(triangle):
@@ -433,12 +450,12 @@ def test_phase5_random():
         g = generate(n, seed + 8000, 0.0)
         ed, _ = through_phase2(g)
         phase3_to_mst(ed, euclidean_mst(g))
-        poly4 = phase4_grow_cycle(ed)
-        len4 = poly4.length(g)
-        poly5 = phase5_simplify(ed, poly4)
-        assert poly5.is_simple()
-        assert len(poly5.seq) == n
-        assert poly5.length(g) <= len4 + 1e-9
+        phase4_grow_cycle(ed)
+        len4 = polygon_length(g, ed.poly.seq)
+        phase5_simplify(ed)
+        assert ed.poly.is_simple()
+        assert len(ed.poly.seq) == n
+        assert polygon_length(g, ed.poly.seq) <= len4 + 1e-9
 
 
 def test_transform_triangle(triangle):
@@ -856,25 +873,22 @@ def test_live_walk_lookup_matches_a_fresh_one(monkeypatch):
 
 def test_weighted_length_equals_the_fsum_of_its_edges(monkeypatch):
     # every weighted length the morph checks, the fsums of its live maps
-    # after a round of _retrace, equals the polygon's length plus the fsum of
-    # the graph's off-polygon edges, bit for bit, also when the polygon runs
-    # along an edge twice
+    # after a round of _Editor.splice, equals the polygon's length plus the
+    # fsum of the graph's off-polygon edges, bit for bit, also when the
+    # polygon runs along an edge twice
     calls = Counter()
-    transform_mod = sys.modules["pslgaug.transform"]  # the package exports the function
-    retrace = transform_mod._retrace
+    splice = _Editor.splice
 
-    def reference(ed, poly, *args):
-        out = retrace(ed, poly, *args)
+    def reference(ed, *args):
+        splice(ed, *args)
         got = fsum(ed.own.values()) + fsum(ed.off.values())
-        g, seq, m = ed.graph, poly.seq, len(poly.seq)
-        own = fsum(dist(g.by_id[seq[i]], g.by_id[seq[(i + 1) % m]]) for i in range(m))
-        sup = poly.edge_multiset()
+        g, sup = ed.graph, ed.poly.edge_multiset()
+        own = polygon_length(g, ed.poly.seq)
         want = own + fsum(dist(g.by_id[u], g.by_id[v]) for u, v in g.edges if (u, v) not in sup)
         assert got == want
         calls[max(sup.values())] += 1
-        return out
 
-    monkeypatch.setattr(transform_mod, "_retrace", reference)
+    monkeypatch.setattr(_Editor, "splice", reference)
     rng = random.Random(16)
     for _ in range(40):
         transform(generate(rng.randint(8, 40), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6))))
@@ -999,7 +1013,7 @@ def test_check_rotations_matches_polar_sort_reference(monkeypatch):
     def both(poly, g, at=None):
         got = _outcome(new_check, poly, g, at)
         assert got == _outcome(reference_check_rotations, poly, g), poly.seq
-        checked.append((len(poly.seq) > len(poly.vertices()), got))
+        checked.append((len(poly.seq) > len(set(poly.seq)), got))
         if got:
             raise LemmaViolation(got)
 

@@ -2,9 +2,10 @@
 
 import random
 from collections import deque
+from math import fsum
 
 from pslgaug import DegenerateInput, build, facial_walks
-from pslgaug.geom import ekey, incircle_xy, polar_before
+from pslgaug.geom import dist, ekey, incircle_xy, polar_before
 from pslgaug.instances import generate
 from pslgaug.pslg import LemmaViolation, kruskal, reach
 from pslgaug.transform import (
@@ -64,6 +65,13 @@ def through_phase2(g):
     phase1_spanning_tree(ed, tree)
     phase2_to_delaunay_tree(ed, T, flips)
     return ed, T
+
+
+def polygon_length(g, seq):
+    """The fsum of ``dist`` over the cyclic edges of the vertex sequence
+    ``seq`` in g: the length of a polygon on g's points."""
+    m = len(seq)
+    return fsum(dist(g.by_id[seq[i]], g.by_id[seq[(i + 1) % m]]) for i in range(m))
 
 
 def adjacency(edges):
