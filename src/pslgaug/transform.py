@@ -272,10 +272,11 @@ class _Editor(_CertifiedEdges):
     its leftover edges in phases 4 and 5, and the final cycle.  From ``trace``
     on, the editor owns the morph's polygon ``poly``, which only ``splice``
     changes, and keeps its state by deltas: edge multiset ``support``, vertex
-    multiset ``mult`` (a dict, faster to test than a Counter), and per edge,
-    ``own`` multiplicity times length, or ``off`` the length of a graph edge
-    off the polygon; ``poly_len``, the fsum of ``own``, is the polygon's
-    length."""
+    multiset ``mult`` (a dict, faster to test than a Counter), and ``weight``,
+    each live graph edge's length times its polygon multiplicity, or once off
+    the polygon.  ``poly_len``, its fsum, is what the 2||MST|| bound limits;
+    with every vertex on the polygon no edge is off it, so it is the
+    polygon's length."""
 
     def __init__(self, g: Pslg):
         super().__init__(g)
@@ -286,9 +287,8 @@ class _Editor(_CertifiedEdges):
         """Take the cycle ``seq`` as the polygon: count its state once, validate it."""
         self.poly = poly = WeaklySimplePolygon(seq=seq)
         self.support, self.mult = poly.edge_multiset(), dict(Counter(seq))
-        self.own = {e: c * self._edge_length(e) for e, c in self.support.items()}
-        self.off = {e: self._edge_length(e) for e in self.graph.edges if e not in self.support}
-        self.poly_len = fsum(self.own.values())
+        self.weight = {e: self.support.get(e, 1) * self._edge_length(e) for e in self.graph.edges}
+        self.poly_len = fsum(self.weight.values())
         poly.validate(self.graph)
 
     def splice(self, at, old, new, phase):
@@ -300,7 +300,7 @@ class _Editor(_CertifiedEdges):
         off the polygon.  The polygon is checked where it changed; its
         weighted length must not exceed ``cycle_bound``."""
         self.poly = poly = self.poly.splice(at, old, new)
-        support, own, off, mult = self.support, self.own, self.off, self.mult
+        support, weight, mult = self.support, self.weight, self.mult
         lost = [ekey(a, b) for a, b in zip(old, old[1:])]
         gained = [ekey(a, b) for a, b in zip(new, new[1:])]
         changed = Counter(gained)
@@ -308,10 +308,9 @@ class _Editor(_CertifiedEdges):
         for e, c in changed.items():
             c = support[e] = support[e] + c
             if c:
-                own[e] = c * self._edge_length(e)
-                off.pop(e, None)
+                weight[e] = c * self._edge_length(e)
             else:
-                del support[e], own[e]
+                del support[e], weight[e]
         # phase 4 only adds vertices, and phase 5 drops a repeated one or a
         # spike's tip and one copy of its base: no count reaches 0
         for v in new[:-1]:
@@ -331,14 +330,13 @@ class _Editor(_CertifiedEdges):
         for e in sorted({ekey(v, w) for v in new for w in self.graph.rotation[v]}):
             if e[0] in mult and e[1] in mult and e not in support:
                 self.delete(*e, phase)
-                del off[e]
+                del weight[e]
                 touched.update(e)
         # the last polygon passed validate, so only the changed edges and the
         # vertices whose occurrences or rotation changed can fail it now
         at = [j for j, v in enumerate(poly.seq) if v in touched]
         poly.validate(self.graph, {e: support[e] for e in changed if e in support}, at)
-        self.poly_len = fsum(own.values())
-        wl = self.poly_len + fsum(off.values())
+        self.poly_len = wl = fsum(weight.values())
         if wl > self.cycle_bound:
             raise LemmaViolation(
                 f"phase {phase} weighted length {wl:.9g} exceeds 2*MST {self.cycle_bound:.9g}"

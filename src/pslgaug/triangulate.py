@@ -5,8 +5,8 @@ triangulation's points are a mapping from id to (x, y), and every triangle,
 side and constraint key is in those ids.  It backs the morph's Delaunay
 triangulation: the scan triangulation of the points with phase 1's tree
 constrained, then unconstrained Lawson flips, which phase 2 replays and
-whose edges hold the Euclidean MST.  Every triangle edit keeps the
-directed-side map and the vertex index.
+whose edges hold the Euclidean MST.  The directed-side map is the one
+triangle store, and each vertex keeps one dart into its fan.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from .pslg import LemmaViolation
 
 
 class Triangulation:
-    """Triangle soup over id-keyed points with side and vertex adjacency.
+    """Triangle soup over id-keyed points, kept as its directed sides.
 
     Triangles are stored by ``add_ccw``, as CCW tuples canonically rotated
     to start at the smallest id; every caller has oriented its triangles by
@@ -27,12 +27,17 @@ class Triangulation:
     ``side.get((j, i))``, which only sides on the hull lack.  It is the one
     triangle store: each triangle owns exactly three sides, so there are
     ``len(side) // 3`` triangles.
+
+    ``dart[v]`` names a side (v, dart[v]) of the newest triangle at v, an
+    entry to v's fan.  ``remove_tri`` leaves it: every removal is followed,
+    in the same edit, by adds over the removed corners (a flip's quad, a
+    constraint's channel), so after each flip and constraint it is live.
     """
 
     def __init__(self, pts):
         self.pts = {**pts}  # vertex id -> (x, y) exact; a sequence is refused
         self.side = {}  # directed side (i, j) -> CCW triangle with that side
-        self.vertex_tris = {}  # i -> list of triangles with corner i
+        self.dart = {}  # i -> j, (i, j) a side of the newest triangle at i
         self.constrained = set()
 
     # -- predicates on vertex ids ----------------------------------------
@@ -57,21 +62,12 @@ class Triangulation:
             if e in side:  # another triangle lies on this side of the edge
                 raise LemmaViolation(f"edge {ekey(*e)} borders 3 triangles")
         side[a, b] = side[b, c] = side[c, a] = t
-        vertex_tris = self.vertex_tris
-        for v in t:
-            vertex_tris.setdefault(v, []).append(t)
+        self.dart[a], self.dart[b], self.dart[c] = b, c, a
         return t
 
     def remove_tri(self, t):
         a, b, c = t
-        side = self.side
-        for e in ((a, b), (b, c), (c, a)):
-            del side[e]
-        for v in t:
-            ts = self.vertex_tris[v]
-            ts.remove(t)
-            if not ts:
-                del self.vertex_tris[v]
+        del self.side[a, b], self.side[b, c], self.side[c, a]
 
     def edges(self):
         return {ekey(i, j) for i, j in self.side}
@@ -153,27 +149,25 @@ def insert_constraint(T: Triangulation, u, w):
     if T.has_edge(u, w):
         T.constrained.add(k)
         return
-    # the one triangle at u whose open wedge holds the direction to w
+    # walk u's fan from its dart to the triangle (u, p, q) whose convex open
+    # wedge, ray u->p to u->q, holds w; a hull vertex's fan ends both ways
     ux, uy = T.pts[u]
     wx, wy = T.pts[w]
-    start = None
-    for t in T.vertex_tris.get(u, ()):
-        a, b, c = t
-        # order so the triangle reads (u, p, q) CCW: wedge from ray u->p to u->q
-        if a == u:
-            p, q = b, c
-        elif b == u:
-            p, q = c, a
+    p = T.dart.get(u)
+    t = T.side.get((u, p))
+    while t is not None:
+        q = T.apex(t, u, p)
+        if (s := T.orient(u, p, w)) < 0:  # the wedge before lies on side (p, u)
+            t = T.side.get((p, u))
+            p = t and T.apex(t, p, u)
+        elif (r := T.orient(u, w, q)) < 0:  # the wedge after lies on side (u, q)
+            t, p = T.side.get((u, q)), q
         else:
-            p, q = a, b
-        # the wedge of a CCW triangle is convex
-        if T.orient(u, p, w) > 0 and T.orient(u, w, q) > 0:
-            start = (t, p, q)
             break
-    if start is None:
+    # w on ray u->p or u->q lies in no open wedge
+    if t is None or s == 0 or r == 0:
         raise LemmaViolation(f"no wedge at {u} contains direction to {w}")
 
-    t, p, q = start
     # the wedge test puts q strictly left of the line u->w and p strictly
     # right; the crossed edge is kept as (left, right), so the triangle
     # ahead of it is the one on its directed side

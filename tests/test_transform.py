@@ -50,6 +50,7 @@ from test_optimal import pool_instances
 from tests_support import (
     adjacency,
     all_pairs_mst,
+    assert_triangulation_current,
     forest_path,
     full_build,
     is_delaunay,
@@ -338,7 +339,8 @@ def test_live_polygon_state_equals_a_recount(monkeypatch):
     # draws with several phase-5 rounds and the spike, the polygon state the
     # editor keeps by deltas equals a recount from its polygon's sequence,
     # every vertex count at least 1 and the weighted length bit for bit, and
-    # the whole validate passes
+    # the whole validate passes; once the polygon holds every vertex, no
+    # edge is off it and the weighted length is the polygon's length
     splice = _Editor.splice
     calls = Counter()
 
@@ -349,12 +351,13 @@ def test_live_polygon_state_equals_a_recount(monkeypatch):
         d = {e: dist(g.by_id[e[0]], g.by_id[e[1]]) for e in g.edges | set(sup)}
         assert dict(ed.support) == dict(sup)
         assert dict(ed.mult) == dict(Counter(poly.seq)) and min(ed.mult.values()) >= 1
-        assert ed.own == {e: c * d[e] for e, c in sup.items()}
-        assert ed.off == {e: d[e] for e in g.edges if e not in sup}
-        length = polygon_length(g, poly.seq)
-        want = length + fsum(d[e] for e in g.edges if e not in sup)
-        assert fsum(ed.own.values()) + fsum(ed.off.values()) == want
-        assert ed.poly_len == length
+        weight = {e: sup.get(e, 1) * d[e] for e in g.edges}
+        assert ed.weight == weight
+        assert ed.poly_len == fsum(weight.values())
+        if len(ed.mult) == g.n:
+            assert g.edges == sup.keys()
+            assert ed.poly_len == polygon_length(g, poly.seq)
+            calls["closed"] += 1
         poly.validate(g)
         calls[args[-1]] += 1
         calls["spike"] += len(args[2]) == 1  # new, a spike's base alone
@@ -366,6 +369,7 @@ def test_live_polygon_state_equals_a_recount(monkeypatch):
     for g in pool_instances() + [generate(n, seed, 0.0) for n, seed in PHASE5_ROUNDS] + [_spike()]:
         transform(g)
     assert calls[4] >= 4900 and calls[5] >= 51 and calls["spike"] == 1
+    assert calls["closed"] >= 250
 
 
 # plain generate graphs whose phase-4 splice takes the wrong copy of a doubled
@@ -872,20 +876,19 @@ def test_live_walk_lookup_matches_a_fresh_one(monkeypatch):
 
 
 def test_weighted_length_equals_the_fsum_of_its_edges(monkeypatch):
-    # every weighted length the morph checks, the fsums of its live maps
-    # after a round of _Editor.splice, equals the polygon's length plus the
-    # fsum of the graph's off-polygon edges, bit for bit, also when the
-    # polygon runs along an edge twice
+    # every weighted length the morph checks, the fsum of its live map after
+    # a round of _Editor.splice, equals one fsum of the polygon's edges, each
+    # as often as the polygon runs along it, and the graph's edges off it,
+    # bit for bit, also when the polygon runs along an edge twice
     calls = Counter()
     splice = _Editor.splice
 
     def reference(ed, *args):
         splice(ed, *args)
-        got = fsum(ed.own.values()) + fsum(ed.off.values())
-        g, sup = ed.graph, ed.poly.edge_multiset()
-        own = polygon_length(g, ed.poly.seq)
-        want = own + fsum(dist(g.by_id[u], g.by_id[v]) for u, v in g.edges if (u, v) not in sup)
-        assert got == want
+        g, seq, sup = ed.graph, ed.poly.seq, ed.poly.edge_multiset()
+        own = [dist(g.by_id[a], g.by_id[b]) for a, b in zip(seq, seq[1:] + seq[:1])]
+        off = [dist(g.by_id[u], g.by_id[v]) for u, v in g.edges if (u, v) not in sup]
+        assert ed.poly_len == fsum(own + off)
         calls[max(sup.values())] += 1
 
     monkeypatch.setattr(_Editor, "splice", reference)
@@ -1057,30 +1060,10 @@ def test_check_rotations_matches_polar_sort_reference_on_closed_walks():
     assert len(outcomes) - outcomes.count(None) > 100
 
 
-# -- the triangulation's indexes --------------------------------------------
+# -- the triangulation's store ----------------------------------------------
 
 
-def assert_vertex_index_current(T):
-    index = {}
-    for t in set(T.side.values()):
-        for v in t:
-            index.setdefault(v, []).append(t)
-    got = {v: sorted(ts) for v, ts in T.vertex_tris.items()}
-    assert got == {v: sorted(ts) for v, ts in index.items()}
-
-
-def assert_side_map_current(T):
-    # rebuilt from the vertex index, which ``add_ccw`` and ``remove_tri``
-    # keep apart from the side map
-    side = {}
-    for t in {t for ts in T.vertex_tris.values() for t in ts}:
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            assert e not in side, e
-            side[e] = t
-    assert T.side == side
-
-
-def test_vertex_index_follows_random_constraint_edits():
+def test_side_map_and_darts_follow_random_constraint_edits():
     rng = random.Random(8)
     for _ in range(12):
         g = generate(rng.randint(8, 30), rng.randrange(10**6), 0.0)
@@ -1099,8 +1082,7 @@ def test_vertex_index_follows_random_constraint_edits():
                 insert_constraint(T, i, j)
             edits += 1
             validate(T)
-            assert_vertex_index_current(T)
-            assert_side_map_current(T)
+            assert_triangulation_current(T)
 
 
 def test_validate_rejects_a_removed_interior_triangle():
@@ -1301,7 +1283,7 @@ def test_delaunay_flips_equal_the_reference_lawson():
         R.constrained.clear()
         assert got == reference_lawson_flips(R)
         assert list(T.side.items()) == list(R.side.items())
-        assert list(T.vertex_tris.items()) == list(R.vertex_tris.items())
+        assert list(T.dart.items()) == list(R.dart.items())
         flips += len(got)
     assert flips > 1000
 

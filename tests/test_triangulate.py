@@ -19,19 +19,13 @@ from pslgaug.triangulate import (
 )
 from funnel_oracle import add_outside_points, full_hull_scan, join_outside, validate
 from test_optimal import pool_instances
+from tests_support import assert_triangulation_current
 
 
 def hull_sides(T):
     """The directed sides with no triangle across, counted over the whole
     side map."""
     return sum((j, i) not in T.side for i, j in T.side)
-
-
-def assert_stores_agree(T):
-    """Every triangle of the vertex index owns exactly its three sides of
-    the side map, and the side map holds no other."""
-    tris = {t for ts in T.vertex_tris.values() for t in ts}
-    assert {e: t for t in tris for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0]))} == T.side
 
 
 def _hull_cycle(T):
@@ -56,18 +50,26 @@ def _points(rng, n):
     return pts
 
 
-def test_side_map_and_vertex_index_follow_every_triangle_edit(monkeypatch):
-    edits = Counter()
+def test_side_map_and_darts_follow_every_triangle_edit(monkeypatch):
+    # after every edit each triangle owns its three sides; once every corner
+    # of the removed triangles has a triangle added at it again, as after
+    # each flip and each constraint, every dart names a live side
+    edits, stale = Counter(), set()
     add, remove = Triangulation.add_ccw, Triangulation.remove_tri
 
     def checked(edit):
         def run(T, *args):
             out = edit(T, *args)
-            assert_stores_agree(T)
+            if edit is remove:
+                stale.update(*args)
+            else:
+                stale.difference_update(out)
+            assert_triangulation_current(T, darts=not stale)
             caller = sys._getframe(1).f_code.co_name
             if caller == "join_outside":  # the box corners
                 caller = sys._getframe(2).f_code.co_name
             edits[edit.__name__, caller] += 1
+            edits["darts", caller] += not stale
             return out
         return run
 
@@ -100,6 +102,7 @@ def test_side_map_and_vertex_index_follow_every_triangle_edit(monkeypatch):
         assert edits["add_ccw", caller] > 100, caller
     for caller in ("insert_constraint", "lawson_flips"):
         assert edits["remove_tri", caller] > 100, caller
+        assert edits["darts", caller] > 100, caller
 
 
 def test_validate_rejects_a_triangle_dropped_behind_its_back():
@@ -156,7 +159,52 @@ def test_add_ccw_orients_none_and_keeps_its_canonical_form(monkeypatch):
     with pytest.raises(LemmaViolation, match=re.escape("edge (0, 1) borders 3 triangles")):
         T.add_ccw(3, 0, 1)  # CCW too, on the same side of (0, 1)
     assert set(T.side.values()) == {(0, 1, 2)} and hull_sides(T) == 3
-    assert T.vertex_tris == {0: [(0, 1, 2)], 1: [(0, 1, 2)], 2: [(0, 1, 2)]}
+    assert T.dart == {0: 1, 1: 2, 2: 0}
+
+
+def _with_dart(T, u, p):
+    """A copy of T whose dart at u is p."""
+    R = Triangulation(T.pts)
+    R.side, R.dart, R.constrained = dict(T.side), {**T.dart, u: p}, set(T.constrained)
+    return R
+
+
+def test_the_fan_walk_finds_the_same_wedge_from_any_dart():
+    # one wedge at u holds the direction to w, so the walk reaches it from
+    # every live side at u, on a hull vertex's open fan as well, and the
+    # constraint makes the side map, in order, that it makes from the dart
+    # add_ccw left
+    rng, walks = random.Random(9), Counter()
+    for _ in range(12):
+        pts = dict(enumerate(_points(rng, rng.randint(3, 15))))
+        flipped = triangulate_points(pts)
+        lawson_flips(flipped)
+        for T in (triangulate_points(pts), flipped):
+            for u in pts:
+                fan = [p for i, p in T.side if i == u]
+                for w in pts:
+                    if w == u:
+                        continue
+                    R = _with_dart(T, u, T.dart[u])
+                    insert_constraint(R, u, w)
+                    want = list(R.side.items())
+                    for p in fan:
+                        R = _with_dart(T, u, p)
+                        insert_constraint(R, u, w)
+                        assert list(R.side.items()) == want, (u, p, w)
+                        walks["hull" if (p, u) not in T.side else "interior"] += p != T.dart[u]
+    assert walks["hull"] > 400 and walks["interior"] > 3000
+
+
+def test_a_constraint_with_no_wedge_at_its_start_raises():
+    # a point with no triangle has no dart, and a hull vertex's fan ends on
+    # either side before the direction to a point beyond it
+    T = Triangulation(dict(enumerate([(0, 0), (4, 0), (1, 3), (3, 2)])))
+    T.add_ccw(0, 1, 2)
+    for u, w in ((3, 0), (1, 3), (2, 3)):
+        with pytest.raises(LemmaViolation, match=f"^no wedge at {u} contains direction to {w}$"):
+            insert_constraint(T, u, w)
+    assert list(T.side.values()) == [(0, 1, 2)] * 3 and not T.constrained
 
 
 def test_scan_tests_two_hull_edges_a_point_beyond_its_triangles(monkeypatch):
@@ -208,12 +256,12 @@ def _no_three_collinear(pts):
 def test_scan_walk_equals_the_full_hull_scan(xy, dx, dy):
     # x is drawn from 13 values, so equal-x ties are common; the walk makes
     # the same triangles in the same order as the scan that tests every
-    # hull edge, so the side map and the vertex index agree, in order
+    # hull edge, so the side map and the darts agree, in order
     pts = {3 * k + 1: (x + dx, y + dy) for k, (x, y) in enumerate(dict.fromkeys(xy))}
     assume(len(pts) >= 3 and _no_three_collinear(pts))
     T, R = triangulate_points(pts), full_hull_scan(pts)
     assert list(T.side.items()) == list(R.side.items())
-    assert list(T.vertex_tris.items()) == list(R.vertex_tris.items())
+    assert list(T.dart.items()) == list(R.dart.items())
     validate(T)
 
 

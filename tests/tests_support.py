@@ -219,6 +219,20 @@ def reference_lawson_flips(T):
     return flips
 
 
+def assert_triangulation_current(T, darts=True):
+    """Each triangle of ``T.side`` owns exactly its three sides of it and
+    the map holds no other, as ``add_ccw`` and ``remove_tri`` keep it; with
+    ``darts``, every vertex with a side has a dart naming a live side, as
+    every flip and every constraint leaves it."""
+    tris = set(T.side.values())
+    assert len(T.side) == 3 * len(tris)
+    for t in tris:
+        assert T.side[t[0], t[1]] == T.side[t[1], t[2]] == T.side[t[2], t[0]] == t
+    if darts:
+        for v in {i for i, _ in T.side}:
+            assert (v, T.dart[v]) in T.side, v
+
+
 def is_delaunay(T) -> bool:
     """Exact empty-circumcircle check over all adjacent triangle pairs of
     the triangulation T: the oracle of ``triangulate.lawson_flips``."""
