@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from .geom import MAX_EXPONENT, Point, collinear_pair
 from .pslg import InvalidInstance, Pslg, _validated, build, kruskal
-from .transform import OpStep, _sq_len, delaunay
+from .transform import OpStep
+from .triangulate import delaunay
 
 FORMAT_VERSION = 1
 
@@ -138,14 +139,11 @@ def generate(n: int, seed: int, density: float) -> Pslg:
     # takes the points as they are
     ix, iy = dict(enumerate(x for x, _ in coords)), dict(enumerate(y for _, y in coords))
     pts = _validated([Point(i, x, y) for i, (x, y) in enumerate(coords)], ix, iy)
-    # an empty graph on them for the Delaunay set-up and the squared
-    # lengths, made without build, so that pts.g0 is the graph returned
-    empty = Pslg(pts, pts.by_id, frozenset(), {i: () for i in ix}, ix, iy)
-    dt_edges = sorted(delaunay(empty)[0].edges())
+    dt_edges = sorted(delaunay(pts)[0].edges())
     keep = [e for e in dt_edges if rng.random() < density]
 
     # Kruskal over DT edges gives the repair spanning tree
-    keep += kruskal(dt_edges, _sq_len(empty), joined=keep)
+    keep += kruskal(dt_edges, pts, joined=keep)
     return build(pts, sorted(set(keep)))
 
 

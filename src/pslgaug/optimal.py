@@ -41,9 +41,9 @@ edge.  A corner's rays are face edges, so the sector test is sign logic on
 two of its columns, one vertex-by-position table, and the pairs of one
 walk that pass at both ends are one mask.  A chord crosses an edge
 properly iff both sign products, of the edge's ends against the chord (a
-chord-by-vertex table per chunk of chords) and of the chord's ends against
+chord-by-vertex table per batch of chords) and of the chord's ends against
 the edge, are negative: four gathers per chord, and every chord-by-edge
-temporary stays inside one block of _chunks.
+temporary stays inside one batch of about _BATCH elements (_batches).
 
 The DP reads only feasible chords.  Let f be their number, about 6% of the
 position pairs on large random faces.  A cell (s, t) whose head p_s is not
@@ -194,14 +194,12 @@ class OptimalResult:
 # well, which for B = 2^31 - 1 is below 2^62 and fits int64.
 _INT64_COORD_MAX = 2**31 - 1
 
-# Elements per temporary array of a batch, so that a large face never holds
-# a whole chord-by-edge matrix.
-_CHUNK = 8192
-
-# Candidates the DP scores per batch: the batch's temporaries stay in a
-# core's L2 cache (measured: half the time of one batch of 750k candidates).
-# The set-up lays out and lists its rows in batches of about as many.
-_SCORE_CHUNK = 32768
+# Elements per temporary batch, for every batch of the module: feasibility's
+# chord-by-edge blocks, the DP set-up's rows and the candidates the DP
+# scores.  A batch's temporaries stay in a core's L2 cache (measured: half
+# the time of one batch of 750k candidates), and a large face never holds a
+# whole chord-by-edge matrix.
+_BATCH = 32768
 
 # Positions per pack: past about 128 a pack's dense (n + 2)^2 tables and its
 # crossing tests against every face edge of the pack cost more than it saves.
@@ -215,13 +213,6 @@ def _coord_dtype(xs, ys):
     numpy applies Python's exact int arithmetic and comparisons
     elementwise."""
     return np.int64 if max(*xs, *ys) <= _INT64_COORD_MAX else object
-
-
-def _chunks(size, width):
-    """Slices of range(size) of about _CHUNK // width items each."""
-    step = max(1, _CHUNK // max(width, 1))
-    for lo in range(0, size, step):
-        yield slice(lo, lo + step)
 
 
 def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
@@ -240,7 +231,8 @@ def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     on neither side and leaves the pair uncounted.  The sides are int8
     signs (+1 left, -1 right, 0 on the line), so each half of the test is a
     sign product below 0; the vertex-by-edge table is built once per pack,
-    and every chord-by-edge temporary stays inside one block of _chunks."""
+    and every chord-by-edge temporary stays inside one batch of about
+    _BATCH elements (``_batches``)."""
     n, seq = w.n, w.seq
     verts = sorted(set(seq))
     local = {v: k for k, v in enumerate(verts)}
@@ -290,15 +282,15 @@ def feasibility(g: Pslg, w: IndexedWalk) -> np.ndarray:
     # crossings with the face edges: chord[r, k] is the sign of vertex k's
     # orientation against chord r
     keep = np.ones(I.size, dtype=bool)
-    for b in _chunks(I.size, max(len(verts), len(EA))):
-        u, v = lv[I[b]], lv[J[b]]
+    for c0, c1 in _batches(np.arange(I.size + 1) * max(len(verts), len(EA)), 0, I.size):
+        u, v = lv[I[c0:c1]], lv[J[c0:c1]]
         ux, uy = VX[u][:, None], VY[u][:, None]
         chord = (VX[v][:, None] - ux) * (VY - uy) - (VY[v][:, None] - uy) * (VX - ux)
         chord = np.sign(chord).astype(np.int8)
         # take: numpy gathers columns by take in about half the time of chord[:, EA]
         hit = chord.take(EA, axis=1) * chord.take(EB, axis=1) < 0
         hit &= side[u] * side[v] < 0
-        keep[b] = ~hit.any(axis=1)
+        keep[c0:c1] = ~hit.any(axis=1)
     I, J = I[keep] + 1, J[keep] + 1
     d = [dist(g.by_id[seq[i]], g.by_id[seq[j]]) for i, j in zip(I.tolist(), J.tolist())]
     F = np.full((n + 1, n + 1), np.inf)
@@ -344,7 +336,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     i that _dead_pockets proves to have C[s, i] = +inf), each cell's prefix
     end and the rows each diagonal reads first are set up once for the
     pack.  A diagonal then activates its rows and scores one run prefix per
-    cell, in batches of about _SCORE_CHUNK candidates (see the module
+    cell, in batches of about _BATCH candidates (see the module
     docstring)."""
     n, n2, vert = w.n, w.n + 2, w.vert
     nn = n2 * n2
@@ -451,9 +443,9 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
     # row scores (A + C[y, t]) + wv, with ys = y * n2 + s; tie % nn is the
     # flat index of A's second addend, C[i, j] for PAIR and the zero cell
     # C[k, k] for SPLIT, and a cell takes the least tie among its minima.
-    # The runs are laid out in block order, a chunk of whole blocks at a
-    # time, so that a chunk's (block, i) and (i, j) expansions stay near
-    # _SCORE_CHUNK rows.  st[b] is run b's first row; cell c reads the rows
+    # The runs are laid out in block order, a batch of whole blocks at a
+    # time, so that a batch's (block, i) and (i, j) expansions stay near
+    # _BATCH rows.  st[b] is run b's first row; cell c reads the rows
     # st[bid[c]] .. en[c] and reads beg[c] .. en[c] for the first time.
     tie, ys = np.empty(size, dtype=np.int32), np.empty(size, dtype=np.int32)
     wv, A = np.empty(size), np.empty(size)
@@ -518,7 +510,7 @@ def _fill(w: IndexedWalk, W: np.ndarray, mode: str):
             continue
         r = slice(reads[L], reads[L + 1])
         A.put(act[r], Cf.take(ia[r]) + Cf.take(ib[r]))
-        for c0, c1 in _batches(reach, a, b) if scored[L] > _SCORE_CHUNK else ((a, b),):
+        for c0, c1 in _batches(reach, a, b) if scored[L] > _BATCH else ((a, b),):
             idx = np.arange(reach[c0], reach[c1])
             idx += g[c0:c1].repeat(cnt[c0:c1])
             vals = A.take(idx) + Cf[L:].take(ys.take(idx))
@@ -554,11 +546,11 @@ def _dead_pockets(n, p, q, below):
 
 def _batches(cum, a, b):
     """Consecutive ranges [c0, c1) of the items a .. b - 1, item c holding
-    cum[c + 1] - cum[c] elements, in batches of about _SCORE_CHUNK
+    cum[c + 1] - cum[c] elements, in batches of about _BATCH
     elements; an item larger than that is a batch of its own."""
     cuts = [a, b]
-    if cum[b] - cum[a] > _SCORE_CHUNK:
-        ends = range(cum[a] + _SCORE_CHUNK, cum[b], _SCORE_CHUNK)
+    if cum[b] - cum[a] > _BATCH:
+        ends = range(cum[a] + _BATCH, cum[b], _BATCH)
         cuts[1:1] = (np.searchsorted(cum[a + 1 : b + 1], ends) + a).tolist()
     return [(c0, c1) for c0, c1 in zip(cuts, cuts[1:]) if c1 > c0]
 

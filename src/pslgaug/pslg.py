@@ -113,17 +113,16 @@ class Pslg:
     handed out only as a copy.
     """
 
-    # cached derived queries (_mst: transform.euclidean_mst), and _last, the
-    # graph with_edges last returned
-    _faces = _walks = _conn = _face_env = _mst = _length = _last = None
+    # cached derived queries, and _last, the graph with_edges last returned
+    _faces = _walks = _conn = _face_env = _length = _last = None
 
-    def __init__(self, points, by_id, edges, rotation, ix, iy):
-        self.points = points  # tuple of Point, input order
-        self.by_id = by_id
+    def __init__(self, points, edges, rotation):
+        self.points = points  # _ValidatedPoints, input order
+        self.by_id = points.by_id
         self.edges = edges  # frozenset of (u, v), u < v
         self.rotation = rotation  # id -> tuple of neighbor ids, CCW
-        self._ix = ix  # id -> scaled int x
-        self._iy = iy
+        self._ix = points.ix  # id -> scaled int x
+        self._iy = points.iy
 
     # -- basic views ---------------------------------------------------
 
@@ -203,7 +202,7 @@ class Pslg:
                 rot.insert(polar_index(rot, v, w, ix, iy), w)
             rotation[v] = tuple(rot)
         edges = frozenset(kept | added if added else kept)
-        return Pslg(self.points, self.by_id, edges, rotation, ix, iy)
+        return Pslg(self.points, edges, rotation)
 
 
 class _ValidatedPoints(tuple):
@@ -212,9 +211,11 @@ class _ValidatedPoints(tuple):
     ``ix`` and ``iy``.  ``build`` takes such a tuple as already valid.
     ``g0`` is a weak reference to the graph ``build`` last built on it from
     the empty graph: a strong one would keep every graph alive with its
-    points.  A copy or an unpickled tuple starts without one."""
+    points.  A copy or an unpickled tuple starts without one.  ``mst``, the
+    points' Euclidean MST once ``transform.euclidean_mst`` has computed it,
+    is shared by every graph on them."""
 
-    g0 = None
+    g0 = mst = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "g0"}
@@ -242,9 +243,7 @@ def build(points, edge_pairs) -> Pslg:
         points = _validate_points(points, edge_pairs)
     elif points.g0 is not None and (g0 := points.g0()) is not None:
         return g0.with_edges(edge_pairs)
-    rotation = {p.id: () for p in points}
-    empty = Pslg(points, points.by_id, frozenset(), rotation, points.ix, points.iy)
-    g = empty.with_edges(edge_pairs)
+    g = Pslg(points, frozenset(), {p.id: () for p in points}).with_edges(edge_pairs)
     points.g0 = weakref.ref(g)
     return g
 
@@ -518,11 +517,24 @@ def reach(adj, root):
     return prev
 
 
-def kruskal(edges, weight, joined=()):
-    """Kruskal's algorithm: the edges, taken by increasing (weight(e), e),
-    that join two components of the forest grown so far, which starts from
-    the edges in ``joined``."""
-    parent = {}
+def _sq_len(points):
+    """The exact squared length of an edge key (u, v), read off the scaled
+    ints of ``points``: the weight of every Kruskal run and of the morph's
+    length comparisons."""
+    ix, iy = points.ix, points.iy
+
+    def sq(e):
+        u, v = e
+        dx, dy = ix[u] - ix[v], iy[u] - iy[v]
+        return dx * dx + dy * dy
+    return sq
+
+
+def kruskal(edges, points, joined=()):
+    """Kruskal's algorithm: the edges, taken by increasing exact squared
+    length on ``points`` (``_sq_len``), then key, that join two components
+    of the forest grown so far, which starts from the edges in ``joined``."""
+    parent, sq = {}, _sq_len(points)
 
     def find(a):
         parent.setdefault(a, a)
@@ -534,7 +546,7 @@ def kruskal(edges, weight, joined=()):
     for u, v in joined:
         parent[find(u)] = find(v)
     out = []
-    for e in sorted(edges, key=lambda e: (weight(e), e)):
+    for e in sorted(edges, key=lambda e: (sq(e), e)):
         ra, rb = find(e[0]), find(e[1])
         if ra != rb:
             parent[ra] = rb

@@ -41,12 +41,13 @@ from .pslg import (
     _corner_convex,
     _crossing,
     _first_crossing,
+    _sq_len,
     kruskal,
     next_darts,
     reach,
     require_augmentable,
 )
-from .triangulate import insert_constraint, lawson_flips, triangulate_points
+from .triangulate import delaunay
 
 PHASE_TREE = 1
 PHASE_DELAUNAY = 2
@@ -178,7 +179,7 @@ class _CertifiedEdges:
         if g.points and len(reach(g.rotation, g.points[0].id)) != g.n:
             raise ReplayViolation(0, "connectivity", "start graph is not connected")
         self.boxes = {e: _box(*e, g._ix, g._iy) for e in g.edges}
-        self.graph = Pslg(g.points, g.by_id, self.boxes.keys(), dict(g.rotation), g._ix, g._iy)
+        self.graph = Pslg(g.points, self.boxes.keys(), dict(g.rotation))
         self.length = g.total_length()
         self.mst_length = mst_length(g)
         self.ceiling = self.length + self.mst_length + LENGTH_TOL
@@ -262,7 +263,7 @@ class _CertifiedEdges:
     def frozen(self) -> Pslg:
         """A copy of the current graph that later edits leave as it is."""
         g = self.graph
-        return Pslg(g.points, g.by_id, frozenset(g.edges), dict(g.rotation), g._ix, g._iy)
+        return Pslg(g.points, frozenset(g.edges), dict(g.rotation))
 
 
 class _Editor(_CertifiedEdges):
@@ -303,8 +304,11 @@ class _Editor(_CertifiedEdges):
         support, weight, mult = self.support, self.weight, self.mult
         lost = [ekey(a, b) for a, b in zip(old, old[1:])]
         gained = [ekey(a, b) for a, b in zip(new, new[1:])]
-        changed = Counter(gained)
-        changed.subtract(lost)
+        changed = {}  # edge -> multiplicity delta; the gained edges' keys come first
+        for e in gained:
+            changed[e] = changed.get(e, 0) + 1
+        for e in lost:
+            changed[e] = changed.get(e, 0) - 1
         for e, c in changed.items():
             c = support[e] = support[e] + c
             if c:
@@ -373,47 +377,23 @@ class _Editor(_CertifiedEdges):
         self._record("delete", u, v, phase)
 
 
-def _sq_len(g):
-    """The exact squared length of an edge key (u, v), read off g's scaled
-    ints: the weight of both Kruskal runs and of every length comparison."""
-    ix, iy = g._ix, g._iy
-
-    def sq(e):
-        u, v = e
-        dx, dy = ix[u] - ix[v], iy[u] - iy[v]
-        return dx * dx + dy * dy
-    return sq
-
-
-def delaunay(g: Pslg, tree=()):
-    """The Delaunay triangulation of g's points, certified by ``lawson_flips``,
-    and the Lawson flips ``(old_edge, apexes)`` that reach it, in order, from
-    the scan triangulation with the edges of ``tree`` constrained (the marks
-    are cleared before the flips)."""
-    ix, iy = g._ix, g._iy
-    T = triangulate_points({v: (ix[v], iy[v]) for v in ix})
-    for (u, v) in sorted(tree):
-        insert_constraint(T, u, v)
-    T.constrained.clear()
-    return T, lawson_flips(T)
-
-
 def euclidean_mst(g: Pslg, T=None):
     """Canonical Euclidean MST of g's points (Kruskal by exact squared
     length, then key) over the edges of ``T``, a certified Delaunay
-    triangulation of them, ``delaunay(g)``'s when not given.  A point on or
+    triangulation of them, ``delaunay``'s when not given.  A point on or
     in the closed disk on an MST edge's diameter would close a cycle of two
     strictly shorter edges, so every MST edge is a Gabriel edge and lies in
     every Delaunay triangulation of the points, cocircular ones included
-    (Shamos & Hoey 1975).  Computed once per graph, and a new set on every
-    call."""
-    if g._mst is None:
+    (Shamos & Hoey 1975).  Computed once per point set, cached on
+    ``g.points`` for every graph on them, and a new set on every call."""
+    pts = g.points
+    if pts.mst is None:
         if g.n <= 2:
-            pool = [ekey(*(p.id for p in g.points))] if g.n == 2 else []
+            pool = [ekey(*(p.id for p in pts))] if g.n == 2 else []
         else:
-            pool = (delaunay(g)[0] if T is None else T).edges()
-        g._mst = frozenset(kruskal(pool, _sq_len(g)))
-    return set(g._mst)
+            pool = (delaunay(pts)[0] if T is None else T).edges()
+        pts.mst = frozenset(kruskal(pool, pts))
+    return set(pts.mst)
 
 
 def mst_length(g: Pslg):
@@ -425,7 +405,7 @@ def mst_length(g: Pslg):
 
 def spanning_subtree(g: Pslg):
     """The minimum spanning subtree of g's edges, phase 1's target."""
-    return set(kruskal(g.edges, _sq_len(g)))
+    return set(kruskal(g.edges, g.points))
 
 
 def phase1_spanning_tree(ed: _Editor, tree):
@@ -443,7 +423,7 @@ def phase2_to_delaunay_tree(ed: _Editor, T, flips):
     intermediate graph stays connected.  The rule reads only the flip and
     the current tree.  The final tree's edges must be edges of T."""
     g = ed.graph
-    sq = _sq_len(g)
+    sq = _sq_len(g.points)
     for (a, b), (c, d) in flips:
         if (a, b) not in g.edges:  # a key: the flip queue holds keys
             continue
@@ -482,7 +462,7 @@ def phase3_to_mst(ed: _Editor, target):
     """Exchange the edges of the graph, a tree here, for those of the
     canonical Euclidean MST ``target``: insert a missing MST edge, delete a
     longest edge of the unique created cycle."""
-    sq = _sq_len(ed.graph)
+    sq = _sq_len(ed.graph.points)
     for e in sorted(target - ed.graph.edges):
         ed.insert(e[0], e[1], PHASE_MST)
         cyc = [ekey(*x) for x in ed._cycle(*e)]
@@ -508,7 +488,7 @@ def phase4_grow_cycle(ed: _Editor):
     absent = [e for e in hull_edges if e not in g.edges]
     if not absent:
         raise LemmaViolation("spanning tree contains the whole hull cycle")
-    sq = _sq_len(g)
+    sq = _sq_len(g.points)
     u, v = max(absent, key=lambda e: (sq(e), [-c for c in e]))
     ed.insert(u, v, PHASE_GROW)
     # the face of (v, u) runs the cycle from u to v, that of (u, v) back
@@ -608,7 +588,7 @@ def transform(g: Pslg):
     # phase 2's triangulation depends only on g: build it first, and take
     # the MST that the editor's ceiling needs from it
     tree = spanning_subtree(g)
-    T, flips = delaunay(g, tree)
+    T, flips = delaunay(g.points, tree)
     mst = euclidean_mst(g, T)
     ed = _Editor(g)
     ed.log.stats.update(base_length=ed.length, mst_length=ed.mst_length, ceiling=ed.ceiling)

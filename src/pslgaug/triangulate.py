@@ -3,9 +3,9 @@
 Works on exact integer (or rational) coordinates keyed by vertex id: a
 triangulation's points are a mapping from id to (x, y), and every triangle,
 side and constraint key is in those ids.  It backs the morph's Delaunay
-triangulation: the scan triangulation of the points with phase 1's tree
-constrained, then unconstrained Lawson flips, which phase 2 replays and
-whose edges hold the Euclidean MST.  The directed-side map is the one
+triangulation (``delaunay``): the scan triangulation of the points with
+phase 1's tree constrained, then unconstrained Lawson flips, which phase 2
+replays and whose edges hold the Euclidean MST.  The directed-side map is the one
 triangle store, and each vertex keeps one dart into its fan.
 """
 
@@ -302,3 +302,17 @@ def lawson_flips(T: Triangulation):
                 queue.append(k)
                 queued.add(k)
     return flips
+
+
+def delaunay(points, tree=()):
+    """The Delaunay triangulation of a built graph's ``points``, on their
+    scaled ints ``ix`` and ``iy``, certified by ``lawson_flips``, and the
+    Lawson flips ``(old_edge, apexes)`` that reach it, in order, from the
+    scan triangulation with the edges of ``tree`` constrained (the marks
+    are cleared before the flips)."""
+    ix, iy = points.ix, points.iy
+    T = triangulate_points({v: (ix[v], iy[v]) for v in ix})
+    for (u, v) in sorted(tree):
+        insert_constraint(T, u, v)
+    T.constrained.clear()
+    return T, lawson_flips(T)

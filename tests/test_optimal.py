@@ -360,6 +360,22 @@ def test_feasibility_of_long_faces_with_wide_coordinates(n, monkeypatch):
         assert optimal_augment(wide, mode).added == optimal_augment(g, mode).added, mode
 
 
+def test_feasibility_batches_agree_with_reference(monkeypatch):
+    # the crossing loop's chord batches, from one chord each to the default
+    # size, give the reference's F on the pool, the convex paths and the
+    # path scaled by 10^20 (Python ints): no batch is dropped or repeated
+    path = _convex_position_path(20)
+    wide = build([(p.id, p.x * 10**20, p.y * 10**20) for p in path.points], path.edges)
+    graphs = [*pool_instances(), path, _convex_position_path(80), wide]
+    packs = [(g, IndexedWalk.pack([walk], extend=extend))
+             for g in graphs for walk in facial_walks(g) for extend in (False, True)]
+    want = [reference_feasibility(g, w) for g, w in packs]
+    for size in (1, 5, 77, optimal._BATCH):
+        monkeypatch.setattr(optimal, "_BATCH", size)
+        for (g, w), F in zip(packs, want):
+            assert np.array_equal(feasibility(g, w), F), (size, w.seq)
+
+
 def cut_structure(w: IndexedWalk, s: int, t: int):
     """Reference: cut vertices relative to (p_s, ..., p_t) with their
     descendant position groups and non-descendant positions."""
@@ -476,7 +492,7 @@ def _free_reference_tables():
 def reference_fill(w: IndexedWalk, W, mode):
     """The reference tables of ``_fill_by_cell``, filled once per walk,
     weight matrix and mode and shared by every test that asks again (the
-    reference does not read ``_SCORE_CHUNK``).  The arrays are read-only."""
+    reference does not read ``_BATCH``).  The arrays are read-only."""
     key = (w.seq, W.tobytes(), mode)
     if key not in _REFERENCE_TABLES:
         tables = _fill_by_cell(w, W, mode)
@@ -649,7 +665,7 @@ def test_fill_matches_reference_convex_path(n, monkeypatch):
         assert_tables_match(g, facial_walks(g)[0], extend)
     # five candidates per batch split every diagonal, most cells into
     # batches of their own
-    monkeypatch.setattr(optimal, "_SCORE_CHUNK", 5)
+    monkeypatch.setattr(optimal, "_BATCH", 5)
     for extend in (False, True):
         assert_tables_match(g, facial_walks(g)[0], extend)
 

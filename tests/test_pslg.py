@@ -44,6 +44,7 @@ from pslgaug.pslg import (
     _box,
     _first_crossing,
     _raise_first_crossing,
+    _validated,
     reach,
     require_augmentable,
 )
@@ -165,7 +166,7 @@ def reference_build(points, edge_pairs):
             raise CollinearTriple(f"points ({a},{b},{c}) are collinear")
         placed.append((ix[c], iy[c]))
 
-    empty = Pslg(pts, {p.id: p for p in pts}, frozenset(), {i: () for i in ids}, ix, iy)
+    empty = Pslg(_validated(pts, ix, iy), frozenset(), {i: () for i in ids})
     return reference_with_edges(empty, edge_pairs)
 
 
@@ -242,7 +243,7 @@ def reference_with_edges(g, edge_pairs):
     adj = adjacency(edges)
     for v in {v for e in edges ^ g.edges for v in e}:
         rotation[v] = tuple(polar_sort(g.ipt(v), adj.get(v, ()), g.ipt))
-    return Pslg(g.points, g.by_id, frozenset(edges), rotation, ix, iy)
+    return Pslg(g.points, frozenset(edges), rotation)
 
 
 def outcome(fn, *args):
@@ -1115,8 +1116,7 @@ def test_connectivity_rejects_a_rotation_that_breaks_euler():
             rot = list(g.rotation[v])
             i, j = rng.sample(range(len(rot)), 2)
             rot[i], rot[j] = rot[j], rot[i]
-            mutant = Pslg(g.points, g.by_id, g.edges, {**g.rotation, v: tuple(rot)},
-                          g._ix, g._iy)
+            mutant = Pslg(g.points, g.edges, {**g.rotation, v: tuple(rot)})
             if _genus_zero(g, mutant.rotation):
                 planar += 1
                 rep = connectivity(mutant)

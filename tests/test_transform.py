@@ -23,7 +23,13 @@ from pslgaug.pslg import (
     next_darts,
     reach,
 )
-from pslgaug.triangulate import insert_constraint, lawson_flips, triangulate_points
+from pslgaug.triangulate import (
+    Triangulation,
+    delaunay,
+    insert_constraint,
+    lawson_flips,
+    triangulate_points,
+)
 from pslgaug.transform import (
     PHASE_DELAUNAY,
     OpStep,
@@ -31,7 +37,6 @@ from pslgaug.transform import (
     WeaklySimplePolygon,
     _CertifiedEdges,
     _Editor,
-    delaunay,
     euclidean_mst,
     mst_length,
     phase1_spanning_tree,
@@ -110,7 +115,7 @@ def test_phase2_one_swap():
         [(0, 1), (0, 2), (0, 3)],
     )
     tree = spanning_subtree(g)
-    T, flips = delaunay(g, tree)
+    T, flips = delaunay(g.points, tree)
     ed = _Editor(g)
     phase1_spanning_tree(ed, tree)
     assert ed.graph.edges == set(g.edges)
@@ -184,8 +189,32 @@ def test_transform_takes_the_mst_from_its_triangulation():
     graphs = [f(*case) for case in cases for f in (generate, scan_graph)]
     for g in graphs + pool_instances():
         _, _, log = transform(g)
-        assert g._mst == all_pairs_mst(g)
-        assert log.stats["mst_length"] == fsum(dist(g.by_id[u], g.by_id[v]) for u, v in g._mst)
+        assert g.points.mst == all_pairs_mst(g)
+        mst = g.points.mst
+        assert log.stats["mst_length"] == fsum(dist(g.by_id[u], g.by_id[v]) for u, v in mst)
+
+
+def test_graphs_on_one_point_set_share_one_mst(monkeypatch):
+    # the MST depends on the points alone: a second graph on them reads the
+    # first graph's MST off the points, with no triangulation, and its
+    # transform triangulates once, for phase 2
+    built = []
+    init = Triangulation.__init__
+
+    def spy(T, pts):
+        built.append(len(pts))
+        init(T, pts)
+
+    monkeypatch.setattr(Triangulation, "__init__", spy)
+    for case in [(25, 5, 0.3), (60, 7, 0.3), (90, 11, 0.5)]:
+        for g in (generate(*case), scan_graph(*case)):
+            mst = euclidean_mst(g)
+            h = build(g.points, sorted(mst))
+            assert h.edges != g.edges and h.points is g.points
+            del built[:]
+            assert euclidean_mst(h) == mst and built == []
+            transform(h)
+            assert built == [g.n]
 
 
 def cocircular_points(r=5525):
@@ -221,9 +250,9 @@ def test_euclidean_mst_on_cocircular_points():
         assert euclidean_mst(g) == all_pairs_mst(g), g.points
         # transform constrains the path, then flips
         transform(path)
-        assert path._mst == all_pairs_mst(path), g.points
-        assert is_delaunay(delaunay(g)[0]), g.points
-        assert is_delaunay(delaunay(path, spanning_subtree(path))[0]), g.points
+        assert path.points.mst == all_pairs_mst(path), g.points
+        assert is_delaunay(delaunay(g.points)[0]), g.points
+        assert is_delaunay(delaunay(path.points, spanning_subtree(path))[0]), g.points
 
 
 def test_phase4_immediate_hamiltonian():
@@ -418,7 +447,7 @@ def test_transform_and_replay_leave_the_start_graph_as_it_is(monkeypatch):
         assert final.edges == ref.edges and final.rotation == ref.rotation
         live = editors[-1].graph
         assert final.edges is not live.edges and final.rotation is not live.rotation
-        assert [live._faces, live._walks, live._conn, live._face_env, live._mst] == [None] * 5
+        assert [live._faces, live._walks, live._conn, live._face_env] == [None] * 4
     assert len(editors) == len(pool_instances())
 
 
@@ -1164,6 +1193,7 @@ def test_transform_triangulates_its_points_once(monkeypatch):
     # its first edit, for phase 2's flips and the MST; phases 2-5 build no
     # triangulation and constrain no edge
     transform_mod = sys.modules["pslgaug.transform"]
+    triangulate_mod = sys.modules["pslgaug.triangulate"]
     calls, phase1, inserts, edited = [], transform_mod.phase1_spanning_tree, Counter(), [False]
 
     def counted(pts):
@@ -1178,8 +1208,8 @@ def test_transform_triangulates_its_points_once(monkeypatch):
         inserts[edited[0]] += 1
         insert_constraint(T, u, w)
 
-    monkeypatch.setattr(transform_mod, "triangulate_points", counted)
-    monkeypatch.setattr(transform_mod, "insert_constraint", constrain)
+    monkeypatch.setattr(triangulate_mod, "triangulate_points", counted)
+    monkeypatch.setattr(triangulate_mod, "insert_constraint", constrain)
     monkeypatch.setattr(transform_mod, "phase1_spanning_tree", flagged)
     for case in sorted(GOLDEN_MORPHS):
         g = generate(*case)
@@ -1263,7 +1293,7 @@ def test_lawson_queue_certifies_delaunay():
     # triangulation on every graph of the phase-2 digest sets
     for name, graphs in phase2_sets().items():
         for g in graphs:
-            assert is_delaunay(delaunay(g, spanning_subtree(g))[0]), name
+            assert is_delaunay(delaunay(g.points, spanning_subtree(g))[0]), name
 
 
 def test_delaunay_flips_equal_the_reference_lawson():
@@ -1276,7 +1306,7 @@ def test_delaunay_flips_equal_the_reference_lawson():
     flips = 0
     for g in graphs:
         tree = spanning_subtree(g)
-        T, got = delaunay(g, tree)
+        T, got = delaunay(g.points, tree)
         R = full_hull_scan({p.id: g.ipt(p.id) for p in g.points})
         for u, v in sorted(tree):
             insert_constraint(R, u, v)
@@ -1305,10 +1335,10 @@ def test_delaunay_oracle_rejects_a_lawson_mutant(skip, monkeypatch):
     # a queue that forgets one quad side after a flip can stop short of
     # Delaunay: the oracle rejects the mutant's result on some graph of the
     # phase-2 and cocircular sets
-    monkeypatch.setattr(sys.modules["pslgaug.transform"], "lawson_flips", _lawson_mutant(skip))
+    monkeypatch.setattr(sys.modules["pslgaug.triangulate"], "lawson_flips", _lawson_mutant(skip))
     graphs = [g for gs in phase2_sets().values() for g in gs]
     graphs += [g for pair in cocircular_sets() for g in pair]
-    assert any(not is_delaunay(delaunay(g, spanning_subtree(g))[0]) for g in graphs)
+    assert any(not is_delaunay(delaunay(g.points, spanning_subtree(g))[0]) for g in graphs)
 
 
 # -- the one-shot environment's checks -------------------------------------

@@ -10,12 +10,11 @@ from pslgaug.instances import generate
 from pslgaug.pslg import LemmaViolation, kruskal, reach
 from pslgaug.transform import (
     _Editor,
-    delaunay,
     phase1_spanning_tree,
     phase2_to_delaunay_tree,
     spanning_subtree,
 )
-from pslgaug.triangulate import triangulate_points
+from pslgaug.triangulate import delaunay, triangulate_points
 
 
 def make_fig3(eps):
@@ -39,13 +38,8 @@ def scan_graph(n, seed, density):
     rng = random.Random(seed)
     edges = sorted(triangulate_points({p.id: g.ipt(p.id) for p in g.points}).edges())
     keep = [e for e in edges if rng.random() < density]
-    keep += kruskal(edges, lambda e: _sq(g, e), joined=keep)
+    keep += kruskal(edges, g.points, joined=keep)
     return build([(p.id, p.x, p.y) for p in g.points], sorted(set(keep)))
-
-
-def _sq(g, e):
-    (ax, ay), (bx, by) = g.ipt(e[0]), g.ipt(e[1])
-    return (ax - bx) ** 2 + (ay - by) ** 2
 
 
 def all_pairs_mst(g):
@@ -53,14 +47,14 @@ def all_pairs_mst(g):
     squared length, then key: the oracle of ``transform.euclidean_mst``."""
     ids = sorted(p.id for p in g.points)
     pool = [(ids[i], ids[j]) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-    return set(kruskal(pool, lambda e: _sq(g, e)))
+    return set(kruskal(pool, g.points))
 
 
 def through_phase2(g):
     """The morph's editor on g after phases 1 and 2, run as ``transform``
     runs them, and phase 2's Delaunay triangulation."""
     tree = spanning_subtree(g)
-    T, flips = delaunay(g, tree)
+    T, flips = delaunay(g.points, tree)
     ed = _Editor(g)
     phase1_spanning_tree(ed, tree)
     phase2_to_delaunay_tree(ed, T, flips)
