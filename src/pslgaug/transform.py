@@ -15,7 +15,12 @@ so they build no triangulation.
 
 Every step keeps the graph a connected PSLG below the length ceiling
 ||E|| + ||MST(V)||; the final cycle has length at most 2 ||MST(V)||.  All
-steps are recorded in a replayable OpLog.
+steps are recorded in an OpLog, the morph's certificate.  ``transform``
+checks each edit's presence and the ceiling and each phase's own bounds;
+for crossings and connectivity it relies on each phase's argument, stated
+in its docstring.  ``replay``, the certificate's independent checker, runs
+every edit through the full check ``_CertifiedEdges.edit``, so a broken
+argument lets ``transform`` return an op log that ``replay`` rejects.
 """
 
 from __future__ import annotations
@@ -155,9 +160,10 @@ class _CertifiedEdges:
     as a copy of the start graph's edge set and rotations, and stays a
     connected PSLG whose length is at most
     ``ceiling``, the start graph's ||E|| + ||MST|| + LENGTH_TOL (its MST
-    length is ``mst_length``).  transform and replay both edit
-    through it, so every op log transform writes replays.  A start graph
-    that is not connected raises ReplayViolation at step 0.
+    length is ``mst_length``).  ``edit`` checks an edit in full, then
+    applies it with ``_apply``; replay edits through ``edit``, and the
+    morph's ``_Editor`` through ``_apply`` alone.  A start graph that is not
+    connected raises ReplayViolation at step 0.
 
     Next to the graph it keeps ``nxt``, the next dart of every dart on its
     facial walk (``pslg.next_darts``, a map of its own, not the one a graph
@@ -165,8 +171,9 @@ class _CertifiedEdges:
     edge's two ends, with no walk: the insert position ``geom.polar_index``
     gives, or the delete's ``index``, names the CCW neighbours there, so a
     rotation changes by one splice.  ``_smaller`` walks an edge's faces in
-    lockstep: it finds bridges (one face on both sides) for the deletes, and
-    the sides of a tree edge and the cycle an edge closes for the morph.
+    lockstep: it finds bridges (one face on both sides) for ``edit``'s
+    deletes, and the sides of a tree edge and the cycle an edge closes for
+    the morph.
 
     The graph's edge set is the key view of ``boxes``, which maps each live
     edge to its bounding box (``pslg._box``).  An insert's planarity check
@@ -186,25 +193,41 @@ class _CertifiedEdges:
         self.nxt = next_darts(g.rotation)
 
     def edit(self, op, u, v):
-        """Insert or delete edge (u, v).  Returns None when the edit keeps
-        every invariant, else the violated invariant's name and a message;
-        the graph is then no longer certified."""
+        """Insert or delete edge (u, v), the full check that ``replay`` runs.
+        Returns None when the edit keeps every invariant, else the violated
+        invariant's name and a message; the graph is then no longer
+        certified."""
         g = self.graph
         e = ekey(u, v)
         if u not in g.by_id or v not in g.by_id:
             return "vertices", f"unknown endpoint in {e}"
-        rotation, nxt = g.rotation, self.nxt
         if op == "insert":
             if e in g.edges:
                 return "planarity", f"edge {e} already present"
             if u == v:
                 return "vertices", f"self-loop at point {u}"
-            box = _box(*e, g._ix, g._iy)
-            f = _first_crossing(e, box, self.boxes.items(), g._ix, g._iy)
+            f = _first_crossing(e, _box(*e, g._ix, g._iy), self.boxes.items(), g._ix, g._iy)
             if f is not None:
                 return "planarity", str(_crossing(e, f))
-            self.boxes[e] = box
-            ru, rv = rotation[u], rotation[v]
+        elif op == "delete":
+            if e not in g.edges:
+                return "planarity", f"edge {e} not present"
+            if self._smaller(u, v)[1]:
+                return "connectivity", ""
+        else:
+            return "op", op
+        self._apply(op, e)
+        return self._over()
+
+    def _apply(self, op, e):
+        """Insert or delete the edge key ``e`` unchecked: splice the
+        rotations at its two ends, thread or unthread its darts, and keep
+        the box map and the running length."""
+        g, (u, v) = self.graph, e
+        rotation, nxt = g.rotation, self.nxt
+        ru, rv = rotation[u], rotation[v]
+        if op == "insert":
+            self.boxes[e] = _box(u, v, g._ix, g._iy)
             i, j = polar_index(ru, u, v, g._ix, g._iy), polar_index(rv, v, u, g._ix, g._iy)
             ru = rotation[u] = ru[:i] + (v,) + ru[i:]
             rv = rotation[v] = rv[:j] + (u,) + rv[j:]
@@ -213,13 +236,8 @@ class _CertifiedEdges:
             nxt[(ru[i - 1], u)], nxt[(v, u)] = (u, v), (u, ru[(i + 1) % len(ru)])
             nxt[(rv[j - 1], v)], nxt[(u, v)] = (v, u), (v, rv[(j + 1) % len(rv)])
             self.length += self._edge_length(e)
-        elif op == "delete":
-            if e not in g.edges:
-                return "planarity", f"edge {e} not present"
-            if self._smaller(u, v)[1]:
-                return "connectivity", ""
+        else:
             # the walks that turned onto the edge now pass it by
-            ru, rv = rotation[u], rotation[v]
             i, j = ru.index(v), rv.index(u)
             nxt[(ru[i - 1], u)] = (u, ru[(i + 1) % len(ru)])
             nxt[(rv[j - 1], v)] = (v, rv[(j + 1) % len(rv)])
@@ -227,8 +245,9 @@ class _CertifiedEdges:
             del self.boxes[e]
             rotation[u], rotation[v] = ru[:i] + ru[i + 1 :], rv[:j] + rv[j + 1 :]
             self.length -= self._edge_length(e)
-        else:
-            return "op", op
+
+    def _over(self):
+        """The length violation when the graph is longer than the ceiling."""
         if self.length > self.ceiling:
             return "length", f"{self.length:.9g} > ceiling {self.ceiling:.9g}"
         return None
@@ -361,13 +380,18 @@ class _Editor(_CertifiedEdges):
         return [x for x in face if (x[1], x[0]) not in darts]
 
     def _record(self, op, u, v, phase):
-        bad = self.edit(op, u, v)
+        """Apply the edit after its O(1) presence check, then check the
+        ceiling.  The phase's own argument stands for ``edit``'s crossing
+        and connectivity checks; ``replay`` runs them on the op log."""
         e = ekey(u, v)
+        if (e in self.graph.edges) == (op == "insert"):
+            bad = "planarity", f"edge {e} {'already' if op == 'insert' else 'not'} present"
+        else:
+            self._apply(op, e)
+            bad = self._over()
         if bad is not None:
             invariant, message = bad
-            raise LemmaViolation(
-                f"{op} {e}: {invariant} violated{': ' + message if message else ''}"
-            )
+            raise LemmaViolation(f"{op} {e}: {invariant} violated: {message}")
         self.log.steps.append(OpStep(op, e[0], e[1], phase))
 
     def insert(self, u, v, phase):
@@ -410,7 +434,8 @@ def spanning_subtree(g: Pslg):
 
 def phase1_spanning_tree(ed: _Editor, tree):
     """Strip the graph to ``tree``, the minimum spanning subtree of its
-    edges."""
+    edges.  Every delete is of an edge off ``tree``, which spans the
+    vertices and stays, so no delete disconnects."""
     for e in sorted(ed.graph.edges - tree):
         ed.delete(e[0], e[1], PHASE_TREE)
 
@@ -421,7 +446,15 @@ def phase2_to_delaunay_tree(ed: _Editor, T, flips):
     constrained (``delaunay``), through the swap rule in order: each flipped
     edge of the tree is swapped for a strictly shorter quad side, and the
     intermediate graph stays connected.  The rule reads only the flip and
-    the current tree.  The final tree's edges must be edges of T."""
+    the current tree.  The final tree's edges must be edges of T.
+
+    The swaps need no crossing or connectivity check.  The tree lies in the
+    current triangulation of the flip sequence: it starts in the scan
+    triangulation, each swap trades a flipped edge for a side of its quad,
+    and the side survives the flip, so the inserted side crosses no tree
+    edge.  ``_part`` puts apex and the side's other end on the two sides of
+    the flipped edge, a bridge, so after the insert its delete leaves the
+    graph connected."""
     g = ed.graph
     sq = _sq_len(g.points)
     for (a, b), (c, d) in flips:
@@ -461,7 +494,13 @@ def _dot_at(g, apex, a, b):
 def phase3_to_mst(ed: _Editor, target):
     """Exchange the edges of the graph, a tree here, for those of the
     canonical Euclidean MST ``target``: insert a missing MST edge, delete a
-    longest edge of the unique created cycle."""
+    longest edge of the unique created cycle.
+
+    The exchanges need no crossing or connectivity check.  The tree lies in
+    T, the Delaunay triangulation, which phase 2 checks at its end, and
+    each insert is an MST edge, an edge of T, so it crosses no tree edge.
+    Each delete is of an edge of the cycle that the insert closed, so the
+    graph stays a spanning tree."""
     sq = _sq_len(ed.graph.points)
     for e in sorted(target - ed.graph.edges):
         ed.insert(e[0], e[1], PHASE_MST)
@@ -480,7 +519,15 @@ def phase3_to_mst(ed: _Editor, target):
 def phase4_grow_cycle(ed: _Editor):
     """Grow a weakly simple polygon from a hull edge over the whole vertex
     set, starting from the graph, the Euclidean MST here; the polygon plus
-    leftover edges never exceed twice the MST."""
+    leftover edges never exceed twice the MST.
+
+    The edits need no crossing or connectivity check.  The first insert is
+    a convex hull edge, which no segment between the points crosses, and
+    it closes the first polygon.  Every later insert is a geodesic edge,
+    which crosses nothing (``convex_geodesic``).  ``_Editor.splice``
+    deletes an edge of ``old`` only with its last polygon copy, and the
+    rest of the closed walk joins its ends; it deletes an off-polygon edge
+    only between two polygon vertices, which the polygon joins."""
     g = ed.graph
     id_at = {g.ipt(p.id): p.id for p in g.points}
     hull = [id_at[xy] for xy in convex_hull(list(id_at))]
@@ -544,7 +591,10 @@ def phase4_grow_cycle(ed: _Editor):
 
 def phase5_simplify(ed: _Editor):
     """Shortcut the sharpest corner of a repeated vertex until the polygon
-    is simple; the total length strictly decreases each step."""
+    is simple; the total length strictly decreases each step.  As in phase
+    4, every insert is a geodesic edge and every delete is joined by the
+    polygon: the corner's vertex is repeated, so the rest of the walk still
+    passes through it and joins the corner's ends."""
     g = ed.graph
     guard = 0
     while len(ed.mult) < len(ed.poly.seq):

@@ -7,6 +7,7 @@ import sys
 from collections import Counter
 from dataclasses import replace
 from math import atan2, fsum, isqrt
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,6 +33,8 @@ from pslgaug.triangulate import (
 )
 from pslgaug.transform import (
     PHASE_DELAUNAY,
+    PHASE_GROW,
+    PHASE_MST,
     OpStep,
     ReplayViolation,
     WeaklySimplePolygon,
@@ -561,15 +564,92 @@ def test_replay_rejects_disconnected_start():
         assert str(e.value) == "step 0: connectivity violated: start graph is not connected"
 
 
-@pytest.mark.parametrize("case", ["crossing_insert", "disconnecting_delete"])
-def test_editor_rejects(fig3, case):
-    ed = _Editor(fig3)
-    ed.insert(1, 3, 1)
-    bad, invariant, message = REJECTED[case]
-    with pytest.raises(LemmaViolation) as e:
-        (ed.insert if bad.op == "insert" else ed.delete)(bad.u, bad.v, bad.phase)
-    assert str(e.value) == f"{bad.op} {ekey(bad.u, bad.v)}: " + violation(invariant, message)
-    assert len(ed.log.steps) == 1
+# transform applies each edit with no crossing or connectivity check: the
+# phase's own argument stands for them, and replay checks them on the op
+# log.  A mutant that breaks one argument still lets transform return, and
+# replay stops at the mutant's first bad step, on the invariant the
+# argument kept.
+
+
+def replay_rejection(g):
+    """transform(g)'s op steps and the ReplayViolation replay raises on them."""
+    steps = transform(g)[2].steps
+    with pytest.raises(ReplayViolation) as e:
+        replay(g, steps)
+    return steps, e.value
+
+
+def test_replay_catches_phase2_inserting_the_crossing_diagonal(monkeypatch):
+    # phase 2's quad side survives the flip, so it crosses no tree edge; the
+    # mutant first inserts the quad's other diagonal (c, d), which crosses
+    # the flipped edge, and deletes it again, so the morph goes on unchanged
+    insert, bad = _Editor.insert, []
+
+    def mutant(ed, u, v, phase):
+        if phase == PHASE_DELAUNAY and not bad:
+            # the flip being swapped: the first whose edge is still in the tree
+            _, (c, d) = next(f for f in flips if f[0] in ed.graph.edges)
+            bad.append((len(ed.log.steps), OpStep("insert", *ekey(c, d), phase)))
+            insert(ed, c, d, phase)
+            ed.delete(c, d, phase)
+        insert(ed, u, v, phase)
+
+    monkeypatch.setattr(_Editor, "insert", mutant)
+    for case in ((12, 1, 0.3), (16, 6, 0.3), (25, 5, 0.3), (30, 3, 0.3)):
+        g = scan_graph(*case)
+        flips = delaunay(g.points, spanning_subtree(g))[1]
+        bad.clear()
+        steps, e = replay_rejection(g)
+        (k, step), = bad
+        assert steps[k] == step and (e.step, e.invariant) == (k, "planarity")
+
+
+def test_replay_catches_phase3_deleting_off_the_cycle(monkeypatch):
+    # phase 3 deletes only on the cycle its inserted MST edge closes; the
+    # mutant first deletes the least tree edge off that cycle, a bridge, and
+    # inserts it back, so the morph goes on unchanged
+    delete, bad = _Editor.delete, []
+
+    def mutant(ed, u, v, phase):
+        if phase == PHASE_MST and not bad:
+            last = ed.log.steps[-1]  # the MST edge's insert
+            f = min(ed.graph.edges - {ekey(*x) for x in ed._cycle(last.u, last.v)})
+            bad.append((len(ed.log.steps), OpStep("delete", *f, phase)))
+            delete(ed, *f, phase)
+            ed.insert(*f, phase)
+        delete(ed, u, v, phase)
+
+    monkeypatch.setattr(_Editor, "delete", mutant)
+    for g in (generate(12, 1, 0.3), generate(30, 3, 0.3), scan_graph(30, 3, 0.3)):
+        bad.clear()
+        steps, e = replay_rejection(g)
+        (k, step), = bad
+        assert steps[k] == step and (e.step, e.invariant) == (k, "connectivity")
+
+
+def test_replay_catches_phase4_splicing_a_straight_chord(monkeypatch):
+    # in phase 4 a geodesic edge crosses nothing; the mutant splices the
+    # straight chord xq -> zq in place of phase 4's first geodesic whose
+    # chord crosses a graph edge, and the morph goes on from there
+    query, bad = _Editor.geodesic, []
+
+    def mutant(ed, walk):
+        a, _, b = walk
+        g = ed.graph
+        if not bad and len(ed.mult) < g.n and any(
+                segments_properly_cross(*g.ipt(a), *g.ipt(b), *g.ipt(p), *g.ipt(q))
+                for p, q in g.edges):
+            bad.append((len(ed.log.steps), OpStep("insert", *ekey(a, b), PHASE_GROW)))
+            return SimpleNamespace(ids=lambda: [a, b])
+        return query(ed, walk)
+
+    monkeypatch.setattr(_Editor, "geodesic", mutant)
+    for case in ((16, 387926, 0.6), (20, 2, 0.3), (21, 490789, 0.6), (25, 298799, 0.0)):
+        bad.clear()
+        steps, e = replay_rejection(generate(*case))
+        # the splice deletes the polygon edge it replaces before it inserts
+        (k, step), = bad
+        assert (e.step, e.invariant) == (steps.index(step, k), "planarity")
 
 
 def test_editor_computes_the_ceiling_and_cycle_bound():
@@ -648,19 +728,19 @@ def _boxes(g):
 
 
 def test_editor_boxes_follow_every_edit(monkeypatch):
-    # after every certified step of transform and of replay, on the
-    # 150-morph set and the pool, the editor's box map, whose keys are its
-    # graph's edge set, holds exactly the boxes of the edges of its rotations
+    # after every step of transform and of replay, which both apply it
+    # through the one shared ``_apply``, on the 150-morph set and the pool,
+    # the editor's box map, whose keys are its graph's edge set, holds
+    # exactly the boxes of the edges of its rotations
     steps = Counter()
-    edit = _CertifiedEdges.edit
+    apply = _CertifiedEdges._apply
 
-    def checked(self, op, u, v):
-        out = edit(self, op, u, v)
-        assert out is None and self.boxes == _boxes(self.graph)
+    def checked(self, op, e):
+        apply(self, op, e)
+        assert self.boxes == _boxes(self.graph)
         steps[type(self), op] += 1
-        return out
 
-    monkeypatch.setattr(_CertifiedEdges, "edit", checked)
+    monkeypatch.setattr(_CertifiedEdges, "_apply", checked)
     rng = random.Random(7)
     graphs = [generate(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.2, 0.4, 0.6)))
               for _ in range(150)]
@@ -702,20 +782,20 @@ def test_edited_graph_matches_build():
 
 
 def test_editor_next_darts_match_facial_walks(monkeypatch):
-    # after every certified step of transform and of replay, on six recorded
-    # morphs and the adversarial families, the editor's next darts are those
-    # of a fresh build of its edge set, so its walks are the facial walks
+    # after every step of transform and of replay, each applied by the one
+    # shared ``_apply``, on six recorded morphs and the adversarial
+    # families, the editor's next darts are those of a fresh build of its
+    # edge set, so its walks are the facial walks
     steps = Counter()
-    edit = _CertifiedEdges.edit
+    apply = _CertifiedEdges._apply
 
-    def checked(self, op, u, v):
-        out = edit(self, op, u, v)
+    def checked(self, op, e):
+        apply(self, op, e)
         h = build(self.graph.points, self.graph.edges)
-        assert out is None and self.nxt == next_darts(h.rotation)
+        assert self.nxt == next_darts(h.rotation)
         steps[type(self)] += 1
-        return out
 
-    monkeypatch.setattr(_CertifiedEdges, "edit", checked)
+    monkeypatch.setattr(_CertifiedEdges, "_apply", checked)
     graphs = [generate(n, seed + 9500, density)
               for n, seed, density in ((8, 1, 0.5), (12, 2, 0.0), (16, 3, 0.8), (20, 4, 0.4),
                                        (28, 5, 0.6), (40, 6, 0.3))]
@@ -731,16 +811,15 @@ def test_editor_next_darts_are_never_a_graphs_cached_faces(monkeypatch):
     # each edit changes the editor's next darts in place, so they must not be
     # those of the read-only faces a graph caches (Pslg.faces)
     graphs = []
-    edit = _CertifiedEdges.edit
+    apply = _CertifiedEdges._apply
 
-    def checked(self, op, u, v):
+    def checked(self, op, e):
         graphs.append(self.graph)
-        out = edit(self, op, u, v)
+        apply(self, op, e)
         graphs.append(self.graph)
         assert all(h._faces is None or self.nxt is not h._faces.nxt for h in graphs)
-        return out
 
-    monkeypatch.setattr(_CertifiedEdges, "edit", checked)
+    monkeypatch.setattr(_CertifiedEdges, "_apply", checked)
     for n, seed, density in ((8, 1, 0.5), (16, 3, 0.8), (30, 5, 0.3)):
         g = generate(n, seed + 9600, density)
         faces = g.faces()
@@ -1254,7 +1333,9 @@ GOLDEN_MORPHS = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_MORPHS))
 def test_transform_golden_hash(case):
-    _, poly, log = transform(generate(*case))
+    g = generate(*case)
+    _, poly, log = transform(g)
+    assert replay(g, log.steps)["ok"]
     text = oplog_to_jsonl(log.steps) + json.dumps(poly.seq)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == GOLDEN_MORPHS[case]
 
@@ -1282,6 +1363,8 @@ def test_phase2_swaps_digest(name):
     h, ops = hashlib.sha256(), 0
     for g in phase2_sets()[name]:
         _, poly, log = transform(g)
+        # the phase 2 swaps run on their argument alone; replay checks them
+        assert replay(g, log.steps)["ok"]
         h.update((oplog_to_jsonl(log.steps) + json.dumps(poly.seq)
                   + json.dumps(log.stats, sort_keys=True)).encode())
         ops += sum(st.phase == PHASE_DELAUNAY for st in log.steps)
