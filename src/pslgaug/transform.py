@@ -162,7 +162,8 @@ class _CertifiedEdges:
     ``ceiling``, the start graph's ||E|| + ||MST|| + LENGTH_TOL (its MST
     length is ``mst_length``).  ``edit`` checks an edit in full, then
     applies it with ``_apply``; replay edits through ``edit``, and the
-    morph's ``_Editor`` through ``_apply`` alone.  A start graph that is not
+    morph's ``_Editor`` through ``_apply`` after the O(1) ``_presence``
+    check alone.  A start graph that is not
     connected raises ReplayViolation at step 0.
 
     Next to the graph it keeps ``nxt``, the next dart of every dart on its
@@ -201,23 +202,28 @@ class _CertifiedEdges:
         e = ekey(u, v)
         if u not in g.by_id or v not in g.by_id:
             return "vertices", f"unknown endpoint in {e}"
+        if op not in ("insert", "delete"):
+            return "op", op
+        bad = self._presence(op, e)
+        if bad is not None:
+            return bad
         if op == "insert":
-            if e in g.edges:
-                return "planarity", f"edge {e} already present"
             if u == v:
                 return "vertices", f"self-loop at point {u}"
             f = _first_crossing(e, _box(*e, g._ix, g._iy), self.boxes.items(), g._ix, g._iy)
             if f is not None:
                 return "planarity", str(_crossing(e, f))
-        elif op == "delete":
-            if e not in g.edges:
-                return "planarity", f"edge {e} not present"
-            if self._smaller(u, v)[1]:
-                return "connectivity", ""
-        else:
-            return "op", op
+        elif self._smaller(u, v)[1]:
+            return "connectivity", ""
         self._apply(op, e)
         return self._over()
+
+    def _presence(self, op, e):
+        """The violation when an insert's edge key ``e`` is already in the
+        graph or a delete's is not, else None."""
+        if (e in self.graph.edges) != (op == "insert"):
+            return None
+        return "planarity", f"edge {e} {'already' if op == 'insert' else 'not'} present"
 
     def _apply(self, op, e):
         """Insert or delete the edge key ``e`` unchecked: splice the
@@ -384,14 +390,15 @@ class _Editor(_CertifiedEdges):
         ceiling.  The phase's own argument stands for ``edit``'s crossing
         and connectivity checks; ``replay`` runs them on the op log."""
         e = ekey(u, v)
-        if (e in self.graph.edges) == (op == "insert"):
-            bad = "planarity", f"edge {e} {'already' if op == 'insert' else 'not'} present"
-        else:
+        bad = self._presence(op, e)
+        if bad is None:
             self._apply(op, e)
             bad = self._over()
         if bad is not None:
             invariant, message = bad
-            raise LemmaViolation(f"{op} {e}: {invariant} violated: {message}")
+            raise LemmaViolation(
+                f"{op} {e}: {invariant} violated{': ' + message if message else ''}"
+            )
         self.log.steps.append(OpStep(op, e[0], e[1], phase))
 
     def insert(self, u, v, phase):

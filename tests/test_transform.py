@@ -564,6 +564,18 @@ def test_replay_rejects_disconnected_start():
         assert str(e.value) == "step 0: connectivity violated: start graph is not connected"
 
 
+# the editor keeps replay's presence and ceiling checks on each edit
+@pytest.mark.parametrize("case", ["delete_absent", "insert_present", "overlong"])
+def test_editor_rejects(fig3, case):
+    ed = _Editor(fig3)
+    ed.insert(1, 3, 1)
+    bad, invariant, message = REJECTED[case]
+    with pytest.raises(LemmaViolation) as e:
+        (ed.insert if bad.op == "insert" else ed.delete)(bad.u, bad.v, bad.phase)
+    assert str(e.value) == f"{bad.op} {ekey(bad.u, bad.v)}: " + violation(invariant, message)
+    assert len(ed.log.steps) == 1
+
+
 # transform applies each edit with no crossing or connectivity check: the
 # phase's own argument stands for them, and replay checks them on the op
 # log.  A mutant that breaks one argument still lets transform return, and
