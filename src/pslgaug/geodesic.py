@@ -8,8 +8,8 @@ hull of a, b and the vertices strictly inside triangle ayb, until the path
 is taut.  Every walk vertex is slack and every vertex that a shortcut puts
 in stays taut, so one pass from the walk's start does it.  It reads only
 the graph's rotations and scaled integer coordinates, so it builds no
-triangulation and caches nothing on the graph; the morph asks it on its
-live graph.
+triangulation and caches nothing on the graph, only the points' x order
+on the point set; the morph asks it on its live graph.
 
 ``geodesic(g, walk)`` checks once per graph that g is augmentable
 (``_FaceEnv``), refuses a walk that repeats a directed edge, and returns
@@ -18,6 +18,7 @@ live graph.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .geom import convex_hull, orient_xy, walk_length
@@ -137,25 +138,28 @@ def convex_geodesic(g: Pslg, walk) -> GeodesicPath:
             raise LemmaViolation(f"corner ({x}, {y}, {v}) is not convex")
         path.pop()  # y, which is slack
         if path[-1] != v:  # else a spike at y, contracted
-            path += _chain(path[-1], y, v, ix, iy)
+            path += _chain(path[-1], y, v, g.points)
             path.append(v)
     return _geodesic_path(g, path)
 
 
-def _chain(a, y, b, ix, iy):
+def _chain(a, y, b, pts):
     """The vertices of conv({a, b} + S) strictly between a and b on y's
     side, in order from a, where S is the set of vertices strictly inside
-    triangle yab, counterclockwise: one pass over the vertices, a
-    bounding-box filter, then three exact orientations."""
+    triangle yab, counterclockwise: the slab of the points ``pts`` strictly
+    inside the triangle's x-range, found by bisection in their x order
+    (``_by_x``), a y filter, then three exact orientations."""
+    ix, iy = pts.ix, pts.iy
+    xs, ids = _by_x(pts)
     ax, ay, yx, yy, bx, by = ix[a], iy[a], ix[y], iy[y], ix[b], iy[b]
     xlo, xhi = min(ax, yx, bx), max(ax, yx, bx)
     ylo, yhi = min(ay, yy, by), max(ay, yy, by)
     inside = [
-        v for v, x in ix.items()
-        if xlo < x < xhi and ylo < iy[v] < yhi
-        and orient_xy(yx, yy, ax, ay, x, iy[v]) > 0
-        and orient_xy(ax, ay, bx, by, x, iy[v]) > 0
-        and orient_xy(bx, by, yx, yy, x, iy[v]) > 0
+        v for v in ids[bisect_right(xs, xlo) : bisect_left(xs, xhi)]
+        if ylo < iy[v] < yhi
+        and orient_xy(yx, yy, ax, ay, ix[v], iy[v]) > 0
+        and orient_xy(ax, ay, bx, by, ix[v], iy[v]) > 0
+        and orient_xy(bx, by, yx, yy, ix[v], iy[v]) > 0
     ]
     if not inside:
         return []
@@ -163,6 +167,15 @@ def _chain(a, y, b, ix, iy):
     hull = [at[xy] for xy in convex_hull(list(at))]
     k = hull.index(a)
     return (hull[k:] + hull[:k])[:1:-1]  # counterclockwise a, b, then S
+
+
+def _by_x(pts):
+    """The ids of the points ``pts`` sorted by scaled x, and their xs:
+    sorted once per point set and kept on it, for every graph on them."""
+    if pts.by_x is None:
+        ids = sorted(pts.ix, key=pts.ix.__getitem__)
+        pts.by_x = [pts.ix[v] for v in ids], ids
+    return pts.by_x
 
 
 def _geodesic_path(g: Pslg, ids) -> GeodesicPath:

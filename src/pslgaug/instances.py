@@ -20,8 +20,9 @@ from .triangulate import delaunay
 
 FORMAT_VERSION = 1
 
-# decodes one op-log line: json.loads without its per-call type checks
-_decode_line = json.JSONDecoder().decode
+# decodes the start of one op-log line: json.loads without its per-call type
+# checks and its two whitespace scans, which a stripped line does not need
+_decode_line = json.JSONDecoder().raw_decode
 
 
 def fraction_to_decimal(x: Fraction) -> str:
@@ -177,9 +178,12 @@ def oplog_from_jsonl(text: str):
         if not line:
             continue
         try:
-            doc = _decode_line(line)
+            doc, end = _decode_line(line)
+            if end != len(line):
+                raise ValueError("extra data after the JSON object")
             op, u, v, phase = doc["op"], doc["u"], doc["v"], doc.get("phase", 0)
-            if not (_is_int(u) and _is_int(v) and _is_int(phase)):
+            # json yields exact types, so this is _is_int
+            if not (type(u) is int and type(v) is int and type(phase) is int):
                 raise TypeError("point ids and the phase must be integers")
             ceil = doc.get("assert_len_le")
             if ceil is not None:
@@ -192,5 +196,5 @@ def oplog_from_jsonl(text: str):
             raise InvalidInstance(f"bad oplog line {ln}") from None
         if op not in ("insert", "delete"):
             raise InvalidInstance(f"bad op {op!r} on oplog line {ln}")
-        steps.append(OpStep(op=op, u=u, v=v, phase=phase, assert_len_le=ceil))
+        steps.append(OpStep(op, u, v, phase, ceil))
     return steps

@@ -213,9 +213,10 @@ class _ValidatedPoints(tuple):
     the empty graph: a strong one would keep every graph alive with its
     points.  A copy or an unpickled tuple starts without one.  ``mst``, the
     points' Euclidean MST once ``transform.euclidean_mst`` has computed it,
-    is shared by every graph on them."""
+    and ``by_x``, their ids in x order once ``geodesic._chain`` has asked
+    for it (``geodesic._by_x``), are shared by every graph on them."""
 
-    g0 = mst = None
+    g0 = mst = by_x = None
 
     def __getstate__(self):
         return {k: v for k, v in self.__dict__.items() if k != "g0"}

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 from math import fsum
 
 from .geom import (
@@ -75,6 +76,10 @@ class OpStep:
     v: int
     phase: int
     assert_len_le: float | None = field(default=None, compare=False)  # length ceiling
+
+    def __init__(self, op, u, v, phase, assert_len_le=None):
+        # one write in place of the generated init's object.__setattr__ per field
+        self.__dict__.update(op=op, u=u, v=v, phase=phase, assert_len_le=assert_len_le)
 
 
 @dataclass
@@ -534,7 +539,17 @@ def phase4_grow_cycle(ed: _Editor):
     which crosses nothing (``convex_geodesic``).  ``_Editor.splice``
     deletes an edge of ``old`` only with its last polygon copy, and the
     rest of the closed walk joins its ends; it deletes an off-polygon edge
-    only between two polygon vertices, which the polygon joins."""
+    only between two polygon vertices, which the polygon joins.
+
+    Each round grows the polygon at y, the least polygon vertex with a
+    convex CCW-consecutive pair of neighbours, one on the polygon and one
+    off it: the least rim vertex, one with a neighbour off the polygon,
+    which a heap keeps.  A rim vertex also has a polygon neighbour, so it
+    has at least two mixed pairs, and at most one sector at a vertex is
+    reflex; a vertex off the rim has no mixed pair.  Phase 4 only adds polygon
+    vertices, and each edge it inserts joins two of them, so a vertex never
+    rejoins the rim: the heap takes each new polygon vertex on the rim and
+    drops a top that has left it."""
     g = ed.graph
     id_at = {g.ipt(p.id): p.id for p in g.points}
     hull = [id_at[xy] for xy in convex_hull(list(id_at))]
@@ -550,27 +565,20 @@ def phase4_grow_cycle(ed: _Editor):
     ed.trace([x[1] for x in cyc[::-1 if cyc[0] == (u, v) else 1]])
 
     rounds = 0
-    mult = ed.mult
+    mult, rot = ed.mult, g.rotation
+    rim = [v for v in mult if any(w not in mult for w in rot[v])]
+    heapify(rim)
     while len(mult) < g.n:
         rounds += 1
         if rounds > g.n:
             raise LemmaViolation("phase 4 exceeded its round budget")
-        found = None
-        for y in sorted(mult):
-            rot = g.rotation[y]
-            k = len(rot)
-            # a CCW-consecutive mixed pair with a convex corner always
-            # exists at some boundary vertex (at most one reflex sector per
-            # vertex); the in-polygon endpoint may come first or second
-            for i in range(k):
-                a, b = rot[i], rot[(i + 1) % k]
-                if (a in mult) == (b in mult):
-                    continue
-                if _corner_convex(g, a, y, b):
-                    found = (a, y, b)
-                    break
-            if found:
-                break
+        while rim and all(w in mult for w in rot[rim[0]]):
+            heappop(rim)
+        y = rim[0] if rim else None
+        r = rot.get(y, ())
+        # the in-polygon endpoint may come first or second
+        found = next(((a, y, b) for a, b in zip(r, r[1:] + r[:1])
+                      if (a in mult) != (b in mult) and _corner_convex(g, a, y, b)), None)
         if found is None:
             raise LemmaViolation("no convex boundary pair found in phase 4")
         a_end, y, b_end = found
@@ -584,13 +592,17 @@ def phase4_grow_cycle(ed: _Editor):
         # splice: replace the first copy of edge (xq, y), seq[at] to seq[at + 1],
         # by xq .. geodesic .. zq, y; it starts at or just before an xq
         seq, m = ed.poly.seq, len(ed.poly.seq)
-        at = min(j % m for i, w in enumerate(seq) if w == xq for j in (i, i - 1)
-                 if {seq[j], seq[(j + 1) % m]} == {xq, y})
+        i = -1
+        xqs = [i := seq.index(xq, i + 1) for _ in range(mult[xq])]  # xq's positions
+        at = min(j % m for k in xqs for j in (k, k - 1) if {seq[j], seq[(j + 1) % m]} == {xq, y})
         old, new = [xq, y], gids + [y]
         # delete the replaced polygon edge first (the rest of the polygon
         # keeps everything connected); only then insert the geodesic, so the
         # intermediate length never spikes above the ceiling
         ed.splice(at, old, new, PHASE_GROW)
+        for v in gids[1:]:
+            if any(w not in mult for w in rot[v]):
+                heappush(rim, v)
     ed.poly.validate(ed.graph)
     if ed.poly_len > ed.cycle_bound:
         raise LemmaViolation("final polygon exceeds 2*MST")

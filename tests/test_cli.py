@@ -201,6 +201,17 @@ def test_oplog_rejects_non_integer_ids(ids):
         oplog_from_jsonl(good + "\n" + bad + "\n")
 
 
+@pytest.mark.parametrize("tail", [' {"op": "insert", "u": 1, "v": 3}', "]", ",", " x", " 0"])
+def test_oplog_rejects_a_line_with_data_after_its_object(tail):
+    # a line is one JSON object, whitespace around it aside
+    from pslgaug.transform import OpStep
+
+    good = json.dumps({"op": "insert", "u": 1, "v": 3, "phase": 4})
+    assert oplog_from_jsonl(f" \t{good}\t \n\n") == [OpStep("insert", 1, 3, 4)]
+    with pytest.raises(InvalidInstance, match=r"^bad oplog line 2$"):
+        oplog_from_jsonl(good + "\n" + good + tail + "\n")
+
+
 @pytest.mark.parametrize("ids", NON_INTEGER_IDS)
 def test_replay_rejects_non_integer_ids(fig3_file, tmp_path, capsys, ids):
     oplog = tmp_path / "run.jsonl"

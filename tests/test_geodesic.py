@@ -1,5 +1,6 @@
 import random
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -8,10 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pslgaug import build
-from pslgaug.geom import convex_hull, dist, ekey, segments_properly_cross
+from pslgaug.geom import convex_hull, dist, ekey, orient_xy, segments_properly_cross
 from pslgaug.geodesic import WalkNotInFace, convex_geodesic, geodesic
+from pslgaug.heuristic import augment_2ec, augment_2vc
 from pslgaug.instances import generate
 from pslgaug.pslg import LemmaViolation, _corner_convex, convex_walk_decomposition, facial_walks
+from pslgaug.transform import transform
 
 from funnel_oracle import funnel_env, funnel_geodesic, locate_subwalk
 from geodesic_oracle import oracle_geodesic
@@ -568,3 +571,71 @@ def test_a_reflex_corner_is_refused():
                         query(g, [a, y, b])
                 refused += 1
     assert refused >= 50
+
+
+def full_scan_chain(a, y, b, pts):
+    """``_chain`` by one pass over every vertex, a bounding-box filter, then
+    three exact orientations: the reference for the x-slab."""
+    ix, iy = pts.ix, pts.iy
+    ax, ay, yx, yy, bx, by = ix[a], iy[a], ix[y], iy[y], ix[b], iy[b]
+    xlo, xhi = min(ax, yx, bx), max(ax, yx, bx)
+    ylo, yhi = min(ay, yy, by), max(ay, yy, by)
+    inside = [
+        v for v, x in ix.items()
+        if xlo < x < xhi and ylo < iy[v] < yhi
+        and orient_xy(yx, yy, ax, ay, x, iy[v]) > 0
+        and orient_xy(ax, ay, bx, by, x, iy[v]) > 0
+        and orient_xy(bx, by, yx, yy, x, iy[v]) > 0
+    ]
+    if not inside:
+        return []
+    at = {(ix[v], iy[v]): v for v in inside + [a, b]}
+    hull = [at[xy] for xy in convex_hull(list(at))]
+    k = hull.index(a)
+    return (hull[k:] + hull[:k])[:1:-1]
+
+
+def twin_columns(k):
+    """k columns of two points at x = 10 i, joined by the x-monotone path
+    that runs up or down each column: every point shares its x with one
+    other."""
+    def make(rng):
+        points = [(2 * i + j, 10 * i, rng.randint(-10**6, 10**6)) for i in range(k) for j in (0, 1)]
+        return points, [(v, v + 1) for v in range(2 * k - 1)]
+
+    return make
+
+
+def test_chain_slab_equals_the_full_scan(monkeypatch):
+    # every _chain that the heuristics and the morph ask for, on the pool,
+    # the adversarial families, point sets whose points pair up on one x,
+    # and moved and scaled copies, equals the scan of every vertex; some
+    # calls have a point other than a, y and b on an end of their x-range
+    geodesic_mod = sys.modules["pslgaug.geodesic"]  # the package exports the function
+    chain = geodesic_mod._chain
+    calls, ties, xcount = Counter(), [0], {}
+
+    def checked(a, y, b, pts):
+        got = chain(a, y, b, pts)
+        assert got == full_scan_chain(a, y, b, pts), (a, y, b)
+        calls[len(got) > 0] += 1
+        if id(pts) not in xcount:
+            xcount[id(pts)] = (pts, Counter(pts.ix.values()))
+        xs = xcount[id(pts)][1]
+        ends = [pts.ix[v] for v in (a, y, b)]
+        ties[0] += any(xs[x] > ends.count(x) for x in (min(ends), max(ends)))
+        return got
+
+    monkeypatch.setattr(geodesic_mod, "_chain", checked)
+    graphs = pool_instances()
+    graphs += [_general_position(make, random.Random(seed)) for _, make, seed in FAMILIES]
+    graphs += [_general_position(twin_columns(k), random.Random(k)) for k in range(3, 40, 3)]
+    graphs += _copies(graphs[::4])
+    for g in graphs:
+        augment_2ec(g)
+        augment_2vc(g)
+        try:
+            transform(g)
+        except LemmaViolation as exc:  # the known phase-4 splice defect
+            assert "interleave" in str(exc)
+    assert calls[False] >= 9000 and calls[True] >= 250 and ties[0] >= 2000

@@ -1,11 +1,12 @@
 import hashlib
 import inspect
 import json
+import pickle
 import random
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, fields, replace
 from math import atan2, fsum, isqrt
 from types import SimpleNamespace
 
@@ -423,6 +424,50 @@ def test_local_round_checks_catch_the_known_interleaves():
         assert str(e.value) == f"polygon occurrences interleave at vertex {v}", case
 
 
+def scan_pick(ed):
+    """Phase 4's corner by a scan of every polygon vertex in id order: the
+    first CCW-consecutive pair of neighbours, one on the polygon and one off
+    it, whose corner is convex, as (a, y, b) in rotation order; the
+    reference for the rim heap."""
+    g, mult = ed.graph, ed.mult
+    for y in sorted(mult):
+        rot = g.rotation[y]
+        for i in range(len(rot)):
+            a, b = rot[i], rot[(i + 1) % len(rot)]
+            if (a in mult) != (b in mult) and _corner_convex(g, a, y, b):
+                return [a, y, b]
+    return None
+
+
+def test_phase4_rim_heap_picks_the_corner_of_the_sorted_scan(monkeypatch):
+    # round by round, the corner phase 4 grows at, taken off its rim heap,
+    # is the one the scan of every polygon vertex in id order picks, on both
+    # families and on relabelled, reflected and N - id copies
+    query = _Editor.geodesic
+    rounds = Counter()
+
+    def checked(ed, walk):
+        if len(ed.mult) < ed.graph.n:  # phase 4: some vertex is off the polygon
+            assert list(walk) == scan_pick(ed)
+            rounds[len(ed.mult) > 60] += 1
+        return query(ed, walk)
+
+    monkeypatch.setattr(_Editor, "geodesic", checked)
+    rng = random.Random(5501)
+    cases = [(rng.randint(5, 60), rng.randrange(10**6), rng.choice((0.0, 0.3, 0.6, 0.9)))
+             for _ in range(24)]
+    cases += [(rng.randint(100, 200), rng.randrange(10**6), rng.choice((0.0, 0.5))) for _ in range(2)]
+    for case in cases:
+        for make in (generate, scan_graph):
+            g = make(*case)
+            for h in _copies(g, rng) + [_reversed_ids(g)]:
+                try:
+                    transform(h)
+                except LemmaViolation as exc:  # the known phase-4 splice defect
+                    assert "interleave" in str(exc)
+    assert rounds[False] >= 4000 and rounds[True] >= 1400
+
+
 def test_transform_and_replay_leave_the_start_graph_as_it_is(monkeypatch):
     # the editor edits a copy of the start graph in place: the start graph's
     # edges, rotations and faces stay as they were, transform's final graph
@@ -454,12 +499,16 @@ def test_transform_and_replay_leave_the_start_graph_as_it_is(monkeypatch):
     assert len(editors) == len(pool_instances())
 
 
+def _reversed_ids(g):
+    """g with every id v as N - v, N the largest id."""
+    n = max(p.id for p in g.points)
+    return build([(n - p.id, p.x, p.y) for p in g.points], [(n - u, n - v) for u, v in g.edges])
+
+
 def _spike():
     """``generate(48, 518200, 0.5)`` with every id v as N - v: phase 4 ends
     with a spike."""
-    g = generate(48, 518200, 0.5)
-    n = max(p.id for p in g.points)
-    return build([(n - p.id, p.x, p.y) for p in g.points], [(n - u, n - v) for u, v in g.edges])
+    return _reversed_ids(generate(48, 518200, 0.5))
 
 
 def test_phase5_shortcuts_a_spike():
@@ -673,6 +722,31 @@ def test_editor_computes_the_ceiling_and_cycle_bound():
         assert ed.ceiling == g.total_length() + mst_length(g) + LENGTH_TOL
         assert ed.cycle_bound == 2 * mst_length(g) + LENGTH_TOL
     assert transform(g)[2].stats["ceiling"] == ed.ceiling
+
+
+def test_op_step_keeps_its_dataclass_contract():
+    # the one-write init keeps what the generated one gave: equality and
+    # hash without the ceiling, frozen fields, the generated repr, keyword
+    # construction, replace, asdict and pickling
+    step = OpStep("insert", 3, 7, PHASE_GROW)
+    ceiled = OpStep(op="insert", u=3, v=7, phase=PHASE_GROW, assert_len_le=2.5)
+    assert [f.name for f in fields(OpStep)] == ["op", "u", "v", "phase", "assert_len_le"]
+    assert step == ceiled and hash(step) == hash(ceiled) and ceiled.assert_len_le == 2.5
+    assert step != OpStep("delete", 3, 7, PHASE_GROW) and step != OpStep("insert", 3, 7, PHASE_MST)
+    assert repr(ceiled) == "OpStep(op='insert', u=3, v=7, phase=4, assert_len_le=2.5)"
+    assert repr(step) == "OpStep(op='insert', u=3, v=7, phase=4, assert_len_le=None)"
+    for name in ("op", "u", "assert_len_le"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(step, name, 1)
+    with pytest.raises(FrozenInstanceError):
+        del step.v
+    moved = replace(ceiled, v=8)
+    assert (moved.v, moved.assert_len_le) == (8, 2.5) and ceiled.v == 7
+    assert asdict(ceiled) == {"op": "insert", "u": 3, "v": 7, "phase": 4, "assert_len_le": 2.5}
+    back = pickle.loads(pickle.dumps(ceiled))
+    assert back == ceiled and asdict(back) == asdict(ceiled)
+    with pytest.raises(TypeError):
+        OpStep("insert", 3, 7)
 
 
 def test_replay_checks_each_steps_length_ceiling():
